@@ -551,22 +551,6 @@ class Adam:
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.grad[...] = 0.0
 
-    def state_dict(self) -> dict:
-        return {"t": self.t, "m": [a.copy() for a in self.m], "v": [a.copy() for a in self.v]}
-
-    def load_state_dict(self, state: dict) -> None:
-        if len(state["m"]) != len(self.params) or len(state["v"]) != len(self.params):
-            raise ContractError("optimizer state does not match the parameter list")
-        for slot, arrs in (("m", state["m"]), ("v", state["v"])):
-            own = getattr(self, slot)
-            for i, a in enumerate(arrs):
-                if a.shape != own[i].shape:
-                    raise ContractError(
-                        f"optimizer moment {slot}[{i}] has shape {a.shape}, expected {own[i].shape}"
-                    )
-                own[i][...] = a
-        self.t = int(state["t"])
-
 
 # ---------------------------------------------------------------------------
 # gradient checking

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError, DomainError
-from .selector import LIGHT_HIDDEN, align_timesteps
+from .selector import LIGHT_HIDDEN, encode_light
 
 SAMPLE_MODES = ("uniform", "random", "topk")
 
@@ -56,10 +56,6 @@ class ScorerParams:
         )
 
     @property
-    def channels(self) -> int:
-        return self.enc_w2.shape[1]
-
-    @property
     def n_classes(self) -> int:
         return self.head_w.shape[1]
 
@@ -74,36 +70,14 @@ class ScorerParams:
 def scorer_logits(frames: np.ndarray, params: ScorerParams, stride: int,
                   timesteps: int, segment_len: int) -> Tensor:
     """Per-timestep class logits (T, L); the differentiable training path."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != params.enc_w1.shape[0]:
-        raise DimensionError(
-            f"frames shape {frames.shape} does not match scorer input width "
-            f"{params.enc_w1.shape[0]}"
-        )
-    idx = align_timesteps(timesteps, segment_len, stride, n_frames=frames.shape[0])
-    h = ad.relu(ad.affine(Tensor(frames[idx]), params.enc_w1, params.enc_b1))
-    feats = ad.affine(h, params.enc_w2, params.enc_b2)
+    feats = encode_light(frames, params, timesteps, segment_len, stride)
     return ad.affine(feats, params.head_w, params.head_b)
-
-
-def scsampler_score(x, params: ScorerParams) -> float:
-    """Saliency of one timestep feature: max softmax probability of the head.
-
-    Pure function of the single feature vector, so identical inputs score
-    identically wherever they occur.
-    """
-    v = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != params.channels:
-        raise DimensionError(f"expected a ({params.channels},) feature, got shape {v.shape}")
-    z = v @ params.head_w.data + params.head_b.data
-    z = z - z.max()
-    e = np.exp(z)
-    return float(e.max() / e.sum())
 
 
 def scsampler_scores(frames: np.ndarray, params: ScorerParams, stride: int,
                      timesteps: int, segment_len: int) -> np.ndarray:
-    """Per-timestep saliency scores over one video, shape (T,)."""
+    """Per-timestep saliency scores over one video, shape (T,): the head's
+    maximum softmax probability at each timestep."""
     logits = scorer_logits(frames, params, stride, timesteps, segment_len).data
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)

@@ -1,9 +1,9 @@
 """Per-timestep gating: concept similarity, a gate MLP, and noisy thresholding.
 
-The gate for a timestep is produced in three steps: the timestep feature is
-compared against a bank of learned concept kernels, a two-layer MLP reduces
-the similarity vector to a single logit, and the logit is turned into a gate
-value by a noisy clipped sigmoid.
+All T timesteps of a video are gated at once.  Each timestep feature (a row
+of a T x C matrix) is compared against a bank of learned concept kernels, a
+two-layer MLP reduces each similarity row to a single logit, and the (T, 1)
+logit column is turned into gate values by a noisy clipped sigmoid.
 
 During training the activation is ``a = clip(sigmoid(logit + G))`` where
 ``G = G1 - G2`` is the difference of two independent Gumbel(0, 1) draws
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 
 GATE_THRESHOLD = 0.5
 
@@ -86,56 +86,19 @@ class GatingMLP:
         return self.w1.shape[0]
 
 
-@dataclass
-class GateDecision:
-    """Outcome of one gate: its logit, activated value, and open flag.
-
-    ``value`` is a one-element tensor so a decision produced by the scalar
-    training path stays connected to the computation record; ``activated``
-    exposes it as a plain float.
-    """
-
-    logit: float
-    value: Tensor
-    open: bool
-    noise_used: bool
-
-    @property
-    def activated(self) -> float:
-        return float(self.value.data.reshape(()))
-
-
 # ---------------------------------------------------------------------------
 # similarity and logits
 
 
-def similarity(x: Tensor, bank: ConceptBank) -> Tensor:
-    """Similarity of one timestep feature to every concept kernel: ``K @ x``."""
-    if x.data.ndim != 1 or x.shape[0] != bank.channels:
-        raise DimensionError(
-            f"similarity got feature shape {x.shape} against kernels {tuple(bank.kernels.shape)}"
-        )
-    col = ad.reshape(x, (bank.channels, 1))
-    return ad.reshape(ad.matmul(bank.kernels, col), (bank.n_kernels,))
-
-
 def similarity_batch(features: Tensor, bank: ConceptBank) -> Tensor:
-    """Row-per-timestep variant: ``X @ K.T`` for ``X`` of shape T x C."""
+    """Similarity of every timestep feature to every concept kernel:
+    ``X @ K.T`` for ``X`` of shape T x C."""
     if features.data.ndim != 2 or features.shape[1] != bank.channels:
         raise DimensionError(
             f"similarity_batch got features {features.shape} against kernels "
             f"{tuple(bank.kernels.shape)}"
         )
     return ad.matmul(features, ad.transpose(bank.kernels))
-
-
-def gate_logit(s: Tensor, mlp: GatingMLP) -> Tensor:
-    """One gate logit from one similarity vector."""
-    if s.data.ndim != 1 or s.shape[0] != mlp.n_in:
-        raise DimensionError(f"gate_logit got similarity shape {s.shape}, expected ({mlp.n_in},)")
-    row = ad.reshape(s, (1, mlp.n_in))
-    h = ad.relu(ad.affine(row, mlp.w1, mlp.b1))
-    return ad.reshape(ad.affine(h, mlp.w2, mlp.b2), ())
 
 
 def gate_logits_batch(similarities: Tensor, mlp: GatingMLP) -> Tensor:
@@ -152,12 +115,8 @@ def gate_logits_batch(similarities: Tensor, mlp: GatingMLP) -> Tensor:
 # noise and activation
 
 
-def sample_gate_noise(rng: np.random.Generator) -> float:
-    """One Logistic(0, 1) draw, the law of a difference of two Gumbel(0, 1)s."""
-    return float(sample_gate_noise_batch(rng, 1)[0])
-
-
 def sample_gate_noise_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Logistic(0, 1) draws, the law of a difference of two Gumbel(0, 1)s."""
     if n < 1:
         raise DomainError(f"need at least one noise draw, got {n}")
     u = rng.random(n)
@@ -166,26 +125,15 @@ def sample_gate_noise_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.log(u) - np.log1p(-u)
 
 
-def activate_train(alpha: Tensor, noise: float) -> GateDecision:
-    """Noisy clipped-sigmoid activation of a scalar logit tensor.
-
-    Values land in {0} or (1/2, 1]; an exact 1/2 closes the gate.  The
-    threshold ``sigmoid(z) > 1/2`` is evaluated as ``z > 0`` so that it stays
-    exact where the sigmoid itself rounds to 1/2.  The clip mask is constant
-    for backward, so gradient reaches ``alpha`` only when the gate is open.
-    """
-    if alpha.data.size != 1:
-        raise DimensionError(f"activate_train needs a one-element logit, got shape {alpha.shape}")
-    z = ad.add(alpha, float(noise))
-    g = ad.sigmoid(z)
-    is_open = bool(z.data.reshape(()) > 0.0)
-    mask = Tensor(np.where(z.data > 0.0, 1.0, 0.0))
-    value = ad.mul(g, mask)
-    return GateDecision(float(alpha.data.reshape(())), value, is_open, True)
-
-
 def activate_train_batch(alphas: Tensor, noises: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Vectorized activation; returns the activated tensor and the open mask."""
+    """Noisy clipped-sigmoid activation of a logit tensor.
+
+    Returns the activated tensor and the flat open mask.  Values land in {0}
+    or (1/2, 1]; an exact 1/2 closes the gate.  The threshold
+    ``sigmoid(z) > 1/2`` is evaluated as ``z > 0`` so that it stays exact
+    where the sigmoid itself rounds to 1/2.  The clip mask is constant for
+    backward, so gradient reaches ``alphas`` only through open gates.
+    """
     noises = np.asarray(noises, dtype=np.float64)
     if noises.shape != tuple(alphas.shape):
         raise DimensionError(f"noise shape {noises.shape} does not match logits {alphas.shape}")
@@ -196,24 +144,11 @@ def activate_train_batch(alphas: Tensor, noises: np.ndarray) -> tuple[Tensor, np
     return value, open_mask.reshape(-1)
 
 
-def activate_test(alpha: Tensor) -> GateDecision:
-    """Deterministic step activation: open iff the logit is positive."""
-    if alpha.data.size != 1:
-        raise DimensionError(f"activate_test needs a one-element logit, got shape {alpha.shape}")
-    logit = float(alpha.data.reshape(()))
-    is_open = logit > 0.0
-    return GateDecision(logit, Tensor(np.where(is_open, 1.0, 0.0)), is_open, False)
-
-
 def activate_test_batch(alphas) -> tuple[Tensor, np.ndarray]:
+    """Deterministic step activation: open iff the logit is positive."""
     data = alphas.data if isinstance(alphas, Tensor) else np.asarray(alphas, dtype=np.float64)
     open_mask = data > 0.0
     return Tensor(open_mask.astype(np.float64)), open_mask.reshape(-1)
-
-
-def apply_gate(x: Tensor, decision: GateDecision) -> Tensor:
-    """Scale a feature tensor by the gate value; a closed gate zeroes it."""
-    return ad.mul(x, decision.value)
 
 
 def l0_penalty(alphas: Tensor, lam: float) -> Tensor:

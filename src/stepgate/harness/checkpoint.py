@@ -1,29 +1,28 @@
-"""Binary checkpoints for bundles and optimizer moments.
+"""Binary checkpoints: a bundle's parameters, its config and its step count.
 
-Layout: magic ``SGCK`` | u32 version | u32 header length | JSON header |
-float64 little-endian blocks. The header lists parameter names and shapes in
-block order; when moments are stored, the first-moment blocks follow every
-parameter block and the second-moment blocks follow those, same order.
-The header JSON is canonical (sorted keys, no whitespace) so save -> load ->
-save reproduces the file byte for byte.
+Format version 2, in the shared container (``stepgate.container``): magic
+``SGCK`` | u32 version | u32 header length | u32 CRC-32 | JSON header |
+float64 little-endian blocks.  The header holds the config, the step and the
+parameter names and shapes in block order; one block per parameter follows.
+Optimizer moments are not stored, since no path resumes training; version 1
+files, which carried them, are rejected.  The header JSON is canonical
+(sorted keys, no whitespace) so save -> load -> save reproduces the file
+byte for byte.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ..autodiff import Adam
+from .. import container
 from ..errors import ContractError, FormatError
 from .config import ExperimentConfig, config_from_dict
 from .models import ModelBundle
 
 MAGIC = b"SGCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -31,39 +30,12 @@ class Checkpoint:
     config: dict
     step: int
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray] | None = None
-    adam_v: dict[str, np.ndarray] | None = None
-
-    def __post_init__(self):
-        has_m, has_v = self.adam_m is not None, self.adam_v is not None
-        if has_m != has_v:
-            raise ContractError("both Adam moments must be stored, or neither")
-        if has_m and (set(self.adam_m) != set(self.params)
-                      or set(self.adam_v) != set(self.params)):
-            raise ContractError("moment entries must mirror the parameter names")
-
-    @property
-    def has_moments(self) -> bool:
-        return self.adam_m is not None
 
     @classmethod
-    def from_bundle(cls, config: ExperimentConfig, bundle: ModelBundle, step: int,
-                    optimizer: Adam | None = None) -> "Checkpoint":
-        named = bundle.named_parameters()
-        params = {k: t.data.copy() for k, t in named.items()}
-        adam_m = adam_v = None
-        if optimizer is not None:
-            if list(optimizer.params) != list(named.values()):
-                raise ContractError(
-                    "optimizer must hold exactly the bundle's parameters, in order"
-                )
-            state = optimizer.state_dict()
-            names = list(named)
-            adam_m = dict(zip(names, state["m"]))
-            adam_v = dict(zip(names, state["v"]))
-            step = state["t"]
-        return cls(config=config.to_dict(), step=int(step), params=params,
-                   adam_m=adam_m, adam_v=adam_v)
+    def from_bundle(cls, config: ExperimentConfig, bundle: ModelBundle,
+                    step: int) -> "Checkpoint":
+        params = {k: t.data.copy() for k, t in bundle.named_parameters().items()}
+        return cls(config=config.to_dict(), step=int(step), params=params)
 
     def experiment_config(self) -> ExperimentConfig:
         return config_from_dict(self.config)
@@ -86,24 +58,6 @@ class Checkpoint:
                 )
             tensor.data[...] = stored
 
-    def restore_optimizer(self, optimizer: Adam, bundle: ModelBundle) -> None:
-        if not self.has_moments:
-            raise ContractError("checkpoint was saved without optimizer moments")
-        names = list(bundle.named_parameters())
-        optimizer.load_state_dict({
-            "t": self.step,
-            "m": [self.adam_m[n] for n in names],
-            "v": [self.adam_v[n] for n in names],
-        })
-
-
-def _block_order(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    blocks = [(n, ckpt.params[n]) for n in ckpt.params]
-    if ckpt.has_moments:
-        blocks += [(n, ckpt.adam_m[n]) for n in ckpt.params]
-        blocks += [(n, ckpt.adam_v[n]) for n in ckpt.params]
-    return blocks
-
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     header = {
@@ -111,55 +65,28 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "config": ckpt.config,
         "step": ckpt.step,
         "entries": [[n, list(a.shape)] for n, a in ckpt.params.items()],
-        "has_moments": ckpt.has_moments,
     }
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(raw)))
-        fh.write(raw)
-        for _, arr in _block_order(ckpt):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    body = [np.ascontiguousarray(a, dtype="<f8") for a in ckpt.params.values()]
+    container.write(path, MAGIC, FORMAT_VERSION, header, body)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file (magic {blob[:4]!r})")
-    if len(blob) < 12:
-        raise FormatError(f"{path}: truncated before the header")
-    version, header_len = struct.unpack_from("<II", blob, 4)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    if len(blob) < 12 + header_len:
-        raise FormatError(f"{path}: truncated inside the header")
+    blob, header, offset = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint")
     try:
-        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
         entries = [(str(n), tuple(int(d) for d in shape))
                    for n, shape in header["entries"]]
         config, step = dict(header["config"]), int(header["step"])
-        has_moments = bool(header["has_moments"])
-        if int(header["format_version"]) != version:
+        if int(header["format_version"]) != FORMAT_VERSION:
             raise ValueError("header version disagrees with the container")
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt checkpoint header ({exc})") from exc
-
-    copies = 3 if has_moments else 1
-    offset = 12 + header_len
-    groups: list[dict[str, np.ndarray]] = []
-    for _ in range(copies):
-        group = {}
+        params = {}
         for name, shape in entries:
-            n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
-            if len(blob) < offset + n_bytes:
-                raise FormatError(f"{path}: truncated inside block {name!r}")
-            group[name] = np.frombuffer(
-                blob, dtype="<f8", count=n_bytes // 8, offset=offset
+            count = int(np.prod(shape, dtype=np.int64))
+            params[name] = np.frombuffer(
+                blob, dtype="<f8", count=count, offset=offset
             ).reshape(shape).astype(np.float64)
-            offset += n_bytes
-        groups.append(group)
+            offset += 8 * count
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: corrupt checkpoint ({exc})") from exc
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after the blocks")
-    return Checkpoint(config=config, step=step, params=groups[0],
-                      adam_m=groups[1] if has_moments else None,
-                      adam_v=groups[2] if has_moments else None)
+    return Checkpoint(config=config, step=step, params=params)

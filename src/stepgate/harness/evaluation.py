@@ -20,12 +20,11 @@ from ..baselines import sample_indices, scsampler_scores
 from ..classifier import HEAD_HIDDEN, HEAVY_HIDDEN, classify, heavynet_features
 from ..costmodel import GFLOP, CostRegistry, CostReport, desk_flops, pipeline_cost
 from ..errors import ConfigError, ContractError, DomainError
-from ..selector import LIGHT_HIDDEN, select, top_k_indices
+from ..selector import LIGHT_HIDDEN, heavy_indices, select, top_k_indices
 from ..synthdata import Dataset
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
 from .models import ModelBundle, build_bundle, selection_stride, training_sample_budget
-from .training import fallback_index
 
 _EVAL_STREAM = 0xE7A1
 
@@ -182,7 +181,7 @@ def _video_indices(bundle: ModelBundle, config: ExperimentConfig, video,
         result = select(video.frames, bundle.selector, "test", stride)
         if budget is not None:
             return top_k_indices(result, budget)
-        return result.selected_indices or [fallback_index(result.decisions)]
+        return heavy_indices(result)
     k = budget if budget is not None else training_sample_budget(config)
     if bundle.mode == "scsampler":
         scores = scsampler_scores(video.frames, bundle.scorer, stride, t,

@@ -53,7 +53,7 @@ def compute_gating_report(bundle: ModelBundle, config: ExperimentConfig,
     for video in videos:
         result = select(video.frames, bundle.selector, "test", stride)
         ratio = len(result.selected_indices) / t
-        gates = sigmoid_np(np.asarray([dec.logit for dec in result.decisions]))
+        gates = sigmoid_np(result.logits.data.reshape(-1))
         if d.task == "single_label":
             classes = [int(video.labels)]
         else:

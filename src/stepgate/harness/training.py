@@ -1,6 +1,13 @@
-"""Training loops for every experiment mode.
+"""Training for every experiment mode, through one loop.
 
-All loops are deterministic given (config, seed): parameter init, batch
+``_fit`` is the only optimisation loop: shuffled minibatches, the mean of the
+per-video losses, one backward pass and one Adam step per batch.  Each mode
+supplies a per-video loss: end-to-end and frame-conditioned training fit the
+selector and the heavy classifier jointly; the stand-alone selector and the
+SCSampler scorer fit a light model first (phase A), then the heavy classifier
+on their frozen picks (phase B); uniform and random sampling run phase B only.
+
+All training is deterministic given (config, seed): parameter init, batch
 shuffles, gate noise, and baseline sampling each draw from streams derived
 from the config seed, and batches run sequentially.
 """
@@ -16,8 +23,9 @@ from .. import gating
 from ..autodiff import Adam, Tensor
 from ..baselines import sample_indices, scorer_logits, scsampler_scores
 from ..classifier import classify, head_logits, heavynet_features, task_loss
-from ..errors import ConfigError, ContractError, TrainingDivergence
-from ..selector import lightnet_features, select, self_attention
+from ..errors import (ConfigError, ContractError, DomainError, GenerationError,
+                      TrainingDivergence)
+from ..selector import heavy_indices, select
 from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
@@ -48,10 +56,6 @@ class TrainResult:
     epoch_logs: list[EpochLog] = field(default_factory=list)
     classifier_logs: list[EpochLog] = field(default_factory=list)
 
-    @property
-    def final_selected_ratio(self) -> float:
-        return self.epoch_logs[-1].selected_ratio if self.epoch_logs else 0.0
-
 
 # ---------------------------------------------------------------------------
 # dataset plumbing
@@ -61,12 +65,15 @@ def spec_from_config(config: ExperimentConfig) -> ActivitySpec:
     d = config.dataset
     builder = {"anchored": ActivitySpec.default,
                "paired": ActivitySpec.paired}[d.recipe_style]
-    return builder(
-        n_classes=d.n_classes, n_shared=d.n_shared, n_background=d.n_background,
-        d_raw=d.d_raw, timesteps=d.timesteps, frames_per_slot=d.frames_per_slot,
-        noise_sigma=d.noise_sigma, relevant_fraction=d.relevant_fraction,
-        confuser_share=d.confuser_share, task=d.task,
-    )
+    try:
+        return builder(
+            n_classes=d.n_classes, n_shared=d.n_shared, n_background=d.n_background,
+            d_raw=d.d_raw, timesteps=d.timesteps, frames_per_slot=d.frames_per_slot,
+            noise_sigma=d.noise_sigma, relevant_fraction=d.relevant_fraction,
+            confuser_share=d.confuser_share, task=d.task,
+        )
+    except (DomainError, GenerationError) as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
@@ -121,9 +128,69 @@ def _check_finite(loss: Tensor, mode: str, epoch: int) -> None:
         )
 
 
-def fallback_index(decisions) -> int:
-    """Timestep to keep when every gate closed: the highest logit wins."""
-    return int(np.argmax([d.logit for d in decisions]))
+def _fit(params, config: ExperimentConfig, n_videos: int,
+         rng: np.random.Generator, video_loss,
+         mode_name: str) -> tuple[list[EpochLog], int]:
+    """The training loop: returns the epoch logs and the Adam step count.
+
+    ``video_loss(epoch, video_index)`` runs inside the recording and returns
+    ``(loss tensor, prediction hit, selected ratio)`` for one video; the
+    batch loss is the mean over the batch's videos.
+    """
+    tr = config.training
+    opt = Adam(params, lr=tr.lr, eps=tr.eps)
+    logs: list[EpochLog] = []
+    for epoch in range(tr.epochs):
+        loss_sum = hit_sum = ratio_sum = 0.0
+        for batch in _batches(n_videos, tr.batch_size, rng):
+            with ad.record():
+                per_video = []
+                for vi in batch:
+                    loss_i, hit, ratio = video_loss(epoch, vi)
+                    per_video.append(loss_i)
+                    hit_sum += hit
+                    ratio_sum += ratio
+                loss = _mean_loss(per_video)
+                _check_finite(loss, mode_name, epoch)
+                ad.backward(loss)
+            opt.step()
+            loss_sum += float(loss.data) * len(batch)
+        logs.append(EpochLog(epoch, loss_sum / n_videos, hit_sum / n_videos,
+                             ratio_sum / n_videos))
+    return logs, opt.t
+
+
+def _with_l0(loss: Tensor, logits: Tensor, config: ExperimentConfig) -> Tensor:
+    weight = config.training.l0_weight
+    return ad.add(loss, gating.l0_penalty(logits, weight)) if weight > 0.0 else loss
+
+
+def _fit_classifier(bundle: ModelBundle, dataset: Dataset,
+                    config: ExperimentConfig, indices_for,
+                    mode_name: str) -> list[EpochLog]:
+    """Phase B: fit the heavy classifier on given per-video timesteps.
+
+    ``indices_for(epoch, video_index)`` supplies the timesteps; it is
+    re-invoked each epoch so baselines may resample.
+    """
+    stride = selection_stride(config)
+    task = config.dataset.task
+    t_steps = config.dataset.timesteps
+    rng = _train_rng(config)
+    rng.integers(1 << 30)  # offset from the phase A shuffle stream
+
+    def video_loss(epoch, vi):
+        video = dataset.train[vi]
+        idx = indices_for(epoch, vi)
+        feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
+        logits = classify(feats, None, bundle.classifier)
+        return (task_loss(logits, video.labels, task),
+                _prediction_hit(logits.data, video.labels, task),
+                len(idx) / t_steps)
+
+    logs, _ = _fit(bundle.classifier.named_parameters().values(), config,
+                   len(dataset.train), rng, video_loss, mode_name)
+    return logs
 
 
 # ---------------------------------------------------------------------------
@@ -138,113 +205,31 @@ def train_end_to_end(config: ExperimentConfig,
     dataset = dataset if dataset is not None else resolve_dataset(config)
     bundle = build_bundle(config)
     stride = selection_stride(config)
-    tr = config.training
     task = config.dataset.task
     t_steps = config.dataset.timesteps
-    params = bundle.named_parameters()
-    opt = Adam(params.values(), lr=tr.lr, eps=tr.eps)
     rng = _train_rng(config)
-    logs: list[EpochLog] = []
 
-    for epoch in range(tr.epochs):
-        loss_sum = hit_sum = ratio_sum = 0.0
-        for batch in _batches(len(dataset.train), tr.batch_size, rng):
-            with ad.record():
-                per_video = []
-                for vi in batch:
-                    video = dataset.train[vi]
-                    result = select(video.frames, bundle.selector, "train",
-                                    stride, rng=rng)
-                    idx = result.selected_indices
-                    if idx:
-                        gates = ad.take_rows(result.activated, idx)
-                    else:
-                        idx, gates = [fallback_index(result.decisions)], None
-                    feats = heavynet_features(video.frames, idx,
-                                              bundle.classifier, stride)
-                    logits = classify(feats, gates, bundle.classifier)
-                    loss_i = task_loss(logits, video.labels, task)
-                    if tr.l0_weight > 0.0:
-                        loss_i = ad.add(loss_i, gating.l0_penalty(
-                            result.logits, tr.l0_weight))
-                    per_video.append(loss_i)
-                    hit_sum += _prediction_hit(logits.data, video.labels, task)
-                    ratio_sum += len(result.selected_indices) / t_steps
-                loss = _mean_loss(per_video)
-                _check_finite(loss, config.mode, epoch)
-                ad.backward(loss)
-            opt.step()
-            loss_sum += float(loss.data) * len(batch)
-        n = len(dataset.train)
-        logs.append(EpochLog(epoch, loss_sum / n, hit_sum / n, ratio_sum / n))
+    def video_loss(epoch, vi):
+        video = dataset.train[vi]
+        result = select(video.frames, bundle.selector, "train", stride, rng=rng)
+        idx = heavy_indices(result)
+        # the fallback timestep of an all-closed video enters ungated
+        gates = ad.take_rows(result.activated, idx) if result.open.any() else None
+        feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
+        logits = classify(feats, gates, bundle.classifier)
+        loss = _with_l0(task_loss(logits, video.labels, task), result.logits, config)
+        return (loss, _prediction_hit(logits.data, video.labels, task),
+                len(result.selected_indices) / t_steps)
 
-    ckpt = Checkpoint.from_bundle(config, bundle, step=opt.t, optimizer=opt)
+    logs, steps = _fit(bundle.named_parameters().values(), config,
+                       len(dataset.train), rng, video_loss, config.mode)
+    ckpt = Checkpoint.from_bundle(config, bundle, step=steps)
     return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
                        epoch_logs=logs)
 
 
 # ---------------------------------------------------------------------------
 # stand-alone: selector with a light head first, heavy classifier second
-
-
-def _light_video_logits(video, bundle: ModelBundle, stride: int,
-                        rng: np.random.Generator):
-    """Light-path logits for phase A: gated light features, light head, max
-    over time. Returns (logits, gate logit tensor, open count)."""
-    sel = bundle.selector
-    feats = lightnet_features(video.frames, sel, stride)
-    if sel.config.context_mode == "context":
-        feats = self_attention(feats, sel)
-    sims = gating.similarity_batch(feats, sel.bank)
-    alphas = gating.gate_logits_batch(sims, sel.gate)
-    t = sel.config.timesteps
-    noises = gating.sample_gate_noise_batch(rng, t).reshape(t, 1)
-    value, open_mask = gating.activate_train_batch(alphas, noises)
-    gated = ad.mul(feats, ad.tile_cols(ad.reshape(value, (t,)), sel.config.channels))
-    logits = ad.reduce_max(head_logits(gated, bundle.light_head), axis=0)
-    return logits, alphas, int(np.count_nonzero(open_mask))
-
-
-def _train_classifier_on_indices(bundle: ModelBundle, dataset: Dataset,
-                                 config: ExperimentConfig,
-                                 indices_for, mode_name: str) -> list[EpochLog]:
-    """Shared phase B: fit the heavy classifier on fixed per-video timesteps.
-
-    ``indices_for(epoch, video_index, video)`` supplies the timesteps; it is
-    re-invoked each epoch so baselines may resample.
-    """
-    stride = selection_stride(config)
-    tr = config.training
-    task = config.dataset.task
-    opt = Adam(bundle.classifier.named_parameters().values(),
-               lr=tr.lr, eps=tr.eps)
-    rng = _train_rng(config)
-    rng.integers(1 << 30)  # offset from the phase A shuffle stream
-    logs: list[EpochLog] = []
-    t_steps = config.dataset.timesteps
-
-    for epoch in range(tr.epochs):
-        loss_sum = hit_sum = ratio_sum = 0.0
-        for batch in _batches(len(dataset.train), tr.batch_size, rng):
-            with ad.record():
-                per_video = []
-                for vi in batch:
-                    video = dataset.train[vi]
-                    idx = indices_for(epoch, vi, video)
-                    feats = heavynet_features(video.frames, idx,
-                                              bundle.classifier, stride)
-                    logits = classify(feats, None, bundle.classifier)
-                    per_video.append(task_loss(logits, video.labels, task))
-                    hit_sum += _prediction_hit(logits.data, video.labels, task)
-                    ratio_sum += len(idx) / t_steps
-                loss = _mean_loss(per_video)
-                _check_finite(loss, mode_name, epoch)
-                ad.backward(loss)
-            opt.step()
-            loss_sum += float(loss.data) * len(batch)
-        n = len(dataset.train)
-        logs.append(EpochLog(epoch, loss_sum / n, hit_sum / n, ratio_sum / n))
-    return logs
 
 
 def train_standalone_selector(config: ExperimentConfig,
@@ -256,50 +241,34 @@ def train_standalone_selector(config: ExperimentConfig,
     dataset = dataset if dataset is not None else resolve_dataset(config)
     bundle = build_bundle(config)
     stride = selection_stride(config)
-    tr = config.training
     task = config.dataset.task
     t_steps = config.dataset.timesteps
-    selector_params = {**bundle.selector.named_parameters("selector"),
-                       **bundle.light_head.named_parameters("light_head")}
-    opt = Adam(selector_params.values(), lr=tr.lr, eps=tr.eps)
+    channels = bundle.selector.config.channels
     rng = _train_rng(config)
-    logs: list[EpochLog] = []
 
-    for epoch in range(tr.epochs):
-        loss_sum = hit_sum = ratio_sum = 0.0
-        for batch in _batches(len(dataset.train), tr.batch_size, rng):
-            with ad.record():
-                per_video = []
-                for vi in batch:
-                    video = dataset.train[vi]
-                    logits, alphas, n_open = _light_video_logits(
-                        video, bundle, stride, rng)
-                    loss_i = task_loss(logits, video.labels, task)
-                    if tr.l0_weight > 0.0:
-                        loss_i = ad.add(loss_i, gating.l0_penalty(
-                            alphas, tr.l0_weight))
-                    per_video.append(loss_i)
-                    hit_sum += _prediction_hit(logits.data, video.labels, task)
-                    ratio_sum += n_open / t_steps
-                loss = _mean_loss(per_video)
-                _check_finite(loss, "standalone", epoch)
-                ad.backward(loss)
-            opt.step()
-            loss_sum += float(loss.data) * len(batch)
-        n = len(dataset.train)
-        logs.append(EpochLog(epoch, loss_sum / n, hit_sum / n, ratio_sum / n))
+    def video_loss(epoch, vi):
+        # light path: gated light features, light head, max over time
+        video = dataset.train[vi]
+        result = select(video.frames, bundle.selector, "train", stride, rng=rng)
+        gated = ad.mul(result.features, ad.tile_cols(result.activated, channels))
+        logits = ad.reduce_max(head_logits(gated, bundle.light_head), axis=0)
+        loss = _with_l0(task_loss(logits, video.labels, task), result.logits, config)
+        return (loss, _prediction_hit(logits.data, video.labels, task),
+                len(result.selected_indices) / t_steps)
+
+    params = {**bundle.selector.named_parameters("selector"),
+              **bundle.light_head.named_parameters("light_head")}
+    logs, steps = _fit(params.values(), config, len(dataset.train), rng,
+                       video_loss, "standalone")
 
     # the selector is frozen from here; its test-mode picks are fixed, so
     # compute them once per video
-    fixed: dict[int, list[int]] = {}
-    for vi, video in enumerate(dataset.train):
-        result = select(video.frames, bundle.selector, "test", stride)
-        idx = result.selected_indices or [fallback_index(result.decisions)]
-        fixed[vi] = idx
-    cls_logs = _train_classifier_on_indices(
-        bundle, dataset, config, lambda e, vi, v: fixed[vi], "standalone")
+    fixed = [heavy_indices(select(video.frames, bundle.selector, "test", stride))
+             for video in dataset.train]
+    cls_logs = _fit_classifier(bundle, dataset, config,
+                               lambda epoch, vi: fixed[vi], "standalone")
 
-    ckpt = Checkpoint.from_bundle(config, bundle, step=opt.t)
+    ckpt = Checkpoint.from_bundle(config, bundle, step=steps)
     return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
                        epoch_logs=logs, classifier_logs=cls_logs)
 
@@ -317,51 +286,34 @@ def train_scsampler(config: ExperimentConfig,
     dataset = dataset if dataset is not None else resolve_dataset(config)
     bundle = build_bundle(config)
     stride = selection_stride(config)
-    d, tr = config.dataset, config.training
-    seg = config.model.segment_len
-    opt = Adam(bundle.scorer.named_parameters().values(), lr=tr.lr, eps=tr.eps)
+    t_steps, seg = config.dataset.timesteps, config.model.segment_len
     rng = _train_rng(config)
-    logs: list[EpochLog] = []
 
-    for epoch in range(tr.epochs):
-        loss_sum = hit_sum = 0.0
-        for batch in _batches(len(dataset.train), tr.batch_size, rng):
-            with ad.record():
-                per_video = []
-                for vi in batch:
-                    video = dataset.train[vi]
-                    logits = scorer_logits(video.frames, bundle.scorer, stride,
-                                           d.timesteps, seg)
-                    # every timestep carries the video label; a multi-label
-                    # video averages the cross-entropy over its positives,
-                    # keeping the softmax head the saliency relies on
-                    positives = video.positive_classes(dataset.spec)
-                    terms = [ad.softmax_xent(logits, [c] * d.timesteps)
-                             for c in positives]
-                    frame_loss = terms[0]
-                    for term in terms[1:]:
-                        frame_loss = ad.add(frame_loss, term)
-                    per_video.append(ad.scale(frame_loss, 1.0 / len(terms)))
-                    hit_sum += float(np.mean(np.isin(
-                        np.argmax(logits.data, axis=1), positives)))
-                loss = _mean_loss(per_video)
-                _check_finite(loss, "scsampler", epoch)
-                ad.backward(loss)
-            opt.step()
-            loss_sum += float(loss.data) * len(batch)
-        n = len(dataset.train)
-        logs.append(EpochLog(epoch, loss_sum / n, hit_sum / n, 1.0))
+    def video_loss(epoch, vi):
+        video = dataset.train[vi]
+        logits = scorer_logits(video.frames, bundle.scorer, stride, t_steps, seg)
+        # every timestep carries the video label; a multi-label video
+        # averages the cross-entropy over its positives, keeping the softmax
+        # head the saliency relies on
+        positives = video.positive_classes(dataset.spec)
+        terms = [ad.softmax_xent(logits, [c] * t_steps) for c in positives]
+        frame_loss = terms[0]
+        for term in terms[1:]:
+            frame_loss = ad.add(frame_loss, term)
+        hit = float(np.mean(np.isin(np.argmax(logits.data, axis=1), positives)))
+        return ad.scale(frame_loss, 1.0 / len(terms)), hit, 1.0
+
+    logs, steps = _fit(bundle.scorer.named_parameters().values(), config,
+                       len(dataset.train), rng, video_loss, "scsampler")
 
     k = training_sample_budget(config)
-    fixed: dict[int, list[int]] = {}
-    for vi, video in enumerate(dataset.train):
-        scores = scsampler_scores(video.frames, bundle.scorer, stride,
-                                  d.timesteps, seg)
-        fixed[vi] = sample_indices("topk", d.timesteps, k, scores=scores)
-    cls_logs = _train_classifier_on_indices(
-        bundle, dataset, config, lambda e, vi, v: fixed[vi], "scsampler")
+    fixed = [sample_indices("topk", t_steps, k, scores=scsampler_scores(
+                 video.frames, bundle.scorer, stride, t_steps, seg))
+             for video in dataset.train]
+    cls_logs = _fit_classifier(bundle, dataset, config,
+                               lambda epoch, vi: fixed[vi], "scsampler")
 
-    ckpt = Checkpoint.from_bundle(config, bundle, step=opt.t)
+    ckpt = Checkpoint.from_bundle(config, bundle, step=steps)
     return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
                        epoch_logs=logs, classifier_logs=cls_logs)
 
@@ -373,20 +325,19 @@ def train_fixed_sampler(config: ExperimentConfig,
         raise ContractError(f"train_fixed_sampler got mode {config.mode!r}")
     dataset = dataset if dataset is not None else resolve_dataset(config)
     bundle = build_bundle(config)
-    d = config.dataset
+    t_steps = config.dataset.timesteps
     k = training_sample_budget(config)
 
     if config.mode == "uniform":
-        def indices_for(epoch, vi, video):
-            return sample_indices("uniform", d.timesteps, k)
+        def indices_for(epoch, vi):
+            return sample_indices("uniform", t_steps, k)
     else:
-        def indices_for(epoch, vi, video):
+        def indices_for(epoch, vi):
             seed = np.random.default_rng(
                 [config.seed, _SAMPLE_STREAM, epoch, vi]).integers(1 << 62)
-            return sample_indices("random", d.timesteps, k, seed=int(seed))
+            return sample_indices("random", t_steps, k, seed=int(seed))
 
-    cls_logs = _train_classifier_on_indices(bundle, dataset, config,
-                                            indices_for, config.mode)
+    cls_logs = _fit_classifier(bundle, dataset, config, indices_for, config.mode)
     ckpt = Checkpoint.from_bundle(config, bundle, step=len(cls_logs))
     return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
                        classifier_logs=cls_logs)

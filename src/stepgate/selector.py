@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import gating
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError, DomainError
-from .gating import ConceptBank, GateDecision, GatingMLP
+from .gating import ConceptBank, GatingMLP
 
 LIGHT_HIDDEN = 64
 
@@ -99,13 +99,24 @@ class SelectorParams:
 
 @dataclass
 class SelectionResult:
-    """Gate outcomes for one video: per-timestep decisions, the ascending
-    list of open timesteps, and the differentiable activated values."""
+    """Gate outcomes for one video, as arrays over its T timesteps.
 
-    decisions: list[GateDecision]
-    selected_indices: list[int]
-    activated: Tensor  # shape (T,)
-    logits: Tensor | None = None  # (T, 1), differentiable; feeds the L0 term
+    ``features`` are the (T, C) light features the gates read (after
+    attention in context mode), ``logits`` the differentiable (T, 1) gate
+    logits that feed the L0 term and the top-k ranking, ``activated`` the
+    (T,) gate values (noisy clipped sigmoid in train mode, 0/1 in test mode)
+    and ``open`` the boolean (T,) open mask.
+    """
+
+    features: Tensor
+    logits: Tensor
+    activated: Tensor
+    open: np.ndarray
+
+    @property
+    def selected_indices(self) -> list[int]:
+        """The open timesteps, ascending; empty when every gate closed."""
+        return [int(i) for i in np.flatnonzero(self.open)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +160,29 @@ def align_timesteps(t_heavy: int, segment_len: int, stride: int,
 # forward pieces
 
 
-def lightnet_features(frames: np.ndarray, params: SelectorParams, stride: int) -> Tensor:
-    """Shared two-layer MLP over each timestep's aligned light frame."""
-    cfg = params.config
+def encode_light(frames: np.ndarray, enc, timesteps: int, segment_len: int,
+                 stride: int) -> Tensor:
+    """Two-layer MLP over each timestep's aligned light frame.
+
+    ``enc`` is any parameter set with ``enc_w1, enc_b1, enc_w2, enc_b2``: the
+    selector's light encoder and the saliency scorer's private one share this
+    code, not their weights.
+    """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != params.enc_w1.shape[0]:
+    if frames.ndim != 2 or frames.shape[1] != enc.enc_w1.shape[0]:
         raise DimensionError(
             f"frames shape {frames.shape} does not match encoder input width "
-            f"{params.enc_w1.shape[0]}"
+            f"{enc.enc_w1.shape[0]}"
         )
-    idx = align_timesteps(cfg.timesteps, cfg.segment_len, stride, n_frames=frames.shape[0])
-    x0 = Tensor(frames[idx])
-    h = ad.relu(ad.affine(x0, params.enc_w1, params.enc_b1))
-    return ad.affine(h, params.enc_w2, params.enc_b2)
+    idx = align_timesteps(timesteps, segment_len, stride, n_frames=frames.shape[0])
+    h = ad.relu(ad.affine(Tensor(frames[idx]), enc.enc_w1, enc.enc_b1))
+    return ad.affine(h, enc.enc_w2, enc.enc_b2)
+
+
+def lightnet_features(frames: np.ndarray, params: SelectorParams, stride: int) -> Tensor:
+    """The selector's light features, one row per timestep."""
+    cfg = params.config
+    return encode_light(frames, params, cfg.timesteps, cfg.segment_len, stride)
 
 
 def self_attention(features: Tensor, params: SelectorParams) -> Tensor:
@@ -178,13 +199,19 @@ def self_attention(features: Tensor, params: SelectorParams) -> Tensor:
     return ad.add(features, ad.matmul(ad.softmax_rows(scores), v))
 
 
-def gate_logits(frames: np.ndarray, params: SelectorParams, stride: int) -> Tensor:
-    """Per-timestep gate logits as a (T, 1) column."""
+def _gate_inputs(frames: np.ndarray, params: SelectorParams,
+                 stride: int) -> tuple[Tensor, Tensor]:
+    """The features the gates read and their (T, 1) gate logits."""
     feats = lightnet_features(frames, params, stride)
     if params.config.context_mode == "context":
         feats = self_attention(feats, params)
     sims = gating.similarity_batch(feats, params.bank)
-    return gating.gate_logits_batch(sims, params.gate)
+    return feats, gating.gate_logits_batch(sims, params.gate)
+
+
+def gate_logits(frames: np.ndarray, params: SelectorParams, stride: int) -> Tensor:
+    """Per-timestep gate logits as a (T, 1) column."""
+    return _gate_inputs(frames, params, stride)[1]
 
 
 def select(frames: np.ndarray, params: SelectorParams, mode: str, stride: int,
@@ -193,34 +220,28 @@ def select(frames: np.ndarray, params: SelectorParams, mode: str, stride: int,
 
     ``mode`` is "train" (noisy clipped sigmoid; needs ``rng``) or "test"
     (deterministic step).  ``selected_indices`` is exactly the ascending set
-    of open gates; empty selections are legal here and handled by callers.
+    of open gates; empty selections are legal here and resolved by
+    ``heavy_indices``.
     """
     if mode not in ("train", "test"):
         raise DomainError(f"selection mode must be 'train' or 'test', got {mode!r}")
     t = params.config.timesteps
-    alphas = gate_logits(frames, params, stride)
+    feats, alphas = _gate_inputs(frames, params, stride)
     if mode == "train":
         if rng is None:
             raise ContractError("train-mode selection needs an rng for the gate noise")
         noises = gating.sample_gate_noise_batch(rng, t).reshape(t, 1)
         value, open_mask = gating.activate_train_batch(alphas, noises)
-        noise_used = True
     else:
         value, open_mask = gating.activate_test_batch(alphas)
-        noise_used = False
-    activated = ad.reshape(value, (t,))
-    decisions = [
-        GateDecision(
-            logit=float(alphas.data[i, 0]),
-            value=Tensor(activated.data[i].copy()),
-            open=bool(open_mask[i]),
-            noise_used=noise_used,
-        )
-        for i in range(t)
-    ]
-    selected = [i for i in range(t) if open_mask[i]]
-    return SelectionResult(decisions=decisions, selected_indices=selected,
-                           activated=activated, logits=alphas)
+    return SelectionResult(features=feats, logits=alphas,
+                           activated=ad.reshape(value, (t,)), open=open_mask)
+
+
+def heavy_indices(result: SelectionResult) -> list[int]:
+    """Timesteps the heavy stage encodes: the open ones or, when every gate
+    closed, the single timestep with the highest logit."""
+    return result.selected_indices or [int(np.argmax(result.logits.data))]
 
 
 def top_k_indices(result: SelectionResult, k: int) -> list[int]:
@@ -230,9 +251,9 @@ def top_k_indices(result: SelectionResult, k: int) -> list[int]:
     (in test mode the latter is binary and cannot order timesteps); ties go
     to the lower index.  Returned ascending.
     """
-    t = len(result.decisions)
+    t = result.open.size
     if not (1 <= k <= t):
         raise DomainError(f"top-k budget must lie in [1, {t}], got {k}")
-    scores = gating.sigmoid_np(np.asarray([d.logit for d in result.decisions]))
+    scores = gating.sigmoid_np(result.logits.data.reshape(-1))
     order = np.argsort(-scores, kind="stable")
     return sorted(int(i) for i in order[:k])

@@ -21,27 +21,28 @@ draws from ``default_rng(s ^ i)`` (global index across both splits), and
 split-level label shuffles use a fixed large offset constant, so generation
 is reproducible and order-independent.
 
-Binary split files: magic ``SGDS``, u32 format version, u32 header length,
-canonical JSON header (spec echo, counts, seed, split name), the prototype
-matrix as little-endian float64, then per video: label (i64, or L float64
-indicator values in multi-label mode), relevance mask (T bytes), planted
-prototype ids (T i64), and raw frames (T*frames_per_slot*d_raw float64).
+Binary split files (format version 2) use the shared checksummed container
+(``stepgate.container``): magic ``SGDS``, u32 format version, u32 header
+length, u32 CRC-32, canonical JSON header (spec echo, counts, seed, split
+name), then the body: the prototype matrix as little-endian float64, then
+per video: label (i64, or L float64 indicator values in multi-label mode),
+relevance mask (T bytes), planted prototype ids (T i64), and raw frames
+(T*frames_per_slot*d_raw float64).
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import DomainError, FormatError, GenerationError
 
 MAGIC = b"SGDS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 PLACEMENTS = ("middle", "spread")
 TASKS = ("single_label", "multi_label")
@@ -381,70 +382,57 @@ def decode_prototypes(video: VideoSample, prototypes: np.ndarray,
 # serialization
 
 
-def _canonical_header(spec: ActivitySpec, n_videos: int, seed: int, split: str) -> bytes:
-    h = spec.header_dict()
-    h.update({"n_videos": n_videos, "seed": seed, "split": split})
-    return json.dumps(h, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def save_split(path, dataset: Dataset, split: str) -> None:
     """Write one split to ``path`` in the documented binary layout."""
     if split not in ("train", "test"):
         raise DomainError(f"split must be 'train' or 'test', got {split!r}")
     videos = dataset.train if split == "train" else dataset.test
     spec = dataset.spec
-    header = _canonical_header(spec, len(videos), dataset.seed, split)
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<II", FORMAT_VERSION, len(header))
-    out += header
-    out += np.ascontiguousarray(dataset.prototypes, dtype="<f8").tobytes()
+    header = spec.header_dict()
+    header.update({"n_videos": len(videos), "seed": dataset.seed, "split": split})
+    body = [np.ascontiguousarray(dataset.prototypes, dtype="<f8")]
     for v in videos:
         if spec.task == "single_label":
-            out += struct.pack("<q", int(v.labels))
+            body.append(struct.pack("<q", int(v.labels)))
         else:
-            out += np.ascontiguousarray(v.labels, dtype="<f8").tobytes()
-        out += v.relevance.astype(np.uint8).tobytes()
-        out += v.planted.astype("<i8").tobytes()
-        out += np.ascontiguousarray(v.frames, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+            body.append(np.ascontiguousarray(v.labels, dtype="<f8"))
+        body.append(v.relevance.astype(np.uint8))
+        body.append(v.planted.astype("<i8"))
+        body.append(np.ascontiguousarray(v.frames, dtype="<f8"))
+    container.write(path, MAGIC, FORMAT_VERSION, header, body)
 
 
 def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
-    """Read one split file back; returns (spec, prototypes, videos, meta)."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: not a dataset file (bad magic {raw[:4]!r})")
-    version, header_len = struct.unpack_from("<II", raw, 4)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
-    off = 12
+    """Read one split file back; returns (spec, prototypes, videos, meta).
+
+    Any file this module did not write intact raises ``FormatError``.
+    """
+    raw, meta, off = container.read(path, MAGIC, FORMAT_VERSION, "dataset")
     try:
-        meta = json.loads(raw[off:off + header_len].decode("utf-8"))
-    except ValueError as e:
-        raise FormatError(f"{path}: corrupt header ({e})") from None
-    off += header_len
-    spec = ActivitySpec.from_header_dict(meta)
-    p, d, t, nf = spec.n_prototypes, spec.d_raw, spec.timesteps, spec.n_frames
-    prototypes = np.frombuffer(raw, dtype="<f8", count=p * d, offset=off).reshape(p, d).copy()
-    off += p * d * 8
-    videos = []
-    for _ in range(meta["n_videos"]):
-        if spec.task == "single_label":
-            labels: object = int(struct.unpack_from("<q", raw, off)[0])
-            off += 8
-        else:
-            labels = np.frombuffer(raw, dtype="<f8", count=spec.n_classes,
-                                   offset=off).copy()
-            off += spec.n_classes * 8
-        relevance = np.frombuffer(raw, dtype=np.uint8, count=t, offset=off).astype(bool)
-        off += t
-        planted = np.frombuffer(raw, dtype="<i8", count=t, offset=off).copy()
-        off += t * 8
-        frames = np.frombuffer(raw, dtype="<f8", count=nf * d, offset=off).reshape(nf, d).copy()
-        off += nf * d * 8
-        videos.append(VideoSample(frames=frames, labels=labels,
-                                  relevance=relevance, planted=planted))
+        spec = ActivitySpec.from_header_dict(meta)
+        meta["n_videos"], meta["seed"] = int(meta["n_videos"]), int(meta["seed"])
+        p, d, t, nf = spec.n_prototypes, spec.d_raw, spec.timesteps, spec.n_frames
+        prototypes = np.frombuffer(raw, dtype="<f8", count=p * d, offset=off).reshape(p, d).copy()
+        off += p * d * 8
+        videos = []
+        for _ in range(meta["n_videos"]):
+            if spec.task == "single_label":
+                labels: object = int(struct.unpack_from("<q", raw, off)[0])
+                off += 8
+            else:
+                labels = np.frombuffer(raw, dtype="<f8", count=spec.n_classes,
+                                       offset=off).copy()
+                off += spec.n_classes * 8
+            relevance = np.frombuffer(raw, dtype=np.uint8, count=t, offset=off).astype(bool)
+            off += t
+            planted = np.frombuffer(raw, dtype="<i8", count=t, offset=off).copy()
+            off += t * 8
+            frames = np.frombuffer(raw, dtype="<f8", count=nf * d, offset=off).reshape(nf, d).copy()
+            off += nf * d * 8
+            videos.append(VideoSample(frames=frames, labels=labels,
+                                      relevance=relevance, planted=planted))
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: corrupt dataset file ({exc})") from exc
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes after the last record")
     return spec, prototypes, videos, meta

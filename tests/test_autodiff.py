@@ -439,16 +439,3 @@ def test_adam_missing_grad_is_contract_error():
     p.grad = None
     with pytest.raises(ContractError):
         opt.step()
-
-
-def test_adam_state_roundtrip():
-    p = tensor([0.5, 0.5], requires_grad=True)
-    opt = ad.Adam([p])
-    p.grad[...] = [1.0, -1.0]
-    opt.step()
-    state = opt.state_dict()
-    clone = ad.Adam([tensor([0.5, 0.5], requires_grad=True)])
-    clone.load_state_dict(state)
-    assert clone.t == opt.t
-    nptest.assert_array_equal(clone.m[0], opt.m[0])
-    nptest.assert_array_equal(clone.v[0], opt.v[0])

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stepgate.baselines as bl
-from stepgate.autodiff import Tensor
 from stepgate.errors import ContractError, DimensionError, DomainError
 
 STRIDE = 16
@@ -18,11 +17,20 @@ def make_scorer(d_raw=5, channels=6, n_classes=4, seed=0):
 # saliency scores
 
 
+def video_scores(frames, params):
+    """Scores of a 4-timestep video at segment length 8."""
+    return bl.scsampler_scores(frames, params, STRIDE, 4, 8)
+
+
+def random_video(rng):
+    return rng.standard_normal((4 * STRIDE, 5))
+
+
 def test_untrained_score_is_exactly_one_over_classes():
     params = make_scorer(n_classes=7)
     for seed in range(5):
-        x = np.random.default_rng(seed).standard_normal(6)
-        assert bl.scsampler_score(x, params) == 1.0 / 7.0
+        scores = video_scores(random_video(np.random.default_rng(seed)), params)
+        assert (scores == 1.0 / 7.0).all()
 
 
 def test_score_matches_softmax_max_oracle():
@@ -30,10 +38,13 @@ def test_score_matches_softmax_max_oracle():
     rng = np.random.default_rng(2)
     params.head_w.data[:] = rng.standard_normal(params.head_w.shape)
     params.head_b.data[:] = rng.standard_normal(params.head_b.shape)
-    x = rng.standard_normal(6)
+    frames = random_video(rng)
+    light = frames[[4, 20, 36, 52]]  # the middle frame of each segment
+    hidden = np.maximum(light @ params.enc_w1.data + params.enc_b1.data, 0.0)
+    x = hidden @ params.enc_w2.data + params.enc_b2.data
     z = x @ params.head_w.data + params.head_b.data
-    p = np.exp(z) / np.exp(z).sum()
-    nptest.assert_allclose(bl.scsampler_score(x, params), p.max(), rtol=1e-12)
+    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    nptest.assert_allclose(video_scores(frames, params), p.max(axis=1), rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -42,21 +53,23 @@ def test_score_lies_in_unit_interval(seed):
     params = make_scorer(seed=3)
     rng = np.random.default_rng(seed)
     params.head_w.data[:] = rng.standard_normal(params.head_w.shape)
-    score = bl.scsampler_score(rng.standard_normal(6) * 5, params)
-    assert 0.0 < score <= 1.0
+    scores = video_scores(random_video(rng) * 5, params)
+    assert ((scores > 0.0) & (scores <= 1.0)).all()
 
 
 def test_identical_features_score_identically_anywhere():
     params = make_scorer(seed=4)
     params.head_w.data[:] = np.random.default_rng(5).standard_normal(params.head_w.shape)
-    x = np.random.default_rng(6).standard_normal(6)
-    assert bl.scsampler_score(x, params) == bl.scsampler_score(x.copy(), params)
-    assert bl.scsampler_score(Tensor(x), params) == bl.scsampler_score(x, params)
+    frames = random_video(np.random.default_rng(6))
+    frames[52] = frames[4]  # timesteps 0 and 3 see the same light frame
+    scores = video_scores(frames, params)
+    assert scores[0] == scores[3]
+    nptest.assert_array_equal(video_scores(frames.copy(), params), scores)
 
 
 def test_score_rejects_wrong_width():
     with pytest.raises(DimensionError):
-        bl.scsampler_score(np.zeros(5), make_scorer(channels=6))
+        video_scores(np.zeros((4 * STRIDE, 4)), make_scorer(d_raw=5))
 
 
 def test_video_scores_are_context_invariant():

@@ -1,12 +1,13 @@
 import numpy as np
 import numpy.testing as nptest
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_config
-from stepgate.autodiff import Adam
+from stepgate import container
 from stepgate.errors import ContractError, FormatError
-from stepgate.harness.checkpoint import (Checkpoint, load_checkpoint,
-                                         save_checkpoint)
+from stepgate.harness.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint,
+                                         load_checkpoint, save_checkpoint)
 from stepgate.harness.models import build_bundle
 
 
@@ -25,7 +26,6 @@ def test_from_bundle_copies_parameters(bundle_and_ckpt):
     ckpt.params[some][...] = 123.0      # a copy, not a view
     assert not np.any(named[some].data == 123.0)
     assert ckpt.step == 5
-    assert not ckpt.has_moments
     assert ckpt.experiment_config() == cfg
 
 
@@ -51,54 +51,6 @@ def test_apply_rejects_mismatched_shapes(bundle_and_ckpt):
         ckpt.apply_to_bundle(wider)
 
 
-def test_moments_must_come_in_pairs(bundle_and_ckpt):
-    cfg, bundle, ckpt = bundle_and_ckpt
-    with pytest.raises(ContractError, match="both"):
-        Checkpoint(config=ckpt.config, step=0, params=ckpt.params,
-                   adam_m={k: v.copy() for k, v in ckpt.params.items()})
-    with pytest.raises(ContractError, match="mirror"):
-        Checkpoint(config=ckpt.config, step=0, params=ckpt.params,
-                   adam_m={}, adam_v={})
-
-
-def test_optimizer_round_trip():
-    cfg = tiny_config("e2e")
-    bundle = build_bundle(cfg)
-    named = bundle.named_parameters()
-    opt = Adam(named.values(), lr=1e-3)
-    for tensor in named.values():
-        tensor.grad = np.ones_like(tensor.data)
-    opt.step()
-    ckpt = Checkpoint.from_bundle(cfg, bundle, step=0, optimizer=opt)
-    assert ckpt.has_moments and ckpt.step == 1
-
-    fresh = build_bundle(cfg)
-    ckpt.apply_to_bundle(fresh)
-    opt2 = Adam(fresh.named_parameters().values(), lr=1e-3)
-    ckpt.restore_optimizer(opt2, fresh)
-    state, state2 = opt.state_dict(), opt2.state_dict()
-    assert state2["t"] == state["t"]
-    for a, b in zip(state["m"], state2["m"]):
-        nptest.assert_array_equal(a, b)
-    for a, b in zip(state["v"], state2["v"]):
-        nptest.assert_array_equal(a, b)
-
-
-def test_optimizer_must_hold_bundle_parameters():
-    cfg = tiny_config("e2e")
-    bundle = build_bundle(cfg)
-    subset = list(bundle.named_parameters().values())[:-1]
-    with pytest.raises(ContractError, match="optimizer"):
-        Checkpoint.from_bundle(cfg, bundle, step=0, optimizer=Adam(subset))
-
-
-def test_restore_without_moments_is_an_error(bundle_and_ckpt):
-    cfg, bundle, ckpt = bundle_and_ckpt
-    opt = Adam(bundle.named_parameters().values())
-    with pytest.raises(ContractError, match="without optimizer moments"):
-        ckpt.restore_optimizer(opt, bundle)
-
-
 # ---------------------------------------------------------------------------
 # file format
 
@@ -113,24 +65,6 @@ def test_save_load_round_trip(tmp_path, bundle_and_ckpt):
     assert list(loaded.params) == list(ckpt.params)  # block order preserved
     for name in ckpt.params:
         nptest.assert_array_equal(loaded.params[name], ckpt.params[name])
-    assert not loaded.has_moments
-
-
-def test_save_load_round_trip_with_moments(tmp_path):
-    cfg = tiny_config("e2e")
-    bundle = build_bundle(cfg)
-    opt = Adam(bundle.named_parameters().values())
-    for tensor in bundle.named_parameters().values():
-        tensor.grad = np.full_like(tensor.data, 0.5)
-    opt.step()
-    ckpt = Checkpoint.from_bundle(cfg, bundle, step=0, optimizer=opt)
-    path = tmp_path / "run.sgck"
-    save_checkpoint(path, ckpt)
-    loaded = load_checkpoint(path)
-    assert loaded.has_moments
-    for name in ckpt.params:
-        nptest.assert_array_equal(loaded.adam_m[name], ckpt.adam_m[name])
-        nptest.assert_array_equal(loaded.adam_v[name], ckpt.adam_v[name])
 
 
 def test_save_load_save_is_byte_identical(tmp_path, bundle_and_ckpt):
@@ -161,3 +95,68 @@ def test_format_errors(tmp_path, bundle_and_ckpt):
         bad.write_bytes(blob)
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+
+
+def test_version_1_files_are_rejected(tmp_path, bundle_and_ckpt):
+    _, _, ckpt = bundle_and_ckpt
+    path = tmp_path / "x.sgck"
+    save_checkpoint(path, ckpt)
+    raw = path.read_bytes()
+    old = tmp_path / "v1.sgck"
+    old.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(FormatError, match="version 1"):
+        load_checkpoint(old)
+
+
+def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bundle_and_ckpt):
+    _, _, ckpt = bundle_and_ckpt
+    path = tmp_path / "x.sgck"
+    save_checkpoint(path, ckpt)
+    raw, header, offset = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint")
+    body = raw[offset:]
+    first = header["entries"][0]
+    cases = {
+        "missing_step": ({k: v for k, v in header.items() if k != "step"}, body),
+        "version_disagrees": ({**header, "format_version": 1}, body),
+        "negative_shape": ({**header, "entries": [[first[0], [-1]]] + header["entries"][1:]}, body),
+        "short_body": (header, body[:-8]),
+        "long_body": (header, body + b"\x00" * 8),
+        "not_an_object": ("SGCK", body),
+    }
+    for name, (h, b) in cases.items():
+        bad = tmp_path / f"{name}.sgck"
+        container.write(bad, MAGIC, FORMAT_VERSION, h, [b])
+        with pytest.raises(FormatError):
+            load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def saved_ckpt(tmp_path_factory):
+    cfg = tiny_config("uniform", **{"model.heavy_channels": 2})
+    path = tmp_path_factory.mktemp("ckpt") / "run.sgck"
+    save_checkpoint(path, Checkpoint.from_bundle(cfg, build_bundle(cfg), step=3))
+    return path, load_checkpoint(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut=st.integers(min_value=0), pos=st.integers(min_value=0),
+       xor=st.integers(min_value=1, max_value=255), truncate=st.booleans())
+def test_any_truncation_or_byte_flip_loads_equal_or_raises_format_error(
+        saved_ckpt, cut, pos, xor, truncate):
+    path, original = saved_ckpt
+    raw = path.read_bytes()
+    if truncate:
+        blob = raw[:cut % len(raw)]
+    else:
+        at = pos % len(raw)
+        blob = raw[:at] + bytes([raw[at] ^ xor]) + raw[at + 1:]
+    bad = path.with_name("fuzzed.sgck")
+    bad.write_bytes(blob)
+    try:
+        loaded = load_checkpoint(bad)
+    except FormatError:
+        return
+    assert loaded.config == original.config and loaded.step == original.step
+    assert list(loaded.params) == list(original.params)
+    for name in original.params:
+        nptest.assert_array_equal(loaded.params[name], original.params[name])

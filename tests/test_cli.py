@@ -47,6 +47,32 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["train", "--config", str(bad)]) == 1
 
 
+def test_dataset_values_the_spec_rejects_are_config_errors(tmp_path, capsys):
+    cfg = tiny_config("e2e")
+    cfg.dataset.confuser_share = 5.0
+    path = tmp_path / "bad_share.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["generate-data", "--config", str(path),
+                 "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "confuser_share" in err
+
+
+def test_corrupt_split_file_is_a_one_line_runtime_error(cfg_file, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["generate-data", "--config", cfg_file, "--out", str(out)]) == 0
+    raw = (out / "train.sgds").read_bytes()
+    (out / "train.sgds").write_bytes(raw[:397])
+    cfg = json.loads(open(cfg_file).read())
+    cfg["dataset"]["path"] = str(out)
+    path = tmp_path / "from_disk.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and err.count("\n") == 1
+
+
 def test_negative_seed_override_is_rejected(cfg_file):
     assert main(["train", "--config", cfg_file, "--seed", "-1"]) == 1
 

@@ -11,8 +11,20 @@ from stepgate.autodiff import Tensor
 from stepgate.errors import DimensionError, DomainError
 
 
-def scalar(v):
-    return Tensor(np.asarray(float(v)))
+def column(*logits):
+    """A (n, 1) logit column, the shape the gate MLP emits."""
+    return Tensor(np.asarray(logits, dtype=np.float64).reshape(-1, 1))
+
+
+def train_gate(logit, noise):
+    """Activate one gate in train mode; returns (value, open)."""
+    value, mask = gt.activate_train_batch(column(logit), np.full((1, 1), noise))
+    return float(value.data[0, 0]), bool(mask[0])
+
+
+def step_gate(logit):
+    value, mask = gt.activate_test_batch(column(logit))
+    return float(value.data[0, 0]), bool(mask[0])
 
 
 @pytest.fixture
@@ -33,50 +45,60 @@ def mlp_2x2():
 
 def test_similarity_is_plain_dot_products():
     bank = gt.ConceptBank(Tensor([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    s = gt.similarity(Tensor([2.0, -3.0]), bank)
-    nptest.assert_array_equal(s.data, [2.0, -3.0, -1.0])
+    s = gt.similarity_batch(Tensor([[2.0, -3.0]]), bank)
+    nptest.assert_array_equal(s.data, [[2.0, -3.0, -1.0]])
 
 
 def test_similarity_batch_matches_scalar_path():
+    """Row t of the batch equals the one-timestep call, and ``K @ x_t``."""
     rng = np.random.default_rng(0)
-    bank = gt.ConceptBank(Tensor(rng.standard_normal((5, 3)), requires_grad=True))
+    kernels = rng.standard_normal((5, 3))
+    bank = gt.ConceptBank(Tensor(kernels, requires_grad=True))
     feats = rng.standard_normal((4, 3))
     batched = gt.similarity_batch(Tensor(feats), bank).data
     for t in range(4):
-        row = gt.similarity(Tensor(feats[t]), bank).data
-        nptest.assert_allclose(batched[t], row, rtol=1e-12)
+        row = gt.similarity_batch(Tensor(feats[t:t + 1]), bank).data
+        nptest.assert_allclose(batched[t:t + 1], row, rtol=1e-12)
+        nptest.assert_allclose(batched[t], kernels @ feats[t], rtol=1e-12)
 
 
 def test_similarity_shape_mismatch():
     bank = gt.ConceptBank(Tensor(np.ones((4, 3))))
     with pytest.raises(DimensionError):
-        gt.similarity(Tensor([1.0, 2.0]), bank)
+        gt.similarity_batch(Tensor([[1.0, 2.0]]), bank)
+    with pytest.raises(DimensionError):
+        gt.similarity_batch(Tensor([1.0, 2.0, 3.0]), bank)
 
 
 def test_gate_logit_hand_oracle(mlp_2x2):
     # hidden = relu([1*1 + 2*0.5 + 0.1, 1*(-1) + 2*2 - 0.2]) = [2.1, 2.8]
     # logit  = 2.1 * 1 + 2.8 * (-2) + 0.3 = -3.2
-    out = gt.gate_logit(Tensor([1.0, 2.0]), mlp_2x2)
-    nptest.assert_allclose(out.data, -3.2, rtol=1e-12)
+    out = gt.gate_logits_batch(Tensor([[1.0, 2.0]]), mlp_2x2)
+    assert out.shape == (1, 1)
+    nptest.assert_allclose(out.data[0, 0], -3.2, rtol=1e-12)
 
 
 def test_gate_logits_batch_matches_scalar_path(mlp_2x2):
+    """Row t of the batch equals the one-timestep call and a numpy MLP."""
     sims = np.asarray([[1.0, 2.0], [-0.5, 0.25], [0.0, 0.0]])
     batched = gt.gate_logits_batch(Tensor(sims), mlp_2x2).data
     assert batched.shape == (3, 1)
+    m = mlp_2x2
     for t in range(3):
-        one = gt.gate_logit(Tensor(sims[t]), mlp_2x2).data
-        nptest.assert_allclose(batched[t, 0], one, rtol=1e-12)
+        one = gt.gate_logits_batch(Tensor(sims[t:t + 1]), mlp_2x2).data
+        nptest.assert_allclose(batched[t:t + 1], one, rtol=1e-12)
+        hidden = np.maximum(sims[t] @ m.w1.data + m.b1.data, 0.0)
+        nptest.assert_allclose(batched[t], hidden @ m.w2.data + m.b2.data, rtol=1e-12)
 
 
 def test_gate_logit_gradient_reaches_kernels():
     rng = np.random.default_rng(1)
     bank = gt.ConceptBank.init(6, 3, rng)
     mlp = gt.GatingMLP.init(6, 4, rng)
-    x = Tensor(rng.standard_normal(3))
+    x = Tensor(rng.standard_normal((1, 3)))
     with ad.record() as rec:
-        alpha = gt.gate_logit(gt.similarity(x, bank), mlp)
-        loss = ad.sigmoid(alpha)
+        alpha = gt.gate_logits_batch(gt.similarity_batch(x, bank), mlp)
+        loss = ad.reduce_sum(ad.reshape(ad.sigmoid(alpha), (1,)), axis=0)
     ad.backward(loss, rec)
     assert np.abs(bank.kernels.grad).max() > 0.0
 
@@ -96,8 +118,9 @@ def test_noise_is_reproducible_and_logistic_shaped():
 
 
 def test_scalar_noise_matches_batch_stream():
+    """One draw per call reads the same stream as one batch of draws."""
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    singles = [gt.sample_gate_noise(rng1) for _ in range(5)]
+    singles = [gt.sample_gate_noise_batch(rng1, 1)[0] for _ in range(5)]
     batch = gt.sample_gate_noise_batch(rng2, 5)
     nptest.assert_allclose(singles, batch, rtol=1e-15)
 
@@ -108,47 +131,46 @@ def test_scalar_noise_matches_batch_stream():
 
 def test_activate_train_value_range():
     rng = np.random.default_rng(5)
-    for _ in range(500):
-        alpha = scalar(rng.uniform(-4, 4))
-        d = gt.activate_train(alpha, gt.sample_gate_noise(rng))
-        if d.open:
-            assert 0.5 < d.activated <= 1.0
-        else:
-            assert d.activated == 0.0
-        assert d.noise_used
+    alphas = rng.uniform(-4, 4, size=(500, 1))
+    noises = gt.sample_gate_noise_batch(rng, 500).reshape(500, 1)
+    value, mask = gt.activate_train_batch(Tensor(alphas), noises)
+    assert mask.shape == (500,)
+    opened, closed = value.data[mask, 0], value.data[~mask, 0]
+    assert ((opened > 0.5) & (opened <= 1.0)).all()
+    assert (closed == 0.0).all()
+    assert 0 < mask.sum() < 500
 
 
 def test_activate_train_exact_half_closes():
-    d = gt.activate_train(scalar(0.0), 0.0)
-    assert not d.open and d.activated == 0.0
+    assert train_gate(0.0, 0.0) == (0.0, False)
+    assert train_gate(1.5, -1.5) == (0.0, False)
 
 
 def test_activate_test_is_positive_logit_step():
-    assert gt.activate_test(scalar(0.3)).open
-    assert gt.activate_test(scalar(0.3)).activated == 1.0
-    assert not gt.activate_test(scalar(0.0)).open
-    assert not gt.activate_test(scalar(-0.3)).open
-    assert gt.activate_test(scalar(-0.3)).activated == 0.0
-    assert not gt.activate_test(scalar(1.0)).noise_used
+    value, mask = gt.activate_test_batch(column(0.3, 0.0, -0.3, 40.0))
+    nptest.assert_array_equal(mask, [True, False, False, True])
+    nptest.assert_array_equal(value.data[:, 0], [1.0, 0.0, 0.0, 1.0])
+    assert step_gate(0.3) == (1.0, True)
+    assert step_gate(-0.3) == (0.0, False)
 
 
 @settings(max_examples=50, deadline=None)
 @given(logit=st.floats(min_value=-30, max_value=30, allow_nan=False))
 def test_zero_noise_train_matches_test_decision(logit):
-    train = gt.activate_train(scalar(logit), 0.0)
-    test = gt.activate_test(scalar(logit))
-    assert train.open == test.open
+    assert train_gate(logit, 0.0)[1] == step_gate(logit)[1]
 
 
 def test_batch_activation_matches_scalar_path():
+    """Each gate equals its one-gate call and ``sigmoid(z) * [z > 0]``."""
     rng = np.random.default_rng(11)
     alphas = rng.uniform(-3, 3, size=(20, 1))
     noises = gt.sample_gate_noise_batch(rng, 20).reshape(20, 1)
     value, mask = gt.activate_train_batch(Tensor(alphas), noises)
     for i in range(20):
-        d = gt.activate_train(scalar(alphas[i, 0]), noises[i, 0])
-        nptest.assert_allclose(value.data[i, 0], d.activated, rtol=1e-14)
-        assert mask[i] == d.open
+        assert train_gate(alphas[i, 0], noises[i, 0]) == (value.data[i, 0], mask[i])
+    z = alphas + noises
+    nptest.assert_allclose(value.data, np.where(z > 0, gt.sigmoid_np(z), 0.0), rtol=1e-14)
+    nptest.assert_array_equal(mask, z[:, 0] > 0)
 
 
 def test_open_probability_identity_quick():
@@ -163,62 +185,67 @@ def test_open_probability_identity_quick():
 
 def test_monotonicity_under_shared_noise():
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        noise = gt.sample_gate_noise(rng)
-        lo, hi = sorted(rng.uniform(-4, 4, size=2))
-        d_lo = gt.activate_train(scalar(lo), noise)
-        d_hi = gt.activate_train(scalar(hi), noise)
-        assert d_hi.activated >= d_lo.activated
+    noise = gt.sample_gate_noise_batch(rng, 200).reshape(200, 1)
+    pairs = np.sort(rng.uniform(-4, 4, size=(200, 2)), axis=1)
+    lo, _ = gt.activate_train_batch(Tensor(pairs[:, :1]), noise)
+    hi, _ = gt.activate_train_batch(Tensor(pairs[:, 1:]), noise)
+    assert (hi.data >= lo.data).all()
 
 
 # ---------------------------------------------------------------------------
 # gradient behaviour
 
 
+def _gated_sum(x, value):
+    """Sum of a (n, C) feature matrix scaled row-wise by (n, 1) gate values."""
+    n, c = x.shape
+    gated = ad.mul(x, ad.tile_cols(ad.reshape(value, (n,)), c))
+    return gated, ad.reduce_sum(ad.reshape(gated, (n * c,)), axis=0)
+
+
 def test_open_gate_passes_sigmoid_gradient():
-    alpha = Tensor(np.asarray(1.0), requires_grad=True)
+    alpha = Tensor(np.asarray([[1.0]]), requires_grad=True)
     with ad.record() as rec:
-        d = gt.activate_train(alpha, 0.5)
-        loss = ad.reshape(d.value, ())
-    assert d.open
+        value, mask = gt.activate_train_batch(alpha, np.full((1, 1), 0.5))
+        loss = ad.reshape(value, ())
+    assert mask[0]
     ad.backward(loss, rec)
     s = gt.sigmoid_np(1.5)
-    nptest.assert_allclose(alpha.grad, s * (1 - s), rtol=1e-12)
+    nptest.assert_allclose(alpha.grad, [[s * (1 - s)]], rtol=1e-12)
 
 
 def test_closed_gate_blocks_gradient_to_feature_and_logit():
-    alpha = Tensor(np.asarray(-2.0), requires_grad=True)
-    x = Tensor(np.asarray([1.0, 2.0, 3.0]), requires_grad=True)
+    alpha = Tensor(np.asarray([[-2.0]]), requires_grad=True)
+    x = Tensor(np.asarray([[1.0, 2.0, 3.0]]), requires_grad=True)
     with ad.record() as rec:
-        d = gt.activate_train(alpha, 0.0)
-        gated = gt.apply_gate(x, d)
-        loss = ad.reduce_sum(gated, axis=0)
-    assert not d.open
-    nptest.assert_array_equal(gated.data, [0.0, 0.0, 0.0])  # exact zero tensor
+        value, mask = gt.activate_train_batch(alpha, np.zeros((1, 1)))
+        gated, loss = _gated_sum(x, value)
+    assert not mask[0]
+    nptest.assert_array_equal(gated.data, [[0.0, 0.0, 0.0]])  # exact zero tensor
     ad.backward(loss, rec)
-    nptest.assert_array_equal(x.grad, [0.0, 0.0, 0.0])
-    nptest.assert_array_equal(alpha.grad, 0.0)
+    nptest.assert_array_equal(x.grad, [[0.0, 0.0, 0.0]])
+    nptest.assert_array_equal(alpha.grad, [[0.0]])
 
 
 def test_open_gate_scales_feature_and_passes_feature_gradient():
-    x = Tensor(np.asarray([2.0, -4.0]), requires_grad=True)
-    alpha = Tensor(np.asarray(3.0), requires_grad=True)
+    x = Tensor(np.asarray([[2.0, -4.0]]), requires_grad=True)
+    alpha = Tensor(np.asarray([[3.0]]), requires_grad=True)
     with ad.record() as rec:
-        d = gt.activate_train(alpha, 0.0)
-        loss = ad.reduce_sum(gt.apply_gate(x, d), axis=0)
+        value, _ = gt.activate_train_batch(alpha, np.zeros((1, 1)))
+        _, loss = _gated_sum(x, value)
     ad.backward(loss, rec)
-    a = d.activated
-    nptest.assert_allclose(x.grad, [a, a], rtol=1e-12)
+    a = float(value.data[0, 0])
+    nptest.assert_allclose(x.grad, [[a, a]], rtol=1e-12)
     assert np.abs(alpha.grad).max() > 0.0
 
 
 def test_activation_fd_gradient_away_from_threshold():
     # alpha + noise = 1.2, comfortably inside the open region
-    alpha = Tensor(np.asarray(0.7), requires_grad=True)
+    alpha = Tensor(np.asarray([[0.7]]), requires_grad=True)
 
     def f(a):
-        d = gt.activate_train(a, 0.5)
-        return ad.reshape(d.value, ())
+        value, _ = gt.activate_train_batch(a, np.full((1, 1), 0.5))
+        return ad.reshape(value, ())
 
     assert ad.finite_diff_check(f, alpha) < 1e-4
 

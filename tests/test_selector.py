@@ -171,12 +171,10 @@ def test_select_test_mode_is_deterministic_and_consistent():
     r2 = sel.select(frames, params, "test", STRIDE)
     assert r1.selected_indices == r2.selected_indices
     nptest.assert_array_equal(r1.activated.data, r2.activated.data)
-    assert r1.selected_indices == [i for i, d in enumerate(r1.decisions) if d.open]
+    assert r1.selected_indices == [int(i) for i in np.flatnonzero(r1.open)]
     assert r1.selected_indices == sorted(r1.selected_indices)
-    for i, d in enumerate(r1.decisions):
-        assert d.open == (d.logit > 0.0)
-        assert d.activated in (0.0, 1.0)
-        assert not d.noise_used
+    nptest.assert_array_equal(r1.open, r1.logits.data[:, 0] > 0.0)
+    nptest.assert_array_equal(r1.activated.data, r1.open.astype(np.float64))
 
 
 def test_select_train_mode_reproducible_under_seed():
@@ -204,12 +202,12 @@ def test_select_train_activated_matches_decisions():
     params = make_params()
     frames = random_frames(np.random.default_rng(10))
     res = sel.select(frames, params, "train", STRIDE, rng=np.random.default_rng(1))
-    for i, d in enumerate(res.decisions):
-        assert res.activated.data[i] == d.activated
-        if d.open:
-            assert 0.5 < d.activated <= 1.0
-        else:
-            assert d.activated == 0.0
+    assert res.open.shape == res.activated.shape == (4,)
+    assert res.logits.shape == (4, 1)
+    assert res.features.shape == (4, params.config.channels)
+    opened, closed = res.activated.data[res.open], res.activated.data[~res.open]
+    assert ((opened > 0.5) & (opened <= 1.0)).all()
+    assert (closed == 0.0).all()
 
 
 def test_zero_noise_train_selection_equals_test_selection():
@@ -225,18 +223,26 @@ def test_zero_noise_train_selection_equals_test_selection():
 # top-k override
 
 
+def _result(logits):
+    """A test-mode selection result with the given gate logits."""
+    alphas = Tensor(np.asarray(logits, dtype=np.float64).reshape(-1, 1))
+    value, mask = gt.activate_test_batch(alphas)
+    return sel.SelectionResult(features=Tensor(np.zeros((len(logits), 2))),
+                               logits=alphas, activated=ad.reshape(value, (len(logits),)),
+                               open=mask)
+
+
 def test_top_k_ranks_by_activation_with_lower_index_ties():
-    decisions = [
-        gt.GateDecision(logit=0.5, value=Tensor(np.asarray(1.0)), open=True, noise_used=False),
-        gt.GateDecision(logit=2.0, value=Tensor(np.asarray(1.0)), open=True, noise_used=False),
-        gt.GateDecision(logit=0.5, value=Tensor(np.asarray(1.0)), open=True, noise_used=False),
-        gt.GateDecision(logit=-1.0, value=Tensor(np.asarray(0.0)), open=False, noise_used=False),
-    ]
-    res = sel.SelectionResult(decisions, [0, 1, 2], Tensor(np.asarray([1.0, 1.0, 1.0, 0.0])))
+    res = _result([0.5, 2.0, 0.5, -1.0])
+    assert res.selected_indices == [0, 1, 2]
     assert sel.top_k_indices(res, 1) == [1]
     assert sel.top_k_indices(res, 2) == [0, 1]   # tie at 0.5 goes to index 0
     assert sel.top_k_indices(res, 3) == [0, 1, 2]
     assert sel.top_k_indices(res, 4) == [0, 1, 2, 3]
+
+
+def test_heavy_indices_keep_the_open_gates():
+    assert sel.heavy_indices(_result([0.5, -2.0, 0.1, -1.0])) == [0, 2]
 
 
 def test_top_k_budget_out_of_range():

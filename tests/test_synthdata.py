@@ -1,8 +1,10 @@
 import numpy as np
 import numpy.testing as nptest
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stepgate.synthdata as sd
+from stepgate import container
 from stepgate.errors import DomainError, FormatError, GenerationError
 
 
@@ -355,3 +357,80 @@ def test_format_errors(tmp_path, dataset):
 
     with pytest.raises(DomainError):
         sd.save_split(tmp_path / "y.sgds", dataset, "validation")
+
+
+def test_version_1_files_are_rejected(tmp_path, dataset):
+    path = tmp_path / "x.sgds"
+    sd.save_split(path, dataset, "test")
+    raw = path.read_bytes()
+    old = tmp_path / "v1.sgds"
+    old.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(FormatError, match="version 1"):
+        sd.load_split(old)
+
+
+def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dataset):
+    """Files whose checksum holds but whose header or body do not fit the
+    layout still fail as FormatError, never as a parser's own exception."""
+    path = tmp_path / "x.sgds"
+    sd.save_split(path, dataset, "test")
+    raw, header, offset = container.read(path, sd.MAGIC, sd.FORMAT_VERSION, "dataset")
+    body = raw[offset:]
+    cases = {
+        "missing_key": ({k: v for k, v in header.items() if k != "d_raw"}, body),
+        "missing_seed": ({k: v for k, v in header.items() if k != "seed"}, body),
+        "bad_spec": ({**header, "confuser_share": 5.0}, body),
+        "wrong_type": ({**header, "n_videos": "many"}, body),
+        "short_body": (header, body[:397]),
+        "cut_label": ({**header, "n_videos": header["n_videos"] + 1}, body + b"\x00" * 4),
+        "long_body": (header, body + b"\x00"),
+        "not_an_object": ([1, 2], body),
+    }
+    for name, (h, b) in cases.items():
+        bad = tmp_path / f"{name}.sgds"
+        container.write(bad, sd.MAGIC, sd.FORMAT_VERSION, h, [b])
+        with pytest.raises(FormatError):
+            sd.load_split(bad)
+
+
+@pytest.fixture(scope="module")
+def small_split(tmp_path_factory):
+    spec = sd.ActivitySpec.default(n_classes=3, n_shared=2, n_background=2, d_raw=4,
+                                   timesteps=6, frames_per_slot=2)
+    data = sd.generate_dataset(spec, n_train=2, n_test=3, seed=5)
+    path = tmp_path_factory.mktemp("split") / "test.sgds"
+    sd.save_split(path, data, "test")
+    return path, sd.load_split(path)
+
+
+def _same_split(a, b):
+    spec_a, protos_a, videos_a, meta_a = a
+    spec_b, protos_b, videos_b, meta_b = b
+    assert spec_a == spec_b and meta_a == meta_b
+    nptest.assert_array_equal(protos_a, protos_b)
+    assert len(videos_a) == len(videos_b)
+    for v, w in zip(videos_a, videos_b):
+        assert v.labels == w.labels
+        for field in ("frames", "relevance", "planted"):
+            nptest.assert_array_equal(getattr(v, field), getattr(w, field))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut=st.integers(min_value=0), pos=st.integers(min_value=0),
+       xor=st.integers(min_value=1, max_value=255), truncate=st.booleans())
+def test_any_truncation_or_byte_flip_loads_equal_or_raises_format_error(
+        small_split, cut, pos, xor, truncate):
+    path, original = small_split
+    raw = path.read_bytes()
+    if truncate:
+        blob = raw[:cut % len(raw)]
+    else:
+        at = pos % len(raw)
+        blob = raw[:at] + bytes([raw[at] ^ xor]) + raw[at + 1:]
+    bad = path.with_name("fuzzed.sgds")
+    bad.write_bytes(blob)
+    try:
+        loaded = sd.load_split(bad)
+    except FormatError:
+        return
+    _same_split(loaded, original)

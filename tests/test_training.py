@@ -3,11 +3,13 @@ import numpy.testing as nptest
 import pytest
 
 from conftest import tiny_config
+from stepgate.autodiff import Tensor
 from stepgate.errors import ConfigError, ContractError
+from stepgate.harness.checkpoint import save_checkpoint
 from stepgate.harness.config import MODES
-from stepgate.harness.training import (fallback_index, resolve_dataset,
-                                       run_training, spec_from_config,
-                                       train_end_to_end)
+from stepgate.harness.training import (resolve_dataset, run_training,
+                                       spec_from_config, train_end_to_end)
+from stepgate.selector import SelectionResult, heavy_indices
 from stepgate.synthdata import ActivitySpec, save_split
 
 
@@ -67,10 +69,11 @@ def test_resolve_dataset_rejects_mismatched_splits(tmp_path, tiny_cfg, tiny_data
 
 
 def test_fallback_index_takes_the_highest_logit():
-    class Dec:
-        def __init__(self, logit):
-            self.logit = logit
-    assert fallback_index([Dec(-3.0), Dec(0.5), Dec(-1.0)]) == 1
+    logits = np.asarray([[-3.0], [-0.5], [-1.0]])
+    closed = SelectionResult(features=Tensor(np.zeros((3, 2))), logits=Tensor(logits),
+                             activated=Tensor(np.zeros(3)), open=np.zeros(3, dtype=bool))
+    assert closed.selected_indices == []
+    assert heavy_indices(closed) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +123,25 @@ def test_training_changes_the_parameters(results):
         assert moved, f"{mode} training left every parameter untouched"
 
 
-def test_e2e_checkpoint_stores_optimizer_moments(results, tiny_cfg):
-    ckpt = results["e2e"].checkpoint
-    assert ckpt.has_moments
+def test_checkpoint_step_counts_the_first_phase_adam_steps(results, tiny_cfg):
     n_batches = -(-tiny_cfg.dataset.n_train // tiny_cfg.training.batch_size)
-    assert ckpt.step == tiny_cfg.training.epochs * n_batches
-    for mode in ("standalone", "scsampler", "uniform", "random"):
-        assert not results[mode].checkpoint.has_moments
+    for mode in ("e2e", "frame_conditioned", "standalone", "scsampler"):
+        assert results[mode].checkpoint.step == tiny_cfg.training.epochs * n_batches
 
 
-def test_training_is_deterministic(tiny_data):
-    a = run_training(tiny_config("e2e"), tiny_data)
-    b = run_training(tiny_config("e2e"), tiny_data)
-    for name in a.checkpoint.params:
-        nptest.assert_array_equal(a.checkpoint.params[name],
-                                  b.checkpoint.params[name])
-    assert [l.loss for l in a.epoch_logs] == [l.loss for l in b.epoch_logs]
+def test_training_is_deterministic(tiny_data, results, tmp_path):
+    """Every mode: a second same-seed run saves a byte-identical checkpoint."""
+    for mode in MODES:
+        a, b = results[mode], run_training(tiny_config(mode), tiny_data)
+        for name in a.checkpoint.params:
+            nptest.assert_array_equal(a.checkpoint.params[name],
+                                      b.checkpoint.params[name])
+        assert a.epoch_logs == b.epoch_logs, mode
+        assert a.classifier_logs == b.classifier_logs, mode
+        save_checkpoint(tmp_path / f"{mode}-a.sgck", a.checkpoint)
+        save_checkpoint(tmp_path / f"{mode}-b.sgck", b.checkpoint)
+        assert ((tmp_path / f"{mode}-a.sgck").read_bytes()
+                == (tmp_path / f"{mode}-b.sgck").read_bytes()), mode
 
 
 def test_seed_changes_the_trajectory(tiny_data):
