@@ -19,11 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError, DomainError
+from .synthdata import TASKS
 
 HEAVY_HIDDEN = 128
 HEAD_HIDDEN = 256
-
-TASKS = ("single_label", "multi_label")
 
 
 @dataclass

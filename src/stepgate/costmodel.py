@@ -132,24 +132,25 @@ def published_report(name: str, registry: CostRegistry | None = None) -> CostRep
 # tradeoff table
 
 
-TRADEOFF_HEADER = "model,n_heavy_timesteps,gflops,metric"
+TRADEOFF_HEADER = "method,model,n_heavy_timesteps,gflops,metric"
 
 
-def tradeoff_rows(results: Iterable[tuple[CostReport, float]]) -> list[str]:
-    """CSV data rows ``model,n_heavy_timesteps,gflops,metric``, ascending by
-    gflops.  Budgets must be distinct.  Six significant figures keep the
-    one-decimal look of published budget-table totals while desk-scale
-    totals (far below one GFLOP) stay nonzero."""
-    pairs = list(results)
-    totals = [round(r.total_gflops, 10) for r, _ in pairs]
-    if len(set(totals)) != len(totals):
-        raise DomainError("tradeoff budgets must be distinct")
-    pairs.sort(key=lambda rm: rm[0].total_gflops)
-    return [f"{r.model},{r.n_heavy:.6g},{r.total_gflops:.6g},{m:.4f}"
-            for r, m in pairs]
+def tradeoff_rows(results: Iterable[tuple[str, CostReport, float]]) -> list[str]:
+    """CSV data rows ``method,model,n_heavy_timesteps,gflops,metric`` from
+    ``(method, cost, metric)`` triples, ascending by (gflops, method).
+    Methods must be distinct; two methods may share a budget.  Six
+    significant figures keep the one-decimal look of published budget-table
+    totals while desk-scale totals (far below one GFLOP) stay nonzero."""
+    triples = list(results)
+    methods = [m for m, _, _ in triples]
+    if len(set(methods)) != len(methods):
+        raise DomainError("tradeoff methods must be distinct")
+    triples.sort(key=lambda t: (t[1].total_gflops, t[0]))
+    return [f"{m},{r.model},{r.n_heavy:.6g},{r.total_gflops:.6g},{v:.4f}"
+            for m, r, v in triples]
 
 
-def tradeoff_csv(results: Iterable[tuple[CostReport, float]]) -> str:
+def tradeoff_csv(results: Iterable[tuple[str, CostReport, float]]) -> str:
     """Complete CSV text: header plus rows, every line newline-terminated."""
     return "".join(line + "\n" for line in [TRADEOFF_HEADER, *tradeoff_rows(results)])
 

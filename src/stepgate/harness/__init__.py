@@ -1,47 +1,1 @@
 """Experiment harness: configs, model bundles, training, evaluation, reports."""
-
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import (
-    DatasetConfig,
-    EvalConfig,
-    ExperimentConfig,
-    ModelConfig,
-    TrainingConfig,
-    config_from_dict,
-    load_config,
-)
-from .evaluation import (
-    EvalReport,
-    accuracy,
-    average_precision,
-    evaluate_bundle,
-    evaluate_checkpoint,
-    mean_ap,
-)
-from .gradsuite import run_gradient_suite, suite_passes
-from .models import ModelBundle, build_bundle
-from .reports import GatingReport, compute_gating_report, write_gating_report
-from .training import (
-    TrainResult,
-    resolve_dataset,
-    run_training,
-    spec_from_config,
-    train_end_to_end,
-    train_fixed_sampler,
-    train_scsampler,
-    train_standalone_selector,
-)
-
-__all__ = [
-    "Checkpoint", "load_checkpoint", "save_checkpoint",
-    "DatasetConfig", "EvalConfig", "ExperimentConfig", "ModelConfig",
-    "TrainingConfig", "config_from_dict", "load_config",
-    "EvalReport", "accuracy", "average_precision", "evaluate_bundle",
-    "evaluate_checkpoint", "mean_ap",
-    "run_gradient_suite", "suite_passes",
-    "ModelBundle", "build_bundle",
-    "GatingReport", "compute_gating_report", "write_gating_report",
-    "TrainResult", "resolve_dataset", "run_training", "spec_from_config",
-    "train_end_to_end", "train_fixed_sampler", "train_scsampler",
-    "train_standalone_selector",
-]

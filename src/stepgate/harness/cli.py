@@ -147,10 +147,12 @@ def _cmd_report(args) -> int:
 def _cmd_tradeoff(args) -> int:
     rows = []
     for path in args.metrics:
-        payload = json.loads(Path(path).read_text())
-        for entry in payload["report"]["entries"]:
+        report = json.loads(Path(path).read_text())["report"]
+        for entry in report["entries"]:
             c = entry["cost"]
-            rows.append((CostReport(model=c["model"], n_light=c["n_light"],
+            key = "gate-count" if entry["budget"] is None else f"topk-{entry['budget']}"
+            rows.append((f"{report['mode']}/{key}",
+                         CostReport(model=c["model"], n_light=c["n_light"],
                                     n_heavy=c["n_heavy"],
                                     light_gflops=c["light_gflops"],
                                     heavy_gflops=c["heavy_gflops"]),

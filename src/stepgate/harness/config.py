@@ -12,9 +12,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..synthdata import TASKS
 
 MODES = ("standalone", "e2e", "frame_conditioned", "scsampler", "uniform", "random")
-TASKS = ("single_label", "multi_label")
 SELECTIONS = ("gate-count", "topk")
 RECIPE_STYLES = ("anchored", "paired")
 

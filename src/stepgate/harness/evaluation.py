@@ -173,20 +173,29 @@ class EvalReport:
         }
 
 
-def _video_indices(bundle: ModelBundle, config: ExperimentConfig, video,
-                   video_index: int, budget: int | None,
-                   stride: int) -> list[int]:
+def _rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list,
+              stride: int) -> list:
+    """Per video, what every budget entry picks from: the test-mode selection
+    or the scorer's scores; None for the fixed-rule samplers."""
+    if bundle.mode in SELECTOR_MODES:
+        return [select(v.frames, bundle.selector, "test", stride) for v in videos]
+    if bundle.mode == "scsampler":
+        t = config.dataset.timesteps
+        return [scsampler_scores(v.frames, bundle.scorer, stride, t,
+                                 config.model.segment_len) for v in videos]
+    return [None] * len(videos)
+
+
+def _video_indices(bundle: ModelBundle, config: ExperimentConfig, ranking,
+                   video_index: int, budget: int | None) -> list[int]:
     t = config.dataset.timesteps
     if bundle.mode in SELECTOR_MODES:
-        result = select(video.frames, bundle.selector, "test", stride)
         if budget is not None:
-            return top_k_indices(result, budget)
-        return heavy_indices(result)
+            return top_k_indices(ranking, budget)
+        return heavy_indices(ranking)
     k = budget if budget is not None else training_sample_budget(config)
     if bundle.mode == "scsampler":
-        scores = scsampler_scores(video.frames, bundle.scorer, stride, t,
-                                  config.model.segment_len)
-        return sample_indices("topk", t, k, scores=scores)
+        return sample_indices("topk", t, k, scores=ranking)
     if bundle.mode == "uniform":
         return sample_indices("uniform", t, k)
     seed = np.random.default_rng(
@@ -213,12 +222,14 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
 
     report = EvalReport(mode=bundle.mode, task=task, n_videos=len(videos),
                         timesteps=t)
+    # test-mode gates and scores do not depend on the budget
+    rankings = _rankings(bundle, config, videos, stride)
     for budget in budgets:
         bundle.classifier.reset_instrumentation()
         counts: list[int] = []
         score_rows = np.zeros((len(videos), config.dataset.n_classes))
         for vi, video in enumerate(videos):
-            idx = _video_indices(bundle, config, video, vi, budget, stride)
+            idx = _video_indices(bundle, config, rankings[vi], vi, budget)
             feats = heavynet_features(video.frames, idx, bundle.classifier,
                                       stride)
             score_rows[vi] = classify(feats, None, bundle.classifier).data

@@ -1,11 +1,16 @@
-"""Training for every experiment mode, through one loop.
+"""Training for every experiment mode: ``run_training`` is the one entry point.
+
+A run has up to two phases.  Phase A fits every parameter on the mode's
+per-video loss: end-to-end and frame-conditioned training fit the selector
+and the heavy classifier jointly and stop there; the stand-alone selector
+(with its light head) and the SCSampler scorer fit every parameter except
+the heavy classifier.  Phase B then fits the heavy classifier on each
+video's timesteps: the frozen selector's or the scorer's picks, or uniform
+or random samples (those two modes have no phase A).
 
 ``_fit`` is the only optimisation loop: shuffled minibatches, the mean of the
-per-video losses, one backward pass and one Adam step per batch.  Each mode
-supplies a per-video loss: end-to-end and frame-conditioned training fit the
-selector and the heavy classifier jointly; the stand-alone selector and the
-SCSampler scorer fit a light model first (phase A), then the heavy classifier
-on their frozen picks (phase B); uniform and random sampling run phase B only.
+per-video losses, one backward pass and one Adam step per batch.  The
+checkpoint's ``step`` is the number of Adam steps over both phases.
 
 All training is deterministic given (config, seed): parameter init, batch
 shuffles, gate noise, and baseline sampling each draw from streams derived
@@ -23,8 +28,7 @@ from .. import gating
 from ..autodiff import Adam, Tensor
 from ..baselines import sample_indices, scorer_logits, scsampler_scores
 from ..classifier import classify, head_logits, heavynet_features, task_loss
-from ..errors import (ConfigError, ContractError, DomainError, GenerationError,
-                      TrainingDivergence)
+from ..errors import ConfigError, DomainError, GenerationError, TrainingDivergence
 from ..selector import heavy_indices, select
 from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
@@ -38,6 +42,8 @@ from .models import (
 
 _TRAIN_STREAM = 0x5EED
 _SAMPLE_STREAM = 0xBA5E
+
+_JOINT_MODES = ("e2e", "frame_conditioned")
 
 
 @dataclass
@@ -89,6 +95,9 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
         raise ConfigError(f"{base}: train and test splits come from different runs")
     if not np.array_equal(protos, protos_b):
         raise ConfigError(f"{base}: train and test splits disagree on prototypes")
+    if spec_a != spec_from_config(config):
+        raise ConfigError(f"{base}: the stored splits were generated from a "
+                          f"different dataset section than this config's")
     return Dataset(spec=spec_a, prototypes=protos, train=train_videos,
                    test=test_videos, seed=meta_a["seed"])
 
@@ -160,199 +169,134 @@ def _fit(params, config: ExperimentConfig, n_videos: int,
     return logs, opt.t
 
 
-def _with_l0(loss: Tensor, logits: Tensor, config: ExperimentConfig) -> Tensor:
-    weight = config.training.l0_weight
-    return ad.add(loss, gating.l0_penalty(logits, weight)) if weight > 0.0 else loss
+# ---------------------------------------------------------------------------
+# the two phases
 
 
-def _fit_classifier(bundle: ModelBundle, dataset: Dataset,
-                    config: ExperimentConfig, indices_for,
-                    mode_name: str) -> list[EpochLog]:
-    """Phase B: fit the heavy classifier on given per-video timesteps.
+def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
+                  dataset: Dataset, rng: np.random.Generator):
+    """The per-video loss of the mode's first phase, or None without one.
 
-    ``indices_for(epoch, video_index)`` supplies the timesteps; it is
-    re-invoked each epoch so baselines may resample.
+    End-to-end and frame-conditioned training gate the heavy classifier;
+    the stand-alone selector gates its light features into a light head;
+    the SCSampler scorer classifies every timestep on its own.
+    """
+    mode = config.mode
+    stride = selection_stride(config)
+    task = config.dataset.task
+    t_steps, seg = config.dataset.timesteps, config.model.segment_len
+    l0_weight = config.training.l0_weight
+
+    if mode in (*_JOINT_MODES, "standalone"):
+        def video_loss(epoch, vi):
+            video = dataset.train[vi]
+            result = select(video.frames, bundle.selector, "train", stride, rng=rng)
+            if mode == "standalone":
+                # light path: gated light features, light head, max over time
+                gated = ad.mul(result.features, ad.tile_cols(
+                    result.activated, bundle.selector.config.channels))
+                logits = ad.reduce_max(head_logits(gated, bundle.light_head), axis=0)
+            else:
+                idx = heavy_indices(result)
+                # the fallback timestep of an all-closed video enters ungated
+                gates = ad.take_rows(result.activated, idx) if result.open.any() else None
+                feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
+                logits = classify(feats, gates, bundle.classifier)
+            loss = task_loss(logits, video.labels, task)
+            if l0_weight > 0.0:
+                loss = ad.add(loss, gating.l0_penalty(result.logits, l0_weight))
+            return (loss, _prediction_hit(logits.data, video.labels, task),
+                    len(result.selected_indices) / t_steps)
+    elif mode == "scsampler":
+        def video_loss(epoch, vi):
+            video = dataset.train[vi]
+            logits = scorer_logits(video.frames, bundle.scorer, stride, t_steps, seg)
+            # every timestep carries the video label; a multi-label video
+            # averages the cross-entropy over its positives, keeping the
+            # softmax head the saliency relies on
+            positives = video.positive_classes(dataset.spec)
+            terms = [ad.softmax_xent(logits, [c] * t_steps) for c in positives]
+            hit = float(np.mean(np.isin(np.argmax(logits.data, axis=1), positives)))
+            return _mean_loss(terms), hit, 1.0
+    else:
+        return None
+    return video_loss
+
+
+def _phase_b_indices(config: ExperimentConfig, bundle: ModelBundle,
+                     dataset: Dataset):
+    """``(epoch, video_index) -> timesteps`` the heavy classifier trains on.
+
+    The frozen selector's and the scorer's picks do not change once phase A
+    is over, so they are computed once per video; random sampling redraws
+    every epoch.
     """
     stride = selection_stride(config)
-    task = config.dataset.task
-    t_steps = config.dataset.timesteps
-    rng = _train_rng(config)
-    rng.integers(1 << 30)  # offset from the phase A shuffle stream
-
-    def video_loss(epoch, vi):
-        video = dataset.train[vi]
-        idx = indices_for(epoch, vi)
-        feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
-        logits = classify(feats, None, bundle.classifier)
-        return (task_loss(logits, video.labels, task),
-                _prediction_hit(logits.data, video.labels, task),
-                len(idx) / t_steps)
-
-    logs, _ = _fit(bundle.classifier.named_parameters().values(), config,
-                   len(dataset.train), rng, video_loss, mode_name)
-    return logs
-
-
-# ---------------------------------------------------------------------------
-# end-to-end (also the frame-conditioned ablation)
-
-
-def train_end_to_end(config: ExperimentConfig,
-                     dataset: Dataset | None = None) -> TrainResult:
-    """Joint selector + classifier training on task loss plus the L0 term."""
-    if config.mode not in ("e2e", "frame_conditioned"):
-        raise ContractError(f"train_end_to_end got mode {config.mode!r}")
-    dataset = dataset if dataset is not None else resolve_dataset(config)
-    bundle = build_bundle(config)
-    stride = selection_stride(config)
-    task = config.dataset.task
-    t_steps = config.dataset.timesteps
-    rng = _train_rng(config)
-
-    def video_loss(epoch, vi):
-        video = dataset.train[vi]
-        result = select(video.frames, bundle.selector, "train", stride, rng=rng)
-        idx = heavy_indices(result)
-        # the fallback timestep of an all-closed video enters ungated
-        gates = ad.take_rows(result.activated, idx) if result.open.any() else None
-        feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
-        logits = classify(feats, gates, bundle.classifier)
-        loss = _with_l0(task_loss(logits, video.labels, task), result.logits, config)
-        return (loss, _prediction_hit(logits.data, video.labels, task),
-                len(result.selected_indices) / t_steps)
-
-    logs, steps = _fit(bundle.named_parameters().values(), config,
-                       len(dataset.train), rng, video_loss, config.mode)
-    ckpt = Checkpoint.from_bundle(config, bundle, step=steps)
-    return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
-                       epoch_logs=logs)
-
-
-# ---------------------------------------------------------------------------
-# stand-alone: selector with a light head first, heavy classifier second
-
-
-def train_standalone_selector(config: ExperimentConfig,
-                              dataset: Dataset | None = None) -> TrainResult:
-    """Two phases: selector + light head on gated light features, then the
-    heavy classifier on the frozen selector's test-mode selections."""
-    if config.mode != "standalone":
-        raise ContractError(f"train_standalone_selector got mode {config.mode!r}")
-    dataset = dataset if dataset is not None else resolve_dataset(config)
-    bundle = build_bundle(config)
-    stride = selection_stride(config)
-    task = config.dataset.task
-    t_steps = config.dataset.timesteps
-    channels = bundle.selector.config.channels
-    rng = _train_rng(config)
-
-    def video_loss(epoch, vi):
-        # light path: gated light features, light head, max over time
-        video = dataset.train[vi]
-        result = select(video.frames, bundle.selector, "train", stride, rng=rng)
-        gated = ad.mul(result.features, ad.tile_cols(result.activated, channels))
-        logits = ad.reduce_max(head_logits(gated, bundle.light_head), axis=0)
-        loss = _with_l0(task_loss(logits, video.labels, task), result.logits, config)
-        return (loss, _prediction_hit(logits.data, video.labels, task),
-                len(result.selected_indices) / t_steps)
-
-    params = {**bundle.selector.named_parameters("selector"),
-              **bundle.light_head.named_parameters("light_head")}
-    logs, steps = _fit(params.values(), config, len(dataset.train), rng,
-                       video_loss, "standalone")
-
-    # the selector is frozen from here; its test-mode picks are fixed, so
-    # compute them once per video
-    fixed = [heavy_indices(select(video.frames, bundle.selector, "test", stride))
-             for video in dataset.train]
-    cls_logs = _fit_classifier(bundle, dataset, config,
-                               lambda epoch, vi: fixed[vi], "standalone")
-
-    ckpt = Checkpoint.from_bundle(config, bundle, step=steps)
-    return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
-                       epoch_logs=logs, classifier_logs=cls_logs)
-
-
-# ---------------------------------------------------------------------------
-# baselines
-
-
-def train_scsampler(config: ExperimentConfig,
-                    dataset: Dataset | None = None) -> TrainResult:
-    """Phase A fits the per-timestep scorer, phase B fits the classifier on
-    each video's top-k scoring timesteps."""
-    if config.mode != "scsampler":
-        raise ContractError(f"train_scsampler got mode {config.mode!r}")
-    dataset = dataset if dataset is not None else resolve_dataset(config)
-    bundle = build_bundle(config)
-    stride = selection_stride(config)
     t_steps, seg = config.dataset.timesteps, config.model.segment_len
-    rng = _train_rng(config)
-
-    def video_loss(epoch, vi):
-        video = dataset.train[vi]
-        logits = scorer_logits(video.frames, bundle.scorer, stride, t_steps, seg)
-        # every timestep carries the video label; a multi-label video
-        # averages the cross-entropy over its positives, keeping the softmax
-        # head the saliency relies on
-        positives = video.positive_classes(dataset.spec)
-        terms = [ad.softmax_xent(logits, [c] * t_steps) for c in positives]
-        frame_loss = terms[0]
-        for term in terms[1:]:
-            frame_loss = ad.add(frame_loss, term)
-        hit = float(np.mean(np.isin(np.argmax(logits.data, axis=1), positives)))
-        return ad.scale(frame_loss, 1.0 / len(terms)), hit, 1.0
-
-    logs, steps = _fit(bundle.scorer.named_parameters().values(), config,
-                       len(dataset.train), rng, video_loss, "scsampler")
-
     k = training_sample_budget(config)
-    fixed = [sample_indices("topk", t_steps, k, scores=scsampler_scores(
-                 video.frames, bundle.scorer, stride, t_steps, seg))
-             for video in dataset.train]
-    cls_logs = _fit_classifier(bundle, dataset, config,
-                               lambda epoch, vi: fixed[vi], "scsampler")
-
-    ckpt = Checkpoint.from_bundle(config, bundle, step=steps)
-    return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
-                       epoch_logs=logs, classifier_logs=cls_logs)
-
-
-def train_fixed_sampler(config: ExperimentConfig,
-                        dataset: Dataset | None = None) -> TrainResult:
-    """Classifier-only training on uniform or seeded-random timesteps."""
-    if config.mode not in ("uniform", "random"):
-        raise ContractError(f"train_fixed_sampler got mode {config.mode!r}")
-    dataset = dataset if dataset is not None else resolve_dataset(config)
-    bundle = build_bundle(config)
-    t_steps = config.dataset.timesteps
-    k = training_sample_budget(config)
-
+    if config.mode == "standalone":
+        fixed = [heavy_indices(select(video.frames, bundle.selector, "test", stride))
+                 for video in dataset.train]
+        return lambda epoch, vi: fixed[vi]
+    if config.mode == "scsampler":
+        fixed = [sample_indices("topk", t_steps, k, scores=scsampler_scores(
+                     video.frames, bundle.scorer, stride, t_steps, seg))
+                 for video in dataset.train]
+        return lambda epoch, vi: fixed[vi]
     if config.mode == "uniform":
-        def indices_for(epoch, vi):
-            return sample_indices("uniform", t_steps, k)
-    else:
-        def indices_for(epoch, vi):
-            seed = np.random.default_rng(
-                [config.seed, _SAMPLE_STREAM, epoch, vi]).integers(1 << 62)
-            return sample_indices("random", t_steps, k, seed=int(seed))
+        return lambda epoch, vi: sample_indices("uniform", t_steps, k)
 
-    cls_logs = _fit_classifier(bundle, dataset, config, indices_for, config.mode)
-    ckpt = Checkpoint.from_bundle(config, bundle, step=len(cls_logs))
-    return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
-                       classifier_logs=cls_logs)
+    def random_indices(epoch, vi):
+        seed = np.random.default_rng(
+            [config.seed, _SAMPLE_STREAM, epoch, vi]).integers(1 << 62)
+        return sample_indices("random", t_steps, k, seed=int(seed))
+    return random_indices
 
 
-_TRAINERS = {
-    "standalone": train_standalone_selector,
-    "e2e": train_end_to_end,
-    "frame_conditioned": train_end_to_end,
-    "scsampler": train_scsampler,
-    "uniform": train_fixed_sampler,
-    "random": train_fixed_sampler,
-}
+# ---------------------------------------------------------------------------
+# entry point
 
 
 def run_training(config: ExperimentConfig,
                  dataset: Dataset | None = None) -> TrainResult:
-    return _TRAINERS[config.mode](config, dataset)
+    """Train the config's mode; the checkpoint's step counts every Adam step."""
+    dataset = dataset if dataset is not None else resolve_dataset(config)
+    bundle = build_bundle(config)
+    n_train = len(dataset.train)
+    joint = config.mode in _JOINT_MODES
+    logs: list[EpochLog] = []
+    cls_logs: list[EpochLog] = []
+    steps = 0
+
+    rng = _train_rng(config)
+    video_loss = _phase_a_loss(config, bundle, dataset, rng)
+    if video_loss is not None:
+        params = [t for name, t in bundle.named_parameters().items()
+                  if joint or not name.startswith("classifier.")]
+        logs, steps = _fit(params, config, n_train, rng, video_loss, config.mode)
+
+    if not joint:
+        stride = selection_stride(config)
+        task = config.dataset.task
+        t_steps = config.dataset.timesteps
+        indices_for = _phase_b_indices(config, bundle, dataset)
+
+        def classifier_loss(epoch, vi):
+            video = dataset.train[vi]
+            idx = indices_for(epoch, vi)
+            feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
+            logits = classify(feats, None, bundle.classifier)
+            return (task_loss(logits, video.labels, task),
+                    _prediction_hit(logits.data, video.labels, task),
+                    len(idx) / t_steps)
+
+        rng_b = _train_rng(config)
+        rng_b.integers(1 << 30)  # offset from the phase A shuffle stream
+        cls_logs, cls_steps = _fit(bundle.classifier.named_parameters().values(),
+                                   config, n_train, rng_b, classifier_loss,
+                                   config.mode)
+        steps += cls_steps
+
+    ckpt = Checkpoint.from_bundle(config, bundle, step=steps)
+    return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
+                       epoch_logs=logs, classifier_logs=cls_logs)

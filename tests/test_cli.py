@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import tiny_config
 from stepgate.harness.cli import main
+from stepgate.harness.config import MODES
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +65,7 @@ def test_corrupt_split_file_is_a_one_line_runtime_error(cfg_file, tmp_path, caps
     assert main(["generate-data", "--config", cfg_file, "--out", str(out)]) == 0
     raw = (out / "train.sgds").read_bytes()
     (out / "train.sgds").write_bytes(raw[:397])
-    cfg = json.loads(open(cfg_file).read())
+    cfg = json.loads(Path(cfg_file).read_text())
     cfg["dataset"]["path"] = str(out)
     path = tmp_path / "from_disk.json"
     path.write_text(json.dumps(cfg))
@@ -71,6 +73,51 @@ def test_corrupt_split_file_is_a_one_line_runtime_error(cfg_file, tmp_path, caps
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and err.count("\n") == 1
+
+
+def test_split_from_another_dataset_section_is_a_config_error(tmp_path, capsys):
+    four = tiny_config("e2e", **{"dataset.n_classes": 4})
+    four_path = tmp_path / "four.json"
+    four_path.write_text(json.dumps(four.to_dict()))
+    data = tmp_path / "data"
+    assert main(["generate-data", "--config", str(four_path), "--out", str(data)]) == 0
+    six = tiny_config("e2e", **{"dataset.n_classes": 6, "dataset.path": str(data)})
+    six_path = tmp_path / "six.json"
+    six_path.write_text(json.dumps(six.to_dict()))
+    capsys.readouterr()
+    assert main(["train", "--config", str(six_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "run" / "checkpoint.sgck").exists()
+
+
+def test_tradeoff_merges_every_arm(cfg_file, tmp_path, capsys):
+    """generate-data -> train -> eval for all six modes -> one tradeoff.csv."""
+    base = json.loads(Path(cfg_file).read_text())
+    data = tmp_path / "data"
+    assert main(["generate-data", "--config", cfg_file, "--out", str(data)]) == 0
+    metrics = []
+    for mode in MODES:
+        cfg = {**base, "mode": mode, "dataset": {**base["dataset"], "path": str(data)}}
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(cfg))
+        run, ev = tmp_path / f"run_{mode}", tmp_path / f"eval_{mode}"
+        assert main(["train", "--config", str(path), "--out", str(run)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.sgck"),
+                     "--out", str(ev)]) == 0
+        metrics.append(str(ev / "metrics.json"))
+    capsys.readouterr()
+    out = tmp_path / "tr"
+    assert main(["tradeoff", "--metrics", *metrics, "--out", str(out)]) == 0
+    lines = (out / "tradeoff.csv").read_text().splitlines()
+    assert lines[0] == "method,model,n_heavy_timesteps,gflops,metric"
+    budgets = base["eval"]["budgets"]
+    assert len(lines) == 1 + len(MODES) * (1 + len(budgets))
+    methods = [l.split(",")[0] for l in lines[1:]]
+    assert sorted(methods) == sorted(f"{m}/{key}" for m in MODES
+                                     for key in ["gate-count", *(f"topk-{b}" for b in budgets)])
+    gflops = [float(l.split(",")[3]) for l in lines[1:]]
+    assert gflops == sorted(gflops)
 
 
 def test_negative_seed_override_is_rejected(cfg_file):
@@ -131,8 +178,9 @@ def test_tradeoff_merges_metrics(trained, tmp_path, capsys):
     assert main(["tradeoff", "--metrics", str(out_eval / "metrics.json"),
                  "--out", str(out)]) == 0
     lines = (out / "tradeoff.csv").read_text().splitlines()
-    assert lines[0].startswith("model,")
+    assert lines[0].startswith("method,model,")
     assert len(lines) == 3                    # header + two budget entries
+    assert {l.split(",")[0] for l in lines[1:]} == {"e2e/gate-count", "e2e/topk-2"}
 
 
 def test_gradcheck_passes(capsys):

@@ -98,39 +98,49 @@ def test_registry_entries_positive_and_extensible(registry):
 
 def test_single_point_single_row(registry):
     rep = cm.pipeline_cost(128, 16, "i3d", registry)
-    rows = cm.tradeoff_rows([(rep, 0.85)])
-    assert rows == ["i3d,16,215.6,0.8500"]
+    rows = cm.tradeoff_rows([("gated", rep, 0.85)])
+    assert rows == ["gated,i3d,16,215.6,0.8500"]
 
 
 def test_rows_sorted_ascending_by_gflops(registry):
     reps = [cm.pipeline_cost(128, k, "i3d", registry) for k in (32, 8, 16)]
-    rows = cm.tradeoff_rows([(reps[0], 0.9), (reps[1], 0.7), (reps[2], 0.8)])
-    budgets = [float(r.split(",")[2]) for r in rows]
+    rows = cm.tradeoff_rows([("a", reps[0], 0.9), ("b", reps[1], 0.7),
+                             ("c", reps[2], 0.8)])
+    budgets = [float(r.split(",")[3]) for r in rows]
     assert budgets == sorted(budgets)
-    assert [r.split(",")[1] for r in rows] == ["8", "16", "32"]
+    assert [r.split(",")[2] for r in rows] == ["8", "16", "32"]
+    assert [r.split(",")[0] for r in rows] == ["b", "c", "a"]
+
+
+def test_equal_gflops_sort_by_method(registry):
+    rep = cm.pipeline_cost(0, 8, "i3d", registry)
+    rows = cm.tradeoff_rows([("uniform/topk-8", rep, 0.5),
+                             ("random/topk-8", rep, 0.4)])
+    assert [r.split(",")[0] for r in rows] == ["random/topk-8", "uniform/topk-8"]
 
 
 def test_paper_seeded_demo_rows(registry):
     gated = cm.pipeline_cost(128, 16, "i3d", registry)
     dense = cm.pipeline_cost(0, 64, "i3d_dense", registry)
-    rows = cm.tradeoff_rows([(dense, 0.857), (gated, 0.852)])
-    assert rows[0].startswith("i3d,16,215.6,")
-    assert rows[1].startswith("i3d_dense,64,830.7,")
+    rows = cm.tradeoff_rows([("dense", dense, 0.857), ("gated", gated, 0.852)])
+    assert rows[0].startswith("gated,i3d,16,215.6,")
+    assert rows[1].startswith("dense,i3d_dense,64,830.7,")
 
 
-def test_duplicate_budgets_rejected(registry):
-    rep = cm.pipeline_cost(128, 16, "i3d", registry)
-    with pytest.raises(DomainError):
-        cm.tradeoff_rows([(rep, 0.1), (rep, 0.2)])
+def test_duplicate_methods_rejected(registry):
+    a = cm.pipeline_cost(128, 16, "i3d", registry)
+    b = cm.pipeline_cost(128, 8, "i3d", registry)
+    with pytest.raises(DomainError, match="methods must be distinct"):
+        cm.tradeoff_rows([("e2e/gate-count", a, 0.1), ("e2e/gate-count", b, 0.2)])
 
 
 def test_csv_has_header_and_newline_termination(registry):
     rep = cm.pipeline_cost(128, 16, "s3d", registry)
-    text = cm.tradeoff_csv([(rep, 0.66)])
+    text = cm.tradeoff_csv([("gated", rep, 0.66)])
     lines = text.split("\n")
-    assert lines[0] == "model,n_heavy_timesteps,gflops,metric"
+    assert lines[0] == "method,model,n_heavy_timesteps,gflops,metric"
     assert text.endswith("\n")
-    assert lines[1] == "s3d,16,25.1,0.6600"
+    assert lines[1] == "gated,s3d,16,25.1,0.6600"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_config
 from stepgate.errors import ConfigError, ContractError, DomainError
+from stepgate.harness import evaluation
 from stepgate.harness.checkpoint import Checkpoint
 from stepgate.harness.evaluation import (accuracy, average_precision,
                                          cost_registry_for,
@@ -143,6 +144,25 @@ def test_evaluation_is_deterministic(e2e_setup):
     for ea, eb in zip(a.entries, b.entries):
         assert ea.value == eb.value
         assert ea.mean_selected == eb.mean_selected
+
+
+@pytest.mark.parametrize("mode", ["e2e", "frame_conditioned", "standalone"])
+def test_selection_runs_once_per_video(mode, tiny_data, monkeypatch):
+    """Test-mode gates do not depend on the budget, so every budget entry
+    reuses one selection per video."""
+    calls = []
+    real = evaluation.select
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "select", counted)
+    cfg = tiny_config(mode, **{"eval.budgets": [2, 4]})
+    report = evaluate_bundle(build_bundle(cfg), cfg, tiny_data.test)
+    assert len(report.entries) == 3
+    assert len(calls) == len(tiny_data.test)
+    assert all(a is v.frames for a, v in zip(calls, tiny_data.test))
 
 
 def test_random_mode_reuses_the_per_video_eval_stream(tiny_data):

@@ -4,11 +4,11 @@ import pytest
 
 from conftest import tiny_config
 from stepgate.autodiff import Tensor
-from stepgate.errors import ConfigError, ContractError
+from stepgate.errors import ConfigError
 from stepgate.harness.checkpoint import save_checkpoint
 from stepgate.harness.config import MODES
 from stepgate.harness.training import (resolve_dataset, run_training,
-                                       spec_from_config, train_end_to_end)
+                                       spec_from_config)
 from stepgate.selector import SelectionResult, heavy_indices
 from stepgate.synthdata import ActivitySpec, save_split
 
@@ -123,10 +123,13 @@ def test_training_changes_the_parameters(results):
         assert moved, f"{mode} training left every parameter untouched"
 
 
-def test_checkpoint_step_counts_the_first_phase_adam_steps(results, tiny_cfg):
+def test_checkpoint_step_counts_the_adam_steps_of_every_phase(results, tiny_cfg):
     n_batches = -(-tiny_cfg.dataset.n_train // tiny_cfg.training.batch_size)
-    for mode in ("e2e", "frame_conditioned", "standalone", "scsampler"):
-        assert results[mode].checkpoint.step == tiny_cfg.training.epochs * n_batches
+    phases = {"e2e": 1, "frame_conditioned": 1, "uniform": 1, "random": 1,
+              "standalone": 2, "scsampler": 2}
+    assert set(phases) == set(MODES)
+    for mode, res in results.items():
+        assert res.checkpoint.step == phases[mode] * tiny_cfg.training.epochs * n_batches, mode
 
 
 def test_training_is_deterministic(tiny_data, results, tmp_path):
@@ -149,11 +152,6 @@ def test_seed_changes_the_trajectory(tiny_data):
     c = run_training(tiny_config("e2e", seed=1), tiny_data)
     assert any(not np.array_equal(a.checkpoint.params[n], c.checkpoint.params[n])
                for n in a.checkpoint.params)
-
-
-def test_mode_dispatch_is_guarded(tiny_data):
-    with pytest.raises(ContractError, match="mode"):
-        train_end_to_end(tiny_config("uniform"), tiny_data)
 
 
 def test_frame_conditioned_has_no_attention_parameters(results):
