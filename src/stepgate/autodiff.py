@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -174,7 +175,7 @@ def transpose(a: Tensor) -> Tensor:
 def _ewise(op: str, a: Tensor, b) -> Tensor:
     if not isinstance(a, Tensor):
         raise ContractError("first elementwise operand must be a Tensor")
-    forward = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op]
+    forward = {"add": np.add, "mul": np.multiply}[op]
     if isinstance(b, Tensor):
         if b.shape == a.shape:
             return _emit(op, forward(a.data, b.data), (a, b), "dense")
@@ -190,10 +191,6 @@ def _ewise(op: str, a: Tensor, b) -> Tensor:
 
 def add(a: Tensor, b) -> Tensor:
     return _ewise("add", a, b)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    return _ewise("sub", a, b)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -214,10 +211,6 @@ def sigmoid(z: Tensor) -> Tensor:
 
 def relu(z: Tensor) -> Tensor:
     return _emit("relu", np.maximum(z.data, 0.0), (z,))
-
-
-def tanh(z: Tensor) -> Tensor:
-    return _emit("tanh", np.tanh(z.data), (z,))
 
 
 def _check_axis(x: Tensor, axis: int) -> int:
@@ -336,6 +329,42 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(out, tile_rows(b, out.shape[0]))
 
 
+@dataclass
+class MLP:
+    """Two-layer perceptron ``relu(x @ w1 + b1) @ w2 + b2`` over the rows of x."""
+
+    w1: Tensor  # n_in x hidden
+    b1: Tensor  # hidden
+    w2: Tensor  # hidden x n_out
+    b2: Tensor  # n_out
+
+    @classmethod
+    def init(cls, n_in: int, hidden: int, n_out: int, rng: np.random.Generator,
+             out_bias: float = 0.0) -> "MLP":
+        """Normal weights at scale 1/sqrt(fan-in), drawn ``w1`` then ``w2``;
+        ``b1`` is zero and every entry of ``b2`` is ``out_bias``."""
+        if min(n_in, hidden, n_out) < 1:
+            raise DomainError(f"MLP needs positive sizes, got {n_in} -> {hidden} -> {n_out}")
+        s1, s2 = 1.0 / math.sqrt(n_in), 1.0 / math.sqrt(hidden)
+        return cls(
+            w1=Tensor(s1 * rng.standard_normal((n_in, hidden)), requires_grad=True),
+            b1=Tensor(np.zeros(hidden), requires_grad=True),
+            w2=Tensor(s2 * rng.standard_normal((hidden, n_out)), requires_grad=True),
+            b2=Tensor(np.full(n_out, float(out_bias)), requires_grad=True),
+        )
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return affine(relu(affine(x, self.w1, self.b1)), self.w2, self.b2)
+
+    @property
+    def n_in(self) -> int:
+        return self.w1.shape[0]
+
+    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
+                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -362,14 +391,6 @@ def _bwd_add(node, g, data):
     return (g, g)
 
 
-def _bwd_sub(node, g, data):
-    if node.ctx == "scalar_tensor":
-        return (g, np.array(-g.sum(), dtype=np.float64).reshape(data[1].shape))
-    if isinstance(node.ctx, tuple):
-        return (g,)
-    return (g, -g)
-
-
 def _bwd_mul(node, g, data):
     if node.ctx == "scalar_tensor":
         a, b = data
@@ -387,11 +408,6 @@ def _bwd_sigmoid(node, g, data):
 
 def _bwd_relu(node, g, data):
     return (g * (data[0] > 0.0),)
-
-
-def _bwd_tanh(node, g, data):
-    y = node.tensor.data
-    return (g * (1.0 - y * y),)
 
 
 def _bwd_sum(node, g, data):
@@ -452,11 +468,9 @@ _BACKWARD: dict[str, Callable] = {
     "matmul": _bwd_matmul,
     "transpose": _bwd_transpose,
     "add": _bwd_add,
-    "sub": _bwd_sub,
     "mul": _bwd_mul,
     "sigmoid": _bwd_sigmoid,
     "relu": _bwd_relu,
-    "tanh": _bwd_tanh,
     "sum": _bwd_sum,
     "mean": _bwd_mean,
     "max": _bwd_max,

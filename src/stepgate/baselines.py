@@ -12,13 +12,12 @@ spaced, seeded random, score top-k) shared by the baseline arms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import MLP, Tensor
 from .errors import ContractError, DimensionError, DomainError
 from .selector import LIGHT_HIDDEN, encode_light
 
@@ -29,10 +28,7 @@ SAMPLE_MODES = ("uniform", "random", "topk")
 class ScorerParams:
     """Light encoder plus linear classification head of the saliency scorer."""
 
-    enc_w1: Tensor
-    enc_b1: Tensor
-    enc_w2: Tensor
-    enc_b2: Tensor
+    enc: MLP
     head_w: Tensor
     head_b: Tensor
 
@@ -44,12 +40,8 @@ class ScorerParams:
                 f"scorer needs positive dims and >= 2 classes, got "
                 f"d_raw={d_raw}, channels={channels}, n_classes={n_classes}"
             )
-        s1, s2 = 1.0 / math.sqrt(d_raw), 1.0 / math.sqrt(LIGHT_HIDDEN)
         return cls(
-            enc_w1=Tensor(s1 * rng.standard_normal((d_raw, LIGHT_HIDDEN)), requires_grad=True),
-            enc_b1=Tensor(np.zeros(LIGHT_HIDDEN), requires_grad=True),
-            enc_w2=Tensor(s2 * rng.standard_normal((LIGHT_HIDDEN, channels)), requires_grad=True),
-            enc_b2=Tensor(np.zeros(channels), requires_grad=True),
+            enc=MLP.init(d_raw, LIGHT_HIDDEN, channels, rng),
             # zero head: softmax starts uniform, so scores start at 1 / n_classes
             head_w=Tensor(np.zeros((channels, n_classes)), requires_grad=True),
             head_b=Tensor(np.zeros(n_classes), requires_grad=True),
@@ -60,17 +52,15 @@ class ScorerParams:
         return self.head_w.shape[1]
 
     def named_parameters(self, prefix: str = "scorer") -> dict[str, Tensor]:
-        return {
-            f"{prefix}.enc_w1": self.enc_w1, f"{prefix}.enc_b1": self.enc_b1,
-            f"{prefix}.enc_w2": self.enc_w2, f"{prefix}.enc_b2": self.enc_b2,
-            f"{prefix}.head_w": self.head_w, f"{prefix}.head_b": self.head_b,
-        }
+        out = self.enc.named_parameters(f"{prefix}.enc")
+        out.update({f"{prefix}.head_w": self.head_w, f"{prefix}.head_b": self.head_b})
+        return out
 
 
 def scorer_logits(frames: np.ndarray, params: ScorerParams, stride: int,
                   timesteps: int, segment_len: int) -> Tensor:
     """Per-timestep class logits (T, L); the differentiable training path."""
-    feats = encode_light(frames, params, timesteps, segment_len, stride)
+    feats = encode_light(frames, params.enc, timesteps, segment_len, stride)
     return ad.affine(feats, params.head_w, params.head_b)
 
 

@@ -1,53 +1,28 @@
 """Heavy-stage classification: segment encoder plus a pooled per-timestep head.
 
-The heavy encoder consumes ``segment_len`` consecutive raw frames per selected
-timestep and is the expensive part of the pipeline, so it only ever runs on
-the indices handed to it; ``heavy_rows`` counts every encoded timestep to make
-that property checkable.  Classification applies gate magnitudes (end-to-end
-training only), max-pools over the spatial grid, maps each timestep through a
-two-layer head, and max-pools over time, so duplicated timesteps never change
-the logits.
+The heavy encoder, an ``autodiff.MLP``, consumes ``segment_len`` consecutive
+raw frames per selected timestep and is the expensive part of the pipeline, so
+it only ever runs on the indices handed to it; ``heavy_rows`` counts every
+encoded timestep to make that property checkable.  Classification applies
+gate magnitudes (end-to-end training only), max-pools over the spatial grid,
+maps each timestep through the head (a second ``MLP``), and max-pools over
+time, so duplicated timesteps never change the logits.  Parameters are named
+``classifier.enc.*`` and ``classifier.head.*``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import MLP, Tensor
 from .errors import ContractError, DimensionError, DomainError
 from .synthdata import TASKS
 
 HEAVY_HIDDEN = 128
 HEAD_HIDDEN = 256
-
-
-@dataclass
-class HeadParams:
-    """Two-layer per-timestep classification head."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    @classmethod
-    def init(cls, channels: int, n_classes: int, rng: np.random.Generator,
-             hidden: int = HEAD_HIDDEN) -> "HeadParams":
-        s1, s2 = 1.0 / math.sqrt(channels), 1.0 / math.sqrt(hidden)
-        return cls(
-            w1=Tensor(s1 * rng.standard_normal((channels, hidden)), requires_grad=True),
-            b1=Tensor(np.zeros(hidden), requires_grad=True),
-            w2=Tensor(s2 * rng.standard_normal((hidden, n_classes)), requires_grad=True),
-            b2=Tensor(np.zeros(n_classes), requires_grad=True),
-        )
-
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
 
 @dataclass
@@ -72,31 +47,21 @@ class ClassifierConfig:
 @dataclass
 class ClassifierParams:
     config: ClassifierConfig
-    enc_w1: Tensor
-    enc_b1: Tensor
-    enc_w2: Tensor
-    enc_b2: Tensor
-    head: HeadParams
+    enc: MLP  # segment_len * d_raw -> channels * height * width
+    head: MLP  # channels -> n_classes, per timestep
     heavy_rows: int = 0  # timesteps encoded so far; instrumentation only
 
     @classmethod
     def init(cls, config: ClassifierConfig, d_raw: int,
              rng: np.random.Generator) -> "ClassifierParams":
-        n_in = config.segment_len * d_raw
+        """Draws the heavy encoder, then the head."""
         n_out = config.channels * config.height * config.width
-        s1, s2 = 1.0 / math.sqrt(n_in), 1.0 / math.sqrt(HEAVY_HIDDEN)
-        return cls(
-            config=config,
-            enc_w1=Tensor(s1 * rng.standard_normal((n_in, HEAVY_HIDDEN)), requires_grad=True),
-            enc_b1=Tensor(np.zeros(HEAVY_HIDDEN), requires_grad=True),
-            enc_w2=Tensor(s2 * rng.standard_normal((HEAVY_HIDDEN, n_out)), requires_grad=True),
-            enc_b2=Tensor(np.zeros(n_out), requires_grad=True),
-            head=HeadParams.init(config.channels, config.n_classes, rng),
-        )
+        enc = MLP.init(config.segment_len * d_raw, HEAVY_HIDDEN, n_out, rng)
+        head = MLP.init(config.channels, HEAD_HIDDEN, config.n_classes, rng)
+        return cls(config=config, enc=enc, head=head)
 
     def named_parameters(self, prefix: str = "classifier") -> dict[str, Tensor]:
-        out = {f"{prefix}.enc_w1": self.enc_w1, f"{prefix}.enc_b1": self.enc_b1,
-               f"{prefix}.enc_w2": self.enc_w2, f"{prefix}.enc_b2": self.enc_b2}
+        out = self.enc.named_parameters(f"{prefix}.enc")
         out.update(self.head.named_parameters(f"{prefix}.head"))
         return out
 
@@ -124,10 +89,10 @@ def heavynet_features(frames: np.ndarray, indices, params: ClassifierParams,
                             "apply the empty-selection fallback upstream")
     m = cfg.segment_len
     d_raw = frames.shape[1] if frames.ndim == 2 else 0
-    if frames.ndim != 2 or m * d_raw != params.enc_w1.shape[0]:
+    if frames.ndim != 2 or m * d_raw != params.enc.n_in:
         raise DimensionError(
             f"frames shape {frames.shape} does not match encoder input width "
-            f"{params.enc_w1.shape[0]} (= segment_len {m} x d_raw)"
+            f"{params.enc.n_in} (= segment_len {m} x d_raw)"
         )
     n_frames = frames.shape[0]
     starts = [i * stride for i in idx]
@@ -138,15 +103,8 @@ def heavynet_features(frames: np.ndarray, indices, params: ClassifierParams,
         )
     segments = np.stack([frames[j:j + m].ravel() for j in starts])
     params.heavy_rows += len(idx)
-    h = ad.relu(ad.affine(Tensor(segments), params.enc_w1, params.enc_b1))
-    out = ad.affine(h, params.enc_w2, params.enc_b2)
+    out = params.enc(Tensor(segments))
     return ad.reshape(out, (len(idx), cfg.channels, cfg.height, cfg.width))
-
-
-def head_logits(features: Tensor, head: HeadParams) -> Tensor:
-    """Per-timestep logits from (T', C) pooled features."""
-    h = ad.relu(ad.affine(features, head.w1, head.b1))
-    return ad.affine(h, head.w2, head.b2)
 
 
 def classify(features: Tensor, gate_values: Tensor | None,
@@ -174,8 +132,7 @@ def classify(features: Tensor, gate_values: Tensor | None,
             )
         flat = ad.mul(flat, ad.tile_cols(gate_values, c * hgt * wid))
     spatial = ad.reduce_max(ad.reshape(flat, (t_sel, c, hgt * wid)), axis=2)
-    per_step = head_logits(spatial, params.head)
-    return ad.reduce_max(per_step, axis=0)
+    return ad.reduce_max(params.head(spatial), axis=0)
 
 
 def task_loss(logits: Tensor, targets, task: str) -> Tensor:

@@ -1,9 +1,11 @@
 """Per-timestep gating: concept similarity, a gate MLP, and noisy thresholding.
 
 All T timesteps of a video are gated at once.  Each timestep feature (a row
-of a T x C matrix) is compared against a bank of learned concept kernels, a
-two-layer MLP reduces each similarity row to a single logit, and the (T, 1)
-logit column is turned into gate values by a noisy clipped sigmoid.
+of a T x C matrix) is compared against the learned concept kernels (an
+n_kernels x C tensor), a two-layer ``autodiff.MLP`` reduces each similarity
+row to a single logit, and the (T, 1) logit column is turned into gate values
+by a noisy clipped sigmoid.  The kernels and the gate MLP live in
+``selector.SelectorParams``.
 
 During training the activation is ``a = clip(sigmoid(logit + G))`` where
 ``G = G1 - G2`` is the difference of two independent Gumbel(0, 1) draws
@@ -18,13 +20,10 @@ the sigmoid only for open gates and closed gates contribute exactly zero.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import MLP, Tensor
 from .errors import DimensionError, DomainError
 
 GATE_THRESHOLD = 0.5
@@ -36,79 +35,28 @@ def sigmoid_np(z):
     return 1.0 / (1.0 + np.exp(-zc))
 
 
-@dataclass
-class ConceptBank:
-    """Learned concept kernels, one row per concept."""
-
-    kernels: Tensor  # n_kernels x channels
-
-    @classmethod
-    def init(cls, n_kernels: int, channels: int, rng: np.random.Generator) -> "ConceptBank":
-        if n_kernels < 1 or channels < 1:
-            raise DomainError(f"concept bank needs positive sizes, got {n_kernels} x {channels}")
-        scale = 1.0 / math.sqrt(channels)
-        return cls(Tensor(scale * rng.standard_normal((n_kernels, channels)), requires_grad=True))
-
-    @property
-    def n_kernels(self) -> int:
-        return self.kernels.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.kernels.shape[1]
-
-
-@dataclass
-class GatingMLP:
-    """Two-layer MLP mapping a similarity vector to one gate logit."""
-
-    w1: Tensor  # n_in x hidden
-    b1: Tensor  # hidden
-    w2: Tensor  # hidden x 1
-    b2: Tensor  # 1
-
-    @classmethod
-    def init(cls, n_in: int, hidden: int, rng: np.random.Generator,
-             open_bias: float = 0.0) -> "GatingMLP":
-        """``open_bias`` preloads the output bias so gates start mostly open."""
-        if n_in < 1 or hidden < 1:
-            raise DomainError(f"gating MLP needs positive sizes, got {n_in} -> {hidden}")
-        s1, s2 = 1.0 / math.sqrt(n_in), 1.0 / math.sqrt(hidden)
-        return cls(
-            w1=Tensor(s1 * rng.standard_normal((n_in, hidden)), requires_grad=True),
-            b1=Tensor(np.zeros(hidden), requires_grad=True),
-            w2=Tensor(s2 * rng.standard_normal((hidden, 1)), requires_grad=True),
-            b2=Tensor(np.full(1, float(open_bias)), requires_grad=True),
-        )
-
-    @property
-    def n_in(self) -> int:
-        return self.w1.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # similarity and logits
 
 
-def similarity_batch(features: Tensor, bank: ConceptBank) -> Tensor:
+def similarity_batch(features: Tensor, kernels: Tensor) -> Tensor:
     """Similarity of every timestep feature to every concept kernel:
-    ``X @ K.T`` for ``X`` of shape T x C."""
-    if features.data.ndim != 2 or features.shape[1] != bank.channels:
+    ``X @ K.T`` for ``X`` of shape T x C and kernels ``K`` of shape n_kernels x C."""
+    if features.data.ndim != 2 or features.shape[1] != kernels.shape[1]:
         raise DimensionError(
             f"similarity_batch got features {features.shape} against kernels "
-            f"{tuple(bank.kernels.shape)}"
+            f"{tuple(kernels.shape)}"
         )
-    return ad.matmul(features, ad.transpose(bank.kernels))
+    return ad.matmul(features, ad.transpose(kernels))
 
 
-def gate_logits_batch(similarities: Tensor, mlp: GatingMLP) -> Tensor:
+def gate_logits_batch(similarities: Tensor, mlp: MLP) -> Tensor:
     """T x n_in similarities to a T x 1 column of logits."""
     if similarities.data.ndim != 2 or similarities.shape[1] != mlp.n_in:
         raise DimensionError(
             f"gate_logits_batch got similarities {similarities.shape}, expected (T, {mlp.n_in})"
         )
-    h = ad.relu(ad.affine(similarities, mlp.w1, mlp.b1))
-    return ad.affine(h, mlp.w2, mlp.b2)
+    return mlp(similarities)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from ..costmodel import CostReport, tradeoff_csv
 from ..errors import ConfigError, StepgateError
-from ..synthdata import save_split
-from .checkpoint import load_checkpoint, save_checkpoint
+from ..synthdata import Dataset, save_split
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
 from .evaluation import evaluate_checkpoint
 from .gradsuite import THRESHOLD, run_gradient_suite, suite_passes
@@ -66,13 +66,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(args, need_seed_override=True) -> ExperimentConfig:
-    config = load_config(args.config)
-    if need_seed_override and args.seed is not None:
+def _load(args, ckpt: Checkpoint | None = None) -> ExperimentConfig:
+    """The ``--config`` file (else the checkpoint's config), ``--seed`` applied."""
+    config = load_config(args.config) if args.config else ckpt.experiment_config()
+    if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         config.seed = args.seed
     return config
+
+
+def _load_checkpoint_run(args) -> tuple[Checkpoint, Dataset]:
+    """The checkpoint, set to run under ``_load``'s config, and its dataset."""
+    ckpt = load_checkpoint(args.checkpoint)
+    config = _load(args, ckpt)
+    ckpt.config = config.to_dict()  # model shapes must still match the weights
+    return ckpt, resolve_dataset(config)
 
 
 def _out_dir(args) -> Path:
@@ -113,15 +122,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    config = _load(args) if args.config else ckpt.experiment_config()
-    if args.seed is not None:
-        config.seed = args.seed
-    ckpt.config = config.to_dict()  # model shapes must still match the weights
-    dataset = resolve_dataset(config)
+    ckpt, dataset = _load_checkpoint_run(args)
     report = evaluate_checkpoint(ckpt, dataset)
     out = _out_dir(args)
-    payload = {"config": config.to_dict(), "report": report.to_dict()}
+    payload = {"config": ckpt.config, "report": report.to_dict()}
     (out / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n")
     for e in report.entries:
         tag = "gate-count" if e.budget is None else f"top-{e.budget}"
@@ -132,12 +136,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    config = _load(args) if args.config else ckpt.experiment_config()
-    if args.seed is not None:
-        config.seed = args.seed
-    ckpt.config = config.to_dict()
-    dataset = resolve_dataset(config)
+    ckpt, dataset = _load_checkpoint_run(args)
     paths = write_gating_report(ckpt, dataset, _out_dir(args))
     for name, path in paths.items():
         print(f"{name}: {path}")

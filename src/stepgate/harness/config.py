@@ -178,6 +178,8 @@ def _validate_values(cfg: ExperimentConfig) -> None:
     for b in e.budgets:
         if isinstance(b, bool) or not isinstance(b, int) or not 1 <= b <= d.timesteps:
             raise ConfigError(f"eval.budgets entries must be ints in [1, {d.timesteps}], got {b!r}")
+    if len(set(e.budgets)) != len(e.budgets):
+        raise ConfigError(f"eval.budgets must not repeat, got {e.budgets}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

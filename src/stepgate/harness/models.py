@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import Tensor
+from ..autodiff import MLP, Tensor
 from ..baselines import ScorerParams
-from ..classifier import ClassifierConfig, ClassifierParams, HeadParams
+from ..classifier import ClassifierConfig, ClassifierParams
 from ..errors import ContractError
 from ..selector import SelectorConfig, SelectorParams
 from .config import ExperimentConfig
@@ -28,7 +28,7 @@ LIGHT_HEAD_HIDDEN = 64
 class ModelBundle:
     mode: str
     selector: SelectorParams | None = None
-    light_head: HeadParams | None = None
+    light_head: MLP | None = None
     classifier: ClassifierParams | None = None
     scorer: ScorerParams | None = None
 
@@ -71,8 +71,7 @@ def build_bundle(config: ExperimentConfig) -> ModelBundle:
     if mode == "standalone":
         return ModelBundle(
             mode=mode, selector=make_selector("context"),
-            light_head=HeadParams.init(m.light_channels, d.n_classes, rng,
-                                       hidden=LIGHT_HEAD_HIDDEN),
+            light_head=MLP.init(m.light_channels, LIGHT_HEAD_HIDDEN, d.n_classes, rng),
             classifier=make_classifier(),
         )
     if mode == "e2e":

@@ -27,7 +27,7 @@ from .. import autodiff as ad
 from .. import gating
 from ..autodiff import Adam, Tensor
 from ..baselines import sample_indices, scorer_logits, scsampler_scores
-from ..classifier import classify, head_logits, heavynet_features, task_loss
+from ..classifier import classify, heavynet_features, task_loss
 from ..errors import ConfigError, DomainError, GenerationError, TrainingDivergence
 from ..selector import heavy_indices, select
 from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
@@ -195,7 +195,7 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
                 # light path: gated light features, light head, max over time
                 gated = ad.mul(result.features, ad.tile_cols(
                     result.activated, bundle.selector.config.channels))
-                logits = ad.reduce_max(head_logits(gated, bundle.light_head), axis=0)
+                logits = ad.reduce_max(bundle.light_head(gated), axis=0)
             else:
                 idx = heavy_indices(result)
                 # the fallback timestep of an all-closed video enters ungated

@@ -1,10 +1,14 @@
 """Timestep selection: light per-timestep features feed the gating stack.
 
-A cheap shared encoder turns one raw frame per timestep slot into a feature
-vector; in context mode a single-head self-attention layer mixes information
-across timesteps before gating, while frame mode gates each timestep from its
-own feature alone.  Heavy segments start at ``slot * stride`` and the light
-frame for a slot is the segment's middle frame at offset ``segment_len // 2``.
+A cheap encoder (an ``autodiff.MLP``) turns one raw frame per timestep slot
+into a feature vector; in context mode a single-head self-attention layer
+mixes information across timesteps before gating, while frame mode gates each
+timestep from its own feature alone.  Heavy segments start at
+``slot * stride`` and the light frame for a slot is the segment's middle
+frame at offset ``segment_len // 2``.  ``SelectorParams`` holds the encoder,
+the attention projections, the concept kernels and the gate MLP, named
+``selector.enc.*``, ``selector.attn_{q,k,v}``, ``selector.kernels`` and
+``selector.gate.*``.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gating
-from .autodiff import Tensor
+from .autodiff import MLP, Tensor
 from .errors import ContractError, DimensionError, DomainError
-from .gating import ConceptBank, GatingMLP
 
 LIGHT_HIDDEN = 64
 
@@ -32,15 +35,12 @@ class SelectorConfig:
     channels: int
     n_kernels: int = 128
     context_mode: str = "context"
-    attention_heads: int = 1
     timesteps: int = 32
     segment_len: int = 8
 
     def __post_init__(self):
         if self.context_mode not in CONTEXT_MODES:
             raise DomainError(f"context_mode must be one of {CONTEXT_MODES}, got {self.context_mode!r}")
-        if self.attention_heads != 1:
-            raise DomainError(f"only one attention head is supported, got {self.attention_heads}")
         for name in ("channels", "n_kernels", "timesteps", "segment_len"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
@@ -51,49 +51,37 @@ class SelectorParams:
     """Learned state of the selection stage."""
 
     config: SelectorConfig
-    enc_w1: Tensor
-    enc_b1: Tensor
-    enc_w2: Tensor
-    enc_b2: Tensor
+    enc: MLP
     attn_q: Tensor | None
     attn_k: Tensor | None
     attn_v: Tensor | None
-    bank: ConceptBank
-    gate: GatingMLP
+    kernels: Tensor  # n_kernels x channels
+    gate: MLP
 
     @classmethod
     def init(cls, config: SelectorConfig, d_raw: int, rng: np.random.Generator,
              gate_hidden: int = 64, open_bias: float = 2.0) -> "SelectorParams":
+        """Draws q/k/v (context mode only), then the light encoder, the
+        concept kernels and the gate MLP, each at scale 1/sqrt(fan-in)."""
         c = config.channels
-        s_in, s_hid, s_att = 1.0 / math.sqrt(d_raw), 1.0 / math.sqrt(LIGHT_HIDDEN), 1.0 / math.sqrt(c)
+        s_c = 1.0 / math.sqrt(c)
         if config.context_mode == "context":
-            attn = [Tensor(s_att * rng.standard_normal((c, c)), requires_grad=True) for _ in range(3)]
+            attn = [Tensor(s_c * rng.standard_normal((c, c)), requires_grad=True) for _ in range(3)]
         else:
             attn = [None, None, None]
-        return cls(
-            config=config,
-            enc_w1=Tensor(s_in * rng.standard_normal((d_raw, LIGHT_HIDDEN)), requires_grad=True),
-            enc_b1=Tensor(np.zeros(LIGHT_HIDDEN), requires_grad=True),
-            enc_w2=Tensor(s_hid * rng.standard_normal((LIGHT_HIDDEN, c)), requires_grad=True),
-            enc_b2=Tensor(np.zeros(c), requires_grad=True),
-            attn_q=attn[0], attn_k=attn[1], attn_v=attn[2],
-            bank=ConceptBank.init(config.n_kernels, c, rng),
-            gate=GatingMLP.init(config.n_kernels, gate_hidden, rng, open_bias=open_bias),
-        )
+        enc = MLP.init(d_raw, LIGHT_HIDDEN, c, rng)
+        kernels = Tensor(s_c * rng.standard_normal((config.n_kernels, c)), requires_grad=True)
+        return cls(config=config, enc=enc, attn_q=attn[0], attn_k=attn[1], attn_v=attn[2],
+                   kernels=kernels,
+                   gate=MLP.init(config.n_kernels, gate_hidden, 1, rng, out_bias=open_bias))
 
     def named_parameters(self, prefix: str = "selector") -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.enc_w1": self.enc_w1, f"{prefix}.enc_b1": self.enc_b1,
-            f"{prefix}.enc_w2": self.enc_w2, f"{prefix}.enc_b2": self.enc_b2,
-        }
+        out = self.enc.named_parameters(f"{prefix}.enc")
         if self.attn_q is not None:
             out.update({f"{prefix}.attn_q": self.attn_q, f"{prefix}.attn_k": self.attn_k,
                         f"{prefix}.attn_v": self.attn_v})
-        out.update({
-            f"{prefix}.kernels": self.bank.kernels,
-            f"{prefix}.gate_w1": self.gate.w1, f"{prefix}.gate_b1": self.gate.b1,
-            f"{prefix}.gate_w2": self.gate.w2, f"{prefix}.gate_b2": self.gate.b2,
-        })
+        out[f"{prefix}.kernels"] = self.kernels
+        out.update(self.gate.named_parameters(f"{prefix}.gate"))
         return out
 
 
@@ -160,29 +148,26 @@ def align_timesteps(t_heavy: int, segment_len: int, stride: int,
 # forward pieces
 
 
-def encode_light(frames: np.ndarray, enc, timesteps: int, segment_len: int,
+def encode_light(frames: np.ndarray, enc: MLP, timesteps: int, segment_len: int,
                  stride: int) -> Tensor:
-    """Two-layer MLP over each timestep's aligned light frame.
+    """``enc`` over each timestep's aligned light frame.
 
-    ``enc`` is any parameter set with ``enc_w1, enc_b1, enc_w2, enc_b2``: the
-    selector's light encoder and the saliency scorer's private one share this
-    code, not their weights.
+    The selector's light encoder and the saliency scorer's private one share
+    this code, not their weights.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != enc.enc_w1.shape[0]:
+    if frames.ndim != 2 or frames.shape[1] != enc.n_in:
         raise DimensionError(
-            f"frames shape {frames.shape} does not match encoder input width "
-            f"{enc.enc_w1.shape[0]}"
+            f"frames shape {frames.shape} does not match encoder input width {enc.n_in}"
         )
     idx = align_timesteps(timesteps, segment_len, stride, n_frames=frames.shape[0])
-    h = ad.relu(ad.affine(Tensor(frames[idx]), enc.enc_w1, enc.enc_b1))
-    return ad.affine(h, enc.enc_w2, enc.enc_b2)
+    return enc(Tensor(frames[idx]))
 
 
 def lightnet_features(frames: np.ndarray, params: SelectorParams, stride: int) -> Tensor:
     """The selector's light features, one row per timestep."""
     cfg = params.config
-    return encode_light(frames, params, cfg.timesteps, cfg.segment_len, stride)
+    return encode_light(frames, params.enc, cfg.timesteps, cfg.segment_len, stride)
 
 
 def self_attention(features: Tensor, params: SelectorParams) -> Tensor:
@@ -205,7 +190,7 @@ def _gate_inputs(frames: np.ndarray, params: SelectorParams,
     feats = lightnet_features(frames, params, stride)
     if params.config.context_mode == "context":
         feats = self_attention(feats, params)
-    sims = gating.similarity_batch(feats, params.bank)
+    sims = gating.similarity_batch(feats, params.kernels)
     return feats, gating.gate_logits_batch(sims, params.gate)
 
 

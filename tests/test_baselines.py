@@ -40,8 +40,9 @@ def test_score_matches_softmax_max_oracle():
     params.head_b.data[:] = rng.standard_normal(params.head_b.shape)
     frames = random_video(rng)
     light = frames[[4, 20, 36, 52]]  # the middle frame of each segment
-    hidden = np.maximum(light @ params.enc_w1.data + params.enc_b1.data, 0.0)
-    x = hidden @ params.enc_w2.data + params.enc_b2.data
+    enc = params.enc
+    hidden = np.maximum(light @ enc.w1.data + enc.b1.data, 0.0)
+    x = hidden @ enc.w2.data + enc.b2.data
     z = x @ params.head_w.data + params.head_b.data
     p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     nptest.assert_allclose(video_scores(frames, params), p.max(axis=1), rtol=1e-12)

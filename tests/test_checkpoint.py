@@ -102,10 +102,12 @@ def test_version_1_files_are_rejected(tmp_path, bundle_and_ckpt):
     path = tmp_path / "x.sgck"
     save_checkpoint(path, ckpt)
     raw = path.read_bytes()
-    old = tmp_path / "v1.sgck"
-    old.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
-    with pytest.raises(FormatError, match="version 1"):
-        load_checkpoint(old)
+    assert FORMAT_VERSION == 3
+    for version in (1, 2):  # v1 stored Adam moments; v2 had flat enc_*/gate_* names
+        old = tmp_path / f"v{version}.sgck"
+        old.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
+        with pytest.raises(FormatError, match=f"unsupported checkpoint format version {version}"):
+            load_checkpoint(old)
 
 
 def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bundle_and_ckpt):

@@ -28,8 +28,9 @@ def encode_oracle(frames, indices, params, stride):
     cfg = params.config
     rows = np.stack([frames[i * stride:i * stride + cfg.segment_len].ravel()
                      for i in indices])
-    h = np.maximum(rows @ params.enc_w1.data + params.enc_b1.data, 0.0)
-    out = h @ params.enc_w2.data + params.enc_b2.data
+    enc = params.enc
+    h = np.maximum(rows @ enc.w1.data + enc.b1.data, 0.0)
+    out = h @ enc.w2.data + enc.b2.data
     return out.reshape(len(indices), cfg.channels, cfg.height, cfg.width)
 
 
@@ -230,9 +231,9 @@ def test_e2e_gradient_reaches_selector_and_classifier():
         loss = e2e_loss(sparams, cparams, frames, noises, 1)
     ad.backward(loss, rec)
     assert np.abs(sparams.gate.w2.grad).max() > 0.0
-    assert np.abs(sparams.bank.kernels.grad).max() > 0.0
+    assert np.abs(sparams.kernels.grad).max() > 0.0
     assert np.abs(sparams.attn_q.grad).max() > 0.0
-    assert np.abs(cparams.enc_w1.grad).max() > 0.0
+    assert np.abs(cparams.enc.w1.grad).max() > 0.0
     assert np.abs(cparams.head.w2.grad).max() > 0.0
 
 
@@ -246,6 +247,6 @@ def test_e2e_finite_difference_check():
     def f(_):
         return e2e_loss(sparams, cparams, frames, noises, 2)
 
-    for p in (sparams.gate.w1, sparams.attn_v, sparams.enc_w2,
-              cparams.enc_w2, cparams.head.w1):
+    for p in (sparams.gate.w1, sparams.attn_v, sparams.enc.w2,
+              cparams.enc.w2, cparams.head.w1):
         assert ad.finite_diff_check(f, p) < 1e-4

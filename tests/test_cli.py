@@ -120,8 +120,16 @@ def test_tradeoff_merges_every_arm(cfg_file, tmp_path, capsys):
     assert gflops == sorted(gflops)
 
 
-def test_negative_seed_override_is_rejected(cfg_file):
-    assert main(["train", "--config", cfg_file, "--seed", "-1"]) == 1
+def test_negative_seed_override_is_rejected(cfg_file, trained, tmp_path, capsys):
+    ckpt = str(trained / "checkpoint.sgck")
+    for argv in (["train", "--config", cfg_file],
+                 ["eval", "--checkpoint", ckpt],
+                 ["eval", "--checkpoint", ckpt, "--config", cfg_file],
+                 ["report", "--checkpoint", ckpt],
+                 ["report", "--checkpoint", ckpt, "--config", cfg_file]):
+        assert main(argv + ["--seed", "-1", "--out", str(tmp_path)]) == 1, argv
+        assert capsys.readouterr().err.startswith("config error:"), argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_generate_data_writes_splits(cfg_file, tmp_path, capsys):

@@ -46,6 +46,7 @@ def test_every_mode_is_accepted():
     {"eval": {"budgets": [0]}},
     {"eval": {"budgets": [33]}},
     {"eval": {"budgets": [True]}},
+    {"eval": {"budgets": [2, 2]}},
 ])
 def test_invalid_values_raise(raw):
     with pytest.raises(ConfigError):

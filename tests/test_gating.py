@@ -30,7 +30,7 @@ def step_gate(logit):
 @pytest.fixture
 def mlp_2x2():
     """Tiny hand-checkable gate MLP: 2 inputs, 2 hidden units."""
-    m = gt.GatingMLP(
+    m = ad.MLP(
         w1=Tensor([[1.0, -1.0], [0.5, 2.0]], requires_grad=True),
         b1=Tensor([0.1, -0.2], requires_grad=True),
         w2=Tensor([[1.0], [-2.0]], requires_grad=True),
@@ -44,8 +44,8 @@ def mlp_2x2():
 
 
 def test_similarity_is_plain_dot_products():
-    bank = gt.ConceptBank(Tensor([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    s = gt.similarity_batch(Tensor([[2.0, -3.0]]), bank)
+    kernels = Tensor([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    s = gt.similarity_batch(Tensor([[2.0, -3.0]]), kernels)
     nptest.assert_array_equal(s.data, [[2.0, -3.0, -1.0]])
 
 
@@ -53,7 +53,7 @@ def test_similarity_batch_matches_scalar_path():
     """Row t of the batch equals the one-timestep call, and ``K @ x_t``."""
     rng = np.random.default_rng(0)
     kernels = rng.standard_normal((5, 3))
-    bank = gt.ConceptBank(Tensor(kernels, requires_grad=True))
+    bank = Tensor(kernels, requires_grad=True)
     feats = rng.standard_normal((4, 3))
     batched = gt.similarity_batch(Tensor(feats), bank).data
     for t in range(4):
@@ -63,7 +63,7 @@ def test_similarity_batch_matches_scalar_path():
 
 
 def test_similarity_shape_mismatch():
-    bank = gt.ConceptBank(Tensor(np.ones((4, 3))))
+    bank = Tensor(np.ones((4, 3)))
     with pytest.raises(DimensionError):
         gt.similarity_batch(Tensor([[1.0, 2.0]]), bank)
     with pytest.raises(DimensionError):
@@ -93,14 +93,14 @@ def test_gate_logits_batch_matches_scalar_path(mlp_2x2):
 
 def test_gate_logit_gradient_reaches_kernels():
     rng = np.random.default_rng(1)
-    bank = gt.ConceptBank.init(6, 3, rng)
-    mlp = gt.GatingMLP.init(6, 4, rng)
+    kernels = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    mlp = ad.MLP.init(6, 4, 1, rng)
     x = Tensor(rng.standard_normal((1, 3)))
     with ad.record() as rec:
-        alpha = gt.gate_logits_batch(gt.similarity_batch(x, bank), mlp)
+        alpha = gt.gate_logits_batch(gt.similarity_batch(x, kernels), mlp)
         loss = ad.reduce_sum(ad.reshape(ad.sigmoid(alpha), (1,)), axis=0)
     ad.backward(loss, rec)
-    assert np.abs(bank.kernels.grad).max() > 0.0
+    assert np.abs(kernels.grad).max() > 0.0
 
 
 # ---------------------------------------------------------------------------

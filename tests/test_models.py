@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import tiny_config
-from stepgate.harness.models import (ModelBundle, build_bundle,
-                                     selection_stride,
+from stepgate.classifier import HEAD_HIDDEN, HEAVY_HIDDEN
+from stepgate.harness.config import MODES
+from stepgate.harness.models import (LIGHT_HEAD_HIDDEN, ModelBundle,
+                                     build_bundle, selection_stride,
                                      training_sample_budget)
+from stepgate.selector import LIGHT_HIDDEN
 
 
 @pytest.mark.parametrize("mode,groups", [
@@ -23,6 +28,75 @@ def test_bundle_holds_the_mode_parameter_groups(mode, groups):
     assert present == groups
     prefixes = {name.split(".")[0] for name in bundle.named_parameters()}
     assert prefixes == groups
+
+
+def _mlp_draw(rng, prefix, n_in, hidden, n_out, out_bias=0.0):
+    """A two-layer network's parameters: w1 then w2, at 1/sqrt(fan-in)."""
+    w1 = (1.0 / math.sqrt(n_in)) * rng.standard_normal((n_in, hidden))
+    w2 = (1.0 / math.sqrt(hidden)) * rng.standard_normal((hidden, n_out))
+    return {f"{prefix}.w1": w1, f"{prefix}.b1": np.zeros(hidden),
+            f"{prefix}.w2": w2, f"{prefix}.b2": np.full(n_out, out_bias)}
+
+
+def _expected_parameters(cfg):
+    """Every parameter of ``build_bundle(cfg)``, redrawn from the config seed
+    in the documented order and scales: selector (q/k/v in context mode, light
+    encoder, kernels, gate), then the light head or the scorer, then the
+    classifier (encoder, head).  Names come in ``named_parameters`` order,
+    where the scorer follows the classifier."""
+    rng = np.random.default_rng(cfg.seed)
+    d, m = cfg.dataset, cfg.model
+    c = m.light_channels
+    out = {}
+    if cfg.mode in ("standalone", "e2e", "frame_conditioned"):
+        attn = {}
+        if cfg.mode != "frame_conditioned":
+            for name in ("attn_q", "attn_k", "attn_v"):
+                attn[f"selector.{name}"] = (1.0 / math.sqrt(c)) * rng.standard_normal((c, c))
+        out.update(_mlp_draw(rng, "selector.enc", d.d_raw, LIGHT_HIDDEN, c))
+        out.update(attn)
+        out["selector.kernels"] = (1.0 / math.sqrt(c)) * rng.standard_normal((m.n_kernels, c))
+        out.update(_mlp_draw(rng, "selector.gate", m.n_kernels, m.gate_hidden, 1,
+                             out_bias=m.open_bias))
+    if cfg.mode == "standalone":
+        out.update(_mlp_draw(rng, "light_head", c, LIGHT_HEAD_HIDDEN, d.n_classes))
+    scorer = {}
+    if cfg.mode == "scsampler":
+        scorer = _mlp_draw(rng, "scorer.enc", d.d_raw, LIGHT_HIDDEN, c)
+        scorer["scorer.head_w"] = np.zeros((c, d.n_classes))
+        scorer["scorer.head_b"] = np.zeros(d.n_classes)
+    h = m.heavy_channels
+    out.update(_mlp_draw(rng, "classifier.enc", m.segment_len * d.d_raw, HEAVY_HIDDEN,
+                         h * m.height * m.width))
+    out.update(_mlp_draw(rng, "classifier.head", h, HEAD_HIDDEN, d.n_classes))
+    out.update(scorer)
+    return out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_parameters_follow_the_documented_draws(mode):
+    cfg = tiny_config(mode, seed=5, **{"model.height": 2, "model.open_bias": -1.5})
+    got = {name: t.data for name, t in build_bundle(cfg).named_parameters().items()}
+    want = _expected_parameters(cfg)
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_parameter_names_of_the_e2e_and_scsampler_bundles():
+    assert list(build_bundle(tiny_config("e2e")).named_parameters()) == [
+        "selector.enc.w1", "selector.enc.b1", "selector.enc.w2", "selector.enc.b2",
+        "selector.attn_q", "selector.attn_k", "selector.attn_v", "selector.kernels",
+        "selector.gate.w1", "selector.gate.b1", "selector.gate.w2", "selector.gate.b2",
+        "classifier.enc.w1", "classifier.enc.b1", "classifier.enc.w2", "classifier.enc.b2",
+        "classifier.head.w1", "classifier.head.b1", "classifier.head.w2", "classifier.head.b2",
+    ]
+    assert list(build_bundle(tiny_config("scsampler")).named_parameters()) == [
+        "classifier.enc.w1", "classifier.enc.b1", "classifier.enc.w2", "classifier.enc.b2",
+        "classifier.head.w1", "classifier.head.b1", "classifier.head.w2", "classifier.head.b2",
+        "scorer.enc.w1", "scorer.enc.b1", "scorer.enc.w2", "scorer.enc.b2",
+        "scorer.head_w", "scorer.head_b",
+    ]
 
 
 def test_context_mode_follows_the_experiment_mode():

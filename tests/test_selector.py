@@ -70,8 +70,8 @@ def test_lightnet_reads_center_frames_with_shared_encoder():
     feats = sel.lightnet_features(frames, params, STRIDE).data
 
     def encode_one(v):
-        h = np.maximum(v @ params.enc_w1.data + params.enc_b1.data, 0.0)
-        return h @ params.enc_w2.data + params.enc_b2.data
+        h = np.maximum(v @ params.enc.w1.data + params.enc.b1.data, 0.0)
+        return h @ params.enc.w2.data + params.enc.b2.data
 
     for t, center in enumerate(sel.align_timesteps(4, 8, STRIDE)):
         nptest.assert_allclose(feats[t], encode_one(frames[center]), rtol=1e-12)
@@ -268,8 +268,8 @@ def test_selection_gradient_reaches_all_selector_params():
     ad.backward(loss, rec)
     for name, p in params.named_parameters().items():
         assert p.grad is not None, name
-    assert np.abs(params.bank.kernels.grad).max() > 0.0
-    assert np.abs(params.enc_w1.grad).max() > 0.0
+    assert np.abs(params.kernels.grad).max() > 0.0
+    assert np.abs(params.enc.w1.grad).max() > 0.0
     assert np.abs(params.attn_q.grad).max() > 0.0
 
 
@@ -287,6 +287,6 @@ def test_selection_fd_gradient_with_frozen_noise():
     # keep the check honest: no gate may sit within 1e-2 of its threshold
     alphas = sel.gate_logits(frames, params, STRIDE).data
     assert np.abs(alphas + noises).min() > 1e-2
-    assert ad.finite_diff_check(f, params.bank.kernels) < 1e-4
+    assert ad.finite_diff_check(f, params.kernels) < 1e-4
     assert ad.finite_diff_check(f, params.attn_v) < 1e-4
-    assert ad.finite_diff_check(f, params.enc_w2) < 1e-4
+    assert ad.finite_diff_check(f, params.enc.w2) < 1e-4
