@@ -19,6 +19,15 @@ Deliberate conventions:
 * the max reduction routes its gradient to the first maximal index of each
   reduced slice, so backward is deterministic even under ties.
 
+Tape lifetime: a tensor links to its record weakly (``node_id`` holds a weak
+reference to the record and the tensor's index on the tape), while the record
+holds its tensors strongly.  So a tape forms no reference cycle: it, every
+intermediate and every intermediate ``.grad`` are freed by reference counting
+as soon as the record's ``with`` block has ended and the last reference to the
+record drops, without waiting for the cyclic collector.  An affine layer
+``x @ w + b`` is one tape node, and backward computes no gradient product
+for a constant first operand of ``matmul`` or ``affine`` (such as raw frames).
+
 The active record is thread-local: independent records on different threads
 do not interact, but a single record must only ever be used from one thread.
 """
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -46,8 +56,9 @@ class Tensor:
     ``data`` is a C-contiguous float64 array (row major).  ``grad`` starts as
     a zero array for tensors constructed with ``requires_grad=True`` and is
     accumulated into by :func:`backward`; for derived tensors it stays
-    ``None`` until a backward pass reaches them.  ``node_id`` identifies the
-    tensor inside the record that first consumed or produced it.
+    ``None`` until a backward pass reaches them.  ``node_id`` is ``(weak
+    reference to the record, tape index)`` inside the record that first
+    consumed or produced the tensor.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node_id")
@@ -100,28 +111,33 @@ class _Node:
 
 
 class ComputationRecord:
-    """Append-only operation tape; insertion order is a topological order."""
+    """Append-only operation tape; insertion order is a topological order.
+
+    Tensors refer back to the record only through ``_ref``, a weak reference,
+    so the tape is freed by reference counting once the record is dropped.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self._ref = weakref.ref(self)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def _bind(self, t: Tensor) -> int:
         nid = t.node_id
-        if isinstance(nid, tuple) and nid[0] is self:
+        if nid is not None and nid[0] is self._ref:
             return nid[1]
         idx = len(self.nodes)
         self.nodes.append(_Node("leaf", (), None, t))
-        t.node_id = (self, idx)
+        t.node_id = (self._ref, idx)
         return idx
 
     def add(self, op: str, inputs: Sequence[Tensor], ctx, out: Tensor) -> None:
         idxs = tuple(self._bind(t) for t in inputs)
         idx = len(self.nodes)
         self.nodes.append(_Node(op, idxs, ctx, out))
-        out.node_id = (self, idx)
+        out.node_id = (self._ref, idx)
 
 
 _state = threading.local()
@@ -163,7 +179,7 @@ def _emit(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], ctx=None) -
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul got incompatible shapes {a.shape} and {b.shape}")
-    return _emit("matmul", a.data @ b.data, (a, b))
+    return _emit("matmul", a.data @ b.data, (a, b), a.requires_grad)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -248,15 +264,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit("reshape", np.ascontiguousarray(x.data).reshape(shape), (x,), x.shape)
 
 
-def tile_rows(v: Tensor, n: int) -> Tensor:
-    """Repeat a 1-d tensor as ``n`` identical rows (explicit bias broadcast)."""
-    if v.data.ndim != 1:
-        raise DimensionError(f"tile_rows expects a 1-d tensor, got shape {v.shape}")
-    if n < 1:
-        raise DomainError(f"tile_rows needs n >= 1, got {n}")
-    return _emit("tile_rows", np.broadcast_to(v.data, (int(n), v.shape[0])), (v,))
-
-
 def tile_cols(v: Tensor, k: int) -> Tensor:
     """Repeat a 1-d tensor as ``k`` identical columns."""
     if v.data.ndim != 1:
@@ -324,9 +331,13 @@ def bce_logits(logits: Tensor, targets) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` with the bias explicitly tiled across rows."""
-    out = matmul(x, w)
-    return add(out, tile_rows(b, out.shape[0]))
+    """``x @ w + b`` for 2-d ``x`` and ``w`` and a 1-d bias added to every row;
+    one tape node."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise DimensionError(
+            f"affine got incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    return _emit("affine", x.data @ w.data + b.data, (x, w, b), x.requires_grad)
 
 
 @dataclass
@@ -376,7 +387,13 @@ def _sigmoid_np(z: np.ndarray) -> np.ndarray:
 
 def _bwd_matmul(node, g, data):
     a, b = data
-    return ((g @ b.T), (a.T @ g))
+    # node.ctx: whether the first operand needs a gradient at all
+    return (g @ b.T if node.ctx else None, a.T @ g)
+
+
+def _bwd_affine(node, g, data):
+    x, w, _ = data
+    return (g @ w.T if node.ctx else None, x.T @ g, g.sum(axis=0))
 
 
 def _bwd_transpose(node, g, data):
@@ -432,10 +449,6 @@ def _bwd_reshape(node, g, data):
     return (np.ascontiguousarray(g).reshape(node.ctx),)
 
 
-def _bwd_tile_rows(node, g, data):
-    return (g.sum(axis=0),)
-
-
 def _bwd_tile_cols(node, g, data):
     return (g.sum(axis=1),)
 
@@ -466,6 +479,7 @@ def _bwd_bce(node, g, data):
 
 _BACKWARD: dict[str, Callable] = {
     "matmul": _bwd_matmul,
+    "affine": _bwd_affine,
     "transpose": _bwd_transpose,
     "add": _bwd_add,
     "mul": _bwd_mul,
@@ -475,7 +489,6 @@ _BACKWARD: dict[str, Callable] = {
     "mean": _bwd_mean,
     "max": _bwd_max,
     "reshape": _bwd_reshape,
-    "tile_rows": _bwd_tile_rows,
     "tile_cols": _bwd_tile_cols,
     "take_rows": _bwd_take_rows,
     "softmax": _bwd_softmax,
@@ -491,9 +504,9 @@ def backward(loss: Tensor, rec: ComputationRecord | None = None) -> None:
     an intervening ``zero_grad`` sum their contributions.
     """
     nid = loss.node_id
-    if rec is None:
-        rec = nid[0] if isinstance(nid, tuple) else None
-    if rec is None or not (isinstance(nid, tuple) and nid[0] is rec):
+    if rec is None and nid is not None:
+        rec = nid[0]()
+    if rec is None or nid is None or nid[0] is not rec._ref:
         raise ContractError("loss tensor does not belong to the given computation record")
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")

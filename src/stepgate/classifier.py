@@ -95,13 +95,14 @@ def heavynet_features(frames: np.ndarray, indices, params: ClassifierParams,
             f"{params.enc.n_in} (= segment_len {m} x d_raw)"
         )
     n_frames = frames.shape[0]
-    starts = [i * stride for i in idx]
-    bad = [j for j in starts if j < 0 or j + m > n_frames]
-    if bad:
+    starts = np.asarray(idx, dtype=np.int64) * stride
+    bad = starts[(starts < 0) | (starts + m > n_frames)]
+    if bad.size:
         raise ContractError(
             f"segment start {bad[0]} with length {m} falls outside the {n_frames} raw frames"
         )
-    segments = np.stack([frames[j:j + m].ravel() for j in starts])
+    # one gather: row r holds frames starts[r] .. starts[r] + m - 1, flattened
+    segments = frames[starts[:, None] + np.arange(m)].reshape(len(idx), -1)
     params.heavy_rows += len(idx)
     out = params.enc(Tensor(segments))
     return ad.reshape(out, (len(idx), cfg.channels, cfg.height, cfg.width))

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from ..costmodel import CostReport, tradeoff_csv
-from ..errors import ConfigError, StepgateError
+from ..errors import ConfigError, FormatError, StepgateError
 from ..synthdata import Dataset, save_split
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
@@ -143,19 +143,43 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_tradeoff(args) -> int:
+_NUMBER = (int, float)
+
+
+def _field(obj, key: str, kinds, path: str):
+    """``obj[key]`` of an eval metrics file, checked against ``kinds``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f"{path}: metrics file has no {key!r} field")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise FormatError(f"{path}: metrics field {key!r} has the wrong type "
+                          f"{type(value).__name__}")
+    return value
+
+
+def _tradeoff_rows(path: str) -> list[tuple[str, CostReport, float]]:
+    """``(method, cost, metric)`` for every budget entry of one metrics.json."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: not a JSON metrics file ({exc})") from exc
+    report = _field(payload, "report", dict, path)
+    mode = _field(report, "mode", str, path)
     rows = []
-    for path in args.metrics:
-        report = json.loads(Path(path).read_text())["report"]
-        for entry in report["entries"]:
-            c = entry["cost"]
-            key = "gate-count" if entry["budget"] is None else f"topk-{entry['budget']}"
-            rows.append((f"{report['mode']}/{key}",
-                         CostReport(model=c["model"], n_light=c["n_light"],
-                                    n_heavy=c["n_heavy"],
-                                    light_gflops=c["light_gflops"],
-                                    heavy_gflops=c["heavy_gflops"]),
-                         entry["value"]))
+    for entry in _field(report, "entries", list, path):
+        budget = _field(entry, "budget", (int, type(None)), path)
+        c = _field(entry, "cost", dict, path)
+        cost = CostReport(
+            model=_field(c, "model", str, path),
+            **{k: _field(c, k, _NUMBER, path)
+               for k in ("n_light", "n_heavy", "light_gflops", "heavy_gflops")})
+        key = "gate-count" if budget is None else f"topk-{budget}"
+        rows.append((f"{mode}/{key}", cost, _field(entry, "value", _NUMBER, path)))
+    return rows
+
+
+def _cmd_tradeoff(args) -> int:
+    rows = [row for path in args.metrics for row in _tradeoff_rows(path)]
     out = _out_dir(args)
     text = tradeoff_csv(rows)
     (out / "tradeoff.csv").write_text(text)

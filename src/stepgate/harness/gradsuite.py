@@ -65,7 +65,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
         "reduce_max": (lambda x: _project(ad.reduce_max(x, axis=1),
                                           w34[:3]), _param(_MAX_SAFE)),
         "reshape": (lambda x: _project(ad.reshape(x, (2, 6)), w34), _param(_X34)),
-        "tile_rows": (lambda x: _project(ad.tile_rows(x, 3), w34), _param(_X34[0])),
         "tile_cols": (lambda x: _project(ad.tile_cols(x, 4), w34[:12].reshape(3, 4)),
                       _param(_X34[:, 0])),
         "take_rows": (lambda x: _project(ad.take_rows(x, [0, 2, 2, 1]), w16),
@@ -76,6 +75,11 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
             x, np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0]],
                         dtype=np.float64)), _param(_X34)),
         "affine": (lambda x: _project(ad.affine(x, b, bias2), w32), _param(_X34)),
+        # constant first operand: backward skips its gradient product
+        "affine_weight": (lambda w: _project(ad.affine(Tensor(_X34), w, bias2), w32),
+                          _param(b.data)),
+        "affine_bias": (lambda v: _project(ad.affine(Tensor(_X34), b, v), w32),
+                        _param(bias2.data)),
     }
     return {name: finite_diff_check(f, x) for name, (f, x) in cases.items()}
 

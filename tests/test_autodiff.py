@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as nptest
@@ -217,6 +219,23 @@ def test_backward_loss_must_belong_to_record():
         ad.backward(loss1, rec2)
 
 
+def test_tape_is_freed_without_the_cycle_collector():
+    x = tensor([[1.0, -2.0]], requires_grad=True)
+    w = tensor([[0.5], [-0.25]], requires_grad=True)
+    gc.disable()
+    try:
+        with ad.record() as rec:
+            hidden = ad.relu(ad.matmul(x, w))
+            loss = ad.reduce_sum(ad.reshape(hidden, (1,)), axis=0)
+        ad.backward(loss, rec)
+        alive = weakref.ref(rec)
+        del rec, hidden, loss
+        assert alive() is None
+    finally:
+        gc.enable()
+    nptest.assert_array_equal(w.grad, [[1.0], [-2.0]])
+
+
 def test_records_do_not_nest():
     with ad.record():
         with pytest.raises(ContractError):
@@ -240,6 +259,46 @@ def test_intermediate_tensors_receive_grads():
         loss = ad.reduce_sum(y, axis=0)
     ad.backward(loss, rec)
     nptest.assert_array_equal(y.grad, [1.0, 1.0])
+
+
+def test_affine_is_one_node_and_matches_matmul_plus_bias():
+    x = tensor([[0.5, -1.0], [1.5, 0.25], [-0.75, 0.8]], requires_grad=True)
+    w = tensor([[0.4, -0.7, 1.1], [0.2, 0.9, -0.3]])
+    b = tensor([0.1, -0.2, 0.3])
+    with ad.record() as rec:
+        out = ad.affine(x, w, b)
+    assert [node.op for node in rec.nodes] == ["leaf", "leaf", "leaf", "affine"]
+    nptest.assert_array_equal(out.data, x.data @ w.data + b.data)
+
+
+def test_affine_rejects_a_2d_bias_and_a_width_mismatch():
+    x, w = tensor(np.ones((3, 2))), tensor(np.ones((2, 4)))
+    with pytest.raises(DimensionError) as exc:
+        ad.affine(x, w, tensor(np.ones((1, 4))))
+    assert "(1, 4)" in str(exc.value)
+    with pytest.raises(DimensionError):
+        ad.affine(x, tensor(np.ones((3, 4))), tensor(np.ones(4)))
+    with pytest.raises(DimensionError):
+        ad.affine(x, w, tensor(np.ones(3)))
+
+
+def test_constant_first_operand_gets_no_gradient():
+    frames = np.array([[0.5, -1.0], [1.5, 0.25], [-0.75, 0.8]])
+    probe = np.array([[1.0, -2.0, 0.5], [0.25, 1.5, -1.0], [2.0, 0.0, 0.75]])
+    x = tensor(frames)
+    w = tensor([[0.4, -0.7, 1.1], [0.2, 0.9, -0.3]], requires_grad=True)
+    b = tensor([0.1, -0.2, 0.3], requires_grad=True)
+    v = tensor(np.ones((2, 3)), requires_grad=True)
+    with ad.record() as rec:
+        terms = [ad.mul(ad.affine(x, w, b), tensor(probe)),
+                 ad.mul(ad.matmul(x, v), tensor(probe))]
+        loss = ad.reduce_sum(ad.reshape(ad.add(*terms), (9,)), axis=0)
+    ad.backward(loss, rec)
+    assert x.grad is None
+    # d/dw sum(probe * (x @ w + b)) = x.T @ probe; d/db = column sums of probe
+    nptest.assert_array_equal(w.grad, frames.T @ probe)
+    nptest.assert_array_equal(b.grad, probe.sum(axis=0))
+    nptest.assert_array_equal(v.grad, frames.T @ probe)
 
 
 def test_take_rows_backward_scatter_adds_duplicates():
@@ -363,7 +422,7 @@ def test_fd_reshape_transpose_tile_take():
         m = ad.reshape(v, (2, 3))
         mt = ad.transpose(m)                      # 3 x 2
         picked = ad.take_rows(mt, [0, 2])         # 2 x 2
-        spread = ad.mul(picked, ad.tile_rows(tensor([0.5, 2.0]), 2))
+        spread = ad.mul(picked, tensor([[0.5, 2.0], [0.5, 2.0]]))
         col = ad.mul(spread, ad.tile_cols(tensor([1.5, -0.5]), 2))
         return ad.reduce_sum(ad.reduce_sum(ad.sigmoid(col), axis=1), axis=0)
 

@@ -196,3 +196,47 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "max relative error" in out
     assert "below threshold" in out
+
+
+def test_tradeoff_on_a_truncated_metrics_file_is_a_runtime_error(tmp_path, capsys):
+    bad = tmp_path / "metrics.json"
+    bad.write_text('{"report": {"mode": "e2e", "entries": [')
+    assert main(["tradeoff", "--metrics", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and str(bad) in err
+    assert len(err.splitlines()) == 1
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["tradeoff", "--metrics", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error:")
+
+
+def test_tradeoff_on_missing_or_mistyped_fields_is_a_runtime_error(tmp_path, capsys):
+    cost = {"model": "desk_heavy", "n_light": 6, "n_heavy": 2.0,
+            "light_gflops": 1e-6, "heavy_gflops": 2e-6}
+    entry = {"budget": 2, "value": 0.5, "cost": cost}
+    good = {"report": {"mode": "e2e", "entries": [entry]}}
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(good))
+    assert main(["tradeoff", "--metrics", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    broken = [
+        ({"config": {}}, "'report'"),
+        ({"report": {"entries": [entry]}}, "'mode'"),
+        ({"report": {"mode": "e2e"}}, "'entries'"),
+        ({"report": {"mode": "e2e", "entries": [{"value": 0.5, "cost": cost}]}}, "'budget'"),
+        ({"report": {"mode": "e2e", "entries": [{"budget": 2, "cost": cost}]}}, "'value'"),
+        ({"report": {"mode": "e2e", "entries": [{"budget": 2, "value": 0.5}]}}, "'cost'"),
+        ({"report": {"mode": "e2e", "entries": {"budget": 2}}}, "'entries'"),
+        ({"report": {"mode": "e2e", "entries": [dict(entry, value="0.5")]}}, "'value'"),
+        ({"report": {"mode": "e2e", "entries": [dict(entry, budget=2.5)]}}, "'budget'"),
+        ({"report": {"mode": "e2e", "entries": [
+            dict(entry, cost=dict(cost, n_heavy=None))]}}, "'n_heavy'"),
+        ([1, 2], "'report'"),
+    ]
+    for i, (payload, field) in enumerate(broken):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(payload))
+        assert main(["tradeoff", "--metrics", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and field in err, (payload, err)
+        assert len(err.splitlines()) == 1

@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
 
 from conftest import tiny_config
-from stepgate.autodiff import Tensor
+from stepgate.autodiff import ComputationRecord, Tensor
 from stepgate.errors import ConfigError
 from stepgate.harness.checkpoint import save_checkpoint
 from stepgate.harness.config import MODES
@@ -152,6 +154,21 @@ def test_seed_changes_the_trajectory(tiny_data):
     c = run_training(tiny_config("e2e", seed=1), tiny_data)
     assert any(not np.array_equal(a.checkpoint.params[n], c.checkpoint.params[n])
                for n in a.checkpoint.params)
+
+
+def test_training_frees_every_tape_without_the_cycle_collector(tiny_data):
+    def records():
+        return sum(isinstance(o, ComputationRecord) for o in gc.get_objects())
+
+    gc.collect()
+    before = records()
+    gc.disable()
+    try:
+        result = run_training(tiny_config("e2e"), tiny_data)
+        assert result.checkpoint.step > 0
+        assert records() == before
+    finally:
+        gc.enable()
 
 
 def test_frame_conditioned_has_no_attention_parameters(results):
