@@ -2,9 +2,10 @@
 
 A small tape machine: operations executed inside a :func:`record` context
 append nodes to the active :class:`ComputationRecord`, :func:`backward`
-replays the tape once in reverse, and gradients accumulate into every tensor
-flagged ``requires_grad``.  Outside a recording context the same functions run
-as plain numpy forward computations, which is the inference fast path.
+replays the tape once in reverse, and gradients accumulate into every leaf
+tensor flagged ``requires_grad`` (intermediate tensors get none).  Outside a
+recording context the same functions run as plain numpy forward computations,
+which is the inference fast path.
 
 Deliberate conventions:
 
@@ -21,12 +22,12 @@ Deliberate conventions:
 
 Tape lifetime: a tensor links to its record weakly (``node_id`` holds a weak
 reference to the record and the tensor's index on the tape), while the record
-holds its tensors strongly.  So a tape forms no reference cycle: it, every
-intermediate and every intermediate ``.grad`` are freed by reference counting
-as soon as the record's ``with`` block has ended and the last reference to the
-record drops, without waiting for the cyclic collector.  An affine layer
-``x @ w + b`` is one tape node, and backward computes no gradient product
-for a constant first operand of ``matmul`` or ``affine`` (such as raw frames).
+holds its tensors strongly.  So a tape forms no reference cycle: it and every
+intermediate are freed by reference counting as soon as the record's ``with``
+block has ended and the last reference to the record drops, without waiting
+for the cyclic collector.  An affine layer ``x @ w + b`` is one tape node, and
+backward computes no gradient product for a constant first operand of
+``matmul`` or ``affine`` (such as raw frames).
 
 The active record is thread-local: independent records on different threads
 do not interact, but a single record must only ever be used from one thread.
@@ -55,10 +56,10 @@ class Tensor:
 
     ``data`` is a C-contiguous float64 array (row major).  ``grad`` starts as
     a zero array for tensors constructed with ``requires_grad=True`` and is
-    accumulated into by :func:`backward`; for derived tensors it stays
-    ``None`` until a backward pass reaches them.  ``node_id`` is ``(weak
-    reference to the record, tape index)`` inside the record that first
-    consumed or produced the tensor.
+    accumulated into by :func:`backward` when the tensor is a leaf of the
+    record; for tensors an op produced it stays ``None``.  ``node_id`` is
+    ``(weak reference to the record, tape index)`` inside the record that
+    first consumed or produced the tensor.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node_id")
@@ -84,11 +85,6 @@ class Tensor:
 
     def numel(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() needs a one-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -498,10 +494,12 @@ _BACKWARD: dict[str, Callable] = {
 
 
 def backward(loss: Tensor, rec: ComputationRecord | None = None) -> None:
-    """Accumulate d(loss)/d(tensor) into every reachable ``requires_grad`` tensor.
+    """Accumulate d(loss)/d(tensor) into every reachable ``requires_grad``
+    leaf of the tape (a tensor no op of this record produced).
 
     Gradients add onto whatever is already stored, so repeated calls without
-    an intervening ``zero_grad`` sum their contributions.
+    an intervening ``zero_grad`` sum their contributions.  Intermediate
+    tensors and the loss keep ``grad is None``.
     """
     nid = loss.node_id
     if rec is None and nid is not None:
@@ -520,13 +518,13 @@ def backward(loss: Tensor, rec: ComputationRecord | None = None) -> None:
         if g is None:
             continue
         node = nodes[idx]
-        t = node.tensor
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.array(g, dtype=np.float64, copy=True)
-            else:
-                t.grad += g
         if node.op == "leaf":
+            t = node.tensor
+            if t.requires_grad:
+                if t.grad is None:
+                    t.grad = np.array(g, dtype=np.float64, copy=True)
+                else:
+                    t.grad += g
             continue
         data = tuple(nodes[i].tensor.data for i in node.inputs)
         input_grads = _BACKWARD[node.op](node, g, data)

@@ -169,10 +169,9 @@ def _tradeoff_rows(path: str) -> list[tuple[str, CostReport, float]]:
     for entry in _field(report, "entries", list, path):
         budget = _field(entry, "budget", (int, type(None)), path)
         c = _field(entry, "cost", dict, path)
-        cost = CostReport(
-            model=_field(c, "model", str, path),
-            **{k: _field(c, k, _NUMBER, path)
-               for k in ("n_light", "n_heavy", "light_gflops", "heavy_gflops")})
+        cost = CostReport(**{k: _field(c, k, _NUMBER, path)
+                             for k in ("n_light", "n_heavy", "light_gflops",
+                                       "heavy_gflops")})
         key = "gate-count" if budget is None else f"topk-{budget}"
         rows.append((f"{mode}/{key}", cost, _field(entry, "value", _NUMBER, path)))
     return rows

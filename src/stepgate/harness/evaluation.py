@@ -18,7 +18,7 @@ import numpy as np
 
 from ..baselines import sample_indices, scsampler_scores
 from ..classifier import HEAD_HIDDEN, HEAVY_HIDDEN, classify, heavynet_features
-from ..costmodel import GFLOP, CostRegistry, CostReport, desk_flops, pipeline_cost
+from ..costmodel import CostRegistry, CostReport, desk_flops, pipeline_cost
 from ..errors import ConfigError, ContractError, DomainError
 from ..selector import LIGHT_HIDDEN, heavy_indices, select, top_k_indices
 from ..synthdata import Dataset
@@ -90,32 +90,29 @@ def mean_ap(scores: np.ndarray, targets: np.ndarray) -> tuple[float, list[int]]:
 
 
 def cost_registry_for(config: ExperimentConfig) -> CostRegistry:
-    """Published rates plus this run's exactly-counted desk rates."""
+    """GFLOPs per timestep of this config's light, scorer and heavy networks."""
     d, m = config.dataset, config.model
     context_mode = "frame" if config.mode == "frame_conditioned" else "context"
-    desk = desk_flops(
+    return CostRegistry(rates=desk_flops(
         d_raw=d.d_raw, light_channels=m.light_channels, n_kernels=m.n_kernels,
         gate_hidden=m.gate_hidden, timesteps=d.timesteps,
         segment_len=m.segment_len, heavy_channels=m.heavy_channels,
         height=m.height, width=m.width, heavy_hidden=HEAVY_HIDDEN,
         head_hidden=HEAD_HIDDEN, n_classes=d.n_classes,
         context_mode=context_mode, light_hidden=LIGHT_HIDDEN,
-    )
-    scorer = (d.d_raw * LIGHT_HIDDEN + LIGHT_HIDDEN * m.light_channels
-              + m.light_channels * d.n_classes) / GFLOP
-    return CostRegistry.published().with_entries({**desk, "desk_scorer": scorer})
+    ))
 
 
 def _cost_for(config: ExperimentConfig, mean_heavy: float,
               registry: CostRegistry) -> CostReport:
-    t = config.dataset.timesteps
+    heavy = registry.rate("desk_heavy")
     if config.mode in SELECTOR_MODES:
-        return pipeline_cost(t, mean_heavy, "desk_heavy", registry,
-                             light_model="desk_light")
-    if config.mode == "scsampler":
-        return pipeline_cost(t, mean_heavy, "desk_heavy", registry,
-                             light_model="desk_scorer")
-    return pipeline_cost(0, mean_heavy, "desk_heavy", registry)
+        light = registry.rate("desk_light")
+    elif config.mode == "scsampler":
+        light = registry.rate("desk_scorer")
+    else:  # fixed-rule samplers run no light stage
+        return pipeline_cost(0, mean_heavy, 0.0, heavy)
+    return pipeline_cost(config.dataset.timesteps, mean_heavy, light, heavy)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +135,7 @@ class BudgetMetrics:
             "value": self.value, "mean_selected": self.mean_selected,
             "mean_ratio": self.mean_ratio, "heavy_rows": self.heavy_rows,
             "cost": {
-                "model": self.cost.model, "n_light": self.cost.n_light,
+                "n_light": self.cost.n_light,
                 "n_heavy": self.cost.n_heavy,
                 "light_gflops": self.cost.light_gflops,
                 "heavy_gflops": self.cost.heavy_gflops,

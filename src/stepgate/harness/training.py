@@ -86,8 +86,11 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     """Load the dataset a config points at, or generate it from the config."""
     d = config.dataset
     if d.path is None:
-        return generate_dataset(spec_from_config(config), d.n_train, d.n_test,
-                                config.seed)
+        spec = spec_from_config(config)
+        try:
+            return generate_dataset(spec, d.n_train, d.n_test, config.seed)
+        except GenerationError as exc:
+            raise ConfigError(f"dataset: {exc}") from exc
     base = d.path
     spec_a, protos, train_videos, meta_a = load_split(f"{base}/train.sgds")
     spec_b, protos_b, test_videos, meta_b = load_split(f"{base}/test.sgds")

@@ -365,19 +365,6 @@ def relevance_oracle(video: VideoSample, class_index: int, spec: ActivitySpec) -
     return np.asarray([int(p) in recipe for p in video.planted], dtype=bool)
 
 
-def slot_means(video: VideoSample, spec: ActivitySpec) -> np.ndarray:
-    """Per-timestep mean of the slot's frames, shape (T, d_raw)."""
-    return video.frames.reshape(spec.timesteps, spec.frames_per_slot, spec.d_raw).mean(axis=1)
-
-
-def decode_prototypes(video: VideoSample, prototypes: np.ndarray,
-                      spec: ActivitySpec) -> np.ndarray:
-    """Nearest-prototype id per timestep from slot means."""
-    means = slot_means(video, spec)
-    d2 = ((means[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

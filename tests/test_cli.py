@@ -60,6 +60,18 @@ def test_dataset_values_the_spec_rejects_are_config_errors(tmp_path, capsys):
     assert err.startswith("config error:") and "confuser_share" in err
 
 
+def test_a_dataset_that_cannot_be_generated_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "crowded.json"
+    path.write_text(json.dumps({"dataset": {
+        "n_train": 4, "n_test": 2, "timesteps": 4, "relevant_fraction": 1.0,
+        "frames_per_slot": 8, "d_raw": 6}}))
+    assert main(["generate-data", "--config", str(path),
+                 "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "cannot place" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_corrupt_split_file_is_a_one_line_runtime_error(cfg_file, tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["generate-data", "--config", cfg_file, "--out", str(out)]) == 0
@@ -110,13 +122,13 @@ def test_tradeoff_merges_every_arm(cfg_file, tmp_path, capsys):
     out = tmp_path / "tr"
     assert main(["tradeoff", "--metrics", *metrics, "--out", str(out)]) == 0
     lines = (out / "tradeoff.csv").read_text().splitlines()
-    assert lines[0] == "method,model,n_heavy_timesteps,gflops,metric"
+    assert lines[0] == "method,n_heavy_timesteps,gflops,metric"
     budgets = base["eval"]["budgets"]
     assert len(lines) == 1 + len(MODES) * (1 + len(budgets))
     methods = [l.split(",")[0] for l in lines[1:]]
     assert sorted(methods) == sorted(f"{m}/{key}" for m in MODES
                                      for key in ["gate-count", *(f"topk-{b}" for b in budgets)])
-    gflops = [float(l.split(",")[3]) for l in lines[1:]]
+    gflops = [float(l.split(",")[2]) for l in lines[1:]]
     assert gflops == sorted(gflops)
 
 
@@ -186,7 +198,7 @@ def test_tradeoff_merges_metrics(trained, tmp_path, capsys):
     assert main(["tradeoff", "--metrics", str(out_eval / "metrics.json"),
                  "--out", str(out)]) == 0
     lines = (out / "tradeoff.csv").read_text().splitlines()
-    assert lines[0].startswith("method,model,")
+    assert lines[0] == "method,n_heavy_timesteps,gflops,metric"
     assert len(lines) == 3                    # header + two budget entries
     assert {l.split(",")[0] for l in lines[1:]} == {"e2e/gate-count", "e2e/topk-2"}
 
@@ -211,8 +223,8 @@ def test_tradeoff_on_a_truncated_metrics_file_is_a_runtime_error(tmp_path, capsy
 
 
 def test_tradeoff_on_missing_or_mistyped_fields_is_a_runtime_error(tmp_path, capsys):
-    cost = {"model": "desk_heavy", "n_light": 6, "n_heavy": 2.0,
-            "light_gflops": 1e-6, "heavy_gflops": 2e-6}
+    cost = {"n_light": 6, "n_heavy": 2.0, "light_gflops": 1e-6,
+            "heavy_gflops": 2e-6}
     entry = {"budget": 2, "value": 0.5, "cost": cost}
     good = {"report": {"mode": "e2e", "entries": [entry]}}
     path = tmp_path / "good.json"
@@ -240,3 +252,20 @@ def test_tradeoff_on_missing_or_mistyped_fields_is_a_runtime_error(tmp_path, cap
         err = capsys.readouterr().err
         assert err.startswith("runtime error:") and field in err, (payload, err)
         assert len(err.splitlines()) == 1
+
+
+def test_tradeoff_merges_a_metrics_file_that_still_names_the_cost_model(tmp_path, capsys):
+    # metrics files written before the cost report dropped its model tag
+    cost = {"model": "desk_heavy", "n_light": 6, "n_heavy": 2.0,
+            "light_gflops": 1e-6, "heavy_gflops": 2e-6, "total_gflops": 3e-6}
+    entries = [{"budget": None, "value": 0.75, "cost": cost},
+               {"budget": 2, "value": 0.5, "cost": dict(cost, n_heavy=2)}]
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"report": {"mode": "e2e", "entries": entries}}))
+    assert main(["tradeoff", "--metrics", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "tradeoff.csv").read_text().splitlines() == [
+        "method,n_heavy_timesteps,gflops,metric",
+        "e2e/gate-count,2,3e-06,0.7500",
+        "e2e/topk-2,2,3e-06,0.5000",
+    ]

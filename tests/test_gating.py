@@ -256,18 +256,18 @@ def test_activation_fd_gradient_away_from_threshold():
 
 def test_l0_penalty_saturated_oracle():
     pen = gt.l0_penalty(Tensor([-40.0, 40.0]), 1.0)
-    nptest.assert_allclose(pen.item(), 0.5, atol=1e-15)
+    nptest.assert_allclose(pen.data.item(), 0.5, atol=1e-15)
 
 
 def test_l0_penalty_is_lam_times_mean_open_probability():
     rng = np.random.default_rng(8)
     alphas = rng.uniform(-3, 3, size=7)
     pen = gt.l0_penalty(Tensor(alphas), 0.25)
-    nptest.assert_allclose(pen.item(), 0.25 * gt.sigmoid_np(alphas).mean(), rtol=1e-12)
+    nptest.assert_allclose(pen.data.item(), 0.25 * gt.sigmoid_np(alphas).mean(), rtol=1e-12)
 
 
 def test_l0_penalty_zero_lam_is_zero():
-    assert gt.l0_penalty(Tensor([1.0, -1.0]), 0.0).item() == 0.0
+    assert gt.l0_penalty(Tensor([1.0, -1.0]), 0.0).data.item() == 0.0
 
 
 def test_l0_penalty_negative_lam_is_domain_error():
@@ -280,8 +280,8 @@ def test_l0_penalty_negative_lam_is_domain_error():
 def test_l0_penalty_strictly_increases_in_any_logit(base, bump):
     # beyond |logit| ~ 15 the sigmoid increment drops under one ulp of the
     # mean, so strictness is only claimed where float64 can express it
-    lo = gt.l0_penalty(Tensor([base, 0.5]), 1.0).item()
-    hi = gt.l0_penalty(Tensor([base + bump, 0.5]), 1.0).item()
+    lo = gt.l0_penalty(Tensor([base, 0.5]), 1.0).data.item()
+    hi = gt.l0_penalty(Tensor([base + bump, 0.5]), 1.0).data.item()
     assert hi > lo
 
 

@@ -8,6 +8,18 @@ from stepgate import container
 from stepgate.errors import DomainError, FormatError, GenerationError
 
 
+def slot_means(video, spec):
+    """Per-timestep mean of the slot's frames, shape (T, d_raw)."""
+    return video.frames.reshape(spec.timesteps, spec.frames_per_slot, spec.d_raw).mean(axis=1)
+
+
+def decode_prototypes(video, prototypes, spec):
+    """Nearest-prototype id per timestep from slot means."""
+    means = slot_means(video, spec)
+    d2 = ((means[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1).astype(np.int64)
+
+
 @pytest.fixture(scope="module")
 def spec():
     return sd.ActivitySpec.default()
@@ -137,13 +149,13 @@ def test_noiseless_decoding_recovers_planted_prototypes(spec):
     quiet = sd.ActivitySpec(**{**_spec_kwargs(spec), "noise_sigma": 0.0})
     data = sd.generate_dataset(quiet, 6, 3, seed=11)
     for v in data.train + data.test:
-        nptest.assert_array_equal(sd.decode_prototypes(v, data.prototypes, quiet), v.planted)
+        nptest.assert_array_equal(decode_prototypes(v, data.prototypes, quiet), v.planted)
 
 
 def test_noisy_decoding_still_recovers(dataset, spec):
     # sigma 0.3 over 16-frame slots leaves prototypes cleanly separable
     for v in dataset.test[:10]:
-        nptest.assert_array_equal(sd.decode_prototypes(v, dataset.prototypes, spec), v.planted)
+        nptest.assert_array_equal(decode_prototypes(v, dataset.prototypes, spec), v.planted)
 
 
 def test_infeasible_placement_is_generation_error(spec):
@@ -283,7 +295,7 @@ def test_relevant_only_pooling_beats_all_pooling(spec):
     def pools(videos):
         all_pool, rel_pool, ys = [], [], []
         for v in videos:
-            means = sd.slot_means(v, noisy)
+            means = slot_means(v, noisy)
             all_pool.append(means.mean(axis=0))
             rel_pool.append(means[v.relevance].mean(axis=0))
             ys.append(v.labels)
