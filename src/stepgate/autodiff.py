@@ -11,9 +11,8 @@ Deliberate conventions:
 
 * float64 everywhere; desk-scale problems make precision cheap and keep
   finite-difference checks tight.
-* no general broadcasting.  Elementwise operands must match shapes exactly,
-  except that the second operand may be a python scalar or a one-element
-  tensor (scalar broadcast only).
+* no broadcasting.  ``add`` and ``mul`` take two tensors of the same shape;
+  ``scale`` multiplies by a python scalar.
 * ``sigmoid`` clamps its exponent argument to ``[-SIGMOID_CLAMP,
   SIGMOID_CLAMP]``; the clamp is part of the function's definition, not an
   implementation detail, so no forward op can overflow on finite input.
@@ -184,28 +183,20 @@ def transpose(a: Tensor) -> Tensor:
     return _emit("transpose", a.data.T, (a,))
 
 
-def _ewise(op: str, a: Tensor, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        raise ContractError("first elementwise operand must be a Tensor")
+def _ewise(op: str, a: Tensor, b: Tensor) -> Tensor:
+    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
+        raise ContractError(f"{op} takes two Tensors; use scale() for a python scalar")
+    if b.shape != a.shape:
+        raise DimensionError(f"{op} got incompatible shapes {a.shape} and {b.shape}")
     forward = {"add": np.add, "mul": np.multiply}[op]
-    if isinstance(b, Tensor):
-        if b.shape == a.shape:
-            return _emit(op, forward(a.data, b.data), (a, b), "dense")
-        if b.data.size == 1:
-            return _emit(op, forward(a.data, b.data.reshape(())), (a, b), "scalar_tensor")
-        raise DimensionError(
-            f"{op} got incompatible shapes {a.shape} and {b.shape} (only scalar broadcast is allowed)"
-        )
-    if isinstance(b, _Scalar):
-        return _emit(op, forward(a.data, float(b)), (a,), ("scalar", float(b)))
-    raise ContractError(f"{op} got unsupported operand type {type(b).__name__}")
+    return _emit(op, forward(a.data, b.data), (a, b))
 
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
     return _ewise("add", a, b)
 
 
-def mul(a: Tensor, b) -> Tensor:
+def mul(a: Tensor, b: Tensor) -> Tensor:
     return _ewise("mul", a, b)
 
 
@@ -213,7 +204,7 @@ def scale(a: Tensor, c) -> Tensor:
     """Multiply by a python scalar (no gradient flows to ``c``)."""
     if not isinstance(c, _Scalar):
         raise ContractError("scale() takes a python scalar; use mul() for tensors")
-    return _ewise("mul", a, float(c))
+    return _emit("scale", a.data * float(c), (a,), float(c))
 
 
 def sigmoid(z: Tensor) -> Tensor:
@@ -397,21 +388,16 @@ def _bwd_transpose(node, g, data):
 
 
 def _bwd_add(node, g, data):
-    if node.ctx == "scalar_tensor":
-        return (g, np.array(g.sum(), dtype=np.float64).reshape(data[1].shape))
-    if isinstance(node.ctx, tuple):  # python scalar second operand
-        return (g,)
     return (g, g)
 
 
 def _bwd_mul(node, g, data):
-    if node.ctx == "scalar_tensor":
-        a, b = data
-        return (g * b.reshape(()), np.array((g * a).sum(), dtype=np.float64).reshape(b.shape))
-    if isinstance(node.ctx, tuple):
-        return (g * node.ctx[1],)
     a, b = data
     return (g * b, g * a)
+
+
+def _bwd_scale(node, g, data):
+    return (g * node.ctx,)
 
 
 def _bwd_sigmoid(node, g, data):
@@ -479,6 +465,7 @@ _BACKWARD: dict[str, Callable] = {
     "transpose": _bwd_transpose,
     "add": _bwd_add,
     "mul": _bwd_mul,
+    "scale": _bwd_scale,
     "sigmoid": _bwd_sigmoid,
     "relu": _bwd_relu,
     "sum": _bwd_sum,

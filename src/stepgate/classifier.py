@@ -29,14 +29,11 @@ HEAD_HIDDEN = 256
 class ClassifierConfig:
     channels: int
     n_classes: int
-    task: str = "single_label"
     height: int = 1
     width: int = 1
     segment_len: int = 8
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise DomainError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.n_classes < 2:
             raise DomainError(f"need at least two classes, got {self.n_classes}")
         for name in ("channels", "height", "width", "segment_len"):

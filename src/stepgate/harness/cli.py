@@ -17,7 +17,7 @@ from ..errors import ConfigError, FormatError, StepgateError
 from ..synthdata import Dataset, save_split
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
-from .evaluation import evaluate_checkpoint
+from .evaluation import entry_key, evaluate_checkpoint
 from .gradsuite import THRESHOLD, run_gradient_suite, suite_passes
 from .reports import write_gating_report
 from .training import resolve_dataset, run_training
@@ -128,8 +128,7 @@ def _cmd_eval(args) -> int:
     payload = {"config": ckpt.config, "report": report.to_dict()}
     (out / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n")
     for e in report.entries:
-        tag = "gate-count" if e.budget is None else f"top-{e.budget}"
-        print(f"{tag}: {e.metric_name} {e.value:.4f}, "
+        print(f"{entry_key(e.budget)}: {e.metric_name} {e.value:.4f}, "
               f"{e.mean_selected:.2f}/{report.timesteps} timesteps, "
               f"{e.cost.total_gflops:.6f} GFLOPs")
     return 0
@@ -172,8 +171,8 @@ def _tradeoff_rows(path: str) -> list[tuple[str, CostReport, float]]:
         cost = CostReport(**{k: _field(c, k, _NUMBER, path)
                              for k in ("n_light", "n_heavy", "light_gflops",
                                        "heavy_gflops")})
-        key = "gate-count" if budget is None else f"topk-{budget}"
-        rows.append((f"{mode}/{key}", cost, _field(entry, "value", _NUMBER, path)))
+        rows.append((f"{mode}/{entry_key(budget)}", cost,
+                     _field(entry, "value", _NUMBER, path)))
     return rows
 
 

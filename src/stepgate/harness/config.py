@@ -1,14 +1,15 @@
 """Experiment configuration: strict JSON in, fully-defaulted dataclasses out.
 
-Every key is validated against the schema and unknown keys are rejected with
-their dotted path, because a silently ignored typo ("epcohs") is the easiest
-way to wreck reproducibility.  A run is a pure function of (config, seed).
+Every key is validated against its dataclass field and unknown keys are
+rejected with their dotted path, because a silently ignored typo ("epcohs")
+is the easiest way to wreck reproducibility.  A run is a pure function of
+(config, seed).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from ..errors import ConfigError
@@ -88,50 +89,38 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-_SCHEMA = {
-    "mode": str,
-    "seed": int,
-    "dataset": {
-        "path": (str, type(None)),
-        "n_train": int, "n_test": int, "n_classes": int, "n_shared": int,
-        "n_background": int, "d_raw": int, "timesteps": int,
-        "frames_per_slot": int, "noise_sigma": (int, float),
-        "relevant_fraction": (int, float), "confuser_share": (int, float),
-        "task": str, "recipe_style": str,
-    },
-    "model": {
-        "light_channels": int, "heavy_channels": int, "n_kernels": int,
-        "gate_hidden": int, "height": int, "width": int, "segment_len": int,
-        "open_bias": (int, float),
-    },
-    "training": {
-        "batch_size": int, "epochs": int, "lr": (int, float),
-        "eps": (int, float), "l0_weight": (int, float),
-        "sample_budget": (int, type(None)),
-    },
-    "eval": {"budgets": list, "selection": str},
-}
+# the JSON kinds each field annotation accepts; a float field takes an int
+_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,),
+          "None": (type(None),)}
 
 
-def _check_section(raw: dict, schema: dict, path: str) -> None:
+def _section(cls, raw, path: str):
+    """Build the dataclass ``cls`` from ``raw``, checking every key against
+    its fields: a section field recurses, any other must have a JSON kind
+    its annotation allows."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object, "
+                          f"got {type(raw).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    values = {}
     for key, val in raw.items():
         where = f"{path}.{key}" if path else key
-        if key not in schema:
-            known = ", ".join(sorted(schema))
-            raise ConfigError(f"unknown config key {where!r}; known keys here: {known}")
-        expect = schema[key]
-        if isinstance(expect, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{where} must be an object, got {type(val).__name__}")
-            _check_section(val, expect, where)
+        f = known.get(key)
+        if f is None:
+            names = ", ".join(sorted(known))
+            raise ConfigError(f"unknown config key {where!r}; known keys here: {names}")
+        if is_dataclass(f.default_factory):
+            val = _section(f.default_factory, val, where)
         else:
             # bool is an int subclass but never a valid numeric config value
-            if isinstance(val, bool) and expect is not bool:
+            if isinstance(val, bool):
                 raise ConfigError(f"{where} must not be a boolean")
-            if not isinstance(val, expect):
-                names = expect.__name__ if isinstance(expect, type) else \
-                    "/".join(t.__name__ for t in expect)
+            kinds = tuple(k for name in f.type.split(" | ") for k in _KINDS[name])
+            if not isinstance(val, kinds):
+                names = "/".join(k.__name__ for k in kinds)
                 raise ConfigError(f"{where} must be {names}, got {type(val).__name__}")
+        values[key] = val
+    return cls(**values)
 
 
 def _validate_values(cfg: ExperimentConfig) -> None:
@@ -184,17 +173,7 @@ def _validate_values(cfg: ExperimentConfig) -> None:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a fully-defaulted config from a (possibly partial) dict."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    _check_section(raw, _SCHEMA, "")
-    cfg = ExperimentConfig(
-        mode=raw.get("mode", "e2e"),
-        seed=raw.get("seed", 0),
-        dataset=DatasetConfig(**raw.get("dataset", {})),
-        model=ModelConfig(**raw.get("model", {})),
-        training=TrainingConfig(**raw.get("training", {})),
-        eval=EvalConfig(**raw.get("eval", {})),
-    )
+    cfg = _section(ExperimentConfig, raw, "")
     _validate_values(cfg)
     return cfg
 

@@ -170,10 +170,15 @@ class EvalReport:
         }
 
 
-def _rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list,
-              stride: int) -> list:
-    """Per video, what every budget entry picks from: the test-mode selection
-    or the scorer's scores; None for the fixed-rule samplers."""
+def entry_key(budget: int | None) -> str:
+    """Name of a budget entry in reports, stdout and the tradeoff CSV."""
+    return "gate-count" if budget is None else f"topk-{budget}"
+
+
+def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list,
+             stride: int) -> list:
+    """Per video, what every budget picks from: the test-mode selection or
+    the scorer's scores; None for the fixed-rule samplers."""
     if bundle.mode in SELECTOR_MODES:
         return [select(v.frames, bundle.selector, "test", stride) for v in videos]
     if bundle.mode == "scsampler":
@@ -183,8 +188,11 @@ def _rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list,
     return [None] * len(videos)
 
 
-def _video_indices(bundle: ModelBundle, config: ExperimentConfig, ranking,
-                   video_index: int, budget: int | None) -> list[int]:
+def video_indices(bundle: ModelBundle, config: ExperimentConfig, ranking,
+                  stream: list[int], budget: int | None) -> list[int]:
+    """Timesteps one video's heavy stage encodes under ``budget`` (None: the
+    natural gate count, or the training sample budget for the selector-free
+    arms).  ``stream`` seeds the random arm, after the config seed."""
     t = config.dataset.timesteps
     if bundle.mode in SELECTOR_MODES:
         if budget is not None:
@@ -195,8 +203,7 @@ def _video_indices(bundle: ModelBundle, config: ExperimentConfig, ranking,
         return sample_indices("topk", t, k, scores=ranking)
     if bundle.mode == "uniform":
         return sample_indices("uniform", t, k)
-    seed = np.random.default_rng(
-        [config.seed, _EVAL_STREAM, video_index]).integers(1 << 62)
+    seed = np.random.default_rng([config.seed, *stream]).integers(1 << 62)
     return sample_indices("random", t, k, seed=int(seed))
 
 
@@ -220,13 +227,14 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
     report = EvalReport(mode=bundle.mode, task=task, n_videos=len(videos),
                         timesteps=t)
     # test-mode gates and scores do not depend on the budget
-    rankings = _rankings(bundle, config, videos, stride)
+    ranked = rankings(bundle, config, videos, stride)
     for budget in budgets:
         bundle.classifier.reset_instrumentation()
         counts: list[int] = []
         score_rows = np.zeros((len(videos), config.dataset.n_classes))
         for vi, video in enumerate(videos):
-            idx = _video_indices(bundle, config, rankings[vi], vi, budget)
+            idx = video_indices(bundle, config, ranked[vi], [_EVAL_STREAM, vi],
+                                budget)
             feats = heavynet_features(video.frames, idx, bundle.classifier,
                                       stride)
             score_rows[vi] = classify(feats, None, bundle.classifier).data
@@ -241,8 +249,7 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
                 score_rows, np.asarray([v.labels for v in videos]))
             report.skipped_classes = skipped
         mean_sel = float(np.mean(counts))
-        key = "gate-count" if budget is None else f"topk-{budget}"
-        report.per_video_counts[key] = counts
+        report.per_video_counts[entry_key(budget)] = counts
         report.entries.append(BudgetMetrics(
             budget=budget, metric_name=name, value=value,
             mean_selected=mean_sel, mean_ratio=mean_sel / t,

@@ -14,12 +14,13 @@ import numpy as np
 from .. import autodiff as ad
 from .. import gating
 from ..autodiff import Tensor, finite_diff_check
-from ..classifier import classify, heavynet_features, task_loss
+from ..classifier import task_loss
 from ..errors import ContractError
-from ..selector import select
+from ..selector import gate_logits, select
 from ..synthdata import generate_dataset
 from .config import DatasetConfig, ExperimentConfig, ModelConfig, TrainingConfig
 from .models import build_bundle, selection_stride
+from .training import joint_logits, spec_from_config
 
 THRESHOLD = 1e-4
 
@@ -115,8 +116,6 @@ def _suite_config(seed: int) -> ExperimentConfig:
 
 
 def _e2e_cases(seed: int) -> dict[str, float]:
-    from .training import spec_from_config
-
     config = _suite_config(seed)
     bundle = build_bundle(config)
     stride = selection_stride(config)
@@ -127,18 +126,14 @@ def _e2e_cases(seed: int) -> dict[str, float]:
     def loss():
         rng = np.random.default_rng(noise_seed)
         result = select(video.frames, bundle.selector, "train", stride, rng=rng)
-        idx = result.selected_indices
-        if not idx:
+        if not result.selected_indices:
             raise ContractError("FD video selected nothing; pick another seed")
-        gates = ad.take_rows(result.activated, idx)
-        feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
-        logits = classify(feats, gates, bundle.classifier)
+        logits = joint_logits(video.frames, result, bundle, stride)
         total = task_loss(logits, video.labels, "single_label")
         return ad.add(total, gating.l0_penalty(result.logits, 0.3))
 
     # margin check: every noisy logit must sit clear of the gate threshold
     probe_rng = np.random.default_rng(noise_seed)
-    from ..selector import gate_logits
     alphas = gate_logits(video.frames, bundle.selector, stride).data.ravel()
     noises = gating.sample_gate_noise_batch(probe_rng, len(alphas))
     margin = float(np.min(np.abs(alphas + noises)))

@@ -17,11 +17,10 @@ import numpy as np
 
 from ..errors import ContractError
 from ..gating import sigmoid_np
-from ..selector import select
 from ..synthdata import Dataset
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .evaluation import SELECTOR_MODES
+from .evaluation import SELECTOR_MODES, rankings
 from .models import ModelBundle, build_bundle, selection_stride
 
 CLASS_RATIOS_HEADER = "class,ratio"
@@ -42,23 +41,16 @@ def compute_gating_report(bundle: ModelBundle, config: ExperimentConfig,
         raise ContractError(f"mode {bundle.mode!r} has no gates to report on")
     if not videos:
         raise ContractError("gating report needs at least one video")
-    d = config.dataset
-    t, n_classes = d.timesteps, d.n_classes
-    stride = selection_stride(config)
-    spec = None
+    t, n_classes = config.dataset.timesteps, config.dataset.n_classes
     ratio_sums = np.zeros(n_classes)
     gate_sums = np.zeros((n_classes, t))
     counts = np.zeros(n_classes)
 
-    for video in videos:
-        result = select(video.frames, bundle.selector, "test", stride)
+    ranked = rankings(bundle, config, videos, selection_stride(config))
+    for video, result in zip(videos, ranked):
         ratio = len(result.selected_indices) / t
         gates = sigmoid_np(result.logits.data.reshape(-1))
-        if d.task == "single_label":
-            classes = [int(video.labels)]
-        else:
-            classes = [int(c) for c in np.flatnonzero(np.asarray(video.labels))]
-        for c in classes:
+        for c in video.positive_classes():
             ratio_sums[c] += ratio
             gate_sums[c] += gates
             counts[c] += 1

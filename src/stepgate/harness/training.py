@@ -6,7 +6,9 @@ and the heavy classifier jointly and stop there; the stand-alone selector
 (with its light head) and the SCSampler scorer fit every parameter except
 the heavy classifier.  Phase B then fits the heavy classifier on each
 video's timesteps: the frozen selector's or the scorer's picks, or uniform
-or random samples (those two modes have no phase A).
+or random samples (those two modes have no phase A).  Evaluation's pick code
+chooses them with no budget, so a deterministic arm trains on exactly the
+rows its gate-count evaluation entry encodes.
 
 ``_fit`` is the only optimisation loop: shuffled minibatches, the mean of the
 per-video losses, one backward pass and one Adam step per batch.  The
@@ -26,19 +28,16 @@ import numpy as np
 from .. import autodiff as ad
 from .. import gating
 from ..autodiff import Adam, Tensor
+# perfbench/layers.py wraps sample_indices and scsampler_scores in this namespace
 from ..baselines import sample_indices, scorer_logits, scsampler_scores
 from ..classifier import classify, heavynet_features, task_loss
 from ..errors import ConfigError, DomainError, GenerationError, TrainingDivergence
-from ..selector import heavy_indices, select
+from ..selector import SelectionResult, heavy_indices, select
 from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .models import (
-    ModelBundle,
-    build_bundle,
-    selection_stride,
-    training_sample_budget,
-)
+from .evaluation import rankings, video_indices
+from .models import ModelBundle, build_bundle, selection_stride
 
 _TRAIN_STREAM = 0x5EED
 _SAMPLE_STREAM = 0xBA5E
@@ -176,6 +175,17 @@ def _fit(params, config: ExperimentConfig, n_videos: int,
 # the two phases
 
 
+def joint_logits(frames: np.ndarray, result: SelectionResult,
+                 bundle: ModelBundle, stride: int) -> Tensor:
+    """The joint arms' heavy logits: the selection's heavy timesteps, scaled
+    by their gate values, through the heavy classifier."""
+    idx = heavy_indices(result)
+    # the fallback timestep of an all-closed video enters ungated
+    gates = ad.take_rows(result.activated, idx) if result.open.any() else None
+    feats = heavynet_features(frames, idx, bundle.classifier, stride)
+    return classify(feats, gates, bundle.classifier)
+
+
 def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
                   dataset: Dataset, rng: np.random.Generator):
     """The per-video loss of the mode's first phase, or None without one.
@@ -200,11 +210,7 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
                     result.activated, bundle.selector.config.channels))
                 logits = ad.reduce_max(bundle.light_head(gated), axis=0)
             else:
-                idx = heavy_indices(result)
-                # the fallback timestep of an all-closed video enters ungated
-                gates = ad.take_rows(result.activated, idx) if result.open.any() else None
-                feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
-                logits = classify(feats, gates, bundle.classifier)
+                logits = joint_logits(video.frames, result, bundle, stride)
             loss = task_loss(logits, video.labels, task)
             if l0_weight > 0.0:
                 loss = ad.add(loss, gating.l0_penalty(result.logits, l0_weight))
@@ -217,43 +223,13 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             # every timestep carries the video label; a multi-label video
             # averages the cross-entropy over its positives, keeping the
             # softmax head the saliency relies on
-            positives = video.positive_classes(dataset.spec)
+            positives = video.positive_classes()
             terms = [ad.softmax_xent(logits, [c] * t_steps) for c in positives]
             hit = float(np.mean(np.isin(np.argmax(logits.data, axis=1), positives)))
             return _mean_loss(terms), hit, 1.0
     else:
         return None
     return video_loss
-
-
-def _phase_b_indices(config: ExperimentConfig, bundle: ModelBundle,
-                     dataset: Dataset):
-    """``(epoch, video_index) -> timesteps`` the heavy classifier trains on.
-
-    The frozen selector's and the scorer's picks do not change once phase A
-    is over, so they are computed once per video; random sampling redraws
-    every epoch.
-    """
-    stride = selection_stride(config)
-    t_steps, seg = config.dataset.timesteps, config.model.segment_len
-    k = training_sample_budget(config)
-    if config.mode == "standalone":
-        fixed = [heavy_indices(select(video.frames, bundle.selector, "test", stride))
-                 for video in dataset.train]
-        return lambda epoch, vi: fixed[vi]
-    if config.mode == "scsampler":
-        fixed = [sample_indices("topk", t_steps, k, scores=scsampler_scores(
-                     video.frames, bundle.scorer, stride, t_steps, seg))
-                 for video in dataset.train]
-        return lambda epoch, vi: fixed[vi]
-    if config.mode == "uniform":
-        return lambda epoch, vi: sample_indices("uniform", t_steps, k)
-
-    def random_indices(epoch, vi):
-        seed = np.random.default_rng(
-            [config.seed, _SAMPLE_STREAM, epoch, vi]).integers(1 << 62)
-        return sample_indices("random", t_steps, k, seed=int(seed))
-    return random_indices
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +258,14 @@ def run_training(config: ExperimentConfig,
         stride = selection_stride(config)
         task = config.dataset.task
         t_steps = config.dataset.timesteps
-        indices_for = _phase_b_indices(config, bundle, dataset)
+        # the frozen selector's and the scorer's picks are fixed once phase A
+        # is over; random sampling redraws every epoch
+        ranked = rankings(bundle, config, dataset.train, stride)
 
         def classifier_loss(epoch, vi):
             video = dataset.train[vi]
-            idx = indices_for(epoch, vi)
+            idx = video_indices(bundle, config, ranked[vi],
+                                [_SAMPLE_STREAM, epoch, vi], None)
             feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
             logits = classify(feats, None, bundle.classifier)
             return (task_loss(logits, video.labels, task),

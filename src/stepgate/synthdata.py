@@ -46,6 +46,7 @@ FORMAT_VERSION = 2
 
 PLACEMENTS = ("middle", "spread")
 TASKS = ("single_label", "multi_label")
+SHARED_PER_CLASS = 2  # shared prototypes in each anchored recipe
 
 # split-level label rngs must not collide with per-video rngs (seed ^ index);
 # desk-scale indices stay far below this offset
@@ -74,29 +75,28 @@ class ActivitySpec:
     def default(cls, n_classes: int = 10, n_shared: int = 6, n_background: int = 8,
                 d_raw: int = 32, timesteps: int = 32, frames_per_slot: int = 16,
                 noise_sigma: float = 0.3, relevant_fraction: float = 0.3,
-                confuser_share: float = 0.35, task: str = "single_label",
-                shared_per_class: int = 2) -> "ActivitySpec":
-        """One unique prototype per class plus ``shared_per_class`` from the
+                confuser_share: float = 0.35, task: str = "single_label") -> "ActivitySpec":
+        """One unique prototype per class plus ``SHARED_PER_CLASS`` from the
         shared pool, assigned in a rotating pattern so every shared prototype
         lands in at least two recipes."""
         if n_classes < 2:
             raise DomainError(f"need at least two classes, got {n_classes}")
-        if n_shared < shared_per_class or n_background < 1:
+        if n_shared < SHARED_PER_CLASS or n_background < 1:
             raise DomainError(
-                f"need n_shared >= {shared_per_class} and n_background >= 1, "
+                f"need n_shared >= {SHARED_PER_CLASS} and n_background >= 1, "
                 f"got {n_shared}, {n_background}"
             )
-        if n_classes * shared_per_class < 2 * n_shared:
+        if n_classes * SHARED_PER_CLASS < 2 * n_shared:
             raise DomainError(
                 f"{n_shared} shared prototypes cannot all reach two of the "
-                f"{n_classes} recipes with {shared_per_class} slots each"
+                f"{n_classes} recipes with {SHARED_PER_CLASS} slots each"
             )
         shared = tuple(range(n_classes, n_classes + n_shared))
         background = tuple(range(n_classes + n_shared, n_classes + n_shared + n_background))
         recipes = []
         for c in range(n_classes):
-            picks = {shared[(shared_per_class * c + j) % n_shared]
-                     for j in range(shared_per_class)}
+            picks = {shared[(SHARED_PER_CLASS * c + j) % n_shared]
+                     for j in range(SHARED_PER_CLASS)}
             recipes.append(frozenset({c} | picks))
         return cls(
             n_classes=n_classes,
@@ -244,8 +244,8 @@ class VideoSample:
     relevance: np.ndarray       # (T,) bool
     planted: np.ndarray         # (T,) int64 prototype id per timestep
 
-    def positive_classes(self, spec: ActivitySpec) -> list[int]:
-        if spec.task == "single_label":
+    def positive_classes(self) -> list[int]:
+        if np.ndim(self.labels) == 0:  # a scalar label is single-label
             return [int(self.labels)]
         return [int(i) for i in np.flatnonzero(np.asarray(self.labels))]
 

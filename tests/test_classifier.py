@@ -14,8 +14,8 @@ STRIDE = 16
 
 
 def make_params(channels=3, n_classes=4, height=1, width=1, segment_len=8,
-                d_raw=5, seed=0, task="single_label"):
-    cfg = cls.ClassifierConfig(channels=channels, n_classes=n_classes, task=task,
+                d_raw=5, seed=0):
+    cfg = cls.ClassifierConfig(channels=channels, n_classes=n_classes,
                                height=height, width=width, segment_len=segment_len)
     return cls.ClassifierParams.init(cfg, d_raw, np.random.default_rng(seed))
 
@@ -53,8 +53,6 @@ def classify_oracle(features, gate_values, params):
 def test_config_rejects_bad_values():
     with pytest.raises(DomainError):
         cls.ClassifierConfig(channels=3, n_classes=1)
-    with pytest.raises(DomainError):
-        cls.ClassifierConfig(channels=3, n_classes=4, task="regression")
     with pytest.raises(DomainError):
         cls.ClassifierConfig(channels=0, n_classes=4)
 

@@ -166,7 +166,7 @@ def test_eval_writes_metrics_json(trained, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(trained / "checkpoint.sgck"),
                  "--out", str(out)]) == 0
     text = capsys.readouterr().out
-    assert "gate-count:" in text and "top-2:" in text and "GFLOPs" in text
+    assert "gate-count:" in text and "topk-2:" in text and "GFLOPs" in text
     payload = json.loads((out / "metrics.json").read_text())
     budgets = [e["budget"] for e in payload["report"]["entries"]]
     assert budgets == [None, 2]

@@ -268,7 +268,7 @@ def test_multi_label_videos(spec):
         k = int(vec.sum())
         assert 1 <= k <= 3
         saw_multi |= k > 1
-        union = frozenset().union(*(ml.class_recipes[c] for c in v.positive_classes(ml)))
+        union = frozenset().union(*(ml.class_recipes[c] for c in v.positive_classes()))
         nptest.assert_array_equal(v.relevance,
                                   np.asarray([int(p) in union for p in v.planted]))
     assert saw_multi

@@ -8,6 +8,7 @@ from conftest import tiny_config
 from stepgate.autodiff import ComputationRecord, Tensor
 from stepgate.errors import ConfigError
 from stepgate.harness.checkpoint import save_checkpoint
+from stepgate.harness import evaluation, training
 from stepgate.harness.config import MODES
 from stepgate.harness.training import (resolve_dataset, run_training,
                                        spec_from_config)
@@ -112,6 +113,36 @@ def test_two_phase_modes_log_both_phases(results, tiny_cfg):
         assert len(results[mode].epoch_logs) == epochs
     for mode in ("uniform", "random"):
         assert results[mode].epoch_logs == []
+
+
+@pytest.mark.parametrize("mode", ["standalone", "scsampler"])
+def test_phase_b_encodes_the_rows_gate_count_evaluation_picks(mode, tiny_data,
+                                                               monkeypatch):
+    """Every phase-B epoch encodes, per training video, exactly the rows
+    that evaluating the trained bundle on the train split picks."""
+    index_of = {id(v.frames): vi for vi, v in enumerate(tiny_data.train)}
+
+    def record_rows(module, calls):
+        real = module.heavynet_features
+
+        def recorded(frames, indices, params, stride):
+            calls.append((index_of[id(frames)], list(indices)))
+            return real(frames, indices, params, stride)
+        monkeypatch.setattr(module, "heavynet_features", recorded)
+
+    trained, evaluated = [], []
+    record_rows(training, trained)
+    record_rows(evaluation, evaluated)
+    cfg = tiny_config(mode)
+    result = run_training(cfg, tiny_data)
+    report = evaluation.evaluate_bundle(result.bundle, cfg, tiny_data.train)
+    n = len(tiny_data.train)
+    assert list(report.per_video_counts) == ["gate-count"]
+    picks = dict(evaluated)
+    assert len(evaluated) == len(picks) == n
+    assert len(trained) == cfg.training.epochs * n
+    for epoch in range(cfg.training.epochs):
+        assert dict(trained[epoch * n:(epoch + 1) * n]) == picks, epoch
 
 
 def test_training_changes_the_parameters(results):
