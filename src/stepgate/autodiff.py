@@ -16,8 +16,9 @@ Deliberate conventions:
 * ``sigmoid`` clamps its exponent argument to ``[-SIGMOID_CLAMP,
   SIGMOID_CLAMP]``; the clamp is part of the function's definition, not an
   implementation detail, so no forward op can overflow on finite input.
-* the max reduction routes its gradient to the first maximal index of each
-  reduced slice, so backward is deterministic even under ties.
+* the max reductions (``reduce_max`` and ``segment_max``) route their
+  gradient to the first maximal index of each reduced slice, so backward is
+  deterministic even under ties.
 
 Tape lifetime: a tensor links to its record weakly (``node_id`` holds a weak
 reference to the record and the tensor's index on the tape), while the record
@@ -34,6 +35,7 @@ do not interact, but a single record must only ever be used from one thread.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import weakref
@@ -244,6 +246,35 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
     return _emit("max", x.data.max(axis=axis), (x,), (axis, np.argmax(x.data, axis=axis)))
 
 
+def segment_max(x: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Column-wise max over consecutive row segments of a 2-d tensor: row b
+    of the result pools the ``lengths[b]`` rows after the previous segments."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"segment_max expects a 2-d tensor, got shape {x.shape}")
+    n = [int(k) for k in lengths]
+    if not n or min(n) < 1:
+        raise ContractError("segment_max needs a non-empty list of positive segment lengths")
+    if sum(n) != x.shape[0]:
+        raise DimensionError(f"segment lengths sum to {sum(n)}, "
+                             f"but the tensor has {x.shape[0]} rows")
+    starts = list(itertools.accumulate(n[:-1], initial=0))
+    return _emit("segment_max", np.maximum.reduceat(x.data, starts, axis=0), (x,),
+                 (starts, n))
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Tensors end to end along their first axis; the other axes must agree."""
+    if not parts:
+        raise ContractError("concat_rows needs at least one tensor")
+    tail = parts[0].shape[1:]
+    if parts[0].data.ndim < 1 or any(p.shape[1:] != tail for p in parts):
+        raise DimensionError(f"concat_rows got incompatible shapes "
+                             f"{[p.shape for p in parts]}")
+    splits = np.cumsum([p.shape[0] for p in parts[:-1]], dtype=np.int64)
+    return _emit("concat_rows", np.concatenate([p.data for p in parts]),
+                 tuple(parts), splits)
+
+
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
@@ -427,6 +458,21 @@ def _bwd_max(node, g, data):
     return (gx,)
 
 
+def _bwd_segment_max(node, g, data):
+    x = data[0]
+    starts, n = node.ctx
+    # the first row of each segment that holds the segment's max, per column
+    hit = x == np.repeat(node.tensor.data, n, axis=0)
+    rows = np.where(hit, np.arange(x.shape[0])[:, None], x.shape[0])
+    gx = np.zeros_like(x)
+    np.put_along_axis(gx, np.minimum.reduceat(rows, starts, axis=0), g, axis=0)
+    return (gx,)
+
+
+def _bwd_concat_rows(node, g, data):
+    return tuple(np.split(g, node.ctx))
+
+
 def _bwd_reshape(node, g, data):
     return (np.ascontiguousarray(g).reshape(node.ctx),)
 
@@ -471,6 +517,8 @@ _BACKWARD: dict[str, Callable] = {
     "sum": _bwd_sum,
     "mean": _bwd_mean,
     "max": _bwd_max,
+    "segment_max": _bwd_segment_max,
+    "concat_rows": _bwd_concat_rows,
     "reshape": _bwd_reshape,
     "tile_cols": _bwd_tile_cols,
     "take_rows": _bwd_take_rows,

@@ -6,13 +6,16 @@ it only ever runs on the indices handed to it; ``heavy_rows`` counts every
 encoded timestep to make that property checkable.  Classification applies
 gate magnitudes (end-to-end training only), max-pools over the spatial grid,
 maps each timestep through the head (a second ``MLP``), and max-pools over
-time, so duplicated timesteps never change the logits.  Parameters are named
-``classifier.enc.*`` and ``classifier.head.*``.
+each video's timesteps, so duplicated timesteps never change the logits.  The
+rows of several videos may share one call: consecutive segments of rows
+belong to one video each.  Parameters are named ``classifier.enc.*`` and
+``classifier.head.*``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -106,8 +109,9 @@ def heavynet_features(frames: np.ndarray, indices, params: ClassifierParams,
 
 
 def classify(features: Tensor, gate_values: Tensor | None,
-             params: ClassifierParams) -> Tensor:
-    """Video logits from heavy features of shape (T', C, H, W).
+             params: ClassifierParams, segments: Sequence[int]) -> Tensor:
+    """(B, L) video logits from heavy features of shape (T', C, H, W), whose
+    rows are B consecutive segments of ``segments[b]`` rows, one per video.
 
     ``gate_values`` (shape (T',)) multiplies features before spatial pooling
     when given; end-to-end training passes the activated gate magnitudes here
@@ -130,7 +134,7 @@ def classify(features: Tensor, gate_values: Tensor | None,
             )
         flat = ad.mul(flat, ad.tile_cols(gate_values, c * hgt * wid))
     spatial = ad.reduce_max(ad.reshape(flat, (t_sel, c, hgt * wid)), axis=2)
-    return ad.reduce_max(params.head(spatial), axis=0)
+    return ad.segment_max(params.head(spatial), segments)
 
 
 def task_loss(logits: Tensor, targets, task: str) -> Tensor:

@@ -237,8 +237,13 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
                                 budget)
             feats = heavynet_features(video.frames, idx, bundle.classifier,
                                       stride)
-            score_rows[vi] = classify(feats, None, bundle.classifier).data
+            score_rows[vi] = classify(feats, None, bundle.classifier,
+                                      [len(idx)]).data[0]
             counts.append(len(idx))
+        if bundle.classifier.heavy_rows != sum(counts):
+            raise ContractError(
+                f"{entry_key(budget)}: the heavy encoder counted "
+                f"{bundle.classifier.heavy_rows} rows, the videos picked {sum(counts)}")
         if task == "single_label":
             name = "accuracy"
             value = accuracy(np.argmax(score_rows, axis=1),

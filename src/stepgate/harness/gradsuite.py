@@ -1,5 +1,5 @@
 """Bundled finite-difference checks: every primitive op plus the full
-training loss, reported as name -> max relative error.
+training loss of a two-video batch, reported as name -> max relative error.
 
 Inputs are fixed and kept away from clip, threshold, and tie boundaries so
 central differences are valid; the composite cases freeze gate noise by
@@ -49,6 +49,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
     w32 = rng.standard_normal(6)
     w43 = rng.standard_normal(12)
     w16 = rng.standard_normal(16)
+    w28 = rng.standard_normal(28)
     cases = {
         "matmul": (lambda x: _project(ad.matmul(x, b), w32), _param(_X34)),
         "transpose": (lambda x: _project(ad.transpose(x), w43), _param(_X34)),
@@ -70,6 +71,12 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
                       _param(_X34[:, 0])),
         "take_rows": (lambda x: _project(ad.take_rows(x, [0, 2, 2, 1]), w16),
                       _param(_X34)),
+        # segments of 1 and 2 rows; each segment's column maxima are unique
+        # with margin >= 0.3
+        "segment_max": (lambda x: _project(ad.segment_max(x, [1, 2]), w34[:8]),
+                        _param(_MAX_SAFE)),
+        "concat_rows": (lambda x: _project(ad.concat_rows(
+            [ad.take_rows(x, [2]), other, x]), w28), _param(_X34)),
         "softmax_rows": (lambda x: _project(ad.softmax_rows(x), w34), _param(_X34)),
         "softmax_xent": (lambda x: ad.softmax_xent(x, [3, 0, 2]), _param(_X34)),
         "bce_logits": (lambda x: ad.bce_logits(
@@ -120,28 +127,32 @@ def _e2e_cases(seed: int) -> dict[str, float]:
     bundle = build_bundle(config)
     stride = selection_stride(config)
     dataset = generate_dataset(spec_from_config(config), 4, 2, config.seed)
-    video = dataset.train[0]
+    videos = dataset.train[:2]
+    frames = [v.frames for v in videos]
     noise_seed = 101
 
     def loss():
         rng = np.random.default_rng(noise_seed)
-        result = select(video.frames, bundle.selector, "train", stride, rng=rng)
-        if not result.selected_indices:
-            raise ContractError("FD video selected nothing; pick another seed")
-        logits = joint_logits(video.frames, result, bundle, stride)
-        total = task_loss(logits, video.labels, "single_label")
-        return ad.add(total, gating.l0_penalty(result.logits, 0.3))
+        results = [select(f, bundle.selector, "train", stride, rng=rng)
+                   for f in frames]
+        if not all(r.selected_indices for r in results):
+            raise ContractError("an FD video selected nothing; pick another seed")
+        logits = joint_logits(frames, results, bundle, stride)
+        total = task_loss(logits, [int(v.labels) for v in videos], "single_label")
+        alphas = ad.concat_rows([r.logits for r in results])
+        return ad.add(total, gating.l0_penalty(alphas, 0.3))
 
     # margin check: every noisy logit must sit clear of the gate threshold
     probe_rng = np.random.default_rng(noise_seed)
-    alphas = gate_logits(video.frames, bundle.selector, stride).data.ravel()
-    noises = gating.sample_gate_noise_batch(probe_rng, len(alphas))
-    margin = float(np.min(np.abs(alphas + noises)))
-    if margin < 5e-2:
-        raise ContractError(
-            f"gate margin {margin:.4f} too small for finite differences; "
-            f"change the suite seed"
-        )
+    for f in frames:
+        alphas = gate_logits(f, bundle.selector, stride).data.ravel()
+        noises = gating.sample_gate_noise_batch(probe_rng, len(alphas))
+        margin = float(np.min(np.abs(alphas + noises)))
+        if margin < 5e-2:
+            raise ContractError(
+                f"gate margin {margin:.4f} too small for finite differences; "
+                f"change the suite seed"
+            )
 
     named = bundle.named_parameters()
     probes = {f"e2e_loss/{name}": named[name] for name in (

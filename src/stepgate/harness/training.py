@@ -1,18 +1,21 @@
 """Training for every experiment mode: ``run_training`` is the one entry point.
 
 A run has up to two phases.  Phase A fits every parameter on the mode's
-per-video loss: end-to-end and frame-conditioned training fit the selector
-and the heavy classifier jointly and stop there; the stand-alone selector
-(with its light head) and the SCSampler scorer fit every parameter except
-the heavy classifier.  Phase B then fits the heavy classifier on each
-video's timesteps: the frozen selector's or the scorer's picks, or uniform
-or random samples (those two modes have no phase A).  Evaluation's pick code
-chooses them with no budget, so a deterministic arm trains on exactly the
-rows its gate-count evaluation entry encodes.
+batch loss: end-to-end and frame-conditioned training fit the selector and
+the heavy classifier jointly and stop there; the stand-alone selector (with
+its light head) and the SCSampler scorer fit every parameter except the
+heavy classifier.  Phase B then fits the heavy classifier on each video's
+timesteps: the frozen selector's or the scorer's picks, or uniform or random
+samples (those two modes have no phase A).  Evaluation's pick code chooses
+them with no budget, so a deterministic arm trains on exactly the rows its
+gate-count evaluation entry encodes.
 
-``_fit`` is the only optimisation loop: shuffled minibatches, the mean of the
-per-video losses, one backward pass and one Adam step per batch.  The
-checkpoint's ``step`` is the number of Adam steps over both phases.
+``_fit`` is the only optimisation loop: shuffled minibatches, one batch loss
+(the mean over the batch's videos), one backward pass and one Adam step per
+batch.  The selector runs once per video; after selection the batch is
+stacked, so the heavy encoder, the head and the task loss each run once per
+batch.  The checkpoint's ``step`` is the number of Adam steps over both
+phases.
 
 All training is deterministic given (config, seed): parameter init, batch
 shuffles, gate noise, and baseline sampling each draw from streams derived
@@ -30,8 +33,9 @@ from .. import gating
 from ..autodiff import Adam, Tensor
 # perfbench/layers.py wraps sample_indices and scsampler_scores in this namespace
 from ..baselines import sample_indices, scorer_logits, scsampler_scores
-from ..classifier import classify, heavynet_features, task_loss
-from ..errors import ConfigError, DomainError, GenerationError, TrainingDivergence
+from ..classifier import ClassifierParams, classify, heavynet_features, task_loss
+from ..errors import (ConfigError, ContractError, DomainError, GenerationError,
+                      TrainingDivergence)
 from ..selector import SelectionResult, heavy_indices, select
 from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
@@ -132,6 +136,17 @@ def _prediction_hit(logits: np.ndarray, labels, task: str) -> float:
     return float(np.mean((logits > 0.0).astype(np.float64) == want))
 
 
+def _scored(logits: Tensor, videos: list, task: str) -> tuple[Tensor, float]:
+    """The task loss of a batch's (B, L) logits and its prediction hits."""
+    if task == "single_label":
+        targets = [int(v.labels) for v in videos]
+    else:
+        targets = np.stack([v.labels for v in videos])
+    hits = sum(_prediction_hit(row, v.labels, task)
+               for row, v in zip(logits.data, videos))
+    return task_loss(logits, targets, task), hits
+
+
 def _check_finite(loss: Tensor, mode: str, epoch: int) -> None:
     if not np.isfinite(loss.data).all():
         raise TrainingDivergence(
@@ -140,13 +155,13 @@ def _check_finite(loss: Tensor, mode: str, epoch: int) -> None:
 
 
 def _fit(params, config: ExperimentConfig, n_videos: int,
-         rng: np.random.Generator, video_loss,
+         rng: np.random.Generator, batch_loss,
          mode_name: str) -> tuple[list[EpochLog], int]:
     """The training loop: returns the epoch logs and the Adam step count.
 
-    ``video_loss(epoch, video_index)`` runs inside the recording and returns
-    ``(loss tensor, prediction hit, selected ratio)`` for one video; the
-    batch loss is the mean over the batch's videos.
+    ``batch_loss(epoch, video_indices)`` runs inside the recording and
+    returns ``(mean loss over the batch, prediction hits, selected ratios)``,
+    the last two summed over the batch's videos.
     """
     tr = config.training
     opt = Adam(params, lr=tr.lr, eps=tr.eps)
@@ -155,40 +170,74 @@ def _fit(params, config: ExperimentConfig, n_videos: int,
         loss_sum = hit_sum = ratio_sum = 0.0
         for batch in _batches(n_videos, tr.batch_size, rng):
             with ad.record():
-                per_video = []
-                for vi in batch:
-                    loss_i, hit, ratio = video_loss(epoch, vi)
-                    per_video.append(loss_i)
-                    hit_sum += hit
-                    ratio_sum += ratio
-                loss = _mean_loss(per_video)
+                loss, hits, ratios = batch_loss(epoch, batch)
                 _check_finite(loss, mode_name, epoch)
                 ad.backward(loss)
             opt.step()
             loss_sum += float(loss.data) * len(batch)
+            hit_sum += hits
+            ratio_sum += ratios
         logs.append(EpochLog(epoch, loss_sum / n_videos, hit_sum / n_videos,
                              ratio_sum / n_videos))
     return logs, opt.t
 
 
 # ---------------------------------------------------------------------------
-# the two phases
+# the stacked heavy stage
 
 
-def joint_logits(frames: np.ndarray, result: SelectionResult,
+def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
+                  gates: Tensor | None, params: ClassifierParams,
+                  stride: int) -> Tensor:
+    """(B, L) logits of a batch: every video's picked timesteps through one
+    heavy-encoder pass and one head pass, pooled per video.
+
+    The videos' frames are stacked end to end, so slot i of video b is slot
+    b * T + i of the stack.  Every video is T * stride frames long and no
+    segment is longer than a slot, so no segment reaches the next video.
+    """
+    stacked = np.stack(frames)
+    n_videos, n_frames, d_raw = stacked.shape
+    t = n_frames // stride
+    if (n_frames % stride or params.config.segment_len > stride
+            or max(max(idx) for idx in picks) >= t):
+        raise ContractError(
+            f"cannot stack segments of {params.config.segment_len} frames from "
+            f"videos of {n_frames} frames in slots of {stride}")
+    rows = [b * t + i for b, idx in enumerate(picks) for i in idx]
+    before = params.heavy_rows
+    feats = heavynet_features(stacked.reshape(n_videos * n_frames, d_raw), rows,
+                              params, stride)
+    if params.heavy_rows - before != len(rows):
+        raise ContractError(
+            f"the heavy encoder counted {params.heavy_rows - before} rows, "
+            f"the batch picked {len(rows)}")
+    return classify(feats, gates, params, [len(idx) for idx in picks])
+
+
+def joint_logits(frames: list[np.ndarray], results: list[SelectionResult],
                  bundle: ModelBundle, stride: int) -> Tensor:
-    """The joint arms' heavy logits: the selection's heavy timesteps, scaled
-    by their gate values, through the heavy classifier."""
-    idx = heavy_indices(result)
-    # the fallback timestep of an all-closed video enters ungated
-    gates = ad.take_rows(result.activated, idx) if result.open.any() else None
-    feats = heavynet_features(frames, idx, bundle.classifier, stride)
-    return classify(feats, gates, bundle.classifier)
+    """The joint arms' (B, L) heavy logits of a batch: each selection's heavy
+    timesteps, scaled by their gate values, through the heavy classifier."""
+    t = bundle.selector.config.timesteps
+    picks = [heavy_indices(r) for r in results]
+    # the fallback timestep of an all-closed video enters with a constant
+    # gate of 1, the last row of the gate column
+    column = ad.concat_rows([r.activated for r in results] + [Tensor(np.ones(1))])
+    gate_rows = []
+    for b, (r, idx) in enumerate(zip(results, picks)):
+        gate_rows += [b * t + i for i in idx] if r.open.any() else [len(results) * t]
+    return _heavy_logits(frames, picks, ad.take_rows(column, gate_rows),
+                         bundle.classifier, stride)
+
+
+# ---------------------------------------------------------------------------
+# the two phases
 
 
 def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
                   dataset: Dataset, rng: np.random.Generator):
-    """The per-video loss of the mode's first phase, or None without one.
+    """The batch loss of the mode's first phase, or None without one.
 
     End-to-end and frame-conditioned training gate the heavy classifier;
     the stand-alone selector gates its light features into a light head;
@@ -201,35 +250,45 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
     l0_weight = config.training.l0_weight
 
     if mode in (*_JOINT_MODES, "standalone"):
-        def video_loss(epoch, vi):
-            video = dataset.train[vi]
-            result = select(video.frames, bundle.selector, "train", stride, rng=rng)
+        def batch_loss(epoch, batch):
+            videos = [dataset.train[vi] for vi in batch]
+            results = [select(v.frames, bundle.selector, "train", stride, rng=rng)
+                       for v in videos]
             if mode == "standalone":
-                # light path: gated light features, light head, max over time
-                gated = ad.mul(result.features, ad.tile_cols(
-                    result.activated, bundle.selector.config.channels))
-                logits = ad.reduce_max(bundle.light_head(gated), axis=0)
+                # light path: gated light features, light head, max over each
+                # video's timesteps
+                gates = ad.concat_rows([r.activated for r in results])
+                gated = ad.mul(ad.concat_rows([r.features for r in results]),
+                               ad.tile_cols(gates, bundle.selector.config.channels))
+                logits = ad.segment_max(bundle.light_head(gated),
+                                        [t_steps] * len(results))
             else:
-                logits = joint_logits(video.frames, result, bundle, stride)
-            loss = task_loss(logits, video.labels, task)
+                logits = joint_logits([v.frames for v in videos], results,
+                                      bundle, stride)
+            loss, hits = _scored(logits, videos, task)
             if l0_weight > 0.0:
-                loss = ad.add(loss, gating.l0_penalty(result.logits, l0_weight))
-            return (loss, _prediction_hit(logits.data, video.labels, task),
-                    len(result.selected_indices) / t_steps)
+                alphas = ad.concat_rows([r.logits for r in results])
+                loss = ad.add(loss, gating.l0_penalty(alphas, l0_weight))
+            opened = sum(len(r.selected_indices) for r in results)
+            return loss, hits, opened / t_steps
     elif mode == "scsampler":
-        def video_loss(epoch, vi):
-            video = dataset.train[vi]
-            logits = scorer_logits(video.frames, bundle.scorer, stride, t_steps, seg)
-            # every timestep carries the video label; a multi-label video
-            # averages the cross-entropy over its positives, keeping the
-            # softmax head the saliency relies on
-            positives = video.positive_classes()
-            terms = [ad.softmax_xent(logits, [c] * t_steps) for c in positives]
-            hit = float(np.mean(np.isin(np.argmax(logits.data, axis=1), positives)))
-            return _mean_loss(terms), hit, 1.0
+        def batch_loss(epoch, batch):
+            terms, hits = [], 0.0
+            for vi in batch:
+                video = dataset.train[vi]
+                logits = scorer_logits(video.frames, bundle.scorer, stride, t_steps, seg)
+                # every timestep carries the video label; a multi-label video
+                # averages the cross-entropy over its positives, keeping the
+                # softmax head the saliency relies on
+                positives = video.positive_classes()
+                terms.append(_mean_loss([ad.softmax_xent(logits, [c] * t_steps)
+                                         for c in positives]))
+                hits += float(np.mean(np.isin(np.argmax(logits.data, axis=1),
+                                              positives)))
+            return _mean_loss(terms), hits, float(len(batch))
     else:
         return None
-    return video_loss
+    return batch_loss
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +321,15 @@ def run_training(config: ExperimentConfig,
         # is over; random sampling redraws every epoch
         ranked = rankings(bundle, config, dataset.train, stride)
 
-        def classifier_loss(epoch, vi):
-            video = dataset.train[vi]
-            idx = video_indices(bundle, config, ranked[vi],
-                                [_SAMPLE_STREAM, epoch, vi], None)
-            feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
-            logits = classify(feats, None, bundle.classifier)
-            return (task_loss(logits, video.labels, task),
-                    _prediction_hit(logits.data, video.labels, task),
-                    len(idx) / t_steps)
+        def classifier_loss(epoch, batch):
+            videos = [dataset.train[vi] for vi in batch]
+            picks = [video_indices(bundle, config, ranked[vi],
+                                   [_SAMPLE_STREAM, epoch, vi], None)
+                     for vi in batch]
+            logits = _heavy_logits([v.frames for v in videos], picks, None,
+                                   bundle.classifier, stride)
+            loss, hits = _scored(logits, videos, task)
+            return loss, hits, sum(len(idx) for idx in picks) / t_steps
 
         rng_b = _train_rng(config)
         rng_b.integers(1 << 30)  # offset from the phase A shuffle stream

@@ -270,7 +270,9 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
 
 
 def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
-                rng: np.random.Generator) -> VideoSample:
+                rng: np.random.Generator, frames: np.ndarray) -> VideoSample:
+    """Draw one video, writing its raw frames into ``frames`` (a C-contiguous
+    (n_frames, d_raw) float64 array)."""
     t = spec.timesteps
     classes = [primary]
     if spec.task == "multi_label":
@@ -311,8 +313,11 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
         else:
             planted[pos] = background[int(rng.integers(len(background)))]
 
-    base = np.repeat(prototypes[planted], spec.frames_per_slot, axis=0)
-    frames = base + spec.noise_sigma * rng.standard_normal(base.shape)
+    # noise, then each slot's prototype added to its frames_per_slot frames
+    rng.standard_normal(out=frames)
+    frames *= spec.noise_sigma
+    slots = frames.reshape(t, spec.frames_per_slot, spec.d_raw)
+    slots += prototypes[planted][:, None, :]
     relevance = np.asarray([int(p) in recipe for p in planted], dtype=bool)
 
     if spec.task == "single_label":
@@ -326,7 +331,8 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
 
 def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -> Dataset:
     """Reproducible dataset: prototypes from the run seed, balanced labels
-    per split, per-video streams from ``seed ^ global_index``."""
+    per split, per-video streams from ``seed ^ global_index``.  Each split's
+    frames are rows of one (n_videos, n_frames, d_raw) array."""
     if n_train < 1 or n_test < 1:
         raise DomainError(f"need positive split sizes, got {n_train}, {n_test}")
     if seed < 0:
@@ -338,13 +344,18 @@ def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -
                                     np.random.default_rng(seed ^ _LABEL_SEED_OFFSET))
     test_labels = _balanced_labels(n_test, spec.n_classes,
                                    np.random.default_rng(seed ^ (_LABEL_SEED_OFFSET - 1)))
+    train_frames = np.empty((n_train, spec.n_frames, spec.d_raw))
+    test_frames = np.empty((n_test, spec.n_frames, spec.d_raw))
     train, test = [], []
     for i in range(n_train + n_test):
         vrng = np.random.default_rng(seed ^ i)
         if i < n_train:
-            train.append(_make_video(spec, prototypes, int(train_labels[i]), vrng))
+            train.append(_make_video(spec, prototypes, int(train_labels[i]), vrng,
+                                     train_frames[i]))
         else:
-            test.append(_make_video(spec, prototypes, int(test_labels[i - n_train]), vrng))
+            j = i - n_train
+            test.append(_make_video(spec, prototypes, int(test_labels[j]), vrng,
+                                    test_frames[j]))
     return Dataset(spec=spec, prototypes=prototypes, train=train, test=test, seed=seed)
 
 
@@ -392,7 +403,9 @@ def save_split(path, dataset: Dataset, split: str) -> None:
 def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
     """Read one split file back; returns (spec, prototypes, videos, meta).
 
-    Any file this module did not write intact raises ``FormatError``.
+    The videos' frames are copied into rows of one (n_videos, n_frames,
+    d_raw) array.  Any file this module did not write intact raises
+    ``FormatError``.
     """
     raw, meta, off = container.read(path, MAGIC, FORMAT_VERSION, "dataset")
     try:
@@ -401,8 +414,11 @@ def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
         p, d, t, nf = spec.n_prototypes, spec.d_raw, spec.timesteps, spec.n_frames
         prototypes = np.frombuffer(raw, dtype="<f8", count=p * d, offset=off).reshape(p, d).copy()
         off += p * d * 8
+        if meta["n_videos"] * nf * d * 8 > len(raw) - off:
+            raise ValueError(f"{meta['n_videos']} videos do not fit in the body")
+        frames = np.empty((meta["n_videos"], nf, d))
         videos = []
-        for _ in range(meta["n_videos"]):
+        for k in range(meta["n_videos"]):
             if spec.task == "single_label":
                 labels: object = int(struct.unpack_from("<q", raw, off)[0])
                 off += 8
@@ -414,9 +430,10 @@ def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
             off += t
             planted = np.frombuffer(raw, dtype="<i8", count=t, offset=off).copy()
             off += t * 8
-            frames = np.frombuffer(raw, dtype="<f8", count=nf * d, offset=off).reshape(nf, d).copy()
+            frames[k] = np.frombuffer(raw, dtype="<f8", count=nf * d,
+                                      offset=off).reshape(nf, d)
             off += nf * d * 8
-            videos.append(VideoSample(frames=frames, labels=labels,
+            videos.append(VideoSample(frames=frames[k], labels=labels,
                                       relevance=relevance, planted=planted))
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt dataset file ({exc})") from exc

@@ -249,6 +249,61 @@ def test_max_backward_routes_one_unit_per_slice_first_index_on_ties():
     assert x.grad.sum() == 2.0
 
 
+def test_segment_max_pools_each_segment_like_reduce_max():
+    x = np.random.default_rng(3).standard_normal((7, 4))
+    got = ad.segment_max(tensor(x), [2, 1, 4]).data
+    want = np.stack([x[:2].max(axis=0), x[2], x[3:].max(axis=0)])
+    nptest.assert_array_equal(got, want)
+    nptest.assert_array_equal(ad.segment_max(tensor(x), [7]).data[0],
+                              ad.reduce_max(tensor(x), axis=0).data)
+
+
+def test_segment_max_backward_routes_to_the_first_maximal_row_of_each_segment():
+    x = tensor([[2.0, 1.0], [2.0, 4.0], [0.0, 4.0], [3.0, 3.0], [3.0, 5.0]],
+               requires_grad=True)
+    with ad.record() as rec:
+        pooled = ad.segment_max(x, [3, 2])
+        loss = ad.reduce_sum(ad.reshape(
+            ad.mul(pooled, tensor([[1.0, 2.0], [3.0, 4.0]])), (4,)), axis=0)
+    ad.backward(loss, rec)
+    nptest.assert_array_equal(pooled.data, [[2.0, 4.0], [3.0, 5.0]])
+    nptest.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0],
+                                       [3.0, 0.0], [0.0, 4.0]])
+
+
+def test_segment_max_rejects_bad_segments():
+    x = tensor(np.ones((3, 2)))
+    for lengths in ([], [3, 0], [-1, 4]):
+        with pytest.raises(ContractError):
+            ad.segment_max(x, lengths)
+    with pytest.raises(DimensionError):
+        ad.segment_max(x, [1, 1])
+    with pytest.raises(DimensionError):
+        ad.segment_max(tensor(np.ones(3)), [3])
+
+
+def test_concat_rows_forward_and_split_backward():
+    a = tensor([[1.0, 2.0]], requires_grad=True)
+    b = tensor([[3.0, 4.0], [5.0, 6.0]])
+    c = tensor([[7.0, 8.0]], requires_grad=True)
+    with ad.record() as rec:
+        joined = ad.concat_rows([a, b, c])
+        loss = ad.reduce_sum(ad.reshape(
+            ad.mul(joined, tensor(np.arange(8.0).reshape(4, 2))), (8,)), axis=0)
+    ad.backward(loss, rec)
+    nptest.assert_array_equal(joined.data, [[1, 2], [3, 4], [5, 6], [7, 8]])
+    nptest.assert_array_equal(a.grad, [[0.0, 1.0]])
+    nptest.assert_array_equal(c.grad, [[6.0, 7.0]])
+    assert b.grad is None
+
+
+def test_concat_rows_rejects_empty_and_mismatched_parts():
+    with pytest.raises(ContractError):
+        ad.concat_rows([])
+    with pytest.raises(DimensionError):
+        ad.concat_rows([tensor(np.ones((1, 2))), tensor(np.ones((1, 3)))])
+
+
 def test_only_leaf_tensors_receive_grads():
     x = tensor([1.0, 2.0], requires_grad=True)
     with ad.record() as rec:

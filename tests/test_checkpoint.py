@@ -115,7 +115,7 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bun
     path = tmp_path / "x.sgck"
     save_checkpoint(path, ckpt)
     raw, header, offset = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint")
-    body = raw[offset:]
+    body = raw[offset:].tobytes()
     first = header["entries"][0]
     cases = {
         "missing_step": ({k: v for k, v in header.items() if k != "step"}, body),

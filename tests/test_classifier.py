@@ -115,10 +115,10 @@ def test_classify_matches_numpy_oracle_with_spatial_grid():
     frames = random_frames(np.random.default_rng(6), d_raw=4)
     feats = cls.heavynet_features(frames, [0, 1, 2], params, STRIDE)
     gates = np.asarray([0.9, 0.6, 0.75])
-    got = cls.classify(feats, Tensor(gates), params).data
+    got = cls.classify(feats, Tensor(gates), params, [3]).data
     want = classify_oracle(feats.data, gates, params)
-    nptest.assert_allclose(got, want, rtol=1e-12)
-    assert got.shape == (4,)
+    nptest.assert_allclose(got[0], want, rtol=1e-12)
+    assert got.shape == (1, 4)
 
 
 def test_gate_scaling_happens_before_spatial_pooling():
@@ -126,7 +126,7 @@ def test_gate_scaling_happens_before_spatial_pooling():
     # first would give -1 regardless of the gate, scaling first gives -0.5
     params = make_params(channels=1, n_classes=2, height=1, width=2, d_raw=4, seed=7)
     feats = Tensor(np.asarray([-1.0, -2.0]).reshape(1, 1, 1, 2))
-    pooled_scaled = cls.classify(feats, Tensor(np.asarray([0.5])), params).data
+    pooled_scaled = cls.classify(feats, Tensor(np.asarray([0.5])), params, [1]).data[0]
     want = classify_oracle(feats.data, np.asarray([0.5]), params)
     nptest.assert_allclose(pooled_scaled, want, rtol=1e-12)
     h = np.maximum(np.asarray([[-0.5]]) @ params.head.w1.data + params.head.b1.data, 0.0)
@@ -138,8 +138,8 @@ def test_unit_gates_equal_no_gating_exactly():
     params = make_params(channels=2, height=2, width=1, d_raw=4, seed=8)
     frames = random_frames(np.random.default_rng(9), d_raw=4)
     feats = cls.heavynet_features(frames, [0, 3], params, STRIDE)
-    ungated = cls.classify(feats, None, params).data
-    gated = cls.classify(feats, Tensor(np.ones(2)), params).data
+    ungated = cls.classify(feats, None, params, [2]).data
+    gated = cls.classify(feats, Tensor(np.ones(2)), params, [2]).data
     nptest.assert_array_equal(gated, ungated)
 
 
@@ -147,23 +147,26 @@ def test_duplicate_timesteps_do_not_change_logits():
     params = make_params(seed=10)
     frames = random_frames(np.random.default_rng(11))
     feats = cls.heavynet_features(frames, [0, 2], params, STRIDE)
-    once = cls.classify(feats, None, params).data
+    once = cls.classify(feats, None, params, [2]).data
     # duplicating feature rows changes nothing at all under max pooling
     doubled = Tensor(feats.data[[0, 1, 1, 0]])
-    nptest.assert_array_equal(cls.classify(doubled, None, params).data, once)
+    nptest.assert_array_equal(cls.classify(doubled, None, params, [4]).data, once)
     # re-encoding a different batch size may differ in the last ulp (blas)
-    twice = cls.classify(cls.heavynet_features(frames, [0, 2, 2, 0], params, STRIDE), None, params).data
+    twice = cls.classify(cls.heavynet_features(frames, [0, 2, 2, 0], params, STRIDE), None,
+                         params, [4]).data
     nptest.assert_allclose(twice, once, rtol=1e-12)
 
 
 def test_classify_shape_validation():
     params = make_params(channels=2, height=2, width=2, d_raw=4)
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2, 2))), None, params)
+        cls.classify(Tensor(np.zeros((3, 2, 2))), None, params, [3])
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2, 2, 1))), None, params)
+        cls.classify(Tensor(np.zeros((3, 2, 2, 1))), None, params, [3])
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.ones(2)), params)
+        cls.classify(Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.ones(2)), params, [3])
+    with pytest.raises(DimensionError):
+        cls.classify(Tensor(np.zeros((3, 2, 2, 2))), None, params, [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +220,8 @@ def e2e_loss(sparams, cparams, frames, noises, label):
     selected = [i for i in range(3) if open_mask[i]]
     feats = cls.heavynet_features(frames, selected, cparams, STRIDE)
     gate_vals = ad.take_rows(activated, selected)
-    logits = cls.classify(feats, gate_vals, cparams)
-    return cls.task_loss(logits, label, "single_label")
+    logits = cls.classify(feats, gate_vals, cparams, [len(selected)])
+    return cls.task_loss(logits, [label], "single_label")
 
 
 def test_e2e_gradient_reaches_selector_and_classifier():

@@ -12,7 +12,8 @@ def errors():
 def test_suite_covers_ops_gating_and_the_full_loss(errors):
     names = set(errors)
     for op in ("matmul", "sigmoid", "softmax_xent", "bce_logits",
-               "reduce_max", "take_rows", "affine", "affine_weight", "affine_bias"):
+               "reduce_max", "segment_max", "concat_rows", "take_rows", "affine",
+               "affine_weight", "affine_bias"):
         assert op in names
     assert "gate_train_activation" in names
     assert "l0_penalty" in names

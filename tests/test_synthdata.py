@@ -327,6 +327,26 @@ def test_round_trip_preserves_everything(tmp_path, dataset, spec):
         assert v.labels == w.labels
 
 
+def _one_frame_array(videos, spec):
+    """Every video's frames are a writable row of one aligned, C-contiguous
+    (n_videos, n_frames, d_raw) float64 array."""
+    base = videos[0].frames.base
+    assert base.shape == (len(videos), spec.n_frames, spec.d_raw)
+    assert base.dtype == np.float64 and base.flags.c_contiguous and base.flags.aligned
+    for k, v in enumerate(videos):
+        assert v.frames.base is base
+        assert np.shares_memory(v.frames, base[k]) and v.frames.shape == base[k].shape
+        assert v.frames.flags.writeable and v.frames.flags.aligned
+
+
+def test_each_split_keeps_its_frames_in_one_array(tmp_path, dataset, spec):
+    _one_frame_array(dataset.train, spec)
+    _one_frame_array(dataset.test, spec)
+    path = tmp_path / "test.sgds"
+    sd.save_split(path, dataset, "test")
+    _one_frame_array(sd.load_split(path)[2], spec)
+
+
 def test_round_trip_is_byte_identical(tmp_path, dataset):
     p1, p2 = tmp_path / "a.sgds", tmp_path / "b.sgds"
     sd.save_split(p1, dataset, "test")
@@ -387,7 +407,7 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
     path = tmp_path / "x.sgds"
     sd.save_split(path, dataset, "test")
     raw, header, offset = container.read(path, sd.MAGIC, sd.FORMAT_VERSION, "dataset")
-    body = raw[offset:]
+    body = raw[offset:].tobytes()
     cases = {
         "missing_key": ({k: v for k, v in header.items() if k != "d_raw"}, body),
         "missing_seed": ({k: v for k, v in header.items() if k != "seed"}, body),
@@ -395,6 +415,7 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
         "wrong_type": ({**header, "n_videos": "many"}, body),
         "short_body": (header, body[:397]),
         "cut_label": ({**header, "n_videos": header["n_videos"] + 1}, body + b"\x00" * 4),
+        "huge_count": ({**header, "n_videos": 10 ** 12}, body),
         "long_body": (header, body + b"\x00"),
         "not_an_object": ([1, 2], body),
     }

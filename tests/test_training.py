@@ -1,3 +1,4 @@
+import functools
 import gc
 
 import numpy as np
@@ -5,14 +6,18 @@ import numpy.testing as nptest
 import pytest
 
 from conftest import tiny_config
+import stepgate.autodiff as ad
 from stepgate.autodiff import ComputationRecord, Tensor
-from stepgate.errors import ConfigError
+from stepgate.classifier import classify, heavynet_features, task_loss
+from stepgate.errors import ConfigError, ContractError
+from stepgate.gating import l0_penalty
 from stepgate.harness.checkpoint import save_checkpoint
 from stepgate.harness import evaluation, training
 from stepgate.harness.config import MODES
+from stepgate.harness.models import build_bundle
 from stepgate.harness.training import (resolve_dataset, run_training,
                                        spec_from_config)
-from stepgate.selector import SelectionResult, heavy_indices
+from stepgate.selector import SelectionResult, heavy_indices, select
 from stepgate.synthdata import ActivitySpec, save_split
 
 
@@ -115,34 +120,167 @@ def test_two_phase_modes_log_both_phases(results, tiny_cfg):
         assert results[mode].epoch_logs == []
 
 
+def _record_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, recorded)
+
+
 @pytest.mark.parametrize("mode", ["standalone", "scsampler"])
 def test_phase_b_encodes_the_rows_gate_count_evaluation_picks(mode, tiny_data,
                                                                monkeypatch):
     """Every phase-B epoch encodes, per training video, exactly the rows
     that evaluating the trained bundle on the train split picks."""
-    index_of = {id(v.frames): vi for vi, v in enumerate(tiny_data.train)}
+    cfg = tiny_config(mode)
+    t, stride = cfg.dataset.timesteps, cfg.dataset.frames_per_slot
+    n_frames = t * stride
+    index_of = {v.frames.tobytes(): vi for vi, v in enumerate(tiny_data.train)}
 
-    def record_rows(module, calls):
-        real = module.heavynet_features
-
-        def recorded(frames, indices, params, stride):
-            calls.append((index_of[id(frames)], list(indices)))
-            return real(frames, indices, params, stride)
-        monkeypatch.setattr(module, "heavynet_features", recorded)
+    def picks_by_video(calls):
+        """(video, slots) per encoded video: a call's frames hold one or more
+        videos end to end, and slot b * T + i is slot i of the b-th."""
+        out = []
+        for frames, indices, _params, _stride in calls:
+            slots: dict[int, list[int]] = {}
+            for row in indices:
+                slots.setdefault(row // t, []).append(row % t)
+            out += [(index_of[frames[b * n_frames:(b + 1) * n_frames].tobytes()], idx)
+                    for b, idx in slots.items()]
+        return out
 
     trained, evaluated = [], []
-    record_rows(training, trained)
-    record_rows(evaluation, evaluated)
-    cfg = tiny_config(mode)
+    _record_calls(monkeypatch, training, "heavynet_features", trained)
+    _record_calls(monkeypatch, evaluation, "heavynet_features", evaluated)
     result = run_training(cfg, tiny_data)
     report = evaluation.evaluate_bundle(result.bundle, cfg, tiny_data.train)
     n = len(tiny_data.train)
     assert list(report.per_video_counts) == ["gate-count"]
-    picks = dict(evaluated)
+    picks = dict(picks_by_video(evaluated))
     assert len(evaluated) == len(picks) == n
-    assert len(trained) == cfg.training.epochs * n
+    per_epoch = -(-n // cfg.training.batch_size)
+    assert len(trained) == cfg.training.epochs * per_epoch
     for epoch in range(cfg.training.epochs):
-        assert dict(trained[epoch * n:(epoch + 1) * n]) == picks, epoch
+        encoded = picks_by_video(trained[epoch * per_epoch:(epoch + 1) * per_epoch])
+        assert len(encoded) == n and dict(encoded) == picks, epoch
+
+
+def test_e2e_encodes_each_minibatch_in_one_heavy_call(tiny_data, monkeypatch):
+    """The selector runs once per video and epoch, the heavy encoder, the
+    head and the task loss once per minibatch."""
+    heavy, selects, heads, losses = [], [], [], []
+    _record_calls(monkeypatch, training, "heavynet_features", heavy)
+    _record_calls(monkeypatch, training, "select", selects)
+    _record_calls(monkeypatch, training, "classify", heads)
+    _record_calls(monkeypatch, training, "task_loss", losses)
+    cfg = tiny_config("e2e")
+    result = run_training(cfg, tiny_data)
+    n, epochs = len(tiny_data.train), cfg.training.epochs
+    batches = epochs * -(-n // cfg.training.batch_size)
+    assert len(heavy) == len(heads) == len(losses) == batches
+    assert len(selects) == n * epochs
+    assert sum(len(args[1]) for args in heavy) == result.bundle.classifier.heavy_rows
+    for args in heads:
+        assert len(args[3]) == cfg.training.batch_size
+
+
+def _overcounting(module, monkeypatch):
+    """Make ``module``'s heavy encoder count one row more than it encodes."""
+    real = module.heavynet_features
+
+    def overcounted(frames, indices, params, stride):
+        params.heavy_rows += 1
+        return real(frames, indices, params, stride)
+    monkeypatch.setattr(module, "heavynet_features", overcounted)
+
+
+@pytest.mark.parametrize("mode", ["e2e", "uniform"])
+def test_training_checks_the_heavy_rows_of_each_batch(mode, tiny_data, monkeypatch):
+    _overcounting(training, monkeypatch)
+    with pytest.raises(ContractError, match="heavy encoder counted"):
+        run_training(tiny_config(mode), tiny_data)
+
+
+def test_evaluation_checks_the_heavy_rows_of_each_entry(results, tiny_data,
+                                                        monkeypatch):
+    res = results["e2e"]
+    _overcounting(evaluation, monkeypatch)
+    with pytest.raises(ContractError, match="gate-count: the heavy encoder counted"):
+        evaluation.evaluate_bundle(res.bundle, res.config, tiny_data.test)
+
+
+# ---------------------------------------------------------------------------
+# the stacked batch loss equals the mean of the per-video losses
+
+
+def _per_video_loss(video, result, bundle, cfg):
+    """One video's loss from the public per-video calls."""
+    stride = cfg.dataset.frames_per_slot
+    idx = heavy_indices(result)
+    gates = ad.take_rows(result.activated, idx) if result.open.any() else None
+    feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
+    logits = classify(feats, gates, bundle.classifier, [len(idx)])
+    targets = ([int(video.labels)] if cfg.dataset.task == "single_label"
+               else video.labels[None, :])
+    loss = task_loss(logits, targets, cfg.dataset.task)
+    if cfg.training.l0_weight > 0.0:
+        loss = ad.add(loss, l0_penalty(result.logits, cfg.training.l0_weight))
+    return loss
+
+
+def _loss_and_grads(bundle, build):
+    params = bundle.named_parameters()
+    for p in params.values():
+        p.zero_grad()
+    with ad.record() as rec:
+        loss = build()
+    ad.backward(loss, rec)
+    return float(loss.data), {n: p.grad.copy() for n, p in params.items()}
+
+
+@pytest.mark.parametrize("task, l0_weight, open_bias", [
+    ("single_label", 0.0, 2.0),
+    ("multi_label", 0.0, 2.0),
+    ("single_label", 0.3, 2.0),
+    ("multi_label", 0.3, -2.0),
+])
+def test_stacked_batch_loss_equals_the_mean_of_per_video_losses(task, l0_weight,
+                                                               open_bias):
+    cfg = tiny_config("e2e", **{"dataset.task": task,
+                                "training.l0_weight": l0_weight,
+                                "model.open_bias": open_bias})
+    data = training.generate_dataset(spec_from_config(cfg), 6, 2, cfg.seed)
+    bundle = build_bundle(cfg)
+    stride = cfg.dataset.frames_per_slot
+    batch = [4, 1, 3, 0]
+
+    def selections():
+        rng = np.random.default_rng(7)
+        return [select(data.train[vi].frames, bundle.selector, "train", stride,
+                       rng=rng) for vi in batch]
+
+    closed = [not r.open.any() for r in selections()]
+    if open_bias < 0.0:  # the batch mixes fallback and open videos
+        assert any(closed) and not all(closed)
+    else:
+        assert not any(closed)
+
+    stacked_loss = training._phase_a_loss(cfg, bundle, data,
+                                          np.random.default_rng(7))
+    got, got_grads = _loss_and_grads(bundle, lambda: stacked_loss(0, batch)[0])
+
+    def reference():
+        terms = [_per_video_loss(data.train[vi], r, bundle, cfg)
+                 for vi, r in zip(batch, selections())]
+        return ad.scale(functools.reduce(ad.add, terms), 1.0 / len(terms))
+    want, want_grads = _loss_and_grads(bundle, reference)
+
+    assert abs(got - want) <= 1e-10 * abs(want)
+    for name, g in want_grads.items():
+        assert np.abs(got_grads[name] - g).max() <= 1e-10 * np.abs(g).max(), name
+        assert np.abs(g).max() > 0.0, name
 
 
 def test_training_changes_the_parameters(results):
