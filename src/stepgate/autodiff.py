@@ -209,9 +209,14 @@ def scale(a: Tensor, c) -> Tensor:
     return _emit("scale", a.data * float(c), (a,), float(c))
 
 
+def sigmoid_np(z):
+    """Plain numpy sigmoid with the exponent clamp; ``sigmoid``'s forward."""
+    zc = np.clip(z, -SIGMOID_CLAMP, SIGMOID_CLAMP)
+    return 1.0 / (1.0 + np.exp(-zc))
+
+
 def sigmoid(z: Tensor) -> Tensor:
-    zc = np.clip(z.data, -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    return _emit("sigmoid", 1.0 / (1.0 + np.exp(-zc)), (z,))
+    return _emit("sigmoid", sigmoid_np(z.data), (z,))
 
 
 def relu(z: Tensor) -> Tensor:
@@ -398,11 +403,6 @@ class MLP:
 # backward
 
 
-def _sigmoid_np(z: np.ndarray) -> np.ndarray:
-    zc = np.clip(z, -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    return 1.0 / (1.0 + np.exp(-zc))
-
-
 def _bwd_matmul(node, g, data):
     a, b = data
     # node.ctx: whether the first operand needs a gradient at all
@@ -502,7 +502,7 @@ def _bwd_softmax_xent(node, g, data):
 def _bwd_bce(node, g, data):
     t = node.ctx
     z = data[0]
-    return ((_sigmoid_np(z) - t) * (float(g.reshape(())) / t.size),)
+    return ((sigmoid_np(z) - t) * (float(g.reshape(())) / t.size),)
 
 
 _BACKWARD: dict[str, Callable] = {

@@ -57,18 +57,19 @@ class ScorerParams:
         return out
 
 
-def scorer_logits(frames: np.ndarray, params: ScorerParams, stride: int,
-                  timesteps: int, segment_len: int) -> Tensor:
-    """Per-timestep class logits (T, L); the differentiable training path."""
-    feats = encode_light(frames, params.enc, timesteps, segment_len, stride)
+def scorer_logits(frames: np.ndarray, params: ScorerParams,
+                  segment_len: int) -> Tensor:
+    """Per-timestep class logits (T, L) of one video's (T, frames_per_slot,
+    d_raw) slots; the differentiable training path."""
+    feats = encode_light(frames, params.enc, segment_len)
     return ad.affine(feats, params.head_w, params.head_b)
 
 
-def scsampler_scores(frames: np.ndarray, params: ScorerParams, stride: int,
-                     timesteps: int, segment_len: int) -> np.ndarray:
+def scsampler_scores(frames: np.ndarray, params: ScorerParams,
+                     segment_len: int) -> np.ndarray:
     """Per-timestep saliency scores over one video, shape (T,): the head's
     maximum softmax probability at each timestep."""
-    logits = scorer_logits(frames, params, stride, timesteps, segment_len).data
+    logits = scorer_logits(frames, params, segment_len).data
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e.max(axis=1) / e.sum(axis=1)

@@ -1,15 +1,16 @@
 """Heavy-stage classification: segment encoder plus a pooled per-timestep head.
 
-The heavy encoder, an ``autodiff.MLP``, consumes ``segment_len`` consecutive
-raw frames per selected timestep and is the expensive part of the pipeline, so
-it only ever runs on the indices handed to it; ``heavy_rows`` counts every
-encoded timestep to make that property checkable.  Classification applies
-gate magnitudes (end-to-end training only), max-pools over the spatial grid,
-maps each timestep through the head (a second ``MLP``), and max-pools over
-each video's timesteps, so duplicated timesteps never change the logits.  The
-rows of several videos may share one call: consecutive segments of rows
-belong to one video each.  Parameters are named ``classifier.enc.*`` and
-``classifier.head.*``.
+The heavy encoder, an ``autodiff.MLP``, consumes the first ``segment_len``
+raw frames of each selected timestep slot: a video's frames are shaped
+(T, frames_per_slot, d_raw), so a slot index picks its segment directly.  It
+is the expensive part of the pipeline, so it only ever runs on the indices
+handed to it; ``heavy_rows`` counts every encoded timestep to make that
+property checkable.  Classification applies gate magnitudes (end-to-end
+training only), max-pools over the spatial grid, maps each timestep through
+the head (a second ``MLP``), and max-pools over each video's timesteps, so
+duplicated timesteps never change the logits.  The rows of several videos
+may share one call: consecutive segments of rows belong to one video each.
+Parameters are named ``classifier.enc.*`` and ``classifier.head.*``.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ class ClassifierParams:
 # forward
 
 
-def heavynet_features(frames: np.ndarray, indices, params: ClassifierParams,
-                      stride: int) -> Tensor:
-    """Encode the segments of the given timestep slots; nothing else runs.
+def heavynet_features(frames: np.ndarray, indices,
+                      params: ClassifierParams) -> Tensor:
+    """Encode the segments of the given slots of (slots, frames_per_slot,
+    d_raw) frames, ``frames[idx, :segment_len]``; nothing else runs.
 
     Returns features of shape (T', channels, height, width).  An empty index
     list is a contract violation: the empty-selection fallback happens before
@@ -83,29 +85,25 @@ def heavynet_features(frames: np.ndarray, indices, params: ClassifierParams,
     """
     cfg = params.config
     frames = np.asarray(frames, dtype=np.float64)
-    idx = list(int(i) for i in indices)
-    if not idx:
+    idx = np.asarray(indices, dtype=np.int64)
+    if not idx.size:
         raise ContractError("heavynet_features needs at least one timestep; "
                             "apply the empty-selection fallback upstream")
     m = cfg.segment_len
-    d_raw = frames.shape[1] if frames.ndim == 2 else 0
-    if frames.ndim != 2 or m * d_raw != params.enc.n_in:
+    if (frames.ndim != 3 or frames.shape[1] < m
+            or m * frames.shape[2] != params.enc.n_in):
         raise DimensionError(
-            f"frames shape {frames.shape} does not match encoder input width "
-            f"{params.enc.n_in} (= segment_len {m} x d_raw)"
+            f"frames shape {frames.shape} is not slots of at least segment_len "
+            f"{m} frames for encoder input width {params.enc.n_in} (= segment_len x d_raw)"
         )
-    n_frames = frames.shape[0]
-    starts = np.asarray(idx, dtype=np.int64) * stride
-    bad = starts[(starts < 0) | (starts + m > n_frames)]
+    # negative indices would wrap without an error
+    bad = idx[(idx < 0) | (idx >= frames.shape[0])]
     if bad.size:
-        raise ContractError(
-            f"segment start {bad[0]} with length {m} falls outside the {n_frames} raw frames"
-        )
-    # one gather: row r holds frames starts[r] .. starts[r] + m - 1, flattened
-    segments = frames[starts[:, None] + np.arange(m)].reshape(len(idx), -1)
-    params.heavy_rows += len(idx)
+        raise ContractError(f"slot {bad[0]} falls outside the {frames.shape[0]} slots")
+    segments = frames[idx, :m].reshape(idx.size, -1)
+    params.heavy_rows += idx.size
     out = params.enc(Tensor(segments))
-    return ad.reshape(out, (len(idx), cfg.channels, cfg.height, cfg.width))
+    return ad.reshape(out, (idx.size, cfg.channels, cfg.height, cfg.width))
 
 
 def classify(features: Tensor, gate_values: Tensor | None,
@@ -138,15 +136,9 @@ def classify(features: Tensor, gate_values: Tensor | None,
 
 
 def task_loss(logits: Tensor, targets, task: str) -> Tensor:
-    """Dispatch to cross-entropy (single label) or binary CE (multi label).
-
-    Single-label accepts either batched (B, L) logits with B integer labels
-    or one video's (L,) logits with a scalar label.
-    """
+    """Dispatch (B, L) logits to cross-entropy over B integer labels (single
+    label) or binary CE over (B, L) indicators (multi label)."""
     if task == "single_label":
-        if logits.data.ndim == 1:
-            logits = ad.reshape(logits, (1, logits.shape[0]))
-            targets = np.asarray(targets, dtype=np.int64).reshape(-1)
         return ad.softmax_xent(logits, targets)
     if task == "multi_label":
         return ad.bce_logits(logits, targets)

@@ -29,12 +29,6 @@ from .errors import DimensionError, DomainError
 GATE_THRESHOLD = 0.5
 
 
-def sigmoid_np(z):
-    """Plain numpy sigmoid with the same exponent clamp as the autodiff op."""
-    zc = np.clip(np.asarray(z, dtype=np.float64), -ad.SIGMOID_CLAMP, ad.SIGMOID_CLAMP)
-    return 1.0 / (1.0 + np.exp(-zc))
-
-
 # ---------------------------------------------------------------------------
 # similarity and logits
 

@@ -66,13 +66,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    return seed
+
+
 def _load(args, ckpt: Checkpoint | None = None) -> ExperimentConfig:
     """The ``--config`` file (else the checkpoint's config), ``--seed`` applied."""
     config = load_config(args.config) if args.config else ckpt.experiment_config()
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        config.seed = args.seed
+        config.seed = _seed(args.seed)
     return config
 
 
@@ -186,7 +190,7 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    errors = run_gradient_suite(args.seed)
+    errors = run_gradient_suite(_seed(args.seed))
     for name in sorted(errors):
         print(f"{name}: {errors[name]:.3e}")
     worst = max(errors.values())

@@ -164,6 +164,8 @@ def _validate_values(cfg: ExperimentConfig) -> None:
     e = cfg.eval
     if e.selection not in SELECTIONS:
         raise ConfigError(f"eval.selection must be one of {SELECTIONS}, got {e.selection!r}")
+    if e.selection == "topk" and not e.budgets:
+        raise ConfigError("eval.selection 'topk' needs a non-empty eval.budgets list")
     for b in e.budgets:
         if isinstance(b, bool) or not isinstance(b, int) or not 1 <= b <= d.timesteps:
             raise ConfigError(f"eval.budgets entries must be ints in [1, {d.timesteps}], got {b!r}")

@@ -19,12 +19,12 @@ import numpy as np
 from ..baselines import sample_indices, scsampler_scores
 from ..classifier import HEAD_HIDDEN, HEAVY_HIDDEN, classify, heavynet_features
 from ..costmodel import CostRegistry, CostReport, desk_flops, pipeline_cost
-from ..errors import ConfigError, ContractError, DomainError
+from ..errors import ContractError, DomainError
 from ..selector import LIGHT_HIDDEN, heavy_indices, select, top_k_indices
 from ..synthdata import Dataset
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .models import ModelBundle, build_bundle, selection_stride, training_sample_budget
+from .models import ModelBundle, build_bundle, training_sample_budget
 
 _EVAL_STREAM = 0xE7A1
 
@@ -175,16 +175,14 @@ def entry_key(budget: int | None) -> str:
     return "gate-count" if budget is None else f"topk-{budget}"
 
 
-def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list,
-             stride: int) -> list:
+def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list) -> list:
     """Per video, what every budget picks from: the test-mode selection or
     the scorer's scores; None for the fixed-rule samplers."""
     if bundle.mode in SELECTOR_MODES:
-        return [select(v.frames, bundle.selector, "test", stride) for v in videos]
+        return [select(v.frames, bundle.selector, "test") for v in videos]
     if bundle.mode == "scsampler":
-        t = config.dataset.timesteps
-        return [scsampler_scores(v.frames, bundle.scorer, stride, t,
-                                 config.model.segment_len) for v in videos]
+        return [scsampler_scores(v.frames, bundle.scorer, config.model.segment_len)
+                for v in videos]
     return [None] * len(videos)
 
 
@@ -214,20 +212,15 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
         raise ContractError("evaluation needs at least one video")
     task = config.dataset.task
     t = config.dataset.timesteps
-    stride = selection_stride(config)
     registry = cost_registry_for(config)
-    budgets: list[int | None]
+    budgets: list[int | None] = list(config.eval.budgets)
     if config.eval.selection == "gate-count":
-        budgets = [None, *config.eval.budgets]
-    else:
-        if not config.eval.budgets:
-            raise ConfigError("selection 'topk' needs a non-empty budgets list")
-        budgets = list(config.eval.budgets)
+        budgets.insert(0, None)
 
     report = EvalReport(mode=bundle.mode, task=task, n_videos=len(videos),
                         timesteps=t)
     # test-mode gates and scores do not depend on the budget
-    ranked = rankings(bundle, config, videos, stride)
+    ranked = rankings(bundle, config, videos)
     for budget in budgets:
         bundle.classifier.reset_instrumentation()
         counts: list[int] = []
@@ -235,8 +228,7 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
         for vi, video in enumerate(videos):
             idx = video_indices(bundle, config, ranked[vi], [_EVAL_STREAM, vi],
                                 budget)
-            feats = heavynet_features(video.frames, idx, bundle.classifier,
-                                      stride)
+            feats = heavynet_features(video.frames, idx, bundle.classifier)
             score_rows[vi] = classify(feats, None, bundle.classifier,
                                       [len(idx)]).data[0]
             counts.append(len(idx))

@@ -19,7 +19,7 @@ from ..errors import ContractError
 from ..selector import gate_logits, select
 from ..synthdata import generate_dataset
 from .config import DatasetConfig, ExperimentConfig, ModelConfig, TrainingConfig
-from .models import build_bundle, selection_stride
+from .models import build_bundle
 from .training import joint_logits, spec_from_config
 
 THRESHOLD = 1e-4
@@ -125,7 +125,6 @@ def _suite_config(seed: int) -> ExperimentConfig:
 def _e2e_cases(seed: int) -> dict[str, float]:
     config = _suite_config(seed)
     bundle = build_bundle(config)
-    stride = selection_stride(config)
     dataset = generate_dataset(spec_from_config(config), 4, 2, config.seed)
     videos = dataset.train[:2]
     frames = [v.frames for v in videos]
@@ -133,11 +132,10 @@ def _e2e_cases(seed: int) -> dict[str, float]:
 
     def loss():
         rng = np.random.default_rng(noise_seed)
-        results = [select(f, bundle.selector, "train", stride, rng=rng)
-                   for f in frames]
+        results = [select(f, bundle.selector, "train", rng=rng) for f in frames]
         if not all(r.selected_indices for r in results):
             raise ContractError("an FD video selected nothing; pick another seed")
-        logits = joint_logits(frames, results, bundle, stride)
+        logits = joint_logits(frames, results, bundle)
         total = task_loss(logits, [int(v.labels) for v in videos], "single_label")
         alphas = ad.concat_rows([r.logits for r in results])
         return ad.add(total, gating.l0_penalty(alphas, 0.3))
@@ -145,7 +143,7 @@ def _e2e_cases(seed: int) -> dict[str, float]:
     # margin check: every noisy logit must sit clear of the gate threshold
     probe_rng = np.random.default_rng(noise_seed)
     for f in frames:
-        alphas = gate_logits(f, bundle.selector, stride).data.ravel()
+        alphas = gate_logits(f, bundle.selector).data.ravel()
         noises = gating.sample_gate_noise_batch(probe_rng, len(alphas))
         margin = float(np.min(np.abs(alphas + noises)))
         if margin < 5e-2:

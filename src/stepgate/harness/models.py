@@ -45,10 +45,6 @@ class ModelBundle:
         return out
 
 
-def selection_stride(config: ExperimentConfig) -> int:
-    return config.dataset.frames_per_slot
-
-
 def build_bundle(config: ExperimentConfig) -> ModelBundle:
     """Fresh parameters for the config's mode, seeded from config.seed."""
     rng = np.random.default_rng(config.seed)

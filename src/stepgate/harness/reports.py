@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ..autodiff import sigmoid_np
 from ..errors import ContractError
-from ..gating import sigmoid_np
 from ..synthdata import Dataset
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
 from .evaluation import SELECTOR_MODES, rankings
-from .models import ModelBundle, build_bundle, selection_stride
+from .models import ModelBundle, build_bundle
 
 CLASS_RATIOS_HEADER = "class,ratio"
 TEMPORAL_PROFILE_HEADER = "class,position,normalized_gate"
@@ -46,7 +46,7 @@ def compute_gating_report(bundle: ModelBundle, config: ExperimentConfig,
     gate_sums = np.zeros((n_classes, t))
     counts = np.zeros(n_classes)
 
-    ranked = rankings(bundle, config, videos, selection_stride(config))
+    ranked = rankings(bundle, config, videos)
     for video, result in zip(videos, ranked):
         ratio = len(result.selected_indices) / t
         gates = sigmoid_np(result.logits.data.reshape(-1))

@@ -41,7 +41,7 @@ from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
 from .evaluation import rankings, video_indices
-from .models import ModelBundle, build_bundle, selection_stride
+from .models import ModelBundle, build_bundle
 
 _TRAIN_STREAM = 0x5EED
 _SAMPLE_STREAM = 0xBA5E
@@ -187,27 +187,23 @@ def _fit(params, config: ExperimentConfig, n_videos: int,
 
 
 def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
-                  gates: Tensor | None, params: ClassifierParams,
-                  stride: int) -> Tensor:
+                  gates: Tensor | None, params: ClassifierParams) -> Tensor:
     """(B, L) logits of a batch: every video's picked timesteps through one
     heavy-encoder pass and one head pass, pooled per video.
 
-    The videos' frames are stacked end to end, so slot i of video b is slot
-    b * T + i of the stack.  Every video is T * stride frames long and no
-    segment is longer than a slot, so no segment reaches the next video.
+    Each video is T slots of shape (frames_per_slot, d_raw); the batch is
+    stacked into one (B * T, frames_per_slot, d_raw) array of slots, so slot
+    i of video b is slot b * T + i of the stack.
     """
     stacked = np.stack(frames)
-    n_videos, n_frames, d_raw = stacked.shape
-    t = n_frames // stride
-    if (n_frames % stride or params.config.segment_len > stride
-            or max(max(idx) for idx in picks) >= t):
-        raise ContractError(
-            f"cannot stack segments of {params.config.segment_len} frames from "
-            f"videos of {n_frames} frames in slots of {stride}")
+    t = stacked.shape[1]
+    late = max(max(idx) for idx in picks)
+    if late >= t:
+        # slot b * T + late of the stack would belong to video b + 1
+        raise ContractError(f"a pick of slot {late} exceeds the {t} slots of a video")
     rows = [b * t + i for b, idx in enumerate(picks) for i in idx]
     before = params.heavy_rows
-    feats = heavynet_features(stacked.reshape(n_videos * n_frames, d_raw), rows,
-                              params, stride)
+    feats = heavynet_features(stacked.reshape(-1, *stacked.shape[2:]), rows, params)
     if params.heavy_rows - before != len(rows):
         raise ContractError(
             f"the heavy encoder counted {params.heavy_rows - before} rows, "
@@ -216,7 +212,7 @@ def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
 
 
 def joint_logits(frames: list[np.ndarray], results: list[SelectionResult],
-                 bundle: ModelBundle, stride: int) -> Tensor:
+                 bundle: ModelBundle) -> Tensor:
     """The joint arms' (B, L) heavy logits of a batch: each selection's heavy
     timesteps, scaled by their gate values, through the heavy classifier."""
     t = bundle.selector.config.timesteps
@@ -228,7 +224,7 @@ def joint_logits(frames: list[np.ndarray], results: list[SelectionResult],
     for b, (r, idx) in enumerate(zip(results, picks)):
         gate_rows += [b * t + i for i in idx] if r.open.any() else [len(results) * t]
     return _heavy_logits(frames, picks, ad.take_rows(column, gate_rows),
-                         bundle.classifier, stride)
+                         bundle.classifier)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +240,6 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
     the SCSampler scorer classifies every timestep on its own.
     """
     mode = config.mode
-    stride = selection_stride(config)
     task = config.dataset.task
     t_steps, seg = config.dataset.timesteps, config.model.segment_len
     l0_weight = config.training.l0_weight
@@ -252,7 +247,7 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
     if mode in (*_JOINT_MODES, "standalone"):
         def batch_loss(epoch, batch):
             videos = [dataset.train[vi] for vi in batch]
-            results = [select(v.frames, bundle.selector, "train", stride, rng=rng)
+            results = [select(v.frames, bundle.selector, "train", rng=rng)
                        for v in videos]
             if mode == "standalone":
                 # light path: gated light features, light head, max over each
@@ -263,8 +258,7 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
                 logits = ad.segment_max(bundle.light_head(gated),
                                         [t_steps] * len(results))
             else:
-                logits = joint_logits([v.frames for v in videos], results,
-                                      bundle, stride)
+                logits = joint_logits([v.frames for v in videos], results, bundle)
             loss, hits = _scored(logits, videos, task)
             if l0_weight > 0.0:
                 alphas = ad.concat_rows([r.logits for r in results])
@@ -276,7 +270,7 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             terms, hits = [], 0.0
             for vi in batch:
                 video = dataset.train[vi]
-                logits = scorer_logits(video.frames, bundle.scorer, stride, t_steps, seg)
+                logits = scorer_logits(video.frames, bundle.scorer, seg)
                 # every timestep carries the video label; a multi-label video
                 # averages the cross-entropy over its positives, keeping the
                 # softmax head the saliency relies on
@@ -314,12 +308,11 @@ def run_training(config: ExperimentConfig,
         logs, steps = _fit(params, config, n_train, rng, video_loss, config.mode)
 
     if not joint:
-        stride = selection_stride(config)
         task = config.dataset.task
         t_steps = config.dataset.timesteps
         # the frozen selector's and the scorer's picks are fixed once phase A
         # is over; random sampling redraws every epoch
-        ranked = rankings(bundle, config, dataset.train, stride)
+        ranked = rankings(bundle, config, dataset.train)
 
         def classifier_loss(epoch, batch):
             videos = [dataset.train[vi] for vi in batch]
@@ -327,7 +320,7 @@ def run_training(config: ExperimentConfig,
                                    [_SAMPLE_STREAM, epoch, vi], None)
                      for vi in batch]
             logits = _heavy_logits([v.frames for v in videos], picks, None,
-                                   bundle.classifier, stride)
+                                   bundle.classifier)
             loss, hits = _scored(logits, videos, task)
             return loss, hits, sum(len(idx) for idx in picks) / t_steps
 

@@ -3,12 +3,13 @@
 A cheap encoder (an ``autodiff.MLP``) turns one raw frame per timestep slot
 into a feature vector; in context mode a single-head self-attention layer
 mixes information across timesteps before gating, while frame mode gates each
-timestep from its own feature alone.  Heavy segments start at
-``slot * stride`` and the light frame for a slot is the segment's middle
-frame at offset ``segment_len // 2``.  ``SelectorParams`` holds the encoder,
-the attention projections, the concept kernels and the gate MLP, named
-``selector.enc.*``, ``selector.attn_{q,k,v}``, ``selector.kernels`` and
-``selector.gate.*``.
+timestep from its own feature alone.  A video's frames are T slots of
+``frames_per_slot`` raw frames, shaped (T, frames_per_slot, d_raw); the
+heavy segment of a slot is its first ``segment_len`` frames and the light
+frame is that segment's middle one, ``slot[segment_len // 2]``.
+``SelectorParams`` holds the encoder, the attention projections, the concept
+kernels and the gate MLP, named ``selector.enc.*``, ``selector.attn_{q,k,v}``,
+``selector.kernels`` and ``selector.gate.*``.
 """
 
 from __future__ import annotations
@@ -108,66 +109,35 @@ class SelectionResult:
 
 
 # ---------------------------------------------------------------------------
-# alignment
-
-
-def segment_center(start: int, segment_len: int) -> int:
-    """Middle frame of the segment covering ``[start, start + segment_len)``.
-
-    For ``segment_len == 1`` this is the identity on starts.
-    """
-    if start < 0 or segment_len < 1:
-        raise DomainError(f"bad segment: start={start}, segment_len={segment_len}")
-    return start + segment_len // 2
-
-
-def align_timesteps(t_heavy: int, segment_len: int, stride: int,
-                    n_frames: int | None = None) -> list[int]:
-    """Light frame index for each heavy timestep slot.
-
-    The heavy segment of slot ``i`` covers raw frames
-    ``[i * stride, i * stride + segment_len)`` and its light frame is the
-    segment's middle one, ``segment_center(i * stride, segment_len)``.
-    """
-    if t_heavy < 1 or segment_len < 1 or stride < 1:
-        raise DomainError(
-            f"alignment needs positive sizes, got t_heavy={t_heavy}, "
-            f"segment_len={segment_len}, stride={stride}"
-        )
-    indices = [segment_center(i * stride, segment_len) for i in range(t_heavy)]
-    limit = n_frames if n_frames is not None else t_heavy * stride
-    if indices[-1] >= limit:
-        raise ContractError(
-            f"alignment index {indices[-1]} out of range for {limit} frames "
-            f"(t_heavy={t_heavy}, segment_len={segment_len}, stride={stride})"
-        )
-    return indices
-
-
-# ---------------------------------------------------------------------------
 # forward pieces
 
 
-def encode_light(frames: np.ndarray, enc: MLP, timesteps: int, segment_len: int,
-                 stride: int) -> Tensor:
-    """``enc`` over each timestep's aligned light frame.
+def encode_light(frames: np.ndarray, enc: MLP, segment_len: int) -> Tensor:
+    """``enc`` over each slot's light frame, the middle frame of its heavy
+    segment: ``frames[:, segment_len // 2]`` of the (T, frames_per_slot,
+    d_raw) slots.
 
     The selector's light encoder and the saliency scorer's private one share
     this code, not their weights.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != enc.n_in:
+    if frames.ndim != 3 or frames.shape[1] < segment_len or frames.shape[2] != enc.n_in:
         raise DimensionError(
-            f"frames shape {frames.shape} does not match encoder input width {enc.n_in}"
+            f"frames shape {frames.shape} is not slots of at least segment_len "
+            f"{segment_len} frames of width {enc.n_in}"
         )
-    idx = align_timesteps(timesteps, segment_len, stride, n_frames=frames.shape[0])
-    return enc(Tensor(frames[idx]))
+    return enc(Tensor(frames[:, segment_len // 2]))
 
 
-def lightnet_features(frames: np.ndarray, params: SelectorParams, stride: int) -> Tensor:
-    """The selector's light features, one row per timestep."""
+def lightnet_features(frames: np.ndarray, params: SelectorParams) -> Tensor:
+    """The selector's light features, one row per timestep slot."""
     cfg = params.config
-    return encode_light(frames, params.enc, cfg.timesteps, cfg.segment_len, stride)
+    feats = encode_light(frames, params.enc, cfg.segment_len)
+    if feats.shape[0] != cfg.timesteps:
+        raise DimensionError(
+            f"video has {feats.shape[0]} slots, the selector expects {cfg.timesteps}"
+        )
+    return feats
 
 
 def self_attention(features: Tensor, params: SelectorParams) -> Tensor:
@@ -184,24 +154,24 @@ def self_attention(features: Tensor, params: SelectorParams) -> Tensor:
     return ad.add(features, ad.matmul(ad.softmax_rows(scores), v))
 
 
-def _gate_inputs(frames: np.ndarray, params: SelectorParams,
-                 stride: int) -> tuple[Tensor, Tensor]:
+def _gate_inputs(frames: np.ndarray, params: SelectorParams) -> tuple[Tensor, Tensor]:
     """The features the gates read and their (T, 1) gate logits."""
-    feats = lightnet_features(frames, params, stride)
+    feats = lightnet_features(frames, params)
     if params.config.context_mode == "context":
         feats = self_attention(feats, params)
     sims = gating.similarity_batch(feats, params.kernels)
     return feats, gating.gate_logits_batch(sims, params.gate)
 
 
-def gate_logits(frames: np.ndarray, params: SelectorParams, stride: int) -> Tensor:
+def gate_logits(frames: np.ndarray, params: SelectorParams) -> Tensor:
     """Per-timestep gate logits as a (T, 1) column."""
-    return _gate_inputs(frames, params, stride)[1]
+    return _gate_inputs(frames, params)[1]
 
 
-def select(frames: np.ndarray, params: SelectorParams, mode: str, stride: int,
+def select(frames: np.ndarray, params: SelectorParams, mode: str,
            rng: np.random.Generator | None = None) -> SelectionResult:
-    """Run the full selection pipeline over one video's frames.
+    """Run the full selection pipeline over one video's (T, frames_per_slot,
+    d_raw) frames.
 
     ``mode`` is "train" (noisy clipped sigmoid; needs ``rng``) or "test"
     (deterministic step).  ``selected_indices`` is exactly the ascending set
@@ -211,7 +181,7 @@ def select(frames: np.ndarray, params: SelectorParams, mode: str, stride: int,
     if mode not in ("train", "test"):
         raise DomainError(f"selection mode must be 'train' or 'test', got {mode!r}")
     t = params.config.timesteps
-    feats, alphas = _gate_inputs(frames, params, stride)
+    feats, alphas = _gate_inputs(frames, params)
     if mode == "train":
         if rng is None:
             raise ContractError("train-mode selection needs an rng for the gate noise")
@@ -239,6 +209,6 @@ def top_k_indices(result: SelectionResult, k: int) -> list[int]:
     t = result.open.size
     if not (1 <= k <= t):
         raise DomainError(f"top-k budget must lie in [1, {t}], got {k}")
-    scores = gating.sigmoid_np(result.logits.data.reshape(-1))
+    scores = ad.sigmoid_np(result.logits.data.reshape(-1))
     order = np.argsort(-scores, kind="stable")
     return sorted(int(i) for i in order[:k])

@@ -16,6 +16,12 @@ higher: a selected confuser can complete a foreign class's pair and make
 two labels indistinguishable to any classifier that only sees which
 prototypes are present.
 
+A video is ``timesteps`` slots of ``frames_per_slot`` raw frames each, and
+its frames are stored in that layout, as a (timesteps, frames_per_slot,
+d_raw) array: slot ``i`` holds one planted prototype plus per-frame noise.
+Consumers index the slot axis; no code turns a slot index into frame
+offsets.
+
 Videos are generated independently: video ``i`` of a run seeded with ``s``
 draws from ``default_rng(s ^ i)`` (global index across both splits), and
 split-level label shuffles use a fixed large offset constant, so generation
@@ -27,7 +33,7 @@ length, u32 CRC-32, canonical JSON header (spec echo, counts, seed, split
 name), then the body: the prototype matrix as little-endian float64, then
 per video: label (i64, or L float64 indicator values in multi-label mode),
 relevance mask (T bytes), planted prototype ids (T i64), and raw frames
-(T*frames_per_slot*d_raw float64).
+(T*frames_per_slot*d_raw float64, slot by slot).
 """
 
 from __future__ import annotations
@@ -184,10 +190,6 @@ class ActivitySpec:
             if any(b in r for r in self.class_recipes):
                 raise DomainError(f"background prototype {b} appears in a recipe")
 
-    @property
-    def n_frames(self) -> int:
-        return self.timesteps * self.frames_per_slot
-
     def relevant_count(self, class_index: int) -> int:
         """Relevant timesteps for one class: spread around the target count
         so classes have genuinely different selection ratios, but always
@@ -239,7 +241,7 @@ class ActivitySpec:
 class VideoSample:
     """One generated video: raw frames, labels, and generation ground truth."""
 
-    frames: np.ndarray          # (n_frames, d_raw)
+    frames: np.ndarray          # (T, frames_per_slot, d_raw)
     labels: object              # int for single_label, (L,) 0/1 float64 for multi_label
     relevance: np.ndarray       # (T,) bool
     planted: np.ndarray         # (T,) int64 prototype id per timestep
@@ -272,7 +274,7 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
 def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
                 rng: np.random.Generator, frames: np.ndarray) -> VideoSample:
     """Draw one video, writing its raw frames into ``frames`` (a C-contiguous
-    (n_frames, d_raw) float64 array)."""
+    (T, frames_per_slot, d_raw) float64 array)."""
     t = spec.timesteps
     classes = [primary]
     if spec.task == "multi_label":
@@ -316,8 +318,7 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
     # noise, then each slot's prototype added to its frames_per_slot frames
     rng.standard_normal(out=frames)
     frames *= spec.noise_sigma
-    slots = frames.reshape(t, spec.frames_per_slot, spec.d_raw)
-    slots += prototypes[planted][:, None, :]
+    frames += prototypes[planted][:, None, :]
     relevance = np.asarray([int(p) in recipe for p in planted], dtype=bool)
 
     if spec.task == "single_label":
@@ -332,7 +333,7 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
 def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -> Dataset:
     """Reproducible dataset: prototypes from the run seed, balanced labels
     per split, per-video streams from ``seed ^ global_index``.  Each split's
-    frames are rows of one (n_videos, n_frames, d_raw) array."""
+    frames are rows of one (n_videos, T, frames_per_slot, d_raw) array."""
     if n_train < 1 or n_test < 1:
         raise DomainError(f"need positive split sizes, got {n_train}, {n_test}")
     if seed < 0:
@@ -344,8 +345,9 @@ def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -
                                     np.random.default_rng(seed ^ _LABEL_SEED_OFFSET))
     test_labels = _balanced_labels(n_test, spec.n_classes,
                                    np.random.default_rng(seed ^ (_LABEL_SEED_OFFSET - 1)))
-    train_frames = np.empty((n_train, spec.n_frames, spec.d_raw))
-    test_frames = np.empty((n_test, spec.n_frames, spec.d_raw))
+    slots = (spec.timesteps, spec.frames_per_slot, spec.d_raw)
+    train_frames = np.empty((n_train, *slots))
+    test_frames = np.empty((n_test, *slots))
     train, test = [], []
     for i in range(n_train + n_test):
         vrng = np.random.default_rng(seed ^ i)
@@ -403,20 +405,22 @@ def save_split(path, dataset: Dataset, split: str) -> None:
 def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
     """Read one split file back; returns (spec, prototypes, videos, meta).
 
-    The videos' frames are copied into rows of one (n_videos, n_frames,
-    d_raw) array.  Any file this module did not write intact raises
+    The videos' frames are copied into rows of one (n_videos, T,
+    frames_per_slot, d_raw) array.  Any file this module did not write intact raises
     ``FormatError``.
     """
     raw, meta, off = container.read(path, MAGIC, FORMAT_VERSION, "dataset")
     try:
         spec = ActivitySpec.from_header_dict(meta)
         meta["n_videos"], meta["seed"] = int(meta["n_videos"]), int(meta["seed"])
-        p, d, t, nf = spec.n_prototypes, spec.d_raw, spec.timesteps, spec.n_frames
+        p, d, t = spec.n_prototypes, spec.d_raw, spec.timesteps
+        slots = (t, spec.frames_per_slot, d)
+        n_values = t * spec.frames_per_slot * d
         prototypes = np.frombuffer(raw, dtype="<f8", count=p * d, offset=off).reshape(p, d).copy()
         off += p * d * 8
-        if meta["n_videos"] * nf * d * 8 > len(raw) - off:
+        if meta["n_videos"] * n_values * 8 > len(raw) - off:
             raise ValueError(f"{meta['n_videos']} videos do not fit in the body")
-        frames = np.empty((meta["n_videos"], nf, d))
+        frames = np.empty((meta["n_videos"], *slots))
         videos = []
         for k in range(meta["n_videos"]):
             if spec.task == "single_label":
@@ -430,9 +434,9 @@ def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
             off += t
             planted = np.frombuffer(raw, dtype="<i8", count=t, offset=off).copy()
             off += t * 8
-            frames[k] = np.frombuffer(raw, dtype="<f8", count=nf * d,
-                                      offset=off).reshape(nf, d)
-            off += nf * d * 8
+            frames[k] = np.frombuffer(raw, dtype="<f8", count=n_values,
+                                      offset=off).reshape(slots)
+            off += n_values * 8
             videos.append(VideoSample(frames=frames[k], labels=labels,
                                       relevance=relevance, planted=planted))
     except (struct.error, ValueError, KeyError, TypeError) as exc:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import stepgate.baselines as bl
 from stepgate.errors import ContractError, DimensionError, DomainError
 
-STRIDE = 16
+SLOT = 16  # frames per slot
 
 
 def make_scorer(d_raw=5, channels=6, n_classes=4, seed=0):
@@ -18,12 +18,12 @@ def make_scorer(d_raw=5, channels=6, n_classes=4, seed=0):
 
 
 def video_scores(frames, params):
-    """Scores of a 4-timestep video at segment length 8."""
-    return bl.scsampler_scores(frames, params, STRIDE, 4, 8)
+    """Scores of a video at segment length 8."""
+    return bl.scsampler_scores(frames, params, 8)
 
 
 def random_video(rng):
-    return rng.standard_normal((4 * STRIDE, 5))
+    return rng.standard_normal((4, SLOT, 5))
 
 
 def test_untrained_score_is_exactly_one_over_classes():
@@ -39,7 +39,7 @@ def test_score_matches_softmax_max_oracle():
     params.head_w.data[:] = rng.standard_normal(params.head_w.shape)
     params.head_b.data[:] = rng.standard_normal(params.head_b.shape)
     frames = random_video(rng)
-    light = frames[[4, 20, 36, 52]]  # the middle frame of each segment
+    light = frames[:, 4]  # the middle frame of each segment
     enc = params.enc
     hidden = np.maximum(light @ enc.w1.data + enc.b1.data, 0.0)
     x = hidden @ enc.w2.data + enc.b2.data
@@ -62,7 +62,7 @@ def test_identical_features_score_identically_anywhere():
     params = make_scorer(seed=4)
     params.head_w.data[:] = np.random.default_rng(5).standard_normal(params.head_w.shape)
     frames = random_video(np.random.default_rng(6))
-    frames[52] = frames[4]  # timesteps 0 and 3 see the same light frame
+    frames[3, 4] = frames[0, 4]  # timesteps 0 and 3 see the same light frame
     scores = video_scores(frames, params)
     assert scores[0] == scores[3]
     nptest.assert_array_equal(video_scores(frames.copy(), params), scores)
@@ -70,7 +70,7 @@ def test_identical_features_score_identically_anywhere():
 
 def test_score_rejects_wrong_width():
     with pytest.raises(DimensionError):
-        video_scores(np.zeros((4 * STRIDE, 4)), make_scorer(d_raw=5))
+        video_scores(np.zeros((4, SLOT, 4)), make_scorer(d_raw=5))
 
 
 def test_video_scores_are_context_invariant():
@@ -79,14 +79,13 @@ def test_video_scores_are_context_invariant():
     params = make_scorer(seed=7)
     params.head_w.data[:] = np.random.default_rng(8).standard_normal(params.head_w.shape)
     rng = np.random.default_rng(9)
-    a = rng.standard_normal((4 * STRIDE, 5))
-    b = rng.standard_normal((4 * STRIDE, 5))
+    a = rng.standard_normal((4, SLOT, 5))
+    b = rng.standard_normal((4, SLOT, 5))
     shared = rng.standard_normal(5)
-    centers = [4, 20, 36, 52]
-    a[centers[1]] = shared
-    b[centers[3]] = shared
-    sa = bl.scsampler_scores(a, params, STRIDE, 4, 8)
-    sb = bl.scsampler_scores(b, params, STRIDE, 4, 8)
+    a[1, 4] = shared  # the middle frames of a's slot 1 and b's slot 3
+    b[3, 4] = shared
+    sa = video_scores(a, params)
+    sb = video_scores(b, params)
     assert sa[1] == sb[3]
     assert sa.shape == (4,)
 
@@ -94,10 +93,10 @@ def test_video_scores_are_context_invariant():
 def test_scorer_logits_rows_are_per_timestep():
     params = make_scorer(seed=10)
     rng = np.random.default_rng(11)
-    frames = rng.standard_normal((4 * STRIDE, 5))
-    base = bl.scorer_logits(frames, params, STRIDE, 4, 8).data.copy()
-    frames[4] += 3.0  # center frame of timestep 0 only
-    bumped = bl.scorer_logits(frames, params, STRIDE, 4, 8).data
+    frames = rng.standard_normal((4, SLOT, 5))
+    base = bl.scorer_logits(frames, params, 8).data.copy()
+    frames[0, 4] += 3.0  # center frame of timestep 0 only
+    bumped = bl.scorer_logits(frames, params, 8).data
     nptest.assert_array_equal(bumped[1:], base[1:])
 
 

@@ -10,7 +10,7 @@ import stepgate.selector as sel
 from stepgate.autodiff import Tensor
 from stepgate.errors import ContractError, DimensionError, DomainError
 
-STRIDE = 16
+SLOT = 16  # frames per slot
 
 
 def make_params(channels=3, n_classes=4, height=1, width=1, segment_len=8,
@@ -20,14 +20,13 @@ def make_params(channels=3, n_classes=4, height=1, width=1, segment_len=8,
     return cls.ClassifierParams.init(cfg, d_raw, np.random.default_rng(seed))
 
 
-def random_frames(rng, timesteps=4, d_raw=5, stride=STRIDE):
-    return rng.standard_normal((timesteps * stride, d_raw))
+def random_frames(rng, timesteps=4, d_raw=5):
+    return rng.standard_normal((timesteps, SLOT, d_raw))
 
 
-def encode_oracle(frames, indices, params, stride):
+def encode_oracle(frames, indices, params):
     cfg = params.config
-    rows = np.stack([frames[i * stride:i * stride + cfg.segment_len].ravel()
-                     for i in indices])
+    rows = np.stack([frames[i][:cfg.segment_len].ravel() for i in indices])
     enc = params.enc
     h = np.maximum(rows @ enc.w1.data + enc.b1.data, 0.0)
     out = h @ enc.w2.data + enc.b2.data
@@ -64,9 +63,9 @@ def test_config_rejects_bad_values():
 def test_heavynet_matches_numpy_oracle():
     params = make_params()
     frames = random_frames(np.random.default_rng(1))
-    feats = cls.heavynet_features(frames, [0, 2], params, STRIDE)
+    feats = cls.heavynet_features(frames, [0, 2], params)
     assert feats.shape == (2, 3, 1, 1)
-    nptest.assert_allclose(feats.data, encode_oracle(frames, [0, 2], params, STRIDE),
+    nptest.assert_allclose(feats.data, encode_oracle(frames, [0, 2], params),
                            rtol=1e-12)
 
 
@@ -74,22 +73,20 @@ def test_heavynet_runs_only_on_given_indices():
     params = make_params()
     frames = random_frames(np.random.default_rng(2))
     # corrupt every frame outside the requested segments; output must not move
-    base = cls.heavynet_features(frames, [1], params, STRIDE).data.copy()
-    wrecked = frames.copy()
-    seg = slice(1 * STRIDE, 1 * STRIDE + params.config.segment_len)
-    mask = np.ones(len(frames), dtype=bool)
-    mask[seg] = False
-    wrecked[mask] = 1e6
-    nptest.assert_array_equal(cls.heavynet_features(wrecked, [1], params, STRIDE).data, base)
+    base = cls.heavynet_features(frames, [1], params).data.copy()
+    wrecked = np.full_like(frames, 1e6)
+    seg = (1, slice(0, params.config.segment_len))
+    wrecked[seg] = frames[seg]
+    nptest.assert_array_equal(cls.heavynet_features(wrecked, [1], params).data, base)
 
 
 def test_heavynet_instrumentation_counts_encoded_timesteps():
     params = make_params()
     frames = random_frames(np.random.default_rng(3))
     assert params.heavy_rows == 0
-    cls.heavynet_features(frames, [0, 1, 3], params, STRIDE)
+    cls.heavynet_features(frames, [0, 1, 3], params)
     assert params.heavy_rows == 3
-    cls.heavynet_features(frames, [2], params, STRIDE)
+    cls.heavynet_features(frames, [2], params)
     assert params.heavy_rows == 4
     params.reset_instrumentation()
     assert params.heavy_rows == 0
@@ -99,11 +96,17 @@ def test_heavynet_contract_errors():
     params = make_params()
     frames = random_frames(np.random.default_rng(4))
     with pytest.raises(ContractError):
-        cls.heavynet_features(frames, [], params, STRIDE)
-    with pytest.raises(ContractError):
-        cls.heavynet_features(frames[:20], [1], params, STRIDE)  # segment runs past frame 20
-    with pytest.raises(DimensionError):
-        cls.heavynet_features(np.zeros((64, 7)), [0], params, STRIDE)
+        cls.heavynet_features(frames, [], params)
+    # slots 4 and -1 lie outside the 4 slots; numpy would wrap -1 silently
+    for idx in ([4], [0, -1]):
+        with pytest.raises(ContractError, match="outside the 4 slots"):
+            cls.heavynet_features(frames, idx, params)
+    assert params.heavy_rows == 0
+    for bad in (np.zeros((4, SLOT, 7)),          # wrong width
+                np.zeros((4 * SLOT, 5)),         # frames not in slots
+                frames[:, :7]):                  # slots shorter than segment_len 8
+        with pytest.raises(DimensionError):
+            cls.heavynet_features(bad, [0], params)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +116,7 @@ def test_heavynet_contract_errors():
 def test_classify_matches_numpy_oracle_with_spatial_grid():
     params = make_params(channels=2, height=2, width=2, d_raw=4, seed=5)
     frames = random_frames(np.random.default_rng(6), d_raw=4)
-    feats = cls.heavynet_features(frames, [0, 1, 2], params, STRIDE)
+    feats = cls.heavynet_features(frames, [0, 1, 2], params)
     gates = np.asarray([0.9, 0.6, 0.75])
     got = cls.classify(feats, Tensor(gates), params, [3]).data
     want = classify_oracle(feats.data, gates, params)
@@ -137,7 +140,7 @@ def test_gate_scaling_happens_before_spatial_pooling():
 def test_unit_gates_equal_no_gating_exactly():
     params = make_params(channels=2, height=2, width=1, d_raw=4, seed=8)
     frames = random_frames(np.random.default_rng(9), d_raw=4)
-    feats = cls.heavynet_features(frames, [0, 3], params, STRIDE)
+    feats = cls.heavynet_features(frames, [0, 3], params)
     ungated = cls.classify(feats, None, params, [2]).data
     gated = cls.classify(feats, Tensor(np.ones(2)), params, [2]).data
     nptest.assert_array_equal(gated, ungated)
@@ -146,13 +149,13 @@ def test_unit_gates_equal_no_gating_exactly():
 def test_duplicate_timesteps_do_not_change_logits():
     params = make_params(seed=10)
     frames = random_frames(np.random.default_rng(11))
-    feats = cls.heavynet_features(frames, [0, 2], params, STRIDE)
+    feats = cls.heavynet_features(frames, [0, 2], params)
     once = cls.classify(feats, None, params, [2]).data
     # duplicating feature rows changes nothing at all under max pooling
     doubled = Tensor(feats.data[[0, 1, 1, 0]])
     nptest.assert_array_equal(cls.classify(doubled, None, params, [4]).data, once)
     # re-encoding a different batch size may differ in the last ulp (blas)
-    twice = cls.classify(cls.heavynet_features(frames, [0, 2, 2, 0], params, STRIDE), None,
+    twice = cls.classify(cls.heavynet_features(frames, [0, 2, 2, 0], params), None,
                          params, [4]).data
     nptest.assert_allclose(twice, once, rtol=1e-12)
 
@@ -174,8 +177,8 @@ def test_classify_shape_validation():
 
 
 def test_task_loss_single_label_uniform_oracle():
-    logits = Tensor(np.zeros(5))
-    loss = cls.task_loss(logits, 3, "single_label")
+    logits = Tensor(np.zeros((1, 5)))
+    loss = cls.task_loss(logits, [3], "single_label")
     nptest.assert_allclose(loss.data, math.log(5.0), rtol=1e-12)
 
 
@@ -208,17 +211,17 @@ def build_small_pipeline(seed=0):
     rng = np.random.default_rng(seed)
     sparams = sel.SelectorParams.init(scfg, 4, rng, gate_hidden=6, open_bias=1.5)
     cparams = cls.ClassifierParams.init(ccfg, 4, rng)
-    frames = np.random.default_rng(seed + 100).standard_normal((3 * STRIDE, 4))
+    frames = np.random.default_rng(seed + 100).standard_normal((3, SLOT, 4))
     return sparams, cparams, frames
 
 
 def e2e_loss(sparams, cparams, frames, noises, label):
     import stepgate.gating as gt
-    alphas = sel.gate_logits(frames, sparams, STRIDE)
+    alphas = sel.gate_logits(frames, sparams)
     value, open_mask = gt.activate_train_batch(alphas, noises)
     activated = ad.reshape(value, (3,))
     selected = [i for i in range(3) if open_mask[i]]
-    feats = cls.heavynet_features(frames, selected, cparams, STRIDE)
+    feats = cls.heavynet_features(frames, selected, cparams)
     gate_vals = ad.take_rows(activated, selected)
     logits = cls.classify(feats, gate_vals, cparams, [len(selected)])
     return cls.task_loss(logits, [label], "single_label")
@@ -242,7 +245,7 @@ def test_e2e_finite_difference_check():
     import stepgate.gating as gt
     sparams, cparams, frames = build_small_pipeline(seed=4)
     noises = gt.sample_gate_noise_batch(np.random.default_rng(41), 3).reshape(3, 1)
-    alphas = sel.gate_logits(frames, sparams, STRIDE).data
+    alphas = sel.gate_logits(frames, sparams).data
     assert np.abs(alphas + noises).min() > 1e-2, "gate too close to its threshold for fd"
 
     def f(_):

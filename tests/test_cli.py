@@ -142,6 +142,11 @@ def test_negative_seed_override_is_rejected(cfg_file, trained, tmp_path, capsys)
         assert main(argv + ["--seed", "-1", "--out", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err.startswith("config error:"), argv
     assert not list(tmp_path.iterdir())
+    # gradcheck takes no --out; its seed is its own, not a config override
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "config error: --seed must be non-negative, got -1\n"
 
 
 def test_generate_data_writes_splits(cfg_file, tmp_path, capsys):

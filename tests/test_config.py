@@ -47,6 +47,7 @@ def test_every_mode_is_accepted():
     {"eval": {"budgets": [33]}},
     {"eval": {"budgets": [True]}},
     {"eval": {"budgets": [2, 2]}},
+    {"eval": {"selection": "topk"}},        # top-k entries need budgets
 ])
 def test_invalid_values_raise(raw):
     with pytest.raises(ConfigError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from stepgate.errors import ConfigError, ContractError, DomainError
+from stepgate.errors import ContractError, DomainError
 from stepgate.harness import evaluation
 from stepgate.harness.checkpoint import Checkpoint
 from stepgate.harness.evaluation import (accuracy, average_precision,
@@ -188,12 +188,9 @@ def test_multi_label_reports_map():
     assert 0.0 <= report.entries[0].value <= 1.0
 
 
-def test_topk_selection_requires_budgets(e2e_setup):
+def test_topk_selection_evaluates_only_its_budgets(e2e_setup):
     cfg, bundle, data = e2e_setup
-    solo = tiny_config("e2e", **{"eval.selection": "topk"})
-    with pytest.raises(ConfigError, match="non-empty budgets"):
-        evaluate_bundle(bundle, solo, data.test)
-    solo.eval.budgets = [2]
+    solo = tiny_config("e2e", **{"eval.selection": "topk", "eval.budgets": [2]})
     report = evaluate_bundle(bundle, solo, data.test)
     assert [e.budget for e in report.entries] == [2]
 

@@ -169,7 +169,7 @@ def test_batch_activation_matches_scalar_path():
     for i in range(20):
         assert train_gate(alphas[i, 0], noises[i, 0]) == (value.data[i, 0], mask[i])
     z = alphas + noises
-    nptest.assert_allclose(value.data, np.where(z > 0, gt.sigmoid_np(z), 0.0), rtol=1e-14)
+    nptest.assert_allclose(value.data, np.where(z > 0, ad.sigmoid_np(z), 0.0), rtol=1e-14)
     nptest.assert_array_equal(mask, z[:, 0] > 0)
 
 
@@ -180,7 +180,7 @@ def test_open_probability_identity_quick():
     for alpha in (-1.0, 0.0, 2.0):
         noises = gt.sample_gate_noise_batch(rng, n).reshape(n, 1)
         _, mask = gt.activate_train_batch(Tensor(np.full((n, 1), alpha)), noises)
-        assert abs(mask.mean() - gt.sigmoid_np(alpha)) < 0.02
+        assert abs(mask.mean() - ad.sigmoid_np(alpha)) < 0.02
 
 
 def test_monotonicity_under_shared_noise():
@@ -210,7 +210,7 @@ def test_open_gate_passes_sigmoid_gradient():
         loss = ad.reshape(value, ())
     assert mask[0]
     ad.backward(loss, rec)
-    s = gt.sigmoid_np(1.5)
+    s = ad.sigmoid_np(1.5)
     nptest.assert_allclose(alpha.grad, [[s * (1 - s)]], rtol=1e-12)
 
 
@@ -263,7 +263,7 @@ def test_l0_penalty_is_lam_times_mean_open_probability():
     rng = np.random.default_rng(8)
     alphas = rng.uniform(-3, 3, size=7)
     pen = gt.l0_penalty(Tensor(alphas), 0.25)
-    nptest.assert_allclose(pen.data.item(), 0.25 * gt.sigmoid_np(alphas).mean(), rtol=1e-12)
+    nptest.assert_allclose(pen.data.item(), 0.25 * ad.sigmoid_np(alphas).mean(), rtol=1e-12)
 
 
 def test_l0_penalty_zero_lam_is_zero():

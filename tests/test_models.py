@@ -7,8 +7,7 @@ from conftest import tiny_config
 from stepgate.classifier import HEAD_HIDDEN, HEAVY_HIDDEN
 from stepgate.harness.config import MODES
 from stepgate.harness.models import (LIGHT_HEAD_HIDDEN, ModelBundle,
-                                     build_bundle, selection_stride,
-                                     training_sample_budget)
+                                     build_bundle, training_sample_budget)
 from stepgate.selector import LIGHT_HIDDEN
 
 
@@ -123,11 +122,6 @@ def test_parameter_names_are_unique_and_prefixed():
     names = list(build_bundle(tiny_config("standalone")).named_parameters())
     assert len(names) == len(set(names))
     assert all("." in n for n in names)
-
-
-def test_selection_stride_is_frames_per_slot():
-    cfg = tiny_config("e2e")
-    assert selection_stride(cfg) == cfg.dataset.frames_per_slot
 
 
 def test_training_sample_budget_default_and_override():

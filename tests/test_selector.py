@@ -11,7 +11,7 @@ import stepgate.selector as sel
 from stepgate.autodiff import Tensor
 from stepgate.errors import ContractError, DimensionError, DomainError
 
-STRIDE = 16
+SLOT = 16  # frames per slot
 
 
 def make_params(context_mode="context", channels=4, n_kernels=6, timesteps=4,
@@ -23,64 +23,73 @@ def make_params(context_mode="context", channels=4, n_kernels=6, timesteps=4,
                                    gate_hidden=8, open_bias=open_bias)
 
 
-def random_frames(rng, timesteps=4, d_raw=5, stride=STRIDE):
-    return rng.standard_normal((timesteps * stride, d_raw))
-
-
-# ---------------------------------------------------------------------------
-# alignment
-
-
-def test_segment_center_worked_examples():
-    assert sel.segment_center(0, 8) == 4
-    assert sel.segment_center(16, 16) == 24
-    assert sel.segment_center(5, 1) == 5
-
-
-def test_align_timesteps_slots():
-    assert sel.align_timesteps(4, 8, 16) == [4, 20, 36, 52]
-    assert sel.align_timesteps(3, 1, 2) == [0, 2, 4]
-
-
-def test_align_length_one_segments_are_identity_on_starts():
-    for t in (1, 5):
-        assert sel.align_timesteps(t, 1, 1) == list(range(t))
-
-
-def test_align_out_of_range_is_contract_error():
-    with pytest.raises(ContractError):
-        sel.align_timesteps(4, 8, 16, n_frames=52)  # last center is index 52
-
-
-def test_align_bad_sizes_are_domain_errors():
-    with pytest.raises(DomainError):
-        sel.align_timesteps(0, 8, 16)
-    with pytest.raises(DomainError):
-        sel.segment_center(-1, 8)
+def random_frames(rng, timesteps=4, d_raw=5):
+    return rng.standard_normal((timesteps, SLOT, d_raw))
 
 
 # ---------------------------------------------------------------------------
 # light features
 
 
+def _encode_one(params, v):
+    h = np.maximum(v @ params.enc.w1.data + params.enc.b1.data, 0.0)
+    return h @ params.enc.w2.data + params.enc.b2.data
+
+
 def test_lightnet_reads_center_frames_with_shared_encoder():
     params = make_params(context_mode="frame")
     rng = np.random.default_rng(3)
     frames = random_frames(rng)
-    feats = sel.lightnet_features(frames, params, STRIDE).data
+    feats = sel.lightnet_features(frames, params).data
+    for t in range(4):
+        # segment_len 8: the heavy segment is frames 0..7 of the slot
+        nptest.assert_allclose(feats[t], _encode_one(params, frames[t, 4]), rtol=1e-12)
 
-    def encode_one(v):
-        h = np.maximum(v @ params.enc.w1.data + params.enc.b1.data, 0.0)
-        return h @ params.enc.w2.data + params.enc.b2.data
 
-    for t, center in enumerate(sel.align_timesteps(4, 8, STRIDE)):
-        nptest.assert_allclose(feats[t], encode_one(frames[center]), rtol=1e-12)
+@pytest.mark.parametrize("segment_len,middle", [(1, 0), (2, 1), (5, 2), (8, 4), (16, 8)])
+def test_light_frame_is_the_middle_frame_of_the_heavy_segment(segment_len, middle):
+    params = make_params(context_mode="frame", segment_len=segment_len)
+    frames = random_frames(np.random.default_rng(14))
+    base = sel.lightnet_features(frames, params).data
+    # every other frame of every slot is wrecked; the features must not move
+    wrecked = np.full_like(frames, 1e6)
+    wrecked[:, middle] = frames[:, middle]
+    nptest.assert_array_equal(sel.lightnet_features(wrecked, params).data, base)
 
 
 def test_lightnet_rejects_wrong_width():
     params = make_params()
     with pytest.raises(DimensionError):
-        sel.lightnet_features(np.zeros((64, 7)), params, STRIDE)
+        sel.lightnet_features(np.zeros((4, SLOT, 7)), params)
+
+
+def test_lightnet_rejects_frames_that_are_not_the_configured_slots():
+    params = make_params()   # 4 slots, segment_len 8, d_raw 5
+    frames = random_frames(np.random.default_rng(15))
+    for bad in (np.zeros((4 * SLOT, 5)),    # frames not in slots
+                frames[:3]):                # 3 slots where the selector has 4
+        with pytest.raises(DimensionError):
+            sel.lightnet_features(bad, params)
+        with pytest.raises(DimensionError):
+            sel.select(bad, params, "test")
+
+
+def test_lightnet_rejects_slots_shorter_than_the_segment():
+    params = make_params()   # segment_len 8: the light frame is frame 4 of a slot
+    frames = random_frames(np.random.default_rng(15))
+    for short in (frames[:, :7], frames[:, :4]):
+        with pytest.raises(DimensionError):
+            sel.lightnet_features(short, params)
+        with pytest.raises(DimensionError):
+            sel.select(short, params, "test")
+
+
+def test_align_bad_sizes_are_domain_errors():
+    # timesteps and segment_len fix which frame of which slot the light
+    # encoder reads; a non-positive one is refused when the selector is built
+    for bad in ({"timesteps": 0}, {"segment_len": 0}, {"segment_len": -1}):
+        with pytest.raises(DomainError):
+            make_params(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +121,11 @@ def test_attention_rows_mix_other_timesteps():
     params = make_params(context_mode="context")
     rng = np.random.default_rng(4)
     frames = random_frames(rng)
-    base = sel.gate_logits(frames, params, STRIDE).data.copy()
+    base = sel.gate_logits(frames, params).data.copy()
     # change only the last timestep's center frame; earlier logits must move
     frames2 = frames.copy()
-    frames2[sel.align_timesteps(4, 8, STRIDE)[-1]] += 10.0
-    bumped = sel.gate_logits(frames2, params, STRIDE).data
+    frames2[-1, 4] += 10.0
+    bumped = sel.gate_logits(frames2, params).data
     assert np.abs(bumped[:-1] - base[:-1]).max() > 1e-9
 
 
@@ -124,17 +133,12 @@ def test_frame_mode_ignores_other_timesteps():
     params = make_params(context_mode="frame")
     rng = np.random.default_rng(5)
     frames = random_frames(rng)
-    base = sel.gate_logits(frames, params, STRIDE).data.copy()
+    base = sel.gate_logits(frames, params).data.copy()
     frames2 = frames.copy()
-    frames2[sel.align_timesteps(4, 8, STRIDE)[-1]] += 10.0
-    bumped = sel.gate_logits(frames2, params, STRIDE).data
+    frames2[-1, 4] += 10.0
+    bumped = sel.gate_logits(frames2, params).data
     nptest.assert_array_equal(bumped[:-1], base[:-1])
     assert abs(bumped[-1] - base[-1]).max() > 1e-9
-
-
-def _permute_slots(frames, perm, stride=STRIDE):
-    slots = frames.reshape(-1, stride, frames.shape[1])
-    return slots[perm].reshape(-1, frames.shape[1])
 
 
 @settings(max_examples=10, deadline=None)
@@ -144,8 +148,8 @@ def test_frame_mode_is_permutation_equivariant(seed):
     rng = np.random.default_rng(seed)
     frames = random_frames(rng)
     perm = rng.permutation(4)
-    base = sel.gate_logits(frames, params, STRIDE).data
-    permuted = sel.gate_logits(_permute_slots(frames, perm), params, STRIDE).data
+    base = sel.gate_logits(frames, params).data
+    permuted = sel.gate_logits(frames[perm], params).data
     nptest.assert_array_equal(permuted, base[perm])
 
 
@@ -154,8 +158,8 @@ def test_context_mode_is_not_permutation_invariant():
     rng = np.random.default_rng(6)
     frames = random_frames(rng)
     perm = np.asarray([1, 0, 3, 2])
-    base = sel.gate_logits(frames, params, STRIDE).data
-    permuted = sel.gate_logits(_permute_slots(frames, perm), params, STRIDE).data
+    base = sel.gate_logits(frames, params).data
+    permuted = sel.gate_logits(frames[perm], params).data
     assert np.abs(permuted - base).max() > 1e-9
 
 
@@ -167,8 +171,8 @@ def test_select_test_mode_is_deterministic_and_consistent():
     params = make_params(open_bias=0.5)
     rng = np.random.default_rng(7)
     frames = random_frames(rng)
-    r1 = sel.select(frames, params, "test", STRIDE)
-    r2 = sel.select(frames, params, "test", STRIDE)
+    r1 = sel.select(frames, params, "test")
+    r2 = sel.select(frames, params, "test")
     assert r1.selected_indices == r2.selected_indices
     nptest.assert_array_equal(r1.activated.data, r2.activated.data)
     assert r1.selected_indices == [int(i) for i in np.flatnonzero(r1.open)]
@@ -180,8 +184,8 @@ def test_select_test_mode_is_deterministic_and_consistent():
 def test_select_train_mode_reproducible_under_seed():
     params = make_params()
     frames = random_frames(np.random.default_rng(8))
-    r1 = sel.select(frames, params, "train", STRIDE, rng=np.random.default_rng(99))
-    r2 = sel.select(frames, params, "train", STRIDE, rng=np.random.default_rng(99))
+    r1 = sel.select(frames, params, "train", rng=np.random.default_rng(99))
+    r2 = sel.select(frames, params, "train", rng=np.random.default_rng(99))
     assert r1.selected_indices == r2.selected_indices
     nptest.assert_array_equal(r1.activated.data, r2.activated.data)
 
@@ -189,19 +193,19 @@ def test_select_train_mode_reproducible_under_seed():
 def test_select_train_mode_requires_rng():
     params = make_params()
     with pytest.raises(ContractError):
-        sel.select(random_frames(np.random.default_rng(0)), params, "train", STRIDE)
+        sel.select(random_frames(np.random.default_rng(0)), params, "train")
 
 
 def test_select_unknown_mode_is_domain_error():
     params = make_params()
     with pytest.raises(DomainError):
-        sel.select(random_frames(np.random.default_rng(0)), params, "eval", STRIDE)
+        sel.select(random_frames(np.random.default_rng(0)), params, "eval")
 
 
 def test_select_train_activated_matches_decisions():
     params = make_params()
     frames = random_frames(np.random.default_rng(10))
-    res = sel.select(frames, params, "train", STRIDE, rng=np.random.default_rng(1))
+    res = sel.select(frames, params, "train", rng=np.random.default_rng(1))
     assert res.open.shape == res.activated.shape == (4,)
     assert res.logits.shape == (4, 1)
     assert res.features.shape == (4, params.config.channels)
@@ -213,9 +217,9 @@ def test_select_train_activated_matches_decisions():
 def test_zero_noise_train_selection_equals_test_selection():
     params = make_params(open_bias=0.3)
     frames = random_frames(np.random.default_rng(11))
-    alphas = sel.gate_logits(frames, params, STRIDE)
+    alphas = sel.gate_logits(frames, params)
     value, mask = gt.activate_train_batch(alphas, np.zeros_like(alphas.data))
-    test_res = sel.select(frames, params, "test", STRIDE)
+    test_res = sel.select(frames, params, "test")
     assert list(np.where(mask)[0]) == test_res.selected_indices
 
 
@@ -247,7 +251,7 @@ def test_heavy_indices_keep_the_open_gates():
 
 def test_top_k_budget_out_of_range():
     params = make_params()
-    res = sel.select(random_frames(np.random.default_rng(0)), params, "test", STRIDE)
+    res = sel.select(random_frames(np.random.default_rng(0)), params, "test")
     with pytest.raises(DomainError):
         sel.top_k_indices(res, 0)
     with pytest.raises(DomainError):
@@ -262,7 +266,7 @@ def test_selection_gradient_reaches_all_selector_params():
     params = make_params(context_mode="context", open_bias=2.0)
     frames = random_frames(np.random.default_rng(12))
     with ad.record() as rec:
-        res = sel.select(frames, params, "train", STRIDE, rng=np.random.default_rng(2))
+        res = sel.select(frames, params, "train", rng=np.random.default_rng(2))
         loss = ad.reduce_sum(res.activated, axis=0)
     assert res.selected_indices, "expected at least one open gate with open bias 2"
     ad.backward(loss, rec)
@@ -276,16 +280,16 @@ def test_selection_gradient_reaches_all_selector_params():
 def test_selection_fd_gradient_with_frozen_noise():
     params = make_params(context_mode="context", channels=3, n_kernels=4,
                          timesteps=3, segment_len=4, d_raw=4, seed=5, open_bias=1.0)
-    frames = np.random.default_rng(13).standard_normal((3 * STRIDE, 4))
+    frames = np.random.default_rng(13).standard_normal((3, SLOT, 4))
     noises = gt.sample_gate_noise_batch(np.random.default_rng(21), 3).reshape(3, 1)
 
     def f(_):
-        alphas = sel.gate_logits(frames, params, STRIDE)
+        alphas = sel.gate_logits(frames, params)
         value, _mask = gt.activate_train_batch(alphas, noises)
         return ad.reduce_sum(ad.reshape(value, (3,)), axis=0)
 
     # keep the check honest: no gate may sit within 1e-2 of its threshold
-    alphas = sel.gate_logits(frames, params, STRIDE).data
+    alphas = sel.gate_logits(frames, params).data
     assert np.abs(alphas + noises).min() > 1e-2
     assert ad.finite_diff_check(f, params.kernels) < 1e-4
     assert ad.finite_diff_check(f, params.attn_v) < 1e-4

@@ -10,7 +10,7 @@ from stepgate.errors import DomainError, FormatError, GenerationError
 
 def slot_means(video, spec):
     """Per-timestep mean of the slot's frames, shape (T, d_raw)."""
-    return video.frames.reshape(spec.timesteps, spec.frames_per_slot, spec.d_raw).mean(axis=1)
+    return video.frames.mean(axis=1)
 
 
 def decode_prototypes(video, prototypes, spec):
@@ -47,7 +47,6 @@ def test_default_spec_structure(spec):
         assert sum(1 for r in spec.class_recipes if s in r) >= 2
     for b in spec.background_prototypes:
         assert not any(b in r for r in spec.class_recipes)
-    assert spec.n_frames == 32 * 16
 
 
 def test_relevant_counts_spread_but_bounded(spec):
@@ -214,12 +213,10 @@ def test_identical_timestep_vector_with_opposite_relevance(dataset, spec):
             receiver, r_pos = v, int(bad[0])
             break
     assert donor is not None and receiver is not None
-    fps = spec.frames_per_slot
     receiver = sd.VideoSample(frames=receiver.frames.copy(), labels=receiver.labels,
                               relevance=receiver.relevance, planted=receiver.planted)
-    receiver.frames[r_pos * fps:(r_pos + 1) * fps] = donor.frames[d_pos * fps:(d_pos + 1) * fps]
-    nptest.assert_array_equal(receiver.frames[r_pos * fps:(r_pos + 1) * fps],
-                              donor.frames[d_pos * fps:(d_pos + 1) * fps])
+    receiver.frames[r_pos] = donor.frames[d_pos]
+    nptest.assert_array_equal(receiver.frames[r_pos], donor.frames[d_pos])
     assert donor.relevance[d_pos] and not receiver.relevance[r_pos]
 
 
@@ -329,9 +326,9 @@ def test_round_trip_preserves_everything(tmp_path, dataset, spec):
 
 def _one_frame_array(videos, spec):
     """Every video's frames are a writable row of one aligned, C-contiguous
-    (n_videos, n_frames, d_raw) float64 array."""
+    (n_videos, T, frames_per_slot, d_raw) float64 array of slots."""
     base = videos[0].frames.base
-    assert base.shape == (len(videos), spec.n_frames, spec.d_raw)
+    assert base.shape == (len(videos), spec.timesteps, spec.frames_per_slot, spec.d_raw)
     assert base.dtype == np.float64 and base.flags.c_contiguous and base.flags.aligned
     for k, v in enumerate(videos):
         assert v.frames.base is base

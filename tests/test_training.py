@@ -135,19 +135,18 @@ def test_phase_b_encodes_the_rows_gate_count_evaluation_picks(mode, tiny_data,
     """Every phase-B epoch encodes, per training video, exactly the rows
     that evaluating the trained bundle on the train split picks."""
     cfg = tiny_config(mode)
-    t, stride = cfg.dataset.timesteps, cfg.dataset.frames_per_slot
-    n_frames = t * stride
+    t = cfg.dataset.timesteps
     index_of = {v.frames.tobytes(): vi for vi, v in enumerate(tiny_data.train)}
 
     def picks_by_video(calls):
-        """(video, slots) per encoded video: a call's frames hold one or more
-        videos end to end, and slot b * T + i is slot i of the b-th."""
+        """(video, slots) per encoded video: a call's slots hold one or more
+        videos' T slots each, and slot b * T + i is slot i of the b-th."""
         out = []
-        for frames, indices, _params, _stride in calls:
+        for frames, indices, _params in calls:
             slots: dict[int, list[int]] = {}
             for row in indices:
                 slots.setdefault(row // t, []).append(row % t)
-            out += [(index_of[frames[b * n_frames:(b + 1) * n_frames].tobytes()], idx)
+            out += [(index_of[frames[b * t:(b + 1) * t].tobytes()], idx)
                     for b, idx in slots.items()]
         return out
 
@@ -190,9 +189,9 @@ def _overcounting(module, monkeypatch):
     """Make ``module``'s heavy encoder count one row more than it encodes."""
     real = module.heavynet_features
 
-    def overcounted(frames, indices, params, stride):
+    def overcounted(frames, indices, params):
         params.heavy_rows += 1
-        return real(frames, indices, params, stride)
+        return real(frames, indices, params)
     monkeypatch.setattr(module, "heavynet_features", overcounted)
 
 
@@ -201,6 +200,20 @@ def test_training_checks_the_heavy_rows_of_each_batch(mode, tiny_data, monkeypat
     _overcounting(training, monkeypatch)
     with pytest.raises(ContractError, match="heavy encoder counted"):
         run_training(tiny_config(mode), tiny_data)
+
+
+def test_a_pick_past_the_last_slot_of_a_video_is_a_contract_error(tiny_data):
+    """In the stacked batch, slot T of the first video would be the second
+    video's slot 0; the stack refuses it instead of encoding it."""
+    cfg = tiny_config("uniform")
+    params = build_bundle(cfg).classifier
+    frames = [v.frames for v in tiny_data.train[:2]]
+    t = cfg.dataset.timesteps
+    with pytest.raises(ContractError, match=f"slot {t} exceeds the {t} slots"):
+        training._heavy_logits(frames, [[t], [0]], None, params)
+    assert params.heavy_rows == 0
+    logits = training._heavy_logits(frames, [[t - 1], [0]], None, params)
+    assert logits.shape == (2, cfg.dataset.n_classes) and params.heavy_rows == 2
 
 
 def test_evaluation_checks_the_heavy_rows_of_each_entry(results, tiny_data,
@@ -217,10 +230,9 @@ def test_evaluation_checks_the_heavy_rows_of_each_entry(results, tiny_data,
 
 def _per_video_loss(video, result, bundle, cfg):
     """One video's loss from the public per-video calls."""
-    stride = cfg.dataset.frames_per_slot
     idx = heavy_indices(result)
     gates = ad.take_rows(result.activated, idx) if result.open.any() else None
-    feats = heavynet_features(video.frames, idx, bundle.classifier, stride)
+    feats = heavynet_features(video.frames, idx, bundle.classifier)
     logits = classify(feats, gates, bundle.classifier, [len(idx)])
     targets = ([int(video.labels)] if cfg.dataset.task == "single_label"
                else video.labels[None, :])
@@ -253,13 +265,12 @@ def test_stacked_batch_loss_equals_the_mean_of_per_video_losses(task, l0_weight,
                                 "model.open_bias": open_bias})
     data = training.generate_dataset(spec_from_config(cfg), 6, 2, cfg.seed)
     bundle = build_bundle(cfg)
-    stride = cfg.dataset.frames_per_slot
     batch = [4, 1, 3, 0]
 
     def selections():
         rng = np.random.default_rng(7)
-        return [select(data.train[vi].frames, bundle.selector, "train", stride,
-                       rng=rng) for vi in batch]
+        return [select(data.train[vi].frames, bundle.selector, "train", rng=rng)
+                for vi in batch]
 
     closed = [not r.open.any() for r in selections()]
     if open_bias < 0.0:  # the batch mixes fallback and open videos
