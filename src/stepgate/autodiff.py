@@ -320,25 +320,47 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit("softmax", e / e.sum(axis=1, keepdims=True), (x,))
 
 
-def softmax_xent(logits: Tensor, labels: Sequence[int]) -> Tensor:
-    """Mean cross-entropy of row-wise softmax against integer labels.
+def _target_rows(targets, b: int, l: int) -> np.ndarray:
+    """(B, L) target distributions: B integer labels become one-hot rows; a
+    (B, L) array must hold non-negative rows that sum to 1."""
+    t = np.asarray(targets)
+    if t.ndim != 2:
+        y = t.astype(np.int64)
+        if y.shape != (b,):
+            raise DimensionError(f"labels shape {y.shape} does not match batch of {b} logits rows")
+        if y.size and (y.min() < 0 or y.max() >= l):
+            raise DomainError(f"labels must lie in [0, {l}), got range [{y.min()}, {y.max()}]")
+        return np.eye(l)[y]
+    t = t.astype(np.float64)
+    if t.shape != (b, l):
+        raise DimensionError(f"target distributions shape {t.shape} does not match "
+                             f"logits shape {(b, l)}")
+    # the negated comparisons also reject NaN entries
+    if not (t >= 0.0).all():
+        raise DomainError("target distributions must be non-negative")
+    if not (np.abs(t.sum(axis=1) - 1.0) <= 1e-9).all():
+        raise DomainError("every target distribution must sum to 1")
+    return t
 
-    Stabilized with a max shift; backward is ``(softmax - onehot) / B``.
+
+def softmax_xent(logits: Tensor, targets) -> Tensor:
+    """Mean over rows of the cross-entropy of row-wise softmax against a
+    target distribution, ``-sum_j t_ij log p_ij``.
+
+    ``targets`` is B integer labels (one-hot rows, so the loss is the label's
+    negative log-probability) or a (B, L) array of target distributions.
+    Stabilized with a max shift; backward is ``(softmax - targets) / B``.
     """
     if logits.data.ndim != 2:
         raise DimensionError(f"softmax_xent expects B x L logits, got shape {logits.shape}")
     b, l = logits.shape
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (b,):
-        raise DimensionError(f"labels shape {y.shape} does not match batch of {b} logits rows")
-    if y.size and (y.min() < 0 or y.max() >= l):
-        raise DomainError(f"labels must lie in [0, {l}), got range [{y.min()}, {y.max()}]")
+    t = _target_rows(targets, b, l)
     z = logits.data
     m = z.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-    loss = float((lse.ravel() - z[np.arange(b), y]).mean())
+    loss = float(((lse - z) * t).sum(axis=1).mean())
     p = np.exp(z - lse)
-    return _emit("softmax_xent", np.array(loss, dtype=np.float64), (logits,), (y, p))
+    return _emit("softmax_xent", np.array(loss, dtype=np.float64), (logits,), (t, p))
 
 
 def bce_logits(logits: Tensor, targets) -> Tensor:
@@ -493,10 +515,8 @@ def _bwd_softmax(node, g, data):
 
 
 def _bwd_softmax_xent(node, g, data):
-    y, p = node.ctx
-    gl = p.copy()
-    gl[np.arange(y.size), y] -= 1.0
-    return (gl * (float(g.reshape(())) / y.size),)
+    t, p = node.ctx
+    return ((p - t) * (float(g.reshape(())) / t.shape[0]),)
 
 
 def _bwd_bce(node, g, data):

@@ -59,16 +59,17 @@ class ScorerParams:
 
 def scorer_logits(frames: np.ndarray, params: ScorerParams,
                   segment_len: int) -> Tensor:
-    """Per-timestep class logits (T, L) of one video's (T, frames_per_slot,
-    d_raw) slots; the differentiable training path."""
+    """Per-slot class logits (N, L) of any (N, frames_per_slot, d_raw) stack
+    of slots, such as one video's or a whole batch's; the differentiable
+    training path.  Each row depends on its own slot's light frame only."""
     feats = encode_light(frames, params.enc, segment_len)
     return ad.affine(feats, params.head_w, params.head_b)
 
 
 def scsampler_scores(frames: np.ndarray, params: ScorerParams,
                      segment_len: int) -> np.ndarray:
-    """Per-timestep saliency scores over one video, shape (T,): the head's
-    maximum softmax probability at each timestep."""
+    """Per-slot saliency scores, shape (N,), of any (N, frames_per_slot,
+    d_raw) stack of slots: the head's maximum softmax probability at each."""
     logits = scorer_logits(frames, params, segment_len).data
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)

@@ -8,10 +8,13 @@ All artifacts land under --out (default: current directory).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
+from .. import __version__
 from ..costmodel import CostReport, tradeoff_csv
 from ..errors import ConfigError, FormatError, StepgateError
 from ..synthdata import Dataset, save_split
@@ -22,7 +25,7 @@ from .gradsuite import THRESHOLD, run_gradient_suite, suite_passes
 from .reports import write_gating_report
 from .training import resolve_dataset, run_training
 
-TRAINING_LOG_HEADER = "phase,epoch,loss,accuracy,selected_ratio"
+TRAINING_LOG_HEADER = "phase,epoch,loss,accuracy,selected_ratio,fallback_share"
 
 
 class _UsageError(Exception):
@@ -115,9 +118,11 @@ def _cmd_train(args) -> int:
                         ("classifier", result.classifier_logs)):
         for log in logs:
             lines.append(f"{phase},{log.epoch},{log.loss:.6f},"
-                         f"{log.accuracy:.4f},{log.selected_ratio:.4f}")
+                         f"{log.accuracy:.4f},{log.selected_ratio:.4f},"
+                         f"{log.fallback_share:.4f}")
             print(f"{phase} epoch {log.epoch}: loss {log.loss:.4f} "
-                  f"acc {log.accuracy:.4f} ratio {log.selected_ratio:.4f}")
+                  f"acc {log.accuracy:.4f} ratio {log.selected_ratio:.4f} "
+                  f"fallback {log.fallback_share:.4f}")
     (out / "training_log.csv").write_text("".join(l + "\n" for l in lines))
     ckpt_path = out / "checkpoint.sgck"
     save_checkpoint(ckpt_path, result.checkpoint)
@@ -127,9 +132,17 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt, dataset = _load_checkpoint_run(args)
+    start = time.perf_counter()
     report = evaluate_checkpoint(ckpt, dataset)
+    eval_s = time.perf_counter() - start
     out = _out_dir(args)
-    payload = {"config": ckpt.config, "report": report.to_dict()}
+    config_json = ckpt.experiment_config().canonical_json()
+    payload = {"config": ckpt.config, "report": report.to_dict(),
+               "provenance": {
+                   "stepgate_version": __version__,
+                   "config_sha256": hashlib.sha256(config_json.encode()).hexdigest(),
+                   "eval_s": eval_s,
+               }}
     (out / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n")
     for e in report.entries:
         print(f"{entry_key(e.budget)}: {e.metric_name} {e.value:.4f}, "

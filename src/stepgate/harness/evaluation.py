@@ -19,7 +19,7 @@ import numpy as np
 from ..baselines import sample_indices, scsampler_scores
 from ..classifier import HEAD_HIDDEN, HEAVY_HIDDEN, classify, heavynet_features
 from ..costmodel import CostRegistry, CostReport, desk_flops, pipeline_cost
-from ..errors import ContractError, DomainError
+from ..errors import ContractError, DimensionError, DomainError
 from ..selector import LIGHT_HIDDEN, heavy_indices, select, top_k_indices
 from ..synthdata import Dataset
 from .checkpoint import Checkpoint
@@ -175,14 +175,27 @@ def entry_key(budget: int | None) -> str:
     return "gate-count" if budget is None else f"topk-{budget}"
 
 
+def light_slots(videos: list, config: ExperimentConfig) -> np.ndarray:
+    """The light frame of every slot of ``videos``, video after video, as a
+    (len(videos) * T, 1, d_raw) stack of one-frame slots, which the scorer
+    reads with a segment of 1 frame.  Only the light frames are copied."""
+    t, mid = config.dataset.timesteps, config.model.segment_len // 2
+    for v in videos:
+        if len(v.frames) != t:
+            # a short video would shift every later video's rows
+            raise DimensionError(f"video has {len(v.frames)} slots, the config {t}")
+    return np.concatenate([v.frames[:, mid:mid + 1] for v in videos])
+
+
 def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list) -> list:
     """Per video, what every budget picks from: the test-mode selection or
-    the scorer's scores; None for the fixed-rule samplers."""
+    the scorer's scores (one scorer pass over the whole list); None for the
+    fixed-rule samplers."""
     if bundle.mode in SELECTOR_MODES:
         return [select(v.frames, bundle.selector, "test") for v in videos]
     if bundle.mode == "scsampler":
-        return [scsampler_scores(v.frames, bundle.scorer, config.model.segment_len)
-                for v in videos]
+        scores = scsampler_scores(light_slots(videos, config), bundle.scorer, 1)
+        return list(scores.reshape(len(videos), config.dataset.timesteps))
     return [None] * len(videos)
 
 

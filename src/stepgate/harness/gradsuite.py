@@ -79,6 +79,10 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
             [ad.take_rows(x, [2]), other, x]), w28), _param(_X34)),
         "softmax_rows": (lambda x: _project(ad.softmax_rows(x), w34), _param(_X34)),
         "softmax_xent": (lambda x: ad.softmax_xent(x, [3, 0, 2]), _param(_X34)),
+        # target distributions: uniform over two and over three positives
+        "softmax_xent_soft": (lambda x: ad.softmax_xent(
+            x, np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0],
+                         [1 / 3, 1 / 3, 0.0, 1 / 3]])), _param(_X34)),
         "bce_logits": (lambda x: ad.bce_logits(
             x, np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0]],
                         dtype=np.float64)), _param(_X34)),

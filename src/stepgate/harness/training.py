@@ -14,8 +14,10 @@ gate-count evaluation entry encodes.
 (the mean over the batch's videos), one backward pass and one Adam step per
 batch.  The selector runs once per video; after selection the batch is
 stacked, so the heavy encoder, the head and the task loss each run once per
-batch.  The checkpoint's ``step`` is the number of Adam steps over both
-phases.
+batch, on the gathered segments of the picked slots only.  The SCSampler
+scorer is stacked whole: one scorer pass and one cross-entropy cover the
+light frames of every slot of the batch.  The checkpoint's ``step`` is the
+number of Adam steps over both phases.
 
 All training is deterministic given (config, seed): parameter init, batch
 shuffles, gate noise, and baseline sampling each draw from streams derived
@@ -31,7 +33,8 @@ import numpy as np
 from .. import autodiff as ad
 from .. import gating
 from ..autodiff import Adam, Tensor
-# perfbench/layers.py wraps sample_indices and scsampler_scores in this namespace
+# perfbench/layers.py wraps scorer_logits, sample_indices and scsampler_scores
+# in this namespace
 from ..baselines import sample_indices, scorer_logits, scsampler_scores
 from ..classifier import ClassifierParams, classify, heavynet_features, task_loss
 from ..errors import (ConfigError, ContractError, DomainError, GenerationError,
@@ -40,7 +43,7 @@ from ..selector import SelectionResult, heavy_indices, select
 from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .evaluation import rankings, video_indices
+from .evaluation import light_slots, rankings, video_indices
 from .models import ModelBundle, build_bundle
 
 _TRAIN_STREAM = 0x5EED
@@ -55,6 +58,7 @@ class EpochLog:
     loss: float
     accuracy: float
     selected_ratio: float
+    fallback_share: float  # videos whose train-mode gates all closed; 0 without gates
 
 
 @dataclass
@@ -122,13 +126,6 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield [int(i) for i in order[lo:lo + batch_size]]
 
 
-def _mean_loss(per_video: list[Tensor]) -> Tensor:
-    total = per_video[0]
-    for term in per_video[1:]:
-        total = ad.add(total, term)
-    return ad.scale(total, 1.0 / len(per_video))
-
-
 def _prediction_hit(logits: np.ndarray, labels, task: str) -> float:
     if task == "single_label":
         return float(int(np.argmax(logits)) == int(labels))
@@ -160,25 +157,26 @@ def _fit(params, config: ExperimentConfig, n_videos: int,
     """The training loop: returns the epoch logs and the Adam step count.
 
     ``batch_loss(epoch, video_indices)`` runs inside the recording and
-    returns ``(mean loss over the batch, prediction hits, selected ratios)``,
-    the last two summed over the batch's videos.
+    returns ``(mean loss over the batch, prediction hits, selected ratios,
+    fallbacks)``, the last three summed over the batch's videos.
     """
     tr = config.training
     opt = Adam(params, lr=tr.lr, eps=tr.eps)
     logs: list[EpochLog] = []
     for epoch in range(tr.epochs):
-        loss_sum = hit_sum = ratio_sum = 0.0
+        loss_sum = hit_sum = ratio_sum = fallback_sum = 0.0
         for batch in _batches(n_videos, tr.batch_size, rng):
             with ad.record():
-                loss, hits, ratios = batch_loss(epoch, batch)
+                loss, hits, ratios, fallbacks = batch_loss(epoch, batch)
                 _check_finite(loss, mode_name, epoch)
                 ad.backward(loss)
             opt.step()
             loss_sum += float(loss.data) * len(batch)
             hit_sum += hits
             ratio_sum += ratios
+            fallback_sum += fallbacks
         logs.append(EpochLog(epoch, loss_sum / n_videos, hit_sum / n_videos,
-                             ratio_sum / n_videos))
+                             ratio_sum / n_videos, fallback_sum / n_videos))
     return logs, opt.t
 
 
@@ -191,23 +189,24 @@ def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
     """(B, L) logits of a batch: every video's picked timesteps through one
     heavy-encoder pass and one head pass, pooled per video.
 
-    Each video is T slots of shape (frames_per_slot, d_raw); the batch is
-    stacked into one (B * T, frames_per_slot, d_raw) array of slots, so slot
-    i of video b is slot b * T + i of the stack.
+    Each video is T slots of shape (frames_per_slot, d_raw).  Only the picked
+    segments are gathered, ``frames[b][idx, :segment_len]``, video after
+    video, into one (sum of picks, segment_len, d_raw) stack of one-segment
+    slots that the encoder reads whole.
     """
-    stacked = np.stack(frames)
-    t = stacked.shape[1]
-    late = max(max(idx) for idx in picks)
-    if late >= t:
-        # slot b * T + late of the stack would belong to video b + 1
-        raise ContractError(f"a pick of slot {late} exceeds the {t} slots of a video")
-    rows = [b * t + i for b, idx in enumerate(picks) for i in idx]
+    for f, idx in zip(frames, picks):
+        # numpy would wrap a negative pick and reject a late one with an
+        # IndexError
+        if not 0 <= min(idx) <= max(idx) < len(f):
+            raise ContractError(f"picks {idx} fall outside the {len(f)} slots of a video")
+    m = params.config.segment_len
+    segments = np.concatenate([f[idx, :m] for f, idx in zip(frames, picks)])
     before = params.heavy_rows
-    feats = heavynet_features(stacked.reshape(-1, *stacked.shape[2:]), rows, params)
-    if params.heavy_rows - before != len(rows):
+    feats = heavynet_features(segments, range(len(segments)), params)
+    if params.heavy_rows - before != len(segments):
         raise ContractError(
             f"the heavy encoder counted {params.heavy_rows - before} rows, "
-            f"the batch picked {len(rows)}")
+            f"the batch picked {len(segments)}")
     return classify(feats, gates, params, [len(idx) for idx in picks])
 
 
@@ -237,11 +236,12 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
 
     End-to-end and frame-conditioned training gate the heavy classifier;
     the stand-alone selector gates its light features into a light head;
-    the SCSampler scorer classifies every timestep on its own.
+    the SCSampler scorer classifies every timestep on its own, the whole
+    batch's light frames in one stack.
     """
     mode = config.mode
     task = config.dataset.task
-    t_steps, seg = config.dataset.timesteps, config.model.segment_len
+    t_steps = config.dataset.timesteps
     l0_weight = config.training.l0_weight
 
     if mode in (*_JOINT_MODES, "standalone"):
@@ -264,22 +264,26 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
                 alphas = ad.concat_rows([r.logits for r in results])
                 loss = ad.add(loss, gating.l0_penalty(alphas, l0_weight))
             opened = sum(len(r.selected_indices) for r in results)
-            return loss, hits, opened / t_steps
+            closed = sum(not r.open.any() for r in results)
+            return loss, hits, opened / t_steps, closed
     elif mode == "scsampler":
+        n_classes = config.dataset.n_classes
+
         def batch_loss(epoch, batch):
-            terms, hits = [], 0.0
-            for vi in batch:
-                video = dataset.train[vi]
-                logits = scorer_logits(video.frames, bundle.scorer, seg)
-                # every timestep carries the video label; a multi-label video
-                # averages the cross-entropy over its positives, keeping the
-                # softmax head the saliency relies on
-                positives = video.positive_classes()
-                terms.append(_mean_loss([ad.softmax_xent(logits, [c] * t_steps)
-                                         for c in positives]))
-                hits += float(np.mean(np.isin(np.argmax(logits.data, axis=1),
-                                              positives)))
-            return _mean_loss(terms), hits, float(len(batch))
+            videos = [dataset.train[vi] for vi in batch]
+            # every timestep carries the video label: each of a video's T rows
+            # targets the uniform distribution over its positive classes, so
+            # a multi-label video averages the cross-entropy over its
+            # positives, keeping the softmax head the saliency relies on
+            dist = np.zeros((len(videos), n_classes))
+            for row, v in zip(dist, videos):
+                positives = v.positive_classes()
+                row[positives] = 1.0 / len(positives)
+            logits = scorer_logits(light_slots(videos, config), bundle.scorer, 1)
+            loss = ad.softmax_xent(logits, np.repeat(dist, t_steps, axis=0))
+            picked = np.argmax(logits.data, axis=1).reshape(len(videos), t_steps)
+            hits = sum(float(np.mean(row[p] > 0.0)) for row, p in zip(dist, picked))
+            return loss, hits, float(len(batch)), 0
     else:
         return None
     return batch_loss
@@ -322,7 +326,7 @@ def run_training(config: ExperimentConfig,
             logits = _heavy_logits([v.frames for v in videos], picks, None,
                                    bundle.classifier)
             loss, hits = _scored(logits, videos, task)
-            return loss, hits, sum(len(idx) for idx in picks) / t_steps
+            return loss, hits, sum(len(idx) for idx in picks) / t_steps, 0
 
         rng_b = _train_rng(config)
         rng_b.integers(1 << 30)  # offset from the phase A shuffle stream

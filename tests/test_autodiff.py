@@ -148,6 +148,44 @@ def test_softmax_xent_label_out_of_range():
         ad.softmax_xent(tensor(np.zeros((1, 3))), [3])
 
 
+def test_softmax_xent_labels_equal_their_one_hot_rows_bitwise():
+    x = tensor(np.random.default_rng(3).standard_normal((5, 4)), requires_grad=True)
+    labels = [2, 0, 3, 3, 1]
+    grads = []
+    for targets in (labels, np.eye(4)[labels]):
+        x.zero_grad()
+        with ad.record() as rec:
+            loss = ad.softmax_xent(x, targets)
+        ad.backward(loss, rec)
+        grads.append((loss.data.item(), x.grad.copy()))
+    assert grads[0][0] == grads[1][0]
+    nptest.assert_array_equal(grads[0][1], grads[1][1])
+
+
+def test_softmax_xent_soft_targets_oracle():
+    """A uniform target over two classes is the mean of their two losses."""
+    x = tensor([[0.3, -1.2, 2.0], [1.5, 0.1, -0.4]])
+    half = ad.softmax_xent(x, [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]).data.item()
+    want = 0.5 * (ad.softmax_xent(x, [0, 1]).data.item()
+                  + ad.softmax_xent(x, [2, 2]).data.item())
+    assert abs(half - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("targets, error", [
+    ([[1.2, -0.2, 0.0], [0.0, 1.0, 0.0]], DomainError),      # a negative entry
+    ([[0.5, 0.4, 0.0], [0.0, 1.0, 0.0]], DomainError),       # sums to 0.9
+    ([[0.5, 0.5, 0.5], [0.0, 1.0, 0.0]], DomainError),       # sums to 1.5
+    ([[np.nan, 1.0, 0.0], [0.0, 1.0, 0.0]], DomainError),    # not a number
+    ([[0.5, 0.5], [0.0, 1.0]], DimensionError),              # too few classes
+    ([[0.0, 1.0, 0.0]], DimensionError),                     # too few rows
+    ([0, 1, 2], DimensionError),                             # labels for 3 rows
+], ids=["negative", "sum-below-1", "sum-above-1", "nan", "narrow", "short",
+        "label-count"])
+def test_softmax_xent_rejects_bad_targets(targets, error):
+    with pytest.raises(error):
+        ad.softmax_xent(tensor(np.zeros((2, 3))), targets)
+
+
 def test_softmax_xent_extreme_logits_stay_finite():
     loss = ad.softmax_xent(tensor([[1000.0, -1000.0], [-1000.0, 1000.0]]), [0, 1])
     assert math.isfinite(loss.data.item())
@@ -440,6 +478,20 @@ def test_fd_softmax_rows(x):
 def test_fd_softmax_xent(x, label):
     t = tensor(x, requires_grad=True)
     err = ad.finite_diff_check(lambda v: ad.softmax_xent(v, [label, (label + 1) % 4, 0]), t)
+    assert err < FD_TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(x=finite_arrays((3, 4)), weights=finite_arrays((3, 4), lo=0.05, hi=1.0),
+       masks=st.lists(st.integers(min_value=1, max_value=15), min_size=3,
+                      max_size=3))
+def test_fd_softmax_xent_soft_targets(x, weights, masks):
+    """Target distributions over one to four positives per row."""
+    keep = (np.asarray(masks)[:, None] >> np.arange(4)) & 1
+    targets = weights * keep
+    targets /= targets.sum(axis=1, keepdims=True)
+    t = tensor(x, requires_grad=True)
+    err = ad.finite_diff_check(lambda v: ad.softmax_xent(v, targets), t)
     assert err < FD_TOL
 
 

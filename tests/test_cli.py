@@ -1,11 +1,13 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import stepgate
 from conftest import tiny_config
 from stepgate.harness.cli import main
-from stepgate.harness.config import MODES
+from stepgate.harness.config import MODES, config_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +162,7 @@ def test_generate_data_writes_splits(cfg_file, tmp_path, capsys):
 
 def test_train_writes_log_and_checkpoint(trained, capsys):
     log = (trained / "training_log.csv").read_text().splitlines()
-    assert log[0] == "phase,epoch,loss,accuracy,selected_ratio"
+    assert log[0] == "phase,epoch,loss,accuracy,selected_ratio,fallback_share"
     assert len(log) == 2                      # one epoch, joint phase only
     assert log[1].startswith("joint,0,")
     assert (trained / "checkpoint.sgck").exists()
@@ -176,6 +178,26 @@ def test_eval_writes_metrics_json(trained, tmp_path, capsys):
     budgets = [e["budget"] for e in payload["report"]["entries"]]
     assert budgets == [None, 2]
     assert payload["config"]["mode"] == "e2e"
+
+
+def test_eval_records_its_provenance(trained, tmp_path, capsys):
+    """metrics.json names the package version, the hash of the canonical
+    config it evaluated and the evaluation's wall time."""
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint.sgck"),
+                 "--out", str(out), "--seed", "5"]) == 0
+    payload = json.loads((out / "metrics.json").read_text())
+    prov = payload["provenance"]
+    assert set(prov) == {"stepgate_version", "config_sha256", "eval_s"}
+    assert prov["stepgate_version"] == stepgate.__version__
+    config = config_from_dict(payload["config"])
+    assert config.seed == 5
+    assert prov["config_sha256"] == hashlib.sha256(
+        config.canonical_json().encode()).hexdigest()
+    assert 0.0 < prov["eval_s"] < 60.0
+    # tradeoff reads past the extra section
+    assert main(["tradeoff", "--metrics", str(out / "metrics.json"),
+                 "--out", str(tmp_path / "tr")]) == 0
 
 
 def test_eval_with_a_wrong_file_is_a_runtime_error(cfg_file, tmp_path, capsys):

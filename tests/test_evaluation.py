@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
+from stepgate.baselines import scsampler_scores
 from stepgate.errors import ContractError, DomainError
 from stepgate.harness import evaluation
 from stepgate.harness.checkpoint import Checkpoint
@@ -163,6 +164,23 @@ def test_selection_runs_once_per_video(mode, tiny_data, monkeypatch):
     assert len(report.entries) == 3
     assert len(calls) == len(tiny_data.test)
     assert all(a is v.frames for a, v in zip(calls, tiny_data.test))
+
+
+def test_scsampler_rankings_equal_each_videos_own_scores(tiny_data):
+    """One scorer pass over the split ranks every video as scoring it alone
+    would: row i of the stack is slot i % T of video i // T."""
+    cfg = tiny_config("scsampler")
+    bundle = build_bundle(cfg)
+    rng = np.random.default_rng(5)
+    for p in (bundle.scorer.head_w, bundle.scorer.head_b):
+        p.data[...] = rng.standard_normal(p.shape)
+    ranked = evaluation.rankings(bundle, cfg, tiny_data.test)
+    assert len(ranked) == len(tiny_data.test)
+    for scores, video in zip(ranked, tiny_data.test):
+        alone = scsampler_scores(video.frames, bundle.scorer, cfg.model.segment_len)
+        assert scores.shape == alone.shape == (cfg.dataset.timesteps,)
+        np.testing.assert_allclose(scores, alone, rtol=1e-12, atol=0.0)
+        assert np.ptp(alone) > 0.0
 
 
 def test_random_mode_reuses_the_per_video_eval_stream(tiny_data):

@@ -11,9 +11,9 @@ def errors():
 
 def test_suite_covers_ops_gating_and_the_full_loss(errors):
     names = set(errors)
-    for op in ("matmul", "sigmoid", "softmax_xent", "bce_logits",
-               "reduce_max", "segment_max", "concat_rows", "take_rows", "affine",
-               "affine_weight", "affine_bias"):
+    for op in ("matmul", "sigmoid", "softmax_xent", "softmax_xent_soft",
+               "bce_logits", "reduce_max", "segment_max", "concat_rows",
+               "take_rows", "affine", "affine_weight", "affine_bias"):
         assert op in names
     assert "gate_train_activation" in names
     assert "l0_penalty" in names

@@ -16,7 +16,6 @@ PACKAGE = ROOT / "src" / "stepgate"
 # it one.
 ALLOWED = {
     "relevance_oracle",   # selection-quality metrics read confuser picks
-    "canonical_json",     # metrics.json provenance hashes the config
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 
@@ -9,7 +10,8 @@ from conftest import tiny_config
 import stepgate.autodiff as ad
 from stepgate.autodiff import ComputationRecord, Tensor
 from stepgate.classifier import classify, heavynet_features, task_loss
-from stepgate.errors import ConfigError, ContractError
+from stepgate.baselines import scorer_logits
+from stepgate.errors import ConfigError, ContractError, DimensionError
 from stepgate.gating import l0_penalty
 from stepgate.harness.checkpoint import save_checkpoint
 from stepgate.harness import evaluation, training
@@ -135,19 +137,26 @@ def test_phase_b_encodes_the_rows_gate_count_evaluation_picks(mode, tiny_data,
     """Every phase-B epoch encodes, per training video, exactly the rows
     that evaluating the trained bundle on the train split picks."""
     cfg = tiny_config(mode)
-    t = cfg.dataset.timesteps
-    index_of = {v.frames.tobytes(): vi for vi, v in enumerate(tiny_data.train)}
+    seg = cfg.model.segment_len
+    slot_of = {v.frames[i, :seg].tobytes(): (vi, i)
+               for vi, v in enumerate(tiny_data.train)
+               for i in range(cfg.dataset.timesteps)}
+    assert len(slot_of) == len(tiny_data.train) * cfg.dataset.timesteps
 
     def picks_by_video(calls):
-        """(video, slots) per encoded video: a call's slots hold one or more
-        videos' T slots each, and slot b * T + i is slot i of the b-th."""
+        """(video, slots) per encoded video: each encoded row's segment names
+        its (video, slot), and a call's rows hold one video's picks after
+        another."""
         out = []
         for frames, indices, _params in calls:
-            slots: dict[int, list[int]] = {}
+            videos: list[tuple[int, list[int]]] = []
             for row in indices:
-                slots.setdefault(row // t, []).append(row % t)
-            out += [(index_of[frames[b * t:(b + 1) * t].tobytes()], idx)
-                    for b, idx in slots.items()]
+                vi, i = slot_of[frames[row, :seg].tobytes()]
+                if videos and videos[-1][0] == vi:
+                    videos[-1][1].append(i)
+                else:
+                    videos.append((vi, [i]))
+            out += videos
         return out
 
     trained, evaluated = [], []
@@ -203,14 +212,16 @@ def test_training_checks_the_heavy_rows_of_each_batch(mode, tiny_data, monkeypat
 
 
 def test_a_pick_past_the_last_slot_of_a_video_is_a_contract_error(tiny_data):
-    """In the stacked batch, slot T of the first video would be the second
-    video's slot 0; the stack refuses it instead of encoding it."""
+    """The segment gather refuses a pick past a video's last slot and a
+    negative pick, which numpy would wrap to a slot from the end."""
     cfg = tiny_config("uniform")
     params = build_bundle(cfg).classifier
     frames = [v.frames for v in tiny_data.train[:2]]
     t = cfg.dataset.timesteps
-    with pytest.raises(ContractError, match=f"slot {t} exceeds the {t} slots"):
+    with pytest.raises(ContractError, match=fr"picks \[{t}\] fall outside the {t} slots"):
         training._heavy_logits(frames, [[t], [0]], None, params)
+    with pytest.raises(ContractError, match=fr"picks \[-1, 2\] fall outside the {t} slots"):
+        training._heavy_logits(frames, [[0], [-1, 2]], None, params)
     assert params.heavy_rows == 0
     logits = training._heavy_logits(frames, [[t - 1], [0]], None, params)
     assert logits.shape == (2, cfg.dataset.n_classes) and params.heavy_rows == 2
@@ -292,6 +303,87 @@ def test_stacked_batch_loss_equals_the_mean_of_per_video_losses(task, l0_weight,
     for name, g in want_grads.items():
         assert np.abs(got_grads[name] - g).max() <= 1e-10 * np.abs(g).max(), name
         assert np.abs(g).max() > 0.0, name
+
+
+@pytest.mark.parametrize("task", ["single_label", "multi_label"])
+def test_stacked_scorer_loss_equals_the_mean_of_per_video_losses(task):
+    """The scorer's one cross-entropy over the batch's B * T rows equals the
+    mean over videos of each video's mean over its positives of the
+    per-timestep cross-entropy, loss and every scorer gradient."""
+    cfg = tiny_config("scsampler", **{"dataset.task": task})
+    data = training.generate_dataset(spec_from_config(cfg), 8, 2, cfg.seed)
+    bundle = build_bundle(cfg)
+    # a zero head would give every video the same loss
+    rng = np.random.default_rng(11)
+    for p in (bundle.scorer.head_w, bundle.scorer.head_b):
+        p.data[...] = rng.standard_normal(p.shape)
+    batch = [5, 2, 7, 0, 3]
+    t = cfg.dataset.timesteps
+    if task == "multi_label":
+        assert max(len(data.train[vi].positive_classes()) for vi in batch) >= 2
+
+    stacked_loss = training._phase_a_loss(cfg, bundle, data, None)
+    got, got_grads = _loss_and_grads(bundle, lambda: stacked_loss(0, batch)[0])
+
+    def reference():
+        terms = []
+        for vi in batch:
+            video = data.train[vi]
+            logits = scorer_logits(video.frames, bundle.scorer, cfg.model.segment_len)
+            per_class = [ad.softmax_xent(logits, [c] * t)
+                         for c in video.positive_classes()]
+            terms.append(ad.scale(functools.reduce(ad.add, per_class),
+                                  1.0 / len(per_class)))
+        return ad.scale(functools.reduce(ad.add, terms), 1.0 / len(terms))
+    want, want_grads = _loss_and_grads(bundle, reference)
+
+    assert abs(got - want) <= 1e-10 * abs(want)
+    for name, g in want_grads.items():
+        if name.startswith("scorer."):
+            assert np.abs(got_grads[name] - g).max() <= 1e-10 * np.abs(g).max(), name
+            assert np.abs(g).max() > 0.0, name
+        else:
+            assert not got_grads[name].any(), name
+
+
+def test_the_scorer_runs_once_per_minibatch_and_once_per_ranked_split(
+        tiny_data, monkeypatch):
+    logits_calls, score_calls = [], []
+    _record_calls(monkeypatch, training, "scorer_logits", logits_calls)
+    _record_calls(monkeypatch, evaluation, "scsampler_scores", score_calls)
+    cfg = tiny_config("scsampler")
+    result = run_training(cfg, tiny_data)
+    n, t = len(tiny_data.train), cfg.dataset.timesteps
+    per_epoch = -(-n // cfg.training.batch_size)
+    assert len(logits_calls) == cfg.training.epochs * per_epoch
+    assert sum(len(args[0]) for args in logits_calls) == cfg.training.epochs * n * t
+    # phase B ranks the train split once
+    assert [len(args[0]) for args in score_calls] == [n * t]
+    evaluation.evaluate_bundle(result.bundle, cfg, tiny_data.test)
+    assert [len(args[0]) for args in score_calls] == [n * t, len(tiny_data.test) * t]
+
+
+def test_the_scorer_stack_rejects_a_video_with_the_wrong_slot_count(tiny_data):
+    cfg = tiny_config("scsampler")
+    short = dataclasses.replace(tiny_data.train[1],
+                                frames=tiny_data.train[1].frames[:-1])
+    with pytest.raises(DimensionError, match="video has 5 slots, the config 6"):
+        evaluation.light_slots([tiny_data.train[0], short], cfg)
+
+
+def test_fallback_share_counts_the_videos_whose_gates_all_closed(tiny_data):
+    """Started all-closed, e2e training falls back on some videos; phases
+    without gates read 0."""
+    shut = run_training(tiny_config("e2e", **{"model.open_bias": -4.0}), tiny_data)
+    assert shut.epoch_logs[0].fallback_share > 0.0
+    for log in shut.epoch_logs:
+        assert 0.0 <= log.fallback_share <= 1.0
+    wide = run_training(tiny_config("e2e", **{"model.open_bias": 8.0}), tiny_data)
+    assert all(log.fallback_share == 0.0 for log in wide.epoch_logs)
+    for mode in ("scsampler", "uniform"):
+        res = run_training(tiny_config(mode), tiny_data)
+        assert all(log.fallback_share == 0.0
+                   for log in res.epoch_logs + res.classifier_logs), mode
 
 
 def test_training_changes_the_parameters(results):
