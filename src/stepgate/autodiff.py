@@ -16,18 +16,24 @@ Deliberate conventions:
 * ``sigmoid`` clamps its exponent argument to ``[-SIGMOID_CLAMP,
   SIGMOID_CLAMP]``; the clamp is part of the function's definition, not an
   implementation detail, so no forward op can overflow on finite input.
-* the max reductions (``reduce_max`` and ``segment_max``) route their
-  gradient to the first maximal index of each reduced slice, so backward is
-  deterministic even under ties.
+* ``segment_max`` routes its gradient to the first maximal row of each
+  segment, so backward is deterministic even under ties.
 
 Tape lifetime: a tensor links to its record weakly (``node_id`` holds a weak
 reference to the record and the tensor's index on the tape), while the record
 holds its tensors strongly.  So a tape forms no reference cycle: it and every
 intermediate are freed by reference counting as soon as the record's ``with``
 block has ended and the last reference to the record drops, without waiting
-for the cyclic collector.  An affine layer ``x @ w + b`` is one tape node, and
-backward computes no gradient product for a constant first operand of
-``matmul`` or ``affine`` (such as raw frames).
+for the cyclic collector.
+
+A network layer is one tape node with a hand-written backward: ``affine``
+(``x @ w + b``), ``mlp`` (two affines around a relu, the body of every
+:class:`MLP`), ``attention`` (single-head self-attention with its residual
+add) and ``noisy_gate`` (the noisy clipped-sigmoid gate).  Each backward
+evaluates the numpy expressions, in the order, of the chain of primitive ops
+it stands for, so the fused layer's values and gradients equal the chain's
+bitwise.  Backward computes no gradient product for a constant first operand
+of ``matmul``, ``affine``, ``mlp`` or ``attention`` (such as raw frames).
 
 The active record is thread-local: independent records on different threads
 do not interact, but a single record must only ever be used from one thread.
@@ -219,10 +225,6 @@ def sigmoid(z: Tensor) -> Tensor:
     return _emit("sigmoid", sigmoid_np(z.data), (z,))
 
 
-def relu(z: Tensor) -> Tensor:
-    return _emit("relu", np.maximum(z.data, 0.0), (z,))
-
-
 def _check_axis(x: Tensor, axis: int) -> int:
     if not isinstance(axis, (int, np.integer)):
         raise ContractError(f"axis must be an integer, got {axis!r}")
@@ -237,18 +239,12 @@ def _check_axis(x: Tensor, axis: int) -> int:
 
 def reduce_sum(x: Tensor, axis: int) -> Tensor:
     axis = _check_axis(x, axis)
-    return _emit("sum", x.data.sum(axis=axis), (x,), axis)
+    return _emit("reduce_sum", x.data.sum(axis=axis), (x,), axis)
 
 
 def reduce_mean(x: Tensor, axis: int) -> Tensor:
     axis = _check_axis(x, axis)
-    return _emit("mean", x.data.mean(axis=axis), (x,), axis)
-
-
-def reduce_max(x: Tensor, axis: int) -> Tensor:
-    axis = _check_axis(x, axis)
-    # np.argmax returns the first maximal index, fixing the tie-break rule.
-    return _emit("max", x.data.max(axis=axis), (x,), (axis, np.argmax(x.data, axis=axis)))
+    return _emit("reduce_mean", x.data.mean(axis=axis), (x,), axis)
 
 
 def segment_max(x: Tensor, lengths: Sequence[int]) -> Tensor:
@@ -309,15 +305,6 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
             f"but the tensor has {x.shape[0]} rows"
         )
     return _emit("take_rows", x.data[idx], (x,), idx)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-d tensor, stabilized by a max shift."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a 2-d tensor, got shape {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return _emit("softmax", e / e.sum(axis=1, keepdims=True), (x,))
 
 
 def _target_rows(targets, b: int, l: int) -> np.ndarray:
@@ -385,6 +372,55 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit("affine", x.data @ w.data + b.data, (x, w, b), x.requires_grad)
 
 
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` over the rows of 2-d ``x``; one tape
+    node."""
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or b1.data.ndim != 1
+            or w2.data.ndim != 2 or b2.data.ndim != 1
+            or x.shape[1] != w1.shape[0] or w1.shape[1] != b1.shape[0]
+            or b1.shape[0] != w2.shape[0] or w2.shape[1] != b2.shape[0]):
+        raise DimensionError(
+            f"mlp got incompatible shapes {x.shape} @ {w1.shape} + {b1.shape} "
+            f"then @ {w2.shape} + {b2.shape}")
+    pre = x.data @ w1.data + b1.data
+    hidden = np.maximum(pre, 0.0)
+    return _emit("mlp", hidden @ w2.data + b2.data, (x, w1, b1, w2, b2),
+                 (x.requires_grad, pre, hidden))
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """Single-head self-attention with a residual add over (T, C) ``x`` and
+    (C, C) projections: ``x + softmax((x wq)(x wk)^T / sqrt(C)) (x wv)``,
+    the softmax row-wise and stabilized by a max shift; one tape node."""
+    if x.data.ndim != 2 or any(w.shape != (x.shape[1], x.shape[1]) for w in (wq, wk, wv)):
+        raise DimensionError(
+            f"attention got features {x.shape} and projections "
+            f"{wq.shape}, {wk.shape}, {wv.shape}")
+    q, k, v = x.data @ wq.data, x.data @ wk.data, x.data @ wv.data
+    c = 1.0 / math.sqrt(x.shape[1])
+    s = (q @ k.T) * c
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    return _emit("attention", x.data + p @ v, (x, wq, wk, wv),
+                 (x.requires_grad, q, k, v, p, c))
+
+
+def noisy_gate(logits: Tensor, noise) -> Tensor:
+    """Flat gate values ``sigmoid(z) * 1[z > 0]`` for ``z = logits + noise``;
+    one tape node.
+
+    The indicator is constant for backward, so gradient reaches ``logits``
+    through open entries only.
+    """
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != tuple(logits.shape):
+        raise DimensionError(f"noise shape {noise.shape} does not match logits {logits.shape}")
+    z = logits.data + noise
+    y = sigmoid_np(z)
+    keep = (z > 0.0).astype(np.float64)
+    return _emit("noisy_gate", (y * keep).reshape(-1), (logits,), (y, keep))
+
+
 @dataclass
 class MLP:
     """Two-layer perceptron ``relu(x @ w1 + b1) @ w2 + b2`` over the rows of x."""
@@ -410,7 +446,7 @@ class MLP:
         )
 
     def __call__(self, x: Tensor) -> Tensor:
-        return affine(relu(affine(x, self.w1, self.b1)), self.w2, self.b2)
+        return mlp(x, self.w1, self.b1, self.w2, self.b2)
 
     @property
     def n_in(self) -> int:
@@ -436,6 +472,31 @@ def _bwd_affine(node, g, data):
     return (g @ w.T if node.ctx else None, x.T @ g, g.sum(axis=0))
 
 
+def _bwd_mlp(node, g, data):
+    x, w1, _, w2, _ = data
+    x_grad, pre, hidden = node.ctx
+    g_pre = (g @ w2.T) * (pre > 0.0)
+    return (g_pre @ w1.T if x_grad else None, x.T @ g_pre, g_pre.sum(axis=0),
+            hidden.T @ g, g.sum(axis=0))
+
+
+def _bwd_attention(node, g, data):
+    x, wq, wk, wv = data
+    x_grad, q, k, v, p, c = node.ctx
+    g_p = g @ v.T
+    g_v = p.T @ g
+    g_s = p * (g_p - (g_p * p).sum(axis=1, keepdims=True)) * c
+    g_q = g_s @ k
+    g_k = (q.T @ g_s).T
+    gx = ((g + g_v @ wv.T) + g_k @ wk.T) + g_q @ wq.T if x_grad else None
+    return (gx, x.T @ g_q, x.T @ g_k, x.T @ g_v)
+
+
+def _bwd_noisy_gate(node, g, data):
+    y, keep = node.ctx
+    return (g.reshape(y.shape) * keep * y * (1.0 - y),)
+
+
 def _bwd_transpose(node, g, data):
     return (g.T,)
 
@@ -458,10 +519,6 @@ def _bwd_sigmoid(node, g, data):
     return (g * y * (1.0 - y),)
 
 
-def _bwd_relu(node, g, data):
-    return (g * (data[0] > 0.0),)
-
-
 def _bwd_sum(node, g, data):
     axis = node.ctx
     return (np.broadcast_to(np.expand_dims(g, axis), data[0].shape),)
@@ -471,13 +528,6 @@ def _bwd_mean(node, g, data):
     axis = node.ctx
     n = data[0].shape[axis]
     return (np.broadcast_to(np.expand_dims(g, axis), data[0].shape) / n,)
-
-
-def _bwd_max(node, g, data):
-    axis, am = node.ctx
-    gx = np.zeros_like(data[0])
-    np.put_along_axis(gx, np.expand_dims(am, axis), np.expand_dims(g, axis), axis)
-    return (gx,)
 
 
 def _bwd_segment_max(node, g, data):
@@ -509,11 +559,6 @@ def _bwd_take_rows(node, g, data):
     return (gx,)
 
 
-def _bwd_softmax(node, g, data):
-    y = node.tensor.data
-    return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
-
-
 def _bwd_softmax_xent(node, g, data):
     t, p = node.ctx
     return ((p - t) * (float(g.reshape(())) / t.shape[0]),)
@@ -533,18 +578,18 @@ _BACKWARD: dict[str, Callable] = {
     "mul": _bwd_mul,
     "scale": _bwd_scale,
     "sigmoid": _bwd_sigmoid,
-    "relu": _bwd_relu,
-    "sum": _bwd_sum,
-    "mean": _bwd_mean,
-    "max": _bwd_max,
+    "reduce_sum": _bwd_sum,
+    "reduce_mean": _bwd_mean,
     "segment_max": _bwd_segment_max,
     "concat_rows": _bwd_concat_rows,
     "reshape": _bwd_reshape,
     "tile_cols": _bwd_tile_cols,
     "take_rows": _bwd_take_rows,
-    "softmax": _bwd_softmax,
     "softmax_xent": _bwd_softmax_xent,
     "bce_logits": _bwd_bce,
+    "mlp": _bwd_mlp,
+    "attention": _bwd_attention,
+    "noisy_gate": _bwd_noisy_gate,
 }
 
 

@@ -5,12 +5,13 @@ raw frames of each selected timestep slot: a video's frames are shaped
 (T, frames_per_slot, d_raw), so a slot index picks its segment directly.  It
 is the expensive part of the pipeline, so it only ever runs on the indices
 handed to it; ``heavy_rows`` counts every encoded timestep to make that
-property checkable.  Classification applies gate magnitudes (end-to-end
-training only), max-pools over the spatial grid, maps each timestep through
-the head (a second ``MLP``), and max-pools over each video's timesteps, so
-duplicated timesteps never change the logits.  The rows of several videos
-may share one call: consecutive segments of rows belong to one video each.
-Parameters are named ``classifier.enc.*`` and ``classifier.head.*``.
+property checkable.  Its features are one (C,) row per encoded timestep, a
+(T', C) matrix; there is no spatial grid.  Classification applies gate
+magnitudes (end-to-end training only), maps each timestep through the head
+(a second ``MLP``), and max-pools over each video's timesteps, so duplicated
+timesteps never change the logits.  The rows of several videos may share one
+call: consecutive segments of rows belong to one video each.  Parameters are
+named ``classifier.enc.*`` and ``classifier.head.*``.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ HEAD_HIDDEN = 256
 class ClassifierConfig:
     channels: int
     n_classes: int
-    height: int = 1
-    width: int = 1
     segment_len: int = 8
 
     def __post_init__(self):
         if self.n_classes < 2:
             raise DomainError(f"need at least two classes, got {self.n_classes}")
-        for name in ("channels", "height", "width", "segment_len"):
+        for name in ("channels", "segment_len"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -48,7 +47,7 @@ class ClassifierConfig:
 @dataclass
 class ClassifierParams:
     config: ClassifierConfig
-    enc: MLP  # segment_len * d_raw -> channels * height * width
+    enc: MLP  # segment_len * d_raw -> channels
     head: MLP  # channels -> n_classes, per timestep
     heavy_rows: int = 0  # timesteps encoded so far; instrumentation only
 
@@ -56,8 +55,7 @@ class ClassifierParams:
     def init(cls, config: ClassifierConfig, d_raw: int,
              rng: np.random.Generator) -> "ClassifierParams":
         """Draws the heavy encoder, then the head."""
-        n_out = config.channels * config.height * config.width
-        enc = MLP.init(config.segment_len * d_raw, HEAVY_HIDDEN, n_out, rng)
+        enc = MLP.init(config.segment_len * d_raw, HEAVY_HIDDEN, config.channels, rng)
         head = MLP.init(config.channels, HEAD_HIDDEN, config.n_classes, rng)
         return cls(config=config, enc=enc, head=head)
 
@@ -79,17 +77,16 @@ def heavynet_features(frames: np.ndarray, indices,
     """Encode the segments of the given slots of (slots, frames_per_slot,
     d_raw) frames, ``frames[idx, :segment_len]``; nothing else runs.
 
-    Returns features of shape (T', channels, height, width).  An empty index
-    list is a contract violation: the empty-selection fallback happens before
-    this call.
+    Returns features of shape (T', channels).  An empty index list is a
+    contract violation: the empty-selection fallback happens before this
+    call.
     """
-    cfg = params.config
     frames = np.asarray(frames, dtype=np.float64)
     idx = np.asarray(indices, dtype=np.int64)
     if not idx.size:
         raise ContractError("heavynet_features needs at least one timestep; "
                             "apply the empty-selection fallback upstream")
-    m = cfg.segment_len
+    m = params.config.segment_len
     if (frames.ndim != 3 or frames.shape[1] < m
             or m * frames.shape[2] != params.enc.n_in):
         raise DimensionError(
@@ -102,37 +99,29 @@ def heavynet_features(frames: np.ndarray, indices,
         raise ContractError(f"slot {bad[0]} falls outside the {frames.shape[0]} slots")
     segments = frames[idx, :m].reshape(idx.size, -1)
     params.heavy_rows += idx.size
-    out = params.enc(Tensor(segments))
-    return ad.reshape(out, (idx.size, cfg.channels, cfg.height, cfg.width))
+    return params.enc(Tensor(segments))
 
 
 def classify(features: Tensor, gate_values: Tensor | None,
              params: ClassifierParams, segments: Sequence[int]) -> Tensor:
-    """(B, L) video logits from heavy features of shape (T', C, H, W), whose
-    rows are B consecutive segments of ``segments[b]`` rows, one per video.
+    """(B, L) video logits from heavy features of shape (T', C), whose rows
+    are B consecutive segments of ``segments[b]`` rows, one per video.
 
-    ``gate_values`` (shape (T',)) multiplies features before spatial pooling
+    ``gate_values`` (shape (T',)) multiplies the feature rows before the head
     when given; end-to-end training passes the activated gate magnitudes here
     and every other path passes ``None``.
     """
-    if features.data.ndim != 4:
-        raise DimensionError(f"classify expects (T', C, H, W) features, got {features.shape}")
-    t_sel, c, hgt, wid = features.shape
-    cfg = params.config
-    if (c, hgt, wid) != (cfg.channels, cfg.height, cfg.width):
-        raise DimensionError(
-            f"features {features.shape} do not match classifier config "
-            f"({cfg.channels}, {cfg.height}, {cfg.width})"
-        )
-    flat = ad.reshape(features, (t_sel, c * hgt * wid))
+    c = params.config.channels
+    if features.data.ndim != 2 or features.shape[1] != c:
+        raise DimensionError(f"classify expects (T', {c}) features, got {features.shape}")
+    t_sel = features.shape[0]
     if gate_values is not None:
         if tuple(gate_values.shape) != (t_sel,):
             raise DimensionError(
                 f"gate values shape {gate_values.shape} does not match {t_sel} selected timesteps"
             )
-        flat = ad.mul(flat, ad.tile_cols(gate_values, c * hgt * wid))
-    spatial = ad.reduce_max(ad.reshape(flat, (t_sel, c, hgt * wid)), axis=2)
-    return ad.segment_max(params.head(spatial), segments)
+        features = ad.mul(features, ad.tile_cols(gate_values, c))
+    return ad.segment_max(params.head(features), segments)
 
 
 def task_loss(logits: Tensor, targets, task: str) -> Tensor:

@@ -103,8 +103,8 @@ def tradeoff_csv(results: Iterable[tuple[str, CostReport, float]]) -> str:
 
 def desk_flops(d_raw: int, light_channels: int, n_kernels: int, gate_hidden: int,
                timesteps: int, segment_len: int, heavy_channels: int,
-               height: int, width: int, heavy_hidden: int, head_hidden: int,
-               n_classes: int, context_mode: str = "context",
+               heavy_hidden: int, head_hidden: int, n_classes: int,
+               context_mode: str = "context",
                light_hidden: int = 64) -> dict[str, float]:
     """Exact dense-matmul multiply counts per timestep, in GFLOPs.
 
@@ -118,9 +118,8 @@ def desk_flops(d_raw: int, light_channels: int, n_kernels: int, gate_hidden: int
     """
     names = dict(d_raw=d_raw, light_channels=light_channels, n_kernels=n_kernels,
                  gate_hidden=gate_hidden, timesteps=timesteps, segment_len=segment_len,
-                 heavy_channels=heavy_channels, height=height, width=width,
-                 heavy_hidden=heavy_hidden, head_hidden=head_hidden,
-                 n_classes=n_classes, light_hidden=light_hidden)
+                 heavy_channels=heavy_channels, heavy_hidden=heavy_hidden,
+                 head_hidden=head_hidden, n_classes=n_classes, light_hidden=light_hidden)
     for key, val in names.items():
         if val < 1:
             raise DomainError(f"{key} must be positive, got {val}")
@@ -132,8 +131,7 @@ def desk_flops(d_raw: int, light_channels: int, n_kernels: int, gate_hidden: int
         light += 3 * c * c + 2 * t * c     # q/k/v plus scores and value mixing
     light += n_kernels * c                 # kernel similarity
     light += n_kernels * gate_hidden + gate_hidden
-    spatial = heavy_channels * height * width
-    heavy = segment_len * d_raw * heavy_hidden + heavy_hidden * spatial
+    heavy = segment_len * d_raw * heavy_hidden + heavy_hidden * heavy_channels
     heavy += heavy_channels * head_hidden + head_hidden * n_classes
     return {"desk_light": light / GFLOP, "desk_scorer": scorer / GFLOP,
             "desk_heavy": heavy / GFLOP}

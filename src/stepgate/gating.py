@@ -3,8 +3,8 @@
 All T timesteps of a video are gated at once.  Each timestep feature (a row
 of a T x C matrix) is compared against the learned concept kernels (an
 n_kernels x C tensor), a two-layer ``autodiff.MLP`` reduces each similarity
-row to a single logit, and the (T, 1) logit column is turned into gate values
-by a noisy clipped sigmoid.  The kernels and the gate MLP live in
+row to a single logit, and the (T, 1) logit column is turned into T gate
+values by a noisy clipped sigmoid.  The kernels and the gate MLP live in
 ``selector.SelectorParams``.
 
 During training the activation is ``a = clip(sigmoid(logit + G))`` where
@@ -14,7 +14,8 @@ below 1/2.  Because the noise is logistic, the probability that a gate opens
 is exactly ``sigmoid(logit)``.  At test time the noise is dropped and the
 clipped sigmoid becomes a hard step: open iff the logit is positive.
 
-Backward treats the clip indicator as a constant, so gradient flows through
+The train-time activation is one tape op, ``autodiff.noisy_gate``.  Its
+backward treats the clip indicator as a constant, so gradient flows through
 the sigmoid only for open gates and closed gates contribute exactly zero.
 """
 
@@ -70,27 +71,22 @@ def sample_gate_noise_batch(rng: np.random.Generator, n: int) -> np.ndarray:
 def activate_train_batch(alphas: Tensor, noises: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Noisy clipped-sigmoid activation of a logit tensor.
 
-    Returns the activated tensor and the flat open mask.  Values land in {0}
-    or (1/2, 1]; an exact 1/2 closes the gate.  The threshold
+    Returns the flat activated tensor and the flat open mask.  Values land
+    in {0} or (1/2, 1]; an exact 1/2 closes the gate.  The threshold
     ``sigmoid(z) > 1/2`` is evaluated as ``z > 0`` so that it stays exact
     where the sigmoid itself rounds to 1/2.  The clip mask is constant for
     backward, so gradient reaches ``alphas`` only through open gates.
     """
-    noises = np.asarray(noises, dtype=np.float64)
-    if noises.shape != tuple(alphas.shape):
-        raise DimensionError(f"noise shape {noises.shape} does not match logits {alphas.shape}")
-    z = ad.add(alphas, Tensor(noises))
-    g = ad.sigmoid(z)
-    open_mask = z.data > 0.0
-    value = ad.mul(g, Tensor(open_mask.astype(np.float64)))
-    return value, open_mask.reshape(-1)
+    value = ad.noisy_gate(alphas, noises)
+    # an open gate's value is sigmoid(z) >= 1/2 and a closed one's is 0
+    return value, value.data > 0.0
 
 
 def activate_test_batch(alphas) -> tuple[Tensor, np.ndarray]:
-    """Deterministic step activation: open iff the logit is positive."""
+    """Deterministic step activation, flat: open iff the logit is positive."""
     data = alphas.data if isinstance(alphas, Tensor) else np.asarray(alphas, dtype=np.float64)
-    open_mask = data > 0.0
-    return Tensor(open_mask.astype(np.float64)), open_mask.reshape(-1)
+    open_mask = data.reshape(-1) > 0.0
+    return Tensor(open_mask.astype(np.float64)), open_mask
 
 
 def l0_penalty(alphas: Tensor, lam: float) -> Tensor:

@@ -1,15 +1,17 @@
 """Binary checkpoints: a bundle's parameters, its config and its step count.
 
-Format version 3, in the shared container (``stepgate.container``): magic
+Format version 4, in the shared container (``stepgate.container``): magic
 ``SGCK`` | u32 version | u32 header length | u32 CRC-32 | JSON header |
 float64 little-endian blocks.  The header holds the config, the step and the
 parameter names and shapes in block order; one block per parameter follows.
 Names are ``<group>.<tensor>`` (``selector.kernels``, ``scorer.head_w``) or,
 for a two-layer network, ``<group>.<net>.<w1|b1|w2|b2>`` (``selector.enc.w1``,
 ``classifier.head.b2``); the stand-alone light head is a group of its own
-(``light_head.w1``).  Version 2 files, which gave encoder and gate weights
-flat names (``selector.enc_*``, ``selector.gate_*``), and version 1 files,
-which also stored optimizer moments, are rejected.  The header JSON is
+(``light_head.w1``).  Version 3 files, whose stored config still had the
+heavy encoder's spatial grid (``model.height`` and ``model.width``), version
+2 files, which gave encoder and gate weights flat names (``selector.enc_*``,
+``selector.gate_*``), and version 1 files, which also stored optimizer
+moments, are rejected.  The header JSON is
 canonical (sorted keys, no whitespace) so save -> load -> save reproduces the
 file byte for byte.
 """
@@ -26,7 +28,7 @@ from .config import ExperimentConfig, config_from_dict
 from .models import ModelBundle
 
 MAGIC = b"SGCK"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass

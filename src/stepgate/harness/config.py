@@ -51,8 +51,6 @@ class ModelConfig:
     heavy_channels: int = 64
     n_kernels: int = 128
     gate_hidden: int = 64
-    height: int = 1
-    width: int = 1
     segment_len: int = 8
     open_bias: float = 2.0
 
@@ -142,7 +140,7 @@ def _validate_values(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"dataset.relevant_fraction must be in (0, 1], got {d.relevant_fraction}")
     m = cfg.model
     for name in ("light_channels", "heavy_channels", "n_kernels", "gate_hidden",
-                 "height", "width", "segment_len"):
+                 "segment_len"):
         if getattr(m, name) < 1:
             raise ConfigError(f"model.{name} must be positive, got {getattr(m, name)}")
     if m.segment_len > d.frames_per_slot:

@@ -97,7 +97,7 @@ def cost_registry_for(config: ExperimentConfig) -> CostRegistry:
         d_raw=d.d_raw, light_channels=m.light_channels, n_kernels=m.n_kernels,
         gate_hidden=m.gate_hidden, timesteps=d.timesteps,
         segment_len=m.segment_len, heavy_channels=m.heavy_channels,
-        height=m.height, width=m.width, heavy_hidden=HEAVY_HIDDEN,
+        heavy_hidden=HEAVY_HIDDEN,
         head_hidden=HEAD_HIDDEN, n_classes=d.n_classes,
         context_mode=context_mode, light_hidden=LIGHT_HIDDEN,
     ))

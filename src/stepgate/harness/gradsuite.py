@@ -1,5 +1,6 @@
-"""Bundled finite-difference checks: every primitive op plus the full
-training loss of a two-video batch, reported as name -> max relative error.
+"""Bundled finite-difference checks: every op with a backward, each under
+its tape name, plus the full training loss of a two-video batch, reported
+as name -> max relative error.
 
 Inputs are fixed and kept away from clip, threshold, and tie boundaries so
 central differences are valid; the composite cases freeze gate noise by
@@ -30,6 +31,13 @@ _X34 = np.array([[0.3, -1.1, 0.7, 1.9],
 _MAX_SAFE = np.array([[0.1, 1.4, -0.7, 2.2],
                       [1.9, -0.3, 0.8, -1.6],
                       [-2.0, 0.4, 1.1, 0.2]])
+# first layer of the mlp cases: _X34 @ _W1 + _B1 sits at least 0.16 from the
+# relu kink
+_W1 = np.array([[0.5, -0.8, 0.3],
+                [-0.6, 0.4, 0.9],
+                [0.7, 0.2, -0.5],
+                [0.1, -0.3, 0.6]])
+_B1 = np.array([0.2, -0.1, 0.3])
 
 
 def _param(data) -> Tensor:
@@ -50,6 +58,14 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
     w43 = rng.standard_normal(12)
     w16 = rng.standard_normal(16)
     w28 = rng.standard_normal(28)
+    w2 = Tensor(rng.standard_normal((3, 2)))
+    proj = [Tensor(0.5 * rng.standard_normal((4, 4))) for _ in range(3)]
+    if np.min(np.abs(_X34 @ _W1 + _B1)) < 0.1:
+        raise ContractError("mlp FD case drifted onto the relu kink")
+
+    def attend(x, q=proj[0], k=proj[1], v=proj[2]):
+        return _project(ad.attention(x, q, k, v), w34)
+
     cases = {
         "matmul": (lambda x: _project(ad.matmul(x, b), w32), _param(_X34)),
         "transpose": (lambda x: _project(ad.transpose(x), w43), _param(_X34)),
@@ -57,15 +73,10 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
         "mul": (lambda x: _project(ad.mul(x, other), w34), _param(_X34)),
         "scale": (lambda x: _project(ad.scale(x, -1.7), w34), _param(_X34)),
         "sigmoid": (lambda x: _project(ad.sigmoid(x), w34), _param(_X34)),
-        # entries sit at least 0.2 from the relu kink
-        "relu": (lambda x: _project(ad.relu(x), w34), _param(_X34)),
         "reduce_sum": (lambda x: _project(ad.reduce_sum(x, axis=0),
                                           w34[:4]), _param(_X34)),
         "reduce_mean": (lambda x: _project(ad.reduce_mean(x, axis=1),
                                            w34[:3]), _param(_X34)),
-        # row and column maxima are unique with margin >= 0.3
-        "reduce_max": (lambda x: _project(ad.reduce_max(x, axis=1),
-                                          w34[:3]), _param(_MAX_SAFE)),
         "reshape": (lambda x: _project(ad.reshape(x, (2, 6)), w34), _param(_X34)),
         "tile_cols": (lambda x: _project(ad.tile_cols(x, 4), w34[:12].reshape(3, 4)),
                       _param(_X34[:, 0])),
@@ -77,7 +88,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
                         _param(_MAX_SAFE)),
         "concat_rows": (lambda x: _project(ad.concat_rows(
             [ad.take_rows(x, [2]), other, x]), w28), _param(_X34)),
-        "softmax_rows": (lambda x: _project(ad.softmax_rows(x), w34), _param(_X34)),
         "softmax_xent": (lambda x: ad.softmax_xent(x, [3, 0, 2]), _param(_X34)),
         # target distributions: uniform over two and over three positives
         "softmax_xent_soft": (lambda x: ad.softmax_xent(
@@ -92,6 +102,16 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
                           _param(b.data)),
         "affine_bias": (lambda v: _project(ad.affine(Tensor(_X34), b, v), w32),
                         _param(bias2.data)),
+        "mlp": (lambda x: _project(ad.mlp(x, Tensor(_W1), Tensor(_B1), w2, bias2), w32),
+                _param(_X34)),
+        # constant input: backward skips its gradient product
+        "mlp_weight": (lambda w: _project(ad.mlp(Tensor(_X34), w, Tensor(_B1), w2, bias2),
+                                          w32), _param(_W1)),
+        "attention": (attend, _param(_X34)),
+        # constant input, one projection at a time
+        "attention_q": (lambda w: attend(Tensor(_X34), q=w), _param(proj[0].data)),
+        "attention_k": (lambda w: attend(Tensor(_X34), k=w), _param(proj[1].data)),
+        "attention_v": (lambda w: attend(Tensor(_X34), v=w), _param(proj[2].data)),
     }
     return {name: finite_diff_check(f, x) for name, (f, x) in cases.items()}
 
@@ -108,7 +128,7 @@ def _gating_cases() -> dict[str, float]:
         return _project(value, w)
 
     return {
-        "gate_train_activation": finite_diff_check(train_act, _param(alphas)),
+        "noisy_gate": finite_diff_check(train_act, _param(alphas)),
         "l0_penalty": finite_diff_check(
             lambda x: gating.l0_penalty(x, 0.7), _param(alphas)),
     }

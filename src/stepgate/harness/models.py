@@ -60,7 +60,6 @@ def build_bundle(config: ExperimentConfig) -> ModelBundle:
 
     def make_classifier() -> ClassifierParams:
         ccfg = ClassifierConfig(channels=m.heavy_channels, n_classes=d.n_classes,
-                                height=m.height, width=m.width,
                                 segment_len=m.segment_len)
         return ClassifierParams.init(ccfg, d.d_raw, rng)
 

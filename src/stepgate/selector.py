@@ -147,11 +147,7 @@ def self_attention(features: Tensor, params: SelectorParams) -> Tensor:
     c = params.config.channels
     if features.data.ndim != 2 or features.shape[1] != c:
         raise DimensionError(f"attention needs (T, {c}) features, got {features.shape}")
-    q = ad.matmul(features, params.attn_q)
-    k = ad.matmul(features, params.attn_k)
-    v = ad.matmul(features, params.attn_v)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(c))
-    return ad.add(features, ad.matmul(ad.softmax_rows(scores), v))
+    return ad.attention(features, params.attn_q, params.attn_k, params.attn_v)
 
 
 def _gate_inputs(frames: np.ndarray, params: SelectorParams) -> tuple[Tensor, Tensor]:
@@ -189,8 +185,8 @@ def select(frames: np.ndarray, params: SelectorParams, mode: str,
         value, open_mask = gating.activate_train_batch(alphas, noises)
     else:
         value, open_mask = gating.activate_test_batch(alphas)
-    return SelectionResult(features=feats, logits=alphas,
-                           activated=ad.reshape(value, (t,)), open=open_mask)
+    return SelectionResult(features=feats, logits=alphas, activated=value,
+                           open=open_mask)
 
 
 def heavy_indices(result: SelectionResult) -> list[int]:

@@ -86,7 +86,9 @@ def test_activation_oracles():
     sig = ad.sigmoid(z).data
     assert sig[0] == 0.5
     nptest.assert_allclose(sig[1], 0.8807970779778823, rtol=1e-9)
-    nptest.assert_array_equal(ad.relu(z).data, [0.0, 2.0, 0.0])
+    # the noisy gate: logits + noise is 0, 2 and -3, so only the middle opens
+    gate = ad.noisy_gate(tensor([[1.0], [2.5], [-1.0]]), [[-1.0], [-0.5], [-2.0]])
+    nptest.assert_array_equal(gate.data, [0.0, sig[1], 0.0])
 
 
 def test_sigmoid_clamp_keeps_everything_finite():
@@ -98,14 +100,13 @@ def test_sigmoid_clamp_keeps_everything_finite():
 
 def test_reduce_oracles():
     x = tensor([[1.0, 5.0], [3.0, 2.0]])
-    nptest.assert_array_equal(ad.reduce_max(x, axis=0).data, [3.0, 5.0])
     nptest.assert_array_equal(ad.reduce_sum(x, axis=1).data, [6.0, 5.0])
     nptest.assert_array_equal(ad.reduce_mean(tensor([2.0, 4.0, 6.0]), axis=0).data, 4.0)
 
 
 def test_reduce_empty_axis_is_domain_error():
     with pytest.raises(DomainError):
-        ad.reduce_max(tensor(np.zeros((0, 3))), axis=0)
+        ad.reduce_sum(tensor(np.zeros((0, 3))), axis=0)
 
 
 def test_mlp_init_shapes_biases_and_size_check():
@@ -123,10 +124,17 @@ def test_mlp_init_shapes_biases_and_size_check():
 
 
 def test_softmax_rows_sums_to_one():
-    x = tensor([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-    y = ad.softmax_rows(x).data
-    nptest.assert_allclose(y.sum(axis=1), [1.0, 1.0], rtol=1e-12)
-    nptest.assert_allclose(y[1], [1 / 3, 1 / 3, 1 / 3], rtol=1e-12)
+    """Attention's mixing weights: a value column of ones comes back as each
+    softmax row's sum; zero queries mix uniformly."""
+    x = tensor([[1.0, 2.0], [1.0, -3.0], [1.0, 0.5]])
+    wk = tensor([[0.3, -1.2], [0.8, 0.4]])
+    take_first = tensor([[1.0, 0.0], [0.0, 0.0]])
+    mixed = ad.attention(x, tensor([[0.5, 1.0], [-0.7, 0.2]]), wk, take_first).data - x.data
+    nptest.assert_allclose(mixed[:, 0], np.ones(3), rtol=1e-12)
+    assert (mixed[:, 1] == 0.0).all()
+    uniform = ad.attention(x, tensor(np.zeros((2, 2))), wk, tensor(np.eye(2))).data
+    nptest.assert_allclose(uniform - x.data, np.tile(x.data.mean(axis=0), (3, 1)),
+                           rtol=1e-12)
 
 
 def test_softmax_xent_uniform_logits_is_log_l():
@@ -260,7 +268,7 @@ def test_tape_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         with ad.record() as rec:
-            hidden = ad.relu(ad.matmul(x, w))
+            hidden = ad.scale(ad.matmul(x, w), 2.0)
             loss = ad.reduce_sum(ad.reshape(hidden, (1,)), axis=0)
         ad.backward(loss, rec)
         alive = weakref.ref(rec)
@@ -268,7 +276,7 @@ def test_tape_is_freed_without_the_cycle_collector():
         assert alive() is None
     finally:
         gc.enable()
-    nptest.assert_array_equal(w.grad, [[1.0], [-2.0]])
+    nptest.assert_array_equal(w.grad, [[2.0], [-4.0]])
 
 
 def test_records_do_not_nest():
@@ -278,22 +286,12 @@ def test_records_do_not_nest():
                 pass
 
 
-def test_max_backward_routes_one_unit_per_slice_first_index_on_ties():
-    x = tensor([[2.0, 2.0, 1.0], [0.0, 5.0, 5.0]], requires_grad=True)
-    with ad.record() as rec:
-        loss = ad.reduce_sum(ad.reduce_max(x, axis=1), axis=0)
-    ad.backward(loss, rec)
-    nptest.assert_array_equal(x.grad, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert x.grad.sum() == 2.0
-
-
 def test_segment_max_pools_each_segment_like_reduce_max():
     x = np.random.default_rng(3).standard_normal((7, 4))
     got = ad.segment_max(tensor(x), [2, 1, 4]).data
     want = np.stack([x[:2].max(axis=0), x[2], x[3:].max(axis=0)])
     nptest.assert_array_equal(got, want)
-    nptest.assert_array_equal(ad.segment_max(tensor(x), [7]).data[0],
-                              ad.reduce_max(tensor(x), axis=0).data)
+    nptest.assert_array_equal(ad.segment_max(tensor(x), [7]).data[0], x.max(axis=0))
 
 
 def test_segment_max_backward_routes_to_the_first_maximal_row_of_each_segment():
@@ -434,10 +432,12 @@ def test_fd_sigmoid_sigmoid_chain(x):
 @settings(max_examples=15, deadline=None)
 @given(x=finite_arrays((2, 3)))
 def test_fd_relu_away_from_kink(x):
+    """The mlp's relu: x @ I + 0 is x, kept away from the kink."""
     t = tensor(_away_from_zero(x), requires_grad=True)
-    err = ad.finite_diff_check(
-        lambda v: ad.reduce_sum(ad.reduce_sum(ad.relu(v), axis=1), axis=0), t
-    )
+    w2 = tensor([[0.5, -1.0], [1.5, 0.25], [-0.75, 0.8]])
+    err = ad.finite_diff_check(lambda v: ad.reduce_sum(ad.reduce_sum(
+        ad.mlp(v, tensor(np.eye(3)), tensor(np.zeros(3)), w2, tensor([0.1, -0.2])),
+        axis=1), axis=0), t)
     assert err < FD_TOL
 
 
@@ -463,14 +463,39 @@ def test_fd_weights_and_bias_of_affine():
 
 
 @settings(max_examples=15, deadline=None)
-@given(x=finite_arrays((2, 4)))
-def test_fd_softmax_rows(x):
-    t = tensor(x, requires_grad=True)
-    probe = tensor(np.linspace(0.5, 1.5, 8).reshape(2, 4))
+@given(x=finite_arrays((3, 4)))
+def test_fd_attention(x):
+    rng = np.random.default_rng(5)
+    weights = [tensor(0.5 * rng.standard_normal((4, 4))) for _ in range(3)]
+    probe = tensor(np.linspace(0.5, 1.5, 12).reshape(3, 4))
     err = ad.finite_diff_check(
-        lambda v: ad.reduce_sum(ad.reduce_sum(ad.mul(ad.softmax_rows(v), probe), axis=1), axis=0), t
+        lambda v: ad.reduce_sum(ad.reduce_sum(
+            ad.mul(ad.attention(v, *weights), probe), axis=1), axis=0), tensor(x, requires_grad=True)
     )
     assert err < FD_TOL
+
+
+@pytest.mark.parametrize("layer", ["mlp", "attention"])
+def test_fd_every_parameter_of_a_layer_op(layer):
+    """Every operand of the fused layer ops, with the input grad-requiring too."""
+    rng = np.random.default_rng(11)
+    x = tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    if layer == "mlp":
+        shapes = [(4, 5), (5,), (5, 2), (2,)]
+    else:
+        shapes = [(4, 4)] * 3
+    params = [tensor(0.5 * rng.standard_normal(s), requires_grad=True) for s in shapes]
+    op = getattr(ad, layer)
+    if layer == "mlp":
+        pre = x.data @ params[0].data + params[1].data
+        assert np.abs(pre).min() > 1e-2, "a hidden unit sits on the relu kink"
+    probe = tensor(rng.standard_normal((3, shapes[-1][-1])))
+
+    def f(_):
+        return ad.reduce_sum(ad.reduce_sum(ad.mul(op(x, *params), probe), axis=1), axis=0)
+
+    for t in (x, *params):
+        assert ad.finite_diff_check(f, t) < FD_TOL
 
 
 @settings(max_examples=15, deadline=None)
@@ -516,7 +541,8 @@ def test_fd_max_with_comfortable_gaps():
     # squared entries stay well separated, so the argmax is stable under +-h
     t = tensor([[0.1, 1.0, -0.4], [2.0, 0.5, -0.3]], requires_grad=True)
     err = ad.finite_diff_check(
-        lambda v: ad.reduce_sum(ad.reduce_max(ad.mul(v, v), axis=1), axis=0), t
+        lambda v: ad.reduce_sum(ad.reshape(
+            ad.segment_max(ad.transpose(ad.mul(v, v)), [3]), (2,)), axis=0), t
     )
     assert err < FD_TOL
 
@@ -543,8 +569,8 @@ def test_fd_reshape_transpose_tile_take():
 @given(x=finite_arrays((4, 3)))
 def test_forward_is_deterministic(x):
     w = tensor(np.linspace(-1, 1, 9).reshape(3, 3))
-    first = ad.softmax_rows(ad.matmul(tensor(x), w)).data
-    second = ad.softmax_rows(ad.matmul(tensor(x), w)).data
+    first = ad.attention(tensor(x), w, w, w).data
+    second = ad.attention(tensor(x), w, w, w).data
     nptest.assert_array_equal(first, second)
 
 

@@ -13,10 +13,9 @@ from stepgate.errors import ContractError, DimensionError, DomainError
 SLOT = 16  # frames per slot
 
 
-def make_params(channels=3, n_classes=4, height=1, width=1, segment_len=8,
-                d_raw=5, seed=0):
+def make_params(channels=3, n_classes=4, segment_len=8, d_raw=5, seed=0):
     cfg = cls.ClassifierConfig(channels=channels, n_classes=n_classes,
-                               height=height, width=width, segment_len=segment_len)
+                               segment_len=segment_len)
     return cls.ClassifierParams.init(cfg, d_raw, np.random.default_rng(seed))
 
 
@@ -29,18 +28,14 @@ def encode_oracle(frames, indices, params):
     rows = np.stack([frames[i][:cfg.segment_len].ravel() for i in indices])
     enc = params.enc
     h = np.maximum(rows @ enc.w1.data + enc.b1.data, 0.0)
-    out = h @ enc.w2.data + enc.b2.data
-    return out.reshape(len(indices), cfg.channels, cfg.height, cfg.width)
+    return h @ enc.w2.data + enc.b2.data
 
 
 def classify_oracle(features, gate_values, params):
-    t, c, hgt, wid = features.shape
-    flat = features.reshape(t, c * hgt * wid)
     if gate_values is not None:
-        flat = flat * gate_values[:, None]
-    spatial = flat.reshape(t, c, hgt * wid).max(axis=2)
+        features = features * gate_values[:, None]
     head = params.head
-    h = np.maximum(spatial @ head.w1.data + head.b1.data, 0.0)
+    h = np.maximum(features @ head.w1.data + head.b1.data, 0.0)
     per_step = h @ head.w2.data + head.b2.data
     return per_step.max(axis=0)
 
@@ -64,7 +59,7 @@ def test_heavynet_matches_numpy_oracle():
     params = make_params()
     frames = random_frames(np.random.default_rng(1))
     feats = cls.heavynet_features(frames, [0, 2], params)
-    assert feats.shape == (2, 3, 1, 1)
+    assert feats.shape == (2, 3)
     nptest.assert_allclose(feats.data, encode_oracle(frames, [0, 2], params),
                            rtol=1e-12)
 
@@ -113,8 +108,8 @@ def test_heavynet_contract_errors():
 # classification head
 
 
-def test_classify_matches_numpy_oracle_with_spatial_grid():
-    params = make_params(channels=2, height=2, width=2, d_raw=4, seed=5)
+def test_classify_matches_numpy_oracle():
+    params = make_params(channels=2, d_raw=4, seed=5)
     frames = random_frames(np.random.default_rng(6), d_raw=4)
     feats = cls.heavynet_features(frames, [0, 1, 2], params)
     gates = np.asarray([0.9, 0.6, 0.75])
@@ -124,21 +119,21 @@ def test_classify_matches_numpy_oracle_with_spatial_grid():
     assert got.shape == (1, 4)
 
 
-def test_gate_scaling_happens_before_spatial_pooling():
-    # one timestep, one channel, two spatial cells holding -1 and -2: pooling
-    # first would give -1 regardless of the gate, scaling first gives -0.5
-    params = make_params(channels=1, n_classes=2, height=1, width=2, d_raw=4, seed=7)
-    feats = Tensor(np.asarray([-1.0, -2.0]).reshape(1, 1, 1, 2))
-    pooled_scaled = cls.classify(feats, Tensor(np.asarray([0.5])), params, [1]).data[0]
+def test_gate_scaling_happens_before_the_head():
+    # one timestep, one channel holding -1: a gate of 0.5 feeds -0.5 to the
+    # head
+    params = make_params(channels=1, n_classes=2, d_raw=4, seed=7)
+    feats = Tensor(np.asarray([[-1.0]]))
+    scaled = cls.classify(feats, Tensor(np.asarray([0.5])), params, [1]).data[0]
     want = classify_oracle(feats.data, np.asarray([0.5]), params)
-    nptest.assert_allclose(pooled_scaled, want, rtol=1e-12)
+    nptest.assert_allclose(scaled, want, rtol=1e-12)
     h = np.maximum(np.asarray([[-0.5]]) @ params.head.w1.data + params.head.b1.data, 0.0)
-    nptest.assert_allclose(pooled_scaled, (h @ params.head.w2.data + params.head.b2.data)[0],
+    nptest.assert_allclose(scaled, (h @ params.head.w2.data + params.head.b2.data)[0],
                            rtol=1e-12)
 
 
 def test_unit_gates_equal_no_gating_exactly():
-    params = make_params(channels=2, height=2, width=1, d_raw=4, seed=8)
+    params = make_params(channels=2, d_raw=4, seed=8)
     frames = random_frames(np.random.default_rng(9), d_raw=4)
     feats = cls.heavynet_features(frames, [0, 3], params)
     ungated = cls.classify(feats, None, params, [2]).data
@@ -161,15 +156,15 @@ def test_duplicate_timesteps_do_not_change_logits():
 
 
 def test_classify_shape_validation():
-    params = make_params(channels=2, height=2, width=2, d_raw=4)
+    params = make_params(channels=2, d_raw=4)
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2, 2))), None, params, [3])
+        cls.classify(Tensor(np.zeros((3, 2, 1))), None, params, [3])
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2, 2, 1))), None, params, [3])
+        cls.classify(Tensor(np.zeros((3, 3))), None, params, [3])
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.ones(2)), params, [3])
+        cls.classify(Tensor(np.zeros((3, 2))), Tensor(np.ones(2)), params, [3])
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2, 2, 2))), None, params, [1, 1])
+        cls.classify(Tensor(np.zeros((3, 2))), None, params, [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +201,7 @@ def test_task_loss_unknown_task():
 def build_small_pipeline(seed=0):
     scfg = sel.SelectorConfig(channels=3, n_kernels=4, context_mode="context",
                               timesteps=3, segment_len=4)
-    ccfg = cls.ClassifierConfig(channels=2, n_classes=3, height=1, width=2,
-                                segment_len=4)
+    ccfg = cls.ClassifierConfig(channels=4, n_classes=3, segment_len=4)
     rng = np.random.default_rng(seed)
     sparams = sel.SelectorParams.init(scfg, 4, rng, gate_hidden=6, open_bias=1.5)
     cparams = cls.ClassifierParams.init(ccfg, 4, rng)
@@ -218,8 +212,7 @@ def build_small_pipeline(seed=0):
 def e2e_loss(sparams, cparams, frames, noises, label):
     import stepgate.gating as gt
     alphas = sel.gate_logits(frames, sparams)
-    value, open_mask = gt.activate_train_batch(alphas, noises)
-    activated = ad.reshape(value, (3,))
+    activated, open_mask = gt.activate_train_batch(alphas, noises)
     selected = [i for i in range(3) if open_mask[i]]
     feats = cls.heavynet_features(frames, selected, cparams)
     gate_vals = ad.take_rows(activated, selected)

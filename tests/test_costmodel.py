@@ -159,21 +159,20 @@ def test_desk_flops_hand_count():
     # light: 3*8 + 8*2 (encoder) + 3*4 + 2*5*2 (attention) + 6*2 (kernels)
     #        + 6*4 + 4 (gate) = 24+16+12+20+12+24+4 = 112
     # scorer: 3*8 + 8*2 (encoder) + 2*3 (linear head) = 46
-    # heavy: 2*3*10 + 10*2*1*2 (encoder) + 2*7 + 7*3 (head) = 60+40+14+21 = 135
+    # heavy: 2*3*10 + 10*2 (encoder) + 2*7 + 7*3 (head) = 60+20+14+21 = 115
     got = cm.desk_flops(d_raw=3, light_channels=2, n_kernels=6, gate_hidden=4,
                         timesteps=5, segment_len=2, heavy_channels=2,
-                        height=1, width=2, heavy_hidden=10, head_hidden=7,
-                        n_classes=3, light_hidden=8)
+                        heavy_hidden=10, head_hidden=7, n_classes=3,
+                        light_hidden=8)
     assert got["desk_light"] * cm.GFLOP == pytest.approx(112, abs=1e-9)
     assert got["desk_scorer"] * cm.GFLOP == pytest.approx(46, abs=1e-9)
-    assert got["desk_heavy"] * cm.GFLOP == pytest.approx(135, abs=1e-9)
+    assert got["desk_heavy"] * cm.GFLOP == pytest.approx(115, abs=1e-9)
 
 
 def test_desk_flops_frame_mode_drops_attention_terms():
     kwargs = dict(d_raw=3, light_channels=2, n_kernels=6, gate_hidden=4,
-                  timesteps=5, segment_len=2, heavy_channels=2, height=1,
-                  width=2, heavy_hidden=10, head_hidden=7, n_classes=3,
-                  light_hidden=8)
+                  timesteps=5, segment_len=2, heavy_channels=2,
+                  heavy_hidden=10, head_hidden=7, n_classes=3, light_hidden=8)
     ctx = cm.desk_flops(context_mode="context", **kwargs)
     frame = cm.desk_flops(context_mode="frame", **kwargs)
     diff = (ctx["desk_light"] - frame["desk_light"]) * cm.GFLOP
@@ -183,8 +182,8 @@ def test_desk_flops_frame_mode_drops_attention_terms():
 def test_desk_flops_registers_into_registry():
     entries = cm.desk_flops(d_raw=32, light_channels=16, n_kernels=32,
                             gate_hidden=16, timesteps=32, segment_len=8,
-                            heavy_channels=32, height=1, width=1,
-                            heavy_hidden=128, head_hidden=256, n_classes=10)
+                            heavy_channels=32, heavy_hidden=128, head_hidden=256,
+                            n_classes=10)
     registry = cm.CostRegistry(rates=entries)
     assert set(registry.rates) == {"desk_light", "desk_scorer", "desk_heavy"}
     rep = cm.pipeline_cost(32, 8, registry.rate("desk_light"),
@@ -192,5 +191,5 @@ def test_desk_flops_registers_into_registry():
     assert rep.total_gflops > 0
     with pytest.raises(DomainError):
         cm.desk_flops(d_raw=0, light_channels=16, n_kernels=32, gate_hidden=16,
-                      timesteps=32, segment_len=8, heavy_channels=32, height=1,
-                      width=1, heavy_hidden=128, head_hidden=256, n_classes=10)
+                      timesteps=32, segment_len=8, heavy_channels=32,
+                      heavy_hidden=128, head_hidden=256, n_classes=10)

@@ -19,12 +19,12 @@ def column(*logits):
 def train_gate(logit, noise):
     """Activate one gate in train mode; returns (value, open)."""
     value, mask = gt.activate_train_batch(column(logit), np.full((1, 1), noise))
-    return float(value.data[0, 0]), bool(mask[0])
+    return float(value.data[0]), bool(mask[0])
 
 
 def step_gate(logit):
     value, mask = gt.activate_test_batch(column(logit))
-    return float(value.data[0, 0]), bool(mask[0])
+    return float(value.data[0]), bool(mask[0])
 
 
 @pytest.fixture
@@ -134,8 +134,8 @@ def test_activate_train_value_range():
     alphas = rng.uniform(-4, 4, size=(500, 1))
     noises = gt.sample_gate_noise_batch(rng, 500).reshape(500, 1)
     value, mask = gt.activate_train_batch(Tensor(alphas), noises)
-    assert mask.shape == (500,)
-    opened, closed = value.data[mask, 0], value.data[~mask, 0]
+    assert mask.shape == value.shape == (500,)
+    opened, closed = value.data[mask], value.data[~mask]
     assert ((opened > 0.5) & (opened <= 1.0)).all()
     assert (closed == 0.0).all()
     assert 0 < mask.sum() < 500
@@ -149,7 +149,7 @@ def test_activate_train_exact_half_closes():
 def test_activate_test_is_positive_logit_step():
     value, mask = gt.activate_test_batch(column(0.3, 0.0, -0.3, 40.0))
     nptest.assert_array_equal(mask, [True, False, False, True])
-    nptest.assert_array_equal(value.data[:, 0], [1.0, 0.0, 0.0, 1.0])
+    nptest.assert_array_equal(value.data, [1.0, 0.0, 0.0, 1.0])
     assert step_gate(0.3) == (1.0, True)
     assert step_gate(-0.3) == (0.0, False)
 
@@ -167,10 +167,10 @@ def test_batch_activation_matches_scalar_path():
     noises = gt.sample_gate_noise_batch(rng, 20).reshape(20, 1)
     value, mask = gt.activate_train_batch(Tensor(alphas), noises)
     for i in range(20):
-        assert train_gate(alphas[i, 0], noises[i, 0]) == (value.data[i, 0], mask[i])
-    z = alphas + noises
+        assert train_gate(alphas[i, 0], noises[i, 0]) == (value.data[i], mask[i])
+    z = (alphas + noises)[:, 0]
     nptest.assert_allclose(value.data, np.where(z > 0, ad.sigmoid_np(z), 0.0), rtol=1e-14)
-    nptest.assert_array_equal(mask, z[:, 0] > 0)
+    nptest.assert_array_equal(mask, z > 0)
 
 
 def test_open_probability_identity_quick():
@@ -197,9 +197,9 @@ def test_monotonicity_under_shared_noise():
 
 
 def _gated_sum(x, value):
-    """Sum of a (n, C) feature matrix scaled row-wise by (n, 1) gate values."""
+    """Sum of a (n, C) feature matrix scaled row-wise by (n,) gate values."""
     n, c = x.shape
-    gated = ad.mul(x, ad.tile_cols(ad.reshape(value, (n,)), c))
+    gated = ad.mul(x, ad.tile_cols(value, c))
     return gated, ad.reduce_sum(ad.reshape(gated, (n * c,)), axis=0)
 
 
@@ -234,7 +234,7 @@ def test_open_gate_scales_feature_and_passes_feature_gradient():
         value, _ = gt.activate_train_batch(alpha, np.zeros((1, 1)))
         _, loss = _gated_sum(x, value)
     ad.backward(loss, rec)
-    a = float(value.data[0, 0])
+    a = float(value.data[0])
     nptest.assert_allclose(x.grad, [[a, a]], rtol=1e-12)
     assert np.abs(alpha.grad).max() > 0.0
 

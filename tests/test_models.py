@@ -65,8 +65,7 @@ def _expected_parameters(cfg):
         scorer["scorer.head_w"] = np.zeros((c, d.n_classes))
         scorer["scorer.head_b"] = np.zeros(d.n_classes)
     h = m.heavy_channels
-    out.update(_mlp_draw(rng, "classifier.enc", m.segment_len * d.d_raw, HEAVY_HIDDEN,
-                         h * m.height * m.width))
+    out.update(_mlp_draw(rng, "classifier.enc", m.segment_len * d.d_raw, HEAVY_HIDDEN, h))
     out.update(_mlp_draw(rng, "classifier.head", h, HEAD_HIDDEN, d.n_classes))
     out.update(scorer)
     return out
@@ -74,7 +73,7 @@ def _expected_parameters(cfg):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_parameters_follow_the_documented_draws(mode):
-    cfg = tiny_config(mode, seed=5, **{"model.height": 2, "model.open_bias": -1.5})
+    cfg = tiny_config(mode, seed=5, **{"model.open_bias": -1.5})
     got = {name: t.data for name, t in build_bundle(cfg).named_parameters().items()}
     want = _expected_parameters(cfg)
     assert list(got) == list(want)

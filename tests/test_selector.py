@@ -223,6 +223,20 @@ def test_zero_noise_train_selection_equals_test_selection():
     assert list(np.where(mask)[0]) == test_res.selected_indices
 
 
+@pytest.mark.parametrize("context_mode, ops", [
+    # light mlp, attention, similarity (transpose and matmul), gate mlp,
+    # noisy gate
+    ("context", ["mlp", "attention", "transpose", "matmul", "mlp", "noisy_gate"]),
+    ("frame", ["mlp", "transpose", "matmul", "mlp", "noisy_gate"]),
+])
+def test_train_select_records_one_tape_op_per_layer(context_mode, ops):
+    params = make_params(context_mode=context_mode)
+    frames = random_frames(np.random.default_rng(14))
+    with ad.record() as rec:
+        sel.select(frames, params, "train", rng=np.random.default_rng(3))
+    assert [node.op for node in rec.nodes if node.op != "leaf"] == ops
+
+
 # ---------------------------------------------------------------------------
 # top-k override
 
@@ -232,8 +246,7 @@ def _result(logits):
     alphas = Tensor(np.asarray(logits, dtype=np.float64).reshape(-1, 1))
     value, mask = gt.activate_test_batch(alphas)
     return sel.SelectionResult(features=Tensor(np.zeros((len(logits), 2))),
-                               logits=alphas, activated=ad.reshape(value, (len(logits),)),
-                               open=mask)
+                               logits=alphas, activated=value, open=mask)
 
 
 def test_top_k_ranks_by_activation_with_lower_index_ties():
@@ -286,7 +299,7 @@ def test_selection_fd_gradient_with_frozen_noise():
     def f(_):
         alphas = sel.gate_logits(frames, params)
         value, _mask = gt.activate_train_batch(alphas, noises)
-        return ad.reduce_sum(ad.reshape(value, (3,)), axis=0)
+        return ad.reduce_sum(value, axis=0)
 
     # keep the check honest: no gate may sit within 1e-2 of its threshold
     alphas = sel.gate_logits(frames, params).data
