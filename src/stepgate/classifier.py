@@ -94,9 +94,10 @@ def heavynet_features(frames: np.ndarray, indices,
             f"{m} frames for encoder input width {params.enc.n_in} (= segment_len x d_raw)"
         )
     # negative indices would wrap without an error
-    bad = idx[(idx < 0) | (idx >= frames.shape[0])]
-    if bad.size:
-        raise ContractError(f"slot {bad[0]} falls outside the {frames.shape[0]} slots")
+    n = frames.shape[0]
+    if idx.min() < 0 or idx.max() >= n:
+        bad = idx[(idx < 0) | (idx >= n)][0]
+        raise ContractError(f"slot {bad} falls outside the {n} slots")
     segments = frames[idx, :m].reshape(idx.size, -1)
     params.heavy_rows += idx.size
     return params.enc(Tensor(segments))

@@ -1,11 +1,13 @@
 """Per-timestep gating: concept similarity, a gate MLP, and noisy thresholding.
 
-All T timesteps of a video are gated at once.  Each timestep feature (a row
-of a T x C matrix) is compared against the learned concept kernels (an
-n_kernels x C tensor), a two-layer ``autodiff.MLP`` reduces each similarity
-row to a single logit, and the (T, 1) logit column is turned into T gate
-values by a noisy clipped sigmoid.  The kernels and the gate MLP live in
-``selector.SelectorParams``.
+All T timesteps of a video are gated at once, and so are all B*T of a stack
+of B videos, whose rows run video after video.  Each timestep feature (a
+row of a T x C or B*T x C matrix) is compared against the learned concept
+kernels (an n_kernels x C tensor), a two-layer ``autodiff.MLP`` reduces each
+similarity row to a single logit, and the (T, 1) logit column is turned into
+T gate values by a noisy clipped sigmoid.  Nothing here mixes rows, so every
+function takes the rows of one video or of a stack alike.  The kernels and
+the gate MLP live in ``selector.SelectorParams``.
 
 During training the activation is ``a = clip(sigmoid(logit + G))`` where
 ``G = G1 - G2`` is the difference of two independent Gumbel(0, 1) draws
@@ -46,7 +48,8 @@ def similarity_batch(features: Tensor, kernels: Tensor) -> Tensor:
 
 
 def gate_logits_batch(similarities: Tensor, mlp: MLP) -> Tensor:
-    """T x n_in similarities to a T x 1 column of logits."""
+    """T x n_in similarities to a T x 1 column of logits (any number of
+    rows)."""
     if similarities.data.ndim != 2 or similarities.shape[1] != mlp.n_in:
         raise DimensionError(
             f"gate_logits_batch got similarities {similarities.shape}, expected (T, {mlp.n_in})"
@@ -82,10 +85,16 @@ def activate_train_batch(alphas: Tensor, noises: np.ndarray) -> tuple[Tensor, np
     return value, value.data > 0.0
 
 
+def step_open(logits: np.ndarray) -> np.ndarray:
+    """The test-time open mask of an array of gate logits, in its shape: a
+    gate opens iff its logit is positive."""
+    return logits > 0.0
+
+
 def activate_test_batch(alphas) -> tuple[Tensor, np.ndarray]:
-    """Deterministic step activation, flat: open iff the logit is positive."""
+    """Deterministic step activation, flat: ``step_open`` of the logits."""
     data = alphas.data if isinstance(alphas, Tensor) else np.asarray(alphas, dtype=np.float64)
-    open_mask = data.reshape(-1) > 0.0
+    open_mask = step_open(data.reshape(-1))
     return Tensor(open_mask.astype(np.float64)), open_mask
 
 

@@ -7,6 +7,14 @@ timesteps so different selection policies can be compared at matched budget.
 Gate magnitudes are not applied at test time: the test activation is binary,
 so on the open set the scaling is the identity, and under a top-k override
 it would zero the force-included rows.
+
+Work is stacked where it does not depend on the budget.  ``rankings`` runs
+the test-mode selector once per minibatch of ``training.batch_size``
+videos, or the scorer once over the list; ``split_picks`` then derives
+every budget's picks from that one ranking.  Each entry encodes each video
+with its own ``heavynet_features`` call, entry after entry, and runs
+``classify`` once per minibatch on the concatenated features.  So a
+``select`` or ``classify`` call covers a minibatch, not a video.
 """
 
 from __future__ import annotations
@@ -16,10 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import autodiff as ad
 from ..baselines import sample_indices, scsampler_scores
 from ..classifier import HEAD_HIDDEN, HEAVY_HIDDEN, classify, heavynet_features
 from ..costmodel import CostRegistry, CostReport, desk_flops, pipeline_cost
 from ..errors import ContractError, DimensionError, DomainError
+from ..gating import step_open
 from ..selector import LIGHT_HIDDEN, heavy_indices, select, top_k_indices
 from ..synthdata import Dataset
 from .checkpoint import Checkpoint
@@ -187,35 +197,56 @@ def light_slots(videos: list, config: ExperimentConfig) -> np.ndarray:
     return np.concatenate([v.frames[:, mid:mid + 1] for v in videos])
 
 
-def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list) -> list:
-    """Per video, what every budget picks from: the test-mode selection or
-    the scorer's scores (one scorer pass over the whole list); None for the
-    fixed-rule samplers."""
+def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list):
+    """What every budget picks from, one row per video: the (N, T) test-mode
+    gate logits of the selector arms, selected in minibatches of
+    ``training.batch_size`` videos; the (N, T) scores of one scorer pass over
+    the whole list; N Nones for the fixed-rule samplers."""
+    t = config.dataset.timesteps
     if bundle.mode in SELECTOR_MODES:
-        return [select(v.frames, bundle.selector, "test") for v in videos]
+        b = config.training.batch_size
+        # every minibatch is stacked into one buffer, not a fresh 4 MB array
+        # at the default sizes
+        buf = np.empty((min(b, len(videos)), *videos[0].frames.shape))
+        logits = []
+        for lo in range(0, len(videos), b):
+            chunk = videos[lo:lo + b]
+            stack = np.stack([v.frames for v in chunk], out=buf[:len(chunk)])
+            logits.append(select(stack, bundle.selector, "test").logits.data.reshape(-1, t))
+        return np.concatenate(logits)
     if bundle.mode == "scsampler":
         scores = scsampler_scores(light_slots(videos, config), bundle.scorer, 1)
-        return list(scores.reshape(len(videos), config.dataset.timesteps))
+        return scores.reshape(len(videos), t)
     return [None] * len(videos)
 
 
-def video_indices(bundle: ModelBundle, config: ExperimentConfig, ranking,
-                  stream: list[int], budget: int | None) -> list[int]:
-    """Timesteps one video's heavy stage encodes under ``budget`` (None: the
-    natural gate count, or the training sample budget for the selector-free
-    arms).  ``stream`` seeds the random arm, after the config seed."""
+def split_picks(bundle: ModelBundle, config: ExperimentConfig, ranked,
+                budgets: list, stream: list[int]) -> list[list[list[int]]]:
+    """Per budget, per row of ``ranked``, the timesteps that video's heavy
+    stage encodes (budget None: the natural gate count, or the training
+    sample budget for the selector-free arms).
+
+    The selector arms' budgets all read one ranking of the split.  Video i's
+    random draws are seeded from the config seed, then ``stream``, then i.
+    """
     t = config.dataset.timesteps
     if bundle.mode in SELECTOR_MODES:
-        if budget is not None:
-            return top_k_indices(ranking, budget)
-        return heavy_indices(ranking)
-    k = budget if budget is not None else training_sample_budget(config)
-    if bundle.mode == "scsampler":
-        return sample_indices("topk", t, k, scores=ranking)
-    if bundle.mode == "uniform":
-        return sample_indices("uniform", t, k)
-    seed = np.random.default_rng([config.seed, *stream]).integers(1 << 62)
-    return sample_indices("random", t, k, seed=int(seed))
+        ks = [k for k in budgets if k is not None]
+        top = dict(zip(ks, top_k_indices(ranked, ks)))
+        return [heavy_indices(step_open(ranked), ranked) if k is None else top[k]
+                for k in budgets]
+    out = []
+    for budget in budgets:
+        k = budget if budget is not None else training_sample_budget(config)
+        if bundle.mode == "scsampler":
+            out.append([sample_indices("topk", t, k, scores=row) for row in ranked])
+        elif bundle.mode == "uniform":
+            out.append([sample_indices("uniform", t, k) for _ in ranked])
+        else:
+            seeds = [np.random.default_rng([config.seed, *stream, i]).integers(1 << 62)
+                     for i in range(len(ranked))]
+            out.append([sample_indices("random", t, k, seed=int(s)) for s in seeds])
+    return out
 
 
 def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
@@ -225,6 +256,7 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
         raise ContractError("evaluation needs at least one video")
     task = config.dataset.task
     t = config.dataset.timesteps
+    b = config.training.batch_size
     registry = cost_registry_for(config)
     budgets: list[int | None] = list(config.eval.budgets)
     if config.eval.selection == "gate-count":
@@ -234,17 +266,18 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
                         timesteps=t)
     # test-mode gates and scores do not depend on the budget
     ranked = rankings(bundle, config, videos)
-    for budget in budgets:
+    picks = split_picks(bundle, config, ranked, budgets, [_EVAL_STREAM])
+    for budget, entry_picks in zip(budgets, picks):
         bundle.classifier.reset_instrumentation()
-        counts: list[int] = []
-        score_rows = np.zeros((len(videos), config.dataset.n_classes))
-        for vi, video in enumerate(videos):
-            idx = video_indices(bundle, config, ranked[vi], [_EVAL_STREAM, vi],
-                                budget)
-            feats = heavynet_features(video.frames, idx, bundle.classifier)
-            score_rows[vi] = classify(feats, None, bundle.classifier,
-                                      [len(idx)]).data[0]
-            counts.append(len(idx))
+        minibatch_scores = []
+        for lo in range(0, len(videos), b):
+            chunk = entry_picks[lo:lo + b]
+            feats = [heavynet_features(v.frames, idx, bundle.classifier)
+                     for v, idx in zip(videos[lo:lo + b], chunk)]
+            minibatch_scores.append(classify(ad.concat_rows(feats), None, bundle.classifier,
+                                             [len(idx) for idx in chunk]).data)
+        score_rows = np.concatenate(minibatch_scores)
+        counts = [len(idx) for idx in entry_picks]
         if bundle.classifier.heavy_rows != sum(counts):
             raise ContractError(
                 f"{entry_key(budget)}: the heavy encoder counted "

@@ -60,6 +60,8 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
     w28 = rng.standard_normal(28)
     w2 = Tensor(rng.standard_normal((3, 2)))
     proj = [Tensor(0.5 * rng.standard_normal((4, 4))) for _ in range(3)]
+    w24 = rng.standard_normal(24)
+    stack = np.stack([_X34, _MAX_SAFE])
     if np.min(np.abs(_X34 @ _W1 + _B1)) < 0.1:
         raise ContractError("mlp FD case drifted onto the relu kink")
 
@@ -112,6 +114,11 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
         "attention_q": (lambda w: attend(Tensor(_X34), q=w), _param(proj[0].data)),
         "attention_k": (lambda w: attend(Tensor(_X34), k=w), _param(proj[1].data)),
         "attention_v": (lambda w: attend(Tensor(_X34), v=w), _param(proj[2].data)),
+        # a (2, 3, 4) stack of two sequences, each attending within itself
+        "attention_stack": (lambda x: _project(ad.attention(x, *proj), w24),
+                            _param(stack)),
+        "attention_stack_q": (lambda w: _project(ad.attention(
+            Tensor(stack), w, proj[1], proj[2]), w24), _param(proj[0].data)),
     }
     return {name: finite_diff_check(f, x) for name, (f, x) in cases.items()}
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..autodiff import sigmoid_np
 from ..errors import ContractError
+from ..gating import step_open
 from ..synthdata import Dataset
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
@@ -46,10 +47,9 @@ def compute_gating_report(bundle: ModelBundle, config: ExperimentConfig,
     gate_sums = np.zeros((n_classes, t))
     counts = np.zeros(n_classes)
 
-    ranked = rankings(bundle, config, videos)
-    for video, result in zip(videos, ranked):
-        ratio = len(result.selected_indices) / t
-        gates = sigmoid_np(result.logits.data.reshape(-1))
+    logits = rankings(bundle, config, videos)
+    for video, row, gates in zip(videos, logits, sigmoid_np(logits)):
+        ratio = np.count_nonzero(step_open(row)) / t
         for c in video.positive_classes():
             ratio_sums[c] += ratio
             gate_sums[c] += gates

@@ -26,6 +26,7 @@ from the config seed, and batches run sequentially.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ from ..selector import SelectionResult, heavy_indices, select
 from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .evaluation import light_slots, rankings, video_indices
+from .evaluation import light_slots, rankings, split_picks
 from .models import ModelBundle, build_bundle
 
 _TRAIN_STREAM = 0x5EED
@@ -215,13 +216,14 @@ def joint_logits(frames: list[np.ndarray], results: list[SelectionResult],
     """The joint arms' (B, L) heavy logits of a batch: each selection's heavy
     timesteps, scaled by their gate values, through the heavy classifier."""
     t = bundle.selector.config.timesteps
-    picks = [heavy_indices(r) for r in results]
+    opened = np.stack([r.open for r in results])
+    picks = heavy_indices(opened, np.stack([r.logits.data.reshape(t) for r in results]))
     # the fallback timestep of an all-closed video enters with a constant
     # gate of 1, the last row of the gate column
     column = ad.concat_rows([r.activated for r in results] + [Tensor(np.ones(1))])
     gate_rows = []
-    for b, (r, idx) in enumerate(zip(results, picks)):
-        gate_rows += [b * t + i for i in idx] if r.open.any() else [len(results) * t]
+    for b, idx in enumerate(picks):
+        gate_rows += [b * t + i for i in idx] if opened[b].any() else [len(results) * t]
     return _heavy_logits(frames, picks, ad.take_rows(column, gate_rows),
                          bundle.classifier)
 
@@ -318,11 +320,13 @@ def run_training(config: ExperimentConfig,
         # is over; random sampling redraws every epoch
         ranked = rankings(bundle, config, dataset.train)
 
+        @functools.lru_cache(maxsize=1)
+        def epoch_picks(epoch):
+            return split_picks(bundle, config, ranked, [None], [_SAMPLE_STREAM, epoch])[0]
+
         def classifier_loss(epoch, batch):
             videos = [dataset.train[vi] for vi in batch]
-            picks = [video_indices(bundle, config, ranked[vi],
-                                   [_SAMPLE_STREAM, epoch, vi], None)
-                     for vi in batch]
+            picks = [epoch_picks(epoch)[vi] for vi in batch]
             logits = _heavy_logits([v.frames for v in videos], picks, None,
                                    bundle.classifier)
             loss, hits = _scored(logits, videos, task)

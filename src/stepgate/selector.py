@@ -10,6 +10,15 @@ frame is that segment's middle one, ``slot[segment_len // 2]``.
 ``SelectorParams`` holds the encoder, the attention projections, the concept
 kernels and the gate MLP, named ``selector.enc.*``, ``selector.attn_{q,k,v}``,
 ``selector.kernels`` and ``selector.gate.*``.
+
+``select`` and every layer it calls also take a stack of B videos, shaped
+(B, T, frames_per_slot, d_raw).  Its rows then run video after video, B*T of
+them, through one light-encoder pass, one attention op, one similarity
+product and one gate MLP pass, and attention mixes timesteps within each
+video only, so each video's gates are the ones it gets alone, up to the
+rounding of the larger products.  Evaluation selects a minibatch per call,
+so a ``select`` call there covers a minibatch; training selects one video
+per call.
 """
 
 from __future__ import annotations
@@ -88,7 +97,8 @@ class SelectorParams:
 
 @dataclass
 class SelectionResult:
-    """Gate outcomes for one video, as arrays over its T timesteps.
+    """Gate outcomes for one video, as arrays over its T timesteps, or for a
+    stack of B videos, as arrays over their B*T timesteps video after video.
 
     ``features`` are the (T, C) light features the gates read (after
     attention in context mode), ``logits`` the differentiable (T, 1) gate
@@ -104,7 +114,8 @@ class SelectionResult:
 
     @property
     def selected_indices(self) -> list[int]:
-        """The open timesteps, ascending; empty when every gate closed."""
+        """The open timesteps of one video, ascending; empty when every gate
+        closed."""
         return [int(i) for i in np.flatnonzero(self.open)]
 
 
@@ -130,28 +141,44 @@ def encode_light(frames: np.ndarray, enc: MLP, segment_len: int) -> Tensor:
 
 
 def lightnet_features(frames: np.ndarray, params: SelectorParams) -> Tensor:
-    """The selector's light features, one row per timestep slot."""
+    """The selector's light features, one row per timestep slot: (T, C) for
+    one video, (B*T, C) video after video for a stack of B videos."""
     cfg = params.config
-    feats = encode_light(frames, params.enc, cfg.segment_len)
-    if feats.shape[0] != cfg.timesteps:
+    if np.ndim(frames) == 4:
+        frames = np.asarray(frames, dtype=np.float64)
+        slots = frames.shape[1]
+        feats = encode_light(frames.reshape(-1, *frames.shape[2:]), params.enc,
+                             cfg.segment_len)
+    else:
+        feats = encode_light(frames, params.enc, cfg.segment_len)
+        slots = feats.shape[0]
+    if slots != cfg.timesteps:
         raise DimensionError(
-            f"video has {feats.shape[0]} slots, the selector expects {cfg.timesteps}"
+            f"video has {slots} slots, the selector expects {cfg.timesteps}"
         )
     return feats
 
 
 def self_attention(features: Tensor, params: SelectorParams) -> Tensor:
-    """Single-head scaled dot-product self-attention with a residual add."""
+    """Single-head scaled dot-product self-attention with a residual add,
+    over (T, C) features or within each video of (B*T, C) stacked rows."""
     if params.attn_q is None:
         raise ContractError("self_attention called on a frame-mode selector")
-    c = params.config.channels
+    c, t = params.config.channels, params.config.timesteps
     if features.data.ndim != 2 or features.shape[1] != c:
         raise DimensionError(f"attention needs (T, {c}) features, got {features.shape}")
-    return ad.attention(features, params.attn_q, params.attn_k, params.attn_v)
+    w = (params.attn_q, params.attn_k, params.attn_v)
+    if features.shape[0] == t:
+        return ad.attention(features, *w)
+    if features.shape[0] % t:
+        raise DimensionError(f"{features.shape[0]} feature rows are not whole videos "
+                             f"of {t} timesteps")
+    stack = ad.attention(ad.reshape(features, (features.shape[0] // t, t, c)), *w)
+    return ad.reshape(stack, features.shape)
 
 
 def _gate_inputs(frames: np.ndarray, params: SelectorParams) -> tuple[Tensor, Tensor]:
-    """The features the gates read and their (T, 1) gate logits."""
+    """The features the gates read and their (T, 1) or (B*T, 1) gate logits."""
     feats = lightnet_features(frames, params)
     if params.config.context_mode == "context":
         feats = self_attention(feats, params)
@@ -167,21 +194,22 @@ def gate_logits(frames: np.ndarray, params: SelectorParams) -> Tensor:
 def select(frames: np.ndarray, params: SelectorParams, mode: str,
            rng: np.random.Generator | None = None) -> SelectionResult:
     """Run the full selection pipeline over one video's (T, frames_per_slot,
-    d_raw) frames.
+    d_raw) frames, or over a (B, T, frames_per_slot, d_raw) stack of videos.
 
     ``mode`` is "train" (noisy clipped sigmoid; needs ``rng``) or "test"
-    (deterministic step).  ``selected_indices`` is exactly the ascending set
-    of open gates; empty selections are legal here and resolved by
-    ``heavy_indices``.
+    (deterministic step).  A stack draws its gate noise video after video,
+    so it consumes ``rng`` exactly as B one-video calls in order would.  For
+    one video, ``selected_indices`` is exactly the ascending set of open
+    gates; empty selections are legal here and resolved by ``heavy_indices``.
     """
     if mode not in ("train", "test"):
         raise DomainError(f"selection mode must be 'train' or 'test', got {mode!r}")
-    t = params.config.timesteps
     feats, alphas = _gate_inputs(frames, params)
     if mode == "train":
         if rng is None:
             raise ContractError("train-mode selection needs an rng for the gate noise")
-        noises = gating.sample_gate_noise_batch(rng, t).reshape(t, 1)
+        n = alphas.shape[0]
+        noises = gating.sample_gate_noise_batch(rng, n).reshape(n, 1)
         value, open_mask = gating.activate_train_batch(alphas, noises)
     else:
         value, open_mask = gating.activate_test_batch(alphas)
@@ -189,22 +217,27 @@ def select(frames: np.ndarray, params: SelectorParams, mode: str,
                            open=open_mask)
 
 
-def heavy_indices(result: SelectionResult) -> list[int]:
-    """Timesteps the heavy stage encodes: the open ones or, when every gate
-    closed, the single timestep with the highest logit."""
-    return result.selected_indices or [int(np.argmax(result.logits.data))]
+def heavy_indices(open_mask: np.ndarray, logits: np.ndarray) -> list[list[int]]:
+    """Per video of (B, T) open masks and gate logits, the timesteps the
+    heavy stage encodes: the open ones or, when every gate of the video
+    closed, its single timestep with the highest logit; ascending."""
+    fallback = np.argmax(logits, axis=1)
+    return [np.flatnonzero(row).tolist() or [int(i)]
+            for row, i in zip(open_mask, fallback)]
 
 
-def top_k_indices(result: SelectionResult, k: int) -> list[int]:
-    """The k timesteps with the highest gate activation ``sigmoid(logit)``.
+def top_k_indices(logits: np.ndarray, budgets: list[int]) -> list[list[list[int]]]:
+    """Per budget k, per video of (B, T) gate logits, the k timesteps with the
+    highest gate activation ``sigmoid(logit)``, ascending.
 
     Ranking uses the continuous activation rather than the thresholded value
     (in test mode the latter is binary and cannot order timesteps); ties go
-    to the lower index.  Returned ascending.
+    to the lower index.  Every budget slices one stable argsort of the whole
+    stack.
     """
-    t = result.open.size
-    if not (1 <= k <= t):
-        raise DomainError(f"top-k budget must lie in [1, {t}], got {k}")
-    scores = ad.sigmoid_np(result.logits.data.reshape(-1))
-    order = np.argsort(-scores, kind="stable")
-    return sorted(int(i) for i in order[:k])
+    t = logits.shape[1]
+    for k in budgets:
+        if not (1 <= k <= t):
+            raise DomainError(f"top-k budget must lie in [1, {t}], got {k}")
+    order = np.argsort(-ad.sigmoid_np(logits), axis=1, kind="stable")
+    return [np.sort(order[:, :k], axis=1).tolist() for k in budgets]

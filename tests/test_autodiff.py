@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import numpy.testing as nptest
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import stepgate.autodiff as ad
 from stepgate.errors import ContractError, DimensionError, DomainError
@@ -475,6 +475,28 @@ def test_fd_attention(x):
     assert err < FD_TOL
 
 
+def test_fd_every_operand_of_a_stacked_attention():
+    """A (B, T, C) stack attends within each sequence: its values are each
+    sequence's own, and the weight gradients sum over the stack."""
+    rng = np.random.default_rng(13)
+    x = tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    params = [tensor(0.5 * rng.standard_normal((4, 4)), requires_grad=True)
+              for _ in range(3)]
+    probe = tensor(rng.standard_normal(24))
+
+    def f(_):
+        flat = ad.reshape(ad.attention(x, *params), (24,))
+        return ad.reduce_sum(ad.mul(flat, probe), axis=0)
+
+    for t in (x, *params):
+        assert ad.finite_diff_check(f, t) < FD_TOL
+    alone = [ad.attention(tensor(x.data[b]), *params).data for b in range(2)]
+    nptest.assert_allclose(ad.attention(x, *params).data, np.stack(alone),
+                           rtol=1e-12, atol=1e-12)
+    with pytest.raises(DimensionError):
+        ad.attention(tensor(np.zeros((1, 2, 3, 4))), *params)
+
+
 @pytest.mark.parametrize("layer", ["mlp", "attention"])
 def test_fd_every_parameter_of_a_layer_op(layer):
     """Every operand of the fused layer ops, with the input grad-requiring too."""
@@ -506,18 +528,41 @@ def test_fd_softmax_xent(x, label):
     assert err < FD_TOL
 
 
+def _soft_targets(weights, masks):
+    """Rows of ``weights`` kept where the bits of ``masks`` are set,
+    normalized to sum to 1."""
+    keep = (np.asarray(masks)[:, None] >> np.arange(4)) & 1
+    targets = weights * keep
+    return targets / targets.sum(axis=1, keepdims=True)
+
+
 @settings(max_examples=15, deadline=None)
 @given(x=finite_arrays((3, 4)), weights=finite_arrays((3, 4), lo=0.05, hi=1.0),
        masks=st.lists(st.integers(min_value=1, max_value=15), min_size=3,
                       max_size=3))
 def test_fd_softmax_xent_soft_targets(x, weights, masks):
     """Target distributions over one to four positives per row."""
-    keep = (np.asarray(masks)[:, None] >> np.arange(4)) & 1
-    targets = weights * keep
-    targets /= targets.sum(axis=1, keepdims=True)
+    targets = _soft_targets(weights, masks)
+    # a gradient coordinate (p - t) / 3 near 0 would leave only the central
+    # difference's roundoff, about 1e-10 here, over the check's 1e-8 floor
+    p = np.exp(x - x.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    assume(np.abs(p - targets).min() > 1e-4)
     t = tensor(x, requires_grad=True)
     err = ad.finite_diff_check(lambda v: ad.softmax_xent(v, targets), t)
     assert err < FD_TOL
+
+
+def test_softmax_xent_gradient_is_zero_where_the_target_is_the_softmax():
+    """The draw x = 0, unit weights, masks [1, 1, 15]: the last row's target
+    is uniform, as is its softmax, so its gradient is exactly zero."""
+    targets = _soft_targets(np.ones((3, 4)), [1, 1, 15])
+    t = tensor(np.zeros((3, 4)), requires_grad=True)
+    with ad.record() as rec:
+        loss = ad.softmax_xent(t, targets)
+    ad.backward(loss, rec)
+    nptest.assert_array_equal(t.grad[2], np.zeros(4))
+    nptest.assert_allclose(t.grad[:2], (0.25 - targets[:2]) / 3, rtol=1e-15)
 
 
 @settings(max_examples=15, deadline=None)

@@ -92,9 +92,10 @@ def test_heavynet_contract_errors():
     frames = random_frames(np.random.default_rng(4))
     with pytest.raises(ContractError):
         cls.heavynet_features(frames, [], params)
-    # slots 4 and -1 lie outside the 4 slots; numpy would wrap -1 silently
-    for idx in ([4], [0, -1]):
-        with pytest.raises(ContractError, match="outside the 4 slots"):
+    # slots 4 and -1 lie outside the 4 slots; numpy would wrap -1 silently;
+    # the message names the first bad slot
+    for idx, first in (([4], 4), ([0, -1], -1), ([1, 7, -2], 7)):
+        with pytest.raises(ContractError, match=f"slot {first} falls outside the 4 slots"):
             cls.heavynet_features(frames, idx, params)
     assert params.heavy_rows == 0
     for bad in (np.zeros((4, SLOT, 7)),          # wrong width

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
+from stepgate.autodiff import sigmoid_np
 from stepgate.baselines import scsampler_scores
+from stepgate.classifier import classify, heavynet_features
 from stepgate.errors import ContractError, DomainError
 from stepgate.harness import evaluation
 from stepgate.harness.checkpoint import Checkpoint
@@ -12,7 +14,12 @@ from stepgate.harness.evaluation import (accuracy, average_precision,
                                          cost_registry_for,
                                          evaluate_bundle,
                                          evaluate_checkpoint, mean_ap)
-from stepgate.harness.models import build_bundle
+from stepgate.harness.models import build_bundle, training_sample_budget
+from stepgate.harness.training import spec_from_config
+from stepgate.selector import select
+from stepgate.synthdata import generate_dataset
+
+MODES = ["e2e", "frame_conditioned", "standalone", "scsampler", "uniform", "random"]
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +157,22 @@ def test_evaluation_is_deterministic(e2e_setup):
 @pytest.mark.parametrize("mode", ["e2e", "frame_conditioned", "standalone"])
 def test_selection_runs_once_per_video(mode, tiny_data, monkeypatch):
     """Test-mode gates do not depend on the budget, so every budget entry
-    reuses one selection per video."""
+    reuses one selection of each video: each video is selected exactly
+    once, in minibatches of training.batch_size videos."""
     calls = []
     real = evaluation.select
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[0].copy())   # the stack's buffer is reused
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "select", counted)
-    cfg = tiny_config(mode, **{"eval.budgets": [2, 4]})
+    cfg = tiny_config(mode, **{"eval.budgets": [2, 4], "training.batch_size": 4})
     report = evaluate_bundle(build_bundle(cfg), cfg, tiny_data.test)
     assert len(report.entries) == 3
-    assert len(calls) == len(tiny_data.test)
-    assert all(a is v.frames for a, v in zip(calls, tiny_data.test))
+    assert [len(c) for c in calls] == [4, 2]
+    selected = np.concatenate(calls)
+    np.testing.assert_array_equal(selected, [v.frames for v in tiny_data.test])
 
 
 def test_scsampler_rankings_equal_each_videos_own_scores(tiny_data):
@@ -229,3 +238,92 @@ def test_evaluate_checkpoint_matches_bundle_evaluation(e2e_setup):
     assert train_side.n_videos == len(data.train)
     with pytest.raises(DomainError):
         evaluate_checkpoint(ckpt, data, split="validation")
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluation equals a per-video loop
+
+
+def _reference_picks(bundle, cfg, video, vi, budget):
+    """One video's picks under one budget, each arm's rule written out."""
+    t = cfg.dataset.timesteps
+    if bundle.mode in evaluation.SELECTOR_MODES:
+        logits = select(video.frames, bundle.selector, "test").logits.data.ravel()
+        if budget is None:
+            return [int(i) for i in np.flatnonzero(logits > 0.0)] or [int(np.argmax(logits))]
+        order = np.argsort(-sigmoid_np(logits), kind="stable")
+        return sorted(int(i) for i in order[:budget])
+    k = budget if budget is not None else training_sample_budget(cfg)
+    if bundle.mode == "scsampler":
+        scores = scsampler_scores(video.frames, bundle.scorer, cfg.model.segment_len)
+        return sorted(int(i) for i in np.argsort(-scores, kind="stable")[:k])
+    if bundle.mode == "uniform":
+        return [(2 * i + 1) * t // (2 * k) for i in range(k)]
+    seed = np.random.default_rng([cfg.seed, evaluation._EVAL_STREAM, vi]).integers(1 << 62)
+    return sorted(int(i) for i in np.random.default_rng(int(seed)).choice(t, k, replace=False))
+
+
+def _reference_entries(bundle, cfg, videos):
+    """Per entry key: per-video counts and the metric, one select, one heavy
+    pass and one head pass per video and entry."""
+    out = {}
+    for budget in [None, *cfg.eval.budgets]:
+        picks = [_reference_picks(bundle, cfg, v, vi, budget) for vi, v in enumerate(videos)]
+        scores = np.stack([
+            classify(heavynet_features(v.frames, idx, bundle.classifier), None,
+                     bundle.classifier, [len(idx)]).data[0]
+            for v, idx in zip(videos, picks)])
+        if cfg.dataset.task == "single_label":
+            value = accuracy(np.argmax(scores, axis=1), [int(v.labels) for v in videos])
+        else:
+            value, _ = mean_ap(scores, np.stack([v.labels for v in videos]))
+        out[evaluation.entry_key(budget)] = ([len(idx) for idx in picks], value)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:classes .* have no positives")
+@pytest.mark.parametrize("task", ["single_label", "multi_label"])
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluate_bundle_equals_a_per_video_loop(mode, task):
+    """Seven test videos in minibatches of 3: a short last minibatch."""
+    cfg = tiny_config(mode, **{"dataset.task": task, "training.batch_size": 3,
+                               "eval.budgets": [1, 3]})
+    data = generate_dataset(spec_from_config(cfg), 4, 7, cfg.seed)
+    bundle = build_bundle(cfg)
+    rng = np.random.default_rng(19)
+    for p in bundle.named_parameters().values():
+        p.data += 0.5 * rng.standard_normal(p.shape)
+    if bundle.selector is not None:
+        bundle.selector.gate.b2.data[...] = 0.0   # some gates open, some close
+
+    report = evaluate_bundle(bundle, cfg, data.test)
+    want = _reference_entries(bundle, cfg, data.test)
+    assert list(report.per_video_counts) == list(want)
+    for entry, (key, (counts, value)) in zip(report.entries, want.items()):
+        assert report.per_video_counts[key] == counts
+        assert entry.heavy_rows == sum(counts)
+        assert entry.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    if mode in evaluation.SELECTOR_MODES:
+        assert 1 < len(set(report.per_video_counts["gate-count"]))
+
+
+@pytest.mark.parametrize("mode", ["e2e", "scsampler", "random"])
+def test_each_entry_encodes_each_video_once_in_order(mode, tiny_data, monkeypatch):
+    """What the benchmark's traced check counts: one heavy-encoder call per
+    video per entry, entry after entry, each video in split order."""
+    calls = []
+    real = evaluation.heavynet_features
+
+    def counted(frames, indices, params):
+        calls.append((frames, len(indices)))
+        return real(frames, indices, params)
+
+    monkeypatch.setattr(evaluation, "heavynet_features", counted)
+    cfg = tiny_config(mode, **{"eval.budgets": [2, 4], "training.batch_size": 4})
+    report = evaluate_bundle(build_bundle(cfg), cfg, tiny_data.test)
+    n = len(tiny_data.test)
+    assert len(calls) == n * len(report.entries)
+    for e, counts in enumerate(report.per_video_counts.values()):
+        chunk = calls[e * n:(e + 1) * n]
+        assert all(f is v.frames for (f, _), v in zip(chunk, tiny_data.test))
+        assert [rows for _, rows in chunk] == counts

@@ -154,6 +154,13 @@ def test_activate_test_is_positive_logit_step():
     assert step_gate(-0.3) == (0.0, False)
 
 
+def test_step_open_keeps_the_shape_and_is_the_test_activation_rule():
+    logits = np.array([[0.3, 0.0, -0.3], [40.0, -1e-300, 1e-300]])
+    mask = gt.step_open(logits)
+    nptest.assert_array_equal(mask, [[True, False, False], [True, False, True]])
+    nptest.assert_array_equal(gt.activate_test_batch(logits)[1], mask.reshape(-1))
+
+
 @settings(max_examples=50, deadline=None)
 @given(logit=st.floats(min_value=-30, max_value=30, allow_nan=False))
 def test_zero_noise_train_matches_test_decision(logit):

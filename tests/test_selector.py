@@ -238,6 +238,55 @@ def test_train_select_records_one_tape_op_per_layer(context_mode, ops):
 
 
 # ---------------------------------------------------------------------------
+# a stack of videos
+
+
+@pytest.mark.parametrize("context_mode", ["context", "frame"])
+def test_stacked_select_equals_per_video_select(context_mode):
+    """A (B, T, ...) stack gates each video as it is gated alone, and train
+    mode draws the gate noise in the same order from the same stream."""
+    params = make_params(context_mode=context_mode, open_bias=0.2, seed=4)
+    rng = np.random.default_rng(16)
+    videos = [random_frames(rng) for _ in range(5)]
+    stack = np.stack(videos)
+
+    test = sel.select(stack, params, "test")
+    alone = [sel.select(f, params, "test") for f in videos]
+    nptest.assert_allclose(test.logits.data.reshape(5, 4),
+                           [r.logits.data.ravel() for r in alone], rtol=1e-12, atol=1e-12)
+    nptest.assert_array_equal(test.open.reshape(5, 4), [r.open for r in alone])
+    assert 0 < test.open.sum() < test.open.size
+
+    def train_grads(build):
+        for p in params.named_parameters().values():
+            p.zero_grad()
+        with ad.record() as rec:
+            results = build(np.random.default_rng(17))
+            loss = ad.reduce_sum(ad.concat_rows([r.activated for r in results]), axis=0)
+        ad.backward(loss, rec)
+        return results, {n: p.grad.copy() for n, p in params.named_parameters().items()}
+
+    (stacked,), got = train_grads(lambda g: [sel.select(stack, params, "train", rng=g)])
+    singles, want = train_grads(lambda g: [sel.select(f, params, "train", rng=g)
+                                           for f in videos])
+    nptest.assert_array_equal(stacked.open.reshape(5, 4), [r.open for r in singles])
+    nptest.assert_allclose(stacked.activated.data,
+                           np.concatenate([r.activated.data for r in singles]),
+                           rtol=1e-12, atol=1e-12)
+    for name in want:
+        nptest.assert_allclose(got[name], want[name], rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+def test_stack_of_the_wrong_video_length_is_rejected():
+    params = make_params()   # 4 timesteps
+    rng = np.random.default_rng(18)
+    with pytest.raises(DimensionError):
+        sel.select(np.stack([random_frames(rng, timesteps=3)] * 2), params, "test")
+    with pytest.raises(DimensionError):
+        sel.self_attention(Tensor(np.zeros((6, params.config.channels))), params)
+
+
+# ---------------------------------------------------------------------------
 # top-k override
 
 
@@ -252,23 +301,32 @@ def _result(logits):
 def test_top_k_ranks_by_activation_with_lower_index_ties():
     res = _result([0.5, 2.0, 0.5, -1.0])
     assert res.selected_indices == [0, 1, 2]
-    assert sel.top_k_indices(res, 1) == [1]
-    assert sel.top_k_indices(res, 2) == [0, 1]   # tie at 0.5 goes to index 0
-    assert sel.top_k_indices(res, 3) == [0, 1, 2]
-    assert sel.top_k_indices(res, 4) == [0, 1, 2, 3]
+    # the second video's order is the first's reversed; a tie at 0.5 goes to
+    # the lower index in both
+    logits = np.array([[0.5, 2.0, 0.5, -1.0], [-1.0, 0.5, 2.0, 0.5]])
+    assert sel.top_k_indices(logits, [1, 2, 3, 4]) == [
+        [[1], [2]],
+        [[0, 1], [1, 2]],
+        [[0, 1, 2], [1, 2, 3]],
+        [[0, 1, 2, 3], [0, 1, 2, 3]],
+    ]
+    # logits whose sigmoids round to 1 tie, as their activations do
+    assert sel.top_k_indices(np.array([[38.0, 39.0, 40.0]]), [1]) == [[[0]]]
 
 
 def test_heavy_indices_keep_the_open_gates():
-    assert sel.heavy_indices(_result([0.5, -2.0, 0.1, -1.0])) == [0, 2]
+    res = _result([0.5, -2.0, 0.1, -1.0])
+    logits = np.stack([res.logits.data.ravel(), [-3.0, -0.5, -1.0, -0.7]])
+    # the second video closed every gate: its highest logit stands in
+    assert sel.heavy_indices(logits > 0.0, logits) == [[0, 2], [1]]
 
 
 def test_top_k_budget_out_of_range():
     params = make_params()
     res = sel.select(random_frames(np.random.default_rng(0)), params, "test")
-    with pytest.raises(DomainError):
-        sel.top_k_indices(res, 0)
-    with pytest.raises(DomainError):
-        sel.top_k_indices(res, 5)
+    for k in (0, 5):
+        with pytest.raises(DomainError):
+            sel.top_k_indices(res.logits.data.T, [2, k])
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_fallback_index_takes_the_highest_logit():
     closed = SelectionResult(features=Tensor(np.zeros((3, 2))), logits=Tensor(logits),
                              activated=Tensor(np.zeros(3)), open=np.zeros(3, dtype=bool))
     assert closed.selected_indices == []
-    assert heavy_indices(closed) == [1]
+    assert heavy_indices(closed.open[None], logits.T) == [[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def test_evaluation_checks_the_heavy_rows_of_each_entry(results, tiny_data,
 
 def _per_video_loss(video, result, bundle, cfg):
     """One video's loss from the public per-video calls."""
-    idx = heavy_indices(result)
+    idx, = heavy_indices(result.open[None], result.logits.data.T)
     gates = ad.take_rows(result.activated, idx) if result.open.any() else None
     feats = heavynet_features(video.frames, idx, bundle.classifier)
     logits = classify(feats, gates, bundle.classifier, [len(idx)])
