@@ -32,7 +32,12 @@ A network layer is one tape node with a hand-written backward: ``affine``
 add) and ``noisy_gate`` (the noisy clipped-sigmoid gate).  Each backward
 evaluates the numpy expressions, in the order, of the chain of primitive ops
 it stands for, so the fused layer's values and gradients equal the chain's
-bitwise.  Backward computes no gradient product for a constant first operand
+bitwise, with one rule for ``mlp``: its backward leaves out the rows whose
+output gradient is all zero (``segment_max`` sends each column's gradient to
+one row).  With no such row its gradients equal the chain's bitwise; with one,
+they match to rounding, because the products and sums skip exact zero terms
+and so may add in another order, and those rows of the input gradient are
+exactly 0.  Backward computes no gradient product for a constant first operand
 of ``matmul``, ``affine``, ``mlp`` or ``attention`` (such as raw frames).
 
 The active record is thread-local: independent records on different threads
@@ -382,10 +387,13 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise DimensionError(
             f"mlp got incompatible shapes {x.shape} @ {w1.shape} + {b1.shape} "
             f"then @ {w2.shape} + {b2.shape}")
-    pre = x.data @ w1.data + b1.data
-    hidden = np.maximum(pre, 0.0)
-    return _emit("mlp", hidden @ w2.data + b2.data, (x, w1, b1, w2, b2),
-                 (x.requires_grad, pre, hidden))
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2.data
+    out += b2.data
+    # backward needs only the relu output: hidden > 0 exactly where pre > 0
+    return _emit("mlp", out, (x, w1, b1, w2, b2), (x.requires_grad, hidden))
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
@@ -484,10 +492,20 @@ def _bwd_affine(node, g, data):
 
 def _bwd_mlp(node, g, data):
     x, w1, _, w2, _ = data
-    x_grad, pre, hidden = node.ctx
-    g_pre = (g @ w2.T) * (pre > 0.0)
-    return (g_pre @ w1.T if x_grad else None, x.T @ g_pre, g_pre.sum(axis=0),
-            hidden.T @ g, g.sum(axis=0))
+    x_grad, hidden = node.ctx
+    # a row whose output gradient is all zero (segment_max sends each
+    # column's gradient to one row) adds nothing: backpropagate the others
+    live = g.any(axis=1)
+    rows = None if live.all() else np.flatnonzero(live)
+    if rows is not None:
+        g, x, hidden = g[rows], x[rows], hidden[rows]
+    g_pre = (g @ w2.T) * (hidden > 0.0)
+    gx = g_pre @ w1.T if x_grad else None
+    if gx is not None and rows is not None:
+        full = np.zeros_like(data[0])
+        full[rows] = gx
+        gx = full
+    return (gx, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
 
 
 def _bwd_attention(node, g, data):
@@ -626,6 +644,10 @@ def backward(loss: Tensor, rec: ComputationRecord | None = None) -> None:
     nodes = rec.nodes
     grads: list[np.ndarray | None] = [None] * len(nodes)
     grads[nid[1]] = np.ones_like(loss.data)
+    # nodes whose gradient is a sum this function allocated, so later
+    # contributions may add into it; a first contribution is an array a
+    # backward function returned, possibly shared, and is never written to
+    owned: set[int] = set()
 
     for idx in range(nid[1], -1, -1):
         g = grads[idx]
@@ -645,10 +667,14 @@ def backward(loss: Tensor, rec: ComputationRecord | None = None) -> None:
         for pos, gi in zip(node.inputs, input_grads):
             if gi is None or not nodes[pos].tensor.requires_grad:
                 continue
-            if grads[pos] is None:
+            acc = grads[pos]
+            if acc is None:
                 grads[pos] = gi
+            elif pos in owned:
+                acc += gi
             else:
-                grads[pos] = grads[pos] + gi
+                grads[pos] = acc + gi
+                owned.add(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -674,21 +700,34 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = [np.empty_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        """One update, in place: the scratch array and the spent gradient
+        hold the temporaries, in the operation order of the formula."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, m, v, s in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad
             if g is None:
                 raise ContractError("Adam.step() found a parameter with no gradient")
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=s)
+            m += s
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.grad[...] = 0.0
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
+            v += s
+            # s = sqrt(v / bc2) + eps, then g = lr * (m / bc1) / s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, bc1, out=g)
+            g *= self.lr
+            g /= s
+            p.data -= g
+            g.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

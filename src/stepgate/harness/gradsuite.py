@@ -38,6 +38,9 @@ _W1 = np.array([[0.5, -0.8, 0.3],
                 [0.7, 0.2, -0.5],
                 [0.1, -0.3, 0.6]])
 _B1 = np.array([0.2, -0.1, 0.3])
+# one output column over _X34, pooled by segment_max over rows [0] and
+# [1, 2]: row 2 (1.136) beats row 1 (1.012), so row 1 gets no gradient
+_W2_POOLED = np.array([[0.8], [-0.5], [0.6]])
 
 
 def _param(data) -> Tensor:
@@ -64,6 +67,9 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
     stack = np.stack([_X34, _MAX_SAFE])
     if np.min(np.abs(_X34 @ _W1 + _B1)) < 0.1:
         raise ContractError("mlp FD case drifted onto the relu kink")
+    pooled = (np.maximum(_X34 @ _W1 + _B1, 0.0) @ _W2_POOLED).ravel()
+    if pooled[2] - pooled[1] < 0.1:
+        raise ContractError("pooled mlp FD case no longer leaves row 1 without gradient")
 
     def attend(x, q=proj[0], k=proj[1], v=proj[2]):
         return _project(ad.attention(x, q, k, v), w34)
@@ -106,6 +112,10 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
                         _param(bias2.data)),
         "mlp": (lambda x: _project(ad.mlp(x, Tensor(_W1), Tensor(_B1), w2, bias2), w32),
                 _param(_X34)),
+        # a row with no output gradient: backward runs on the other rows
+        "mlp_pooled": (lambda x: _project(ad.segment_max(ad.mlp(
+            x, Tensor(_W1), Tensor(_B1), Tensor(_W2_POOLED), Tensor(np.array([0.1]))),
+            [1, 2]), w34[:2]), _param(_X34)),
         # constant input: backward skips its gradient product
         "mlp_weight": (lambda w: _project(ad.mlp(Tensor(_X34), w, Tensor(_B1), w2, bias2),
                                           w32), _param(_W1)),

@@ -351,6 +351,40 @@ def test_only_leaf_tensors_receive_grads():
     nptest.assert_array_equal(x.grad, [2.0, 4.0])
 
 
+@pytest.mark.parametrize("twice_arrives_first", [True, False])
+def test_gradient_sums_never_write_into_an_array_a_backward_function_returned(
+        monkeypatch, twice_arrives_first):
+    """x feeds add(x, x), whose backward returns one array twice, and two
+    more ops; backward sums the four contributions in a buffer of its own,
+    whether add(x, x)'s pair reaches x first or last."""
+    returned = []
+
+    def spy(fn):
+        def wrapped(node, g, data):
+            grads = fn(node, g, data)
+            returned.extend((a, a.copy()) for a in grads if a is not None)
+            return grads
+        return wrapped
+
+    for op, fn in list(ad._BACKWARD.items()):
+        monkeypatch.setitem(ad._BACKWARD, op, spy(fn))
+    x = tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    probe = np.array([[0.3, -1.2], [2.0, 0.7]])
+    # backward runs the tape in reverse, so the op recorded last arrives first
+    makers = [lambda: ad.mul(x, tensor(probe)), lambda: ad.scale(x, 1.5),
+              lambda: ad.add(x, x)]
+    if not twice_arrives_first:
+        makers.reverse()
+    with ad.record() as rec:
+        a, b, c = (make() for make in makers)
+        loss = ad.reduce_sum(ad.reshape(ad.add(ad.add(a, b), c), (4,)), axis=0)
+    ad.backward(loss, rec)
+    nptest.assert_allclose(x.grad, probe + 3.5, rtol=1e-15)
+    assert returned
+    for array, before in returned:
+        nptest.assert_array_equal(array, before)
+
+
 def test_affine_is_one_node_and_matches_matmul_plus_bias():
     x = tensor([[0.5, -1.0], [1.5, 0.25], [-0.75, 0.8]], requires_grad=True)
     w = tensor([[0.4, -0.7, 1.1], [0.2, 0.9, -0.3]])
@@ -389,6 +423,39 @@ def test_constant_first_operand_gets_no_gradient():
     nptest.assert_array_equal(w.grad, frames.T @ probe)
     nptest.assert_array_equal(b.grad, probe.sum(axis=0))
     nptest.assert_array_equal(v.grad, frames.T @ probe)
+
+
+def _mlp_operands(rng, n_rows, n_out):
+    x = tensor(rng.standard_normal((n_rows, 4)), requires_grad=True)
+    params = [tensor(0.5 * rng.standard_normal(s), requires_grad=True)
+              for s in ((4, 5), (5,), (5, n_out), (n_out,))]
+    return x, params
+
+
+@pytest.mark.parametrize("dead", [[], [1, 4], [0, 1, 2, 3, 5]])
+def test_mlp_backward_skips_rows_without_output_gradient(dead):
+    """With none, some or all but one of the output-gradient rows zero, the
+    gradients match the dense formula to 1e-12 and the dead rows of the input
+    gradient are exactly 0; with no zero row they equal it bitwise."""
+    rng = np.random.default_rng(5)
+    x, (w1, b1, w2, b2) = _mlp_operands(rng, 6, 3)
+    probe = rng.standard_normal((6, 3))
+    probe[dead] = 0.0
+    with ad.record() as rec:
+        out = ad.mlp(x, w1, b1, w2, b2)
+        loss = ad.reduce_sum(ad.reshape(ad.mul(out, tensor(probe)), (18,)), axis=0)
+    ad.backward(loss, rec)
+    # the output gradient is probe; the dense formula runs on every row
+    pre = x.data @ w1.data + b1.data
+    g_pre = (probe @ w2.data.T) * (pre > 0.0)
+    dense = [g_pre @ w1.data.T, x.data.T @ g_pre, g_pre.sum(axis=0),
+             np.maximum(pre, 0.0).T @ probe, probe.sum(axis=0)]
+    for t, want in zip((x, w1, b1, w2, b2), dense):
+        if dead:
+            nptest.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-12)
+        else:
+            nptest.assert_array_equal(t.grad, want)
+    assert not x.grad[dead].any()
 
 
 def test_take_rows_backward_scatter_adds_duplicates():
@@ -515,6 +582,31 @@ def test_fd_every_parameter_of_a_layer_op(layer):
 
     def f(_):
         return ad.reduce_sum(ad.reduce_sum(ad.mul(op(x, *params), probe), axis=1), axis=0)
+
+    for t in (x, *params):
+        assert ad.finite_diff_check(f, t) < FD_TOL
+
+
+def test_fd_every_mlp_operand_under_segment_max():
+    """segment_max sends each column's gradient to one row of the mlp's
+    output, so rows 1, 3 and 4 get none and backward skips them."""
+    rng = np.random.default_rng(20)
+    x, params = _mlp_operands(rng, 6, 2)
+    lengths = [4, 2]
+    pre = x.data @ params[0].data + params[1].data
+    assert np.abs(pre).min() > 1e-2, "a hidden unit sits on the relu kink"
+    out = ad.mlp(x, *params).data
+    live = set()
+    for start, segment in ((0, out[:4]), (4, out[4:])):
+        top = np.sort(segment, axis=0)
+        assert (top[-1] - top[-2]).min() > 0.1, "a segment's column max is nearly tied"
+        live.update(start + segment.argmax(axis=0))
+    assert live == {0, 2, 5}
+    probe = tensor(rng.standard_normal((2, 2)))
+
+    def f(_):
+        pooled = ad.segment_max(ad.mlp(x, *params), lengths)
+        return ad.reduce_sum(ad.reduce_sum(ad.mul(pooled, probe), axis=1), axis=0)
 
     for t in (x, *params):
         assert ad.finite_diff_check(f, t) < FD_TOL
@@ -652,6 +744,23 @@ def test_adam_first_step_oracle():
     expected = 1.0 - 1e-3 / (1.0 + 1e-4)
     nptest.assert_allclose(p.data, [expected], rtol=1e-12)
     nptest.assert_array_equal(p.grad, [0.0])  # grads zeroed after the step
+
+
+def test_adam_steps_equal_the_formula_bitwise():
+    rng = np.random.default_rng(4)
+    p = tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    grad = p.grad
+    want, m, v = p.data.copy(), np.zeros((3, 5)), np.zeros((3, 5))
+    opt = ad.Adam([p], lr=3e-3, eps=1e-4)
+    for t in range(1, 6):
+        g = rng.standard_normal((3, 5))
+        p.grad[...] = g
+        opt.step()
+        m = m * 0.9 + (1.0 - 0.9) * g
+        v = v * 0.999 + (1.0 - 0.999) * (g * g)
+        want = want - 3e-3 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-4)
+        nptest.assert_array_equal(p.data, want)
+        assert p.grad is grad and not grad.any()
 
 
 def test_adam_identical_twins_stay_identical():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 import tarfile
 from pathlib import Path
@@ -77,3 +78,41 @@ def test_parent_copy_extracts_the_revision_once(tmp_path, monkeypatch, pep706):
     (dest / "perfbench" / "run.py").write_text("kept\n")
     assert bench_pairs.parent_copy("HEAD", root=tmp_path) == dest
     assert (dest / "perfbench" / "run.py").read_text() == "kept\n"
+
+
+def test_runs_that_fail_a_check_stay_out_of_the_summary_and_exit_1(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        side = "change" if root == bench_pairs.ROOT else "parent"
+        calls.append((side, seed))
+        pair = (len(calls) - 1) // 2
+        return {"correct": (pair, side) != (1, "change"),
+                "failed": int((pair, side) == (2, "parent")),
+                "metrics": {"train_video_epochs_per_s": {"value": 1000.0 + pair}}}
+
+    monkeypatch.setattr(bench_pairs, "parent_copy", lambda rev: tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    code = bench_pairs.main(["--workload", "e2e-train", "--pairs", "4", "--seeds", "1", "7"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    # odd pairs run the change first
+    assert calls == [("parent", 1), ("change", 1), ("change", 7), ("parent", 7),
+                     ("parent", 1), ("change", 1), ("change", 7), ("parent", 7)]
+    assert err.splitlines() == [
+        "left out of the summary: pair 1, change, seed 7: correct False, 0 failed operations",
+        "left out of the summary: pair 2, parent, seed 1: correct True, 1 failed operations",
+    ]
+    summary = json.loads(out.splitlines()[-1])["summary"]
+    # only pairs 0 and 3 count
+    assert summary["train_video_epochs_per_s"]["pairs"] == 2
+    assert summary["train_video_epochs_per_s"]["parent"][1] == 1001.5
+
+
+def test_a_clean_run_exits_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "parent_copy", lambda rev: tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, workload, seed, seconds: {
+        "correct": True, "failed": 0, "metrics": {"setup_s": {"value": 1.0}}})
+    assert bench_pairs.main(["--workload", "gated-eval", "--pairs", "2"]) == 0
+    assert capsys.readouterr().err == ""

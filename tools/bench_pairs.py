@@ -12,7 +12,9 @@ ones); pair i uses seed ``seeds[i % len(seeds)]``.  For
 every end-to-end metric that ``BENCHMARK.json`` declares, the summary gives
 each side's median and quartiles, the change's wins (ties count for
 neither), the parent's interquartile range, and whether the change wins at
-least nine tenths of the pairs by a median gap wider than that range.
+least nine tenths of the pairs by a median gap wider than that range.  A
+pair with a run that reports ``correct: false`` or failed operations stays
+out of the summary, and the tool then names that run and exits 1.
 
 Only the standard library is used.
 """
@@ -117,22 +119,29 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     sides = {"parent": parent_copy(args.parent), "change": ROOT}
-    pairs = []
+    pairs, broken = [], []
     for i in range(args.pairs):
         seed = args.seeds[i % len(args.seeds)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {}
+        got, whole = {}, True
         for side in order:
             result = run_once(sides[side], args.workload, seed, benchmark["run_seconds"])
             got[side] = {k: m["value"] for k, m in result["metrics"].items()}
             print(json.dumps({"pair": i, "side": side, "seed": seed,
                               "correct": result["correct"], "failed": result["failed"],
                               "metrics": got[side]}), flush=True)
-        pairs.append((got["parent"], got["change"]))
+            if not result["correct"] or result["failed"]:
+                whole = False
+                broken.append(f"pair {i}, {side}, seed {seed}: correct {result['correct']}, "
+                              f"{result['failed']} failed operations")
+        if whole:
+            pairs.append((got["parent"], got["change"]))
     summary = summarize(pairs, better)
     print(_format(summary))
     print(json.dumps({"workload": args.workload, "summary": summary}))
-    return 0
+    for line in broken:
+        print(f"left out of the summary: {line}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
