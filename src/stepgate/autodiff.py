@@ -396,30 +396,29 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _emit("mlp", out, (x, w1, b1, w2, b2), (x.requires_grad, hidden))
 
 
-def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Single-head self-attention with a residual add over (T, C) ``x`` and
-    (C, C) projections: ``x + softmax((x wq)(x wk)^T / sqrt(C)) (x wv)``,
-    the softmax row-wise and stabilized by a max shift; one tape node.
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, t: int) -> Tensor:
+    """Single-head self-attention with a residual add over (B*t, C) rows
+    ``x``, B sequences of ``t`` rows each, and (C, C) projections: each
+    sequence attends within itself, ``x + softmax((x wq)(x wk)^T / sqrt(C))
+    (x wv)``, the softmax row-wise and stabilized by a max shift; one tape
+    node.
 
-    A (B, T, C) ``x`` is a stack of B such sequences, each attending within
-    itself; the projections then run as single (B*T, C) products.
+    The projections run as single (B*t, C) products; the scores and the mix
+    run on (B, t, ...) views, so no reshape reaches the tape.
     """
-    if x.data.ndim not in (2, 3) or any(w.shape != (x.shape[-1], x.shape[-1])
-                                        for w in (wq, wk, wv)):
+    if x.data.ndim != 2 or any(w.shape != (x.shape[1], x.shape[1]) for w in (wq, wk, wv)):
         raise DimensionError(
             f"attention got features {x.shape} and projections "
             f"{wq.shape}, {wk.shape}, {wv.shape}")
+    if t < 1 or x.shape[0] % t:
+        raise DimensionError(f"{x.shape[0]} rows are not whole sequences of {t}")
     d = x.data
-    if d.ndim == 2:
-        q, k, v = d @ wq.data, d @ wk.data, d @ wv.data
-    else:
-        rows = d.reshape(-1, d.shape[-1])
-        q, k, v = ((rows @ w.data).reshape(d.shape) for w in (wq, wk, wv))
-    c = 1.0 / math.sqrt(d.shape[-1])
+    q, k, v = ((d @ w.data).reshape(-1, t, d.shape[1]) for w in (wq, wk, wv))
+    c = 1.0 / math.sqrt(d.shape[1])
     s = (q @ k.swapaxes(-1, -2)) * c
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    return _emit("attention", d + p @ v, (x, wq, wk, wv),
+    return _emit("attention", d + (p @ v).reshape(d.shape), (x, wq, wk, wv),
                  (x.requires_grad, q, k, v, p, c))
 
 
@@ -511,16 +510,15 @@ def _bwd_mlp(node, g, data):
 def _bwd_attention(node, g, data):
     x, wq, wk, wv = data
     x_grad, q, k, v, p, c = node.ctx
+    g = g.reshape(q.shape)
     g_p = g @ v.swapaxes(-1, -2)
     g_v = p.swapaxes(-1, -2) @ g
     g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
     g_q = g_s @ k
     g_k = (q.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
-    if x.ndim == 3:
-        # a stack's weight gradients sum over all of its B*T rows
-        x, g, g_q, g_k, g_v = (a.reshape(-1, a.shape[-1]) for a in (x, g, g_q, g_k, g_v))
-    gx = (((g + g_v @ wv.T) + g_k @ wk.T) + g_q @ wq.T).reshape(data[0].shape) \
-        if x_grad else None
+    # the weight gradients sum over all B*t rows
+    g, g_q, g_k, g_v = (a.reshape(x.shape) for a in (g, g_q, g_k, g_v))
+    gx = ((g + g_v @ wv.T) + g_k @ wk.T) + g_q @ wq.T if x_grad else None
     return (gx, x.T @ g_q, x.T @ g_k, x.T @ g_v)
 
 

@@ -1,7 +1,8 @@
 """Segment-conditioned sampling baselines.
 
 The saliency scorer judges each timestep from that timestep's light frame
-alone: a private light encoder feeds a linear softmax head and the score is
+alone, one (d_raw,) row of the frames ``harness.evaluation.light_frames``
+picks: a private light encoder feeds a linear softmax head and the score is
 the head's maximum class probability.  No operation here ever looks across
 timesteps, so position- and context-invariance hold structurally.  The head
 starts at zero, which makes the untrained score exactly ``1 / n_classes``.
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import MLP, Tensor
 from .errors import ContractError, DimensionError, DomainError
-from .selector import LIGHT_HIDDEN, encode_light
+from .selector import LIGHT_HIDDEN
 
 SAMPLE_MODES = ("uniform", "random", "topk")
 
@@ -57,20 +58,17 @@ class ScorerParams:
         return out
 
 
-def scorer_logits(frames: np.ndarray, params: ScorerParams,
-                  segment_len: int) -> Tensor:
-    """Per-slot class logits (N, L) of any (N, frames_per_slot, d_raw) stack
-    of slots, such as one video's or a whole batch's; the differentiable
-    training path.  Each row depends on its own slot's light frame only."""
-    feats = encode_light(frames, params.enc, segment_len)
-    return ad.affine(feats, params.head_w, params.head_b)
+def scorer_logits(light: np.ndarray, params: ScorerParams) -> Tensor:
+    """Class logits (N, L) of (N, d_raw) light frames, such as one video's or
+    a whole batch's, one row per timestep; the differentiable training path.
+    Each row depends on its own light frame only."""
+    return ad.affine(params.enc(Tensor(light)), params.head_w, params.head_b)
 
 
-def scsampler_scores(frames: np.ndarray, params: ScorerParams,
-                     segment_len: int) -> np.ndarray:
-    """Per-slot saliency scores, shape (N,), of any (N, frames_per_slot,
-    d_raw) stack of slots: the head's maximum softmax probability at each."""
-    logits = scorer_logits(frames, params, segment_len).data
+def scsampler_scores(light: np.ndarray, params: ScorerParams) -> np.ndarray:
+    """Saliency scores, shape (N,), of (N, d_raw) light frames: the head's
+    maximum softmax probability at each."""
+    logits = scorer_logits(light, params).data
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e.max(axis=1) / e.sum(axis=1)

@@ -1,13 +1,13 @@
 """Per-timestep gating: concept similarity, a gate MLP, and noisy thresholding.
 
-All T timesteps of a video are gated at once, and so are all B*T of a stack
-of B videos, whose rows run video after video.  Each timestep feature (a
-row of a T x C or B*T x C matrix) is compared against the learned concept
-kernels (an n_kernels x C tensor), a two-layer ``autodiff.MLP`` reduces each
-similarity row to a single logit, and the (T, 1) logit column is turned into
-T gate values by a noisy clipped sigmoid.  Nothing here mixes rows, so every
-function takes the rows of one video or of a stack alike.  The kernels and
-the gate MLP live in ``selector.SelectorParams``.
+All B*T timesteps of a stack of B videos are gated at once, their rows
+video after video.  Each timestep feature (a row of a B*T x C matrix) is
+compared against the learned concept kernels (an n_kernels x C tensor), a
+two-layer ``autodiff.MLP`` reduces each similarity row to a single logit,
+and the (B*T, 1) logit column is turned into B*T gate values by a noisy
+clipped sigmoid.  Nothing here mixes rows, so every function takes any
+number of them.  The kernels and the gate MLP live in
+``selector.SelectorParams``.
 
 During training the activation is ``a = clip(sigmoid(logit + G))`` where
 ``G = G1 - G2`` is the difference of two independent Gumbel(0, 1) draws
@@ -38,7 +38,7 @@ GATE_THRESHOLD = 0.5
 
 def similarity_batch(features: Tensor, kernels: Tensor) -> Tensor:
     """Similarity of every timestep feature to every concept kernel:
-    ``X @ K.T`` for ``X`` of shape T x C and kernels ``K`` of shape n_kernels x C."""
+    ``X @ K.T`` for ``X`` of shape N x C and kernels ``K`` of shape n_kernels x C."""
     if features.data.ndim != 2 or features.shape[1] != kernels.shape[1]:
         raise DimensionError(
             f"similarity_batch got features {features.shape} against kernels "
@@ -48,11 +48,10 @@ def similarity_batch(features: Tensor, kernels: Tensor) -> Tensor:
 
 
 def gate_logits_batch(similarities: Tensor, mlp: MLP) -> Tensor:
-    """T x n_in similarities to a T x 1 column of logits (any number of
-    rows)."""
+    """N x n_in similarities to an N x 1 column of logits."""
     if similarities.data.ndim != 2 or similarities.shape[1] != mlp.n_in:
         raise DimensionError(
-            f"gate_logits_batch got similarities {similarities.shape}, expected (T, {mlp.n_in})"
+            f"gate_logits_batch got similarities {similarities.shape}, expected (N, {mlp.n_in})"
         )
     return mlp(similarities)
 
@@ -91,10 +90,9 @@ def step_open(logits: np.ndarray) -> np.ndarray:
     return logits > 0.0
 
 
-def activate_test_batch(alphas) -> tuple[Tensor, np.ndarray]:
+def activate_test_batch(alphas: Tensor) -> tuple[Tensor, np.ndarray]:
     """Deterministic step activation, flat: ``step_open`` of the logits."""
-    data = alphas.data if isinstance(alphas, Tensor) else np.asarray(alphas, dtype=np.float64)
-    open_mask = step_open(data.reshape(-1))
+    open_mask = step_open(alphas.data.reshape(-1))
     return Tensor(open_mask.astype(np.float64)), open_mask
 
 

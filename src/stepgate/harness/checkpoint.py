@@ -79,8 +79,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     blob, header, offset = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint")
     try:
-        entries = [(str(n), tuple(int(d) for d in shape))
-                   for n, shape in header["entries"]]
+        entries = [(str(n), tuple(dims)) for n, dims in header["entries"]]
+        # np.frombuffer reads the whole rest of the body for a -1
+        if not all(type(d) is int and d >= 0 for _, dims in entries for d in dims):
+            raise ValueError("a shape is not a list of non-negative ints")
         config, step = dict(header["config"]), int(header["step"])
         if int(header["format_version"]) != FORMAT_VERSION:
             raise ValueError("header version disagrees with the container")

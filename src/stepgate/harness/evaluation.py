@@ -10,11 +10,12 @@ it would zero the force-included rows.
 
 Work is stacked where it does not depend on the budget.  ``rankings`` runs
 the test-mode selector once per minibatch of ``training.batch_size``
-videos, or the scorer once over the list; ``split_picks`` then derives
-every budget's picks from that one ranking.  Each entry encodes each video
-with its own ``heavynet_features`` call, entry after entry, and runs
-``classify`` once per minibatch on the concatenated features.  So a
-``select`` or ``classify`` call covers a minibatch, not a video.
+videos, or the scorer once over the list, on the light frames that
+``light_frames`` picks; ``split_picks`` then derives every budget's picks
+from that one ranking.  Each entry encodes each video with its own
+``heavynet_features`` call, entry after entry, and runs ``classify`` once
+per minibatch on the concatenated features.  So a ``select`` or
+``classify`` call covers a minibatch, not a video.
 """
 
 from __future__ import annotations
@@ -185,16 +186,18 @@ def entry_key(budget: int | None) -> str:
     return "gate-count" if budget is None else f"topk-{budget}"
 
 
-def light_slots(videos: list, config: ExperimentConfig) -> np.ndarray:
-    """The light frame of every slot of ``videos``, video after video, as a
-    (len(videos) * T, 1, d_raw) stack of one-frame slots, which the scorer
-    reads with a segment of 1 frame.  Only the light frames are copied."""
-    t, mid = config.dataset.timesteps, config.model.segment_len // 2
+def light_frames(videos: list, config: ExperimentConfig) -> np.ndarray:
+    """What the light networks read: the light frame of every slot of
+    ``videos``, the middle frame of the slot's heavy segment,
+    ``slot[segment_len // 2]``, as one (len(videos), T, d_raw) array.  Only
+    the light frames are copied."""
+    t, m = config.dataset.timesteps, config.model.segment_len
     for v in videos:
-        if len(v.frames) != t:
+        if len(v.frames) != t or v.frames.shape[1] < m:
             # a short video would shift every later video's rows
-            raise DimensionError(f"video has {len(v.frames)} slots, the config {t}")
-    return np.concatenate([v.frames[:, mid:mid + 1] for v in videos])
+            raise DimensionError(f"video has {len(v.frames)} slots of {v.frames.shape[1]} "
+                                 f"frames, the config {t} slots of at least {m}")
+    return np.stack([v.frames[:, m // 2] for v in videos])
 
 
 def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list):
@@ -205,17 +208,13 @@ def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list):
     t = config.dataset.timesteps
     if bundle.mode in SELECTOR_MODES:
         b = config.training.batch_size
-        # every minibatch is stacked into one buffer, not a fresh 4 MB array
-        # at the default sizes
-        buf = np.empty((min(b, len(videos)), *videos[0].frames.shape))
-        logits = []
-        for lo in range(0, len(videos), b):
-            chunk = videos[lo:lo + b]
-            stack = np.stack([v.frames for v in chunk], out=buf[:len(chunk)])
-            logits.append(select(stack, bundle.selector, "test").logits.data.reshape(-1, t))
-        return np.concatenate(logits)
+        return np.concatenate([
+            select(light_frames(videos[lo:lo + b], config), bundle.selector,
+                   "test").logits.data.reshape(-1, t)
+            for lo in range(0, len(videos), b)])
     if bundle.mode == "scsampler":
-        scores = scsampler_scores(light_slots(videos, config), bundle.scorer, 1)
+        light = light_frames(videos, config)
+        scores = scsampler_scores(light.reshape(-1, light.shape[2]), bundle.scorer)
         return scores.reshape(len(videos), t)
     return [None] * len(videos)
 

@@ -1,6 +1,6 @@
 """Bundled finite-difference checks: every op with a backward, each under
-its tape name, plus the full training loss of a two-video batch, reported
-as name -> max relative error.
+its tape name, plus training's own batch loss on a two-video batch,
+reported as name -> max relative error.
 
 Inputs are fixed and kept away from clip, threshold, and tie boundaries so
 central differences are valid; the composite cases freeze gate noise by
@@ -15,13 +15,13 @@ import numpy as np
 from .. import autodiff as ad
 from .. import gating
 from ..autodiff import Tensor, finite_diff_check
-from ..classifier import task_loss
 from ..errors import ContractError
-from ..selector import gate_logits, select
+from ..selector import gate_logits
 from ..synthdata import generate_dataset
 from .config import DatasetConfig, ExperimentConfig, ModelConfig, TrainingConfig
+from .evaluation import light_frames
 from .models import build_bundle
-from .training import joint_logits, spec_from_config
+from .training import _phase_a_loss, spec_from_config
 
 THRESHOLD = 1e-4
 
@@ -64,7 +64,8 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
     w2 = Tensor(rng.standard_normal((3, 2)))
     proj = [Tensor(0.5 * rng.standard_normal((4, 4))) for _ in range(3)]
     w24 = rng.standard_normal(24)
-    stack = np.stack([_X34, _MAX_SAFE])
+    # the rows of two sequences of 3
+    stack = np.concatenate([_X34, _MAX_SAFE])
     if np.min(np.abs(_X34 @ _W1 + _B1)) < 0.1:
         raise ContractError("mlp FD case drifted onto the relu kink")
     pooled = (np.maximum(_X34 @ _W1 + _B1, 0.0) @ _W2_POOLED).ravel()
@@ -72,7 +73,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
         raise ContractError("pooled mlp FD case no longer leaves row 1 without gradient")
 
     def attend(x, q=proj[0], k=proj[1], v=proj[2]):
-        return _project(ad.attention(x, q, k, v), w34)
+        return _project(ad.attention(x, q, k, v, 3), w34)
 
     cases = {
         "matmul": (lambda x: _project(ad.matmul(x, b), w32), _param(_X34)),
@@ -119,16 +120,17 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
         # constant input: backward skips its gradient product
         "mlp_weight": (lambda w: _project(ad.mlp(Tensor(_X34), w, Tensor(_B1), w2, bias2),
                                           w32), _param(_W1)),
+        # one sequence of 3 rows
         "attention": (attend, _param(_X34)),
         # constant input, one projection at a time
         "attention_q": (lambda w: attend(Tensor(_X34), q=w), _param(proj[0].data)),
         "attention_k": (lambda w: attend(Tensor(_X34), k=w), _param(proj[1].data)),
         "attention_v": (lambda w: attend(Tensor(_X34), v=w), _param(proj[2].data)),
-        # a (2, 3, 4) stack of two sequences, each attending within itself
-        "attention_stack": (lambda x: _project(ad.attention(x, *proj), w24),
+        # two sequences of 3 rows, each attending within itself
+        "attention_stack": (lambda x: _project(ad.attention(x, *proj, 3), w24),
                             _param(stack)),
         "attention_stack_q": (lambda w: _project(ad.attention(
-            Tensor(stack), w, proj[1], proj[2]), w24), _param(proj[0].data)),
+            Tensor(stack), w, proj[1], proj[2], 3), w24), _param(proj[0].data)),
     }
     return {name: finite_diff_check(f, x) for name, (f, x) in cases.items()}
 
@@ -167,31 +169,27 @@ def _e2e_cases(seed: int) -> dict[str, float]:
     config = _suite_config(seed)
     bundle = build_bundle(config)
     dataset = generate_dataset(spec_from_config(config), 4, 2, config.seed)
-    videos = dataset.train[:2]
-    frames = [v.frames for v in videos]
+    batch = [0, 1]
     noise_seed = 101
 
     def loss():
-        rng = np.random.default_rng(noise_seed)
-        results = [select(f, bundle.selector, "train", rng=rng) for f in frames]
-        if not all(r.selected_indices for r in results):
-            raise ContractError("an FD video selected nothing; pick another seed")
-        logits = joint_logits(frames, results, bundle)
-        total = task_loss(logits, [int(v.labels) for v in videos], "single_label")
-        alphas = ad.concat_rows([r.logits for r in results])
-        return ad.add(total, gating.l0_penalty(alphas, 0.3))
+        batch_loss = _phase_a_loss(config, bundle, dataset, np.random.default_rng(noise_seed))
+        return batch_loss(0, batch)[0]
 
-    # margin check: every noisy logit must sit clear of the gate threshold
-    probe_rng = np.random.default_rng(noise_seed)
-    for f in frames:
-        alphas = gate_logits(f, bundle.selector).data.ravel()
-        noises = gating.sample_gate_noise_batch(probe_rng, len(alphas))
-        margin = float(np.min(np.abs(alphas + noises)))
-        if margin < 5e-2:
-            raise ContractError(
-                f"gate margin {margin:.4f} too small for finite differences; "
-                f"change the suite seed"
-            )
+    # margin check: every noisy logit must sit clear of the gate threshold,
+    # and every video must open a gate
+    alphas = gate_logits(light_frames([dataset.train[i] for i in batch], config),
+                         bundle.selector).data.ravel()
+    z = alphas + gating.sample_gate_noise_batch(np.random.default_rng(noise_seed),
+                                                alphas.size)
+    margin = float(np.min(np.abs(z)))
+    if margin < 5e-2:
+        raise ContractError(
+            f"gate margin {margin:.4f} too small for finite differences; "
+            f"change the suite seed"
+        )
+    if not (z.reshape(len(batch), -1) > 0.0).any(axis=1).all():
+        raise ContractError("an FD video selected nothing; pick another seed")
 
     named = bundle.named_parameters()
     probes = {f"e2e_loss/{name}": named[name] for name in (

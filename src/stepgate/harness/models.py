@@ -53,8 +53,7 @@ def build_bundle(config: ExperimentConfig) -> ModelBundle:
 
     def make_selector(context_mode: str) -> SelectorParams:
         scfg = SelectorConfig(channels=m.light_channels, n_kernels=m.n_kernels,
-                              context_mode=context_mode, timesteps=d.timesteps,
-                              segment_len=m.segment_len)
+                              context_mode=context_mode, timesteps=d.timesteps)
         return SelectorParams.init(scfg, d.d_raw, rng, gate_hidden=m.gate_hidden,
                                    open_bias=m.open_bias)
 

@@ -12,12 +12,14 @@ gate-count evaluation entry encodes.
 
 ``_fit`` is the only optimisation loop: shuffled minibatches, one batch loss
 (the mean over the batch's videos), one backward pass and one Adam step per
-batch.  The selector runs once per video; after selection the batch is
-stacked, so the heavy encoder, the head and the task loss each run once per
-batch, on the gathered segments of the picked slots only.  The SCSampler
-scorer is stacked whole: one scorer pass and one cross-entropy cover the
-light frames of every slot of the batch.  The checkpoint's ``step`` is the
-number of Adam steps over both phases.
+batch.  Both light networks read the batch's light frames
+(``evaluation.light_frames``).  The selector runs once per video, on a
+stack of one; after selection the batch is stacked, so the heavy encoder,
+the head and the task loss each run once per batch, on the gathered
+segments of the picked slots only.  The SCSampler scorer is stacked whole:
+one scorer pass and one cross-entropy cover the light frames of every slot
+of the batch.  The checkpoint's ``step`` is the number of Adam steps over
+both phases.
 
 All training is deterministic given (config, seed): parameter init, batch
 shuffles, gate noise, and baseline sampling each draw from streams derived
@@ -44,7 +46,7 @@ from ..selector import SelectionResult, heavy_indices, select
 from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .evaluation import light_slots, rankings, split_picks
+from .evaluation import light_frames, rankings, split_picks
 from .models import ModelBundle, build_bundle
 
 _TRAIN_STREAM = 0x5EED
@@ -249,8 +251,9 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
     if mode in (*_JOINT_MODES, "standalone"):
         def batch_loss(epoch, batch):
             videos = [dataset.train[vi] for vi in batch]
-            results = [select(v.frames, bundle.selector, "train", rng=rng)
-                       for v in videos]
+            light = light_frames(videos, config)
+            results = [select(light[b:b + 1], bundle.selector, "train", rng=rng)
+                       for b in range(len(videos))]
             if mode == "standalone":
                 # light path: gated light features, light head, max over each
                 # video's timesteps
@@ -281,7 +284,8 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             for row, v in zip(dist, videos):
                 positives = v.positive_classes()
                 row[positives] = 1.0 / len(positives)
-            logits = scorer_logits(light_slots(videos, config), bundle.scorer, 1)
+            light = light_frames(videos, config)
+            logits = scorer_logits(light.reshape(-1, light.shape[2]), bundle.scorer)
             loss = ad.softmax_xent(logits, np.repeat(dist, t_steps, axis=0))
             picked = np.argmax(logits.data, axis=1).reshape(len(videos), t_steps)
             hits = sum(float(np.mean(row[p] > 0.0)) for row, p in zip(dist, picked))

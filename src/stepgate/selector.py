@@ -1,24 +1,21 @@
 """Timestep selection: light per-timestep features feed the gating stack.
 
-A cheap encoder (an ``autodiff.MLP``) turns one raw frame per timestep slot
-into a feature vector; in context mode a single-head self-attention layer
-mixes information across timesteps before gating, while frame mode gates each
-timestep from its own feature alone.  A video's frames are T slots of
-``frames_per_slot`` raw frames, shaped (T, frames_per_slot, d_raw); the
-heavy segment of a slot is its first ``segment_len`` frames and the light
-frame is that segment's middle one, ``slot[segment_len // 2]``.
-``SelectorParams`` holds the encoder, the attention projections, the concept
-kernels and the gate MLP, named ``selector.enc.*``, ``selector.attn_{q,k,v}``,
-``selector.kernels`` and ``selector.gate.*``.
+A cheap encoder (an ``autodiff.MLP``) turns each timestep's light frame into
+a feature vector; in context mode a single-head self-attention layer mixes
+information across timesteps before gating, while frame mode gates each
+timestep from its own feature alone.  Which raw frame of a slot is the light
+frame is ``harness.evaluation.light_frames``'s rule; the selector reads only
+what it is given.  ``SelectorParams`` holds the encoder, the attention
+projections, the concept kernels and the gate MLP, named
+``selector.enc.*``, ``selector.attn_{q,k,v}``, ``selector.kernels`` and
+``selector.gate.*``.
 
-``select`` and every layer it calls also take a stack of B videos, shaped
-(B, T, frames_per_slot, d_raw).  Its rows then run video after video, B*T of
-them, through one light-encoder pass, one attention op, one similarity
-product and one gate MLP pass, and attention mixes timesteps within each
-video only, so each video's gates are the ones it gets alone, up to the
-rounding of the larger products.  Evaluation selects a minibatch per call,
-so a ``select`` call there covers a minibatch; training selects one video
-per call.
+``select`` and every layer it calls take a (B, T, d_raw) stack of the light
+frames of B videos; one video is a stack of one.  Its B*T rows run video
+after video through one light-encoder pass, one attention op, one
+similarity product and one gate MLP pass, and attention mixes timesteps
+within each video only.  Evaluation selects a minibatch per call; training
+selects one video per call, a stack of one.
 """
 
 from __future__ import annotations
@@ -46,12 +43,11 @@ class SelectorConfig:
     n_kernels: int = 128
     context_mode: str = "context"
     timesteps: int = 32
-    segment_len: int = 8
 
     def __post_init__(self):
         if self.context_mode not in CONTEXT_MODES:
             raise DomainError(f"context_mode must be one of {CONTEXT_MODES}, got {self.context_mode!r}")
-        for name in ("channels", "n_kernels", "timesteps", "segment_len"):
+        for name in ("channels", "n_kernels", "timesteps"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -97,14 +93,14 @@ class SelectorParams:
 
 @dataclass
 class SelectionResult:
-    """Gate outcomes for one video, as arrays over its T timesteps, or for a
-    stack of B videos, as arrays over their B*T timesteps video after video.
+    """Gate outcomes of a stack of B videos, as arrays over their B*T
+    timesteps, video after video.
 
-    ``features`` are the (T, C) light features the gates read (after
-    attention in context mode), ``logits`` the differentiable (T, 1) gate
+    ``features`` are the (B*T, C) light features the gates read (after
+    attention in context mode), ``logits`` the differentiable (B*T, 1) gate
     logits that feed the L0 term and the top-k ranking, ``activated`` the
-    (T,) gate values (noisy clipped sigmoid in train mode, 0/1 in test mode)
-    and ``open`` the boolean (T,) open mask.
+    (B*T,) gate values (noisy clipped sigmoid in train mode, 0/1 in test
+    mode) and ``open`` the boolean (B*T,) open mask.
     """
 
     features: Tensor
@@ -114,8 +110,8 @@ class SelectionResult:
 
     @property
     def selected_indices(self) -> list[int]:
-        """The open timesteps of one video, ascending; empty when every gate
-        closed."""
+        """The open timesteps of a stack of one, ascending; empty when every
+        gate closed."""
         return [int(i) for i in np.flatnonzero(self.open)]
 
 
@@ -123,88 +119,54 @@ class SelectionResult:
 # forward pieces
 
 
-def encode_light(frames: np.ndarray, enc: MLP, segment_len: int) -> Tensor:
-    """``enc`` over each slot's light frame, the middle frame of its heavy
-    segment: ``frames[:, segment_len // 2]`` of the (T, frames_per_slot,
-    d_raw) slots.
-
-    The selector's light encoder and the saliency scorer's private one share
-    this code, not their weights.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 3 or frames.shape[1] < segment_len or frames.shape[2] != enc.n_in:
-        raise DimensionError(
-            f"frames shape {frames.shape} is not slots of at least segment_len "
-            f"{segment_len} frames of width {enc.n_in}"
-        )
-    return enc(Tensor(frames[:, segment_len // 2]))
-
-
-def lightnet_features(frames: np.ndarray, params: SelectorParams) -> Tensor:
-    """The selector's light features, one row per timestep slot: (T, C) for
-    one video, (B*T, C) video after video for a stack of B videos."""
-    cfg = params.config
-    if np.ndim(frames) == 4:
-        frames = np.asarray(frames, dtype=np.float64)
-        slots = frames.shape[1]
-        feats = encode_light(frames.reshape(-1, *frames.shape[2:]), params.enc,
-                             cfg.segment_len)
-    else:
-        feats = encode_light(frames, params.enc, cfg.segment_len)
-        slots = feats.shape[0]
-    if slots != cfg.timesteps:
-        raise DimensionError(
-            f"video has {slots} slots, the selector expects {cfg.timesteps}"
-        )
-    return feats
+def lightnet_features(light: np.ndarray, params: SelectorParams) -> Tensor:
+    """The light encoder over a (B, T, d_raw) stack of light frames: (B*T, C)
+    features, one row per timestep, video after video."""
+    want = (params.config.timesteps, params.enc.n_in)
+    if light.ndim != 3 or light.shape[1:] != want:
+        raise DimensionError(f"light frames of shape {light.shape} are not a stack of "
+                             f"(T, d_raw) = {want} videos")
+    return params.enc(Tensor(light.reshape(-1, want[1])))
 
 
 def self_attention(features: Tensor, params: SelectorParams) -> Tensor:
     """Single-head scaled dot-product self-attention with a residual add,
-    over (T, C) features or within each video of (B*T, C) stacked rows."""
+    within each video of (B*T, C) feature rows."""
     if params.attn_q is None:
         raise ContractError("self_attention called on a frame-mode selector")
-    c, t = params.config.channels, params.config.timesteps
-    if features.data.ndim != 2 or features.shape[1] != c:
-        raise DimensionError(f"attention needs (T, {c}) features, got {features.shape}")
-    w = (params.attn_q, params.attn_k, params.attn_v)
-    if features.shape[0] == t:
-        return ad.attention(features, *w)
-    if features.shape[0] % t:
-        raise DimensionError(f"{features.shape[0]} feature rows are not whole videos "
-                             f"of {t} timesteps")
-    stack = ad.attention(ad.reshape(features, (features.shape[0] // t, t, c)), *w)
-    return ad.reshape(stack, features.shape)
+    return ad.attention(features, params.attn_q, params.attn_k, params.attn_v,
+                        params.config.timesteps)
 
 
-def _gate_inputs(frames: np.ndarray, params: SelectorParams) -> tuple[Tensor, Tensor]:
-    """The features the gates read and their (T, 1) or (B*T, 1) gate logits."""
-    feats = lightnet_features(frames, params)
+def _gate_inputs(light: np.ndarray, params: SelectorParams) -> tuple[Tensor, Tensor]:
+    """The features the gates read and their (B*T, 1) gate logits."""
+    feats = lightnet_features(light, params)
     if params.config.context_mode == "context":
         feats = self_attention(feats, params)
     sims = gating.similarity_batch(feats, params.kernels)
     return feats, gating.gate_logits_batch(sims, params.gate)
 
 
-def gate_logits(frames: np.ndarray, params: SelectorParams) -> Tensor:
-    """Per-timestep gate logits as a (T, 1) column."""
-    return _gate_inputs(frames, params)[1]
+def gate_logits(light: np.ndarray, params: SelectorParams) -> Tensor:
+    """Per-timestep gate logits of a (B, T, d_raw) light stack as a (B*T, 1)
+    column."""
+    return _gate_inputs(light, params)[1]
 
 
-def select(frames: np.ndarray, params: SelectorParams, mode: str,
+def select(light: np.ndarray, params: SelectorParams, mode: str,
            rng: np.random.Generator | None = None) -> SelectionResult:
-    """Run the full selection pipeline over one video's (T, frames_per_slot,
-    d_raw) frames, or over a (B, T, frames_per_slot, d_raw) stack of videos.
+    """Run the full selection pipeline over a (B, T, d_raw) stack of light
+    frames.
 
     ``mode`` is "train" (noisy clipped sigmoid; needs ``rng``) or "test"
     (deterministic step).  A stack draws its gate noise video after video,
-    so it consumes ``rng`` exactly as B one-video calls in order would.  For
-    one video, ``selected_indices`` is exactly the ascending set of open
+    so it consumes ``rng`` exactly as B stacks of one in order would.  For a
+    stack of one, ``selected_indices`` is exactly the ascending set of open
     gates; empty selections are legal here and resolved by ``heavy_indices``.
     """
     if mode not in ("train", "test"):
         raise DomainError(f"selection mode must be 'train' or 'test', got {mode!r}")
-    feats, alphas = _gate_inputs(frames, params)
+    feats, alphas = _gate_inputs(light, params)
     if mode == "train":
         if rng is None:
             raise ContractError("train-mode selection needs an rng for the gate noise")

@@ -129,10 +129,10 @@ def test_softmax_rows_sums_to_one():
     x = tensor([[1.0, 2.0], [1.0, -3.0], [1.0, 0.5]])
     wk = tensor([[0.3, -1.2], [0.8, 0.4]])
     take_first = tensor([[1.0, 0.0], [0.0, 0.0]])
-    mixed = ad.attention(x, tensor([[0.5, 1.0], [-0.7, 0.2]]), wk, take_first).data - x.data
+    mixed = ad.attention(x, tensor([[0.5, 1.0], [-0.7, 0.2]]), wk, take_first, 3).data - x.data
     nptest.assert_allclose(mixed[:, 0], np.ones(3), rtol=1e-12)
     assert (mixed[:, 1] == 0.0).all()
-    uniform = ad.attention(x, tensor(np.zeros((2, 2))), wk, tensor(np.eye(2))).data
+    uniform = ad.attention(x, tensor(np.zeros((2, 2))), wk, tensor(np.eye(2)), 3).data
     nptest.assert_allclose(uniform - x.data, np.tile(x.data.mean(axis=0), (3, 1)),
                            rtol=1e-12)
 
@@ -537,31 +537,41 @@ def test_fd_attention(x):
     probe = tensor(np.linspace(0.5, 1.5, 12).reshape(3, 4))
     err = ad.finite_diff_check(
         lambda v: ad.reduce_sum(ad.reduce_sum(
-            ad.mul(ad.attention(v, *weights), probe), axis=1), axis=0), tensor(x, requires_grad=True)
+            ad.mul(ad.attention(v, *weights, 3), probe), axis=1), axis=0), tensor(x, requires_grad=True)
     )
     assert err < FD_TOL
 
 
 def test_fd_every_operand_of_a_stacked_attention():
-    """A (B, T, C) stack attends within each sequence: its values are each
-    sequence's own, and the weight gradients sum over the stack."""
+    """The rows of two sequences of 3 attend within each sequence: their
+    values are each sequence's own, and the weight gradients sum over both."""
     rng = np.random.default_rng(13)
-    x = tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    x = tensor(rng.standard_normal((6, 4)), requires_grad=True)
     params = [tensor(0.5 * rng.standard_normal((4, 4)), requires_grad=True)
               for _ in range(3)]
-    probe = tensor(rng.standard_normal(24))
+    probe = tensor(rng.standard_normal((6, 4)))
 
     def f(_):
-        flat = ad.reshape(ad.attention(x, *params), (24,))
-        return ad.reduce_sum(ad.mul(flat, probe), axis=0)
+        out = ad.attention(x, *params, 3)
+        return ad.reduce_sum(ad.reduce_sum(ad.mul(out, probe), axis=1), axis=0)
 
     for t in (x, *params):
         assert ad.finite_diff_check(f, t) < FD_TOL
-    alone = [ad.attention(tensor(x.data[b]), *params).data for b in range(2)]
-    nptest.assert_allclose(ad.attention(x, *params).data, np.stack(alone),
-                           rtol=1e-12, atol=1e-12)
+    alone = [ad.attention(tensor(x.data[lo:lo + 3]), *params, 3).data for lo in (0, 3)]
+    nptest.assert_array_equal(ad.attention(x, *params, 3).data, np.concatenate(alone))
+    with ad.record() as rec:
+        f(None)
+    assert "reshape" not in [node.op for node in rec.nodes]
+
+
+def test_attention_rejects_rows_that_are_not_whole_sequences():
+    params = [tensor(np.eye(4)) for _ in range(3)]
+    for rows, t in ((7, 3), (6, 4), (6, 0)):
+        with pytest.raises(DimensionError, match=f"{rows} rows are not whole sequences"):
+            ad.attention(tensor(np.zeros((rows, 4))), *params, t)
+    # rows of (B, t, C) stacks only: a 3-d input is refused
     with pytest.raises(DimensionError):
-        ad.attention(tensor(np.zeros((1, 2, 3, 4))), *params)
+        ad.attention(tensor(np.zeros((2, 3, 4))), *params, 3)
 
 
 @pytest.mark.parametrize("layer", ["mlp", "attention"])
@@ -575,13 +585,15 @@ def test_fd_every_parameter_of_a_layer_op(layer):
         shapes = [(4, 4)] * 3
     params = [tensor(0.5 * rng.standard_normal(s), requires_grad=True) for s in shapes]
     op = getattr(ad, layer)
+    extra = (3,) if layer == "attention" else ()   # one sequence of 3 rows
     if layer == "mlp":
         pre = x.data @ params[0].data + params[1].data
         assert np.abs(pre).min() > 1e-2, "a hidden unit sits on the relu kink"
     probe = tensor(rng.standard_normal((3, shapes[-1][-1])))
 
     def f(_):
-        return ad.reduce_sum(ad.reduce_sum(ad.mul(op(x, *params), probe), axis=1), axis=0)
+        return ad.reduce_sum(ad.reduce_sum(ad.mul(op(x, *params, *extra), probe), axis=1),
+                             axis=0)
 
     for t in (x, *params):
         assert ad.finite_diff_check(f, t) < FD_TOL
@@ -706,8 +718,8 @@ def test_fd_reshape_transpose_tile_take():
 @given(x=finite_arrays((4, 3)))
 def test_forward_is_deterministic(x):
     w = tensor(np.linspace(-1, 1, 9).reshape(3, 3))
-    first = ad.attention(tensor(x), w, w, w).data
-    second = ad.attention(tensor(x), w, w, w).data
+    first = ad.attention(tensor(x), w, w, w, 4).data
+    second = ad.attention(tensor(x), w, w, w, 4).data
     nptest.assert_array_equal(first, second)
 
 

@@ -7,6 +7,7 @@ import stepgate.baselines as bl
 from stepgate.errors import ContractError, DimensionError, DomainError
 
 SLOT = 16  # frames per slot
+MID = 4    # a slot's light frame at segment length 8
 
 
 def make_scorer(d_raw=5, channels=6, n_classes=4, seed=0):
@@ -18,8 +19,8 @@ def make_scorer(d_raw=5, channels=6, n_classes=4, seed=0):
 
 
 def video_scores(frames, params):
-    """Scores of a video at segment length 8."""
-    return bl.scsampler_scores(frames, params, 8)
+    """Scores of a video's (T, SLOT, d_raw) slots from their light frames."""
+    return bl.scsampler_scores(frames[:, MID], params)
 
 
 def random_video(rng):
@@ -39,7 +40,7 @@ def test_score_matches_softmax_max_oracle():
     params.head_w.data[:] = rng.standard_normal(params.head_w.shape)
     params.head_b.data[:] = rng.standard_normal(params.head_b.shape)
     frames = random_video(rng)
-    light = frames[:, 4]  # the middle frame of each segment
+    light = frames[:, MID]
     enc = params.enc
     hidden = np.maximum(light @ enc.w1.data + enc.b1.data, 0.0)
     x = hidden @ enc.w2.data + enc.b2.data
@@ -62,7 +63,7 @@ def test_identical_features_score_identically_anywhere():
     params = make_scorer(seed=4)
     params.head_w.data[:] = np.random.default_rng(5).standard_normal(params.head_w.shape)
     frames = random_video(np.random.default_rng(6))
-    frames[3, 4] = frames[0, 4]  # timesteps 0 and 3 see the same light frame
+    frames[3, MID] = frames[0, MID]  # timesteps 0 and 3 see the same light frame
     scores = video_scores(frames, params)
     assert scores[0] == scores[3]
     nptest.assert_array_equal(video_scores(frames.copy(), params), scores)
@@ -82,8 +83,8 @@ def test_video_scores_are_context_invariant():
     a = rng.standard_normal((4, SLOT, 5))
     b = rng.standard_normal((4, SLOT, 5))
     shared = rng.standard_normal(5)
-    a[1, 4] = shared  # the middle frames of a's slot 1 and b's slot 3
-    b[3, 4] = shared
+    a[1, MID] = shared  # the light frames of a's slot 1 and b's slot 3
+    b[3, MID] = shared
     sa = video_scores(a, params)
     sb = video_scores(b, params)
     assert sa[1] == sb[3]
@@ -93,10 +94,10 @@ def test_video_scores_are_context_invariant():
 def test_scorer_logits_rows_are_per_timestep():
     params = make_scorer(seed=10)
     rng = np.random.default_rng(11)
-    frames = rng.standard_normal((4, SLOT, 5))
-    base = bl.scorer_logits(frames, params, 8).data.copy()
-    frames[0, 4] += 3.0  # center frame of timestep 0 only
-    bumped = bl.scorer_logits(frames, params, 8).data
+    light = rng.standard_normal((4, 5))
+    base = bl.scorer_logits(light, params).data.copy()
+    light[0] += 3.0  # the light frame of timestep 0 only
+    bumped = bl.scorer_logits(light, params).data
     nptest.assert_array_equal(bumped[1:], base[1:])
 
 

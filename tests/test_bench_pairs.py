@@ -116,3 +116,36 @@ def test_a_clean_run_exits_0(tmp_path, monkeypatch, capsys):
         "correct": True, "failed": 0, "metrics": {"setup_s": {"value": 1.0}}})
     assert bench_pairs.main(["--workload", "gated-eval", "--pairs", "2"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_run_that_prints_no_result_line_is_named_and_the_pairs_go_on(
+        tmp_path, monkeypatch, capsys):
+    """Empty standard output, and a last line that is not a JSON result,
+    leave their pairs out of the summary instead of stopping the tool."""
+    good = json.dumps({"correct": True, "failed": 0,
+                       "metrics": {"setup_s": {"value": 1.0}}})
+    outputs = iter([(2, "", "Traceback ...\nMemoryError\n"), (0, good, ""),
+                    (0, good, ""), (1, "progress\nnot json\n", ""),
+                    (0, good, ""), (0, good, "")])
+    commands = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        commands.append(cmd)
+        code, out, err = next(outputs)
+        return subprocess.CompletedProcess(cmd, code, out, err)
+
+    monkeypatch.setattr(bench_pairs, "parent_copy", lambda rev: tmp_path)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    code = bench_pairs.main(["--workload", "gated-eval", "--pairs", "3", "--seeds", "4"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert len(commands) == 6
+    assert all(cmd[1] == "perfbench/run.py" and cmd[cmd.index("--seed") + 1] == "4"
+               for cmd in commands)
+    assert err.splitlines() == [
+        "left out of the summary: pair 0, parent, seed 4: exit code 2, no result line; "
+        "stderr ends in 'MemoryError'",
+        "left out of the summary: pair 1, parent, seed 4: exit code 1, no result line; "
+        "stderr ends in 'nothing'",
+    ]
+    assert json.loads(out.splitlines()[-1])["summary"]["setup_s"]["pairs"] == 1

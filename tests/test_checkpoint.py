@@ -127,6 +127,13 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bun
         "long_body": (header, body + b"\x00" * 8),
         "not_an_object": ("SGCK", body),
     }
+    # a -1 dimension made np.frombuffer hand "a" the whole body; "b" then
+    # re-read the header's last 8 bytes as its first float, and the offsets
+    # came out even
+    n = len(body) // 8
+    for name, dims in {"swallowing_dim": [-1], "float_dim": [float(n)],
+                       "string_dim": [str(n)], "bool_dim": [True], "scalar_dims": n}.items():
+        cases[name] = ({**header, "entries": [["a", dims], ["b", [n + 1]]]}, body)
     for name, (h, b) in cases.items():
         bad = tmp_path / f"{name}.sgck"
         container.write(bad, MAGIC, FORMAT_VERSION, h, [b])

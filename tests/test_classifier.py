@@ -201,7 +201,7 @@ def test_task_loss_unknown_task():
 
 def build_small_pipeline(seed=0):
     scfg = sel.SelectorConfig(channels=3, n_kernels=4, context_mode="context",
-                              timesteps=3, segment_len=4)
+                              timesteps=3)
     ccfg = cls.ClassifierConfig(channels=4, n_classes=3, segment_len=4)
     rng = np.random.default_rng(seed)
     sparams = sel.SelectorParams.init(scfg, 4, rng, gate_hidden=6, open_bias=1.5)
@@ -212,7 +212,7 @@ def build_small_pipeline(seed=0):
 
 def e2e_loss(sparams, cparams, frames, noises, label):
     import stepgate.gating as gt
-    alphas = sel.gate_logits(frames, sparams)
+    alphas = sel.gate_logits(frames[None, :, 2], sparams)   # segment_len 4
     activated, open_mask = gt.activate_train_batch(alphas, noises)
     selected = [i for i in range(3) if open_mask[i]]
     feats = cls.heavynet_features(frames, selected, cparams)
@@ -239,7 +239,7 @@ def test_e2e_finite_difference_check():
     import stepgate.gating as gt
     sparams, cparams, frames = build_small_pipeline(seed=4)
     noises = gt.sample_gate_noise_batch(np.random.default_rng(41), 3).reshape(3, 1)
-    alphas = sel.gate_logits(frames, sparams).data
+    alphas = sel.gate_logits(frames[None, :, 2], sparams).data
     assert np.abs(alphas + noises).min() > 1e-2, "gate too close to its threshold for fd"
 
     def f(_):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from stepgate.harness.checkpoint import Checkpoint
 from stepgate.harness.evaluation import (accuracy, average_precision,
                                          cost_registry_for,
                                          evaluate_bundle,
-                                         evaluate_checkpoint, mean_ap)
+                                         evaluate_checkpoint, light_frames,
+                                         mean_ap)
 from stepgate.harness.models import build_bundle, training_sample_budget
 from stepgate.harness.training import spec_from_config
 from stepgate.selector import select
@@ -158,12 +161,13 @@ def test_evaluation_is_deterministic(e2e_setup):
 def test_selection_runs_once_per_video(mode, tiny_data, monkeypatch):
     """Test-mode gates do not depend on the budget, so every budget entry
     reuses one selection of each video: each video is selected exactly
-    once, in minibatches of training.batch_size videos."""
+    once, in minibatches of training.batch_size videos, by its light
+    frames."""
     calls = []
     real = evaluation.select
 
     def counted(*args, **kwargs):
-        calls.append(args[0].copy())   # the stack's buffer is reused
+        calls.append(args[0])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "select", counted)
@@ -172,7 +176,8 @@ def test_selection_runs_once_per_video(mode, tiny_data, monkeypatch):
     assert len(report.entries) == 3
     assert [len(c) for c in calls] == [4, 2]
     selected = np.concatenate(calls)
-    np.testing.assert_array_equal(selected, [v.frames for v in tiny_data.test])
+    np.testing.assert_array_equal(selected, [v.frames[:, cfg.model.segment_len // 2]
+                                             for v in tiny_data.test])
 
 
 def test_scsampler_rankings_equal_each_videos_own_scores(tiny_data):
@@ -186,10 +191,40 @@ def test_scsampler_rankings_equal_each_videos_own_scores(tiny_data):
     ranked = evaluation.rankings(bundle, cfg, tiny_data.test)
     assert len(ranked) == len(tiny_data.test)
     for scores, video in zip(ranked, tiny_data.test):
-        alone = scsampler_scores(video.frames, bundle.scorer, cfg.model.segment_len)
+        alone = scsampler_scores(light_frames([video], cfg)[0], bundle.scorer)
         assert scores.shape == alone.shape == (cfg.dataset.timesteps,)
         np.testing.assert_allclose(scores, alone, rtol=1e-12, atol=0.0)
         assert np.ptp(alone) > 0.0
+
+
+@pytest.mark.parametrize("mode", ["e2e", "frame_conditioned", "scsampler"])
+def test_the_light_networks_read_only_the_light_frame_of_each_slot(mode):
+    """The selector, in context and in frame mode, and the scorer see a slot
+    through ``slot[segment_len // 2]`` alone: rewriting every other frame
+    leaves the rankings bitwise unchanged, and changing that one frame
+    changes them."""
+    cfg = tiny_config(mode, **{"dataset.frames_per_slot": 4, "model.segment_len": 3})
+    videos = generate_dataset(spec_from_config(cfg), 2, 3, cfg.seed).test
+    bundle = build_bundle(cfg)
+    if bundle.scorer is not None:   # a zero head scores every slot alike
+        bundle.scorer.head_w.data[...] = np.random.default_rng(3).standard_normal(
+            bundle.scorer.head_w.shape)
+    base = evaluation.rankings(bundle, cfg, videos)
+    others = [0, 2, 3]   # the light frame is frame 1 of 4
+    assert light_frames(videos, cfg).tolist() == [v.frames[:, 1].tolist() for v in videos]
+    wrecked = []
+    for v in videos:
+        frames = v.frames.copy()
+        frames[:, others] = -3.0 * frames[:, others] + 7.0
+        wrecked.append(dataclasses.replace(v, frames=frames))
+    np.testing.assert_array_equal(evaluation.rankings(bundle, cfg, wrecked), base)
+
+    bumped = videos[0].frames.copy()
+    bumped[0, 1] += 1.0
+    moved = evaluation.rankings(bundle, cfg,
+                                [dataclasses.replace(videos[0], frames=bumped), *videos[1:]])
+    assert moved[0, 0] != base[0, 0]
+    np.testing.assert_array_equal(moved[1:], base[1:])
 
 
 def test_random_mode_reuses_the_per_video_eval_stream(tiny_data):
@@ -248,14 +283,14 @@ def _reference_picks(bundle, cfg, video, vi, budget):
     """One video's picks under one budget, each arm's rule written out."""
     t = cfg.dataset.timesteps
     if bundle.mode in evaluation.SELECTOR_MODES:
-        logits = select(video.frames, bundle.selector, "test").logits.data.ravel()
+        logits = select(light_frames([video], cfg), bundle.selector, "test").logits.data.ravel()
         if budget is None:
             return [int(i) for i in np.flatnonzero(logits > 0.0)] or [int(np.argmax(logits))]
         order = np.argsort(-sigmoid_np(logits), kind="stable")
         return sorted(int(i) for i in order[:budget])
     k = budget if budget is not None else training_sample_budget(cfg)
     if bundle.mode == "scsampler":
-        scores = scsampler_scores(video.frames, bundle.scorer, cfg.model.segment_len)
+        scores = scsampler_scores(light_frames([video], cfg)[0], bundle.scorer)
         return sorted(int(i) for i in np.argsort(-scores, kind="stable")[:k])
     if bundle.mode == "uniform":
         return [(2 * i + 1) * t // (2 * k) for i in range(k)]

@@ -158,7 +158,7 @@ def test_step_open_keeps_the_shape_and_is_the_test_activation_rule():
     logits = np.array([[0.3, 0.0, -0.3], [40.0, -1e-300, 1e-300]])
     mask = gt.step_open(logits)
     nptest.assert_array_equal(mask, [[True, False, False], [True, False, True]])
-    nptest.assert_array_equal(gt.activate_test_batch(logits)[1], mask.reshape(-1))
+    nptest.assert_array_equal(gt.activate_test_batch(Tensor(logits))[1], mask.reshape(-1))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as nptest
@@ -8,23 +9,36 @@ from hypothesis import given, settings, strategies as st
 import stepgate.autodiff as ad
 import stepgate.gating as gt
 import stepgate.selector as sel
+from conftest import tiny_config
 from stepgate.autodiff import Tensor
 from stepgate.errors import ContractError, DimensionError, DomainError
+from stepgate.harness.evaluation import light_frames
 
 SLOT = 16  # frames per slot
 
 
 def make_params(context_mode="context", channels=4, n_kernels=6, timesteps=4,
-                segment_len=8, d_raw=5, seed=0, open_bias=0.0):
+                d_raw=5, seed=0, open_bias=0.0):
     cfg = sel.SelectorConfig(channels=channels, n_kernels=n_kernels,
-                             context_mode=context_mode, timesteps=timesteps,
-                             segment_len=segment_len)
+                             context_mode=context_mode, timesteps=timesteps)
     return sel.SelectorParams.init(cfg, d_raw, np.random.default_rng(seed),
                                    gate_hidden=8, open_bias=open_bias)
 
 
 def random_frames(rng, timesteps=4, d_raw=5):
+    """One video's (T, SLOT, d_raw) slots."""
     return rng.standard_normal((timesteps, SLOT, d_raw))
+
+
+def random_light(rng, timesteps=4, d_raw=5, videos=1):
+    """A (videos, T, d_raw) stack of light frames."""
+    return rng.standard_normal((videos, timesteps, d_raw))
+
+
+def light_of(frames, segment_len=8):
+    """The (1, T, d_raw) light stack of one video's slots."""
+    cfg = tiny_config(**{"dataset.timesteps": len(frames), "model.segment_len": segment_len})
+    return light_frames([SimpleNamespace(frames=frames)], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +54,7 @@ def test_lightnet_reads_center_frames_with_shared_encoder():
     params = make_params(context_mode="frame")
     rng = np.random.default_rng(3)
     frames = random_frames(rng)
-    feats = sel.lightnet_features(frames, params).data
+    feats = sel.lightnet_features(light_of(frames), params).data
     for t in range(4):
         # segment_len 8: the heavy segment is frames 0..7 of the slot
         nptest.assert_allclose(feats[t], _encode_one(params, frames[t, 4]), rtol=1e-12)
@@ -48,26 +62,30 @@ def test_lightnet_reads_center_frames_with_shared_encoder():
 
 @pytest.mark.parametrize("segment_len,middle", [(1, 0), (2, 1), (5, 2), (8, 4), (16, 8)])
 def test_light_frame_is_the_middle_frame_of_the_heavy_segment(segment_len, middle):
-    params = make_params(context_mode="frame", segment_len=segment_len)
+    params = make_params(context_mode="frame")
     frames = random_frames(np.random.default_rng(14))
-    base = sel.lightnet_features(frames, params).data
+    light = light_of(frames, segment_len)
+    nptest.assert_array_equal(light, frames[None, :, middle])
+    base = sel.lightnet_features(light, params).data
     # every other frame of every slot is wrecked; the features must not move
     wrecked = np.full_like(frames, 1e6)
     wrecked[:, middle] = frames[:, middle]
-    nptest.assert_array_equal(sel.lightnet_features(wrecked, params).data, base)
+    nptest.assert_array_equal(sel.lightnet_features(light_of(wrecked, segment_len),
+                                                    params).data, base)
 
 
 def test_lightnet_rejects_wrong_width():
     params = make_params()
     with pytest.raises(DimensionError):
-        sel.lightnet_features(np.zeros((4, SLOT, 7)), params)
+        sel.lightnet_features(np.zeros((1, 4, 7)), params)
 
 
 def test_lightnet_rejects_frames_that_are_not_the_configured_slots():
-    params = make_params()   # 4 slots, segment_len 8, d_raw 5
-    frames = random_frames(np.random.default_rng(15))
-    for bad in (np.zeros((4 * SLOT, 5)),    # frames not in slots
-                frames[:3]):                # 3 slots where the selector has 4
+    params = make_params()   # 4 timesteps, d_raw 5
+    light = random_light(np.random.default_rng(15))
+    for bad in (light[0],                   # one video without its stack axis
+                light[:, :3],               # 3 timesteps where the selector has 4
+                np.zeros((1, 4, SLOT, 5))):  # whole slots, not light frames
         with pytest.raises(DimensionError):
             sel.lightnet_features(bad, params)
         with pytest.raises(DimensionError):
@@ -75,19 +93,17 @@ def test_lightnet_rejects_frames_that_are_not_the_configured_slots():
 
 
 def test_lightnet_rejects_slots_shorter_than_the_segment():
-    params = make_params()   # segment_len 8: the light frame is frame 4 of a slot
+    # segment_len 8: the light frame is frame 4 of a slot
     frames = random_frames(np.random.default_rng(15))
     for short in (frames[:, :7], frames[:, :4]):
-        with pytest.raises(DimensionError):
-            sel.lightnet_features(short, params)
-        with pytest.raises(DimensionError):
-            sel.select(short, params, "test")
+        with pytest.raises(DimensionError, match="slots of at least 8"):
+            light_of(short)
 
 
 def test_align_bad_sizes_are_domain_errors():
-    # timesteps and segment_len fix which frame of which slot the light
-    # encoder reads; a non-positive one is refused when the selector is built
-    for bad in ({"timesteps": 0}, {"segment_len": 0}, {"segment_len": -1}):
+    # timesteps fixes how many rows make one video; a non-positive size is
+    # refused when the selector is built
+    for bad in ({"timesteps": 0}, {"channels": 0}, {"n_kernels": -1}):
         with pytest.raises(DomainError):
             make_params(**bad)
 
@@ -98,7 +114,7 @@ def test_align_bad_sizes_are_domain_errors():
 
 def test_self_attention_hand_oracle_t2():
     """Exhaustive scalar-loop oracle for a 2-timestep, 2-channel attention."""
-    cfg = sel.SelectorConfig(channels=2, n_kernels=2, timesteps=2, segment_len=1)
+    cfg = sel.SelectorConfig(channels=2, n_kernels=2, timesteps=2)
     rng = np.random.default_rng(0)
     params = sel.SelectorParams.init(cfg, 3, rng, gate_hidden=4)
     x = np.asarray([[1.0, -0.5], [0.25, 2.0]])
@@ -120,23 +136,23 @@ def test_self_attention_hand_oracle_t2():
 def test_attention_rows_mix_other_timesteps():
     params = make_params(context_mode="context")
     rng = np.random.default_rng(4)
-    frames = random_frames(rng)
-    base = sel.gate_logits(frames, params).data.copy()
-    # change only the last timestep's center frame; earlier logits must move
-    frames2 = frames.copy()
-    frames2[-1, 4] += 10.0
-    bumped = sel.gate_logits(frames2, params).data
+    light = random_light(rng)
+    base = sel.gate_logits(light, params).data.copy()
+    # change only the last timestep's light frame; earlier logits must move
+    light2 = light.copy()
+    light2[0, -1] += 10.0
+    bumped = sel.gate_logits(light2, params).data
     assert np.abs(bumped[:-1] - base[:-1]).max() > 1e-9
 
 
 def test_frame_mode_ignores_other_timesteps():
     params = make_params(context_mode="frame")
     rng = np.random.default_rng(5)
-    frames = random_frames(rng)
-    base = sel.gate_logits(frames, params).data.copy()
-    frames2 = frames.copy()
-    frames2[-1, 4] += 10.0
-    bumped = sel.gate_logits(frames2, params).data
+    light = random_light(rng)
+    base = sel.gate_logits(light, params).data.copy()
+    light2 = light.copy()
+    light2[0, -1] += 10.0
+    bumped = sel.gate_logits(light2, params).data
     nptest.assert_array_equal(bumped[:-1], base[:-1])
     assert abs(bumped[-1] - base[-1]).max() > 1e-9
 
@@ -146,20 +162,20 @@ def test_frame_mode_ignores_other_timesteps():
 def test_frame_mode_is_permutation_equivariant(seed):
     params = make_params(context_mode="frame", seed=1)
     rng = np.random.default_rng(seed)
-    frames = random_frames(rng)
+    light = random_light(rng)
     perm = rng.permutation(4)
-    base = sel.gate_logits(frames, params).data
-    permuted = sel.gate_logits(frames[perm], params).data
+    base = sel.gate_logits(light, params).data
+    permuted = sel.gate_logits(light[:, perm], params).data
     nptest.assert_array_equal(permuted, base[perm])
 
 
 def test_context_mode_is_not_permutation_invariant():
     params = make_params(context_mode="context", seed=2)
     rng = np.random.default_rng(6)
-    frames = random_frames(rng)
+    light = random_light(rng)
     perm = np.asarray([1, 0, 3, 2])
-    base = sel.gate_logits(frames, params).data
-    permuted = sel.gate_logits(frames[perm], params).data
+    base = sel.gate_logits(light, params).data
+    permuted = sel.gate_logits(light[:, perm], params).data
     assert np.abs(permuted - base).max() > 1e-9
 
 
@@ -170,9 +186,9 @@ def test_context_mode_is_not_permutation_invariant():
 def test_select_test_mode_is_deterministic_and_consistent():
     params = make_params(open_bias=0.5)
     rng = np.random.default_rng(7)
-    frames = random_frames(rng)
-    r1 = sel.select(frames, params, "test")
-    r2 = sel.select(frames, params, "test")
+    light = random_light(rng)
+    r1 = sel.select(light, params, "test")
+    r2 = sel.select(light, params, "test")
     assert r1.selected_indices == r2.selected_indices
     nptest.assert_array_equal(r1.activated.data, r2.activated.data)
     assert r1.selected_indices == [int(i) for i in np.flatnonzero(r1.open)]
@@ -183,9 +199,9 @@ def test_select_test_mode_is_deterministic_and_consistent():
 
 def test_select_train_mode_reproducible_under_seed():
     params = make_params()
-    frames = random_frames(np.random.default_rng(8))
-    r1 = sel.select(frames, params, "train", rng=np.random.default_rng(99))
-    r2 = sel.select(frames, params, "train", rng=np.random.default_rng(99))
+    light = random_light(np.random.default_rng(8))
+    r1 = sel.select(light, params, "train", rng=np.random.default_rng(99))
+    r2 = sel.select(light, params, "train", rng=np.random.default_rng(99))
     assert r1.selected_indices == r2.selected_indices
     nptest.assert_array_equal(r1.activated.data, r2.activated.data)
 
@@ -193,19 +209,19 @@ def test_select_train_mode_reproducible_under_seed():
 def test_select_train_mode_requires_rng():
     params = make_params()
     with pytest.raises(ContractError):
-        sel.select(random_frames(np.random.default_rng(0)), params, "train")
+        sel.select(random_light(np.random.default_rng(0)), params, "train")
 
 
 def test_select_unknown_mode_is_domain_error():
     params = make_params()
     with pytest.raises(DomainError):
-        sel.select(random_frames(np.random.default_rng(0)), params, "eval")
+        sel.select(random_light(np.random.default_rng(0)), params, "eval")
 
 
 def test_select_train_activated_matches_decisions():
     params = make_params()
-    frames = random_frames(np.random.default_rng(10))
-    res = sel.select(frames, params, "train", rng=np.random.default_rng(1))
+    light = random_light(np.random.default_rng(10))
+    res = sel.select(light, params, "train", rng=np.random.default_rng(1))
     assert res.open.shape == res.activated.shape == (4,)
     assert res.logits.shape == (4, 1)
     assert res.features.shape == (4, params.config.channels)
@@ -216,10 +232,10 @@ def test_select_train_activated_matches_decisions():
 
 def test_zero_noise_train_selection_equals_test_selection():
     params = make_params(open_bias=0.3)
-    frames = random_frames(np.random.default_rng(11))
-    alphas = sel.gate_logits(frames, params)
+    light = random_light(np.random.default_rng(11))
+    alphas = sel.gate_logits(light, params)
     value, mask = gt.activate_train_batch(alphas, np.zeros_like(alphas.data))
-    test_res = sel.select(frames, params, "test")
+    test_res = sel.select(light, params, "test")
     assert list(np.where(mask)[0]) == test_res.selected_indices
 
 
@@ -231,9 +247,9 @@ def test_zero_noise_train_selection_equals_test_selection():
 ])
 def test_train_select_records_one_tape_op_per_layer(context_mode, ops):
     params = make_params(context_mode=context_mode)
-    frames = random_frames(np.random.default_rng(14))
+    light = random_light(np.random.default_rng(14))
     with ad.record() as rec:
-        sel.select(frames, params, "train", rng=np.random.default_rng(3))
+        sel.select(light, params, "train", rng=np.random.default_rng(3))
     assert [node.op for node in rec.nodes if node.op != "leaf"] == ops
 
 
@@ -243,45 +259,49 @@ def test_train_select_records_one_tape_op_per_layer(context_mode, ops):
 
 @pytest.mark.parametrize("context_mode", ["context", "frame"])
 def test_stacked_select_equals_per_video_select(context_mode):
-    """A (B, T, ...) stack gates each video as it is gated alone, and train
-    mode draws the gate noise in the same order from the same stream."""
+    """A (B, T, d_raw) stack gates each video exactly as B stacks of one do,
+    and train mode draws the same gate noise from the same stream."""
     params = make_params(context_mode=context_mode, open_bias=0.2, seed=4)
-    rng = np.random.default_rng(16)
-    videos = [random_frames(rng) for _ in range(5)]
-    stack = np.stack(videos)
+    stack = random_light(np.random.default_rng(16), videos=5)
+    ones = [stack[b:b + 1] for b in range(5)]
+
+    def joined(results, field):
+        return np.concatenate([getattr(r, field).data if field != "open" else r.open
+                               for r in results])
 
     test = sel.select(stack, params, "test")
-    alone = [sel.select(f, params, "test") for f in videos]
-    nptest.assert_allclose(test.logits.data.reshape(5, 4),
-                           [r.logits.data.ravel() for r in alone], rtol=1e-12, atol=1e-12)
-    nptest.assert_array_equal(test.open.reshape(5, 4), [r.open for r in alone])
+    alone = [sel.select(one, params, "test") for one in ones]
+    nptest.assert_array_equal(test.logits.data, joined(alone, "logits"))
+    nptest.assert_array_equal(test.open, joined(alone, "open"))
     assert 0 < test.open.sum() < test.open.size
 
     def train_grads(build):
         for p in params.named_parameters().values():
             p.zero_grad()
+        rng = np.random.default_rng(17)
         with ad.record() as rec:
-            results = build(np.random.default_rng(17))
+            results = build(rng)
             loss = ad.reduce_sum(ad.concat_rows([r.activated for r in results]), axis=0)
         ad.backward(loss, rec)
-        return results, {n: p.grad.copy() for n, p in params.named_parameters().items()}
+        grads = {n: p.grad.copy() for n, p in params.named_parameters().items()}
+        return results, grads, rng.random()   # the next draw shows the stream's use
 
-    (stacked,), got = train_grads(lambda g: [sel.select(stack, params, "train", rng=g)])
-    singles, want = train_grads(lambda g: [sel.select(f, params, "train", rng=g)
-                                           for f in videos])
-    nptest.assert_array_equal(stacked.open.reshape(5, 4), [r.open for r in singles])
-    nptest.assert_allclose(stacked.activated.data,
-                           np.concatenate([r.activated.data for r in singles]),
-                           rtol=1e-12, atol=1e-12)
+    (stacked,), got, next_draw = train_grads(
+        lambda g: [sel.select(stack, params, "train", rng=g)])
+    singles, want, next_alone = train_grads(
+        lambda g: [sel.select(one, params, "train", rng=g) for one in ones])
+    assert next_draw == next_alone
+    for field in ("logits", "activated", "open"):
+        nptest.assert_array_equal(joined([stacked], field), joined(singles, field))
     for name in want:
-        nptest.assert_allclose(got[name], want[name], rtol=1e-9, atol=1e-12, err_msg=name)
+        nptest.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_stack_of_the_wrong_video_length_is_rejected():
     params = make_params()   # 4 timesteps
     rng = np.random.default_rng(18)
     with pytest.raises(DimensionError):
-        sel.select(np.stack([random_frames(rng, timesteps=3)] * 2), params, "test")
+        sel.select(random_light(rng, timesteps=3, videos=2), params, "test")
     with pytest.raises(DimensionError):
         sel.self_attention(Tensor(np.zeros((6, params.config.channels))), params)
 
@@ -323,7 +343,7 @@ def test_heavy_indices_keep_the_open_gates():
 
 def test_top_k_budget_out_of_range():
     params = make_params()
-    res = sel.select(random_frames(np.random.default_rng(0)), params, "test")
+    res = sel.select(random_light(np.random.default_rng(0)), params, "test")
     for k in (0, 5):
         with pytest.raises(DomainError):
             sel.top_k_indices(res.logits.data.T, [2, k])
@@ -335,9 +355,9 @@ def test_top_k_budget_out_of_range():
 
 def test_selection_gradient_reaches_all_selector_params():
     params = make_params(context_mode="context", open_bias=2.0)
-    frames = random_frames(np.random.default_rng(12))
+    light = random_light(np.random.default_rng(12))
     with ad.record() as rec:
-        res = sel.select(frames, params, "train", rng=np.random.default_rng(2))
+        res = sel.select(light, params, "train", rng=np.random.default_rng(2))
         loss = ad.reduce_sum(res.activated, axis=0)
     assert res.selected_indices, "expected at least one open gate with open bias 2"
     ad.backward(loss, rec)
@@ -350,17 +370,17 @@ def test_selection_gradient_reaches_all_selector_params():
 
 def test_selection_fd_gradient_with_frozen_noise():
     params = make_params(context_mode="context", channels=3, n_kernels=4,
-                         timesteps=3, segment_len=4, d_raw=4, seed=5, open_bias=1.0)
-    frames = np.random.default_rng(13).standard_normal((3, SLOT, 4))
+                         timesteps=3, d_raw=4, seed=5, open_bias=1.0)
+    light = np.random.default_rng(13).standard_normal((1, 3, 4))
     noises = gt.sample_gate_noise_batch(np.random.default_rng(21), 3).reshape(3, 1)
 
     def f(_):
-        alphas = sel.gate_logits(frames, params)
+        alphas = sel.gate_logits(light, params)
         value, _mask = gt.activate_train_batch(alphas, noises)
         return ad.reduce_sum(value, axis=0)
 
     # keep the check honest: no gate may sit within 1e-2 of its threshold
-    alphas = sel.gate_logits(frames, params).data
+    alphas = sel.gate_logits(light, params).data
     assert np.abs(alphas + noises).min() > 1e-2
     assert ad.finite_diff_check(f, params.kernels) < 1e-4
     assert ad.finite_diff_check(f, params.attn_v) < 1e-4

@@ -280,8 +280,8 @@ def test_stacked_batch_loss_equals_the_mean_of_per_video_losses(task, l0_weight,
 
     def selections():
         rng = np.random.default_rng(7)
-        return [select(data.train[vi].frames, bundle.selector, "train", rng=rng)
-                for vi in batch]
+        return [select(evaluation.light_frames([data.train[vi]], cfg), bundle.selector,
+                       "train", rng=rng) for vi in batch]
 
     closed = [not r.open.any() for r in selections()]
     if open_bias < 0.0:  # the batch mixes fallback and open videos
@@ -329,7 +329,7 @@ def test_stacked_scorer_loss_equals_the_mean_of_per_video_losses(task):
         terms = []
         for vi in batch:
             video = data.train[vi]
-            logits = scorer_logits(video.frames, bundle.scorer, cfg.model.segment_len)
+            logits = scorer_logits(evaluation.light_frames([video], cfg)[0], bundle.scorer)
             per_class = [ad.softmax_xent(logits, [c] * t)
                          for c in video.positive_classes()]
             terms.append(ad.scale(functools.reduce(ad.add, per_class),
@@ -367,8 +367,8 @@ def test_the_scorer_stack_rejects_a_video_with_the_wrong_slot_count(tiny_data):
     cfg = tiny_config("scsampler")
     short = dataclasses.replace(tiny_data.train[1],
                                 frames=tiny_data.train[1].frames[:-1])
-    with pytest.raises(DimensionError, match="video has 5 slots, the config 6"):
-        evaluation.light_slots([tiny_data.train[0], short], cfg)
+    with pytest.raises(DimensionError, match="video has 5 slots of 2 frames, the config 6"):
+        evaluation.light_frames([tiny_data.train[0], short], cfg)
 
 
 def test_fallback_share_counts_the_videos_whose_gates_all_closed(tiny_data):

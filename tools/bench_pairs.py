@@ -13,8 +13,9 @@ every end-to-end metric that ``BENCHMARK.json`` declares, the summary gives
 each side's median and quartiles, the change's wins (ties count for
 neither), the parent's interquartile range, and whether the change wins at
 least nine tenths of the pairs by a median gap wider than that range.  A
-pair with a run that reports ``correct: false`` or failed operations stays
-out of the summary, and the tool then names that run and exits 1.
+pair with a run that reports ``correct: false`` or failed operations, or
+that prints no JSON result line, stays out of the summary, and the tool then
+names that run and exits 1.
 
 Only the standard library is used.
 """
@@ -51,6 +52,10 @@ def parent_copy(rev: str, root: Path = ROOT) -> Path:
     return dest
 
 
+class BrokenRun(Exception):
+    """A run whose standard output ends in no JSON result object."""
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced benchmark run; returns its result line."""
     proc = subprocess.run(
@@ -58,9 +63,15 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{root}: perfbench printed nothing; stderr: {proc.stderr[-500:]}")
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if not isinstance(result, dict) or not {"correct", "failed", "metrics"} <= set(result):
+        tail = proc.stderr.strip().splitlines()[-1:] or ["nothing"]
+        raise BrokenRun(f"exit code {proc.returncode}, no result line; "
+                        f"stderr ends in {tail[0]!r}")
+    return result
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -125,7 +136,14 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got, whole = {}, True
         for side in order:
-            result = run_once(sides[side], args.workload, seed, benchmark["run_seconds"])
+            try:
+                result = run_once(sides[side], args.workload, seed, benchmark["run_seconds"])
+            except BrokenRun as exc:
+                whole = False
+                broken.append(f"pair {i}, {side}, seed {seed}: {exc}")
+                print(json.dumps({"pair": i, "side": side, "seed": seed,
+                                  "broken": str(exc)}), flush=True)
+                continue
             got[side] = {k: m["value"] for k, m in result["metrics"].items()}
             print(json.dumps({"pair": i, "side": side, "seed": seed,
                               "correct": result["correct"], "failed": result["failed"],
