@@ -739,7 +739,10 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
     ``f`` must build a scalar from ``x`` using operations of this module and
     be twice differentiable in a neighbourhood of ``x`` (callers keep inputs
     away from clip and threshold boundaries).  The relative error denominator
-    is ``max(|analytic|, |numeric|, 1e-8)`` per coordinate.
+    is ``max(|analytic|, |numeric|, 1e4 * r)`` per coordinate, where ``r =
+    eps * (|f(x+h)| + |f(x-h)|) / (2h)`` is the rounding error of the central
+    difference itself: a gap no wider than the difference can resolve reads
+    at most 1e-4, the tolerance every caller checks against.
     """
     if not x.requires_grad:
         raise ContractError("finite_diff_check needs a requires_grad input tensor")
@@ -754,6 +757,8 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
 
     flat = x.data.ravel()
     numeric = np.empty_like(analytic)
+    rounding = np.empty_like(analytic)
+    eps = np.finfo(np.float64).eps
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
@@ -762,6 +767,9 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
         fm = float(f(x).data.reshape(()))
         flat[i] = orig
         numeric[i] = (fp - fm) / (2.0 * h)
+        rounding[i] = eps * (abs(fp) + abs(fm)) / (2.0 * h)
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    # tiny keeps 0 / 0 at 0 where f and both gradients vanish
+    floor = 1e4 * rounding + np.finfo(np.float64).tiny
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0

@@ -11,7 +11,8 @@ magnitudes (end-to-end training only), maps each timestep through the head
 (a second ``MLP``), and max-pools over each video's timesteps, so duplicated
 timesteps never change the logits.  The rows of several videos may share one
 call: consecutive segments of rows belong to one video each.  Parameters are
-named ``classifier.enc.*`` and ``classifier.head.*``.
+named ``classifier.enc.*`` and ``classifier.head.*``; beside their shapes,
+``ClassifierParams.segment_len`` is the heavy stage's one fact.
 """
 
 from __future__ import annotations
@@ -31,33 +32,23 @@ HEAD_HIDDEN = 256
 
 
 @dataclass
-class ClassifierConfig:
-    channels: int
-    n_classes: int
-    segment_len: int = 8
-
-    def __post_init__(self):
-        if self.n_classes < 2:
-            raise DomainError(f"need at least two classes, got {self.n_classes}")
-        for name in ("channels", "segment_len"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-@dataclass
 class ClassifierParams:
-    config: ClassifierConfig
+    """Learned state of the heavy stage; ``segment_len``, the leading frames
+    of a slot the encoder reads, is the one fact its input width (segment_len
+    x d_raw) cannot give back."""
+
+    segment_len: int
     enc: MLP  # segment_len * d_raw -> channels
     head: MLP  # channels -> n_classes, per timestep
     heavy_rows: int = 0  # timesteps encoded so far; instrumentation only
 
     @classmethod
-    def init(cls, config: ClassifierConfig, d_raw: int,
+    def init(cls, d_raw: int, segment_len: int, channels: int, n_classes: int,
              rng: np.random.Generator) -> "ClassifierParams":
         """Draws the heavy encoder, then the head."""
-        enc = MLP.init(config.segment_len * d_raw, HEAVY_HIDDEN, config.channels, rng)
-        head = MLP.init(config.channels, HEAD_HIDDEN, config.n_classes, rng)
-        return cls(config=config, enc=enc, head=head)
+        enc = MLP.init(segment_len * d_raw, HEAVY_HIDDEN, channels, rng)
+        head = MLP.init(channels, HEAD_HIDDEN, n_classes, rng)
+        return cls(segment_len=segment_len, enc=enc, head=head)
 
     def named_parameters(self, prefix: str = "classifier") -> dict[str, Tensor]:
         out = self.enc.named_parameters(f"{prefix}.enc")
@@ -86,7 +77,7 @@ def heavynet_features(frames: np.ndarray, indices,
     if not idx.size:
         raise ContractError("heavynet_features needs at least one timestep; "
                             "apply the empty-selection fallback upstream")
-    m = params.config.segment_len
+    m = params.segment_len
     if (frames.ndim != 3 or frames.shape[1] < m
             or m * frames.shape[2] != params.enc.n_in):
         raise DimensionError(
@@ -112,7 +103,7 @@ def classify(features: Tensor, gate_values: Tensor | None,
     when given; end-to-end training passes the activated gate magnitudes here
     and every other path passes ``None``.
     """
-    c = params.config.channels
+    c = params.head.n_in
     if features.data.ndim != 2 or features.shape[1] != c:
         raise DimensionError(f"classify expects (T', {c}) features, got {features.shape}")
     t_sel = features.shape[0]

@@ -104,11 +104,11 @@ def tradeoff_csv(results: Iterable[tuple[str, CostReport, float]]) -> str:
 def desk_flops(d_raw: int, light_channels: int, n_kernels: int, gate_hidden: int,
                timesteps: int, segment_len: int, heavy_channels: int,
                heavy_hidden: int, head_hidden: int, n_classes: int,
-               context_mode: str = "context",
-               light_hidden: int = 64) -> dict[str, float]:
+               attention: bool, light_hidden: int) -> dict[str, float]:
     """Exact dense-matmul multiply counts per timestep, in GFLOPs.
 
-    ``desk_light`` covers the light encoder, attention (context mode; its
+    ``desk_light`` covers the light encoder (``d_raw`` -> ``light_hidden``
+    -> ``light_channels``), attention when the selector has it (its
     per-timestep share includes the T-dependent score and mixing terms),
     kernel similarity, and the gating head.  ``desk_scorer`` covers the
     light encoder plus the SCSampler scorer's linear head.  ``desk_heavy``
@@ -127,7 +127,7 @@ def desk_flops(d_raw: int, light_channels: int, n_kernels: int, gate_hidden: int
     encoder = d_raw * light_hidden + light_hidden * c
     scorer = encoder + c * n_classes
     light = encoder
-    if context_mode == "context":
+    if attention:
         light += 3 * c * c + 2 * t * c     # q/k/v plus scores and value mixing
     light += n_kernels * c                 # kernel similarity
     light += n_kernels * gate_hidden + gate_hidden

@@ -133,9 +133,11 @@ def _validate_values(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"dataset.recipe_style must be one of {RECIPE_STYLES}, got {d.recipe_style!r}"
         )
-    for name in ("n_train", "n_test", "n_classes", "d_raw", "timesteps", "frames_per_slot"):
+    for name in ("n_train", "n_test", "d_raw", "timesteps", "frames_per_slot"):
         if getattr(d, name) < 1:
             raise ConfigError(f"dataset.{name} must be positive, got {getattr(d, name)}")
+    if d.n_classes < 2:
+        raise ConfigError(f"dataset.n_classes must be at least 2, got {d.n_classes}")
     if not 0.0 < d.relevant_fraction <= 1.0:
         raise ConfigError(f"dataset.relevant_fraction must be in (0, 1], got {d.relevant_fraction}")
     m = cfg.model

@@ -103,14 +103,13 @@ def mean_ap(scores: np.ndarray, targets: np.ndarray) -> tuple[float, list[int]]:
 def cost_registry_for(config: ExperimentConfig) -> CostRegistry:
     """GFLOPs per timestep of this config's light, scorer and heavy networks."""
     d, m = config.dataset, config.model
-    context_mode = "frame" if config.mode == "frame_conditioned" else "context"
     return CostRegistry(rates=desk_flops(
         d_raw=d.d_raw, light_channels=m.light_channels, n_kernels=m.n_kernels,
         gate_hidden=m.gate_hidden, timesteps=d.timesteps,
         segment_len=m.segment_len, heavy_channels=m.heavy_channels,
         heavy_hidden=HEAVY_HIDDEN,
         head_hidden=HEAD_HIDDEN, n_classes=d.n_classes,
-        context_mode=context_mode, light_hidden=LIGHT_HIDDEN,
+        attention=config.mode != "frame_conditioned", light_hidden=LIGHT_HIDDEN,
     ))
 
 
@@ -206,13 +205,13 @@ def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list):
     ``training.batch_size`` videos; the (N, T) scores of one scorer pass over
     the whole list; N Nones for the fixed-rule samplers."""
     t = config.dataset.timesteps
-    if bundle.mode in SELECTOR_MODES:
+    if config.mode in SELECTOR_MODES:
         b = config.training.batch_size
         return np.concatenate([
             select(light_frames(videos[lo:lo + b], config), bundle.selector,
                    "test").logits.data.reshape(-1, t)
             for lo in range(0, len(videos), b)])
-    if bundle.mode == "scsampler":
+    if config.mode == "scsampler":
         light = light_frames(videos, config)
         scores = scsampler_scores(light.reshape(-1, light.shape[2]), bundle.scorer)
         return scores.reshape(len(videos), t)
@@ -229,7 +228,7 @@ def split_picks(bundle: ModelBundle, config: ExperimentConfig, ranked,
     random draws are seeded from the config seed, then ``stream``, then i.
     """
     t = config.dataset.timesteps
-    if bundle.mode in SELECTOR_MODES:
+    if config.mode in SELECTOR_MODES:
         ks = [k for k in budgets if k is not None]
         top = dict(zip(ks, top_k_indices(ranked, ks)))
         return [heavy_indices(step_open(ranked), ranked) if k is None else top[k]
@@ -237,9 +236,9 @@ def split_picks(bundle: ModelBundle, config: ExperimentConfig, ranked,
     out = []
     for budget in budgets:
         k = budget if budget is not None else training_sample_budget(config)
-        if bundle.mode == "scsampler":
+        if config.mode == "scsampler":
             out.append([sample_indices("topk", t, k, scores=row) for row in ranked])
-        elif bundle.mode == "uniform":
+        elif config.mode == "uniform":
             out.append([sample_indices("uniform", t, k) for _ in ranked])
         else:
             seeds = [np.random.default_rng([config.seed, *stream, i]).integers(1 << 62)
@@ -261,7 +260,7 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
     if config.eval.selection == "gate-count":
         budgets.insert(0, None)
 
-    report = EvalReport(mode=bundle.mode, task=task, n_videos=len(videos),
+    report = EvalReport(mode=config.mode, task=task, n_videos=len(videos),
                         timesteps=t)
     # test-mode gates and scores do not depend on the budget
     ranked = rankings(bundle, config, videos)

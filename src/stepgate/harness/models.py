@@ -1,5 +1,7 @@
 """Model bundles: which parameter groups each experiment mode trains.
 
+A bundle holds weights only; its mode is ``ExperimentConfig.mode``.
+
 standalone          selector (context) + a light per-timestep head for phase A,
                     plus a heavy classifier fitted to the frozen selector.
 e2e                 selector (context) + heavy classifier, trained jointly.
@@ -16,9 +18,9 @@ import numpy as np
 
 from ..autodiff import MLP, Tensor
 from ..baselines import ScorerParams
-from ..classifier import ClassifierConfig, ClassifierParams
+from ..classifier import ClassifierParams
 from ..errors import ContractError
-from ..selector import SelectorConfig, SelectorParams
+from ..selector import SelectorParams
 from .config import ExperimentConfig
 
 LIGHT_HEAD_HIDDEN = 64
@@ -26,7 +28,6 @@ LIGHT_HEAD_HIDDEN = 64
 
 @dataclass
 class ModelBundle:
-    mode: str
     selector: SelectorParams | None = None
     light_head: MLP | None = None
     classifier: ClassifierParams | None = None
@@ -51,37 +52,29 @@ def build_bundle(config: ExperimentConfig) -> ModelBundle:
     d, m = config.dataset, config.model
     mode = config.mode
 
-    def make_selector(context_mode: str) -> SelectorParams:
-        scfg = SelectorConfig(channels=m.light_channels, n_kernels=m.n_kernels,
-                              context_mode=context_mode, timesteps=d.timesteps)
-        return SelectorParams.init(scfg, d.d_raw, rng, gate_hidden=m.gate_hidden,
-                                   open_bias=m.open_bias)
+    def make_selector(attention: bool) -> SelectorParams:
+        return SelectorParams.init(d.d_raw, m.light_channels, m.n_kernels, m.gate_hidden,
+                                   m.open_bias, attention, rng)
 
     def make_classifier() -> ClassifierParams:
-        ccfg = ClassifierConfig(channels=m.heavy_channels, n_classes=d.n_classes,
-                                segment_len=m.segment_len)
-        return ClassifierParams.init(ccfg, d.d_raw, rng)
+        return ClassifierParams.init(d.d_raw, m.segment_len, m.heavy_channels,
+                                     d.n_classes, rng)
 
     if mode == "standalone":
         return ModelBundle(
-            mode=mode, selector=make_selector("context"),
+            selector=make_selector(True),
             light_head=MLP.init(m.light_channels, LIGHT_HEAD_HIDDEN, d.n_classes, rng),
             classifier=make_classifier(),
         )
-    if mode == "e2e":
-        return ModelBundle(mode=mode, selector=make_selector("context"),
-                           classifier=make_classifier())
-    if mode == "frame_conditioned":
-        return ModelBundle(mode=mode, selector=make_selector("frame"),
-                           classifier=make_classifier())
+    if mode in ("e2e", "frame_conditioned"):
+        return ModelBundle(selector=make_selector(mode == "e2e"), classifier=make_classifier())
     if mode == "scsampler":
         return ModelBundle(
-            mode=mode,
             scorer=ScorerParams.init(d.d_raw, m.light_channels, d.n_classes, rng),
             classifier=make_classifier(),
         )
     if mode in ("uniform", "random"):
-        return ModelBundle(mode=mode, classifier=make_classifier())
+        return ModelBundle(classifier=make_classifier())
     raise ContractError(f"unhandled mode {mode!r}")
 
 

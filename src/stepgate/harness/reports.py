@@ -38,8 +38,8 @@ class GatingReport:
 
 def compute_gating_report(bundle: ModelBundle, config: ExperimentConfig,
                           videos: list) -> GatingReport:
-    if bundle.mode not in SELECTOR_MODES:
-        raise ContractError(f"mode {bundle.mode!r} has no gates to report on")
+    if config.mode not in SELECTOR_MODES:
+        raise ContractError(f"mode {config.mode!r} has no gates to report on")
     if not videos:
         raise ContractError("gating report needs at least one video")
     t, n_classes = config.dataset.timesteps, config.dataset.n_classes

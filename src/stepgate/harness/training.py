@@ -202,7 +202,7 @@ def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
         # IndexError
         if not 0 <= min(idx) <= max(idx) < len(f):
             raise ContractError(f"picks {idx} fall outside the {len(f)} slots of a video")
-    m = params.config.segment_len
+    m = params.segment_len
     segments = np.concatenate([f[idx, :m] for f, idx in zip(frames, picks)])
     before = params.heavy_rows
     feats = heavynet_features(segments, range(len(segments)), params)
@@ -217,8 +217,8 @@ def joint_logits(frames: list[np.ndarray], results: list[SelectionResult],
                  bundle: ModelBundle) -> Tensor:
     """The joint arms' (B, L) heavy logits of a batch: each selection's heavy
     timesteps, scaled by their gate values, through the heavy classifier."""
-    t = bundle.selector.config.timesteps
     opened = np.stack([r.open for r in results])
+    t = opened.shape[1]
     picks = heavy_indices(opened, np.stack([r.logits.data.reshape(t) for r in results]))
     # the fallback timestep of an all-closed video enters with a constant
     # gate of 1, the last row of the gate column
@@ -258,8 +258,8 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
                 # light path: gated light features, light head, max over each
                 # video's timesteps
                 gates = ad.concat_rows([r.activated for r in results])
-                gated = ad.mul(ad.concat_rows([r.features for r in results]),
-                               ad.tile_cols(gates, bundle.selector.config.channels))
+                feats = ad.concat_rows([r.features for r in results])
+                gated = ad.mul(feats, ad.tile_cols(gates, feats.shape[1]))
                 logits = ad.segment_max(bundle.light_head(gated),
                                         [t_steps] * len(results))
             else:

@@ -1,14 +1,14 @@
 """Timestep selection: light per-timestep features feed the gating stack.
 
 A cheap encoder (an ``autodiff.MLP``) turns each timestep's light frame into
-a feature vector; in context mode a single-head self-attention layer mixes
-information across timesteps before gating, while frame mode gates each
+a feature vector; a selector with attention projections mixes information
+across timesteps before gating, one without (frame mode) gates each
 timestep from its own feature alone.  Which raw frame of a slot is the light
-frame is ``harness.evaluation.light_frames``'s rule; the selector reads only
-what it is given.  ``SelectorParams`` holds the encoder, the attention
-projections, the concept kernels and the gate MLP, named
-``selector.enc.*``, ``selector.attn_{q,k,v}``, ``selector.kernels`` and
-``selector.gate.*``.
+frame, and how many timesteps a video has, is
+``harness.evaluation.light_frames``'s rule; no parameter's shape depends on
+T.  ``SelectorParams`` holds the encoder, the attention projections, the
+concept kernels and the gate MLP, named ``selector.enc.*``,
+``selector.attn_{q,k,v}``, ``selector.kernels`` and ``selector.gate.*``.
 
 ``select`` and every layer it calls take a (B, T, d_raw) stack of the light
 frames of B videos; one video is a stack of one.  Its B*T rows run video
@@ -32,31 +32,11 @@ from .errors import ContractError, DimensionError, DomainError
 
 LIGHT_HIDDEN = 64
 
-CONTEXT_MODES = ("context", "frame")
-
-
-@dataclass
-class SelectorConfig:
-    """Shapes and switches of the selection stage."""
-
-    channels: int
-    n_kernels: int = 128
-    context_mode: str = "context"
-    timesteps: int = 32
-
-    def __post_init__(self):
-        if self.context_mode not in CONTEXT_MODES:
-            raise DomainError(f"context_mode must be one of {CONTEXT_MODES}, got {self.context_mode!r}")
-        for name in ("channels", "n_kernels", "timesteps"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
-
 
 @dataclass
 class SelectorParams:
     """Learned state of the selection stage."""
 
-    config: SelectorConfig
     enc: MLP
     attn_q: Tensor | None
     attn_k: Tensor | None
@@ -65,21 +45,23 @@ class SelectorParams:
     gate: MLP
 
     @classmethod
-    def init(cls, config: SelectorConfig, d_raw: int, rng: np.random.Generator,
-             gate_hidden: int = 64, open_bias: float = 2.0) -> "SelectorParams":
-        """Draws q/k/v (context mode only), then the light encoder, the
-        concept kernels and the gate MLP, each at scale 1/sqrt(fan-in)."""
-        c = config.channels
+    def init(cls, d_raw: int, channels: int, n_kernels: int, gate_hidden: int,
+             open_bias: float, attention: bool,
+             rng: np.random.Generator) -> "SelectorParams":
+        """Draws q/k/v (only with ``attention``), then the light encoder, the
+        concept kernels and the gate MLP (output bias ``open_bias``), each at
+        scale 1/sqrt(fan-in)."""
+        c = channels
         s_c = 1.0 / math.sqrt(c)
-        if config.context_mode == "context":
+        if attention:
             attn = [Tensor(s_c * rng.standard_normal((c, c)), requires_grad=True) for _ in range(3)]
         else:
             attn = [None, None, None]
         enc = MLP.init(d_raw, LIGHT_HIDDEN, c, rng)
-        kernels = Tensor(s_c * rng.standard_normal((config.n_kernels, c)), requires_grad=True)
-        return cls(config=config, enc=enc, attn_q=attn[0], attn_k=attn[1], attn_v=attn[2],
+        kernels = Tensor(s_c * rng.standard_normal((n_kernels, c)), requires_grad=True)
+        return cls(enc=enc, attn_q=attn[0], attn_k=attn[1], attn_v=attn[2],
                    kernels=kernels,
-                   gate=MLP.init(config.n_kernels, gate_hidden, 1, rng, out_bias=open_bias))
+                   gate=MLP.init(n_kernels, gate_hidden, 1, rng, out_bias=open_bias))
 
     def named_parameters(self, prefix: str = "selector") -> dict[str, Tensor]:
         out = self.enc.named_parameters(f"{prefix}.enc")
@@ -97,7 +79,7 @@ class SelectionResult:
     timesteps, video after video.
 
     ``features`` are the (B*T, C) light features the gates read (after
-    attention in context mode), ``logits`` the differentiable (B*T, 1) gate
+    attention, when the selector has it), ``logits`` the differentiable (B*T, 1) gate
     logits that feed the L0 term and the top-k ranking, ``activated`` the
     (B*T,) gate values (noisy clipped sigmoid in train mode, 0/1 in test
     mode) and ``open`` the boolean (B*T,) open mask.
@@ -122,27 +104,26 @@ class SelectionResult:
 def lightnet_features(light: np.ndarray, params: SelectorParams) -> Tensor:
     """The light encoder over a (B, T, d_raw) stack of light frames: (B*T, C)
     features, one row per timestep, video after video."""
-    want = (params.config.timesteps, params.enc.n_in)
-    if light.ndim != 3 or light.shape[1:] != want:
+    d_raw = params.enc.n_in
+    if light.ndim != 3 or light.shape[2] != d_raw:
         raise DimensionError(f"light frames of shape {light.shape} are not a stack of "
-                             f"(T, d_raw) = {want} videos")
-    return params.enc(Tensor(light.reshape(-1, want[1])))
+                             f"(T, d_raw = {d_raw}) videos")
+    return params.enc(Tensor(light.reshape(-1, d_raw)))
 
 
-def self_attention(features: Tensor, params: SelectorParams) -> Tensor:
+def self_attention(features: Tensor, params: SelectorParams, t: int) -> Tensor:
     """Single-head scaled dot-product self-attention with a residual add,
-    within each video of (B*T, C) feature rows."""
+    within each video of (B*t, C) feature rows."""
     if params.attn_q is None:
         raise ContractError("self_attention called on a frame-mode selector")
-    return ad.attention(features, params.attn_q, params.attn_k, params.attn_v,
-                        params.config.timesteps)
+    return ad.attention(features, params.attn_q, params.attn_k, params.attn_v, t)
 
 
 def _gate_inputs(light: np.ndarray, params: SelectorParams) -> tuple[Tensor, Tensor]:
     """The features the gates read and their (B*T, 1) gate logits."""
     feats = lightnet_features(light, params)
-    if params.config.context_mode == "context":
-        feats = self_attention(feats, params)
+    if params.attn_q is not None:
+        feats = self_attention(feats, params, light.shape[1])
     sims = gating.similarity_batch(feats, params.kernels)
     return feats, gating.gate_logits_batch(sims, params.gate)
 

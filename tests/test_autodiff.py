@@ -647,8 +647,8 @@ def _soft_targets(weights, masks):
 def test_fd_softmax_xent_soft_targets(x, weights, masks):
     """Target distributions over one to four positives per row."""
     targets = _soft_targets(weights, masks)
-    # a gradient coordinate (p - t) / 3 near 0 would leave only the central
-    # difference's roundoff, about 1e-10 here, over the check's 1e-8 floor
+    # every gradient coordinate (p - t) / 3 stays well above the central
+    # difference's roundoff, so the check compares gradients, not rounding
     p = np.exp(x - x.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     assume(np.abs(p - targets).min() > 1e-4)

@@ -97,9 +97,9 @@ def test_runs_that_fail_a_check_stay_out_of_the_summary_and_exit_1(
     code = bench_pairs.main(["--workload", "e2e-train", "--pairs", "4", "--seeds", "1", "7"])
     out, err = capsys.readouterr()
     assert code == 1
-    # odd pairs run the change first
+    # each seed's second pair runs in the other order
     assert calls == [("parent", 1), ("change", 1), ("change", 7), ("parent", 7),
-                     ("parent", 1), ("change", 1), ("change", 7), ("parent", 7)]
+                     ("change", 1), ("parent", 1), ("parent", 7), ("change", 7)]
     assert err.splitlines() == [
         "left out of the summary: pair 1, change, seed 7: correct False, 0 failed operations",
         "left out of the summary: pair 2, parent, seed 1: correct True, 1 failed operations",
@@ -149,3 +149,20 @@ def test_a_run_that_prints_no_result_line_is_named_and_the_pairs_go_on(
         "stderr ends in 'nothing'",
     ]
     assert json.loads(out.splitlines()[-1])["summary"]["setup_s"]["pairs"] == 1
+
+
+@pytest.mark.parametrize("seeds, pairs", [(["1", "7"], "4"), (["1", "2", "3"], "6")])
+def test_every_seed_runs_in_both_orders(tmp_path, monkeypatch, seeds, pairs):
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append((seed, "change" if root == bench_pairs.ROOT else "parent"))
+        return {"correct": True, "failed": 0, "metrics": {"setup_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "parent_copy", lambda rev: tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--workload", "gated-eval", "--pairs", pairs,
+                             "--seeds", *seeds]) == 0
+    firsts = calls[0::2]   # (seed, the side that ran first) of every pair
+    assert len(firsts) == int(pairs)
+    assert set(firsts) == {(int(s), side) for s in seeds for side in ("parent", "change")}

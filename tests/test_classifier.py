@@ -14,9 +14,8 @@ SLOT = 16  # frames per slot
 
 
 def make_params(channels=3, n_classes=4, segment_len=8, d_raw=5, seed=0):
-    cfg = cls.ClassifierConfig(channels=channels, n_classes=n_classes,
-                               segment_len=segment_len)
-    return cls.ClassifierParams.init(cfg, d_raw, np.random.default_rng(seed))
+    return cls.ClassifierParams.init(d_raw, segment_len, channels, n_classes,
+                                     np.random.default_rng(seed))
 
 
 def random_frames(rng, timesteps=4, d_raw=5):
@@ -24,8 +23,7 @@ def random_frames(rng, timesteps=4, d_raw=5):
 
 
 def encode_oracle(frames, indices, params):
-    cfg = params.config
-    rows = np.stack([frames[i][:cfg.segment_len].ravel() for i in indices])
+    rows = np.stack([frames[i][:params.segment_len].ravel() for i in indices])
     enc = params.enc
     h = np.maximum(rows @ enc.w1.data + enc.b1.data, 0.0)
     return h @ enc.w2.data + enc.b2.data
@@ -38,17 +36,6 @@ def classify_oracle(features, gate_values, params):
     h = np.maximum(features @ head.w1.data + head.b1.data, 0.0)
     per_step = h @ head.w2.data + head.b2.data
     return per_step.max(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# config validation
-
-
-def test_config_rejects_bad_values():
-    with pytest.raises(DomainError):
-        cls.ClassifierConfig(channels=3, n_classes=1)
-    with pytest.raises(DomainError):
-        cls.ClassifierConfig(channels=0, n_classes=4)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +57,7 @@ def test_heavynet_runs_only_on_given_indices():
     # corrupt every frame outside the requested segments; output must not move
     base = cls.heavynet_features(frames, [1], params).data.copy()
     wrecked = np.full_like(frames, 1e6)
-    seg = (1, slice(0, params.config.segment_len))
+    seg = (1, slice(0, params.segment_len))
     wrecked[seg] = frames[seg]
     nptest.assert_array_equal(cls.heavynet_features(wrecked, [1], params).data, base)
 
@@ -99,6 +86,9 @@ def test_heavynet_contract_errors():
             cls.heavynet_features(frames, idx, params)
     assert params.heavy_rows == 0
     for bad in (np.zeros((4, SLOT, 7)),          # wrong width
+                # twice the width: 4 frames of it fill the encoder, but the
+                # segment is 8 frames
+                np.zeros((4, SLOT, 10)),
                 np.zeros((4 * SLOT, 5)),         # frames not in slots
                 frames[:, :7]):                  # slots shorter than segment_len 8
         with pytest.raises(DimensionError):
@@ -200,12 +190,9 @@ def test_task_loss_unknown_task():
 
 
 def build_small_pipeline(seed=0):
-    scfg = sel.SelectorConfig(channels=3, n_kernels=4, context_mode="context",
-                              timesteps=3)
-    ccfg = cls.ClassifierConfig(channels=4, n_classes=3, segment_len=4)
     rng = np.random.default_rng(seed)
-    sparams = sel.SelectorParams.init(scfg, 4, rng, gate_hidden=6, open_bias=1.5)
-    cparams = cls.ClassifierParams.init(ccfg, 4, rng)
+    sparams = sel.SelectorParams.init(4, 3, 4, 6, 1.5, True, rng)
+    cparams = cls.ClassifierParams.init(4, 4, 4, 3, rng)
     frames = np.random.default_rng(seed + 100).standard_normal((3, SLOT, 4))
     return sparams, cparams, frames
 

@@ -48,6 +48,11 @@ def test_every_mode_is_accepted():
     {"eval": {"budgets": [True]}},
     {"eval": {"budgets": [2, 2]}},
     {"eval": {"selection": "topk"}},        # top-k entries need budgets
+    {"dataset": {"n_classes": 1}},
+    {"dataset": {"timesteps": 0}},
+    {"model": {"light_channels": 0}},
+    {"model": {"n_kernels": -1}},
+    {"model": {"heavy_channels": 0}},
 ])
 def test_invalid_values_raise(raw):
     with pytest.raises(ConfigError):

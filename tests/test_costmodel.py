@@ -163,7 +163,7 @@ def test_desk_flops_hand_count():
     got = cm.desk_flops(d_raw=3, light_channels=2, n_kernels=6, gate_hidden=4,
                         timesteps=5, segment_len=2, heavy_channels=2,
                         heavy_hidden=10, head_hidden=7, n_classes=3,
-                        light_hidden=8)
+                        attention=True, light_hidden=8)
     assert got["desk_light"] * cm.GFLOP == pytest.approx(112, abs=1e-9)
     assert got["desk_scorer"] * cm.GFLOP == pytest.approx(46, abs=1e-9)
     assert got["desk_heavy"] * cm.GFLOP == pytest.approx(115, abs=1e-9)
@@ -173,8 +173,8 @@ def test_desk_flops_frame_mode_drops_attention_terms():
     kwargs = dict(d_raw=3, light_channels=2, n_kernels=6, gate_hidden=4,
                   timesteps=5, segment_len=2, heavy_channels=2,
                   heavy_hidden=10, head_hidden=7, n_classes=3, light_hidden=8)
-    ctx = cm.desk_flops(context_mode="context", **kwargs)
-    frame = cm.desk_flops(context_mode="frame", **kwargs)
+    ctx = cm.desk_flops(attention=True, **kwargs)
+    frame = cm.desk_flops(attention=False, **kwargs)
     diff = (ctx["desk_light"] - frame["desk_light"]) * cm.GFLOP
     assert diff == pytest.approx(3 * 2 * 2 + 2 * 5 * 2, abs=1e-9)
 
@@ -183,7 +183,7 @@ def test_desk_flops_registers_into_registry():
     entries = cm.desk_flops(d_raw=32, light_channels=16, n_kernels=32,
                             gate_hidden=16, timesteps=32, segment_len=8,
                             heavy_channels=32, heavy_hidden=128, head_hidden=256,
-                            n_classes=10)
+                            n_classes=10, attention=True, light_hidden=64)
     registry = cm.CostRegistry(rates=entries)
     assert set(registry.rates) == {"desk_light", "desk_scorer", "desk_heavy"}
     rep = cm.pipeline_cost(32, 8, registry.rate("desk_light"),
@@ -192,4 +192,5 @@ def test_desk_flops_registers_into_registry():
     with pytest.raises(DomainError):
         cm.desk_flops(d_raw=0, light_channels=16, n_kernels=32, gate_hidden=16,
                       timesteps=32, segment_len=8, heavy_channels=32,
-                      heavy_hidden=128, head_hidden=256, n_classes=10)
+                      heavy_hidden=128, head_hidden=256, n_classes=10,
+                      attention=True, light_hidden=64)

@@ -282,17 +282,17 @@ def test_evaluate_checkpoint_matches_bundle_evaluation(e2e_setup):
 def _reference_picks(bundle, cfg, video, vi, budget):
     """One video's picks under one budget, each arm's rule written out."""
     t = cfg.dataset.timesteps
-    if bundle.mode in evaluation.SELECTOR_MODES:
+    if cfg.mode in evaluation.SELECTOR_MODES:
         logits = select(light_frames([video], cfg), bundle.selector, "test").logits.data.ravel()
         if budget is None:
             return [int(i) for i in np.flatnonzero(logits > 0.0)] or [int(np.argmax(logits))]
         order = np.argsort(-sigmoid_np(logits), kind="stable")
         return sorted(int(i) for i in order[:budget])
     k = budget if budget is not None else training_sample_budget(cfg)
-    if bundle.mode == "scsampler":
+    if cfg.mode == "scsampler":
         scores = scsampler_scores(light_frames([video], cfg)[0], bundle.scorer)
         return sorted(int(i) for i in np.argsort(-scores, kind="stable")[:k])
-    if bundle.mode == "uniform":
+    if cfg.mode == "uniform":
         return [(2 * i + 1) * t // (2 * k) for i in range(k)]
     seed = np.random.default_rng([cfg.seed, evaluation._EVAL_STREAM, vi]).integers(1 << 62)
     return sorted(int(i) for i in np.random.default_rng(int(seed)).choice(t, k, replace=False))

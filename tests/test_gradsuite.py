@@ -32,3 +32,25 @@ def test_suite_passes_logic():
     assert suite_passes({"a": 1e-9})
     assert not suite_passes({"a": 1e-9, "b": 2e-4})
     assert suite_passes({"a": 0.5}, threshold=1.0)
+
+
+def test_a_coordinate_at_fd_rounding_passes():
+    """Seed 6 has an attention gradient coordinate of -5e-8 whose analytic
+    and central-difference values differ by about 1e-11, within the central
+    difference's own rounding error."""
+    assert suite_passes(run_gradient_suite(6))
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_a_wrong_attention_weight_gradient_fails_the_suite(seed, monkeypatch):
+    right = ad._BACKWARD["attention"]
+
+    def wrong(node, g, data):
+        gx, g_q, g_k, g_v = right(node, g, data)
+        return gx, 1.001 * g_q, g_k, g_v
+
+    monkeypatch.setitem(ad._BACKWARD, "attention", wrong)
+    errors = run_gradient_suite(seed)
+    assert not suite_passes(errors)
+    for name in ("attention_q", "attention_stack_q", "e2e_loss/selector.attn_q"):
+        assert errors[name] > THRESHOLD, name

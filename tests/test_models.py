@@ -21,7 +21,6 @@ from stepgate.selector import LIGHT_HIDDEN
 ])
 def test_bundle_holds_the_mode_parameter_groups(mode, groups):
     bundle = build_bundle(tiny_config(mode))
-    assert bundle.mode == mode
     present = {name for name in ("selector", "light_head", "classifier", "scorer")
                if getattr(bundle, name) is not None}
     assert present == groups
@@ -98,10 +97,10 @@ def test_parameter_names_of_the_e2e_and_scsampler_bundles():
 
 
 def test_context_mode_follows_the_experiment_mode():
-    assert build_bundle(tiny_config("e2e")).selector.config.context_mode == "context"
-    assert build_bundle(
-        tiny_config("frame_conditioned")).selector.config.context_mode == "frame"
-    assert build_bundle(tiny_config("standalone")).selector.config.context_mode == "context"
+    # the selector attends across timesteps iff it holds attention projections
+    for mode, attends in (("e2e", True), ("frame_conditioned", False),
+                          ("standalone", True)):
+        assert (build_bundle(tiny_config(mode)).selector.attn_q is not None) == attends
 
 
 def test_build_is_deterministic_per_seed():
@@ -131,4 +130,4 @@ def test_training_sample_budget_default_and_override():
 
 
 def test_empty_bundle_has_no_parameters():
-    assert ModelBundle(mode="uniform").named_parameters() == {}
+    assert ModelBundle().named_parameters() == {}

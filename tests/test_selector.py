@@ -17,12 +17,10 @@ from stepgate.harness.evaluation import light_frames
 SLOT = 16  # frames per slot
 
 
-def make_params(context_mode="context", channels=4, n_kernels=6, timesteps=4,
-                d_raw=5, seed=0, open_bias=0.0):
-    cfg = sel.SelectorConfig(channels=channels, n_kernels=n_kernels,
-                             context_mode=context_mode, timesteps=timesteps)
-    return sel.SelectorParams.init(cfg, d_raw, np.random.default_rng(seed),
-                                   gate_hidden=8, open_bias=open_bias)
+def make_params(context_mode="context", channels=4, n_kernels=6, d_raw=5, seed=0,
+                open_bias=0.0):
+    return sel.SelectorParams.init(d_raw, channels, n_kernels, 8, open_bias,
+                                   context_mode == "context", np.random.default_rng(seed))
 
 
 def random_frames(rng, timesteps=4, d_raw=5):
@@ -81,10 +79,9 @@ def test_lightnet_rejects_wrong_width():
 
 
 def test_lightnet_rejects_frames_that_are_not_the_configured_slots():
-    params = make_params()   # 4 timesteps, d_raw 5
+    params = make_params()   # d_raw 5
     light = random_light(np.random.default_rng(15))
     for bad in (light[0],                   # one video without its stack axis
-                light[:, :3],               # 3 timesteps where the selector has 4
                 np.zeros((1, 4, SLOT, 5))):  # whole slots, not light frames
         with pytest.raises(DimensionError):
             sel.lightnet_features(bad, params)
@@ -100,25 +97,16 @@ def test_lightnet_rejects_slots_shorter_than_the_segment():
             light_of(short)
 
 
-def test_align_bad_sizes_are_domain_errors():
-    # timesteps fixes how many rows make one video; a non-positive size is
-    # refused when the selector is built
-    for bad in ({"timesteps": 0}, {"channels": 0}, {"n_kernels": -1}):
-        with pytest.raises(DomainError):
-            make_params(**bad)
-
-
 # ---------------------------------------------------------------------------
 # attention
 
 
 def test_self_attention_hand_oracle_t2():
     """Exhaustive scalar-loop oracle for a 2-timestep, 2-channel attention."""
-    cfg = sel.SelectorConfig(channels=2, n_kernels=2, timesteps=2)
     rng = np.random.default_rng(0)
-    params = sel.SelectorParams.init(cfg, 3, rng, gate_hidden=4)
+    params = sel.SelectorParams.init(3, 2, 2, 4, 2.0, True, rng)
     x = np.asarray([[1.0, -0.5], [0.25, 2.0]])
-    out = sel.self_attention(Tensor(x), params).data
+    out = sel.self_attention(Tensor(x), params, 2).data
 
     wq, wk, wv = params.attn_q.data, params.attn_k.data, params.attn_v.data
     q, k, v = x @ wq, x @ wk, x @ wv
@@ -224,7 +212,7 @@ def test_select_train_activated_matches_decisions():
     res = sel.select(light, params, "train", rng=np.random.default_rng(1))
     assert res.open.shape == res.activated.shape == (4,)
     assert res.logits.shape == (4, 1)
-    assert res.features.shape == (4, params.config.channels)
+    assert res.features.shape == (4, 4)   # 4 timesteps of 4 channels
     opened, closed = res.activated.data[res.open], res.activated.data[~res.open]
     assert ((opened > 0.5) & (opened <= 1.0)).all()
     assert (closed == 0.0).all()
@@ -297,13 +285,26 @@ def test_stacked_select_equals_per_video_select(context_mode):
         nptest.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12, err_msg=name)
 
 
-def test_stack_of_the_wrong_video_length_is_rejected():
-    params = make_params()   # 4 timesteps
+@pytest.mark.parametrize("context_mode", ["context", "frame"])
+def test_one_selector_selects_stacks_of_any_length(context_mode):
+    """No parameter depends on T: the selector that gates 4-timestep videos
+    gates 7-timestep ones, and a 2-video stack of them equals two stacks of
+    one in gates and in the gate noise it draws."""
+    params = make_params(context_mode=context_mode, open_bias=0.2, seed=6)
     rng = np.random.default_rng(18)
-    with pytest.raises(DimensionError):
-        sel.select(random_light(rng, timesteps=3, videos=2), params, "test")
-    with pytest.raises(DimensionError):
-        sel.self_attention(Tensor(np.zeros((6, params.config.channels))), params)
+    assert sel.select(random_light(rng), params, "test").logits.shape == (4, 1)
+    stack = random_light(rng, timesteps=7, videos=2)
+    for mode in ("test", "train"):
+        g, g1 = np.random.default_rng(19), np.random.default_rng(19)
+        whole = sel.select(stack, params, mode, rng=g)
+        ones = [sel.select(stack[b:b + 1], params, mode, rng=g1) for b in range(2)]
+        assert whole.logits.shape == (14, 1)
+        nptest.assert_array_equal(whole.logits.data,
+                                  np.concatenate([r.logits.data for r in ones]))
+        nptest.assert_array_equal(whole.activated.data,
+                                  np.concatenate([r.activated.data for r in ones]))
+        nptest.assert_array_equal(whole.open, np.concatenate([r.open for r in ones]))
+        assert g.random() == g1.random()
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +371,7 @@ def test_selection_gradient_reaches_all_selector_params():
 
 def test_selection_fd_gradient_with_frozen_noise():
     params = make_params(context_mode="context", channels=3, n_kernels=4,
-                         timesteps=3, d_raw=4, seed=5, open_bias=1.0)
+                         d_raw=4, seed=5, open_bias=1.0)
     light = np.random.default_rng(13).standard_normal((1, 3, 4))
     noises = gt.sample_gate_noise_batch(np.random.default_rng(21), 3).reshape(3, 1)
 

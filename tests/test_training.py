@@ -102,7 +102,6 @@ def test_each_mode_produces_a_usable_result(results, tiny_cfg):
     epochs = tiny_cfg.training.epochs
     for mode, res in results.items():
         assert res.config.mode == mode
-        assert res.bundle.mode == mode
         assert len(res.epoch_logs or res.classifier_logs) == epochs
         for log in res.epoch_logs + res.classifier_logs:
             assert np.isfinite(log.loss)

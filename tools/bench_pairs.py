@@ -6,10 +6,11 @@ Run from anywhere inside the repository:
 
 The parent revision is copied with ``git archive`` under
 ``.bench_build/parent-<commit>/``.  Then ``perfbench/run.py`` runs N times on
-each side, each run as long as ``BENCHMARK.json``'s ``run_seconds``, in pairs
-whose order alternates (parent first in even pairs, change first in odd
-ones); pair i uses seed ``seeds[i % len(seeds)]``.  For
-every end-to-end metric that ``BENCHMARK.json`` declares, the summary gives
+each side, each run as long as ``BENCHMARK.json``'s ``run_seconds``, in pairs.
+Pair i uses seed ``seeds[i % len(seeds)]``, and the order alternates within
+each seed's own pairs: the parent runs first when ``i // len(seeds) + i %
+len(seeds)`` is even.  So every seed with two or more pairs runs in both
+orders, for an odd or an even number of seeds.  For every end-to-end metric that ``BENCHMARK.json`` declares, the summary gives
 each side's median and quartiles, the change's wins (ties count for
 neither), the parent's interquartile range, and whether the change wins at
 least nine tenths of the pairs by a median gap wider than that range.  A
@@ -132,8 +133,9 @@ def main(argv=None) -> int:
     sides = {"parent": parent_copy(args.parent), "change": ROOT}
     pairs, broken = [], []
     for i in range(args.pairs):
-        seed = args.seeds[i % len(args.seeds)]
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        rnd, j = divmod(i, len(args.seeds))
+        seed = args.seeds[j]
+        order = ("parent", "change") if (rnd + j) % 2 == 0 else ("change", "parent")
         got, whole = {}, True
         for side in order:
             try:
