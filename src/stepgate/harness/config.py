@@ -9,6 +9,7 @@ is the easiest way to wreck reproducibility.  A run is a pure function of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -95,7 +96,7 @@ _KINDS = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,),
 def _section(cls, raw, path: str):
     """Build the dataclass ``cls`` from ``raw``, checking every key against
     its fields: a section field recurses, any other must have a JSON kind
-    its annotation allows."""
+    its annotation allows, and a float must be finite."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path or 'config root'} must be an object, "
                           f"got {type(raw).__name__}")
@@ -117,6 +118,9 @@ def _section(cls, raw, path: str):
             if not isinstance(val, kinds):
                 names = "/".join(k.__name__ for k in kinds)
                 raise ConfigError(f"{where} must be {names}, got {type(val).__name__}")
+            # json reads NaN and Infinity, which pass every range check below
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{where} must be finite, got {val}")
         values[key] = val
     return cls(**values)
 

@@ -21,7 +21,7 @@ per minibatch on the concatenated features.  So a ``select`` or
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -140,18 +140,9 @@ class BudgetMetrics:
     cost: CostReport
 
     def to_dict(self) -> dict:
-        return {
-            "budget": self.budget, "metric_name": self.metric_name,
-            "value": self.value, "mean_selected": self.mean_selected,
-            "mean_ratio": self.mean_ratio, "heavy_rows": self.heavy_rows,
-            "cost": {
-                "n_light": self.cost.n_light,
-                "n_heavy": self.cost.n_heavy,
-                "light_gflops": self.cost.light_gflops,
-                "heavy_gflops": self.cost.heavy_gflops,
-                "total_gflops": self.cost.total_gflops,
-            },
-        }
+        d = asdict(self)
+        d["cost"]["total_gflops"] = self.cost.total_gflops
+        return d
 
 
 @dataclass
@@ -171,13 +162,7 @@ class EvalReport:
         raise DomainError(f"no evaluation entry for budget {budget!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "task": self.task, "n_videos": self.n_videos,
-            "timesteps": self.timesteps,
-            "entries": [e.to_dict() for e in self.entries],
-            "per_video_counts": self.per_video_counts,
-            "skipped_classes": self.skipped_classes,
-        }
+        return {**asdict(self), "entries": [e.to_dict() for e in self.entries]}
 
 
 def entry_key(budget: int | None) -> str:
@@ -300,13 +285,10 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
     return report
 
 
-def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset,
-                        split: str = "test") -> EvalReport:
-    """Rebuild the bundle a checkpoint describes and evaluate it."""
-    if split not in ("train", "test"):
-        raise DomainError(f"split must be 'train' or 'test', got {split!r}")
+def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset) -> EvalReport:
+    """Rebuild the bundle a checkpoint describes and evaluate it on the test
+    split."""
     config = ckpt.experiment_config()
     bundle = build_bundle(config)
     ckpt.apply_to_bundle(bundle)
-    videos = dataset.train if split == "train" else dataset.test
-    return evaluate_bundle(bundle, config, videos)
+    return evaluate_bundle(bundle, config, dataset.test)

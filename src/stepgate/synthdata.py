@@ -1,13 +1,16 @@
 """Synthetic long-range activity sequences with context-dependent relevance.
 
-Every activity class owns a recipe of prototype vectors.  The ``anchored``
-builder gives each class one prototype of its own plus several from a shared
-pool; the ``paired`` builder composes every recipe entirely of shared
-prototypes, so no single timestep identifies a class.  A shared prototype is
-relevant exactly when the video's label includes it in its recipe, so the
-same timestep content can be signal in one video and distractor in another;
-filler timesteps mix background prototypes with shared prototypes from
-foreign recipes (confusers).  Per-frame Gaussian noise sits on top.
+Every activity class owns a recipe of prototype vectors.  Two builders draw
+the recipes: ``ActivitySpec.default`` (the ``anchored`` style) gives each
+class one prototype of its own plus several from a shared pool;
+``ActivitySpec.paired`` composes every recipe entirely of shared
+prototypes, so no single timestep identifies a class.  The builders only
+draw recipes; ``ActivitySpec.__post_init__`` alone checks that a spec can be
+generated.  A shared prototype is relevant exactly when the video's label
+includes it in its recipe, so the same timestep content can be signal in
+one video and distractor in another; filler timesteps mix background
+prototypes with shared prototypes from foreign recipes (confusers).
+Per-frame Gaussian noise sits on top.
 
 A frame-level scorer cannot separate a shared prototype's relevant and
 irrelevant occurrences, which is the property the context-conditioned
@@ -29,17 +32,19 @@ is reproducible and order-independent.
 
 Binary split files (format version 2) use the shared checksummed container
 (``stepgate.container``): magic ``SGDS``, u32 format version, u32 header
-length, u32 CRC-32, canonical JSON header (spec echo, counts, seed, split
-name), then the body: the prototype matrix as little-endian float64, then
-per video: label (i64, or L float64 indicator values in multi-label mode),
-relevance mask (T bytes), planted prototype ids (T i64), and raw frames
-(T*frames_per_slot*d_raw float64, slot by slot).
+length, u32 CRC-32, canonical JSON header (every ``ActivitySpec`` field,
+``format_version``, ``n_videos``, ``seed`` and ``split``), then the body: the
+prototype matrix as little-endian float64, then per video: label (i64, or L
+float64 indicator values in multi-label mode), relevance mask (T bytes),
+planted prototype ids (T i64), and raw frames (T*frames_per_slot*d_raw
+float64, slot by slot).
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -61,7 +66,8 @@ _LABEL_SEED_OFFSET = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class ActivitySpec:
-    """Complete recipe book for one synthetic dataset."""
+    """Complete recipe book for one synthetic dataset; its fields are the
+    SGDS header's spec keys."""
 
     n_classes: int
     n_prototypes: int
@@ -78,107 +84,79 @@ class ActivitySpec:
     placement: tuple[str, ...]
 
     @classmethod
-    def default(cls, n_classes: int = 10, n_shared: int = 6, n_background: int = 8,
-                d_raw: int = 32, timesteps: int = 32, frames_per_slot: int = 16,
-                noise_sigma: float = 0.3, relevant_fraction: float = 0.3,
-                confuser_share: float = 0.35, task: str = "single_label") -> "ActivitySpec":
-        """One unique prototype per class plus ``SHARED_PER_CLASS`` from the
-        shared pool, assigned in a rotating pattern so every shared prototype
-        lands in at least two recipes."""
-        if n_classes < 2:
-            raise DomainError(f"need at least two classes, got {n_classes}")
-        if n_shared < SHARED_PER_CLASS or n_background < 1:
-            raise DomainError(
-                f"need n_shared >= {SHARED_PER_CLASS} and n_background >= 1, "
-                f"got {n_shared}, {n_background}"
-            )
-        if n_classes * SHARED_PER_CLASS < 2 * n_shared:
-            raise DomainError(
-                f"{n_shared} shared prototypes cannot all reach two of the "
-                f"{n_classes} recipes with {SHARED_PER_CLASS} slots each"
-            )
-        shared = tuple(range(n_classes, n_classes + n_shared))
-        background = tuple(range(n_classes + n_shared, n_classes + n_shared + n_background))
-        recipes = []
-        for c in range(n_classes):
-            picks = {shared[(SHARED_PER_CLASS * c + j) % n_shared]
-                     for j in range(SHARED_PER_CLASS)}
-            recipes.append(frozenset({c} | picks))
-        return cls(
-            n_classes=n_classes,
-            n_prototypes=n_classes + n_shared + n_background,
-            d_raw=d_raw, timesteps=timesteps, frames_per_slot=frames_per_slot,
-            noise_sigma=noise_sigma, relevant_fraction=relevant_fraction,
-            confuser_share=confuser_share, task=task,
-            class_recipes=tuple(recipes),
-            shared_prototypes=frozenset(shared),
-            background_prototypes=frozenset(background),
-            placement=tuple(PLACEMENTS[c % 2] for c in range(n_classes)),
-        )
+    def default(cls, n_classes: int, n_shared: int, n_background: int,
+                **scalars) -> "ActivitySpec":
+        """The ``anchored`` recipes: class ``c`` owns prototype ``c`` plus
+        ``SHARED_PER_CLASS`` from the shared pool (ids after the classes'),
+        taken in a rotating pattern.  ``scalars`` are the spec's scalar
+        fields, ``d_raw`` to ``task``."""
+        if n_shared < SHARED_PER_CLASS:  # the rotation needs that many distinct ids
+            raise DomainError(f"need n_shared >= {SHARED_PER_CLASS}, got {n_shared}")
+        shared = range(n_classes, n_classes + n_shared)
+        recipes = [frozenset({c} | {shared[(SHARED_PER_CLASS * c + j) % n_shared]
+                                    for j in range(SHARED_PER_CLASS)})
+                   for c in range(n_classes)]
+        return cls._from_recipes(recipes, shared, n_background, scalars)
 
     @classmethod
-    def paired(cls, n_classes: int = 6, n_shared: int = 4, n_background: int = 4,
-               d_raw: int = 16, timesteps: int = 16, frames_per_slot: int = 8,
-               noise_sigma: float = 0.3, relevant_fraction: float = 0.3,
-               confuser_share: float = 0.35, task: str = "single_label") -> "ActivitySpec":
-        """Each recipe is a distinct pair drawn entirely from the shared pool,
-        with no class-specific prototype anywhere.  Classification then hinges
-        on which pair co-occurs, and a confuser slot can complete a foreign
+    def paired(cls, n_classes: int, n_shared: int, n_background: int,
+               **scalars) -> "ActivitySpec":
+        """The ``paired`` recipes: class ``c`` is the ``c``-th pair of shared
+        prototypes ``0..n_shared-1`` in ``combinations`` order, with no
+        class-specific prototype anywhere.  Classification then hinges on
+        which pair co-occurs, and a confuser slot can complete a foreign
         pair, so selection quality directly bounds attainable accuracy."""
-        if n_classes < 2:
-            raise DomainError(f"need at least two classes, got {n_classes}")
-        if n_background < 1:
-            raise DomainError(f"need n_background >= 1, got {n_background}")
         pairs = list(combinations(range(n_shared), 2))
         if n_classes > len(pairs):
             raise DomainError(
                 f"{n_shared} shared prototypes yield {len(pairs)} distinct "
                 f"pairs, fewer than {n_classes} classes"
             )
-        recipes = tuple(frozenset(pairs[c]) for c in range(n_classes))
-        for s in range(n_shared):
-            uses = sum(1 for r in recipes if s in r)
-            if uses < 2:
-                raise DomainError(
-                    f"shared prototype {s} lands in {uses} of the first "
-                    f"{n_classes} pairs; raise n_classes or lower n_shared"
-                )
-        background = tuple(range(n_shared, n_shared + n_background))
-        return cls(
-            n_classes=n_classes,
-            n_prototypes=n_shared + n_background,
-            d_raw=d_raw, timesteps=timesteps, frames_per_slot=frames_per_slot,
-            noise_sigma=noise_sigma, relevant_fraction=relevant_fraction,
-            confuser_share=confuser_share, task=task,
-            class_recipes=recipes,
-            shared_prototypes=frozenset(range(n_shared)),
-            background_prototypes=frozenset(background),
-            placement=tuple(PLACEMENTS[c % 2] for c in range(n_classes)),
-        )
+        recipes = [frozenset(pairs[c]) for c in range(n_classes)]
+        return cls._from_recipes(recipes, range(n_shared), n_background, scalars)
+
+    @classmethod
+    def _from_recipes(cls, recipes: list, shared: range, n_background: int,
+                      scalars: dict) -> "ActivitySpec":
+        """The spec of ``recipes``, with ``n_background`` background
+        prototypes numbered after the ``shared`` ones and placements
+        alternating over the classes."""
+        background = range(shared.stop, shared.stop + n_background)
+        return cls(n_classes=len(recipes), n_prototypes=background.stop,
+                   class_recipes=tuple(recipes), shared_prototypes=frozenset(shared),
+                   background_prototypes=frozenset(background),
+                   placement=tuple(PLACEMENTS[c % 2] for c in range(len(recipes))),
+                   **scalars)
 
     def __post_init__(self):
+        """Every rule a spec meets, whether a builder, a test or an SGDS
+        header made it: two or more classes with distinct recipes, each
+        shared prototype in two or more recipes, one or more background
+        prototypes in none, and finite, in-range noise and fractions."""
         if self.task not in TASKS:
             raise DomainError(f"task must be one of {TASKS}, got {self.task!r}")
-        for name in ("n_classes", "n_prototypes", "d_raw", "timesteps", "frames_per_slot"):
+        if self.n_classes < 2:
+            raise DomainError(f"need at least two classes, got {self.n_classes}")
+        for name in ("n_prototypes", "d_raw", "timesteps", "frames_per_slot"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.relevant_fraction <= 1.0:
             raise DomainError(f"relevant_fraction must be in (0, 1], got {self.relevant_fraction}")
         if not 0.0 <= self.confuser_share <= 1.0:
             raise DomainError(f"confuser_share must be in [0, 1], got {self.confuser_share}")
-        if self.noise_sigma < 0.0:
-            raise DomainError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise DomainError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         if len(self.class_recipes) != self.n_classes:
             raise DomainError("one recipe per class required")
         if len(self.placement) != self.n_classes or any(p not in PLACEMENTS for p in self.placement):
             raise DomainError(f"placement must give one of {PLACEMENTS} per class")
-        all_ids = set()
-        for r in self.class_recipes:
-            if not r:
-                raise GenerationError("empty class recipe")
-            all_ids |= r
-        all_ids |= self.shared_prototypes | self.background_prototypes
-        if all_ids and (min(all_ids) < 0 or max(all_ids) >= self.n_prototypes):
+        if not self.background_prototypes:
+            raise DomainError("need at least one background prototype")
+        if not all(self.class_recipes):
+            raise GenerationError("empty class recipe")
+        all_ids = set().union(*self.class_recipes, self.shared_prototypes,
+                              self.background_prototypes)
+        if min(all_ids) < 0 or max(all_ids) >= self.n_prototypes:
             raise DomainError(f"prototype ids must lie in [0, {self.n_prototypes})")
         if len(set(self.class_recipes)) != self.n_classes:
             raise DomainError("class recipes must be distinct")
@@ -197,44 +175,26 @@ class ActivitySpec:
         if not 0 <= class_index < self.n_classes:
             raise DomainError(f"class {class_index} out of range [0, {self.n_classes})")
         base = round(self.relevant_fraction * self.timesteps)
-        if self.n_classes == 1:
-            raw = base
-        else:
-            tilt = 0.85 + 0.3 * class_index / (self.n_classes - 1)
-            raw = round(self.relevant_fraction * self.timesteps * tilt)
+        tilt = 0.85 + 0.3 * class_index / (self.n_classes - 1)
+        raw = round(self.relevant_fraction * self.timesteps * tilt)
         return max(1, min(self.timesteps, max(base - 2, min(base + 2, raw))))
 
     def header_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "task": self.task,
-            "n_classes": self.n_classes,
-            "n_prototypes": self.n_prototypes,
-            "d_raw": self.d_raw,
-            "timesteps": self.timesteps,
-            "frames_per_slot": self.frames_per_slot,
-            "noise_sigma": self.noise_sigma,
-            "relevant_fraction": self.relevant_fraction,
-            "confuser_share": self.confuser_share,
-            "class_recipes": [sorted(r) for r in self.class_recipes],
-            "shared_prototypes": sorted(self.shared_prototypes),
-            "background_prototypes": sorted(self.background_prototypes),
-            "placement": list(self.placement),
-        }
+        """The SGDS header's spec part: every field, the sets sorted."""
+        return {"format_version": FORMAT_VERSION,
+                **{f.name: getattr(self, f.name) for f in fields(self)},
+                "class_recipes": [sorted(r) for r in self.class_recipes],
+                "shared_prototypes": sorted(self.shared_prototypes),
+                "background_prototypes": sorted(self.background_prototypes),
+                "placement": list(self.placement)}
 
     @classmethod
     def from_header_dict(cls, h: dict) -> "ActivitySpec":
-        return cls(
-            n_classes=h["n_classes"], n_prototypes=h["n_prototypes"],
-            d_raw=h["d_raw"], timesteps=h["timesteps"],
-            frames_per_slot=h["frames_per_slot"], noise_sigma=h["noise_sigma"],
-            relevant_fraction=h["relevant_fraction"],
-            confuser_share=h["confuser_share"], task=h["task"],
-            class_recipes=tuple(frozenset(r) for r in h["class_recipes"]),
-            shared_prototypes=frozenset(h["shared_prototypes"]),
-            background_prototypes=frozenset(h["background_prototypes"]),
-            placement=tuple(h["placement"]),
-        )
+        return cls(**{**{f.name: h[f.name] for f in fields(cls)},
+                      "class_recipes": tuple(frozenset(r) for r in h["class_recipes"]),
+                      "shared_prototypes": frozenset(h["shared_prototypes"]),
+                      "background_prototypes": frozenset(h["background_prototypes"]),
+                      "placement": tuple(h["placement"])})
 
 
 @dataclass
@@ -302,15 +262,13 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
     planted = np.empty(t, dtype=np.int64)
     confusers = sorted(spec.shared_prototypes - recipe)
     background = sorted(spec.background_prototypes)
-    if not background and not confusers and n_rel < t:
-        raise GenerationError("no filler prototypes available")
     for i, pos in enumerate(positions):
         planted[pos] = members[i % len(members)]
     rel_set = set(int(p) for p in positions)
     for pos in range(t):
         if pos in rel_set:
             continue
-        if confusers and (not background or rng.random() < spec.confuser_share):
+        if confusers and rng.random() < spec.confuser_share:
             planted[pos] = confusers[int(rng.integers(len(confusers)))]
         else:
             planted[pos] = background[int(rng.integers(len(background)))]
@@ -346,19 +304,13 @@ def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -
     test_labels = _balanced_labels(n_test, spec.n_classes,
                                    np.random.default_rng(seed ^ (_LABEL_SEED_OFFSET - 1)))
     slots = (spec.timesteps, spec.frames_per_slot, spec.d_raw)
-    train_frames = np.empty((n_train, *slots))
-    test_frames = np.empty((n_test, *slots))
-    train, test = [], []
-    for i in range(n_train + n_test):
-        vrng = np.random.default_rng(seed ^ i)
-        if i < n_train:
-            train.append(_make_video(spec, prototypes, int(train_labels[i]), vrng,
-                                     train_frames[i]))
-        else:
-            j = i - n_train
-            test.append(_make_video(spec, prototypes, int(test_labels[j]), vrng,
-                                    test_frames[j]))
-    return Dataset(spec=spec, prototypes=prototypes, train=train, test=test, seed=seed)
+    splits = []
+    for first, labels, frames in ((0, train_labels, np.empty((n_train, *slots))),
+                                  (n_train, test_labels, np.empty((n_test, *slots)))):
+        splits.append([_make_video(spec, prototypes, int(c),
+                                   np.random.default_rng(seed ^ (first + k)), frames[k])
+                       for k, c in enumerate(labels)])
+    return Dataset(spec=spec, prototypes=prototypes, train=splits[0], test=splits[1], seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,19 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["train", "--config", str(bad)]) == 1
 
 
+def test_a_non_finite_config_value_exits_one(tmp_path, capsys):
+    cfg = tiny_config("e2e").to_dict()
+    cfg["training"]["lr"] = float("nan")
+    path = tmp_path / "nan_lr.json"
+    path.write_text(json.dumps(cfg))
+    assert "NaN" in path.read_text()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: training.lr must be finite")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_dataset_values_the_spec_rejects_are_config_errors(tmp_path, capsys):
     cfg = tiny_config("e2e")
     cfg.dataset.confuser_share = 5.0

@@ -53,6 +53,14 @@ def test_every_mode_is_accepted():
     {"model": {"light_channels": 0}},
     {"model": {"n_kernels": -1}},
     {"model": {"heavy_channels": 0}},
+    # json reads NaN and Infinity; no float field may take them
+    {"training": {"lr": float("nan")}},
+    {"training": {"l0_weight": float("nan")}},
+    {"training": {"eps": float("inf")}},
+    {"dataset": {"noise_sigma": float("nan")}},
+    {"dataset": {"relevant_fraction": float("nan")}},
+    {"model": {"open_bias": float("nan")}},
+    {"model": {"open_bias": float("-inf")}},
 ])
 def test_invalid_values_raise(raw):
     with pytest.raises(ConfigError):
@@ -71,6 +79,11 @@ def test_invalid_values_raise(raw):
 def test_schema_violations_raise(raw):
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+def test_a_non_finite_float_error_names_the_path():
+    with pytest.raises(ConfigError, match="training.eps must be finite"):
+        config_from_dict({"training": {"eps": float("inf")}})
 
 
 def test_unknown_key_error_names_the_path():

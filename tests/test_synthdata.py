@@ -20,9 +20,18 @@ def decode_prototypes(video, prototypes, spec):
     return d2.argmin(axis=1).astype(np.int64)
 
 
+# builder arguments: DatasetConfig's default dataset, and a smaller paired one
+ANCHORED = dict(n_classes=10, n_shared=6, n_background=8, d_raw=32, timesteps=32,
+                frames_per_slot=16, noise_sigma=0.3, relevant_fraction=0.3,
+                confuser_share=0.35, task="single_label")
+PAIRED = dict(n_classes=6, n_shared=4, n_background=4, d_raw=16, timesteps=16,
+              frames_per_slot=8, noise_sigma=0.3, relevant_fraction=0.3,
+              confuser_share=0.35, task="single_label")
+
+
 @pytest.fixture(scope="module")
 def spec():
-    return sd.ActivitySpec.default()
+    return sd.ActivitySpec.default(**ANCHORED)
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +68,11 @@ def test_relevant_counts_spread_but_bounded(spec):
 
 
 def test_spec_validation_errors():
-    good = sd.ActivitySpec.default()
+    good = sd.ActivitySpec.default(**ANCHORED)
     with pytest.raises(DomainError):
-        sd.ActivitySpec.default(n_classes=1)
+        sd.ActivitySpec.default(**{**ANCHORED, "n_classes": 1})
     with pytest.raises(DomainError):
-        sd.ActivitySpec.default(relevant_fraction=0.0)
+        sd.ActivitySpec.default(**{**ANCHORED, "relevant_fraction": 0.0})
     with pytest.raises(DomainError):  # duplicate recipes
         sd.ActivitySpec(**{**_spec_kwargs(good),
                            "class_recipes": (good.class_recipes[0],) * good.n_classes})
@@ -73,6 +82,8 @@ def test_spec_validation_errors():
     with pytest.raises(DomainError):  # background prototype inside a recipe
         sd.ActivitySpec(**{**_spec_kwargs(good),
                            "background_prototypes": good.background_prototypes | {0}})
+    with pytest.raises(DomainError):  # no background prototype to fill with
+        sd.ActivitySpec(**{**_spec_kwargs(good), "background_prototypes": frozenset()})
 
 
 def _spec_kwargs(s):
@@ -225,7 +236,7 @@ def test_identical_timestep_vector_with_opposite_relevance(dataset, spec):
 
 
 def test_paired_spec_structure():
-    spec = sd.ActivitySpec.paired()
+    spec = sd.ActivitySpec.paired(**PAIRED)
     assert spec.n_classes == 6
     assert len(spec.shared_prototypes) == 4
     recipes = set()
@@ -240,11 +251,11 @@ def test_paired_spec_structure():
 
 def test_paired_spec_rejects_too_many_classes():
     with pytest.raises(DomainError):  # only C(4, 2) = 6 distinct pairs exist
-        sd.ActivitySpec.paired(n_classes=7, n_shared=4)
+        sd.ActivitySpec.paired(**{**PAIRED, "n_classes": 7, "n_shared": 4})
 
 
 def test_paired_videos_plant_both_members():
-    spec = sd.ActivitySpec.paired()
+    spec = sd.ActivitySpec.paired(**PAIRED)
     data = sd.generate_dataset(spec, 12, 6, seed=21)
     for v in data.train + data.test:
         planted_rel = set(int(p) for p in v.planted[v.relevance])
@@ -409,6 +420,7 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
         "missing_key": ({k: v for k, v in header.items() if k != "d_raw"}, body),
         "missing_seed": ({k: v for k, v in header.items() if k != "seed"}, body),
         "bad_spec": ({**header, "confuser_share": 5.0}, body),
+        "nan_noise": ({**header, "noise_sigma": float("nan")}, body),
         "wrong_type": ({**header, "n_videos": "many"}, body),
         "short_body": (header, body[:397]),
         "cut_label": ({**header, "n_videos": header["n_videos"] + 1}, body + b"\x00" * 4),
@@ -425,12 +437,42 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
 
 @pytest.fixture(scope="module")
 def small_split(tmp_path_factory):
-    spec = sd.ActivitySpec.default(n_classes=3, n_shared=2, n_background=2, d_raw=4,
-                                   timesteps=6, frames_per_slot=2)
+    spec = sd.ActivitySpec.default(**{**ANCHORED, "n_classes": 3, "n_shared": 2,
+                                      "n_background": 2, "d_raw": 4, "timesteps": 6,
+                                      "frames_per_slot": 2})
     data = sd.generate_dataset(spec, n_train=2, n_test=3, seed=5)
     path = tmp_path_factory.mktemp("split") / "test.sgds"
     sd.save_split(path, data, "test")
     return path, sd.load_split(path)
+
+
+def test_the_header_is_pinned(small_split, tmp_path):
+    """The header bytes are the format: a field renamed or a set left
+    unsorted must fail here, not only in a round trip through this code."""
+    path, _ = small_split
+    assert container.read(path, sd.MAGIC, sd.FORMAT_VERSION, "dataset")[1] == {
+        "format_version": 2, "n_videos": 3, "seed": 5, "split": "test",
+        "task": "single_label", "n_classes": 3, "n_prototypes": 7, "d_raw": 4,
+        "timesteps": 6, "frames_per_slot": 2, "noise_sigma": 0.3,
+        "relevant_fraction": 0.3, "confuser_share": 0.35,
+        "class_recipes": [[0, 3, 4], [1, 3, 4], [2, 3, 4]],
+        "shared_prototypes": [3, 4], "background_prototypes": [5, 6],
+        "placement": ["middle", "spread", "middle"],
+    }
+    spec = sd.ActivitySpec.paired(
+        n_classes=3, n_shared=3, n_background=1, d_raw=3, timesteps=5, frames_per_slot=2,
+        noise_sigma=0.25, relevant_fraction=0.4, confuser_share=0.5, task="multi_label")
+    paired = tmp_path / "train.sgds"
+    sd.save_split(paired, sd.generate_dataset(spec, 2, 3, seed=11), "train")
+    assert container.read(paired, sd.MAGIC, sd.FORMAT_VERSION, "dataset")[1] == {
+        "format_version": 2, "n_videos": 2, "seed": 11, "split": "train",
+        "task": "multi_label", "n_classes": 3, "n_prototypes": 4, "d_raw": 3,
+        "timesteps": 5, "frames_per_slot": 2, "noise_sigma": 0.25,
+        "relevant_fraction": 0.4, "confuser_share": 0.5,
+        "class_recipes": [[0, 1], [0, 2], [1, 2]],
+        "shared_prototypes": [0, 1, 2], "background_prototypes": [3],
+        "placement": ["middle", "spread", "middle"],
+    }
 
 
 def _same_split(a, b):

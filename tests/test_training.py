@@ -47,7 +47,7 @@ def test_spec_from_config_dispatches_on_recipe_style():
         frames_per_slot=cfg.dataset.frames_per_slot,
         noise_sigma=cfg.dataset.noise_sigma,
         relevant_fraction=cfg.dataset.relevant_fraction,
-        confuser_share=cfg.dataset.confuser_share)
+        confuser_share=cfg.dataset.confuser_share, task=cfg.dataset.task)
     assert spec == paired
     assert all(len(r) == 2 for r in spec.class_recipes)
 

@@ -11,7 +11,9 @@ On each side a fresh process trains and evaluates:
   ``l0_weight`` {0, 0.05};
 * perfbench's e2e-train and baseline-train configs at seeds 1, 2 and 3.
 
-The tool prints one line per case, naming each checkpoint file's sha256 and
+Each case saves its checkpoint and its ``train.sgds`` and ``test.sgds``
+split files.  The tool prints one line per case, naming the checkpoint's
+sha256, whether both split files have the same sha256 on both sides, and
 whether the eval reports are equal.  It then compares the output of
 ``stepgate gradcheck --seed 0`` and ``--seed 1``.  It exits 1 when any
 output differs.  Only the standard library is used here; the sides import
@@ -62,21 +64,30 @@ def _cases():
                    perfbench.workload_config(perfbench.WORKLOADS[workload], seed))
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def worker(root: Path) -> None:
-    """Print {case: {"sha256", "report"}} for ``root``'s code."""
+    """Print {case: {"sha256", "splits", "report"}} for ``root``'s code."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from stepgate.harness.checkpoint import save_checkpoint
     from stepgate.harness.evaluation import evaluate_bundle
     from stepgate.harness.training import resolve_dataset, run_training
+    from stepgate.synthdata import save_split
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in _cases():
             data = resolve_dataset(cfg)
+            splits = {}
+            for split in ("train", "test"):
+                save_split(Path(tmp) / f"{split}.sgds", data, split)
+                splits[split] = _sha256(Path(tmp) / f"{split}.sgds")
             result = run_training(cfg, data)
             path = Path(tmp) / "run.sgck"
             save_checkpoint(path, result.checkpoint)
-            out[name] = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            out[name] = {"sha256": _sha256(path), "splits": splits,
                          "report": evaluate_bundle(result.bundle, cfg, data.test).to_dict()}
     print(json.dumps(out))
 
@@ -108,10 +119,12 @@ def main(argv=None) -> int:
     for name, want in got["parent"].items():
         have = got["change"].get(name)
         same_bytes = have is not None and have["sha256"] == want["sha256"]
+        same_splits = have is not None and have["splits"] == want["splits"]
         same_report = have is not None and have["report"] == want["report"]
-        differ += not (same_bytes and same_report)
+        differ += not (same_bytes and same_splits and same_report)
         print(f"{name:<45} sha256 {want['sha256'][:16]} "
               f"{'same bytes' if same_bytes else 'BYTES DIFFER'}, "
+              f"{'same splits' if same_splits else 'SPLITS DIFFER'}, "
               f"{'equal report' if same_report else 'REPORT DIFFERS'}")
     for seed in GRADCHECK_SEEDS:
         outs = {side: _side(root, "-m", "stepgate", "gradcheck", "--seed", str(seed))
