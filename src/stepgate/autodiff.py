@@ -469,10 +469,6 @@ class MLP:
     def n_in(self) -> int:
         return self.w1.shape[0]
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
-
 
 # ---------------------------------------------------------------------------
 # backward

@@ -52,11 +52,6 @@ class ScorerParams:
     def n_classes(self) -> int:
         return self.head_w.shape[1]
 
-    def named_parameters(self, prefix: str = "scorer") -> dict[str, Tensor]:
-        out = self.enc.named_parameters(f"{prefix}.enc")
-        out.update({f"{prefix}.head_w": self.head_w, f"{prefix}.head_b": self.head_b})
-        return out
-
 
 def scorer_logits(light: np.ndarray, params: ScorerParams) -> Tensor:
     """Class logits (N, L) of (N, d_raw) light frames, such as one video's or

@@ -50,11 +50,6 @@ class ClassifierParams:
         head = MLP.init(channels, HEAD_HIDDEN, n_classes, rng)
         return cls(segment_len=segment_len, enc=enc, head=head)
 
-    def named_parameters(self, prefix: str = "classifier") -> dict[str, Tensor]:
-        out = self.enc.named_parameters(f"{prefix}.enc")
-        out.update(self.head.named_parameters(f"{prefix}.head"))
-        return out
-
     def reset_instrumentation(self) -> None:
         self.heavy_rows = 0
 

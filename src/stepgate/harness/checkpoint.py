@@ -4,16 +4,10 @@ Format version 4, in the shared container (``stepgate.container``): magic
 ``SGCK`` | u32 version | u32 header length | u32 CRC-32 | JSON header |
 float64 little-endian blocks.  The header holds the config, the step and the
 parameter names and shapes in block order; one block per parameter follows.
-Names are ``<group>.<tensor>`` (``selector.kernels``, ``scorer.head_w``) or,
-for a two-layer network, ``<group>.<net>.<w1|b1|w2|b2>`` (``selector.enc.w1``,
-``classifier.head.b2``); the stand-alone light head is a group of its own
-(``light_head.w1``).  Version 3 files, whose stored config still had the
-heavy encoder's spatial grid (``model.height`` and ``model.width``), version
-2 files, which gave encoder and gate weights flat names (``selector.enc_*``,
-``selector.gate_*``), and version 1 files, which also stored optimizer
-moments, are rejected.  The header JSON is
-canonical (sorted keys, no whitespace) so save -> load -> save reproduces the
-file byte for byte.
+A name is the tensor's field path in ``ModelBundle`` (``selector.enc.w1``,
+``scorer.head_w``), in ``ModelBundle.named_parameters`` order.  Older
+versions are rejected.  The header JSON is canonical (sorted keys, no
+whitespace) so save -> load -> save reproduces the file byte for byte.
 """
 
 from __future__ import annotations

@@ -16,12 +16,13 @@ from pathlib import Path
 
 from .. import __version__
 from ..costmodel import CostReport, tradeoff_csv
-from ..errors import ConfigError, FormatError, StepgateError
-from ..synthdata import Dataset, save_split
+from ..errors import ConfigError, ContractError, FormatError, StepgateError
+from ..synthdata import save_split
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
-from .evaluation import entry_key, evaluate_checkpoint
+from .evaluation import SELECTOR_MODES, entry_key, evaluate_checkpoint
 from .gradsuite import THRESHOLD, run_gradient_suite, suite_passes
+from .models import build_bundle
 from .reports import write_gating_report
 from .training import resolve_dataset, run_training
 
@@ -83,12 +84,18 @@ def _load(args, ckpt: Checkpoint | None = None) -> ExperimentConfig:
     return config
 
 
-def _load_checkpoint_run(args) -> tuple[Checkpoint, Dataset]:
-    """The checkpoint, set to run under ``_load``'s config, and its dataset."""
+def _load_checkpoint_run(args) -> tuple[Checkpoint, ExperimentConfig]:
+    """The checkpoint, set to run under ``_load``'s config; a ``--config``
+    whose model does not fit the stored weights is a config error."""
     ckpt = load_checkpoint(args.checkpoint)
     config = _load(args, ckpt)
-    ckpt.config = config.to_dict()  # model shapes must still match the weights
-    return ckpt, resolve_dataset(config)
+    ckpt.config = config.to_dict()
+    if args.config:
+        try:
+            ckpt.apply_to_bundle(build_bundle(config))
+        except ContractError as exc:
+            raise ConfigError(f"{args.config} does not fit the checkpoint: {exc}") from exc
+    return ckpt, config
 
 
 def _out_dir(args) -> Path:
@@ -131,12 +138,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt, dataset = _load_checkpoint_run(args)
+    ckpt, config = _load_checkpoint_run(args)
+    dataset = resolve_dataset(config)
     start = time.perf_counter()
     report = evaluate_checkpoint(ckpt, dataset)
     eval_s = time.perf_counter() - start
     out = _out_dir(args)
-    config_json = ckpt.experiment_config().canonical_json()
+    config_json = config.canonical_json()
     payload = {"config": ckpt.config, "report": report.to_dict(),
                "provenance": {
                    "stepgate_version": __version__,
@@ -152,8 +160,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    ckpt, dataset = _load_checkpoint_run(args)
-    paths = write_gating_report(ckpt, dataset, _out_dir(args))
+    ckpt, config = _load_checkpoint_run(args)
+    if config.mode not in SELECTOR_MODES:
+        raise ConfigError(f"mode {config.mode!r} has no gates to report on")
+    paths = write_gating_report(ckpt, resolve_dataset(config), _out_dir(args))
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

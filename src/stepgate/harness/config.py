@@ -13,12 +13,13 @@ import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from ..errors import ConfigError
-from ..synthdata import TASKS
+from ..errors import ConfigError, DomainError, GenerationError
+from ..synthdata import ActivitySpec
 
 MODES = ("standalone", "e2e", "frame_conditioned", "scsampler", "uniform", "random")
 SELECTIONS = ("gate-count", "topk")
-RECIPE_STYLES = ("anchored", "paired")
+# the ActivitySpec builder of each dataset.recipe_style
+RECIPE_STYLES = {"anchored": ActivitySpec.default, "paired": ActivitySpec.paired}
 
 
 @dataclass
@@ -44,6 +45,20 @@ class DatasetConfig:
     confuser_share: float = 0.35
     task: str = "single_label"
     recipe_style: str = "anchored"
+
+    def spec(self) -> ActivitySpec:
+        """The generation spec this section describes; a section the spec's
+        rules reject is a ``ConfigError``."""
+        try:
+            return RECIPE_STYLES[self.recipe_style](
+                n_classes=self.n_classes, n_shared=self.n_shared,
+                n_background=self.n_background, d_raw=self.d_raw,
+                timesteps=self.timesteps, frames_per_slot=self.frames_per_slot,
+                noise_sigma=self.noise_sigma, relevant_fraction=self.relevant_fraction,
+                confuser_share=self.confuser_share, task=self.task,
+            )
+        except (DomainError, GenerationError) as exc:
+            raise ConfigError(f"dataset: {exc}") from exc
 
 
 @dataclass
@@ -131,19 +146,15 @@ def _validate_values(cfg: ExperimentConfig) -> None:
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     d = cfg.dataset
-    if d.task not in TASKS:
-        raise ConfigError(f"dataset.task must be one of {TASKS}, got {d.task!r}")
     if d.recipe_style not in RECIPE_STYLES:
         raise ConfigError(
-            f"dataset.recipe_style must be one of {RECIPE_STYLES}, got {d.recipe_style!r}"
+            f"dataset.recipe_style must be one of {tuple(RECIPE_STYLES)}, "
+            f"got {d.recipe_style!r}"
         )
-    for name in ("n_train", "n_test", "d_raw", "timesteps", "frames_per_slot"):
+    d.spec()  # the dataset's own rules
+    for name in ("n_train", "n_test"):
         if getattr(d, name) < 1:
             raise ConfigError(f"dataset.{name} must be positive, got {getattr(d, name)}")
-    if d.n_classes < 2:
-        raise ConfigError(f"dataset.n_classes must be at least 2, got {d.n_classes}")
-    if not 0.0 < d.relevant_fraction <= 1.0:
-        raise ConfigError(f"dataset.relevant_fraction must be in (0, 1], got {d.relevant_fraction}")
     m = cfg.model
     for name in ("light_channels", "heavy_channels", "n_kernels", "gate_hidden",
                  "segment_len"):

@@ -4,8 +4,8 @@ reported as name -> max relative error.
 
 Inputs are fixed and kept away from clip, threshold, and tie boundaries so
 central differences are valid; the composite cases freeze gate noise by
-reseeding inside the probed function and assert a safety margin on every
-gate logit before checking.
+reseeding inside the probed function, with the first seed that keeps every
+noisy gate logit a safety margin from the threshold.
 """
 
 from __future__ import annotations
@@ -21,9 +21,12 @@ from ..synthdata import generate_dataset
 from .config import DatasetConfig, ExperimentConfig, ModelConfig, TrainingConfig
 from .evaluation import light_frames
 from .models import build_bundle
-from .training import _phase_a_loss, spec_from_config
+from .training import _phase_a_loss
 
 THRESHOLD = 1e-4
+# gate-noise seeds the e2e cases try, and the margin a noisy logit keeps from
+# the gate threshold so that no probe flips a gate
+_NOISE_SEED, _NOISE_TRIES, _MARGIN = 101, 20, 5e-2
 
 _X34 = np.array([[0.3, -1.1, 0.7, 1.9],
                  [-0.4, 0.8, -1.6, 0.2],
@@ -168,28 +171,28 @@ def _suite_config(seed: int) -> ExperimentConfig:
 def _e2e_cases(seed: int) -> dict[str, float]:
     config = _suite_config(seed)
     bundle = build_bundle(config)
-    dataset = generate_dataset(spec_from_config(config), 4, 2, config.seed)
+    dataset = generate_dataset(config.dataset.spec(), 4, 2, config.seed)
     batch = [0, 1]
-    noise_seed = 101
+    # the first gate-noise seed whose noisy logits all sit clear of the gate
+    # threshold and open a gate in every video
+    alphas = gate_logits(light_frames([dataset.train[i] for i in batch], config),
+                         bundle.selector).data.ravel()
+    for noise_seed in range(_NOISE_SEED, _NOISE_SEED + _NOISE_TRIES):
+        z = alphas + gating.sample_gate_noise_batch(np.random.default_rng(noise_seed),
+                                                    alphas.size)
+        opens = (z.reshape(len(batch), -1) > 0.0).any(axis=1)
+        if np.min(np.abs(z)) >= _MARGIN and opens.all():
+            break
+    else:
+        raise ContractError(
+            f"no gate-noise seed in [{_NOISE_SEED}, {_NOISE_SEED + _NOISE_TRIES}) keeps "
+            f"every noisy logit {_MARGIN} clear of the threshold and opens a gate "
+            f"in both videos; change the suite seed"
+        )
 
     def loss():
         batch_loss = _phase_a_loss(config, bundle, dataset, np.random.default_rng(noise_seed))
         return batch_loss(0, batch)[0]
-
-    # margin check: every noisy logit must sit clear of the gate threshold,
-    # and every video must open a gate
-    alphas = gate_logits(light_frames([dataset.train[i] for i in batch], config),
-                         bundle.selector).data.ravel()
-    z = alphas + gating.sample_gate_noise_batch(np.random.default_rng(noise_seed),
-                                                alphas.size)
-    margin = float(np.min(np.abs(z)))
-    if margin < 5e-2:
-        raise ContractError(
-            f"gate margin {margin:.4f} too small for finite differences; "
-            f"change the suite seed"
-        )
-    if not (z.reshape(len(batch), -1) > 0.0).any(axis=1).all():
-        raise ContractError("an FD video selected nothing; pick another seed")
 
     named = bundle.named_parameters()
     probes = {f"e2e_loss/{name}": named[name] for name in (

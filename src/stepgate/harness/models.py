@@ -12,7 +12,7 @@ uniform / random    heavy classifier on fixed-rule samples; no selector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -34,15 +34,21 @@ class ModelBundle:
     scorer: ScorerParams | None = None
 
     def named_parameters(self) -> dict[str, Tensor]:
+        """Every tensor, named by its dotted field path (``selector.enc.w1``)
+        in field order: the checkpoint's names and block order.  A dataclass
+        field is walked into; a ``None`` group or projection and a plain
+        number such as ``segment_len`` are skipped."""
         out: dict[str, Tensor] = {}
-        if self.selector is not None:
-            out.update(self.selector.named_parameters("selector"))
-        if self.light_head is not None:
-            out.update(self.light_head.named_parameters("light_head"))
-        if self.classifier is not None:
-            out.update(self.classifier.named_parameters("classifier"))
-        if self.scorer is not None:
-            out.update(self.scorer.named_parameters("scorer"))
+
+        def walk(obj, prefix: str) -> None:
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if isinstance(value, Tensor):
+                    out[prefix + f.name] = value
+                elif is_dataclass(value):
+                    walk(value, f"{prefix}{f.name}.")
+
+        walk(self, "")
         return out
 
 

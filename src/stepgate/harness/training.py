@@ -40,10 +40,9 @@ from ..autodiff import Adam, Tensor
 # in this namespace
 from ..baselines import sample_indices, scorer_logits, scsampler_scores
 from ..classifier import ClassifierParams, classify, heavynet_features, task_loss
-from ..errors import (ConfigError, ContractError, DomainError, GenerationError,
-                      TrainingDivergence)
+from ..errors import ConfigError, ContractError, GenerationError, TrainingDivergence
 from ..selector import SelectionResult, heavy_indices, select
-from ..synthdata import ActivitySpec, Dataset, generate_dataset, load_split
+from ..synthdata import Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
 from .evaluation import light_frames, rankings, split_picks
@@ -77,28 +76,12 @@ class TrainResult:
 # dataset plumbing
 
 
-def spec_from_config(config: ExperimentConfig) -> ActivitySpec:
-    d = config.dataset
-    builder = {"anchored": ActivitySpec.default,
-               "paired": ActivitySpec.paired}[d.recipe_style]
-    try:
-        return builder(
-            n_classes=d.n_classes, n_shared=d.n_shared, n_background=d.n_background,
-            d_raw=d.d_raw, timesteps=d.timesteps, frames_per_slot=d.frames_per_slot,
-            noise_sigma=d.noise_sigma, relevant_fraction=d.relevant_fraction,
-            confuser_share=d.confuser_share, task=d.task,
-        )
-    except (DomainError, GenerationError) as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-
-
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     """Load the dataset a config points at, or generate it from the config."""
     d = config.dataset
     if d.path is None:
-        spec = spec_from_config(config)
         try:
-            return generate_dataset(spec, d.n_train, d.n_test, config.seed)
+            return generate_dataset(d.spec(), d.n_train, d.n_test, config.seed)
         except GenerationError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
     base = d.path
@@ -108,7 +91,7 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
         raise ConfigError(f"{base}: train and test splits come from different runs")
     if not np.array_equal(protos, protos_b):
         raise ConfigError(f"{base}: train and test splits disagree on prototypes")
-    if spec_a != spec_from_config(config):
+    if spec_a != d.spec():
         raise ConfigError(f"{base}: the stored splits were generated from a "
                           f"different dataset section than this config's")
     return Dataset(spec=spec_a, prototypes=protos, train=train_videos,
@@ -338,9 +321,10 @@ def run_training(config: ExperimentConfig,
 
         rng_b = _train_rng(config)
         rng_b.integers(1 << 30)  # offset from the phase A shuffle stream
-        cls_logs, cls_steps = _fit(bundle.classifier.named_parameters().values(),
-                                   config, n_train, rng_b, classifier_loss,
-                                   config.mode)
+        cls_params = [t for name, t in bundle.named_parameters().items()
+                      if name.startswith("classifier.")]
+        cls_logs, cls_steps = _fit(cls_params, config, n_train, rng_b,
+                                   classifier_loss, config.mode)
         steps += cls_steps
 
     ckpt = Checkpoint.from_bundle(config, bundle, step=steps)

@@ -63,15 +63,6 @@ class SelectorParams:
                    kernels=kernels,
                    gate=MLP.init(n_kernels, gate_hidden, 1, rng, out_bias=open_bias))
 
-    def named_parameters(self, prefix: str = "selector") -> dict[str, Tensor]:
-        out = self.enc.named_parameters(f"{prefix}.enc")
-        if self.attn_q is not None:
-            out.update({f"{prefix}.attn_q": self.attn_q, f"{prefix}.attn_k": self.attn_k,
-                        f"{prefix}.attn_v": self.attn_v})
-        out[f"{prefix}.kernels"] = self.kernels
-        out.update(self.gate.named_parameters(f"{prefix}.gate"))
-        return out
-
 
 @dataclass
 class SelectionResult:

@@ -3,7 +3,6 @@ import pytest
 from stepgate.harness.config import (DatasetConfig, EvalConfig,
                                      ExperimentConfig, ModelConfig,
                                      TrainingConfig)
-from stepgate.harness.training import spec_from_config
 from stepgate.synthdata import generate_dataset
 
 
@@ -38,5 +37,5 @@ def tiny_cfg():
 @pytest.fixture(scope="session")
 def tiny_data(tiny_cfg):
     d = tiny_cfg.dataset
-    return generate_dataset(spec_from_config(tiny_cfg), d.n_train, d.n_test,
+    return generate_dataset(d.spec(), d.n_train, d.n_test,
                             tiny_cfg.seed)

@@ -114,7 +114,6 @@ def test_mlp_init_shapes_biases_and_size_check():
     assert (mlp.w1.shape, mlp.w2.shape, mlp.n_in) == ((3, 5), (5, 2), 3)
     nptest.assert_array_equal(mlp.b1.data, np.zeros(5))
     nptest.assert_array_equal(mlp.b2.data, [-1.5, -1.5])
-    assert list(mlp.named_parameters("net")) == ["net.w1", "net.b1", "net.w2", "net.b2"]
     x = np.random.default_rng(1).standard_normal((4, 3))
     hidden = np.maximum(x @ mlp.w1.data, 0.0)
     nptest.assert_allclose(mlp(tensor(x)).data, hidden @ mlp.w2.data - 1.5, rtol=1e-12)

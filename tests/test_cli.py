@@ -6,6 +6,7 @@ import pytest
 
 import stepgate
 from conftest import tiny_config
+from stepgate.harness import cli
 from stepgate.harness.cli import main
 from stepgate.harness.config import MODES, config_from_dict
 
@@ -65,14 +66,18 @@ def test_a_non_finite_config_value_exits_one(tmp_path, capsys):
 
 
 def test_dataset_values_the_spec_rejects_are_config_errors(tmp_path, capsys):
-    cfg = tiny_config("e2e")
-    cfg.dataset.confuser_share = 5.0
-    path = tmp_path / "bad_share.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    assert main(["generate-data", "--config", str(path),
-                 "--out", str(tmp_path / "data")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "confuser_share" in err
+    """The config refuses them when it loads, before any --out is made."""
+    for name, value, needle in (("confuser_share", 5.0, "confuser_share"),
+                                ("n_background", 0, "background prototype")):
+        path = tmp_path / f"bad_{name}.json"
+        path.write_text(json.dumps(tiny_config("e2e", **{f"dataset.{name}": value}).to_dict()))
+        for command in ("generate-data", "train"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: dataset: ") and needle in err, err
+            assert len(err.splitlines()) == 1
+            assert not out.exists()
 
 
 def test_a_dataset_that_cannot_be_generated_is_a_config_error(tmp_path, capsys):
@@ -227,6 +232,49 @@ def test_report_writes_gating_csvs(trained, tmp_path, capsys):
     assert (out / "class_ratios.csv").exists()
     assert (out / "temporal_profile.csv").exists()
     assert json.loads((out / "summary.json").read_text())["mode"] == "e2e"
+
+
+@pytest.fixture
+def no_dataset(monkeypatch):
+    """Fail the test if the CLI resolves a dataset."""
+    def refuse(config):
+        raise AssertionError("the dataset was resolved")
+    monkeypatch.setattr(cli, "resolve_dataset", refuse)
+
+
+def test_report_on_a_gateless_arm_exits_before_its_dataset_and_out(
+        cfg_file, tmp_path, capsys, no_dataset):
+    cfg = json.loads(Path(cfg_file).read_text())
+    cfg["mode"] = "uniform"
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps(cfg))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(run)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "rep"
+    assert main(["report", "--checkpoint", str(run / "checkpoint.sgck"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: mode 'uniform' has no gates to report on\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,override,needle", [
+    ("uniform", {}, "do not line up"),
+    ("e2e", {"model.heavy_channels": 5}, "classifier.enc.w2 has shape"),
+])
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_a_config_that_does_not_fit_the_weights_exits_before_the_dataset(
+        trained, tmp_path, capsys, no_dataset, command, mode, override, needle):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(tiny_config(mode, **override).to_dict()))
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(trained / "checkpoint.sgck"),
+                 "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path} does not fit the checkpoint: ")
+    assert needle in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_tradeoff_merges_metrics(trained, tmp_path, capsys):

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from conftest import tiny_config
 from stepgate.errors import ConfigError
 from stepgate.harness.config import (MODES, ExperimentConfig, config_from_dict,
                                      load_config)
+from stepgate.synthdata import ActivitySpec
 
 
 def test_defaults_round_trip_through_dict():
@@ -79,6 +81,42 @@ def test_invalid_values_raise(raw):
 def test_schema_violations_raise(raw):
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("dataset", [
+    {"confuser_share": 5.0},
+    {"recipe_style": "anchored", "n_shared": 1},
+    {"recipe_style": "paired", "n_shared": 4, "n_classes": 7},  # 4 shared make 6 pairs
+    {"n_background": 0},
+])
+def test_values_only_the_spec_rejects_raise_when_the_config_loads(dataset):
+    with pytest.raises(ConfigError, match="^dataset: "):
+        config_from_dict({"dataset": dataset})
+
+
+def test_dataset_spec_matches_dataset_fields(tiny_cfg):
+    spec = tiny_cfg.dataset.spec()
+    d = tiny_cfg.dataset
+    assert spec.n_classes == d.n_classes
+    assert spec.timesteps == d.timesteps
+    assert spec.noise_sigma == d.noise_sigma
+    assert spec.task == d.task
+
+
+def test_dataset_spec_dispatches_on_recipe_style():
+    cfg = tiny_config("e2e", **{"dataset.recipe_style": "paired",
+                                "dataset.n_classes": 3,
+                                "dataset.n_shared": 3})
+    spec = cfg.dataset.spec()
+    paired = ActivitySpec.paired(
+        n_classes=3, n_shared=3, n_background=cfg.dataset.n_background,
+        d_raw=cfg.dataset.d_raw, timesteps=cfg.dataset.timesteps,
+        frames_per_slot=cfg.dataset.frames_per_slot,
+        noise_sigma=cfg.dataset.noise_sigma,
+        relevant_fraction=cfg.dataset.relevant_fraction,
+        confuser_share=cfg.dataset.confuser_share, task=cfg.dataset.task)
+    assert spec == paired
+    assert all(len(r) == 2 for r in spec.class_recipes)
 
 
 def test_a_non_finite_float_error_names_the_path():

@@ -18,7 +18,6 @@ from stepgate.harness.evaluation import (accuracy, average_precision,
                                          evaluate_checkpoint, light_frames,
                                          mean_ap)
 from stepgate.harness.models import build_bundle, training_sample_budget
-from stepgate.harness.training import spec_from_config
 from stepgate.selector import select
 from stepgate.synthdata import generate_dataset
 
@@ -204,7 +203,7 @@ def test_the_light_networks_read_only_the_light_frame_of_each_slot(mode):
     leaves the rankings bitwise unchanged, and changing that one frame
     changes them."""
     cfg = tiny_config(mode, **{"dataset.frames_per_slot": 4, "model.segment_len": 3})
-    videos = generate_dataset(spec_from_config(cfg), 2, 3, cfg.seed).test
+    videos = generate_dataset(cfg.dataset.spec(), 2, 3, cfg.seed).test
     bundle = build_bundle(cfg)
     if bundle.scorer is not None:   # a zero head scores every slot alike
         bundle.scorer.head_w.data[...] = np.random.default_rng(3).standard_normal(
@@ -239,10 +238,8 @@ def test_random_mode_reuses_the_per_video_eval_stream(tiny_data):
 
 
 def test_multi_label_reports_map():
-    from stepgate.harness.training import spec_from_config
-    from stepgate.synthdata import generate_dataset
     cfg = tiny_config("e2e", **{"dataset.task": "multi_label"})
-    data = generate_dataset(spec_from_config(cfg), 6, 12, cfg.seed)
+    data = generate_dataset(cfg.dataset.spec(), 6, 12, cfg.seed)
     bundle = build_bundle(cfg)
     report = evaluate_bundle(bundle, cfg, data.test)
     assert report.entries[0].metric_name == "mAP"
@@ -321,7 +318,7 @@ def test_evaluate_bundle_equals_a_per_video_loop(mode, task):
     """Seven test videos in minibatches of 3: a short last minibatch."""
     cfg = tiny_config(mode, **{"dataset.task": task, "training.batch_size": 3,
                                "eval.budgets": [1, 3]})
-    data = generate_dataset(spec_from_config(cfg), 4, 7, cfg.seed)
+    data = generate_dataset(cfg.dataset.spec(), 4, 7, cfg.seed)
     bundle = build_bundle(cfg)
     rng = np.random.default_rng(19)
     for p in bundle.named_parameters().values():

@@ -1,6 +1,8 @@
 import pytest
 
 import stepgate.autodiff as ad
+from stepgate.errors import ContractError
+from stepgate.harness import gradsuite
 from stepgate.harness.gradsuite import (THRESHOLD, run_gradient_suite,
                                         suite_passes)
 
@@ -54,3 +56,14 @@ def test_a_wrong_attention_weight_gradient_fails_the_suite(seed, monkeypatch):
     assert not suite_passes(errors)
     for name in ("attention_q", "attention_stack_q", "e2e_loss/selector.attn_q"):
         assert errors[name] > THRESHOLD, name
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_suite_seed_finds_gate_noise_and_passes(seed):
+    assert suite_passes(run_gradient_suite(seed))
+
+
+def test_no_gate_noise_seed_with_room_is_a_contract_error(monkeypatch):
+    monkeypatch.setattr(gradsuite, "_MARGIN", 1e3)
+    with pytest.raises(ContractError, match="no gate-noise seed"):
+        gradsuite._e2e_cases(0)

@@ -80,20 +80,42 @@ def test_parameters_follow_the_documented_draws(mode):
         assert np.array_equal(got[name], want[name]), name
 
 
-def test_parameter_names_of_the_e2e_and_scsampler_bundles():
-    assert list(build_bundle(tiny_config("e2e")).named_parameters()) == [
+def test_parameter_names_of_every_mode():
+    """The checkpoint's names, in block order: a tensor's dotted field path
+    in ``ModelBundle``."""
+    selector = [
         "selector.enc.w1", "selector.enc.b1", "selector.enc.w2", "selector.enc.b2",
         "selector.attn_q", "selector.attn_k", "selector.attn_v", "selector.kernels",
         "selector.gate.w1", "selector.gate.b1", "selector.gate.w2", "selector.gate.b2",
+    ]
+    classifier = [
         "classifier.enc.w1", "classifier.enc.b1", "classifier.enc.w2", "classifier.enc.b2",
         "classifier.head.w1", "classifier.head.b1", "classifier.head.w2", "classifier.head.b2",
     ]
-    assert list(build_bundle(tiny_config("scsampler")).named_parameters()) == [
-        "classifier.enc.w1", "classifier.enc.b1", "classifier.enc.w2", "classifier.enc.b2",
-        "classifier.head.w1", "classifier.head.b1", "classifier.head.w2", "classifier.head.b2",
-        "scorer.enc.w1", "scorer.enc.b1", "scorer.enc.w2", "scorer.enc.b2",
-        "scorer.head_w", "scorer.head_b",
-    ]
+    want = {
+        "standalone": [
+            *selector,
+            "light_head.w1", "light_head.b1", "light_head.w2", "light_head.b2",
+            *classifier,
+        ],
+        "e2e": [*selector, *classifier],
+        "frame_conditioned": [
+            "selector.enc.w1", "selector.enc.b1", "selector.enc.w2", "selector.enc.b2",
+            "selector.kernels",
+            "selector.gate.w1", "selector.gate.b1", "selector.gate.w2", "selector.gate.b2",
+            *classifier,
+        ],
+        "scsampler": [
+            *classifier,
+            "scorer.enc.w1", "scorer.enc.b1", "scorer.enc.w2", "scorer.enc.b2",
+            "scorer.head_w", "scorer.head_b",
+        ],
+        "uniform": classifier,
+        "random": classifier,
+    }
+    assert set(want) == set(MODES)
+    for mode, names in want.items():
+        assert list(build_bundle(tiny_config(mode)).named_parameters()) == names, mode
 
 
 def test_context_mode_follows_the_experiment_mode():

@@ -13,6 +13,7 @@ from conftest import tiny_config
 from stepgate.autodiff import Tensor
 from stepgate.errors import ContractError, DimensionError, DomainError
 from stepgate.harness.evaluation import light_frames
+from stepgate.harness.models import ModelBundle
 
 SLOT = 16  # frames per slot
 
@@ -263,15 +264,17 @@ def test_stacked_select_equals_per_video_select(context_mode):
     nptest.assert_array_equal(test.open, joined(alone, "open"))
     assert 0 < test.open.sum() < test.open.size
 
+    named = ModelBundle(selector=params).named_parameters()
+
     def train_grads(build):
-        for p in params.named_parameters().values():
+        for p in named.values():
             p.zero_grad()
         rng = np.random.default_rng(17)
         with ad.record() as rec:
             results = build(rng)
             loss = ad.reduce_sum(ad.concat_rows([r.activated for r in results]), axis=0)
         ad.backward(loss, rec)
-        grads = {n: p.grad.copy() for n, p in params.named_parameters().items()}
+        grads = {n: p.grad.copy() for n, p in named.items()}
         return results, grads, rng.random()   # the next draw shows the stream's use
 
     (stacked,), got, next_draw = train_grads(
@@ -362,7 +365,7 @@ def test_selection_gradient_reaches_all_selector_params():
         loss = ad.reduce_sum(res.activated, axis=0)
     assert res.selected_indices, "expected at least one open gate with open bias 2"
     ad.backward(loss, rec)
-    for name, p in params.named_parameters().items():
+    for name, p in ModelBundle(selector=params).named_parameters().items():
         assert p.grad is not None, name
     assert np.abs(params.kernels.grad).max() > 0.0
     assert np.abs(params.enc.w1.grad).max() > 0.0

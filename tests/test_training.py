@@ -17,39 +17,13 @@ from stepgate.harness.checkpoint import save_checkpoint
 from stepgate.harness import evaluation, training
 from stepgate.harness.config import MODES
 from stepgate.harness.models import build_bundle
-from stepgate.harness.training import (resolve_dataset, run_training,
-                                       spec_from_config)
+from stepgate.harness.training import resolve_dataset, run_training
 from stepgate.selector import SelectionResult, heavy_indices, select
-from stepgate.synthdata import ActivitySpec, save_split
+from stepgate.synthdata import save_split
 
 
 # ---------------------------------------------------------------------------
 # dataset plumbing
-
-
-def test_spec_from_config_matches_dataset_fields(tiny_cfg):
-    spec = spec_from_config(tiny_cfg)
-    d = tiny_cfg.dataset
-    assert spec.n_classes == d.n_classes
-    assert spec.timesteps == d.timesteps
-    assert spec.noise_sigma == d.noise_sigma
-    assert spec.task == d.task
-
-
-def test_spec_from_config_dispatches_on_recipe_style():
-    cfg = tiny_config("e2e", **{"dataset.recipe_style": "paired",
-                                "dataset.n_classes": 3,
-                                "dataset.n_shared": 3})
-    spec = spec_from_config(cfg)
-    paired = ActivitySpec.paired(
-        n_classes=3, n_shared=3, n_background=cfg.dataset.n_background,
-        d_raw=cfg.dataset.d_raw, timesteps=cfg.dataset.timesteps,
-        frames_per_slot=cfg.dataset.frames_per_slot,
-        noise_sigma=cfg.dataset.noise_sigma,
-        relevant_fraction=cfg.dataset.relevant_fraction,
-        confuser_share=cfg.dataset.confuser_share, task=cfg.dataset.task)
-    assert spec == paired
-    assert all(len(r) == 2 for r in spec.class_recipes)
 
 
 def test_resolve_dataset_generates_without_a_path(tiny_cfg, tiny_data):
@@ -70,7 +44,7 @@ def test_resolve_dataset_loads_saved_splits(tmp_path, tiny_cfg, tiny_data):
 
 def test_resolve_dataset_rejects_mismatched_splits(tmp_path, tiny_cfg, tiny_data):
     from stepgate.harness.training import generate_dataset
-    other = generate_dataset(spec_from_config(tiny_cfg), 4, 2, seed=99)
+    other = generate_dataset(tiny_cfg.dataset.spec(), 4, 2, seed=99)
     save_split(tmp_path / "train.sgds", tiny_data, "train")
     save_split(tmp_path / "test.sgds", other, "test")
     cfg = tiny_config("e2e", **{"dataset.path": str(tmp_path)})
@@ -273,7 +247,7 @@ def test_stacked_batch_loss_equals_the_mean_of_per_video_losses(task, l0_weight,
     cfg = tiny_config("e2e", **{"dataset.task": task,
                                 "training.l0_weight": l0_weight,
                                 "model.open_bias": open_bias})
-    data = training.generate_dataset(spec_from_config(cfg), 6, 2, cfg.seed)
+    data = training.generate_dataset(cfg.dataset.spec(), 6, 2, cfg.seed)
     bundle = build_bundle(cfg)
     batch = [4, 1, 3, 0]
 
@@ -310,7 +284,7 @@ def test_stacked_scorer_loss_equals_the_mean_of_per_video_losses(task):
     mean over videos of each video's mean over its positives of the
     per-timestep cross-entropy, loss and every scorer gradient."""
     cfg = tiny_config("scsampler", **{"dataset.task": task})
-    data = training.generate_dataset(spec_from_config(cfg), 8, 2, cfg.seed)
+    data = training.generate_dataset(cfg.dataset.spec(), 8, 2, cfg.seed)
     bundle = build_bundle(cfg)
     # a zero head would give every video the same loss
     rng = np.random.default_rng(11)
@@ -456,7 +430,7 @@ def test_multi_label_modes_train(tiny_cfg):
                                 "dataset.n_train": 8, "dataset.n_test": 4,
                                 "training.batch_size": 4,
                                 "training.epochs": 1})
-    data = generate_dataset(spec_from_config(cfg), 8, 4, cfg.seed)
+    data = generate_dataset(cfg.dataset.spec(), 8, 4, cfg.seed)
     res = run_training(cfg, data)
     assert np.isfinite(res.epoch_logs[-1].loss)
     cfg_sc = tiny_config("scsampler", **{"dataset.task": "multi_label",

@@ -12,9 +12,12 @@ On each side a fresh process trains and evaluates:
 * perfbench's e2e-train and baseline-train configs at seeds 1, 2 and 3.
 
 Each case saves its checkpoint and its ``train.sgds`` and ``test.sgds``
-split files.  The tool prints one line per case, naming the checkpoint's
-sha256, whether both split files have the same sha256 on both sides, and
-whether the eval reports are equal.  It then compares the output of
+split files, evaluates the trained bundle, then reloads the saved
+checkpoint and evaluates it again through ``evaluate_checkpoint``, the path
+that restores weights by parameter name.  The tool prints one line per
+case, naming the checkpoint's sha256, whether both split files have the
+same sha256 on both sides, and whether the eval reports and the reloaded
+checkpoints' reports are equal.  It then compares the output of
 ``stepgate gradcheck --seed 0`` and ``--seed 1``.  It exits 1 when any
 output differs.  Only the standard library is used here; the sides import
 their own ``stepgate``.
@@ -69,10 +72,11 @@ def _sha256(path: Path) -> str:
 
 
 def worker(root: Path) -> None:
-    """Print {case: {"sha256", "splits", "report"}} for ``root``'s code."""
+    """Print {case: {"sha256", "splits", "report", "reload"}} for ``root``'s
+    code."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    from stepgate.harness.checkpoint import save_checkpoint
-    from stepgate.harness.evaluation import evaluate_bundle
+    from stepgate.harness.checkpoint import load_checkpoint, save_checkpoint
+    from stepgate.harness.evaluation import evaluate_bundle, evaluate_checkpoint
     from stepgate.harness.training import resolve_dataset, run_training
     from stepgate.synthdata import save_split
 
@@ -88,7 +92,8 @@ def worker(root: Path) -> None:
             path = Path(tmp) / "run.sgck"
             save_checkpoint(path, result.checkpoint)
             out[name] = {"sha256": _sha256(path), "splits": splits,
-                         "report": evaluate_bundle(result.bundle, cfg, data.test).to_dict()}
+                         "report": evaluate_bundle(result.bundle, cfg, data.test).to_dict(),
+                         "reload": evaluate_checkpoint(load_checkpoint(path), data).to_dict()}
     print(json.dumps(out))
 
 
@@ -121,11 +126,13 @@ def main(argv=None) -> int:
         same_bytes = have is not None and have["sha256"] == want["sha256"]
         same_splits = have is not None and have["splits"] == want["splits"]
         same_report = have is not None and have["report"] == want["report"]
-        differ += not (same_bytes and same_splits and same_report)
+        same_reload = have is not None and have["reload"] == want["reload"]
+        differ += not (same_bytes and same_splits and same_report and same_reload)
         print(f"{name:<45} sha256 {want['sha256'][:16]} "
               f"{'same bytes' if same_bytes else 'BYTES DIFFER'}, "
               f"{'same splits' if same_splits else 'SPLITS DIFFER'}, "
-              f"{'equal report' if same_report else 'REPORT DIFFERS'}")
+              f"{'equal report' if same_report else 'REPORT DIFFERS'}, "
+              f"{'equal reload' if same_reload else 'RELOAD DIFFERS'}")
     for seed in GRADCHECK_SEEDS:
         outs = {side: _side(root, "-m", "stepgate", "gradcheck", "--seed", str(seed))
                 for side, root in sides.items()}
