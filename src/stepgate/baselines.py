@@ -48,10 +48,6 @@ class ScorerParams:
             head_b=Tensor(np.zeros(n_classes), requires_grad=True),
         )
 
-    @property
-    def n_classes(self) -> int:
-        return self.head_w.shape[1]
-
 
 def scorer_logits(light: np.ndarray, params: ScorerParams) -> Tensor:
     """Class logits (N, L) of (N, d_raw) light frames, such as one video's or

@@ -6,9 +6,9 @@ raw frames of each selected timestep slot: a video's frames are shaped
 is the expensive part of the pipeline, so it only ever runs on the indices
 handed to it; ``heavy_rows`` counts every encoded timestep to make that
 property checkable.  Its features are one (C,) row per encoded timestep, a
-(T', C) matrix; there is no spatial grid.  Classification applies gate
-magnitudes (end-to-end training only), maps each timestep through the head
-(a second ``MLP``), and max-pools over each video's timesteps, so duplicated
+(T', C) matrix; there is no spatial grid.  ``classify`` applies gate
+magnitudes (training's gated arms), maps each timestep through a head (an
+``MLP``), and max-pools over each video's timesteps, so duplicated
 timesteps never change the logits.  The rows of several videos may share one
 call: consecutive segments of rows belong to one video each.  Parameters are
 named ``classifier.enc.*`` and ``classifier.head.*``; beside their shapes,
@@ -40,7 +40,7 @@ class ClassifierParams:
     segment_len: int
     enc: MLP  # segment_len * d_raw -> channels
     head: MLP  # channels -> n_classes, per timestep
-    heavy_rows: int = 0  # timesteps encoded so far; instrumentation only
+    heavy_rows: int = 0  # timesteps encoded so far, never reset; instrumentation only
 
     @classmethod
     def init(cls, d_raw: int, segment_len: int, channels: int, n_classes: int,
@@ -49,9 +49,6 @@ class ClassifierParams:
         enc = MLP.init(segment_len * d_raw, HEAVY_HIDDEN, channels, rng)
         head = MLP.init(channels, HEAD_HIDDEN, n_classes, rng)
         return cls(segment_len=segment_len, enc=enc, head=head)
-
-    def reset_instrumentation(self) -> None:
-        self.heavy_rows = 0
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +86,18 @@ def heavynet_features(frames: np.ndarray, indices,
     return params.enc(Tensor(segments))
 
 
-def classify(features: Tensor, gate_values: Tensor | None,
-             params: ClassifierParams, segments: Sequence[int]) -> Tensor:
-    """(B, L) video logits from heavy features of shape (T', C), whose rows
-    are B consecutive segments of ``segments[b]`` rows, one per video.
+def classify(features: Tensor, gate_values: Tensor | None, head: MLP,
+             segments: Sequence[int]) -> Tensor:
+    """(B, L) video logits: ``head`` maps each row of (T', C) features, and
+    the rows of each of B consecutive segments of ``segments[b]`` rows, one
+    per video, are max-pooled.
 
     ``gate_values`` (shape (T',)) multiplies the feature rows before the head
-    when given; end-to-end training passes the activated gate magnitudes here
-    and every other path passes ``None``.
+    when given: the joint arms' activated gates with the heavy head, the
+    stand-alone selector's with its light head; every other path passes
+    ``None``.
     """
-    c = params.head.n_in
+    c = head.n_in
     if features.data.ndim != 2 or features.shape[1] != c:
         raise DimensionError(f"classify expects (T', {c}) features, got {features.shape}")
     t_sel = features.shape[0]
@@ -108,7 +107,7 @@ def classify(features: Tensor, gate_values: Tensor | None,
                 f"gate values shape {gate_values.shape} does not match {t_sel} selected timesteps"
             )
         features = ad.mul(features, ad.tile_cols(gate_values, c))
-    return ad.segment_max(params.head(features), segments)
+    return ad.segment_max(head(features), segments)
 
 
 def task_loss(logits: Tensor, targets, task: str) -> Tensor:

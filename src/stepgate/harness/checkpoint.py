@@ -8,6 +8,7 @@ A name is the tensor's field path in ``ModelBundle`` (``selector.enc.w1``,
 ``scorer.head_w``), in ``ModelBundle.named_parameters`` order.  Older
 versions are rejected.  The header JSON is canonical (sorted keys, no
 whitespace) so save -> load -> save reproduces the file byte for byte.
+``Checkpoint.bundle`` is the one way from stored weights to a model.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .. import container
 from ..errors import ContractError, FormatError
 from .config import ExperimentConfig, config_from_dict
-from .models import ModelBundle
+from .models import ModelBundle, build_bundle
 
 MAGIC = b"SGCK"
 FORMAT_VERSION = 4
@@ -40,8 +41,10 @@ class Checkpoint:
     def experiment_config(self) -> ExperimentConfig:
         return config_from_dict(self.config)
 
-    def apply_to_bundle(self, bundle: ModelBundle) -> None:
-        """Copy stored values into the bundle's tensors, names checked strictly."""
+    def bundle(self, config: ExperimentConfig) -> ModelBundle:
+        """``config``'s freshly built bundle, filled with the stored values;
+        names and shapes must match exactly."""
+        bundle = build_bundle(config)
         named = bundle.named_parameters()
         if set(named) != set(self.params):
             missing = sorted(set(self.params) - set(named))
@@ -57,6 +60,7 @@ class Checkpoint:
                     f"{name} has shape {tensor.data.shape}, checkpoint holds {stored.shape}"
                 )
             tensor.data[...] = stored
+        return bundle
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -18,11 +18,11 @@ from .. import __version__
 from ..costmodel import CostReport, tradeoff_csv
 from ..errors import ConfigError, ContractError, FormatError, StepgateError
 from ..synthdata import save_split
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
-from .evaluation import SELECTOR_MODES, entry_key, evaluate_checkpoint
+from .evaluation import SELECTOR_MODES, entry_key, evaluate_bundle
 from .gradsuite import THRESHOLD, run_gradient_suite, suite_passes
-from .models import build_bundle
+from .models import ModelBundle
 from .reports import write_gating_report
 from .training import resolve_dataset, run_training
 
@@ -76,26 +76,30 @@ def _seed(seed: int) -> int:
     return seed
 
 
-def _load(args, ckpt: Checkpoint | None = None) -> ExperimentConfig:
-    """The ``--config`` file (else the checkpoint's config), ``--seed`` applied."""
-    config = load_config(args.config) if args.config else ckpt.experiment_config()
+def _load(args, stored: ExperimentConfig | None = None) -> ExperimentConfig:
+    """The ``--config`` file (else ``stored``), ``--seed`` applied."""
+    config = load_config(args.config) if args.config else stored
     if args.seed is not None:
         config.seed = _seed(args.seed)
     return config
 
 
-def _load_checkpoint_run(args) -> tuple[Checkpoint, ExperimentConfig]:
-    """The checkpoint, set to run under ``_load``'s config; a ``--config``
-    whose model does not fit the stored weights is a config error."""
+def _load_checkpoint_run(args) -> tuple[ExperimentConfig, ModelBundle]:
+    """``_load``'s config and the checkpoint's model under it.  A ``--config``
+    whose model does not fit the weights is a config error; without one, a
+    stored config that fails validation makes the checkpoint corrupt."""
     ckpt = load_checkpoint(args.checkpoint)
-    config = _load(args, ckpt)
-    ckpt.config = config.to_dict()
-    if args.config:
-        try:
-            ckpt.apply_to_bundle(build_bundle(config))
-        except ContractError as exc:
+    try:
+        stored = None if args.config else ckpt.experiment_config()
+    except ConfigError as exc:
+        raise FormatError(f"{args.checkpoint}: stored config is invalid ({exc})") from exc
+    config = _load(args, stored)
+    try:
+        return config, ckpt.bundle(config)
+    except ContractError as exc:
+        if args.config:
             raise ConfigError(f"{args.config} does not fit the checkpoint: {exc}") from exc
-    return ckpt, config
+        raise
 
 
 def _out_dir(args) -> Path:
@@ -138,14 +142,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt, config = _load_checkpoint_run(args)
+    config, bundle = _load_checkpoint_run(args)
     dataset = resolve_dataset(config)
     start = time.perf_counter()
-    report = evaluate_checkpoint(ckpt, dataset)
+    report = evaluate_bundle(bundle, config, dataset.test)
     eval_s = time.perf_counter() - start
     out = _out_dir(args)
     config_json = config.canonical_json()
-    payload = {"config": ckpt.config, "report": report.to_dict(),
+    payload = {"config": config.to_dict(), "report": report.to_dict(),
                "provenance": {
                    "stepgate_version": __version__,
                    "config_sha256": hashlib.sha256(config_json.encode()).hexdigest(),
@@ -160,10 +164,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    ckpt, config = _load_checkpoint_run(args)
+    config, bundle = _load_checkpoint_run(args)
     if config.mode not in SELECTOR_MODES:
         raise ConfigError(f"mode {config.mode!r} has no gates to report on")
-    paths = write_gating_report(ckpt, resolve_dataset(config), _out_dir(args))
+    paths = write_gating_report(bundle, config, resolve_dataset(config).test,
+                                _out_dir(args))
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

@@ -15,7 +15,8 @@ videos, or the scorer once over the list, on the light frames that
 from that one ranking.  Each entry encodes each video with its own
 ``heavynet_features`` call, entry after entry, and runs ``classify`` once
 per minibatch on the concatenated features.  So a ``select`` or
-``classify`` call covers a minibatch, not a video.
+``classify`` call covers a minibatch, not a video.  An entry's heavy rows
+are the growth of the encoder's ``heavy_rows`` over it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..selector import LIGHT_HIDDEN, heavy_indices, select, top_k_indices
 from ..synthdata import Dataset
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .models import ModelBundle, build_bundle, training_sample_budget
+from .models import ModelBundle, training_sample_budget
 
 _EVAL_STREAM = 0xE7A1
 
@@ -203,8 +204,8 @@ def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list):
     return [None] * len(videos)
 
 
-def split_picks(bundle: ModelBundle, config: ExperimentConfig, ranked,
-                budgets: list, stream: list[int]) -> list[list[list[int]]]:
+def split_picks(config: ExperimentConfig, ranked, budgets: list,
+                stream: list[int]) -> list[list[list[int]]]:
     """Per budget, per row of ``ranked``, the timesteps that video's heavy
     stage encodes (budget None: the natural gate count, or the training
     sample budget for the selector-free arms).
@@ -249,22 +250,23 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
                         timesteps=t)
     # test-mode gates and scores do not depend on the budget
     ranked = rankings(bundle, config, videos)
-    picks = split_picks(bundle, config, ranked, budgets, [_EVAL_STREAM])
+    picks = split_picks(config, ranked, budgets, [_EVAL_STREAM])
     for budget, entry_picks in zip(budgets, picks):
-        bundle.classifier.reset_instrumentation()
+        before = bundle.classifier.heavy_rows
         minibatch_scores = []
         for lo in range(0, len(videos), b):
             chunk = entry_picks[lo:lo + b]
             feats = [heavynet_features(v.frames, idx, bundle.classifier)
                      for v, idx in zip(videos[lo:lo + b], chunk)]
-            minibatch_scores.append(classify(ad.concat_rows(feats), None, bundle.classifier,
+            minibatch_scores.append(classify(ad.concat_rows(feats), None, bundle.classifier.head,
                                              [len(idx) for idx in chunk]).data)
         score_rows = np.concatenate(minibatch_scores)
         counts = [len(idx) for idx in entry_picks]
-        if bundle.classifier.heavy_rows != sum(counts):
+        heavy_rows = bundle.classifier.heavy_rows - before
+        if heavy_rows != sum(counts):
             raise ContractError(
                 f"{entry_key(budget)}: the heavy encoder counted "
-                f"{bundle.classifier.heavy_rows} rows, the videos picked {sum(counts)}")
+                f"{heavy_rows} rows, the videos picked {sum(counts)}")
         if task == "single_label":
             name = "accuracy"
             value = accuracy(np.argmax(score_rows, axis=1),
@@ -279,16 +281,14 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
         report.entries.append(BudgetMetrics(
             budget=budget, metric_name=name, value=value,
             mean_selected=mean_sel, mean_ratio=mean_sel / t,
-            heavy_rows=bundle.classifier.heavy_rows,
+            heavy_rows=heavy_rows,
             cost=_cost_for(config, mean_sel, registry),
         ))
     return report
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset) -> EvalReport:
-    """Rebuild the bundle a checkpoint describes and evaluate it on the test
-    split."""
+    """Evaluate the model a checkpoint describes, under its stored config, on
+    the test split."""
     config = ckpt.experiment_config()
-    bundle = build_bundle(config)
-    ckpt.apply_to_bundle(bundle)
-    return evaluate_bundle(bundle, config, dataset.test)
+    return evaluate_bundle(ckpt.bundle(config), config, dataset.test)

@@ -16,7 +16,7 @@ from .. import autodiff as ad
 from .. import gating
 from ..autodiff import Tensor, finite_diff_check
 from ..errors import ContractError
-from ..selector import gate_logits
+from ..selector import select
 from ..synthdata import generate_dataset
 from .config import DatasetConfig, ExperimentConfig, ModelConfig, TrainingConfig
 from .evaluation import light_frames
@@ -175,8 +175,8 @@ def _e2e_cases(seed: int) -> dict[str, float]:
     batch = [0, 1]
     # the first gate-noise seed whose noisy logits all sit clear of the gate
     # threshold and open a gate in every video
-    alphas = gate_logits(light_frames([dataset.train[i] for i in batch], config),
-                         bundle.selector).data.ravel()
+    alphas = select(light_frames([dataset.train[i] for i in batch], config),
+                    bundle.selector, "test").logits.data.ravel()
     for noise_seed in range(_NOISE_SEED, _NOISE_SEED + _NOISE_TRIES):
         z = alphas + gating.sample_gate_noise_batch(np.random.default_rng(noise_seed),
                                                     alphas.size)

@@ -18,11 +18,9 @@ import numpy as np
 from ..autodiff import sigmoid_np
 from ..errors import ContractError
 from ..gating import step_open
-from ..synthdata import Dataset
-from .checkpoint import Checkpoint
 from .config import ExperimentConfig
 from .evaluation import SELECTOR_MODES, rankings
-from .models import ModelBundle, build_bundle
+from .models import ModelBundle
 
 CLASS_RATIOS_HEADER = "class,ratio"
 TEMPORAL_PROFILE_HEADER = "class,position,normalized_gate"
@@ -86,13 +84,11 @@ def temporal_profile_csv(report: GatingReport) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def write_gating_report(ckpt: Checkpoint, dataset: Dataset,
-                        out_dir) -> dict[str, str]:
-    """Emit class_ratios.csv, temporal_profile.csv, and summary.json."""
-    config = ckpt.experiment_config()
-    bundle = build_bundle(config)
-    ckpt.apply_to_bundle(bundle)
-    report = compute_gating_report(bundle, config, dataset.test)
+def write_gating_report(bundle: ModelBundle, config: ExperimentConfig,
+                        videos: list, out_dir) -> dict[str, str]:
+    """Emit class_ratios.csv, temporal_profile.csv, and summary.json for
+    ``videos`` (normally the test split)."""
+    report = compute_gating_report(bundle, config, videos)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {

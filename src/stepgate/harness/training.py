@@ -121,13 +121,9 @@ def _prediction_hit(logits: np.ndarray, labels, task: str) -> float:
 
 def _scored(logits: Tensor, videos: list, task: str) -> tuple[Tensor, float]:
     """The task loss of a batch's (B, L) logits and its prediction hits."""
-    if task == "single_label":
-        targets = [int(v.labels) for v in videos]
-    else:
-        targets = np.stack([v.labels for v in videos])
     hits = sum(_prediction_hit(row, v.labels, task)
                for row, v in zip(logits.data, videos))
-    return task_loss(logits, targets, task), hits
+    return task_loss(logits, [v.labels for v in videos], task), hits
 
 
 def _check_finite(loss: Tensor, mode: str, epoch: int) -> None:
@@ -138,8 +134,7 @@ def _check_finite(loss: Tensor, mode: str, epoch: int) -> None:
 
 
 def _fit(params, config: ExperimentConfig, n_videos: int,
-         rng: np.random.Generator, batch_loss,
-         mode_name: str) -> tuple[list[EpochLog], int]:
+         rng: np.random.Generator, batch_loss) -> tuple[list[EpochLog], int]:
     """The training loop: returns the epoch logs and the Adam step count.
 
     ``batch_loss(epoch, video_indices)`` runs inside the recording and
@@ -154,7 +149,7 @@ def _fit(params, config: ExperimentConfig, n_videos: int,
         for batch in _batches(n_videos, tr.batch_size, rng):
             with ad.record():
                 loss, hits, ratios, fallbacks = batch_loss(epoch, batch)
-                _check_finite(loss, mode_name, epoch)
+                _check_finite(loss, config.mode, epoch)
                 ad.backward(loss)
             opt.step()
             loss_sum += float(loss.data) * len(batch)
@@ -193,7 +188,7 @@ def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
         raise ContractError(
             f"the heavy encoder counted {params.heavy_rows - before} rows, "
             f"the batch picked {len(segments)}")
-    return classify(feats, gates, params, [len(idx) for idx in picks])
+    return classify(feats, gates, params.head, [len(idx) for idx in picks])
 
 
 def joint_logits(frames: list[np.ndarray], results: list[SelectionResult],
@@ -238,13 +233,10 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             results = [select(light[b:b + 1], bundle.selector, "train", rng=rng)
                        for b in range(len(videos))]
             if mode == "standalone":
-                # light path: gated light features, light head, max over each
-                # video's timesteps
-                gates = ad.concat_rows([r.activated for r in results])
-                feats = ad.concat_rows([r.features for r in results])
-                gated = ad.mul(feats, ad.tile_cols(gates, feats.shape[1]))
-                logits = ad.segment_max(bundle.light_head(gated),
-                                        [t_steps] * len(results))
+                # light path: gated light features through the light head
+                logits = classify(ad.concat_rows([r.features for r in results]),
+                                  ad.concat_rows([r.activated for r in results]),
+                                  bundle.light_head, [t_steps] * len(results))
             else:
                 logits = joint_logits([v.frames for v in videos], results, bundle)
             loss, hits = _scored(logits, videos, task)
@@ -298,7 +290,7 @@ def run_training(config: ExperimentConfig,
     if video_loss is not None:
         params = [t for name, t in bundle.named_parameters().items()
                   if joint or not name.startswith("classifier.")]
-        logs, steps = _fit(params, config, n_train, rng, video_loss, config.mode)
+        logs, steps = _fit(params, config, n_train, rng, video_loss)
 
     if not joint:
         task = config.dataset.task
@@ -309,7 +301,7 @@ def run_training(config: ExperimentConfig,
 
         @functools.lru_cache(maxsize=1)
         def epoch_picks(epoch):
-            return split_picks(bundle, config, ranked, [None], [_SAMPLE_STREAM, epoch])[0]
+            return split_picks(config, ranked, [None], [_SAMPLE_STREAM, epoch])[0]
 
         def classifier_loss(epoch, batch):
             videos = [dataset.train[vi] for vi in batch]
@@ -323,8 +315,7 @@ def run_training(config: ExperimentConfig,
         rng_b.integers(1 << 30)  # offset from the phase A shuffle stream
         cls_params = [t for name, t in bundle.named_parameters().items()
                       if name.startswith("classifier.")]
-        cls_logs, cls_steps = _fit(cls_params, config, n_train, rng_b,
-                                   classifier_loss, config.mode)
+        cls_logs, cls_steps = _fit(cls_params, config, n_train, rng_b, classifier_loss)
         steps += cls_steps
 
     ckpt = Checkpoint.from_bundle(config, bundle, step=steps)

@@ -110,25 +110,10 @@ def self_attention(features: Tensor, params: SelectorParams, t: int) -> Tensor:
     return ad.attention(features, params.attn_q, params.attn_k, params.attn_v, t)
 
 
-def _gate_inputs(light: np.ndarray, params: SelectorParams) -> tuple[Tensor, Tensor]:
-    """The features the gates read and their (B*T, 1) gate logits."""
-    feats = lightnet_features(light, params)
-    if params.attn_q is not None:
-        feats = self_attention(feats, params, light.shape[1])
-    sims = gating.similarity_batch(feats, params.kernels)
-    return feats, gating.gate_logits_batch(sims, params.gate)
-
-
-def gate_logits(light: np.ndarray, params: SelectorParams) -> Tensor:
-    """Per-timestep gate logits of a (B, T, d_raw) light stack as a (B*T, 1)
-    column."""
-    return _gate_inputs(light, params)[1]
-
-
 def select(light: np.ndarray, params: SelectorParams, mode: str,
            rng: np.random.Generator | None = None) -> SelectionResult:
-    """Run the full selection pipeline over a (B, T, d_raw) stack of light
-    frames.
+    """The gate stack's one entry: light encoder, attention when the selector
+    has it, similarity, gate MLP and gates over a (B, T, d_raw) light stack.
 
     ``mode`` is "train" (noisy clipped sigmoid; needs ``rng``) or "test"
     (deterministic step).  A stack draws its gate noise video after video,
@@ -138,7 +123,11 @@ def select(light: np.ndarray, params: SelectorParams, mode: str,
     """
     if mode not in ("train", "test"):
         raise DomainError(f"selection mode must be 'train' or 'test', got {mode!r}")
-    feats, alphas = _gate_inputs(light, params)
+    feats = lightnet_features(light, params)
+    if params.attn_q is not None:
+        feats = self_attention(feats, params, light.shape[1])
+    alphas = gating.gate_logits_batch(gating.similarity_batch(feats, params.kernels),
+                                      params.gate)
     if mode == "train":
         if rng is None:
             raise ContractError("train-mode selection needs an rng for the gate noise")

@@ -96,7 +96,7 @@ class ActivitySpec:
         recipes = [frozenset({c} | {shared[(SHARED_PER_CLASS * c + j) % n_shared]
                                     for j in range(SHARED_PER_CLASS)})
                    for c in range(n_classes)]
-        return cls._from_recipes(recipes, shared, n_background, scalars)
+        return cls._from_recipes(n_classes, recipes, shared, n_background, scalars)
 
     @classmethod
     def paired(cls, n_classes: int, n_shared: int, n_background: int,
@@ -113,16 +113,16 @@ class ActivitySpec:
                 f"pairs, fewer than {n_classes} classes"
             )
         recipes = [frozenset(pairs[c]) for c in range(n_classes)]
-        return cls._from_recipes(recipes, range(n_shared), n_background, scalars)
+        return cls._from_recipes(n_classes, recipes, range(n_shared), n_background, scalars)
 
     @classmethod
-    def _from_recipes(cls, recipes: list, shared: range, n_background: int,
-                      scalars: dict) -> "ActivitySpec":
-        """The spec of ``recipes``, with ``n_background`` background
-        prototypes numbered after the ``shared`` ones and placements
-        alternating over the classes."""
+    def _from_recipes(cls, n_classes: int, recipes: list, shared: range,
+                      n_background: int, scalars: dict) -> "ActivitySpec":
+        """The spec of ``n_classes`` (as requested, for ``__post_init__`` to
+        judge) classes with ``recipes``, ``n_background`` background prototypes
+        numbered after the ``shared`` ones and placements alternating."""
         background = range(shared.stop, shared.stop + n_background)
-        return cls(n_classes=len(recipes), n_prototypes=background.stop,
+        return cls(n_classes=n_classes, n_prototypes=background.stop,
                    class_recipes=tuple(recipes), shared_prototypes=frozenset(shared),
                    background_prototypes=frozenset(background),
                    placement=tuple(PLACEMENTS[c % 2] for c in range(len(recipes))),

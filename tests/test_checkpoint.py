@@ -29,26 +29,26 @@ def test_from_bundle_copies_parameters(bundle_and_ckpt):
     assert ckpt.experiment_config() == cfg
 
 
-def test_apply_to_bundle_restores_values(bundle_and_ckpt):
+def test_bundle_restores_values(bundle_and_ckpt):
     cfg, bundle, ckpt = bundle_and_ckpt
-    fresh = build_bundle(tiny_config("e2e", seed=9))
-    ckpt.apply_to_bundle(fresh)
+    # another seed draws other initial values; the stored ones must win
+    fresh = ckpt.bundle(tiny_config("e2e", seed=9))
+    assert list(fresh.named_parameters()) == list(ckpt.params)
     for name, tensor in fresh.named_parameters().items():
         nptest.assert_array_equal(tensor.data, ckpt.params[name])
+        assert tensor.data is not ckpt.params[name]
 
 
-def test_apply_rejects_mismatched_bundles(bundle_and_ckpt):
+def test_bundle_rejects_mismatched_configs(bundle_and_ckpt):
     _, _, ckpt = bundle_and_ckpt
-    other = build_bundle(tiny_config("uniform"))
     with pytest.raises(ContractError, match="do not line up"):
-        ckpt.apply_to_bundle(other)
+        ckpt.bundle(tiny_config("uniform"))
 
 
-def test_apply_rejects_mismatched_shapes(bundle_and_ckpt):
+def test_bundle_rejects_mismatched_shapes(bundle_and_ckpt):
     _, _, ckpt = bundle_and_ckpt
-    wider = build_bundle(tiny_config("e2e", **{"model.gate_hidden": 8}))
     with pytest.raises(ContractError, match="shape"):
-        ckpt.apply_to_bundle(wider)
+        ckpt.bundle(tiny_config("e2e", **{"model.gate_hidden": 8}))
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,9 @@ def test_heavynet_instrumentation_counts_encoded_timesteps():
     assert params.heavy_rows == 3
     cls.heavynet_features(frames, [2], params)
     assert params.heavy_rows == 4
-    params.reset_instrumentation()
-    assert params.heavy_rows == 0
+    # a repeated slot is encoded, and counted, once per occurrence
+    cls.heavynet_features(frames, [1, 1], params)
+    assert params.heavy_rows == 6
 
 
 def test_heavynet_contract_errors():
@@ -104,7 +105,7 @@ def test_classify_matches_numpy_oracle():
     frames = random_frames(np.random.default_rng(6), d_raw=4)
     feats = cls.heavynet_features(frames, [0, 1, 2], params)
     gates = np.asarray([0.9, 0.6, 0.75])
-    got = cls.classify(feats, Tensor(gates), params, [3]).data
+    got = cls.classify(feats, Tensor(gates), params.head, [3]).data
     want = classify_oracle(feats.data, gates, params)
     nptest.assert_allclose(got[0], want, rtol=1e-12)
     assert got.shape == (1, 4)
@@ -115,7 +116,7 @@ def test_gate_scaling_happens_before_the_head():
     # head
     params = make_params(channels=1, n_classes=2, d_raw=4, seed=7)
     feats = Tensor(np.asarray([[-1.0]]))
-    scaled = cls.classify(feats, Tensor(np.asarray([0.5])), params, [1]).data[0]
+    scaled = cls.classify(feats, Tensor(np.asarray([0.5])), params.head, [1]).data[0]
     want = classify_oracle(feats.data, np.asarray([0.5]), params)
     nptest.assert_allclose(scaled, want, rtol=1e-12)
     h = np.maximum(np.asarray([[-0.5]]) @ params.head.w1.data + params.head.b1.data, 0.0)
@@ -127,8 +128,8 @@ def test_unit_gates_equal_no_gating_exactly():
     params = make_params(channels=2, d_raw=4, seed=8)
     frames = random_frames(np.random.default_rng(9), d_raw=4)
     feats = cls.heavynet_features(frames, [0, 3], params)
-    ungated = cls.classify(feats, None, params, [2]).data
-    gated = cls.classify(feats, Tensor(np.ones(2)), params, [2]).data
+    ungated = cls.classify(feats, None, params.head, [2]).data
+    gated = cls.classify(feats, Tensor(np.ones(2)), params.head, [2]).data
     nptest.assert_array_equal(gated, ungated)
 
 
@@ -136,26 +137,26 @@ def test_duplicate_timesteps_do_not_change_logits():
     params = make_params(seed=10)
     frames = random_frames(np.random.default_rng(11))
     feats = cls.heavynet_features(frames, [0, 2], params)
-    once = cls.classify(feats, None, params, [2]).data
+    once = cls.classify(feats, None, params.head, [2]).data
     # duplicating feature rows changes nothing at all under max pooling
     doubled = Tensor(feats.data[[0, 1, 1, 0]])
-    nptest.assert_array_equal(cls.classify(doubled, None, params, [4]).data, once)
+    nptest.assert_array_equal(cls.classify(doubled, None, params.head, [4]).data, once)
     # re-encoding a different batch size may differ in the last ulp (blas)
     twice = cls.classify(cls.heavynet_features(frames, [0, 2, 2, 0], params), None,
-                         params, [4]).data
+                         params.head, [4]).data
     nptest.assert_allclose(twice, once, rtol=1e-12)
 
 
 def test_classify_shape_validation():
     params = make_params(channels=2, d_raw=4)
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2, 1))), None, params, [3])
+        cls.classify(Tensor(np.zeros((3, 2, 1))), None, params.head, [3])
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 3))), None, params, [3])
+        cls.classify(Tensor(np.zeros((3, 3))), None, params.head, [3])
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2))), Tensor(np.ones(2)), params, [3])
+        cls.classify(Tensor(np.zeros((3, 2))), Tensor(np.ones(2)), params.head, [3])
     with pytest.raises(DimensionError):
-        cls.classify(Tensor(np.zeros((3, 2))), None, params, [1, 1])
+        cls.classify(Tensor(np.zeros((3, 2))), None, params.head, [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +200,12 @@ def build_small_pipeline(seed=0):
 
 def e2e_loss(sparams, cparams, frames, noises, label):
     import stepgate.gating as gt
-    alphas = sel.gate_logits(frames[None, :, 2], sparams)   # segment_len 4
+    alphas = sel.select(frames[None, :, 2], sparams, "test").logits   # segment_len 4
     activated, open_mask = gt.activate_train_batch(alphas, noises)
     selected = [i for i in range(3) if open_mask[i]]
     feats = cls.heavynet_features(frames, selected, cparams)
     gate_vals = ad.take_rows(activated, selected)
-    logits = cls.classify(feats, gate_vals, cparams, [len(selected)])
+    logits = cls.classify(feats, gate_vals, cparams.head, [len(selected)])
     return cls.task_loss(logits, [label], "single_label")
 
 
@@ -226,7 +227,7 @@ def test_e2e_finite_difference_check():
     import stepgate.gating as gt
     sparams, cparams, frames = build_small_pipeline(seed=4)
     noises = gt.sample_gate_noise_batch(np.random.default_rng(41), 3).reshape(3, 1)
-    alphas = sel.gate_logits(frames[None, :, 2], sparams).data
+    alphas = sel.select(frames[None, :, 2], sparams, "test").logits.data
     assert np.abs(alphas + noises).min() > 1e-2, "gate too close to its threshold for fd"
 
     def f(_):

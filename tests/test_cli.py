@@ -8,7 +8,9 @@ import stepgate
 from conftest import tiny_config
 from stepgate.harness import cli
 from stepgate.harness.cli import main
+from stepgate.harness.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from stepgate.harness.config import MODES, config_from_dict
+from stepgate.selector import SelectorParams
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +277,53 @@ def test_a_config_that_does_not_fit_the_weights_exits_before_the_dataset(
     assert err.startswith(f"config error: {path} does not fit the checkpoint: ")
     assert needle in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.fixture
+def bad_stored_config(trained, tmp_path):
+    """The trained checkpoint's weights under a stored config that fails
+    validation."""
+    ckpt = load_checkpoint(trained / "checkpoint.sgck")
+    path = tmp_path / "bad.sgck"
+    save_checkpoint(path, Checkpoint(config={**ckpt.config, "mode": "bogus"},
+                                     step=ckpt.step, params=ckpt.params))
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_an_invalid_stored_config_is_a_runtime_error_naming_the_file(
+        bad_stored_config, tmp_path, capsys, no_dataset, command):
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(bad_stored_config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: {bad_stored_config}: stored config is invalid "
+                          f"(mode must be one of ")
+    assert "got 'bogus')" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_a_config_override_does_not_read_the_stored_config(
+        bad_stored_config, cfg_file, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(bad_stored_config), "--config", cfg_file,
+                 "--out", str(out)]) == 0
+    assert (out / ("metrics.json" if command == "eval" else "summary.json")).exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_a_config_override_builds_the_model_once(cfg_file, trained, tmp_path, capsys,
+                                                 monkeypatch, command):
+    init, calls = SelectorParams.init, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return init(*args, **kwargs)
+
+    monkeypatch.setattr(SelectorParams, "init", staticmethod(counted))
+    assert main([command, "--checkpoint", str(trained / "checkpoint.sgck"),
+                 "--config", cfg_file, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_tradeoff_merges_metrics(trained, tmp_path, capsys):

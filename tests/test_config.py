@@ -94,6 +94,14 @@ def test_values_only_the_spec_rejects_raise_when_the_config_loads(dataset):
         config_from_dict({"dataset": dataset})
 
 
+@pytest.mark.parametrize("recipe_style", ["anchored", "paired"])
+def test_a_negative_class_count_is_reported_as_given(recipe_style):
+    """The spec judges the class count the config asked for, not the number
+    of recipes a builder drew from it."""
+    with pytest.raises(ConfigError, match="^dataset: need at least two classes, got -3$"):
+        config_from_dict({"dataset": {"n_classes": -3, "recipe_style": recipe_style}})
+
+
 def test_dataset_spec_matches_dataset_fields(tiny_cfg):
     spec = tiny_cfg.dataset.spec()
     d = tiny_cfg.dataset

@@ -133,6 +133,11 @@ def test_heavy_rows_instrumentation_counts_selected_rows(e2e_setup):
     report = evaluate_bundle(bundle, cfg, data.test)
     assert report.entry(1).heavy_rows == len(data.test)
     assert report.entry(3).heavy_rows == 3 * len(data.test)
+    # the encoder's counter is never reset: each entry counts its own growth
+    before = bundle.classifier.heavy_rows
+    again = evaluate_bundle(bundle, cfg, data.test)
+    assert again.to_dict() == report.to_dict()
+    assert bundle.classifier.heavy_rows - before == sum(e.heavy_rows for e in again.entries)
 
 
 def test_cost_scales_with_budget(e2e_setup):
@@ -301,7 +306,7 @@ def _reference_entries(bundle, cfg, videos):
         picks = [_reference_picks(bundle, cfg, v, vi, budget) for vi, v in enumerate(videos)]
         scores = np.stack([
             classify(heavynet_features(v.frames, idx, bundle.classifier), None,
-                     bundle.classifier, [len(idx)]).data[0]
+                     bundle.classifier.head, [len(idx)]).data[0]
             for v, idx in zip(videos, picks)])
         if cfg.dataset.task == "single_label":
             value = accuracy(np.argmax(scores, axis=1), [int(v.labels) for v in videos])

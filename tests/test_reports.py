@@ -5,7 +5,6 @@ import pytest
 
 from conftest import tiny_config
 from stepgate.errors import ContractError
-from stepgate.harness.checkpoint import Checkpoint
 from stepgate.harness.models import build_bundle
 from stepgate.harness.reports import (CLASS_RATIOS_HEADER,
                                       TEMPORAL_PROFILE_HEADER,
@@ -76,9 +75,7 @@ def test_csv_rendering(report, tiny_cfg):
 
 def test_write_gating_report_emits_files(tmp_path, tiny_data):
     cfg = tiny_config("e2e")
-    bundle = build_bundle(cfg)
-    ckpt = Checkpoint.from_bundle(cfg, bundle, step=0)
-    paths = write_gating_report(ckpt, tiny_data, tmp_path / "out")
+    paths = write_gating_report(build_bundle(cfg), cfg, tiny_data.test, tmp_path / "out")
     assert set(paths) == {"class_ratios", "temporal_profile", "summary"}
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["mode"] == "e2e"

@@ -126,11 +126,11 @@ def test_attention_rows_mix_other_timesteps():
     params = make_params(context_mode="context")
     rng = np.random.default_rng(4)
     light = random_light(rng)
-    base = sel.gate_logits(light, params).data.copy()
+    base = sel.select(light, params, "test").logits.data.copy()
     # change only the last timestep's light frame; earlier logits must move
     light2 = light.copy()
     light2[0, -1] += 10.0
-    bumped = sel.gate_logits(light2, params).data
+    bumped = sel.select(light2, params, "test").logits.data
     assert np.abs(bumped[:-1] - base[:-1]).max() > 1e-9
 
 
@@ -138,10 +138,10 @@ def test_frame_mode_ignores_other_timesteps():
     params = make_params(context_mode="frame")
     rng = np.random.default_rng(5)
     light = random_light(rng)
-    base = sel.gate_logits(light, params).data.copy()
+    base = sel.select(light, params, "test").logits.data.copy()
     light2 = light.copy()
     light2[0, -1] += 10.0
-    bumped = sel.gate_logits(light2, params).data
+    bumped = sel.select(light2, params, "test").logits.data
     nptest.assert_array_equal(bumped[:-1], base[:-1])
     assert abs(bumped[-1] - base[-1]).max() > 1e-9
 
@@ -153,8 +153,8 @@ def test_frame_mode_is_permutation_equivariant(seed):
     rng = np.random.default_rng(seed)
     light = random_light(rng)
     perm = rng.permutation(4)
-    base = sel.gate_logits(light, params).data
-    permuted = sel.gate_logits(light[:, perm], params).data
+    base = sel.select(light, params, "test").logits.data
+    permuted = sel.select(light[:, perm], params, "test").logits.data
     nptest.assert_array_equal(permuted, base[perm])
 
 
@@ -163,8 +163,8 @@ def test_context_mode_is_not_permutation_invariant():
     rng = np.random.default_rng(6)
     light = random_light(rng)
     perm = np.asarray([1, 0, 3, 2])
-    base = sel.gate_logits(light, params).data
-    permuted = sel.gate_logits(light[:, perm], params).data
+    base = sel.select(light, params, "test").logits.data
+    permuted = sel.select(light[:, perm], params, "test").logits.data
     assert np.abs(permuted - base).max() > 1e-9
 
 
@@ -222,7 +222,7 @@ def test_select_train_activated_matches_decisions():
 def test_zero_noise_train_selection_equals_test_selection():
     params = make_params(open_bias=0.3)
     light = random_light(np.random.default_rng(11))
-    alphas = sel.gate_logits(light, params)
+    alphas = sel.select(light, params, "test").logits
     value, mask = gt.activate_train_batch(alphas, np.zeros_like(alphas.data))
     test_res = sel.select(light, params, "test")
     assert list(np.where(mask)[0]) == test_res.selected_indices
@@ -379,12 +379,12 @@ def test_selection_fd_gradient_with_frozen_noise():
     noises = gt.sample_gate_noise_batch(np.random.default_rng(21), 3).reshape(3, 1)
 
     def f(_):
-        alphas = sel.gate_logits(light, params)
+        alphas = sel.select(light, params, "test").logits
         value, _mask = gt.activate_train_batch(alphas, noises)
         return ad.reduce_sum(value, axis=0)
 
     # keep the check honest: no gate may sit within 1e-2 of its threshold
-    alphas = sel.gate_logits(light, params).data
+    alphas = sel.select(light, params, "test").logits.data
     assert np.abs(alphas + noises).min() > 1e-2
     assert ad.finite_diff_check(f, params.kernels) < 1e-4
     assert ad.finite_diff_check(f, params.attn_v) < 1e-4

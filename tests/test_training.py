@@ -217,7 +217,7 @@ def _per_video_loss(video, result, bundle, cfg):
     idx, = heavy_indices(result.open[None], result.logits.data.T)
     gates = ad.take_rows(result.activated, idx) if result.open.any() else None
     feats = heavynet_features(video.frames, idx, bundle.classifier)
-    logits = classify(feats, gates, bundle.classifier, [len(idx)])
+    logits = classify(feats, gates, bundle.classifier.head, [len(idx)])
     targets = ([int(video.labels)] if cfg.dataset.task == "single_label"
                else video.labels[None, :])
     loss = task_loss(logits, targets, cfg.dataset.task)

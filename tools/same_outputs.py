@@ -14,19 +14,24 @@ On each side a fresh process trains and evaluates:
 Each case saves its checkpoint and its ``train.sgds`` and ``test.sgds``
 split files, evaluates the trained bundle, then reloads the saved
 checkpoint and evaluates it again through ``evaluate_checkpoint``, the path
-that restores weights by parameter name.  The tool prints one line per
-case, naming the checkpoint's sha256, whether both split files have the
-same sha256 on both sides, and whether the eval reports and the reloaded
-checkpoints' reports are equal.  It then compares the output of
-``stepgate gradcheck --seed 0`` and ``--seed 1``.  It exits 1 when any
-output differs.  Only the standard library is used here; the sides import
-their own ``stepgate``.
+that restores weights by parameter name.  It then runs ``stepgate eval`` on
+the saved checkpoint through ``cli.main``, and ``stepgate report`` too on
+the three selector arms, and keeps the ``metrics.json`` without its
+``provenance.eval_s`` wall time and the sha256 of each report file.  The
+tool prints one line per case, naming the checkpoint's sha256, whether both
+split files have the same sha256 on both sides, and whether the eval
+reports, the reloaded checkpoints' reports and the CLI outputs are equal.
+It then compares the output of ``stepgate gradcheck --seed 0`` and
+``--seed 1``.  It exits 1 when any output differs.  Only the standard
+library is used here; the sides import their own ``stepgate``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -39,6 +44,7 @@ from bench_pairs import ROOT, parent_copy  # noqa: E402
 
 MODES = ("e2e", "frame_conditioned", "standalone", "scsampler", "uniform", "random")
 GRADCHECK_SEEDS = (0, 1)
+REPORT_FILES = ("class_ratios.csv", "temporal_profile.csv", "summary.json")
 
 
 def _cases():
@@ -71,9 +77,28 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _cli_outputs(mode: str, path: Path, run: Path) -> dict:
+    """``stepgate eval`` and, on a selector arm, ``stepgate report`` on the
+    checkpoint at ``path``, run by the imported side's code: metrics.json
+    without its wall time and the sha256 of each report file."""
+    from stepgate.harness import cli
+    from stepgate.harness.evaluation import SELECTOR_MODES
+
+    commands = ["eval", "report"] if mode in SELECTOR_MODES else ["eval"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in commands:
+            code = cli.main([command, "--checkpoint", str(path), "--out", str(run)])
+            if code:
+                raise SystemExit(f"stepgate {command} on {mode} exited {code}")
+    metrics = json.loads((run / "metrics.json").read_text())
+    del metrics["provenance"]["eval_s"]
+    return {"metrics": metrics, **{name: _sha256(run / name) for name in REPORT_FILES
+                                   if (run / name).exists()}}
+
+
 def worker(root: Path) -> None:
-    """Print {case: {"sha256", "splits", "report", "reload"}} for ``root``'s
-    code."""
+    """Print {case: {"sha256", "splits", "report", "reload", "cli"}} for
+    ``root``'s code."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from stepgate.harness.checkpoint import load_checkpoint, save_checkpoint
     from stepgate.harness.evaluation import evaluate_bundle, evaluate_checkpoint
@@ -82,7 +107,7 @@ def worker(root: Path) -> None:
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cfg in _cases():
+        for i, (name, cfg) in enumerate(_cases()):
             data = resolve_dataset(cfg)
             splits = {}
             for split in ("train", "test"):
@@ -93,7 +118,8 @@ def worker(root: Path) -> None:
             save_checkpoint(path, result.checkpoint)
             out[name] = {"sha256": _sha256(path), "splits": splits,
                          "report": evaluate_bundle(result.bundle, cfg, data.test).to_dict(),
-                         "reload": evaluate_checkpoint(load_checkpoint(path), data).to_dict()}
+                         "reload": evaluate_checkpoint(load_checkpoint(path), data).to_dict(),
+                         "cli": _cli_outputs(cfg.mode, path, Path(tmp) / f"cli{i}")}
     print(json.dumps(out))
 
 
@@ -127,12 +153,15 @@ def main(argv=None) -> int:
         same_splits = have is not None and have["splits"] == want["splits"]
         same_report = have is not None and have["report"] == want["report"]
         same_reload = have is not None and have["reload"] == want["reload"]
-        differ += not (same_bytes and same_splits and same_report and same_reload)
+        same_cli = have is not None and have["cli"] == want["cli"]
+        differ += not (same_bytes and same_splits and same_report and same_reload
+                       and same_cli)
         print(f"{name:<45} sha256 {want['sha256'][:16]} "
               f"{'same bytes' if same_bytes else 'BYTES DIFFER'}, "
               f"{'same splits' if same_splits else 'SPLITS DIFFER'}, "
               f"{'equal report' if same_report else 'REPORT DIFFERS'}, "
-              f"{'equal reload' if same_reload else 'RELOAD DIFFERS'}")
+              f"{'equal reload' if same_reload else 'RELOAD DIFFERS'}, "
+              f"{'equal cli' if same_cli else 'CLI DIFFERS'}")
     for seed in GRADCHECK_SEEDS:
         outs = {side: _side(root, "-m", "stepgate", "gradcheck", "--seed", str(seed))
                 for side, root in sides.items()}
