@@ -8,6 +8,7 @@ A name is the tensor's field path in ``ModelBundle`` (``selector.enc.w1``,
 ``scorer.head_w``), in ``ModelBundle.named_parameters`` order.  Older
 versions are rejected.  The header JSON is canonical (sorted keys, no
 whitespace) so save -> load -> save reproduces the file byte for byte.
+``load_checkpoint`` reads each block straight into its parameter's array.
 ``Checkpoint.bundle`` is the one way from stored weights to a model.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import container
-from ..errors import ContractError, FormatError
+from ..errors import ContractError
 from .config import ExperimentConfig, config_from_dict
 from .models import ModelBundle, build_bundle
 
@@ -74,25 +75,23 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     container.write(path, MAGIC, FORMAT_VERSION, header, body)
 
 
+def checkpoint_layout(header: dict) -> list:
+    """The body an SGCK header implies (``container.read``'s layout): one
+    block per entry.  Checks the version, config and step, and makes the
+    names strings and the step an int."""
+    if int(header["format_version"]) != FORMAT_VERSION:
+        raise ValueError("header version disagrees with the container")
+    if not isinstance(header["config"], dict):
+        raise TypeError("the config is not a JSON object")
+    header["step"] = int(header["step"])
+    header["entries"] = [[str(n), dims] for n, dims in header["entries"]]
+    return [(1, [("<f8", dims) for _, dims in header["entries"]])]
+
+
 def load_checkpoint(path) -> Checkpoint:
-    blob, header, offset = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint")
-    try:
-        entries = [(str(n), tuple(dims)) for n, dims in header["entries"]]
-        # np.frombuffer reads the whole rest of the body for a -1
-        if not all(type(d) is int and d >= 0 for _, dims in entries for d in dims):
-            raise ValueError("a shape is not a list of non-negative ints")
-        config, step = dict(header["config"]), int(header["step"])
-        if int(header["format_version"]) != FORMAT_VERSION:
-            raise ValueError("header version disagrees with the container")
-        params = {}
-        for name, shape in entries:
-            count = int(np.prod(shape, dtype=np.int64))
-            params[name] = np.frombuffer(
-                blob, dtype="<f8", count=count, offset=offset
-            ).reshape(shape).astype(np.float64)
-            offset += 8 * count
-    except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: corrupt checkpoint ({exc})") from exc
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after the blocks")
-    return Checkpoint(config=config, step=step, params=params)
+    """Read one checkpoint, each block straight into its parameter's array.
+    Any file ``save_checkpoint`` did not write intact raises ``FormatError``."""
+    header, (blocks,) = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint",
+                                       checkpoint_layout)
+    params = {name: block[0] for (name, _), block in zip(header["entries"], blocks)}
+    return Checkpoint(config=header["config"], step=header["step"], params=params)

@@ -295,17 +295,20 @@ def run_training(config: ExperimentConfig,
     if not joint:
         task = config.dataset.task
         t_steps = config.dataset.timesteps
-        # the frozen selector's and the scorer's picks are fixed once phase A
-        # is over; random sampling redraws every epoch
+        # the frozen selector's and the scorer's picks and the uniform
+        # samples are fixed once phase A is over; only random sampling reads
+        # the epoch, and redraws every epoch
         ranked = rankings(bundle, config, dataset.train)
+        redraws = config.mode == "random"
 
         @functools.lru_cache(maxsize=1)
-        def epoch_picks(epoch):
-            return split_picks(config, ranked, [None], [_SAMPLE_STREAM, epoch])[0]
+        def epoch_picks(draw):
+            return split_picks(config, ranked, [None], [_SAMPLE_STREAM, draw])[0]
 
         def classifier_loss(epoch, batch):
             videos = [dataset.train[vi] for vi in batch]
-            picks = [epoch_picks(epoch)[vi] for vi in batch]
+            split = epoch_picks(epoch if redraws else 0)
+            picks = [split[vi] for vi in batch]
             logits = _heavy_logits([v.frames for v in videos], picks, None,
                                    bundle.classifier)
             loss, hits = _scored(logits, videos, task)

@@ -37,7 +37,8 @@ length, u32 CRC-32, canonical JSON header (every ``ActivitySpec`` field,
 prototype matrix as little-endian float64, then per video: label (i64, or L
 float64 indicator values in multi-label mode), relevance mask (T bytes),
 planted prototype ids (T i64), and raw frames (T*frames_per_slot*d_raw
-float64, slot by slot).
+float64, slot by slot).  ``load_split`` reads each piece straight into its
+final array, every video's frames into its row of one split-wide array.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from itertools import combinations
 import numpy as np
 
 from . import container
-from .errors import DomainError, FormatError, GenerationError
+from .errors import DomainError, GenerationError
 
 MAGIC = b"SGDS"
 FORMAT_VERSION = 2
@@ -354,45 +355,31 @@ def save_split(path, dataset: Dataset, split: str) -> None:
     container.write(path, MAGIC, FORMAT_VERSION, header, body)
 
 
+def split_layout(meta: dict) -> list:
+    """The body sections an SGDS header implies (``container.read``'s
+    layout): the prototype matrix, then one record per video.  Checks the
+    spec and makes ``n_videos`` and ``seed`` ints."""
+    spec = ActivitySpec.from_header_dict(meta)
+    meta["n_videos"], meta["seed"] = int(meta["n_videos"]), int(meta["seed"])
+    t = spec.timesteps
+    label = ("<i8", ()) if spec.task == "single_label" else ("<f8", (spec.n_classes,))
+    return [(1, [("<f8", (spec.n_prototypes, spec.d_raw))]),
+            (meta["n_videos"], [label, ("u1", (t,)), ("<i8", (t,)),
+                                ("<f8", (t, spec.frames_per_slot, spec.d_raw))])]
+
+
 def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
     """Read one split file back; returns (spec, prototypes, videos, meta).
 
-    The videos' frames are copied into rows of one (n_videos, T,
-    frames_per_slot, d_raw) array.  Any file this module did not write intact raises
-    ``FormatError``.
+    The file is read straight into the arrays returned: the videos' frames
+    are rows of one (n_videos, T, frames_per_slot, d_raw) array.  Any file
+    this module did not write intact raises ``FormatError``.
     """
-    raw, meta, off = container.read(path, MAGIC, FORMAT_VERSION, "dataset")
-    try:
-        spec = ActivitySpec.from_header_dict(meta)
-        meta["n_videos"], meta["seed"] = int(meta["n_videos"]), int(meta["seed"])
-        p, d, t = spec.n_prototypes, spec.d_raw, spec.timesteps
-        slots = (t, spec.frames_per_slot, d)
-        n_values = t * spec.frames_per_slot * d
-        prototypes = np.frombuffer(raw, dtype="<f8", count=p * d, offset=off).reshape(p, d).copy()
-        off += p * d * 8
-        if meta["n_videos"] * n_values * 8 > len(raw) - off:
-            raise ValueError(f"{meta['n_videos']} videos do not fit in the body")
-        frames = np.empty((meta["n_videos"], *slots))
-        videos = []
-        for k in range(meta["n_videos"]):
-            if spec.task == "single_label":
-                labels: object = int(struct.unpack_from("<q", raw, off)[0])
-                off += 8
-            else:
-                labels = np.frombuffer(raw, dtype="<f8", count=spec.n_classes,
-                                       offset=off).copy()
-                off += spec.n_classes * 8
-            relevance = np.frombuffer(raw, dtype=np.uint8, count=t, offset=off).astype(bool)
-            off += t
-            planted = np.frombuffer(raw, dtype="<i8", count=t, offset=off).copy()
-            off += t * 8
-            frames[k] = np.frombuffer(raw, dtype="<f8", count=n_values,
-                                      offset=off).reshape(slots)
-            off += n_values * 8
-            videos.append(VideoSample(frames=frames[k], labels=labels,
-                                      relevance=relevance, planted=planted))
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: corrupt dataset file ({exc})") from exc
-    if off != len(raw):
-        raise FormatError(f"{path}: {len(raw) - off} trailing bytes after the last record")
-    return spec, prototypes, videos, meta
+    meta, ((prototypes,), (labels, relevance, planted, frames)) = container.read(
+        path, MAGIC, FORMAT_VERSION, "dataset", split_layout)
+    spec = ActivitySpec.from_header_dict(meta)
+    if spec.task == "single_label":
+        labels = [int(c) for c in labels]
+    videos = [VideoSample(frames=f, labels=c, relevance=r, planted=p)
+              for f, c, r, p in zip(frames, labels, relevance != 0, planted)]
+    return spec, prototypes[0], videos, meta

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from stepgate.harness.config import (DatasetConfig, EvalConfig,
@@ -27,6 +29,16 @@ def tiny_config(mode="e2e", **overrides) -> ExperimentConfig:
         else:
             setattr(cfg, section, val)
     return cfg
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes at the traced-allocation peak while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,12 @@ import numpy.testing as nptest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_config
+from conftest import tiny_config, traced_peak
 from stepgate import container
 from stepgate.errors import ContractError, FormatError
 from stepgate.harness.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint,
-                                         load_checkpoint, save_checkpoint)
+                                         checkpoint_layout, load_checkpoint,
+                                         save_checkpoint)
 from stepgate.harness.models import build_bundle
 
 
@@ -112,12 +113,47 @@ def test_version_1_files_are_rejected(tmp_path, bundle_and_ckpt):
             load_checkpoint(old)
 
 
+def _header_and_body(path):
+    """A checkpoint's header as ``load_checkpoint`` reads it, and its body bytes."""
+    header, sections = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint",
+                                      checkpoint_layout)
+    return header, path.read_bytes()[-sum(a.nbytes for s in sections for a in s):]
+
+
+@pytest.fixture()
+def large_ckpt(tmp_path):
+    """A checkpoint of about 6 MB of blocks, so a whole-file buffer shows."""
+    rng = np.random.default_rng(0)
+    params = {"a": rng.standard_normal((512, 1024)), "b": rng.standard_normal(256 * 1024)}
+    path = tmp_path / "large.sgck"
+    save_checkpoint(path, Checkpoint(config=tiny_config().to_dict(), step=1, params=params))
+    return path, params
+
+
+def test_a_load_peaks_at_the_blocks_it_returns(large_ckpt):
+    path, params = large_ckpt
+    blocks = sum(a.nbytes for a in params.values())
+    assert traced_peak(load_checkpoint, path) <= 1.1 * blocks
+
+
+def test_a_huge_shape_fails_before_the_body_is_allocated(tmp_path, large_ckpt):
+    header, body = _header_and_body(large_ckpt[0])
+    bad = tmp_path / "huge.sgck"
+    container.write(bad, MAGIC, FORMAT_VERSION,
+                    {**header, "entries": [["a", [1 << 40, 1 << 20]], header["entries"][1]]},
+                    [body])
+
+    def rejected():
+        with pytest.raises(FormatError, match="implies"):
+            load_checkpoint(bad)
+    assert traced_peak(rejected) < 1 << 20
+
+
 def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bundle_and_ckpt):
     _, _, ckpt = bundle_and_ckpt
     path = tmp_path / "x.sgck"
     save_checkpoint(path, ckpt)
-    raw, header, offset = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint")
-    body = raw[offset:].tobytes()
+    header, body = _header_and_body(path)
     first = header["entries"][0]
     cases = {
         "missing_step": ({k: v for k, v in header.items() if k != "step"}, body),

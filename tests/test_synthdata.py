@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stepgate.synthdata as sd
+from conftest import traced_peak
 from stepgate import container
 from stepgate.errors import DomainError, FormatError, GenerationError
 
@@ -409,18 +410,41 @@ def test_version_1_files_are_rejected(tmp_path, dataset):
         sd.load_split(old)
 
 
+def _header_and_body(path):
+    """A split file's header as ``load_split`` reads it, and its body bytes."""
+    header, sections = container.read(path, sd.MAGIC, sd.FORMAT_VERSION, "dataset",
+                                      sd.split_layout)
+    return header, path.read_bytes()[-sum(a.nbytes for s in sections for a in s):]
+
+
+def test_a_load_peaks_at_the_frames_it_returns(tmp_path, dataset):
+    """The body lands in its final arrays: no whole-file buffer, no second
+    copy of the frames."""
+    path = tmp_path / "test.sgds"
+    sd.save_split(path, dataset, "test")
+    frames = sum(v.frames.nbytes for v in dataset.test)
+    assert frames > 4 << 20
+    assert traced_peak(sd.load_split, path) <= 1.1 * frames
+
+
 def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dataset):
     """Files whose checksum holds but whose header or body do not fit the
-    layout still fail as FormatError, never as a parser's own exception."""
+    layout still fail as FormatError, never as a parser's own exception,
+    and before anything the size of the body is allocated."""
     path = tmp_path / "x.sgds"
     sd.save_split(path, dataset, "test")
-    raw, header, offset = container.read(path, sd.MAGIC, sd.FORMAT_VERSION, "dataset")
-    body = raw[offset:].tobytes()
+    header, body = _header_and_body(path)
+    assert len(body) > 4 << 20
+
+    def rejected(bad):
+        with pytest.raises(FormatError):
+            sd.load_split(bad)
     cases = {
         "missing_key": ({k: v for k, v in header.items() if k != "d_raw"}, body),
         "missing_seed": ({k: v for k, v in header.items() if k != "seed"}, body),
         "bad_spec": ({**header, "confuser_share": 5.0}, body),
         "nan_noise": ({**header, "noise_sigma": float("nan")}, body),
+        "infinite_seed": ({**header, "seed": float("inf")}, body),
         "wrong_type": ({**header, "n_videos": "many"}, body),
         "short_body": (header, body[:397]),
         "cut_label": ({**header, "n_videos": header["n_videos"] + 1}, body + b"\x00" * 4),
@@ -431,8 +455,7 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
     for name, (h, b) in cases.items():
         bad = tmp_path / f"{name}.sgds"
         container.write(bad, sd.MAGIC, sd.FORMAT_VERSION, h, [b])
-        with pytest.raises(FormatError):
-            sd.load_split(bad)
+        assert traced_peak(rejected, bad) < 1 << 20, name
 
 
 @pytest.fixture(scope="module")
@@ -450,7 +473,7 @@ def test_the_header_is_pinned(small_split, tmp_path):
     """The header bytes are the format: a field renamed or a set left
     unsorted must fail here, not only in a round trip through this code."""
     path, _ = small_split
-    assert container.read(path, sd.MAGIC, sd.FORMAT_VERSION, "dataset")[1] == {
+    assert _header_and_body(path)[0] == {
         "format_version": 2, "n_videos": 3, "seed": 5, "split": "test",
         "task": "single_label", "n_classes": 3, "n_prototypes": 7, "d_raw": 4,
         "timesteps": 6, "frames_per_slot": 2, "noise_sigma": 0.3,
@@ -464,7 +487,7 @@ def test_the_header_is_pinned(small_split, tmp_path):
         noise_sigma=0.25, relevant_fraction=0.4, confuser_share=0.5, task="multi_label")
     paired = tmp_path / "train.sgds"
     sd.save_split(paired, sd.generate_dataset(spec, 2, 3, seed=11), "train")
-    assert container.read(paired, sd.MAGIC, sd.FORMAT_VERSION, "dataset")[1] == {
+    assert _header_and_body(paired)[0] == {
         "format_version": 2, "n_videos": 2, "seed": 11, "split": "train",
         "task": "multi_label", "n_classes": 3, "n_prototypes": 4, "d_raw": 3,
         "timesteps": 5, "frames_per_slot": 2, "noise_sigma": 0.25,

@@ -336,6 +336,17 @@ def test_the_scorer_runs_once_per_minibatch_and_once_per_ranked_split(
     assert [len(args[0]) for args in score_calls] == [n * t, len(tiny_data.test) * t]
 
 
+@pytest.mark.parametrize("mode", ["standalone", "scsampler", "uniform", "random"])
+def test_phase_b_draws_picks_once_unless_they_depend_on_the_epoch(mode, tiny_data,
+                                                                  monkeypatch):
+    """Only random sampling redraws its picks every phase-B epoch."""
+    calls = []
+    _record_calls(monkeypatch, training, "split_picks", calls)
+    cfg = tiny_config(mode, **{"training.epochs": 3})
+    run_training(cfg, tiny_data)
+    assert len(calls) == (3 if mode == "random" else 1)
+
+
 def test_the_scorer_stack_rejects_a_video_with_the_wrong_slot_count(tiny_data):
     cfg = tiny_config("scsampler")
     short = dataclasses.replace(tiny_data.train[1],
