@@ -24,7 +24,10 @@ reference to the record and the tensor's index on the tape), while the record
 holds its tensors strongly.  So a tape forms no reference cycle: it and every
 intermediate are freed by reference counting as soon as the record's ``with``
 block has ended and the last reference to the record drops, without waiting
-for the cyclic collector.
+for the cyclic collector.  Within :func:`backward` a gradient lives until it
+has been passed on: node i's gradient is dropped once its backward function
+(or, for a leaf, the accumulation into ``grad``) has read it, so the walk
+holds the gradients of the nodes still to visit, not one per tape node.
 
 A network layer is one tape node with a hand-written backward: ``affine``
 (``x @ w + b``), ``mlp`` (two affines around a relu, the body of every
@@ -415,11 +418,15 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, t: int) -> Tensor:
     d = x.data
     q, k, v = ((d @ w.data).reshape(-1, t, d.shape[1]) for w in (wq, wk, wv))
     c = 1.0 / math.sqrt(d.shape[1])
-    s = (q @ k.swapaxes(-1, -2)) * c
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    return _emit("attention", d + (p @ v).reshape(d.shape), (x, wq, wk, wv),
-                 (x.requires_grad, q, k, v, p, c))
+    # the softmax runs in place on the score array, which becomes p
+    p = q @ k.swapaxes(-1, -2)
+    p *= c
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v).reshape(d.shape)
+    out += d
+    return _emit("attention", out, (x, wq, wk, wv), (x.requires_grad, q, k, v, p, c))
 
 
 def noisy_gate(logits: Tensor, noise) -> Tensor:
@@ -494,7 +501,8 @@ def _bwd_mlp(node, g, data):
     rows = None if live.all() else np.flatnonzero(live)
     if rows is not None:
         g, x, hidden = g[rows], x[rows], hidden[rows]
-    g_pre = (g @ w2.T) * (hidden > 0.0)
+    g_pre = g @ w2.T
+    g_pre *= hidden > 0.0
     gx = g_pre @ w1.T if x_grad else None
     if gx is not None and rows is not None:
         full = np.zeros_like(data[0])
@@ -625,7 +633,9 @@ def backward(loss: Tensor, rec: ComputationRecord | None = None) -> None:
 
     Gradients add onto whatever is already stored, so repeated calls without
     an intervening ``zero_grad`` sum their contributions.  Intermediate
-    tensors and the loss keep ``grad is None``.
+    tensors and the loss keep ``grad is None``.  The walk drops each node's
+    gradient as soon as it has passed it on to the node's inputs, so only
+    gradients still waiting to be read are alive.
     """
     nid = loss.node_id
     if rec is None and nid is not None:
@@ -647,6 +657,8 @@ def backward(loss: Tensor, rec: ComputationRecord | None = None) -> None:
         g = grads[idx]
         if g is None:
             continue
+        # no later node reads this gradient: drop it once it is passed on
+        grads[idx] = None
         node = nodes[idx]
         if node.op == "leaf":
             t = node.tensor
@@ -694,7 +706,10 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
+        # one buffer the size of the largest parameter; each parameter's
+        # scratch is a view of its first p.size entries
+        buf = np.empty(max((p.data.size for p in self.params), default=0))
+        self._scratch = [buf[:p.data.size].reshape(p.shape) for p in self.params]
 
     def step(self) -> None:
         """One update, in place: the scratch array and the spent gradient

@@ -9,10 +9,11 @@ so on the open set the scaling is the identity, and under a top-k override
 it would zero the force-included rows.
 
 Work is stacked where it does not depend on the budget.  ``rankings`` runs
-the test-mode selector once per minibatch of ``training.batch_size``
-videos, or the scorer once over the list, on the light frames that
-``light_frames`` picks; ``split_picks`` then derives every budget's picks
-from that one ranking.  Each entry encodes each video with its own
+the test-mode selector or the scorer once per minibatch of
+``training.batch_size`` videos, on the light frames that ``light_frames``
+picks, so ranking a split needs one minibatch's working memory, not the
+split's; ``split_picks`` then derives every budget's picks from that one
+ranking.  Each entry encodes each video with its own
 ``heavynet_features`` call, entry after entry, and runs ``classify`` once
 per minibatch on the concatenated features.  So a ``select`` or
 ``classify`` call covers a minibatch, not a video.  An entry's heavy rows
@@ -187,21 +188,22 @@ def light_frames(videos: list, config: ExperimentConfig) -> np.ndarray:
 
 def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list):
     """What every budget picks from, one row per video: the (N, T) test-mode
-    gate logits of the selector arms, selected in minibatches of
-    ``training.batch_size`` videos; the (N, T) scores of one scorer pass over
-    the whole list; N Nones for the fixed-rule samplers."""
+    gate logits of the selector arms or the (N, T) scores of the scorer, each
+    run once per minibatch of ``training.batch_size`` videos, so the working
+    memory is one minibatch's whatever the length of the list; N Nones for
+    the fixed-rule samplers."""
     t = config.dataset.timesteps
     if config.mode in SELECTOR_MODES:
-        b = config.training.batch_size
-        return np.concatenate([
-            select(light_frames(videos[lo:lo + b], config), bundle.selector,
-                   "test").logits.data.reshape(-1, t)
-            for lo in range(0, len(videos), b)])
-    if config.mode == "scsampler":
-        light = light_frames(videos, config)
-        scores = scsampler_scores(light.reshape(-1, light.shape[2]), bundle.scorer)
-        return scores.reshape(len(videos), t)
-    return [None] * len(videos)
+        def rank(light):
+            return select(light, bundle.selector, "test").logits.data
+    elif config.mode == "scsampler":
+        def rank(light):
+            return scsampler_scores(light.reshape(-1, light.shape[2]), bundle.scorer)
+    else:
+        return [None] * len(videos)
+    b = config.training.batch_size
+    return np.concatenate([rank(light_frames(videos[lo:lo + b], config)).reshape(-1, t)
+                           for lo in range(0, len(videos), b)])
 
 
 def split_picks(config: ExperimentConfig, ranked, budgets: list,

@@ -7,6 +7,7 @@ import numpy.testing as nptest
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import traced_peak
 import stepgate.autodiff as ad
 from stepgate.errors import ContractError, DimensionError, DomainError
 
@@ -276,6 +277,19 @@ def test_tape_is_freed_without_the_cycle_collector():
     finally:
         gc.enable()
     nptest.assert_array_equal(w.grad, [[2.0], [-4.0]])
+
+
+def test_backward_drops_each_gradient_once_it_is_passed_on():
+    """A chain of 40 scales of a 1 MiB tensor: backward holds a couple of
+    the chain's gradients at a time, not all 40."""
+    x = tensor(np.ones(1 << 17), requires_grad=True)
+    with ad.record() as rec:
+        y = x
+        for _ in range(40):
+            y = ad.scale(y, 1.01)
+        loss = ad.reduce_sum(y, axis=0)
+    assert traced_peak(ad.backward, loss, rec) <= 4 * x.data.nbytes
+    nptest.assert_allclose(x.grad, 1.01 ** 40, rtol=1e-12)
 
 
 def test_records_do_not_nest():
@@ -758,20 +772,27 @@ def test_adam_first_step_oracle():
 
 
 def test_adam_steps_equal_the_formula_bitwise():
+    """Parameters of different sizes, which share one scratch buffer, each
+    follow the formula bitwise."""
     rng = np.random.default_rng(4)
-    p = tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    grad = p.grad
-    want, m, v = p.data.copy(), np.zeros((3, 5)), np.zeros((3, 5))
-    opt = ad.Adam([p], lr=3e-3, eps=1e-4)
+    shapes = [(4,), (3, 5), (2,)]
+    ps = [tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+    grads = [p.grad for p in ps]
+    want = [p.data.copy() for p in ps]
+    m, v = [np.zeros(shape) for shape in shapes], [np.zeros(shape) for shape in shapes]
+    opt = ad.Adam(ps, lr=3e-3, eps=1e-4)
     for t in range(1, 6):
-        g = rng.standard_normal((3, 5))
-        p.grad[...] = g
+        gs = [rng.standard_normal(shape) for shape in shapes]
+        for p, g in zip(ps, gs):
+            p.grad[...] = g
         opt.step()
-        m = m * 0.9 + (1.0 - 0.9) * g
-        v = v * 0.999 + (1.0 - 0.999) * (g * g)
-        want = want - 3e-3 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-4)
-        nptest.assert_array_equal(p.data, want)
-        assert p.grad is grad and not grad.any()
+        for i, (p, g) in enumerate(zip(ps, gs)):
+            m[i] = m[i] * 0.9 + (1.0 - 0.9) * g
+            v[i] = v[i] * 0.999 + (1.0 - 0.999) * (g * g)
+            want[i] = want[i] - 3e-3 * (m[i] / (1.0 - 0.9 ** t)) / (
+                np.sqrt(v[i] / (1.0 - 0.999 ** t)) + 1e-4)
+            nptest.assert_array_equal(p.data, want[i])
+            assert p.grad is grads[i] and not p.grad.any()
 
 
 def test_adam_identical_twins_stay_identical():

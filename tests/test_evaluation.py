@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_config
+from conftest import tiny_config, traced_peak
 from stepgate.autodiff import sigmoid_np
 from stepgate.baselines import scsampler_scores
 from stepgate.classifier import classify, heavynet_features
@@ -185,7 +185,7 @@ def test_selection_runs_once_per_video(mode, tiny_data, monkeypatch):
 
 
 def test_scsampler_rankings_equal_each_videos_own_scores(tiny_data):
-    """One scorer pass over the split ranks every video as scoring it alone
+    """The scorer's minibatch passes rank every video as scoring it alone
     would: row i of the stack is slot i % T of video i // T."""
     cfg = tiny_config("scsampler")
     bundle = build_bundle(cfg)
@@ -199,6 +199,43 @@ def test_scsampler_rankings_equal_each_videos_own_scores(tiny_data):
         assert scores.shape == alone.shape == (cfg.dataset.timesteps,)
         np.testing.assert_allclose(scores, alone, rtol=1e-12, atol=0.0)
         assert np.ptp(alone) > 0.0
+
+
+def _ranking_bundle(mode):
+    """A config whose minibatch intermediates dwarf the per-call overhead, a
+    bundle with a scorer head that tells slots apart, and 8 minibatches of
+    videos."""
+    cfg = tiny_config(mode, **{"dataset.d_raw": 32, "dataset.timesteps": 16,
+                               "model.light_channels": 32, "training.batch_size": 8})
+    bundle = build_bundle(cfg)
+    if bundle.scorer is not None:   # a zero head scores every slot alike
+        bundle.scorer.head_w.data[...] = np.random.default_rng(3).standard_normal(
+            bundle.scorer.head_w.shape)
+    videos = generate_dataset(cfg.dataset.spec(), 8 * cfg.training.batch_size, 1,
+                              cfg.seed).train
+    return cfg, bundle, videos
+
+
+@pytest.mark.parametrize("mode", ["e2e", "scsampler"])
+def test_ranking_a_split_needs_one_minibatchs_working_memory(mode):
+    """Ranking 8 minibatches peaks at under 1.5 times what ranking one does:
+    the intermediates of one minibatch are freed before the next is ranked."""
+    cfg, bundle, videos = _ranking_bundle(mode)
+    one = videos[:cfg.training.batch_size]
+    evaluation.rankings(bundle, cfg, one)   # warm numpy's lazy set-up
+    assert (traced_peak(evaluation.rankings, bundle, cfg, videos)
+            < 1.5 * traced_peak(evaluation.rankings, bundle, cfg, one))
+
+
+@pytest.mark.parametrize("mode", ["e2e", "scsampler"])
+def test_rankings_split_at_a_minibatch_boundary_concatenate_bitwise(mode):
+    cfg, bundle, videos = _ranking_bundle(mode)
+    cut = 3 * cfg.training.batch_size
+    whole = evaluation.rankings(bundle, cfg, videos)
+    assert whole.shape == (len(videos), cfg.dataset.timesteps) and np.ptp(whole) > 0.0
+    np.testing.assert_array_equal(
+        whole, np.concatenate([evaluation.rankings(bundle, cfg, videos[:cut]),
+                               evaluation.rankings(bundle, cfg, videos[cut:])]))
 
 
 @pytest.mark.parametrize("mode", ["e2e", "frame_conditioned", "scsampler"])

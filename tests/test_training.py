@@ -319,21 +319,27 @@ def test_stacked_scorer_loss_equals_the_mean_of_per_video_losses(task):
             assert not got_grads[name].any(), name
 
 
-def test_the_scorer_runs_once_per_minibatch_and_once_per_ranked_split(
+def test_the_scorer_runs_once_per_minibatch_in_training_and_in_ranking(
         tiny_data, monkeypatch):
+    """Training and ranking both run the scorer once per minibatch: phase B
+    ranks the train split and evaluation the test split in calls of at most
+    ``batch_size`` videos, whose rows add up to the split's."""
     logits_calls, score_calls = [], []
     _record_calls(monkeypatch, training, "scorer_logits", logits_calls)
     _record_calls(monkeypatch, evaluation, "scsampler_scores", score_calls)
-    cfg = tiny_config("scsampler")
+    cfg = tiny_config("scsampler", **{"training.batch_size": 5})
+    b, t = cfg.training.batch_size, cfg.dataset.timesteps
     result = run_training(cfg, tiny_data)
-    n, t = len(tiny_data.train), cfg.dataset.timesteps
-    per_epoch = -(-n // cfg.training.batch_size)
+    n = len(tiny_data.train)
+    per_epoch = -(-n // b)
     assert len(logits_calls) == cfg.training.epochs * per_epoch
     assert sum(len(args[0]) for args in logits_calls) == cfg.training.epochs * n * t
-    # phase B ranks the train split once
-    assert [len(args[0]) for args in score_calls] == [n * t]
+    rows = [len(args[0]) for args in score_calls]
+    assert len(rows) == per_epoch and max(rows) <= b * t and sum(rows) == n * t
+    n_test = len(tiny_data.test)
     evaluation.evaluate_bundle(result.bundle, cfg, tiny_data.test)
-    assert [len(args[0]) for args in score_calls] == [n * t, len(tiny_data.test) * t]
+    rows = [len(args[0]) for args in score_calls[per_epoch:]]
+    assert len(rows) == -(-n_test // b) and max(rows) <= b * t and sum(rows) == n_test * t
 
 
 @pytest.mark.parametrize("mode", ["standalone", "scsampler", "uniform", "random"])
