@@ -111,8 +111,9 @@ def classify(features: Tensor, gate_values: Tensor | None, head: MLP,
 
 
 def task_loss(logits: Tensor, targets, task: str) -> Tensor:
-    """Dispatch (B, L) logits to cross-entropy over B integer labels (single
-    label) or binary CE over (B, L) indicators (multi label)."""
+    """Dispatch (B, L) logits and (B, L) 0/1 indicator targets to softmax
+    cross-entropy (single label: each target row is one-hot) or binary CE
+    (multi label)."""
     if task == "single_label":
         return ad.softmax_xent(logits, targets)
     if task == "multi_label":

@@ -4,11 +4,12 @@ Layout: 4-byte magic | u32 format version | u32 header length | u32 CRC-32 |
 canonical JSON header (sorted keys, no whitespace) | little-endian body.  All
 integers are little-endian.  The CRC-32 covers the header and the body.
 
-``read`` streams the body straight into the arrays it returns: the header
-says how long the body is, that length must equal what the file holds
-before any array is allocated, and the checksum runs over each piece as it
-lands.  So nothing from a truncated, padded or corrupt file is returned, and
-no allocation exceeds the file's size.
+The body is a list of whole arrays whose dtypes and shapes the header
+implies.  ``read`` streams it straight into the arrays it returns: the
+implied length must equal what the file holds before any array is
+allocated, and the checksum runs over each array as it lands.  So nothing
+from a truncated, padded or corrupt file is returned, and no allocation
+exceeds the file's size.
 """
 
 from __future__ import annotations
@@ -38,22 +39,15 @@ def write(path, magic: bytes, version: int, header: dict, body: list) -> None:
         fh.writelines(body)
 
 
-def _is_size(x) -> bool:
-    return type(x) is int and x >= 0
-
-
 def read(path, magic: bytes, version: int, kind: str, layout) -> tuple[dict, list]:
-    """Read one file into fresh arrays; returns (header, sections).
+    """Read one file into fresh arrays; returns (header, arrays).
 
     ``layout(header)`` checks the parsed header, may normalize its values in
-    place, and returns the body's sections in file order.  A section is
-    ``(rows, fields)``: ``rows`` records, each holding one value of every
-    ``(dtype, shape)`` field in turn, the dtype as stored (``"<f8"``).
-    Each field becomes one ``(rows, *shape)`` array, and a section's entry
-    in ``sections`` lists those arrays in field order.  Any file this module
-    did not write intact, or whose header ``layout`` rejects with a
-    ``ValueError``, ``KeyError``, ``TypeError`` or ``OverflowError``, raises
-    ``FormatError``.
+    place, and returns the body's fields in file order, each a ``(dtype,
+    shape)`` pair with the dtype as stored (``"<f8"``).  Each field becomes
+    one array of that shape, read whole.  Any file this module did not
+    write intact, or whose header ``layout`` rejects with a ``ValueError``,
+    ``KeyError``, ``TypeError`` or ``OverflowError``, raises ``FormatError``.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -78,32 +72,26 @@ def read(path, magic: bytes, version: int, kind: str, layout) -> tuple[dict, lis
         if not isinstance(header, dict):
             raise FormatError(f"{path}: {kind} header is not a JSON object")
         try:
-            sections = [(rows, [(np.dtype(dt), tuple(shape)) for dt, shape in fields])
-                        for rows, fields in layout(header)]
+            fields = [(np.dtype(dt), tuple(shape)) for dt, shape in layout(header)]
         except (ValueError, KeyError, TypeError, OverflowError) as exc:  # int(inf)
             raise FormatError(f"{path}: corrupt {kind} header ({exc})") from exc
-        if not all(_is_size(rows) and all(map(_is_size, shape))
-                   for rows, fields in sections for _, shape in fields):
+        if not all(type(n) is int and n >= 0 for _, shape in fields for n in shape):
             raise FormatError(f"{path}: a {kind} header size is not a non-negative int")
-        implied = sum(rows * sum(dt.itemsize * math.prod(shape) for dt, shape in fields)
-                      for rows, fields in sections)
+        implied = sum(dt.itemsize * math.prod(shape) for dt, shape in fields)
         if implied != body_len:
             raise FormatError(f"{path}: the {kind} header implies {implied} body bytes, "
                               f"the file holds {body_len}")
 
         crc_found = zlib.crc32(raw)
-        out = []
-        for rows, fields in sections:
-            arrays = [np.empty((rows, *shape), dtype=dt) for dt, shape in fields]
-            for r in range(rows):
-                for a in arrays:
-                    piece = a[r:r + 1]
-                    if fh.readinto(piece) != piece.nbytes:
-                        raise FormatError(f"{path}: {kind} file is truncated")
-                    crc_found = zlib.crc32(piece, crc_found)
-            out.append(arrays)
+        arrays = []
+        for dt, shape in fields:
+            a = np.empty(shape, dtype=dt)
+            if fh.readinto(a) != a.nbytes:
+                raise FormatError(f"{path}: {kind} file is truncated")
+            crc_found = zlib.crc32(a, crc_found)
+            arrays.append(a)
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after the {kind} body")
     if crc_found != crc:
         raise FormatError(f"{path}: {kind} file is corrupt (checksum mismatch)")
-    return header, out
+    return header, arrays

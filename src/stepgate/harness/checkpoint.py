@@ -85,13 +85,13 @@ def checkpoint_layout(header: dict) -> list:
         raise TypeError("the config is not a JSON object")
     header["step"] = int(header["step"])
     header["entries"] = [[str(n), dims] for n, dims in header["entries"]]
-    return [(1, [("<f8", dims) for _, dims in header["entries"]])]
+    return [("<f8", dims) for _, dims in header["entries"]]
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read one checkpoint, each block straight into its parameter's array.
     Any file ``save_checkpoint`` did not write intact raises ``FormatError``."""
-    header, (blocks,) = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint",
-                                       checkpoint_layout)
-    params = {name: block[0] for (name, _), block in zip(header["entries"], blocks)}
+    header, blocks = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint",
+                                    checkpoint_layout)
+    params = {name: block for (name, _), block in zip(header["entries"], blocks)}
     return Checkpoint(config=header["config"], step=header["step"], params=params)

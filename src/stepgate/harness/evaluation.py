@@ -250,6 +250,7 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
 
     report = EvalReport(mode=config.mode, task=task, n_videos=len(videos),
                         timesteps=t)
+    labels = np.stack([v.labels for v in videos])
     # test-mode gates and scores do not depend on the budget
     ranked = rankings(bundle, config, videos)
     picks = split_picks(config, ranked, budgets, [_EVAL_STREAM])
@@ -271,13 +272,10 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
                 f"{heavy_rows} rows, the videos picked {sum(counts)}")
         if task == "single_label":
             name = "accuracy"
-            value = accuracy(np.argmax(score_rows, axis=1),
-                             [int(v.labels) for v in videos])
+            value = accuracy(np.argmax(score_rows, axis=1), np.argmax(labels, axis=1))
         else:
             name = "mAP"
-            value, skipped = mean_ap(
-                score_rows, np.asarray([v.labels for v in videos]))
-            report.skipped_classes = skipped
+            value, report.skipped_classes = mean_ap(score_rows, labels)
         mean_sel = float(np.mean(counts))
         report.per_video_counts[entry_key(budget)] = counts
         report.entries.append(BudgetMetrics(

@@ -85,8 +85,17 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
         except GenerationError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
     base = d.path
-    spec_a, protos, train_videos, meta_a = load_split(f"{base}/train.sgds")
-    spec_b, protos_b, test_videos, meta_b = load_split(f"{base}/test.sgds")
+    loaded = []
+    for split, n_videos in (("train", d.n_train), ("test", d.n_test)):
+        path = f"{base}/{split}.sgds"
+        loaded.append(load_split(path))
+        meta = loaded[-1][3]
+        if meta["split"] != split:
+            raise ConfigError(f"{path}: holds the {meta['split']!r} split, not {split!r}")
+        if meta["n_videos"] != n_videos:
+            raise ConfigError(f"{path}: holds {meta['n_videos']} videos, the config's "
+                              f"n_{split} is {n_videos}")
+    (spec_a, protos, train_videos, meta_a), (spec_b, protos_b, test_videos, meta_b) = loaded
     if spec_a != spec_b or meta_a["seed"] != meta_b["seed"]:
         raise ConfigError(f"{base}: train and test splits come from different runs")
     if not np.array_equal(protos, protos_b):
@@ -112,18 +121,19 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield [int(i) for i in order[lo:lo + batch_size]]
 
 
-def _prediction_hit(logits: np.ndarray, labels, task: str) -> float:
+def _prediction_hit(logits: np.ndarray, labels: np.ndarray, task: str) -> float:
+    """1 or 0 for a single-label video's argmax on its one-hot row; the share
+    of classes whose sign matches the indicator row for a multi-label one."""
     if task == "single_label":
-        return float(int(np.argmax(logits)) == int(labels))
-    want = np.asarray(labels, dtype=np.float64)
-    return float(np.mean((logits > 0.0).astype(np.float64) == want))
+        return float(labels[np.argmax(logits)])
+    return float(np.mean((logits > 0.0) == (labels > 0.0)))
 
 
 def _scored(logits: Tensor, videos: list, task: str) -> tuple[Tensor, float]:
     """The task loss of a batch's (B, L) logits and its prediction hits."""
-    hits = sum(_prediction_hit(row, v.labels, task)
-               for row, v in zip(logits.data, videos))
-    return task_loss(logits, [v.labels for v in videos], task), hits
+    labels = np.stack([v.labels for v in videos])
+    hits = sum(_prediction_hit(row, y, task) for row, y in zip(logits.data, labels))
+    return task_loss(logits, labels, task), hits
 
 
 def _check_finite(loss: Tensor, mode: str, epoch: int) -> None:
@@ -247,18 +257,14 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             closed = sum(not r.open.any() for r in results)
             return loss, hits, opened / t_steps, closed
     elif mode == "scsampler":
-        n_classes = config.dataset.n_classes
-
         def batch_loss(epoch, batch):
             videos = [dataset.train[vi] for vi in batch]
             # every timestep carries the video label: each of a video's T rows
             # targets the uniform distribution over its positive classes, so
             # a multi-label video averages the cross-entropy over its
             # positives, keeping the softmax head the saliency relies on
-            dist = np.zeros((len(videos), n_classes))
-            for row, v in zip(dist, videos):
-                positives = v.positive_classes()
-                row[positives] = 1.0 / len(positives)
+            labels = np.stack([v.labels for v in videos])
+            dist = labels / labels.sum(axis=1, keepdims=True)
             light = light_frames(videos, config)
             logits = scorer_logits(light.reshape(-1, light.shape[2]), bundle.scorer)
             loss = ad.softmax_xent(logits, np.repeat(dist, t_steps, axis=0))

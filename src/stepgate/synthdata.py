@@ -30,31 +30,33 @@ draws from ``default_rng(s ^ i)`` (global index across both splits), and
 split-level label shuffles use a fixed large offset constant, so generation
 is reproducible and order-independent.
 
-Binary split files (format version 2) use the shared checksummed container
-(``stepgate.container``): magic ``SGDS``, u32 format version, u32 header
-length, u32 CRC-32, canonical JSON header (every ``ActivitySpec`` field,
-``format_version``, ``n_videos``, ``seed`` and ``split``), then the body: the
-prototype matrix as little-endian float64, then per video: label (i64, or L
-float64 indicator values in multi-label mode), relevance mask (T bytes),
-planted prototype ids (T i64), and raw frames (T*frames_per_slot*d_raw
-float64, slot by slot).  ``load_split`` reads each piece straight into its
-final array, every video's frames into its row of one split-wide array.
+A video's labels are an (L,) 0/1 float64 indicator row in either task, one-hot
+for single-label; the task chooses only the loss and the metric.
+
+Binary split files (format version 3; older ones are rejected) use the shared
+checksummed container (``stepgate.container``): magic ``SGDS``, u32 format
+version, u32 header length, u32 CRC-32, canonical JSON header (every
+``ActivitySpec`` field, ``format_version``, ``n_videos``, ``seed`` and
+``split``), then a body of whole little-endian arrays, one per field: (P,
+d_raw) f8 prototypes, (N, L) f8 labels, (N, T) u1 relevance, (N, T) i8
+planted ids and (N, T, frames_per_slot, d_raw) f8 frames.  ``load_split``
+reads each field straight into its array and checks its content; a loaded
+video's arrays are rows of those.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
 
 from . import container
-from .errors import DomainError, GenerationError
+from .errors import DomainError, FormatError, GenerationError
 
 MAGIC = b"SGDS"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 PLACEMENTS = ("middle", "spread")
 TASKS = ("single_label", "multi_label")
@@ -203,14 +205,12 @@ class VideoSample:
     """One generated video: raw frames, labels, and generation ground truth."""
 
     frames: np.ndarray          # (T, frames_per_slot, d_raw)
-    labels: object              # int for single_label, (L,) 0/1 float64 for multi_label
+    labels: np.ndarray          # (L,) 0/1 float64 indicator row; one-hot for single_label
     relevance: np.ndarray       # (T,) bool
     planted: np.ndarray         # (T,) int64 prototype id per timestep
 
     def positive_classes(self) -> list[int]:
-        if np.ndim(self.labels) == 0:  # a scalar label is single-label
-            return [int(self.labels)]
-        return [int(i) for i in np.flatnonzero(np.asarray(self.labels))]
+        return [int(i) for i in np.flatnonzero(self.labels)]
 
 
 @dataclass
@@ -279,13 +279,8 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
     frames *= spec.noise_sigma
     frames += prototypes[planted][:, None, :]
     relevance = np.asarray([int(p) in recipe for p in planted], dtype=bool)
-
-    if spec.task == "single_label":
-        labels: object = int(primary)
-    else:
-        vec = np.zeros(spec.n_classes, dtype=np.float64)
-        vec[classes] = 1.0
-        labels = vec
+    labels = np.zeros(spec.n_classes)
+    labels[classes] = 1.0
     return VideoSample(frames=frames, labels=labels, relevance=relevance, planted=planted)
 
 
@@ -340,46 +335,47 @@ def save_split(path, dataset: Dataset, split: str) -> None:
     if split not in ("train", "test"):
         raise DomainError(f"split must be 'train' or 'test', got {split!r}")
     videos = dataset.train if split == "train" else dataset.test
-    spec = dataset.spec
-    header = spec.header_dict()
+    header = dataset.spec.header_dict()
     header.update({"n_videos": len(videos), "seed": dataset.seed, "split": split})
-    body = [np.ascontiguousarray(dataset.prototypes, dtype="<f8")]
-    for v in videos:
-        if spec.task == "single_label":
-            body.append(struct.pack("<q", int(v.labels)))
-        else:
-            body.append(np.ascontiguousarray(v.labels, dtype="<f8"))
-        body.append(v.relevance.astype(np.uint8))
-        body.append(v.planted.astype("<i8"))
-        body.append(np.ascontiguousarray(v.frames, dtype="<f8"))
+    # the frames field goes video by video, with no split-sized copy
+    body = [np.ascontiguousarray(dataset.prototypes, dtype="<f8"),
+            np.array([v.labels for v in videos], dtype="<f8"),
+            np.array([v.relevance for v in videos], dtype=np.uint8),
+            np.array([v.planted for v in videos], dtype="<i8"),
+            *(np.ascontiguousarray(v.frames, dtype="<f8") for v in videos)]
     container.write(path, MAGIC, FORMAT_VERSION, header, body)
 
 
 def split_layout(meta: dict) -> list:
-    """The body sections an SGDS header implies (``container.read``'s
-    layout): the prototype matrix, then one record per video.  Checks the
-    spec and makes ``n_videos`` and ``seed`` ints."""
+    """The body fields an SGDS header implies (``container.read``'s layout):
+    prototypes, labels, relevance, planted ids and frames.  Checks the spec
+    and makes ``n_videos`` and ``seed`` ints."""
     spec = ActivitySpec.from_header_dict(meta)
     meta["n_videos"], meta["seed"] = int(meta["n_videos"]), int(meta["seed"])
-    t = spec.timesteps
-    label = ("<i8", ()) if spec.task == "single_label" else ("<f8", (spec.n_classes,))
-    return [(1, [("<f8", (spec.n_prototypes, spec.d_raw))]),
-            (meta["n_videos"], [label, ("u1", (t,)), ("<i8", (t,)),
-                                ("<f8", (t, spec.frames_per_slot, spec.d_raw))])]
+    n, t = meta["n_videos"], spec.timesteps
+    return [("<f8", (spec.n_prototypes, spec.d_raw)), ("<f8", (n, spec.n_classes)),
+            ("u1", (n, t)), ("<i8", (n, t)),
+            ("<f8", (n, t, spec.frames_per_slot, spec.d_raw))]
 
 
 def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
     """Read one split file back; returns (spec, prototypes, videos, meta).
-
-    The file is read straight into the arrays returned: the videos' frames
-    are rows of one (n_videos, T, frames_per_slot, d_raw) array.  Any file
-    this module did not write intact raises ``FormatError``.
-    """
-    meta, ((prototypes,), (labels, relevance, planted, frames)) = container.read(
+    Any file this module did not write intact raises ``FormatError``."""
+    meta, (prototypes, labels, relevance, planted, frames) = container.read(
         path, MAGIC, FORMAT_VERSION, "dataset", split_layout)
     spec = ActivitySpec.from_header_dict(meta)
-    if spec.task == "single_label":
-        labels = [int(c) for c in labels]
+    positives = labels.sum(axis=1)
+    # content a checksum vouches for but no generated split holds
+    for bad, what in (
+            (not np.isin(labels, (0.0, 1.0)).all(), "a label row is not 0/1"),
+            ((positives < 1).any(), "a label row has no positive class"),
+            (spec.task == "single_label" and (positives > 1).any(),
+             "a single-label row has more than one positive class"),
+            ((relevance > 1).any(), "a relevance byte is not 0 or 1"),
+            (((planted < 0) | (planted >= spec.n_prototypes)).any(),
+             f"a planted prototype id lies outside [0, {spec.n_prototypes})")):
+        if bad:
+            raise FormatError(f"{path}: {what}")
     videos = [VideoSample(frames=f, labels=c, relevance=r, planted=p)
               for f, c, r, p in zip(frames, labels, relevance != 0, planted)]
-    return spec, prototypes[0], videos, meta
+    return spec, prototypes, videos, meta

@@ -115,9 +115,9 @@ def test_version_1_files_are_rejected(tmp_path, bundle_and_ckpt):
 
 def _header_and_body(path):
     """A checkpoint's header as ``load_checkpoint`` reads it, and its body bytes."""
-    header, sections = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint",
-                                      checkpoint_layout)
-    return header, path.read_bytes()[-sum(a.nbytes for s in sections for a in s):]
+    header, blocks = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint",
+                                    checkpoint_layout)
+    return header, path.read_bytes()[-sum(a.nbytes for a in blocks):]
 
 
 @pytest.fixture()

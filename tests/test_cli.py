@@ -94,19 +94,64 @@ def test_a_dataset_that_cannot_be_generated_is_a_config_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def _stored_config(cfg_file, data, path, **dataset):
+    """Write ``cfg_file``'s config, reading its splits from ``data`` and with
+    ``dataset`` fields replaced, to ``path``; returns ``path`` as a string."""
+    cfg = json.loads(Path(cfg_file).read_text())
+    cfg["dataset"].update(path=str(data), **dataset)
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 def test_corrupt_split_file_is_a_one_line_runtime_error(cfg_file, tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["generate-data", "--config", cfg_file, "--out", str(out)]) == 0
     raw = (out / "train.sgds").read_bytes()
     (out / "train.sgds").write_bytes(raw[:397])
-    cfg = json.loads(Path(cfg_file).read_text())
-    cfg["dataset"]["path"] = str(out)
-    path = tmp_path / "from_disk.json"
-    path.write_text(json.dumps(cfg))
+    path = _stored_config(cfg_file, out, tmp_path / "from_disk.json")
     capsys.readouterr()
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and err.count("\n") == 1
+
+
+def test_a_version_2_split_is_a_one_line_runtime_error(cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["generate-data", "--config", cfg_file, "--out", str(data)]) == 0
+    raw = (data / "test.sgds").read_bytes()
+    (data / "test.sgds").write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+    path = _stored_config(cfg_file, data, tmp_path / "from_disk.json")
+    capsys.readouterr()
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and err.count("\n") == 1
+    assert "test.sgds: unsupported dataset format version 2" in err
+
+
+@pytest.mark.parametrize("sizes, swap, needle", [
+    ({"n_train": 500}, False, "train.sgds: holds 12 videos, the config's n_train is 500"),
+    ({"n_test": 5}, False, "test.sgds: holds 6 videos, the config's n_test is 5"),
+    ({}, True, "train.sgds: holds the 'test' split, not 'train'"),
+])
+def test_a_split_unlike_its_name_or_size_is_a_config_error(cfg_file, tmp_path, capsys,
+                                                          sizes, swap, needle):
+    """A stored split must be the split its file is named for and hold the
+    config's number of videos (the config's n_train and n_test are 12 and
+    6)."""
+    data = tmp_path / "data"
+    assert main(["generate-data", "--config", cfg_file, "--out", str(data)]) == 0
+    if swap:
+        train, test = data / "train.sgds", data / "test.sgds"
+        raw = train.read_bytes()
+        train.write_bytes(test.read_bytes())
+        test.write_bytes(raw)
+    path = _stored_config(cfg_file, data, tmp_path / "from_disk.json", **sizes)
+    capsys.readouterr()
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert needle in err
+    assert not (tmp_path / "run" / "checkpoint.sgck").exists()
 
 
 def test_split_from_another_dataset_section_is_a_config_error(tmp_path, capsys):

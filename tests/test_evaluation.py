@@ -346,7 +346,8 @@ def _reference_entries(bundle, cfg, videos):
                      bundle.classifier.head, [len(idx)]).data[0]
             for v, idx in zip(videos, picks)])
         if cfg.dataset.task == "single_label":
-            value = accuracy(np.argmax(scores, axis=1), [int(v.labels) for v in videos])
+            value = accuracy(np.argmax(scores, axis=1),
+                             [v.positive_classes()[0] for v in videos])
         else:
             value, _ = mean_ap(scores, np.stack([v.labels for v in videos]))
         out[evaluation.entry_key(budget)] = ([len(idx) for idx in picks], value)

@@ -14,6 +14,12 @@ def slot_means(video, spec):
     return video.frames.mean(axis=1)
 
 
+def label_of(video):
+    """The class of a single-label video, read off its one-hot row."""
+    (c,) = video.positive_classes()
+    return c
+
+
 def decode_prototypes(video, prototypes, spec):
     """Nearest-prototype id per timestep from slot means."""
     means = slot_means(video, spec)
@@ -110,14 +116,14 @@ def test_generation_is_deterministic(spec):
         nptest.assert_array_equal(va.frames, vb.frames)
         nptest.assert_array_equal(va.relevance, vb.relevance)
         nptest.assert_array_equal(va.planted, vb.planted)
-        assert va.labels == vb.labels
+        nptest.assert_array_equal(va.labels, vb.labels)
     c = sd.generate_dataset(spec, 12, 6, seed=4)
     assert not np.array_equal(a.prototypes, c.prototypes)
 
 
 def test_labels_are_balanced(dataset, spec):
     for videos, n in ((dataset.train, 60), (dataset.test, 40)):
-        counts = np.bincount([v.labels for v in videos], minlength=spec.n_classes)
+        counts = np.bincount([label_of(v) for v in videos], minlength=spec.n_classes)
         assert counts.min() >= n // spec.n_classes  # round-robin: within one
         assert counts.max() <= n // spec.n_classes + 1
 
@@ -130,14 +136,14 @@ def test_relevance_cardinality_within_two_of_target(dataset, spec):
 
 def test_planted_ids_match_stored_relevance(dataset, spec):
     for v in dataset.train:
-        recipe = spec.class_recipes[v.labels]
+        recipe = spec.class_recipes[label_of(v)]
         nptest.assert_array_equal(v.relevance,
                                   np.asarray([p in recipe for p in v.planted]))
 
 
 def test_filler_is_background_or_foreign_shared(dataset, spec):
     for v in dataset.train:
-        recipe = spec.class_recipes[v.labels]
+        recipe = spec.class_recipes[label_of(v)]
         for p in v.planted[~v.relevance]:
             assert int(p) in spec.background_prototypes or (
                 int(p) in spec.shared_prototypes and int(p) not in recipe)
@@ -149,7 +155,7 @@ def test_middle_placement_stays_in_center_window(dataset, spec):
     saw_outside_for_spread = False
     for v in dataset.train + dataset.test:
         pos = np.flatnonzero(v.relevance)
-        if spec.placement[v.labels] == "middle":
+        if spec.placement[label_of(v)] == "middle":
             assert pos.min() >= lo and pos.max() < hi
         else:
             saw_outside_for_spread |= bool((pos < lo).any() or (pos >= hi).any())
@@ -181,7 +187,7 @@ def test_infeasible_placement_is_generation_error(spec):
 
 def test_oracle_matches_stored_mask_for_own_label(dataset, spec):
     for v in dataset.train[:20]:
-        nptest.assert_array_equal(sd.relevance_oracle(v, v.labels, spec), v.relevance)
+        nptest.assert_array_equal(sd.relevance_oracle(v, label_of(v), spec), v.relevance)
     with pytest.raises(DomainError):
         sd.relevance_oracle(dataset.train[0], spec.n_classes, spec)
 
@@ -202,9 +208,9 @@ def test_shared_prototype_relevant_to_one_class_not_another(dataset, spec):
             if p not in spec.shared_prototypes:
                 continue
             owners = [c for c in range(spec.n_classes) if p in spec.class_recipes[c]]
-            assert v.labels not in owners
+            assert label_of(v) not in owners
             assert sd.relevance_oracle(v, owners[0], spec)[pos]
-            assert not sd.relevance_oracle(v, v.labels, spec)[pos]
+            assert not sd.relevance_oracle(v, label_of(v), spec)[pos]
             hits += 1
     assert hits > 0, "expected shared-prototype confusers in a default dataset"
 
@@ -260,7 +266,7 @@ def test_paired_videos_plant_both_members():
     data = sd.generate_dataset(spec, 12, 6, seed=21)
     for v in data.train + data.test:
         planted_rel = set(int(p) for p in v.planted[v.relevance])
-        assert planted_rel == set(spec.class_recipes[v.labels])
+        assert planted_rel == set(spec.class_recipes[label_of(v)])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +313,7 @@ def test_relevant_only_pooling_beats_all_pooling(spec):
             means = slot_means(v, noisy)
             all_pool.append(means.mean(axis=0))
             rel_pool.append(means[v.relevance].mean(axis=0))
-            ys.append(v.labels)
+            ys.append(label_of(v))
         return np.asarray(all_pool), np.asarray(rel_pool), np.asarray(ys)
 
     tr_all, tr_rel, tr_y = pools(data.train)
@@ -333,7 +339,7 @@ def test_round_trip_preserves_everything(tmp_path, dataset, spec):
         nptest.assert_array_equal(v.frames, w.frames)
         nptest.assert_array_equal(v.relevance, w.relevance)
         nptest.assert_array_equal(v.planted, w.planted)
-        assert v.labels == w.labels
+        nptest.assert_array_equal(v.labels, w.labels)
 
 
 def _one_frame_array(videos, spec):
@@ -404,17 +410,40 @@ def test_version_1_files_are_rejected(tmp_path, dataset):
     path = tmp_path / "x.sgds"
     sd.save_split(path, dataset, "test")
     raw = path.read_bytes()
-    old = tmp_path / "v1.sgds"
-    old.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
-    with pytest.raises(FormatError, match="version 1"):
-        sd.load_split(old)
+    assert sd.FORMAT_VERSION == 3
+    # v1 had no slot layout; v2 interleaved each video's label, mask, ids
+    # and frames
+    for version in (1, 2):
+        old = tmp_path / f"v{version}.sgds"
+        old.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
+        with pytest.raises(FormatError, match=f"unsupported dataset format version {version}"):
+            sd.load_split(old)
 
 
 def _header_and_body(path):
     """A split file's header as ``load_split`` reads it, and its body bytes."""
-    header, sections = container.read(path, sd.MAGIC, sd.FORMAT_VERSION, "dataset",
-                                      sd.split_layout)
-    return header, path.read_bytes()[-sum(a.nbytes for s in sections for a in s):]
+    header, arrays = container.read(path, sd.MAGIC, sd.FORMAT_VERSION, "dataset",
+                                    sd.split_layout)
+    return header, path.read_bytes()[-sum(a.nbytes for a in arrays):]
+
+
+def _fields(prototypes, videos):
+    """A split's body fields, built with numpy alone: prototypes, labels,
+    relevance, planted ids and frames, in file order."""
+    return [np.asarray(prototypes, dtype="<f8"),
+            np.stack([v.labels for v in videos]).astype("<f8"),
+            np.stack([v.relevance for v in videos]).astype("u1"),
+            np.stack([v.planted for v in videos]).astype("<i8"),
+            np.stack([v.frames for v in videos]).astype("<f8")]
+
+
+def test_the_body_is_one_block_per_field(tmp_path, dataset):
+    """Version 3's body is prototypes | labels | relevance | planted |
+    frames, each field whole, every video's row in turn."""
+    path = tmp_path / "test.sgds"
+    sd.save_split(path, dataset, "test")
+    want = b"".join(a.tobytes() for a in _fields(dataset.prototypes, dataset.test))
+    assert _header_and_body(path)[1] == want
 
 
 def test_a_load_peaks_at_the_frames_it_returns(tmp_path, dataset):
@@ -430,7 +459,8 @@ def test_a_load_peaks_at_the_frames_it_returns(tmp_path, dataset):
 def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dataset):
     """Files whose checksum holds but whose header or body do not fit the
     layout still fail as FormatError, never as a parser's own exception,
-    and before anything the size of the body is allocated."""
+    and before anything the size of the body is allocated; a body that fits
+    but holds content no generated split holds fails once read."""
     path = tmp_path / "x.sgds"
     sd.save_split(path, dataset, "test")
     header, body = _header_and_body(path)
@@ -457,6 +487,27 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
         container.write(bad, sd.MAGIC, sd.FORMAT_VERSION, h, [b])
         assert traced_peak(rejected, bad) < 1 << 20, name
 
+    # a well-formed body whose labels, masks or ids no generated split holds:
+    # (field, index, value, message)
+    one_hot = np.eye(10)[0]
+    content = {
+        "label_half": (1, 1, 0.5, "not 0/1"),
+        "label_99": (1, 0, 99 * one_hot, "not 0/1"),
+        "nan_label": (1, 0, np.nan, "not 0/1"),
+        "no_positive": (1, 3, 0.0, "no positive"),
+        "two_positives": (1, 3, one_hot + np.eye(10)[4], "more than one"),
+        "relevance_2": (2, (2, 5), 2, "relevance byte"),
+        "negative_id": (3, (2, 5), -1, "planted prototype id"),
+        "id_past_the_prototypes": (3, (2, 5), len(dataset.prototypes), "planted prototype id"),
+    }
+    for name, (field, at, value, message) in content.items():
+        fields = _fields(dataset.prototypes, dataset.test)
+        fields[field][at] = value
+        bad = tmp_path / f"{name}.sgds"
+        container.write(bad, sd.MAGIC, sd.FORMAT_VERSION, header, fields)
+        with pytest.raises(FormatError, match=message):
+            sd.load_split(bad)
+
 
 @pytest.fixture(scope="module")
 def small_split(tmp_path_factory):
@@ -474,7 +525,7 @@ def test_the_header_is_pinned(small_split, tmp_path):
     unsorted must fail here, not only in a round trip through this code."""
     path, _ = small_split
     assert _header_and_body(path)[0] == {
-        "format_version": 2, "n_videos": 3, "seed": 5, "split": "test",
+        "format_version": 3, "n_videos": 3, "seed": 5, "split": "test",
         "task": "single_label", "n_classes": 3, "n_prototypes": 7, "d_raw": 4,
         "timesteps": 6, "frames_per_slot": 2, "noise_sigma": 0.3,
         "relevant_fraction": 0.3, "confuser_share": 0.35,
@@ -488,7 +539,7 @@ def test_the_header_is_pinned(small_split, tmp_path):
     paired = tmp_path / "train.sgds"
     sd.save_split(paired, sd.generate_dataset(spec, 2, 3, seed=11), "train")
     assert _header_and_body(paired)[0] == {
-        "format_version": 2, "n_videos": 2, "seed": 11, "split": "train",
+        "format_version": 3, "n_videos": 2, "seed": 11, "split": "train",
         "task": "multi_label", "n_classes": 3, "n_prototypes": 4, "d_raw": 3,
         "timesteps": 5, "frames_per_slot": 2, "noise_sigma": 0.25,
         "relevant_fraction": 0.4, "confuser_share": 0.5,
@@ -505,8 +556,7 @@ def _same_split(a, b):
     nptest.assert_array_equal(protos_a, protos_b)
     assert len(videos_a) == len(videos_b)
     for v, w in zip(videos_a, videos_b):
-        assert v.labels == w.labels
-        for field in ("frames", "relevance", "planted"):
+        for field in ("frames", "labels", "relevance", "planted"):
             nptest.assert_array_equal(getattr(v, field), getattr(w, field))
 
 

@@ -44,7 +44,8 @@ def test_resolve_dataset_loads_saved_splits(tmp_path, tiny_cfg, tiny_data):
 
 def test_resolve_dataset_rejects_mismatched_splits(tmp_path, tiny_cfg, tiny_data):
     from stepgate.harness.training import generate_dataset
-    other = generate_dataset(tiny_cfg.dataset.spec(), 4, 2, seed=99)
+    other = generate_dataset(tiny_cfg.dataset.spec(), tiny_cfg.dataset.n_train,
+                             tiny_cfg.dataset.n_test, seed=99)
     save_split(tmp_path / "train.sgds", tiny_data, "train")
     save_split(tmp_path / "test.sgds", other, "test")
     cfg = tiny_config("e2e", **{"dataset.path": str(tmp_path)})
@@ -218,9 +219,7 @@ def _per_video_loss(video, result, bundle, cfg):
     gates = ad.take_rows(result.activated, idx) if result.open.any() else None
     feats = heavynet_features(video.frames, idx, bundle.classifier)
     logits = classify(feats, gates, bundle.classifier.head, [len(idx)])
-    targets = ([int(video.labels)] if cfg.dataset.task == "single_label"
-               else video.labels[None, :])
-    loss = task_loss(logits, targets, cfg.dataset.task)
+    loss = task_loss(logits, video.labels[None, :], cfg.dataset.task)
     if cfg.training.l0_weight > 0.0:
         loss = ad.add(loss, l0_penalty(result.logits, cfg.training.l0_weight))
     return loss

@@ -17,10 +17,15 @@ checkpoint and evaluates it again through ``evaluate_checkpoint``, the path
 that restores weights by parameter name.  It then runs ``stepgate eval`` on
 the saved checkpoint through ``cli.main``, and ``stepgate report`` too on
 the three selector arms, and keeps the ``metrics.json`` without its
-``provenance.eval_s`` wall time and the sha256 of each report file.  The
+``provenance.eval_s`` wall time and the sha256 of each report file.  Each
+saved split is also read back with the side's own ``load_split`` and hashed
+by content: the header without ``format_version``, the prototypes, and each
+video's frames, sorted positive classes, relevance and planted ids.  The
 tool prints one line per case, naming the checkpoint's sha256, whether both
-split files have the same sha256 on both sides, and whether the eval
-reports, the reloaded checkpoints' reports and the CLI outputs are equal.
+split files have the same sha256 on both sides or else the same content,
+and whether the eval reports, the reloaded checkpoints' reports and the CLI
+outputs are equal.  Split files whose bytes differ but whose content is the
+same, as after a split format change, do not count as a difference.
 It then compares the output of ``stepgate gradcheck --seed 0`` and
 ``--seed 1``.  It exits 1 when any output differs.  Only the standard
 library is used here; the sides import their own ``stepgate``.
@@ -96,9 +101,26 @@ def _cli_outputs(mode: str, path: Path, run: Path) -> dict:
                                    if (run / name).exists()}}
 
 
+def _split_content(path: Path) -> str:
+    """sha256 of what the imported side's ``load_split`` reads from ``path``,
+    independent of how the file lays it out."""
+    from stepgate.synthdata import load_split
+
+    _, prototypes, videos, meta = load_split(path)
+    h = hashlib.sha256(json.dumps({k: v for k, v in meta.items() if k != "format_version"},
+                                  sort_keys=True).encode())
+    h.update(prototypes)
+    for v in videos:
+        h.update(v.frames)
+        h.update(json.dumps(sorted(v.positive_classes())).encode())
+        h.update(v.relevance)
+        h.update(v.planted)
+    return h.hexdigest()
+
+
 def worker(root: Path) -> None:
-    """Print {case: {"sha256", "splits", "report", "reload", "cli"}} for
-    ``root``'s code."""
+    """Print {case: {"sha256", "splits", "split_content", "report", "reload",
+    "cli"}} for ``root``'s code."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from stepgate.harness.checkpoint import load_checkpoint, save_checkpoint
     from stepgate.harness.evaluation import evaluate_bundle, evaluate_checkpoint
@@ -109,14 +131,15 @@ def worker(root: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, cfg) in enumerate(_cases()):
             data = resolve_dataset(cfg)
-            splits = {}
+            splits, content = {}, {}
             for split in ("train", "test"):
                 save_split(Path(tmp) / f"{split}.sgds", data, split)
                 splits[split] = _sha256(Path(tmp) / f"{split}.sgds")
+                content[split] = _split_content(Path(tmp) / f"{split}.sgds")
             result = run_training(cfg, data)
             path = Path(tmp) / "run.sgck"
             save_checkpoint(path, result.checkpoint)
-            out[name] = {"sha256": _sha256(path), "splits": splits,
+            out[name] = {"sha256": _sha256(path), "splits": splits, "split_content": content,
                          "report": evaluate_bundle(result.bundle, cfg, data.test).to_dict(),
                          "reload": evaluate_checkpoint(load_checkpoint(path), data).to_dict(),
                          "cli": _cli_outputs(cfg.mode, path, Path(tmp) / f"cli{i}")}
@@ -151,14 +174,16 @@ def main(argv=None) -> int:
         have = got["change"].get(name)
         same_bytes = have is not None and have["sha256"] == want["sha256"]
         same_splits = have is not None and have["splits"] == want["splits"]
+        same_content = have is not None and have["split_content"] == want["split_content"]
         same_report = have is not None and have["report"] == want["report"]
         same_reload = have is not None and have["reload"] == want["reload"]
         same_cli = have is not None and have["cli"] == want["cli"]
-        differ += not (same_bytes and same_splits and same_report and same_reload
+        differ += not (same_bytes and same_content and same_report and same_reload
                        and same_cli)
+        splits = ("SPLITS DIFFER" if not same_content else
+                  "same splits" if same_splits else "same split content")
         print(f"{name:<45} sha256 {want['sha256'][:16]} "
-              f"{'same bytes' if same_bytes else 'BYTES DIFFER'}, "
-              f"{'same splits' if same_splits else 'SPLITS DIFFER'}, "
+              f"{'same bytes' if same_bytes else 'BYTES DIFFER'}, {splits}, "
               f"{'equal report' if same_report else 'REPORT DIFFERS'}, "
               f"{'equal reload' if same_reload else 'RELOAD DIFFERS'}, "
               f"{'equal cli' if same_cli else 'CLI DIFFERS'}")
