@@ -11,8 +11,9 @@ Deliberate conventions:
 
 * float64 everywhere; desk-scale problems make precision cheap and keep
   finite-difference checks tight.
-* no broadcasting.  ``add`` and ``mul`` take two tensors of the same shape;
-  ``scale`` multiplies by a python scalar.
+* no broadcasting.  ``add`` takes two tensors of the same shape, ``scale``
+  multiplies by a python scalar and ``scale_rows`` multiplies row i of a
+  matrix by entry i of a vector.
 * ``sigmoid`` clamps its exponent argument to ``[-SIGMOID_CLAMP,
   SIGMOID_CLAMP]``; the clamp is part of the function's definition, not an
   implementation detail, so no forward op can overflow on finite input.
@@ -29,19 +30,22 @@ has been passed on: node i's gradient is dropped once its backward function
 (or, for a leaf, the accumulation into ``grad``) has read it, so the walk
 holds the gradients of the nodes still to visit, not one per tape node.
 
-A network layer is one tape node with a hand-written backward: ``affine``
-(``x @ w + b``), ``mlp`` (two affines around a relu, the body of every
-:class:`MLP`), ``attention`` (single-head self-attention with its residual
-add) and ``noisy_gate`` (the noisy clipped-sigmoid gate).  Each backward
-evaluates the numpy expressions, in the order, of the chain of primitive ops
-it stands for, so the fused layer's values and gradients equal the chain's
+Every op is one that a model path records.  A network layer is one tape
+node with a hand-written backward: ``affine`` (``x @ w + b``), ``mlp`` (two
+affines around a relu, the body of every :class:`MLP`), ``attention``
+(single-head self-attention with its residual add), ``matmul_t`` (``a @
+b.T``, the selector's similarity to its concept kernels), ``noisy_gate`` (the
+noisy clipped-sigmoid gate) and ``scale_rows`` (the gate scaling of feature
+rows).  Each backward evaluates the numpy expressions, in the order, of the
+chain of matrix products, transposes, tilings and elementwise products it
+stands for, so the fused layer's values and gradients equal the chain's
 bitwise, with one rule for ``mlp``: its backward leaves out the rows whose
 output gradient is all zero (``segment_max`` sends each column's gradient to
 one row).  With no such row its gradients equal the chain's bitwise; with one,
 they match to rounding, because the products and sums skip exact zero terms
 and so may add in another order, and those rows of the input gradient are
 exactly 0.  Backward computes no gradient product for a constant first operand
-of ``matmul``, ``affine``, ``mlp`` or ``attention`` (such as raw frames).
+of ``matmul_t``, ``affine``, ``mlp`` or ``attention`` (such as raw frames).
 
 The active record is thread-local: independent records on different threads
 do not interact, but a single record must only ever be used from one thread.
@@ -187,40 +191,35 @@ def _emit(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], ctx=None) -
 # forward operations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul got incompatible shapes {a.shape} and {b.shape}")
-    return _emit("matmul", a.data @ b.data, (a, b), a.requires_grad)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-d tensor, got shape {a.shape}")
-    return _emit("transpose", a.data.T, (a,))
-
-
-def _ewise(op: str, a: Tensor, b: Tensor) -> Tensor:
-    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
-        raise ContractError(f"{op} takes two Tensors; use scale() for a python scalar")
-    if b.shape != a.shape:
-        raise DimensionError(f"{op} got incompatible shapes {a.shape} and {b.shape}")
-    forward = {"add": np.add, "mul": np.multiply}[op]
-    return _emit(op, forward(a.data, b.data), (a, b))
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b.T`` for 2-d ``a`` (N, C) and ``b`` (M, C): every row of ``a``
+    against every row of ``b``; one tape node."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DimensionError(f"matmul_t got incompatible shapes {a.shape} and {b.shape}")
+    return _emit("matmul_t", a.data @ b.data.T, (a, b), a.requires_grad)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _ewise("add", a, b)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _ewise("mul", a, b)
+    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
+        raise ContractError("add takes two Tensors; use scale() for a python scalar")
+    if b.shape != a.shape:
+        raise DimensionError(f"add got incompatible shapes {a.shape} and {b.shape}")
+    return _emit("add", a.data + b.data, (a, b))
 
 
 def scale(a: Tensor, c) -> Tensor:
     """Multiply by a python scalar (no gradient flows to ``c``)."""
     if not isinstance(c, _Scalar):
-        raise ContractError("scale() takes a python scalar; use mul() for tensors")
+        raise ContractError("scale() takes a python scalar; use scale_rows() for tensors")
     return _emit("scale", a.data * float(c), (a,), float(c))
+
+
+def scale_rows(x: Tensor, v: Tensor) -> Tensor:
+    """Row i of 2-d ``x`` times entry i of 1-d ``v``, ``x * v[:, None]``; one
+    tape node."""
+    if x.data.ndim != 2 or v.data.ndim != 1 or v.shape[0] != x.shape[0]:
+        raise DimensionError(f"scale_rows got rows {x.shape} and scales {v.shape}")
+    return _emit("scale_rows", x.data * v.data[:, None], (x, v))
 
 
 def sigmoid_np(z):
@@ -243,11 +242,6 @@ def _check_axis(x: Tensor, axis: int) -> int:
     if x.data.shape[axis] == 0:
         raise DomainError(f"cannot reduce over empty axis {axis} of shape {x.shape}")
     return axis
-
-
-def reduce_sum(x: Tensor, axis: int) -> Tensor:
-    axis = _check_axis(x, axis)
-    return _emit("reduce_sum", x.data.sum(axis=axis), (x,), axis)
 
 
 def reduce_mean(x: Tensor, axis: int) -> Tensor:
@@ -291,15 +285,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit("reshape", np.ascontiguousarray(x.data).reshape(shape), (x,), x.shape)
 
 
-def tile_cols(v: Tensor, k: int) -> Tensor:
-    """Repeat a 1-d tensor as ``k`` identical columns."""
-    if v.data.ndim != 1:
-        raise DimensionError(f"tile_cols expects a 1-d tensor, got shape {v.shape}")
-    if k < 1:
-        raise DomainError(f"tile_cols needs k >= 1, got {k}")
-    return _emit("tile_cols", np.broadcast_to(v.data[:, None], (v.shape[0], int(k))), (v,))
-
-
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of a tensor by index; backward scatter-adds."""
     if x.data.ndim < 1:
@@ -316,17 +301,8 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
 
 
 def _target_rows(targets, b: int, l: int) -> np.ndarray:
-    """(B, L) target distributions: B integer labels become one-hot rows; a
-    (B, L) array must hold non-negative rows that sum to 1."""
-    t = np.asarray(targets)
-    if t.ndim != 2:
-        y = t.astype(np.int64)
-        if y.shape != (b,):
-            raise DimensionError(f"labels shape {y.shape} does not match batch of {b} logits rows")
-        if y.size and (y.min() < 0 or y.max() >= l):
-            raise DomainError(f"labels must lie in [0, {l}), got range [{y.min()}, {y.max()}]")
-        return np.eye(l)[y]
-    t = t.astype(np.float64)
+    """(B, L) target distributions: non-negative rows that sum to 1."""
+    t = np.asarray(targets, dtype=np.float64)
     if t.shape != (b, l):
         raise DimensionError(f"target distributions shape {t.shape} does not match "
                              f"logits shape {(b, l)}")
@@ -340,10 +316,9 @@ def _target_rows(targets, b: int, l: int) -> np.ndarray:
 
 def softmax_xent(logits: Tensor, targets) -> Tensor:
     """Mean over rows of the cross-entropy of row-wise softmax against a
-    target distribution, ``-sum_j t_ij log p_ij``.
+    (B, L) array of target distributions, ``-sum_j t_ij log p_ij``; a one-hot
+    row makes a row's loss its label's negative log-probability.
 
-    ``targets`` is B integer labels (one-hot rows, so the loss is the label's
-    negative log-probability) or a (B, L) array of target distributions.
     Stabilized with a max shift; backward is ``(softmax - targets) / B``.
     """
     if logits.data.ndim != 2:
@@ -481,10 +456,10 @@ class MLP:
 # backward
 
 
-def _bwd_matmul(node, g, data):
+def _bwd_matmul_t(node, g, data):
     a, b = data
     # node.ctx: whether the first operand needs a gradient at all
-    return (g @ b.T if node.ctx else None, a.T @ g)
+    return (g @ b if node.ctx else None, (a.T @ g).T)
 
 
 def _bwd_affine(node, g, data):
@@ -531,31 +506,22 @@ def _bwd_noisy_gate(node, g, data):
     return (g.reshape(y.shape) * keep * y * (1.0 - y),)
 
 
-def _bwd_transpose(node, g, data):
-    return (g.T,)
-
-
 def _bwd_add(node, g, data):
     return (g, g)
-
-
-def _bwd_mul(node, g, data):
-    a, b = data
-    return (g * b, g * a)
 
 
 def _bwd_scale(node, g, data):
     return (g * node.ctx,)
 
 
+def _bwd_scale_rows(node, g, data):
+    x, v = data
+    return (g * v[:, None], (g * x).sum(axis=1))
+
+
 def _bwd_sigmoid(node, g, data):
     y = node.tensor.data
     return (g * y * (1.0 - y),)
-
-
-def _bwd_sum(node, g, data):
-    axis = node.ctx
-    return (np.broadcast_to(np.expand_dims(g, axis), data[0].shape),)
 
 
 def _bwd_mean(node, g, data):
@@ -583,10 +549,6 @@ def _bwd_reshape(node, g, data):
     return (np.ascontiguousarray(g).reshape(node.ctx),)
 
 
-def _bwd_tile_cols(node, g, data):
-    return (g.sum(axis=1),)
-
-
 def _bwd_take_rows(node, g, data):
     gx = np.zeros_like(data[0])
     np.add.at(gx, node.ctx, g)
@@ -605,19 +567,16 @@ def _bwd_bce(node, g, data):
 
 
 _BACKWARD: dict[str, Callable] = {
-    "matmul": _bwd_matmul,
+    "matmul_t": _bwd_matmul_t,
     "affine": _bwd_affine,
-    "transpose": _bwd_transpose,
     "add": _bwd_add,
-    "mul": _bwd_mul,
     "scale": _bwd_scale,
+    "scale_rows": _bwd_scale_rows,
     "sigmoid": _bwd_sigmoid,
-    "reduce_sum": _bwd_sum,
     "reduce_mean": _bwd_mean,
     "segment_max": _bwd_segment_max,
     "concat_rows": _bwd_concat_rows,
     "reshape": _bwd_reshape,
-    "tile_cols": _bwd_tile_cols,
     "take_rows": _bwd_take_rows,
     "softmax_xent": _bwd_softmax_xent,
     "bce_logits": _bwd_bce,

@@ -93,20 +93,15 @@ def classify(features: Tensor, gate_values: Tensor | None, head: MLP,
     per video, are max-pooled.
 
     ``gate_values`` (shape (T',)) multiplies the feature rows before the head
-    when given: the joint arms' activated gates with the heavy head, the
-    stand-alone selector's with its light head; every other path passes
-    ``None``.
+    when given, one ``autodiff.scale_rows`` node: the joint arms' activated
+    gates with the heavy head, the stand-alone selector's with its light
+    head; every other path passes ``None``.
     """
     c = head.n_in
     if features.data.ndim != 2 or features.shape[1] != c:
         raise DimensionError(f"classify expects (T', {c}) features, got {features.shape}")
-    t_sel = features.shape[0]
     if gate_values is not None:
-        if tuple(gate_values.shape) != (t_sel,):
-            raise DimensionError(
-                f"gate values shape {gate_values.shape} does not match {t_sel} selected timesteps"
-            )
-        features = ad.mul(features, ad.tile_cols(gate_values, c))
+        features = ad.scale_rows(features, gate_values)
     return ad.segment_max(head(features), segments)
 
 

@@ -38,13 +38,14 @@ GATE_THRESHOLD = 0.5
 
 def similarity_batch(features: Tensor, kernels: Tensor) -> Tensor:
     """Similarity of every timestep feature to every concept kernel:
-    ``X @ K.T`` for ``X`` of shape N x C and kernels ``K`` of shape n_kernels x C."""
+    ``X @ K.T`` for ``X`` of shape N x C and kernels ``K`` of shape n_kernels
+    x C, one ``autodiff.matmul_t`` node."""
     if features.data.ndim != 2 or features.shape[1] != kernels.shape[1]:
         raise DimensionError(
             f"similarity_batch got features {features.shape} against kernels "
             f"{tuple(kernels.shape)}"
         )
-    return ad.matmul(features, ad.transpose(kernels))
+    return ad.matmul_t(features, kernels)
 
 
 def gate_logits_batch(similarities: Tensor, mlp: MLP) -> Tensor:

@@ -1,6 +1,8 @@
 """Bundled finite-difference checks: every op with a backward, each under
 its tape name, plus training's own batch loss on a two-video batch,
-reported as name -> max relative error.
+reported as name -> max relative error.  A case reads a non-scalar op's
+output through ``_project``, its dot product with fixed weights: one
+``matmul_t`` of two (1, n) rows.
 
 Inputs are fixed and kept away from clip, threshold, and tie boundaries so
 central differences are valid; the composite cases freeze gate noise by
@@ -51,8 +53,8 @@ def _param(data) -> Tensor:
 
 
 def _project(t: Tensor, w: np.ndarray) -> Tensor:
-    flat = ad.reshape(t, (int(np.prod(t.shape)),))
-    return ad.reduce_sum(ad.mul(flat, Tensor(w.ravel())), axis=0)
+    row = ad.reshape(t, (1, t.numel()))
+    return ad.matmul_t(row, Tensor(w.reshape(1, -1)))
 
 
 def _op_cases(rng: np.random.Generator) -> dict[str, float]:
@@ -79,19 +81,21 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
         return _project(ad.attention(x, q, k, v, 3), w34)
 
     cases = {
-        "matmul": (lambda x: _project(ad.matmul(x, b), w32), _param(_X34)),
-        "transpose": (lambda x: _project(ad.transpose(x), w43), _param(_X34)),
+        # rows of x against the rows of a (4, 4) kernel matrix
+        "matmul_t": (lambda x: _project(ad.matmul_t(x, proj[0]), w43), _param(_X34)),
+        # constant first operand: backward skips its gradient product
+        "matmul_t_kernels": (lambda k: _project(ad.matmul_t(Tensor(_X34), k), w43),
+                             _param(proj[0].data)),
         "add": (lambda x: _project(ad.add(x, other), w34), _param(_X34)),
-        "mul": (lambda x: _project(ad.mul(x, other), w34), _param(_X34)),
         "scale": (lambda x: _project(ad.scale(x, -1.7), w34), _param(_X34)),
+        "scale_rows": (lambda x: _project(ad.scale_rows(x, Tensor(_X34[:, 0])), w34),
+                       _param(_X34)),
+        "scale_rows_scales": (lambda v: _project(ad.scale_rows(other, v), w34),
+                              _param(_X34[:, 0])),
         "sigmoid": (lambda x: _project(ad.sigmoid(x), w34), _param(_X34)),
-        "reduce_sum": (lambda x: _project(ad.reduce_sum(x, axis=0),
-                                          w34[:4]), _param(_X34)),
         "reduce_mean": (lambda x: _project(ad.reduce_mean(x, axis=1),
                                            w34[:3]), _param(_X34)),
         "reshape": (lambda x: _project(ad.reshape(x, (2, 6)), w34), _param(_X34)),
-        "tile_cols": (lambda x: _project(ad.tile_cols(x, 4), w34[:12].reshape(3, 4)),
-                      _param(_X34[:, 0])),
         "take_rows": (lambda x: _project(ad.take_rows(x, [0, 2, 2, 1]), w16),
                       _param(_X34)),
         # segments of 1 and 2 rows; each segment's column maxima are unique
@@ -100,7 +104,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
                         _param(_MAX_SAFE)),
         "concat_rows": (lambda x: _project(ad.concat_rows(
             [ad.take_rows(x, [2]), other, x]), w28), _param(_X34)),
-        "softmax_xent": (lambda x: ad.softmax_xent(x, [3, 0, 2]), _param(_X34)),
+        "softmax_xent": (lambda x: ad.softmax_xent(x, np.eye(4)[[3, 0, 2]]), _param(_X34)),
         # target distributions: uniform over two and over three positives
         "softmax_xent_soft": (lambda x: ad.softmax_xent(
             x, np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0],

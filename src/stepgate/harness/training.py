@@ -253,9 +253,9 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             if l0_weight > 0.0:
                 alphas = ad.concat_rows([r.logits for r in results])
                 loss = ad.add(loss, gating.l0_penalty(alphas, l0_weight))
-            opened = sum(len(r.selected_indices) for r in results)
-            closed = sum(not r.open.any() for r in results)
-            return loss, hits, opened / t_steps, closed
+            opened = np.stack([r.open for r in results])
+            return (loss, hits, int(opened.sum()) / t_steps,
+                    int((~opened.any(axis=1)).sum()))
     elif mode == "scsampler":
         def batch_loss(epoch, batch):
             videos = [dataset.train[vi] for vi in batch]

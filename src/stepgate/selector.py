@@ -81,12 +81,6 @@ class SelectionResult:
     activated: Tensor
     open: np.ndarray
 
-    @property
-    def selected_indices(self) -> list[int]:
-        """The open timesteps of a stack of one, ascending; empty when every
-        gate closed."""
-        return [int(i) for i in np.flatnonzero(self.open)]
-
 
 # ---------------------------------------------------------------------------
 # forward pieces
@@ -117,9 +111,11 @@ def select(light: np.ndarray, params: SelectorParams, mode: str,
 
     ``mode`` is "train" (noisy clipped sigmoid; needs ``rng``) or "test"
     (deterministic step).  A stack draws its gate noise video after video,
-    so it consumes ``rng`` exactly as B stacks of one in order would.  For a
-    stack of one, ``selected_indices`` is exactly the ascending set of open
-    gates; empty selections are legal here and resolved by ``heavy_indices``.
+    so it consumes ``rng`` exactly as B stacks of one in order would.  The
+    recorded ops are the light ``mlp``, ``attention`` when the selector has
+    it, one ``matmul_t`` similarity, the gate ``mlp`` and, in train mode,
+    ``noisy_gate``.  A video may close every gate; ``heavy_indices`` resolves
+    that.
     """
     if mode not in ("train", "test"):
         raise DomainError(f"selection mode must be 'train' or 'test', got {mode!r}")

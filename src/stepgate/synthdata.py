@@ -373,7 +373,10 @@ def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
              "a single-label row has more than one positive class"),
             ((relevance > 1).any(), "a relevance byte is not 0 or 1"),
             (((planted < 0) | (planted >= spec.n_prototypes)).any(),
-             f"a planted prototype id lies outside [0, {spec.n_prototypes})")):
+             f"a planted prototype id lies outside [0, {spec.n_prototypes})"),
+            # min and max propagate NaN, so neither needs a frames-sized mask
+            (frames.size and not np.isfinite([frames.min(), frames.max()]).all(),
+             "a frame value is not finite")):
         if bad:
             raise FormatError(f"{path}: {what}")
     videos = [VideoSample(frames=f, labels=c, relevance=r, planted=p)

@@ -1,7 +1,9 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import stepgate.autodiff as ad
 from stepgate.harness.config import (DatasetConfig, EvalConfig,
                                      ExperimentConfig, ModelConfig,
                                      TrainingConfig)
@@ -39,6 +41,15 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def weighted_sum(t, weights=None):
+    """``sum(weights * t)`` over every entry of ``t``, a (1, 1) tensor: one
+    ``matmul_t`` of ``t``'s entries and the weights as two (1, n) rows.
+    Without ``weights`` every weight is 1."""
+    n = t.numel()
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    return ad.matmul_t(ad.reshape(t, (1, n)), ad.Tensor(w.reshape(1, n)))
 
 
 @pytest.fixture(scope="session")

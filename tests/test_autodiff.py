@@ -7,7 +7,7 @@ import numpy.testing as nptest
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import traced_peak
+from conftest import traced_peak, weighted_sum
 import stepgate.autodiff as ad
 from stepgate.errors import ContractError, DimensionError, DomainError
 
@@ -30,45 +30,82 @@ def finite_arrays(shape, lo=-2.0, hi=2.0):
 
 def test_matmul_oracle():
     a = tensor([[1.0, 0.0], [0.0, 2.0]])
-    b = tensor([[3.0], [4.0]])
-    out = ad.matmul(a, b)
+    b = tensor([[3.0, 4.0]])
+    out = ad.matmul_t(a, b)
     nptest.assert_array_equal(out.data, [[3.0], [8.0]])
 
 
 def test_matmul_identity_is_unchanged():
     x = tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-    out = ad.matmul(tensor(np.eye(2)), x)
+    out = ad.matmul_t(x, tensor(np.eye(3)))
     nptest.assert_array_equal(out.data, x.data)
 
 
 def test_matmul_zero_annihilates():
     x = tensor(np.ones((3, 4)))
-    out = ad.matmul(x, tensor(np.zeros((4, 2))))
+    out = ad.matmul_t(x, tensor(np.zeros((2, 4))))
     nptest.assert_array_equal(out.data, np.zeros((3, 2)))
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(DimensionError) as exc:
-        ad.matmul(tensor(np.ones((2, 3))), tensor(np.ones((4, 2))))
+        ad.matmul_t(tensor(np.ones((2, 3))), tensor(np.ones((4, 2))))
     assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
+    with pytest.raises(DimensionError):
+        ad.matmul_t(tensor(np.ones(3)), tensor(np.ones((2, 3))))
 
 
 @settings(max_examples=20, deadline=None)
-@given(a=finite_arrays((3, 4)), b=finite_arrays((4, 2)))
+@given(a=finite_arrays((3, 4)), b=finite_arrays((2, 4)))
 def test_matmul_matches_triple_loop(a, b):
     naive = np.zeros((3, 2))
     for i in range(3):
         for j in range(2):
             for k in range(4):
-                naive[i, j] += a[i, k] * b[k, j]
-    out = ad.matmul(tensor(a), tensor(b))
+                naive[i, j] += a[i, k] * b[j, k]
+    out = ad.matmul_t(tensor(a), tensor(b))
     nptest.assert_allclose(out.data, naive, rtol=1e-12, atol=1e-12)
+
+
+def _layer_grads(op, operands, probe):
+    """The op's output and each operand's gradient for the output gradient
+    ``probe``, read off one recorded node."""
+    ts = [tensor(v, requires_grad=True) for v in operands]
+    with ad.record() as rec:
+        out = op(*ts)
+    assert [node.op for node in rec.nodes if node.op != "leaf"] == [op.__name__]
+    return out.data, ad._BACKWARD[op.__name__](rec.nodes[-1], probe,
+                                               tuple(t.data for t in ts))
+
+
+def test_matmul_t_is_the_product_with_a_transpose_bitwise():
+    """Forward ``a @ b.T``; backward ``g @ b`` and ``(a.T @ g).T``, the
+    expressions of a product with a transposed second operand."""
+    rng = np.random.default_rng(21)
+    a, b, g = rng.standard_normal((7, 5)), rng.standard_normal((3, 5)), rng.standard_normal((7, 3))
+    out, (ga, gb) = _layer_grads(ad.matmul_t, (a, b), g)
+    assert np.array_equal(out, a @ b.T)
+    assert np.array_equal(ga, g @ b)
+    assert np.array_equal(gb, (a.T @ g).T)
+
+
+def test_scale_rows_is_the_product_with_tiled_scales_bitwise():
+    """Forward ``x * v[:, None]``; backward ``g * v[:, None]`` and ``(g *
+    x).sum(axis=1)``, the expressions of an elementwise product with the
+    scales tiled across the columns."""
+    rng = np.random.default_rng(22)
+    x, v, g = rng.standard_normal((6, 4)), rng.standard_normal(6), rng.standard_normal((6, 4))
+    out, (gx, gv) = _layer_grads(ad.scale_rows, (x, v), g)
+    assert np.array_equal(out, x * v[:, None])
+    assert np.array_equal(gx, g * v[:, None])
+    assert np.array_equal(gv, (g * x).sum(axis=1))
 
 
 def test_ewise_oracles():
     x = tensor([1.0, -2.0, 3.0])
     nptest.assert_array_equal(ad.add(x, tensor([1.0, 1.0, 1.0])).data, [2.0, -1.0, 4.0])
-    nptest.assert_array_equal(ad.mul(x, tensor([2.0, 0.0, -1.0])).data, [2.0, 0.0, -3.0])
+    rows = ad.scale_rows(tensor([[1.0, -2.0], [3.0, 0.5]]), tensor([2.0, -1.0]))
+    nptest.assert_array_equal(rows.data, [[2.0, -4.0], [-3.0, -0.5]])
     nptest.assert_array_equal(ad.scale(x, 0.0).data, [0.0, 0.0, 0.0])
     nptest.assert_array_equal(ad.scale(x, 1.0).data, x.data)
 
@@ -77,7 +114,9 @@ def test_ewise_rejects_general_broadcast():
     with pytest.raises(DimensionError):
         ad.add(tensor(np.ones((2, 3))), tensor(np.ones(3)))
     with pytest.raises(DimensionError):
-        ad.mul(tensor(np.ones((2, 2))), tensor([2.0]))
+        ad.scale_rows(tensor(np.ones((2, 2))), tensor([2.0]))
+    with pytest.raises(DimensionError):
+        ad.scale_rows(tensor(np.ones((2, 2))), tensor(np.ones((2, 1))))
     with pytest.raises(ContractError):
         ad.add(tensor(np.ones(3)), 1.0)
 
@@ -101,13 +140,13 @@ def test_sigmoid_clamp_keeps_everything_finite():
 
 def test_reduce_oracles():
     x = tensor([[1.0, 5.0], [3.0, 2.0]])
-    nptest.assert_array_equal(ad.reduce_sum(x, axis=1).data, [6.0, 5.0])
+    nptest.assert_array_equal(ad.reduce_mean(x, axis=1).data, [3.0, 2.5])
     nptest.assert_array_equal(ad.reduce_mean(tensor([2.0, 4.0, 6.0]), axis=0).data, 4.0)
 
 
 def test_reduce_empty_axis_is_domain_error():
     with pytest.raises(DomainError):
-        ad.reduce_sum(tensor(np.zeros((0, 3))), axis=0)
+        ad.reduce_mean(tensor(np.zeros((0, 3))), axis=0)
 
 
 def test_mlp_init_shapes_biases_and_size_check():
@@ -139,43 +178,25 @@ def test_softmax_rows_sums_to_one():
 
 def test_softmax_xent_uniform_logits_is_log_l():
     for l in (2, 5, 10):
-        loss = ad.softmax_xent(tensor(np.zeros((3, l))), [0, 1, 0])
+        loss = ad.softmax_xent(tensor(np.zeros((3, l))), np.eye(l)[[0, 1, 0]])
         assert abs(loss.data.item() - math.log(l)) < 1e-12
         # constant shifts of each row leave the loss unchanged
         shifted = tensor(np.full((3, l), 7.25))
-        assert abs(ad.softmax_xent(shifted, [0, 1, 0]).data.item() - math.log(l)) < 1e-12
+        assert abs(ad.softmax_xent(shifted, np.eye(l)[[0, 1, 0]]).data.item()
+                   - math.log(l)) < 1e-12
 
 
 def test_softmax_xent_confident_correct_oracle():
-    loss = ad.softmax_xent(tensor([[10.0, -10.0]]), [0])
+    loss = ad.softmax_xent(tensor([[10.0, -10.0]]), [[1.0, 0.0]])
     nptest.assert_allclose(loss.data.item(), 2.0611536181902037e-09, rtol=1e-6)
-
-
-def test_softmax_xent_label_out_of_range():
-    with pytest.raises(DomainError):
-        ad.softmax_xent(tensor(np.zeros((1, 3))), [3])
-
-
-def test_softmax_xent_labels_equal_their_one_hot_rows_bitwise():
-    x = tensor(np.random.default_rng(3).standard_normal((5, 4)), requires_grad=True)
-    labels = [2, 0, 3, 3, 1]
-    grads = []
-    for targets in (labels, np.eye(4)[labels]):
-        x.zero_grad()
-        with ad.record() as rec:
-            loss = ad.softmax_xent(x, targets)
-        ad.backward(loss, rec)
-        grads.append((loss.data.item(), x.grad.copy()))
-    assert grads[0][0] == grads[1][0]
-    nptest.assert_array_equal(grads[0][1], grads[1][1])
 
 
 def test_softmax_xent_soft_targets_oracle():
     """A uniform target over two classes is the mean of their two losses."""
     x = tensor([[0.3, -1.2, 2.0], [1.5, 0.1, -0.4]])
     half = ad.softmax_xent(x, [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]).data.item()
-    want = 0.5 * (ad.softmax_xent(x, [0, 1]).data.item()
-                  + ad.softmax_xent(x, [2, 2]).data.item())
+    want = 0.5 * (ad.softmax_xent(x, np.eye(3)[[0, 1]]).data.item()
+                  + ad.softmax_xent(x, np.eye(3)[[2, 2]]).data.item())
     assert abs(half - want) <= 1e-15 * want
 
 
@@ -187,15 +208,16 @@ def test_softmax_xent_soft_targets_oracle():
     ([[0.5, 0.5], [0.0, 1.0]], DimensionError),              # too few classes
     ([[0.0, 1.0, 0.0]], DimensionError),                     # too few rows
     ([0, 1, 2], DimensionError),                             # labels for 3 rows
+    ([0, 1], DimensionError),                                # labels, not rows
 ], ids=["negative", "sum-below-1", "sum-above-1", "nan", "narrow", "short",
-        "label-count"])
+        "label-count", "labels"])
 def test_softmax_xent_rejects_bad_targets(targets, error):
     with pytest.raises(error):
         ad.softmax_xent(tensor(np.zeros((2, 3))), targets)
 
 
 def test_softmax_xent_extreme_logits_stay_finite():
-    loss = ad.softmax_xent(tensor([[1000.0, -1000.0], [-1000.0, 1000.0]]), [0, 1])
+    loss = ad.softmax_xent(tensor([[1000.0, -1000.0], [-1000.0, 1000.0]]), np.eye(2))
     assert math.isfinite(loss.data.item())
     assert loss.data.item() < 1e-12
 
@@ -217,9 +239,11 @@ def test_bce_logits_rejects_soft_targets():
 
 
 def test_backward_square_sum_oracle():
+    """x feeds both operands of one node, so its gradient is their sum."""
     x = tensor([1.0, 2.0], requires_grad=True)
     with ad.record() as rec:
-        loss = ad.reduce_sum(ad.mul(x, x), axis=0)
+        row = ad.reshape(x, (1, 2))
+        loss = ad.matmul_t(row, row)
     ad.backward(loss, rec)
     nptest.assert_array_equal(x.grad, [2.0, 4.0])
 
@@ -228,7 +252,7 @@ def test_backward_accumulates_until_zeroed():
     x = tensor([3.0], requires_grad=True)
     for expected in (2.0, 4.0):
         with ad.record() as rec:
-            loss = ad.reduce_sum(ad.scale(x, 2.0), axis=0)
+            loss = weighted_sum(ad.scale(x, 2.0))
         ad.backward(loss, rec)
         nptest.assert_allclose(x.grad, [expected])
     x.zero_grad()
@@ -239,7 +263,7 @@ def test_backward_disconnected_tensor_grad_stays_zero():
     x = tensor([1.0, 1.0], requires_grad=True)
     bystander = tensor([5.0], requires_grad=True)
     with ad.record() as rec:
-        loss = ad.reduce_sum(x, axis=0)
+        loss = weighted_sum(x)
     ad.backward(loss, rec)
     nptest.assert_array_equal(bystander.grad, [0.0])
 
@@ -247,7 +271,7 @@ def test_backward_disconnected_tensor_grad_stays_zero():
 def test_backward_requires_scalar_loss():
     x = tensor([1.0, 2.0], requires_grad=True)
     with ad.record() as rec:
-        y = ad.mul(x, x)
+        y = ad.scale(x, 2.0)
     with pytest.raises(ContractError):
         ad.backward(y, rec)
 
@@ -255,28 +279,28 @@ def test_backward_requires_scalar_loss():
 def test_backward_loss_must_belong_to_record():
     x = tensor([1.0], requires_grad=True)
     with ad.record() as rec1:
-        loss1 = ad.reduce_sum(x, axis=0)
+        loss1 = weighted_sum(x)
     with ad.record() as rec2:
-        ad.reduce_sum(x, axis=0)
+        weighted_sum(x)
     with pytest.raises(ContractError):
         ad.backward(loss1, rec2)
 
 
 def test_tape_is_freed_without_the_cycle_collector():
     x = tensor([[1.0, -2.0]], requires_grad=True)
-    w = tensor([[0.5], [-0.25]], requires_grad=True)
+    w = tensor([[0.5, -0.25]], requires_grad=True)
     gc.disable()
     try:
         with ad.record() as rec:
-            hidden = ad.scale(ad.matmul(x, w), 2.0)
-            loss = ad.reduce_sum(ad.reshape(hidden, (1,)), axis=0)
+            hidden = ad.scale(ad.matmul_t(x, w), 2.0)
+            loss = weighted_sum(hidden)
         ad.backward(loss, rec)
         alive = weakref.ref(rec)
         del rec, hidden, loss
         assert alive() is None
     finally:
         gc.enable()
-    nptest.assert_array_equal(w.grad, [[2.0], [-4.0]])
+    nptest.assert_array_equal(w.grad, [[2.0, -4.0]])
 
 
 def test_backward_drops_each_gradient_once_it_is_passed_on():
@@ -287,7 +311,7 @@ def test_backward_drops_each_gradient_once_it_is_passed_on():
         y = x
         for _ in range(40):
             y = ad.scale(y, 1.01)
-        loss = ad.reduce_sum(y, axis=0)
+        loss = weighted_sum(y)
     assert traced_peak(ad.backward, loss, rec) <= 4 * x.data.nbytes
     nptest.assert_allclose(x.grad, 1.01 ** 40, rtol=1e-12)
 
@@ -312,8 +336,7 @@ def test_segment_max_backward_routes_to_the_first_maximal_row_of_each_segment():
                requires_grad=True)
     with ad.record() as rec:
         pooled = ad.segment_max(x, [3, 2])
-        loss = ad.reduce_sum(ad.reshape(
-            ad.mul(pooled, tensor([[1.0, 2.0], [3.0, 4.0]])), (4,)), axis=0)
+        loss = weighted_sum(pooled, [[1.0, 2.0], [3.0, 4.0]])
     ad.backward(loss, rec)
     nptest.assert_array_equal(pooled.data, [[2.0, 4.0], [3.0, 5.0]])
     nptest.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0],
@@ -337,8 +360,7 @@ def test_concat_rows_forward_and_split_backward():
     c = tensor([[7.0, 8.0]], requires_grad=True)
     with ad.record() as rec:
         joined = ad.concat_rows([a, b, c])
-        loss = ad.reduce_sum(ad.reshape(
-            ad.mul(joined, tensor(np.arange(8.0).reshape(4, 2))), (8,)), axis=0)
+        loss = weighted_sum(joined, np.arange(8.0))
     ad.backward(loss, rec)
     nptest.assert_array_equal(joined.data, [[1, 2], [3, 4], [5, 6], [7, 8]])
     nptest.assert_array_equal(a.grad, [[0.0, 1.0]])
@@ -356,8 +378,8 @@ def test_concat_rows_rejects_empty_and_mismatched_parts():
 def test_only_leaf_tensors_receive_grads():
     x = tensor([1.0, 2.0], requires_grad=True)
     with ad.record() as rec:
-        y = ad.mul(x, x)
-        loss = ad.reduce_sum(y, axis=0)
+        y = ad.reshape(x, (1, 2))
+        loss = ad.matmul_t(y, y)
     ad.backward(loss, rec)
     assert y.requires_grad and y.grad is None
     assert loss.grad is None
@@ -382,17 +404,17 @@ def test_gradient_sums_never_write_into_an_array_a_backward_function_returned(
     for op, fn in list(ad._BACKWARD.items()):
         monkeypatch.setitem(ad._BACKWARD, op, spy(fn))
     x = tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
-    probe = np.array([[0.3, -1.2], [2.0, 0.7]])
+    rows = np.array([0.3, -1.2])
     # backward runs the tape in reverse, so the op recorded last arrives first
-    makers = [lambda: ad.mul(x, tensor(probe)), lambda: ad.scale(x, 1.5),
+    makers = [lambda: ad.scale_rows(x, tensor(rows)), lambda: ad.scale(x, 1.5),
               lambda: ad.add(x, x)]
     if not twice_arrives_first:
         makers.reverse()
     with ad.record() as rec:
         a, b, c = (make() for make in makers)
-        loss = ad.reduce_sum(ad.reshape(ad.add(ad.add(a, b), c), (4,)), axis=0)
+        loss = weighted_sum(ad.add(ad.add(a, b), c))
     ad.backward(loss, rec)
-    nptest.assert_allclose(x.grad, probe + 3.5, rtol=1e-15)
+    nptest.assert_allclose(x.grad, np.repeat(rows[:, None] + 3.5, 2, axis=1), rtol=1e-15)
     assert returned
     for array, before in returned:
         nptest.assert_array_equal(array, before)
@@ -425,17 +447,17 @@ def test_constant_first_operand_gets_no_gradient():
     x = tensor(frames)
     w = tensor([[0.4, -0.7, 1.1], [0.2, 0.9, -0.3]], requires_grad=True)
     b = tensor([0.1, -0.2, 0.3], requires_grad=True)
-    v = tensor(np.ones((2, 3)), requires_grad=True)
+    v = tensor(np.ones((3, 2)), requires_grad=True)
     with ad.record() as rec:
-        terms = [ad.mul(ad.affine(x, w, b), tensor(probe)),
-                 ad.mul(ad.matmul(x, v), tensor(probe))]
-        loss = ad.reduce_sum(ad.reshape(ad.add(*terms), (9,)), axis=0)
+        loss = ad.add(weighted_sum(ad.affine(x, w, b), probe),
+                      weighted_sum(ad.matmul_t(x, v), probe))
     ad.backward(loss, rec)
     assert x.grad is None
-    # d/dw sum(probe * (x @ w + b)) = x.T @ probe; d/db = column sums of probe
+    # d/dw sum(probe * (x @ w + b)) = x.T @ probe; d/db = column sums of probe;
+    # d/dv sum(probe * (x @ v.T)) = (x.T @ probe).T
     nptest.assert_array_equal(w.grad, frames.T @ probe)
     nptest.assert_array_equal(b.grad, probe.sum(axis=0))
-    nptest.assert_array_equal(v.grad, frames.T @ probe)
+    nptest.assert_array_equal(v.grad, (frames.T @ probe).T)
 
 
 def _mlp_operands(rng, n_rows, n_out):
@@ -456,7 +478,7 @@ def test_mlp_backward_skips_rows_without_output_gradient(dead):
     probe[dead] = 0.0
     with ad.record() as rec:
         out = ad.mlp(x, w1, b1, w2, b2)
-        loss = ad.reduce_sum(ad.reshape(ad.mul(out, tensor(probe)), (18,)), axis=0)
+        loss = weighted_sum(out, probe)
     ad.backward(loss, rec)
     # the output gradient is probe; the dense formula runs on every row
     pre = x.data @ w1.data + b1.data
@@ -475,7 +497,7 @@ def test_take_rows_backward_scatter_adds_duplicates():
     x = tensor([[1.0], [2.0], [3.0]], requires_grad=True)
     with ad.record() as rec:
         g = ad.take_rows(x, [0, 0, 2])
-        loss = ad.reduce_sum(ad.reshape(g, (3,)), axis=0)
+        loss = weighted_sum(g)
     ad.backward(loss, rec)
     nptest.assert_array_equal(x.grad, [[2.0], [0.0], [1.0]])
 
@@ -504,8 +526,7 @@ def _away_from_zero(arr, margin=1e-2):
 def test_fd_sigmoid_sigmoid_chain(x):
     t = tensor(x, requires_grad=True)
     err = ad.finite_diff_check(
-        lambda v: ad.reduce_sum(ad.reduce_sum(ad.sigmoid(ad.sigmoid(v)), axis=1), axis=0), t
-    )
+        lambda v: weighted_sum(ad.sigmoid(ad.sigmoid(v))), t)
     assert err < FD_TOL
 
 
@@ -515,9 +536,8 @@ def test_fd_relu_away_from_kink(x):
     """The mlp's relu: x @ I + 0 is x, kept away from the kink."""
     t = tensor(_away_from_zero(x), requires_grad=True)
     w2 = tensor([[0.5, -1.0], [1.5, 0.25], [-0.75, 0.8]])
-    err = ad.finite_diff_check(lambda v: ad.reduce_sum(ad.reduce_sum(
-        ad.mlp(v, tensor(np.eye(3)), tensor(np.zeros(3)), w2, tensor([0.1, -0.2])),
-        axis=1), axis=0), t)
+    err = ad.finite_diff_check(lambda v: weighted_sum(
+        ad.mlp(v, tensor(np.eye(3)), tensor(np.zeros(3)), w2, tensor([0.1, -0.2]))), t)
     assert err < FD_TOL
 
 
@@ -527,9 +547,7 @@ def test_fd_matmul_affine(x):
     w = tensor([[0.4, -0.7, 1.1], [0.2, 0.9, -0.3]])
     b = tensor([0.1, -0.2, 0.3])
     t = tensor(x, requires_grad=True)
-    err = ad.finite_diff_check(
-        lambda v: ad.reduce_sum(ad.reduce_sum(ad.affine(v, w, b), axis=1), axis=0), t
-    )
+    err = ad.finite_diff_check(lambda v: weighted_sum(ad.affine(v, w, b)), t)
     assert err < FD_TOL
 
 
@@ -537,7 +555,7 @@ def test_fd_weights_and_bias_of_affine():
     x = tensor([[0.5, -1.0], [1.5, 0.25], [-0.75, 0.8]])
     w = tensor([[0.4, -0.7], [0.2, 0.9]], requires_grad=True)
     b = tensor([0.1, -0.2], requires_grad=True)
-    f = lambda _: ad.reduce_sum(ad.reduce_sum(ad.sigmoid(ad.affine(x, w, b)), axis=1), axis=0)
+    f = lambda _: weighted_sum(ad.sigmoid(ad.affine(x, w, b)))
     assert ad.finite_diff_check(f, w) < FD_TOL
     assert ad.finite_diff_check(f, b) < FD_TOL
 
@@ -547,11 +565,10 @@ def test_fd_weights_and_bias_of_affine():
 def test_fd_attention(x):
     rng = np.random.default_rng(5)
     weights = [tensor(0.5 * rng.standard_normal((4, 4))) for _ in range(3)]
-    probe = tensor(np.linspace(0.5, 1.5, 12).reshape(3, 4))
+    probe = np.linspace(0.5, 1.5, 12)
     err = ad.finite_diff_check(
-        lambda v: ad.reduce_sum(ad.reduce_sum(
-            ad.mul(ad.attention(v, *weights, 3), probe), axis=1), axis=0), tensor(x, requires_grad=True)
-    )
+        lambda v: weighted_sum(ad.attention(v, *weights, 3), probe),
+        tensor(x, requires_grad=True))
     assert err < FD_TOL
 
 
@@ -562,19 +579,18 @@ def test_fd_every_operand_of_a_stacked_attention():
     x = tensor(rng.standard_normal((6, 4)), requires_grad=True)
     params = [tensor(0.5 * rng.standard_normal((4, 4)), requires_grad=True)
               for _ in range(3)]
-    probe = tensor(rng.standard_normal((6, 4)))
+    probe = rng.standard_normal((6, 4))
 
     def f(_):
-        out = ad.attention(x, *params, 3)
-        return ad.reduce_sum(ad.reduce_sum(ad.mul(out, probe), axis=1), axis=0)
+        return weighted_sum(ad.attention(x, *params, 3), probe)
 
     for t in (x, *params):
         assert ad.finite_diff_check(f, t) < FD_TOL
     alone = [ad.attention(tensor(x.data[lo:lo + 3]), *params, 3).data for lo in (0, 3)]
     nptest.assert_array_equal(ad.attention(x, *params, 3).data, np.concatenate(alone))
     with ad.record() as rec:
-        f(None)
-    assert "reshape" not in [node.op for node in rec.nodes]
+        ad.attention(x, *params, 3)
+    assert [node.op for node in rec.nodes if node.op != "leaf"] == ["attention"]
 
 
 def test_attention_rejects_rows_that_are_not_whole_sequences():
@@ -602,11 +618,10 @@ def test_fd_every_parameter_of_a_layer_op(layer):
     if layer == "mlp":
         pre = x.data @ params[0].data + params[1].data
         assert np.abs(pre).min() > 1e-2, "a hidden unit sits on the relu kink"
-    probe = tensor(rng.standard_normal((3, shapes[-1][-1])))
+    probe = rng.standard_normal((3, shapes[-1][-1]))
 
     def f(_):
-        return ad.reduce_sum(ad.reduce_sum(ad.mul(op(x, *params, *extra), probe), axis=1),
-                             axis=0)
+        return weighted_sum(op(x, *params, *extra), probe)
 
     for t in (x, *params):
         assert ad.finite_diff_check(f, t) < FD_TOL
@@ -627,11 +642,10 @@ def test_fd_every_mlp_operand_under_segment_max():
         assert (top[-1] - top[-2]).min() > 0.1, "a segment's column max is nearly tied"
         live.update(start + segment.argmax(axis=0))
     assert live == {0, 2, 5}
-    probe = tensor(rng.standard_normal((2, 2)))
+    probe = rng.standard_normal((2, 2))
 
     def f(_):
-        pooled = ad.segment_max(ad.mlp(x, *params), lengths)
-        return ad.reduce_sum(ad.reduce_sum(ad.mul(pooled, probe), axis=1), axis=0)
+        return weighted_sum(ad.segment_max(ad.mlp(x, *params), lengths), probe)
 
     for t in (x, *params):
         assert ad.finite_diff_check(f, t) < FD_TOL
@@ -641,7 +655,8 @@ def test_fd_every_mlp_operand_under_segment_max():
 @given(x=finite_arrays((3, 4)), label=st.integers(min_value=0, max_value=3))
 def test_fd_softmax_xent(x, label):
     t = tensor(x, requires_grad=True)
-    err = ad.finite_diff_check(lambda v: ad.softmax_xent(v, [label, (label + 1) % 4, 0]), t)
+    targets = np.eye(4)[[label, (label + 1) % 4, 0]]
+    err = ad.finite_diff_check(lambda v: ad.softmax_xent(v, targets), t)
     assert err < FD_TOL
 
 
@@ -694,31 +709,29 @@ def test_fd_bce_logits(x):
 def test_fd_mean_and_sum_and_scale():
     t = tensor(np.linspace(-1.5, 1.5, 6).reshape(2, 3), requires_grad=True)
     err = ad.finite_diff_check(
-        lambda v: ad.scale(ad.reduce_sum(ad.reduce_mean(v, axis=0), axis=0), 2.5), t
-    )
+        lambda v: ad.scale(weighted_sum(ad.reduce_mean(v, axis=0)), 2.5), t)
     assert err < 1e-6  # linear, so nearly exact
 
 
 def test_fd_max_with_comfortable_gaps():
-    # squared entries stay well separated, so the argmax is stable under +-h
-    t = tensor([[0.1, 1.0, -0.4], [2.0, 0.5, -0.3]], requires_grad=True)
+    # each column's maximum leads its runner-up by more than 0.2 after the
+    # sigmoid, so the argmax is stable under +-h
+    t = tensor([[0.1, 2.0], [1.0, 0.5], [-0.4, -0.3]], requires_grad=True)
     err = ad.finite_diff_check(
-        lambda v: ad.reduce_sum(ad.reshape(
-            ad.segment_max(ad.transpose(ad.mul(v, v)), [3]), (2,)), axis=0), t
-    )
+        lambda v: weighted_sum(ad.segment_max(ad.sigmoid(v), [3])), t)
     assert err < FD_TOL
 
 
-def test_fd_reshape_transpose_tile_take():
+def test_fd_reshape_take_scale_rows():
+    """Both operands of ``scale_rows`` depend on the probed tensor."""
     t = tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
 
     def f(v):
-        m = ad.reshape(v, (2, 3))
-        mt = ad.transpose(m)                      # 3 x 2
-        picked = ad.take_rows(mt, [0, 2])         # 2 x 2
-        spread = ad.mul(picked, tensor([[0.5, 2.0], [0.5, 2.0]]))
-        col = ad.mul(spread, ad.tile_cols(tensor([1.5, -0.5]), 2))
-        return ad.reduce_sum(ad.reduce_sum(ad.sigmoid(col), axis=1), axis=0)
+        m = ad.reshape(v, (3, 2))
+        picked = ad.take_rows(m, [0, 2])                        # 2 x 2
+        scales = ad.reshape(ad.take_rows(m, [1]), (2,))         # row 1 of m
+        col = ad.scale_rows(ad.scale_rows(picked, tensor([0.5, 2.0])), scales)
+        return weighted_sum(ad.sigmoid(col))
 
     assert ad.finite_diff_check(f, t) < FD_TOL
 
@@ -743,7 +756,7 @@ def test_backward_is_deterministic():
     for _ in range(2):
         x = tensor(vals, requires_grad=True)
         with ad.record() as rec:
-            loss = ad.softmax_xent(ad.sigmoid(x), [0, 1, 2, 3, 0])
+            loss = ad.softmax_xent(ad.sigmoid(x), np.eye(4)[[0, 1, 2, 3, 0]])
         ad.backward(loss, rec)
         grads.append(x.grad.copy())
     nptest.assert_array_equal(grads[0], grads[1])

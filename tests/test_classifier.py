@@ -165,13 +165,13 @@ def test_classify_shape_validation():
 
 def test_task_loss_single_label_uniform_oracle():
     logits = Tensor(np.zeros((1, 5)))
-    loss = cls.task_loss(logits, [3], "single_label")
+    loss = cls.task_loss(logits, np.eye(5)[[3]], "single_label")
     nptest.assert_allclose(loss.data, math.log(5.0), rtol=1e-12)
 
 
 def test_task_loss_single_label_batched():
     logits = Tensor(np.asarray([[4.0, 0.0], [0.0, 4.0]]))
-    loss = cls.task_loss(logits, [0, 1], "single_label")
+    loss = cls.task_loss(logits, np.eye(2), "single_label")
     nptest.assert_allclose(loss.data, math.log1p(math.exp(-4.0)), rtol=1e-12)
 
 
@@ -206,7 +206,7 @@ def e2e_loss(sparams, cparams, frames, noises, label):
     feats = cls.heavynet_features(frames, selected, cparams)
     gate_vals = ad.take_rows(activated, selected)
     logits = cls.classify(feats, gate_vals, cparams.head, [len(selected)])
-    return cls.task_loss(logits, [label], "single_label")
+    return cls.task_loss(logits, np.eye(3)[[label]], "single_label")
 
 
 def test_e2e_gradient_reaches_selector_and_classifier():

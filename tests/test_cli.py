@@ -11,6 +11,7 @@ from stepgate.harness.cli import main
 from stepgate.harness.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from stepgate.harness.config import MODES, config_from_dict
 from stepgate.selector import SelectorParams
+from stepgate.synthdata import Dataset, load_split, save_split
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,27 @@ def test_a_version_2_split_is_a_one_line_runtime_error(cfg_file, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and err.count("\n") == 1
     assert "test.sgds: unsupported dataset format version 2" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_frame_is_a_one_line_runtime_error(cfg_file, trained, tmp_path, capsys,
+                                                       value):
+    """A test split rewritten through ``save_split`` with one non-finite
+    frame value holds a valid checksum; eval refuses it, naming the file."""
+    data = tmp_path / "data"
+    assert main(["generate-data", "--config", cfg_file, "--out", str(data)]) == 0
+    spec, prototypes, videos, meta = load_split(data / "test.sgds")
+    videos[0].frames[0, 0, 0] = value
+    save_split(data / "test.sgds", Dataset(spec=spec, prototypes=prototypes, train=[],
+                                           test=videos, seed=meta["seed"]), "test")
+    path = _stored_config(cfg_file, data, tmp_path / "from_disk.json")
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint.sgck"),
+                 "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"runtime error: {data / 'test.sgds'}: a frame value is not finite\n"
+    assert not (out / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("sizes, swap, needle", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stepgate.autodiff as ad
+from conftest import weighted_sum
 import stepgate.gating as gt
 from stepgate.autodiff import Tensor
 from stepgate.errors import DimensionError, DomainError
@@ -98,7 +99,7 @@ def test_gate_logit_gradient_reaches_kernels():
     x = Tensor(rng.standard_normal((1, 3)))
     with ad.record() as rec:
         alpha = gt.gate_logits_batch(gt.similarity_batch(x, kernels), mlp)
-        loss = ad.reduce_sum(ad.reshape(ad.sigmoid(alpha), (1,)), axis=0)
+        loss = weighted_sum(ad.sigmoid(alpha))
     ad.backward(loss, rec)
     assert np.abs(kernels.grad).max() > 0.0
 
@@ -205,9 +206,8 @@ def test_monotonicity_under_shared_noise():
 
 def _gated_sum(x, value):
     """Sum of a (n, C) feature matrix scaled row-wise by (n,) gate values."""
-    n, c = x.shape
-    gated = ad.mul(x, ad.tile_cols(value, c))
-    return gated, ad.reduce_sum(ad.reshape(gated, (n * c,)), axis=0)
+    gated = ad.scale_rows(x, value)
+    return gated, weighted_sum(gated)
 
 
 def test_open_gate_passes_sigmoid_gradient():

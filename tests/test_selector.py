@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import stepgate.autodiff as ad
 import stepgate.gating as gt
 import stepgate.selector as sel
-from conftest import tiny_config
+from conftest import tiny_config, weighted_sum
 from stepgate.autodiff import Tensor
 from stepgate.errors import ContractError, DimensionError, DomainError
 from stepgate.harness.evaluation import light_frames
@@ -178,10 +178,8 @@ def test_select_test_mode_is_deterministic_and_consistent():
     light = random_light(rng)
     r1 = sel.select(light, params, "test")
     r2 = sel.select(light, params, "test")
-    assert r1.selected_indices == r2.selected_indices
+    nptest.assert_array_equal(r1.open, r2.open)
     nptest.assert_array_equal(r1.activated.data, r2.activated.data)
-    assert r1.selected_indices == [int(i) for i in np.flatnonzero(r1.open)]
-    assert r1.selected_indices == sorted(r1.selected_indices)
     nptest.assert_array_equal(r1.open, r1.logits.data[:, 0] > 0.0)
     nptest.assert_array_equal(r1.activated.data, r1.open.astype(np.float64))
 
@@ -191,7 +189,7 @@ def test_select_train_mode_reproducible_under_seed():
     light = random_light(np.random.default_rng(8))
     r1 = sel.select(light, params, "train", rng=np.random.default_rng(99))
     r2 = sel.select(light, params, "train", rng=np.random.default_rng(99))
-    assert r1.selected_indices == r2.selected_indices
+    nptest.assert_array_equal(r1.open, r2.open)
     nptest.assert_array_equal(r1.activated.data, r2.activated.data)
 
 
@@ -225,14 +223,13 @@ def test_zero_noise_train_selection_equals_test_selection():
     alphas = sel.select(light, params, "test").logits
     value, mask = gt.activate_train_batch(alphas, np.zeros_like(alphas.data))
     test_res = sel.select(light, params, "test")
-    assert list(np.where(mask)[0]) == test_res.selected_indices
+    nptest.assert_array_equal(mask, test_res.open)
 
 
 @pytest.mark.parametrize("context_mode, ops", [
-    # light mlp, attention, similarity (transpose and matmul), gate mlp,
-    # noisy gate
-    ("context", ["mlp", "attention", "transpose", "matmul", "mlp", "noisy_gate"]),
-    ("frame", ["mlp", "transpose", "matmul", "mlp", "noisy_gate"]),
+    # light mlp, attention, similarity, gate mlp, noisy gate
+    ("context", ["mlp", "attention", "matmul_t", "mlp", "noisy_gate"]),
+    ("frame", ["mlp", "matmul_t", "mlp", "noisy_gate"]),
 ])
 def test_train_select_records_one_tape_op_per_layer(context_mode, ops):
     params = make_params(context_mode=context_mode)
@@ -272,7 +269,7 @@ def test_stacked_select_equals_per_video_select(context_mode):
         rng = np.random.default_rng(17)
         with ad.record() as rec:
             results = build(rng)
-            loss = ad.reduce_sum(ad.concat_rows([r.activated for r in results]), axis=0)
+            loss = weighted_sum(ad.concat_rows([r.activated for r in results]))
         ad.backward(loss, rec)
         grads = {n: p.grad.copy() for n, p in named.items()}
         return results, grads, rng.random()   # the next draw shows the stream's use
@@ -324,7 +321,7 @@ def _result(logits):
 
 def test_top_k_ranks_by_activation_with_lower_index_ties():
     res = _result([0.5, 2.0, 0.5, -1.0])
-    assert res.selected_indices == [0, 1, 2]
+    assert np.flatnonzero(res.open).tolist() == [0, 1, 2]
     # the second video's order is the first's reversed; a tie at 0.5 goes to
     # the lower index in both
     logits = np.array([[0.5, 2.0, 0.5, -1.0], [-1.0, 0.5, 2.0, 0.5]])
@@ -362,8 +359,8 @@ def test_selection_gradient_reaches_all_selector_params():
     light = random_light(np.random.default_rng(12))
     with ad.record() as rec:
         res = sel.select(light, params, "train", rng=np.random.default_rng(2))
-        loss = ad.reduce_sum(res.activated, axis=0)
-    assert res.selected_indices, "expected at least one open gate with open bias 2"
+        loss = weighted_sum(res.activated)
+    assert res.open.any(), "expected at least one open gate with open bias 2"
     ad.backward(loss, rec)
     for name, p in ModelBundle(selector=params).named_parameters().items():
         assert p.grad is not None, name
@@ -381,7 +378,7 @@ def test_selection_fd_gradient_with_frozen_noise():
     def f(_):
         alphas = sel.select(light, params, "test").logits
         value, _mask = gt.activate_train_batch(alphas, noises)
-        return ad.reduce_sum(value, axis=0)
+        return weighted_sum(value)
 
     # keep the check honest: no gate may sit within 1e-2 of its threshold
     alphas = sel.select(light, params, "test").logits.data

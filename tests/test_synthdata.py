@@ -460,7 +460,9 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
     """Files whose checksum holds but whose header or body do not fit the
     layout still fail as FormatError, never as a parser's own exception,
     and before anything the size of the body is allocated; a body that fits
-    but holds content no generated split holds fails once read."""
+    but holds content no generated split holds (a label row that is not
+    one-hot, a relevance byte or planted id out of range, a frame value that
+    is NaN or infinite) fails once read, naming the file."""
     path = tmp_path / "x.sgds"
     sd.save_split(path, dataset, "test")
     header, body = _header_and_body(path)
@@ -499,14 +501,18 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
         "relevance_2": (2, (2, 5), 2, "relevance byte"),
         "negative_id": (3, (2, 5), -1, "planted prototype id"),
         "id_past_the_prototypes": (3, (2, 5), len(dataset.prototypes), "planted prototype id"),
+        "nan_frame": (4, (0, 0, 0, 0), np.nan, "frame value is not finite"),
+        "inf_frame": (4, (3, 7, 1, 5), np.inf, "frame value is not finite"),
+        "minus_inf_frame": (4, (5, 31, 1, 31), -np.inf, "frame value is not finite"),
     }
     for name, (field, at, value, message) in content.items():
         fields = _fields(dataset.prototypes, dataset.test)
         fields[field][at] = value
         bad = tmp_path / f"{name}.sgds"
         container.write(bad, sd.MAGIC, sd.FORMAT_VERSION, header, fields)
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(FormatError, match=message) as exc:
             sd.load_split(bad)
+        assert str(exc.value).startswith(f"{bad}: "), name
 
 
 @pytest.fixture(scope="module")

@@ -57,7 +57,6 @@ def test_fallback_index_takes_the_highest_logit():
     logits = np.asarray([[-3.0], [-0.5], [-1.0]])
     closed = SelectionResult(features=Tensor(np.zeros((3, 2))), logits=Tensor(logits),
                              activated=Tensor(np.zeros(3)), open=np.zeros(3, dtype=bool))
-    assert closed.selected_indices == []
     assert heavy_indices(closed.open[None], logits.T) == [[1]]
 
 
@@ -302,7 +301,8 @@ def test_stacked_scorer_loss_equals_the_mean_of_per_video_losses(task):
         for vi in batch:
             video = data.train[vi]
             logits = scorer_logits(evaluation.light_frames([video], cfg)[0], bundle.scorer)
-            per_class = [ad.softmax_xent(logits, [c] * t)
+            n_classes = logits.shape[1]
+            per_class = [ad.softmax_xent(logits, np.eye(n_classes)[[c] * t])
                          for c in video.positive_classes()]
             terms.append(ad.scale(functools.reduce(ad.add, per_class),
                                   1.0 / len(per_class)))
@@ -430,6 +430,30 @@ def test_training_frees_every_tape_without_the_cycle_collector(tiny_data):
         assert records() == before
     finally:
         gc.enable()
+
+
+def test_the_modes_record_every_op_the_tape_knows(monkeypatch):
+    """Every op with a backward is one a model path records: one phase-A and
+    one phase-B batch of each mode, in both tasks and with the L0 term on,
+    record exactly the ops of ``ad._BACKWARD`` between them."""
+    recorded, calls = set(), []
+    backward = ad.backward
+
+    def spy(loss, rec=None):
+        calls.append(loss)
+        recorded.update(node.op for node in loss.node_id[0]().nodes)
+        backward(loss, rec)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    for mode in MODES:
+        for task in ("single_label", "multi_label"):
+            # one minibatch of all 12 training videos per phase
+            run_training(tiny_config(mode, **{"dataset.task": task, "training.epochs": 1,
+                                              "training.batch_size": 12,
+                                              "training.l0_weight": 0.1}))
+    # the joint arms and the fixed samplers have one phase, the other two both
+    assert len(calls) == 2 * (len(MODES) + 2)
+    assert recorded - {"leaf"} == set(ad._BACKWARD)
 
 
 def test_frame_conditioned_has_no_attention_parameters(results):

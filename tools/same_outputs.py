@@ -27,7 +27,8 @@ and whether the eval reports, the reloaded checkpoints' reports and the CLI
 outputs are equal.  Split files whose bytes differ but whose content is the
 same, as after a split format change, do not count as a difference.
 It then compares the output of ``stepgate gradcheck --seed 0`` and
-``--seed 1``.  It exits 1 when any output differs.  Only the standard
+``--seed 1``; where it differs, it names the cases found on one side only
+and the cases whose value changed.  It exits 1 when any output differs.  Only the standard
 library is used here; the sides import their own ``stepgate``.
 """
 
@@ -146,6 +147,24 @@ def worker(root: Path) -> None:
     print(json.dumps(out))
 
 
+def _gradcheck_cases(output: str) -> dict[str, str]:
+    """``stepgate gradcheck`` output as {case: printed value}, without its
+    closing summary line."""
+    return dict(line.split(": ", 1) for line in output.strip().splitlines()[:-1])
+
+
+def _gradcheck_diff(parent: str, change: str) -> list[str]:
+    """One line per kind of difference between two gradcheck outputs: the
+    cases on one side only, and each shared case whose value changed."""
+    want, have = _gradcheck_cases(parent), _gradcheck_cases(change)
+    lines = [f"  {label} only: {', '.join(sorted(names))}"
+             for label, names in (("parent", want.keys() - have.keys()),
+                                  ("change", have.keys() - want.keys())) if names]
+    lines += [f"  {name}: {want[name]} -> {have[name]}"
+              for name in sorted(want.keys() & have.keys()) if want[name] != have[name]]
+    return lines
+
+
 def _side(root: Path, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, *args], cwd=root, env=env,
@@ -194,6 +213,9 @@ def main(argv=None) -> int:
         differ += not same
         print(f"gradcheck --seed {seed}: {outs['parent'].strip().splitlines()[-1]}; "
               f"{'same output' if same else 'OUTPUT DIFFERS'}")
+        if not same:
+            print(f"  change: {outs['change'].strip().splitlines()[-1]}")
+            print("\n".join(_gradcheck_diff(outs["parent"], outs["change"])))
     print(f"{differ} of {len(got['parent']) + len(GRADCHECK_SEEDS)} outputs differ")
     return 1 if differ else 0
 
