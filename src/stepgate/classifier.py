@@ -57,14 +57,15 @@ class ClassifierParams:
 
 def heavynet_features(frames: np.ndarray, indices,
                       params: ClassifierParams) -> Tensor:
-    """Encode the segments of the given slots of (slots, frames_per_slot,
-    d_raw) frames, ``frames[idx, :segment_len]``; nothing else runs.
+    """Encode the segments of the given slots of a (slots, frames_per_slot,
+    d_raw) array of frames, ``frames[idx, :segment_len]``; nothing else runs.
+    Stored frames are float32, and only the gathered segments are cast, once,
+    to the encoder's float64.
 
     Returns features of shape (T', channels).  An empty index list is a
     contract violation: the empty-selection fallback happens before this
     call.
     """
-    frames = np.asarray(frames, dtype=np.float64)
     idx = np.asarray(indices, dtype=np.int64)
     if not idx.size:
         raise ContractError("heavynet_features needs at least one timestep; "
@@ -76,9 +77,10 @@ def heavynet_features(frames: np.ndarray, indices,
             f"frames shape {frames.shape} is not slots of at least segment_len "
             f"{m} frames for encoder input width {params.enc.n_in} (= segment_len x d_raw)"
         )
-    # negative indices would wrap without an error
+    # negative indices would wrap without an error; read as unsigned they
+    # exceed n, so one max checks both ends of this per-video call
     n = frames.shape[0]
-    if idx.min() < 0 or idx.max() >= n:
+    if idx.view(np.uint64).max() >= n:
         bad = idx[(idx < 0) | (idx >= n)][0]
         raise ContractError(f"slot {bad} falls outside the {n} slots")
     segments = frames[idx, :m].reshape(idx.size, -1)

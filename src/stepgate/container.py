@@ -44,10 +44,11 @@ def read(path, magic: bytes, version: int, kind: str, layout) -> tuple[dict, lis
 
     ``layout(header)`` checks the parsed header, may normalize its values in
     place, and returns the body's fields in file order, each a ``(dtype,
-    shape)`` pair with the dtype as stored (``"<f8"``).  Each field becomes
-    one array of that shape, read whole.  Any file this module did not
-    write intact, or whose header ``layout`` rejects with a ``ValueError``,
-    ``KeyError``, ``TypeError`` or ``OverflowError``, raises ``FormatError``.
+    shape)`` pair with the dtype as stored (``"<f8"``, or ``"<f4"`` for SGDS
+    frames).  Each field becomes one array of that shape, read whole.  Any
+    file this module did not write intact, or whose header ``layout`` rejects
+    with a ``ValueError``, ``KeyError``, ``TypeError`` or ``OverflowError``,
+    raises ``FormatError``.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

@@ -182,8 +182,8 @@ def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
 
     Each video is T slots of shape (frames_per_slot, d_raw).  Only the picked
     segments are gathered, ``frames[b][idx, :segment_len]``, video after
-    video, into one (sum of picks, segment_len, d_raw) stack of one-segment
-    slots that the encoder reads whole.
+    video, into one float32 (sum of picks, segment_len, d_raw) stack of
+    one-segment slots that the encoder reads whole and casts once.
     """
     for f, idx in zip(frames, picks):
         # numpy would wrap a negative pick and reject a late one with an

@@ -21,8 +21,10 @@ prototypes are present.
 
 A video is ``timesteps`` slots of ``frames_per_slot`` raw frames each, and
 its frames are stored in that layout, as a (timesteps, frames_per_slot,
-d_raw) array: slot ``i`` holds one planted prototype plus per-frame noise.
-Consumers index the slot axis; no code turns a slot index into frame
+d_raw) float32 array: slot ``i`` holds one planted prototype plus per-frame
+noise.  Each value is computed in float64 and stored rounded; frames are the
+one float32 thing in the package, and every consumer casts only the rows it
+reads.  Consumers index the slot axis; no code turns a slot index into frame
 offsets.
 
 Videos are generated independently: video ``i`` of a run seeded with ``s``
@@ -33,13 +35,13 @@ is reproducible and order-independent.
 A video's labels are an (L,) 0/1 float64 indicator row in either task, one-hot
 for single-label; the task chooses only the loss and the metric.
 
-Binary split files (format version 3; older ones are rejected) use the shared
+Binary split files (format version 4; older ones are rejected) use the shared
 checksummed container (``stepgate.container``): magic ``SGDS``, u32 format
 version, u32 header length, u32 CRC-32, canonical JSON header (every
 ``ActivitySpec`` field, ``format_version``, ``n_videos``, ``seed`` and
 ``split``), then a body of whole little-endian arrays, one per field: (P,
 d_raw) f8 prototypes, (N, L) f8 labels, (N, T) u1 relevance, (N, T) i8
-planted ids and (N, T, frames_per_slot, d_raw) f8 frames.  ``load_split``
+planted ids and (N, T, frames_per_slot, d_raw) f4 frames.  ``load_split``
 reads each field straight into its array and checks its content; a loaded
 video's arrays are rows of those.
 """
@@ -56,7 +58,7 @@ from . import container
 from .errors import DomainError, FormatError, GenerationError
 
 MAGIC = b"SGDS"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 PLACEMENTS = ("middle", "spread")
 TASKS = ("single_label", "multi_label")
@@ -204,7 +206,7 @@ class ActivitySpec:
 class VideoSample:
     """One generated video: raw frames, labels, and generation ground truth."""
 
-    frames: np.ndarray          # (T, frames_per_slot, d_raw)
+    frames: np.ndarray          # (T, frames_per_slot, d_raw) float32
     labels: np.ndarray          # (L,) 0/1 float64 indicator row; one-hot for single_label
     relevance: np.ndarray       # (T,) bool
     planted: np.ndarray         # (T,) int64 prototype id per timestep
@@ -233,9 +235,11 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
 
 
 def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
-                rng: np.random.Generator, frames: np.ndarray) -> VideoSample:
-    """Draw one video, writing its raw frames into ``frames`` (a C-contiguous
-    (T, frames_per_slot, d_raw) float64 array)."""
+                rng: np.random.Generator, scratch: np.ndarray,
+                frames: np.ndarray) -> VideoSample:
+    """Draw one video: its raw frames are computed in ``scratch``, a
+    C-contiguous (T, frames_per_slot, d_raw) float64 array, and stored
+    rounded in ``frames``, a float32 array of that shape."""
     t = spec.timesteps
     classes = [primary]
     if spec.task == "multi_label":
@@ -274,10 +278,13 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
         else:
             planted[pos] = background[int(rng.integers(len(background)))]
 
-    # noise, then each slot's prototype added to its frames_per_slot frames
-    rng.standard_normal(out=frames)
-    frames *= spec.noise_sigma
-    frames += prototypes[planted][:, None, :]
+    # noise, then each slot's prototype added to its frames_per_slot frames;
+    # a value past float32's range stores as inf, which the caller rejects
+    rng.standard_normal(out=scratch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scratch *= spec.noise_sigma
+        scratch += prototypes[planted][:, None, :]
+        frames[...] = scratch
     relevance = np.asarray([int(p) in recipe for p in planted], dtype=bool)
     labels = np.zeros(spec.n_classes)
     labels[classes] = 1.0
@@ -287,7 +294,8 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
 def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -> Dataset:
     """Reproducible dataset: prototypes from the run seed, balanced labels
     per split, per-video streams from ``seed ^ global_index``.  Each split's
-    frames are rows of one (n_videos, T, frames_per_slot, d_raw) array."""
+    frames are rows of one float32 (n_videos, T, frames_per_slot, d_raw)
+    array; a frame that does not fit float32 raises ``GenerationError``."""
     if n_train < 1 or n_test < 1:
         raise DomainError(f"need positive split sizes, got {n_train}, {n_test}")
     if seed < 0:
@@ -300,13 +308,24 @@ def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -
     test_labels = _balanced_labels(n_test, spec.n_classes,
                                    np.random.default_rng(seed ^ (_LABEL_SEED_OFFSET - 1)))
     slots = (spec.timesteps, spec.frames_per_slot, spec.d_raw)
+    scratch = np.empty(slots)
     splits = []
-    for first, labels, frames in ((0, train_labels, np.empty((n_train, *slots))),
-                                  (n_train, test_labels, np.empty((n_test, *slots)))):
+    for first, labels, frames in ((0, train_labels, np.empty((n_train, *slots), np.float32)),
+                                  (n_train, test_labels, np.empty((n_test, *slots), np.float32))):
         splits.append([_make_video(spec, prototypes, int(c),
-                                   np.random.default_rng(seed ^ (first + k)), frames[k])
+                                   np.random.default_rng(seed ^ (first + k)), scratch,
+                                   frames[k])
                        for k, c in enumerate(labels)])
+        if not _finite(frames):
+            raise GenerationError(f"a frame value does not fit float32 at noise_sigma "
+                                  f"{spec.noise_sigma}")
     return Dataset(spec=spec, prototypes=prototypes, train=splits[0], test=splits[1], seed=seed)
+
+
+def _finite(frames: np.ndarray) -> bool:
+    """Whether every frame value is finite; min and max propagate NaN, so
+    neither needs a frames-sized mask."""
+    return not frames.size or bool(np.isfinite([frames.min(), frames.max()]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +361,7 @@ def save_split(path, dataset: Dataset, split: str) -> None:
             np.array([v.labels for v in videos], dtype="<f8"),
             np.array([v.relevance for v in videos], dtype=np.uint8),
             np.array([v.planted for v in videos], dtype="<i8"),
-            *(np.ascontiguousarray(v.frames, dtype="<f8") for v in videos)]
+            *(np.ascontiguousarray(v.frames, dtype="<f4") for v in videos)]
     container.write(path, MAGIC, FORMAT_VERSION, header, body)
 
 
@@ -355,7 +374,7 @@ def split_layout(meta: dict) -> list:
     n, t = meta["n_videos"], spec.timesteps
     return [("<f8", (spec.n_prototypes, spec.d_raw)), ("<f8", (n, spec.n_classes)),
             ("u1", (n, t)), ("<i8", (n, t)),
-            ("<f8", (n, t, spec.frames_per_slot, spec.d_raw))]
+            ("<f4", (n, t, spec.frames_per_slot, spec.d_raw))]
 
 
 def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
@@ -374,9 +393,7 @@ def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
             ((relevance > 1).any(), "a relevance byte is not 0 or 1"),
             (((planted < 0) | (planted >= spec.n_prototypes)).any(),
              f"a planted prototype id lies outside [0, {spec.n_prototypes})"),
-            # min and max propagate NaN, so neither needs a frames-sized mask
-            (frames.size and not np.isfinite([frames.min(), frames.max()]).all(),
-             "a frame value is not finite")):
+            (not _finite(frames), "a frame value is not finite")):
         if bad:
             raise FormatError(f"{path}: {what}")
     videos = [VideoSample(frames=f, labels=c, relevance=r, planted=p)

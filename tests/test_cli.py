@@ -5,13 +5,15 @@ from pathlib import Path
 import pytest
 
 import stepgate
+from stepgate import container
 from conftest import tiny_config
 from stepgate.harness import cli
 from stepgate.harness.cli import main
 from stepgate.harness.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from stepgate.harness.config import MODES, config_from_dict
 from stepgate.selector import SelectorParams
-from stepgate.synthdata import Dataset, load_split, save_split
+from stepgate.synthdata import (FORMAT_VERSION, MAGIC, Dataset, load_split, save_split,
+                                split_layout)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +129,39 @@ def test_a_version_2_split_is_a_one_line_runtime_error(cfg_file, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and err.count("\n") == 1
     assert "test.sgds: unsupported dataset format version 2" in err
+
+
+def test_a_version_3_split_is_refused_by_eval_in_one_line(cfg_file, trained, tmp_path,
+                                                         capsys):
+    """A version 3 test split, its frames stored as f8, is refused by name."""
+    data = tmp_path / "data"
+    assert main(["generate-data", "--config", cfg_file, "--out", str(data)]) == 0
+    header, fields = container.read(data / "test.sgds", MAGIC, FORMAT_VERSION, "dataset",
+                                    split_layout)
+    fields[-1] = fields[-1].astype("<f8")
+    container.write(data / "test.sgds", MAGIC, 3, {**header, "format_version": 3}, fields)
+    path = _stored_config(cfg_file, data, tmp_path / "from_disk.json")
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint.sgck"),
+                 "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"runtime error: {data / 'test.sgds'}: unsupported dataset format version 3\n"
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("sigma", [1e39, 1e308])
+def test_a_noise_level_past_float32_is_a_one_line_config_error(tmp_path, capsys, sigma):
+    """Frames that overflow their float32 store are refused while they are
+    generated, with no numpy warning and no split written."""
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(tiny_config("e2e", **{"dataset.noise_sigma": sigma}).to_dict()))
+    out = tmp_path / "data"
+    assert main(["generate-data", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dataset: a frame value does not fit float32")
+    assert len(err.splitlines()) == 1
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -44,6 +46,12 @@ def spec():
 @pytest.fixture(scope="module")
 def dataset(spec):
     return sd.generate_dataset(spec, n_train=60, n_test=40, seed=7)
+
+
+@pytest.fixture(scope="module")
+def large(spec):
+    """A split whose float32 frames body (80 videos, 5.2 MB) exceeds 4 MiB."""
+    return sd.generate_dataset(spec, n_train=1, n_test=80, seed=7)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +127,53 @@ def test_generation_is_deterministic(spec):
         nptest.assert_array_equal(va.labels, vb.labels)
     c = sd.generate_dataset(spec, 12, 6, seed=4)
     assert not np.array_equal(a.prototypes, c.prototypes)
+
+
+class _NoiseTap:
+    """A stand-in for a ``np.random.Generator`` that keeps the bit generator's
+    state before each ``standard_normal`` call, so a test can draw the same
+    values again on its own."""
+
+    def __init__(self, rng, states):
+        self._rng, self._states = rng, states
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, *args, **kwargs):
+        self._states.append(self._rng.bit_generator.state)
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def test_frames_are_the_float64_formula_rounded_to_float32(spec, monkeypatch):
+    """Each video's noise is the float64 draw of its own stream, scaled and
+    shifted by its prototypes in float64; only the sum is stored, rounded to
+    float32."""
+    states = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoiseTap(real(seed), states))
+    data = sd.generate_dataset(spec, 5, 3, seed=3)
+    monkeypatch.undo()
+    _, *video_states = states  # the prototypes are drawn first
+    assert len(video_states) == 8
+    for v, state in zip(data.train + data.test, video_states):
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        noise = rng.standard_normal(v.frames.shape)
+        want = noise * spec.noise_sigma + data.prototypes[v.planted][:, None, :]
+        assert v.frames.dtype == np.float32
+        nptest.assert_array_equal(v.frames, want.astype(np.float32))
+
+
+@pytest.mark.parametrize("sigma", [1e39, 1e308])
+def test_a_frame_past_float32_is_a_generation_error(spec, sigma):
+    """At 1e39 only the float32 store overflows, at 1e308 the float64
+    arithmetic too; either is refused without a numpy warning."""
+    loud = sd.ActivitySpec(**{**_spec_kwargs(spec), "noise_sigma": sigma})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GenerationError, match="does not fit float32"):
+            sd.generate_dataset(loud, 2, 1, seed=0)
 
 
 def test_labels_are_balanced(dataset, spec):
@@ -344,10 +399,10 @@ def test_round_trip_preserves_everything(tmp_path, dataset, spec):
 
 def _one_frame_array(videos, spec):
     """Every video's frames are a writable row of one aligned, C-contiguous
-    (n_videos, T, frames_per_slot, d_raw) float64 array of slots."""
+    (n_videos, T, frames_per_slot, d_raw) float32 array of slots."""
     base = videos[0].frames.base
     assert base.shape == (len(videos), spec.timesteps, spec.frames_per_slot, spec.d_raw)
-    assert base.dtype == np.float64 and base.flags.c_contiguous and base.flags.aligned
+    assert base.dtype == np.float32 and base.flags.c_contiguous and base.flags.aligned
     for k, v in enumerate(videos):
         assert v.frames.base is base
         assert np.shares_memory(v.frames, base[k]) and v.frames.shape == base[k].shape
@@ -410,10 +465,10 @@ def test_version_1_files_are_rejected(tmp_path, dataset):
     path = tmp_path / "x.sgds"
     sd.save_split(path, dataset, "test")
     raw = path.read_bytes()
-    assert sd.FORMAT_VERSION == 3
+    assert sd.FORMAT_VERSION == 4
     # v1 had no slot layout; v2 interleaved each video's label, mask, ids
-    # and frames
-    for version in (1, 2):
+    # and frames; v3 stored the frames as f8
+    for version in (1, 2, 3):
         old = tmp_path / f"v{version}.sgds"
         old.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
         with pytest.raises(FormatError, match=f"unsupported dataset format version {version}"):
@@ -434,29 +489,29 @@ def _fields(prototypes, videos):
             np.stack([v.labels for v in videos]).astype("<f8"),
             np.stack([v.relevance for v in videos]).astype("u1"),
             np.stack([v.planted for v in videos]).astype("<i8"),
-            np.stack([v.frames for v in videos]).astype("<f8")]
+            np.stack([v.frames for v in videos]).astype("<f4")]
 
 
 def test_the_body_is_one_block_per_field(tmp_path, dataset):
-    """Version 3's body is prototypes | labels | relevance | planted |
-    frames, each field whole, every video's row in turn."""
+    """Version 4's body is prototypes | labels | relevance | planted |
+    frames, each field whole, every video's row in turn, the frames as f4."""
     path = tmp_path / "test.sgds"
     sd.save_split(path, dataset, "test")
     want = b"".join(a.tobytes() for a in _fields(dataset.prototypes, dataset.test))
     assert _header_and_body(path)[1] == want
 
 
-def test_a_load_peaks_at_the_frames_it_returns(tmp_path, dataset):
+def test_a_load_peaks_at_the_frames_it_returns(tmp_path, large):
     """The body lands in its final arrays: no whole-file buffer, no second
     copy of the frames."""
     path = tmp_path / "test.sgds"
-    sd.save_split(path, dataset, "test")
-    frames = sum(v.frames.nbytes for v in dataset.test)
+    sd.save_split(path, large, "test")
+    frames = sum(v.frames.nbytes for v in large.test)
     assert frames > 4 << 20
     assert traced_peak(sd.load_split, path) <= 1.1 * frames
 
 
-def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dataset):
+def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, large):
     """Files whose checksum holds but whose header or body do not fit the
     layout still fail as FormatError, never as a parser's own exception,
     and before anything the size of the body is allocated; a body that fits
@@ -464,7 +519,7 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
     one-hot, a relevance byte or planted id out of range, a frame value that
     is NaN or infinite) fails once read, naming the file."""
     path = tmp_path / "x.sgds"
-    sd.save_split(path, dataset, "test")
+    sd.save_split(path, large, "test")
     header, body = _header_and_body(path)
     assert len(body) > 4 << 20
 
@@ -500,13 +555,13 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, dat
         "two_positives": (1, 3, one_hot + np.eye(10)[4], "more than one"),
         "relevance_2": (2, (2, 5), 2, "relevance byte"),
         "negative_id": (3, (2, 5), -1, "planted prototype id"),
-        "id_past_the_prototypes": (3, (2, 5), len(dataset.prototypes), "planted prototype id"),
+        "id_past_the_prototypes": (3, (2, 5), len(large.prototypes), "planted prototype id"),
         "nan_frame": (4, (0, 0, 0, 0), np.nan, "frame value is not finite"),
         "inf_frame": (4, (3, 7, 1, 5), np.inf, "frame value is not finite"),
         "minus_inf_frame": (4, (5, 31, 1, 31), -np.inf, "frame value is not finite"),
     }
     for name, (field, at, value, message) in content.items():
-        fields = _fields(dataset.prototypes, dataset.test)
+        fields = _fields(large.prototypes, large.test)
         fields[field][at] = value
         bad = tmp_path / f"{name}.sgds"
         container.write(bad, sd.MAGIC, sd.FORMAT_VERSION, header, fields)
@@ -531,7 +586,7 @@ def test_the_header_is_pinned(small_split, tmp_path):
     unsorted must fail here, not only in a round trip through this code."""
     path, _ = small_split
     assert _header_and_body(path)[0] == {
-        "format_version": 3, "n_videos": 3, "seed": 5, "split": "test",
+        "format_version": 4, "n_videos": 3, "seed": 5, "split": "test",
         "task": "single_label", "n_classes": 3, "n_prototypes": 7, "d_raw": 4,
         "timesteps": 6, "frames_per_slot": 2, "noise_sigma": 0.3,
         "relevant_fraction": 0.3, "confuser_share": 0.35,
@@ -545,7 +600,7 @@ def test_the_header_is_pinned(small_split, tmp_path):
     paired = tmp_path / "train.sgds"
     sd.save_split(paired, sd.generate_dataset(spec, 2, 3, seed=11), "train")
     assert _header_and_body(paired)[0] == {
-        "format_version": 3, "n_videos": 2, "seed": 11, "split": "train",
+        "format_version": 4, "n_videos": 2, "seed": 11, "split": "train",
         "task": "multi_label", "n_classes": 3, "n_prototypes": 4, "d_raw": 3,
         "timesteps": 5, "frames_per_slot": 2, "noise_sigma": 0.25,
         "relevant_fraction": 0.4, "confuser_share": 0.5,

@@ -410,6 +410,21 @@ def test_training_is_deterministic(tiny_data, results, tmp_path):
                 == (tmp_path / f"{mode}-b.sgck").read_bytes()), mode
 
 
+def test_same_seed_runs_on_stored_splits_save_identical_checkpoints(tmp_path, tiny_data):
+    """Two same-seed runs that read the float32 frames back from split files
+    save the same checkpoint bytes, and so does a run on the generated
+    dataset: a loaded split is the generated one."""
+    save_split(tmp_path / "train.sgds", tiny_data, "train")
+    save_split(tmp_path / "test.sgds", tiny_data, "test")
+    cfg = tiny_config("e2e", **{"dataset.path": str(tmp_path)})
+    runs = [run_training(cfg), run_training(cfg), run_training(cfg, tiny_data)]
+    saved = []
+    for i, res in enumerate(runs):
+        save_checkpoint(tmp_path / f"{i}.sgck", res.checkpoint)
+        saved.append((tmp_path / f"{i}.sgck").read_bytes())
+    assert saved[0] == saved[1] == saved[2]
+
+
 def test_seed_changes_the_trajectory(tiny_data):
     a = run_training(tiny_config("e2e"), tiny_data)
     c = run_training(tiny_config("e2e", seed=1), tiny_data)
