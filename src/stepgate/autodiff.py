@@ -11,9 +11,8 @@ Deliberate conventions:
 
 * float64 everywhere; desk-scale problems make precision cheap and keep
   finite-difference checks tight.
-* no broadcasting.  ``add`` takes two tensors of the same shape, ``scale``
-  multiplies by a python scalar and ``scale_rows`` multiplies row i of a
-  matrix by entry i of a vector.
+* no broadcasting.  ``add`` takes two tensors of the same shape and
+  ``scale_rows`` multiplies row i of a matrix by entry i of a vector.
 * ``sigmoid`` clamps its exponent argument to ``[-SIGMOID_CLAMP,
   SIGMOID_CLAMP]``; the clamp is part of the function's definition, not an
   implementation detail, so no forward op can overflow on finite input.
@@ -66,8 +65,6 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 
 SIGMOID_CLAMP = 40.0
-
-_Scalar = (int, float, np.integer, np.floating)
 
 
 class Tensor:
@@ -201,17 +198,10 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
-        raise ContractError("add takes two Tensors; use scale() for a python scalar")
+        raise ContractError("add takes two Tensors")
     if b.shape != a.shape:
         raise DimensionError(f"add got incompatible shapes {a.shape} and {b.shape}")
     return _emit("add", a.data + b.data, (a, b))
-
-
-def scale(a: Tensor, c) -> Tensor:
-    """Multiply by a python scalar (no gradient flows to ``c``)."""
-    if not isinstance(c, _Scalar):
-        raise ContractError("scale() takes a python scalar; use scale_rows() for tensors")
-    return _emit("scale", a.data * float(c), (a,), float(c))
 
 
 def scale_rows(x: Tensor, v: Tensor) -> Tensor:
@@ -510,10 +500,6 @@ def _bwd_add(node, g, data):
     return (g, g)
 
 
-def _bwd_scale(node, g, data):
-    return (g * node.ctx,)
-
-
 def _bwd_scale_rows(node, g, data):
     x, v = data
     return (g * v[:, None], (g * x).sum(axis=1))
@@ -570,7 +556,6 @@ _BACKWARD: dict[str, Callable] = {
     "matmul_t": _bwd_matmul_t,
     "affine": _bwd_affine,
     "add": _bwd_add,
-    "scale": _bwd_scale,
     "scale_rows": _bwd_scale_rows,
     "sigmoid": _bwd_sigmoid,
     "reduce_mean": _bwd_mean,

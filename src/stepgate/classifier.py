@@ -1,4 +1,4 @@
-"""Heavy-stage classification: segment encoder plus a pooled per-timestep head.
+"""Heavy-stage classification: segment encoder, max-pooling over time, then a head.
 
 The heavy encoder, an ``autodiff.MLP``, consumes the first ``segment_len``
 raw frames of each selected timestep slot: a video's frames are shaped
@@ -7,12 +7,13 @@ is the expensive part of the pipeline, so it only ever runs on the indices
 handed to it; ``heavy_rows`` counts every encoded timestep to make that
 property checkable.  Its features are one (C,) row per encoded timestep, a
 (T', C) matrix; there is no spatial grid.  ``classify`` applies gate
-magnitudes (training's gated arms), maps each timestep through a head (an
-``MLP``), and max-pools over each video's timesteps, so duplicated
-timesteps never change the logits.  The rows of several videos may share one
-call: consecutive segments of rows belong to one video each.  Parameters are
-named ``classifier.enc.*`` and ``classifier.head.*``; beside their shapes,
-``ClassifierParams.segment_len`` is the heavy stage's one fact.
+magnitudes (training's gated arms), max-pools the features over each
+video's timesteps, and maps each video's pooled row through a head (an
+``MLP``), so duplicated timesteps never change the logits and a class score
+can combine evidence from several timesteps.  The rows of several videos
+may share one call: consecutive segments of rows belong to one video each.
+Parameters are named ``classifier.enc.*`` and ``classifier.head.*``; beside
+their shapes, ``ClassifierParams.segment_len`` is the heavy stage's one fact.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class ClassifierParams:
 
     segment_len: int
     enc: MLP  # segment_len * d_raw -> channels
-    head: MLP  # channels -> n_classes, per timestep
+    head: MLP  # channels -> n_classes, per video on its pooled features
     heavy_rows: int = 0  # timesteps encoded so far, never reset; instrumentation only
 
     @classmethod
@@ -90,11 +91,11 @@ def heavynet_features(frames: np.ndarray, indices,
 
 def classify(features: Tensor, gate_values: Tensor | None, head: MLP,
              segments: Sequence[int]) -> Tensor:
-    """(B, L) video logits: ``head`` maps each row of (T', C) features, and
-    the rows of each of B consecutive segments of ``segments[b]`` rows, one
-    per video, are max-pooled.
+    """(B, L) video logits: the rows of (T', C) features are max-pooled over
+    each of B consecutive segments of ``segments[b]`` rows, one per video,
+    and ``head`` maps each video's pooled (C,) row.
 
-    ``gate_values`` (shape (T',)) multiplies the feature rows before the head
+    ``gate_values`` (shape (T',)) multiplies the feature rows before the pool
     when given, one ``autodiff.scale_rows`` node: the joint arms' activated
     gates with the heavy head, the stand-alone selector's with its light
     head; every other path passes ``None``.
@@ -104,7 +105,7 @@ def classify(features: Tensor, gate_values: Tensor | None, head: MLP,
         raise DimensionError(f"classify expects (T', {c}) features, got {features.shape}")
     if gate_values is not None:
         features = ad.scale_rows(features, gate_values)
-    return ad.segment_max(head(features), segments)
+    return head(ad.segment_max(features, segments))
 
 
 def task_loss(logits: Tensor, targets, task: str) -> Tensor:

@@ -1,9 +1,10 @@
 """FLOP accounting for this package's own networks.
 
-:func:`desk_flops` counts the exact dense-matmul multiplies per timestep of
-the networks that actually run: ``desk_light`` (light encoder, attention,
-kernel similarity and gate MLP), ``desk_scorer`` (the SCSampler-style
-scorer) and ``desk_heavy`` (heavy encoder and classification head).  A
+:func:`desk_flops` counts the exact dense-matmul multiplies of the
+networks that actually run: per timestep ``desk_light`` (light encoder,
+attention, kernel similarity and gate MLP), ``desk_scorer`` (the
+SCSampler-style scorer) and ``desk_heavy`` (heavy encoder), and per video
+``desk_head`` (the classification head on the pooled features).  A
 :class:`CostRegistry` holds those rates, and :func:`pipeline_cost` turns
 light and heavy timestep counts into a :class:`CostReport`.
 """
@@ -20,7 +21,7 @@ GFLOP = 1e9
 
 @dataclass(frozen=True)
 class CostRegistry:
-    """Immutable tag -> GFLOPs-per-timestep table."""
+    """Immutable tag -> GFLOPs table, per timestep or, for a head, per video."""
 
     rates: Mapping[str, float]
 
@@ -37,23 +38,25 @@ class CostRegistry:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Cost of one pipeline configuration; the total is the exact sum.
-    ``n_heavy`` may be a mean over videos."""
+    """Cost of one pipeline configuration, per video; the total is the exact
+    sum.  ``n_heavy`` may be a mean over videos."""
 
     n_light: int
     n_heavy: float
     light_gflops: float
     heavy_gflops: float
+    head_gflops: float
 
     @property
     def total_gflops(self) -> float:
-        return self.light_gflops + self.heavy_gflops
+        return self.light_gflops + self.heavy_gflops + self.head_gflops
 
 
 def pipeline_cost(n_light: int, n_heavy: float, light_rate: float,
-                  heavy_rate: float) -> CostReport:
+                  heavy_rate: float, head_rate: float) -> CostReport:
     """Cost of running ``n_light`` light and ``n_heavy`` heavy timesteps at
-    the given GFLOPs-per-timestep rates.
+    the given GFLOPs-per-timestep rates, plus one head pass at ``head_rate``
+    GFLOPs per video.
 
     A dense baseline runs no light stage at all (``n_light == 0``); when the
     light stage does run it must see at least as many timesteps as the heavy
@@ -68,7 +71,7 @@ def pipeline_cost(n_light: int, n_heavy: float, light_rate: float,
         )
     return CostReport(n_light=n_light, n_heavy=n_heavy,
                       light_gflops=n_light * light_rate,
-                      heavy_gflops=n_heavy * heavy_rate)
+                      heavy_gflops=n_heavy * heavy_rate, head_gflops=head_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +108,17 @@ def desk_flops(d_raw: int, light_channels: int, n_kernels: int, gate_hidden: int
                timesteps: int, segment_len: int, heavy_channels: int,
                heavy_hidden: int, head_hidden: int, n_classes: int,
                attention: bool, light_hidden: int) -> dict[str, float]:
-    """Exact dense-matmul multiply counts per timestep, in GFLOPs.
+    """Exact dense-matmul multiply counts, in GFLOPs.
 
-    ``desk_light`` covers the light encoder (``d_raw`` -> ``light_hidden``
-    -> ``light_channels``), attention when the selector has it (its
-    per-timestep share includes the T-dependent score and mixing terms),
-    kernel similarity, and the gating head.  ``desk_scorer`` covers the
-    light encoder plus the SCSampler scorer's linear head.  ``desk_heavy``
-    covers the heavy encoder and the classification head for one selected
-    timestep.  Only multiplies inside matrix products are counted; bias adds
-    and nonlinearities are excluded.
+    Per timestep, ``desk_light`` covers the light encoder (``d_raw`` ->
+    ``light_hidden`` -> ``light_channels``), attention when the selector has
+    it (its per-timestep share includes the T-dependent score and mixing
+    terms), kernel similarity, and the gating head.  ``desk_scorer`` covers
+    the light encoder plus the SCSampler scorer's linear head.
+    ``desk_heavy`` covers the heavy encoder for one selected timestep.  Per
+    video, ``desk_head`` covers the classification head, which runs once on
+    the pooled features.  Only multiplies inside matrix products are
+    counted; bias adds and nonlinearities are excluded.
     """
     names = dict(d_raw=d_raw, light_channels=light_channels, n_kernels=n_kernels,
                  gate_hidden=gate_hidden, timesteps=timesteps, segment_len=segment_len,
@@ -132,6 +136,6 @@ def desk_flops(d_raw: int, light_channels: int, n_kernels: int, gate_hidden: int
     light += n_kernels * c                 # kernel similarity
     light += n_kernels * gate_hidden + gate_hidden
     heavy = segment_len * d_raw * heavy_hidden + heavy_hidden * heavy_channels
-    heavy += heavy_channels * head_hidden + head_hidden * n_classes
+    head = heavy_channels * head_hidden + head_hidden * n_classes
     return {"desk_light": light / GFLOP, "desk_scorer": scorer / GFLOP,
-            "desk_heavy": heavy / GFLOP}
+            "desk_heavy": heavy / GFLOP, "desk_head": head / GFLOP}

@@ -19,6 +19,10 @@ clipped sigmoid becomes a hard step: open iff the logit is positive.
 The train-time activation is one tape op, ``autodiff.noisy_gate``.  Its
 backward treats the clip indicator as a constant, so gradient flows through
 the sigmoid only for open gates and closed gates contribute exactly zero.
+
+Training steers the gates to a compute budget with ``rate_penalty``, the
+squared gap between a batch's mean open probability and a target rate, as
+in ConvNet-AIG (Veit & Belongie, arXiv:1711.11503); closed gates get it too.
 """
 
 from __future__ import annotations
@@ -97,9 +101,11 @@ def activate_test_batch(alphas: Tensor) -> tuple[Tensor, np.ndarray]:
     return Tensor(open_mask.astype(np.float64)), open_mask
 
 
-def l0_penalty(alphas: Tensor, lam: float) -> Tensor:
-    """Expected-open-count surrogate: ``lam * mean(sigmoid(alpha_i))``."""
-    if lam < 0:
-        raise DomainError(f"sparsity weight must be non-negative, got {lam}")
-    flat = ad.reshape(alphas, (alphas.numel(),))
-    return ad.scale(ad.reduce_mean(ad.sigmoid(flat), axis=0), float(lam))
+def rate_penalty(p_open: Tensor, target: float) -> Tensor:
+    """The scalar ``(mean(p_open) - target)**2`` of an (N, 1) column of open
+    probabilities ``sigmoid(logit)``; one ``matmul_t`` squares the gap."""
+    if p_open.data.ndim != 2 or p_open.shape[1] != 1:
+        raise DimensionError(f"rate_penalty expects an (N, 1) column, got {p_open.shape}")
+    mean = ad.reshape(ad.reduce_mean(p_open, axis=0), (1, 1))
+    gap = ad.add(mean, Tensor(np.full((1, 1), -float(target))))
+    return ad.reshape(ad.matmul_t(gap, gap), ())

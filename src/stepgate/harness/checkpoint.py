@@ -1,13 +1,14 @@
 """Binary checkpoints: a bundle's parameters, its config and its step count.
 
-Format version 4, in the shared container (``stepgate.container``): magic
+Format version 5, in the shared container (``stepgate.container``): magic
 ``SGCK`` | u32 version | u32 header length | u32 CRC-32 | JSON header |
 float64 little-endian blocks.  The header holds the config, the step and the
 parameter names and shapes in block order; one block per parameter follows.
 A name is the tensor's field path in ``ModelBundle`` (``selector.enc.w1``,
 ``scorer.head_w``), in ``ModelBundle.named_parameters`` order.  Older
-versions are rejected.  The header JSON is canonical (sorted keys, no
-whitespace) so save -> load -> save reproduces the file byte for byte.
+versions are rejected; version 4 weights fed each row to the head before
+the pool.  The header JSON is canonical (sorted keys, no whitespace) so
+save -> load -> save reproduces the file byte for byte.
 ``load_checkpoint`` reads each block straight into its parameter's array.
 ``Checkpoint.bundle`` is the one way from stored weights to a model.
 """
@@ -24,7 +25,7 @@ from .config import ExperimentConfig, config_from_dict
 from .models import ModelBundle, build_bundle
 
 MAGIC = b"SGCK"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass

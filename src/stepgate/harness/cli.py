@@ -202,7 +202,7 @@ def _tradeoff_rows(path: str) -> list[tuple[str, CostReport, float]]:
         c = _field(entry, "cost", dict, path)
         cost = CostReport(**{k: _field(c, k, _NUMBER, path)
                              for k in ("n_light", "n_heavy", "light_gflops",
-                                       "heavy_gflops")})
+                                       "heavy_gflops", "head_gflops")})
         rows.append((f"{mode}/{entry_key(budget)}", cost,
                      _field(entry, "value", _NUMBER, path)))
     return rows

@@ -77,8 +77,9 @@ class TrainingConfig:
     epochs: int = 30
     lr: float = 1e-3
     eps: float = 1e-4
-    l0_weight: float = 0.0
-    sample_budget: int | None = None  # timesteps for scorer/uniform/random arms
+    # every arm's training budget in timesteps (None: round(T / 4)); the
+    # gated arms steer their mean open rate to it over T
+    sample_budget: int | None = None
 
 
 @dataclass
@@ -170,8 +171,6 @@ def _validate_values(cfg: ExperimentConfig) -> None:
         raise ConfigError("training.batch_size and training.epochs must be positive")
     if t.lr <= 0 or t.eps <= 0:
         raise ConfigError("training.lr and training.eps must be positive")
-    if t.l0_weight < 0:
-        raise ConfigError(f"training.l0_weight must be non-negative, got {t.l0_weight}")
     if t.sample_budget is not None and not 1 <= t.sample_budget <= d.timesteps:
         raise ConfigError(
             f"training.sample_budget must lie in [1, {d.timesteps}], got {t.sample_budget}"

@@ -103,7 +103,8 @@ def mean_ap(scores: np.ndarray, targets: np.ndarray) -> tuple[float, list[int]]:
 
 
 def cost_registry_for(config: ExperimentConfig) -> CostRegistry:
-    """GFLOPs per timestep of this config's light, scorer and heavy networks."""
+    """GFLOPs per timestep of this config's light, scorer and heavy networks,
+    and per video of its head."""
     d, m = config.dataset, config.model
     return CostRegistry(rates=desk_flops(
         d_raw=d.d_raw, light_channels=m.light_channels, n_kernels=m.n_kernels,
@@ -117,14 +118,14 @@ def cost_registry_for(config: ExperimentConfig) -> CostRegistry:
 
 def _cost_for(config: ExperimentConfig, mean_heavy: float,
               registry: CostRegistry) -> CostReport:
-    heavy = registry.rate("desk_heavy")
+    heavy, head = registry.rate("desk_heavy"), registry.rate("desk_head")
     if config.mode in SELECTOR_MODES:
         light = registry.rate("desk_light")
     elif config.mode == "scsampler":
         light = registry.rate("desk_scorer")
     else:  # fixed-rule samplers run no light stage
-        return pipeline_cost(0, mean_heavy, 0.0, heavy)
-    return pipeline_cost(config.dataset.timesteps, mean_heavy, light, heavy)
+        return pipeline_cost(0, mean_heavy, 0.0, heavy, head)
+    return pipeline_cost(config.dataset.timesteps, mean_heavy, light, heavy, head)
 
 
 # ---------------------------------------------------------------------------

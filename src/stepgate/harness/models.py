@@ -2,7 +2,7 @@
 
 A bundle holds weights only; its mode is ``ExperimentConfig.mode``.
 
-standalone          selector (context) + a light per-timestep head for phase A,
+standalone          selector (context) + a light head on pooled features for phase A,
                     plus a heavy classifier fitted to the frozen selector.
 e2e                 selector (context) + heavy classifier, trained jointly.
 frame_conditioned   same as e2e with the attention layer removed.
@@ -85,7 +85,9 @@ def build_bundle(config: ExperimentConfig) -> ModelBundle:
 
 
 def training_sample_budget(config: ExperimentConfig) -> int:
-    """Timesteps the selector-free arms feed the classifier during training.
+    """Every arm's training budget in timesteps: the rows the selector-free
+    arms feed the classifier, and over T the open rate the gated arms' rate
+    term steers to.
 
     Defaults to a quarter of the sequence, in the ballpark of the synthetic
     relevant fraction, when the config leaves it unset.

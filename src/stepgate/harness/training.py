@@ -11,15 +11,15 @@ them with no budget, so a deterministic arm trains on exactly the rows its
 gate-count evaluation entry encodes.
 
 ``_fit`` is the only optimisation loop: shuffled minibatches, one batch loss
-(the mean over the batch's videos), one backward pass and one Adam step per
-batch.  Both light networks read the batch's light frames
-(``evaluation.light_frames``).  The selector runs once per video, on a
-stack of one; after selection the batch is stacked, so the heavy encoder,
-the head and the task loss each run once per batch, on the gathered
-segments of the picked slots only.  The SCSampler scorer is stacked whole:
-one scorer pass and one cross-entropy cover the light frames of every slot
-of the batch.  The checkpoint's ``step`` is the number of Adam steps over
-both phases.
+(the mean over the batch's videos, plus the gated arms' rate term), one
+backward pass and one Adam step per batch.  Both light networks read the
+batch's light frames (``evaluation.light_frames``).  The selector runs once
+per video, on a stack of one; after selection the batch is stacked, so the
+heavy encoder, the head and the task loss each run once per batch, on the
+gathered segments of the picked slots only.  The SCSampler scorer is
+stacked whole: one scorer pass and one cross-entropy cover the light frames
+of every slot of the batch.  The checkpoint's ``step`` is the number of
+Adam steps over both phases.
 
 All training is deterministic given (config, seed): parameter init, batch
 shuffles, gate noise, and baseline sampling each draw from streams derived
@@ -46,7 +46,7 @@ from ..synthdata import Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
 from .evaluation import light_frames, rankings, split_picks
-from .models import ModelBundle, build_bundle
+from .models import ModelBundle, build_bundle, training_sample_budget
 
 _TRAIN_STREAM = 0x5EED
 _SAMPLE_STREAM = 0xBA5E
@@ -202,18 +202,18 @@ def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
 
 
 def joint_logits(frames: list[np.ndarray], results: list[SelectionResult],
-                 bundle: ModelBundle) -> Tensor:
+                 p_open: Tensor, bundle: ModelBundle) -> Tensor:
     """The joint arms' (B, L) heavy logits of a batch: each selection's heavy
-    timesteps, scaled by their gate values, through the heavy classifier."""
+    timesteps, scaled by their gate values, through the heavy classifier.
+    ``p_open`` is the (B*T, 1) column ``sigmoid(logit)`` of the batch."""
     opened = np.stack([r.open for r in results])
-    t = opened.shape[1]
+    n, t = opened.size, opened.shape[1]
     picks = heavy_indices(opened, np.stack([r.logits.data.reshape(t) for r in results]))
-    # the fallback timestep of an all-closed video enters with a constant
-    # gate of 1, the last row of the gate column
-    column = ad.concat_rows([r.activated for r in results] + [Tensor(np.ones(1))])
-    gate_rows = []
-    for b, idx in enumerate(picks):
-        gate_rows += [b * t + i for i in idx] if opened[b].any() else [len(results) * t]
+    # the fallback timestep of an all-closed video enters with its open
+    # probability, a live gate, read from the second half of the gate column
+    column = ad.concat_rows([r.activated for r in results] + [ad.reshape(p_open, (n,))])
+    gate_rows = [b * t + i + (0 if opened[b].any() else n)
+                 for b, idx in enumerate(picks) for i in idx]
     return _heavy_logits(frames, picks, ad.take_rows(column, gate_rows),
                          bundle.classifier)
 
@@ -227,14 +227,16 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
     """The batch loss of the mode's first phase, or None without one.
 
     End-to-end and frame-conditioned training gate the heavy classifier;
-    the stand-alone selector gates its light features into a light head;
-    the SCSampler scorer classifies every timestep on its own, the whole
-    batch's light frames in one stack.
+    the stand-alone selector gates its light features into a light head.
+    All three add ``gating.rate_penalty``, which steers the batch's mean
+    open probability to the training sample budget over T.  The SCSampler
+    scorer classifies every timestep on its own, the whole batch's light
+    frames in one stack.
     """
     mode = config.mode
     task = config.dataset.task
     t_steps = config.dataset.timesteps
-    l0_weight = config.training.l0_weight
+    target_rate = training_sample_budget(config) / t_steps
 
     if mode in (*_JOINT_MODES, "standalone"):
         def batch_loss(epoch, batch):
@@ -242,17 +244,16 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             light = light_frames(videos, config)
             results = [select(light[b:b + 1], bundle.selector, "train", rng=rng)
                        for b in range(len(videos))]
+            p_open = ad.sigmoid(ad.concat_rows([r.logits for r in results]))
             if mode == "standalone":
                 # light path: gated light features through the light head
                 logits = classify(ad.concat_rows([r.features for r in results]),
                                   ad.concat_rows([r.activated for r in results]),
                                   bundle.light_head, [t_steps] * len(results))
             else:
-                logits = joint_logits([v.frames for v in videos], results, bundle)
+                logits = joint_logits([v.frames for v in videos], results, p_open, bundle)
             loss, hits = _scored(logits, videos, task)
-            if l0_weight > 0.0:
-                alphas = ad.concat_rows([r.logits for r in results])
-                loss = ad.add(loss, gating.l0_penalty(alphas, l0_weight))
+            loss = ad.add(loss, gating.rate_penalty(p_open, target_rate))
             opened = np.stack([r.open for r in results])
             return (loss, hits, int(opened.sum()) / t_steps,
                     int((~opened.any(axis=1)).sum()))

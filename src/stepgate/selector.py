@@ -71,7 +71,7 @@ class SelectionResult:
 
     ``features`` are the (B*T, C) light features the gates read (after
     attention, when the selector has it), ``logits`` the differentiable (B*T, 1) gate
-    logits that feed the L0 term and the top-k ranking, ``activated`` the
+    logits that feed training's rate term and the top-k ranking, ``activated`` the
     (B*T,) gate values (noisy clipped sigmoid in train mode, 0/1 in test
     mode) and ``open`` the boolean (B*T,) open mask.
     """

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from stepgate.synthdata import generate_dataset
 
 
 def tiny_config(mode="e2e", **overrides) -> ExperimentConfig:
-    """Smallest experiment that still exercises every code path."""
+    """Smallest experiment that still exercises every code path.  An
+    override names a field of the config, ``"seed"``, or of one of its
+    sections, ``"training.epochs"``; any other name raises."""
     cfg = ExperimentConfig(
         mode=mode,
         seed=0,
@@ -25,11 +28,11 @@ def tiny_config(mode="e2e", **overrides) -> ExperimentConfig:
         eval=EvalConfig(),
     )
     for key, val in overrides.items():
-        section, _, field = key.partition(".")
-        if field:
-            setattr(getattr(cfg, section), field, val)
-        else:
-            setattr(cfg, section, val)
+        section, _, name = key.rpartition(".")
+        target = getattr(cfg, section) if section else cfg
+        if name not in {f.name for f in fields(target)}:
+            raise AttributeError(f"tiny_config override {key!r} names no config field")
+        setattr(target, name, val)
     return cfg
 
 

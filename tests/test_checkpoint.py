@@ -103,10 +103,10 @@ def test_version_1_files_are_rejected(tmp_path, bundle_and_ckpt):
     path = tmp_path / "x.sgck"
     save_checkpoint(path, ckpt)
     raw = path.read_bytes()
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     # v1 stored Adam moments; v2 had flat enc_*/gate_* names; v3 stored the
-    # model's spatial grid
-    for version in (1, 2, 3):
+    # model's spatial grid; v4 weights fed each row to the head before the pool
+    for version in (1, 2, 3, 4):
         old = tmp_path / f"v{version}.sgck"
         old.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
         with pytest.raises(FormatError, match=f"unsupported checkpoint format version {version}"):

@@ -30,12 +30,13 @@ def encode_oracle(frames, indices, params):
 
 
 def classify_oracle(features, gate_values, params):
+    """One video's logits: gate the rows, max-pool them, then the head."""
     if gate_values is not None:
         features = features * gate_values[:, None]
     head = params.head
-    h = np.maximum(features @ head.w1.data + head.b1.data, 0.0)
-    per_step = h @ head.w2.data + head.b2.data
-    return per_step.max(axis=0)
+    pooled = features.max(axis=0)
+    h = np.maximum(pooled @ head.w1.data + head.b1.data, 0.0)
+    return h @ head.w2.data + head.b2.data
 
 
 # ---------------------------------------------------------------------------

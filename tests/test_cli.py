@@ -9,7 +9,9 @@ from stepgate import container
 from conftest import tiny_config
 from stepgate.harness import cli
 from stepgate.harness.cli import main
-from stepgate.harness.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from stepgate.harness.checkpoint import (FORMAT_VERSION as CKPT_VERSION, MAGIC as CKPT_MAGIC,
+                                         Checkpoint, checkpoint_layout, load_checkpoint,
+                                         save_checkpoint)
 from stepgate.harness.config import MODES, config_from_dict
 from stepgate.selector import SelectorParams
 from stepgate.synthdata import (FORMAT_VERSION, MAGIC, Dataset, load_split, save_split,
@@ -147,6 +149,22 @@ def test_a_version_3_split_is_refused_by_eval_in_one_line(cfg_file, trained, tmp
                  "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"runtime error: {data / 'test.sgds'}: unsupported dataset format version 3\n"
+    assert not (out / "metrics.json").exists()
+
+
+def test_a_version_4_checkpoint_is_refused_by_eval_in_one_line(cfg_file, trained,
+                                                              tmp_path, capsys):
+    """A version 4 checkpoint, whose head scored each row before the pool,
+    is refused by name."""
+    header, blocks = container.read(trained / "checkpoint.sgck", CKPT_MAGIC,
+                                    CKPT_VERSION, "checkpoint", checkpoint_layout)
+    old = tmp_path / "v4.sgck"
+    container.write(old, CKPT_MAGIC, 4, {**header, "format_version": 4}, blocks)
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(old), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"runtime error: {old}: unsupported checkpoint format version 4\n"
     assert not (out / "metrics.json").exists()
 
 
@@ -463,7 +481,7 @@ def test_tradeoff_on_a_truncated_metrics_file_is_a_runtime_error(tmp_path, capsy
 
 def test_tradeoff_on_missing_or_mistyped_fields_is_a_runtime_error(tmp_path, capsys):
     cost = {"n_light": 6, "n_heavy": 2.0, "light_gflops": 1e-6,
-            "heavy_gflops": 2e-6}
+            "heavy_gflops": 2e-6, "head_gflops": 1e-7}
     entry = {"budget": 2, "value": 0.5, "cost": cost}
     good = {"report": {"mode": "e2e", "entries": [entry]}}
     path = tmp_path / "good.json"
@@ -482,6 +500,10 @@ def test_tradeoff_on_missing_or_mistyped_fields_is_a_runtime_error(tmp_path, cap
         ({"report": {"mode": "e2e", "entries": [dict(entry, budget=2.5)]}}, "'budget'"),
         ({"report": {"mode": "e2e", "entries": [
             dict(entry, cost=dict(cost, n_heavy=None))]}}, "'n_heavy'"),
+        # written before the head was counted once per video
+        ({"report": {"mode": "e2e", "entries": [
+            dict(entry, cost={k: v for k, v in cost.items() if k != "head_gflops"})]}},
+         "'head_gflops'"),
         ([1, 2], "'report'"),
     ]
     for i, (payload, field) in enumerate(broken):
@@ -496,7 +518,8 @@ def test_tradeoff_on_missing_or_mistyped_fields_is_a_runtime_error(tmp_path, cap
 def test_tradeoff_merges_a_metrics_file_that_still_names_the_cost_model(tmp_path, capsys):
     # metrics files written before the cost report dropped its model tag
     cost = {"model": "desk_heavy", "n_light": 6, "n_heavy": 2.0,
-            "light_gflops": 1e-6, "heavy_gflops": 2e-6, "total_gflops": 3e-6}
+            "light_gflops": 1e-6, "heavy_gflops": 2e-6, "head_gflops": 1e-6,
+            "total_gflops": 4e-6}
     entries = [{"budget": None, "value": 0.75, "cost": cost},
                {"budget": 2, "value": 0.5, "cost": dict(cost, n_heavy=2)}]
     path = tmp_path / "metrics.json"
@@ -505,6 +528,6 @@ def test_tradeoff_merges_a_metrics_file_that_still_names_the_cost_model(tmp_path
     capsys.readouterr()
     assert (tmp_path / "tradeoff.csv").read_text().splitlines() == [
         "method,n_heavy_timesteps,gflops,metric",
-        "e2e/gate-count,2,3e-06,0.7500",
-        "e2e/topk-2,2,3e-06,0.5000",
+        "e2e/gate-count,2,4e-06,0.7500",
+        "e2e/topk-2,2,4e-06,0.5000",
     ]

@@ -41,7 +41,7 @@ def test_every_mode_is_accepted():
     {"model": {"segment_len": 32}, "dataset": {"frames_per_slot": 16}},
     {"training": {"epochs": 0}},
     {"training": {"lr": 0.0}},
-    {"training": {"l0_weight": -0.1}},
+    {"training": {"batch_size": 0}},
     {"training": {"sample_budget": 0}},
     {"training": {"sample_budget": 99}},
     {"eval": {"selection": "greedy"}},
@@ -57,7 +57,7 @@ def test_every_mode_is_accepted():
     {"model": {"heavy_channels": 0}},
     # json reads NaN and Infinity; no float field may take them
     {"training": {"lr": float("nan")}},
-    {"training": {"l0_weight": float("nan")}},
+    {"dataset": {"confuser_share": float("nan")}},
     {"training": {"eps": float("inf")}},
     {"dataset": {"noise_sigma": float("nan")}},
     {"dataset": {"relevant_fraction": float("nan")}},

@@ -37,6 +37,8 @@ PAPER_BUDGETS = [
 
 LIGHT = PAPER_RATES["light_gating"]
 I3D = PAPER_RATES["i3d"]
+# the paper's per-timestep rates hold the classification head, so the calls
+# below charge no separate per-video head rate
 
 
 @pytest.fixture(scope="module")
@@ -47,26 +49,27 @@ def registry():
 def test_every_published_total_within_rounding_slack(registry):
     for n_light, light_tag, n_heavy, heavy_tag, total in PAPER_BUDGETS:
         light_rate = registry.rate(light_tag) if light_tag else 0.0
-        rep = cm.pipeline_cost(n_light, n_heavy, light_rate, registry.rate(heavy_tag))
+        rep = cm.pipeline_cost(n_light, n_heavy, light_rate, registry.rate(heavy_tag),
+                               0.0)
         assert abs(rep.total_gflops - total) < 0.15, (heavy_tag, n_heavy)
 
 
 def test_gated_i3d_budget_splits_as_published():
-    rep = cm.pipeline_cost(128, 16, LIGHT, I3D)
+    rep = cm.pipeline_cost(128, 16, LIGHT, I3D, 0.0)
     assert (round(rep.light_gflops, 1), round(rep.heavy_gflops, 1),
             round(rep.total_gflops, 1)) == (7.8, 207.8, 215.6)
 
 
 def test_light_only_and_heavy_only_cases():
-    light_only = cm.pipeline_cost(128, 0, LIGHT, I3D)
+    light_only = cm.pipeline_cost(128, 0, LIGHT, I3D, 0.0)
     assert light_only.heavy_gflops == 0.0
     assert light_only.total_gflops == light_only.light_gflops
-    dense = cm.pipeline_cost(0, 64, LIGHT, PAPER_RATES["i3d_dense"])
+    dense = cm.pipeline_cost(0, 64, LIGHT, PAPER_RATES["i3d_dense"], 0.0)
     assert dense.light_gflops == 0.0
 
 
 def test_total_is_exact_sum():
-    rep = cm.pipeline_cost(100, 25, LIGHT, PAPER_RATES["s3d"])
+    rep = cm.pipeline_cost(100, 25, LIGHT, PAPER_RATES["s3d"], 0.0)
     assert rep.total_gflops == rep.light_gflops + rep.heavy_gflops
 
 
@@ -76,8 +79,8 @@ def test_total_is_exact_sum():
        scale=st.integers(min_value=1, max_value=7))
 def test_cost_is_linear_in_both_counts(n_light, n_heavy, scale):
     n_light = max(n_light, n_heavy)  # keep the light stage covering
-    base = cm.pipeline_cost(n_light, n_heavy, LIGHT, I3D)
-    scaled = cm.pipeline_cost(n_light * scale, n_heavy * scale, LIGHT, I3D)
+    base = cm.pipeline_cost(n_light, n_heavy, LIGHT, I3D, 0.0)
+    scaled = cm.pipeline_cost(n_light * scale, n_heavy * scale, LIGHT, I3D, 0.0)
     assert math.isclose(scaled.light_gflops, scale * base.light_gflops,
                         rel_tol=1e-12, abs_tol=1e-12)
     assert math.isclose(scaled.heavy_gflops, scale * base.heavy_gflops,
@@ -88,9 +91,9 @@ def test_cost_errors(registry):
     with pytest.raises(DomainError):
         registry.rate("vgg")
     with pytest.raises(DomainError):
-        cm.pipeline_cost(-1, 0, LIGHT, I3D)
+        cm.pipeline_cost(-1, 0, LIGHT, I3D, 0.0)
     with pytest.raises(ContractError):
-        cm.pipeline_cost(8, 16, LIGHT, I3D)  # light stage smaller than heavy
+        cm.pipeline_cost(8, 16, LIGHT, I3D, 0.0)  # light stage smaller than heavy
     with pytest.raises(DomainError):
         cm.CostRegistry(rates={"x": 0.0})
 
@@ -105,13 +108,13 @@ def test_registry_entries_positive(registry):
 
 
 def test_single_point_single_row():
-    rep = cm.pipeline_cost(128, 16, LIGHT, I3D)
+    rep = cm.pipeline_cost(128, 16, LIGHT, I3D, 0.0)
     rows = cm.tradeoff_rows([("gated", rep, 0.85)])
     assert rows == ["gated,16,215.6,0.8500"]
 
 
 def test_rows_sorted_ascending_by_gflops():
-    reps = [cm.pipeline_cost(128, k, LIGHT, I3D) for k in (32, 8, 16)]
+    reps = [cm.pipeline_cost(128, k, LIGHT, I3D, 0.0) for k in (32, 8, 16)]
     rows = cm.tradeoff_rows([("a", reps[0], 0.9), ("b", reps[1], 0.7),
                              ("c", reps[2], 0.8)])
     budgets = [float(r.split(",")[2]) for r in rows]
@@ -121,29 +124,29 @@ def test_rows_sorted_ascending_by_gflops():
 
 
 def test_equal_gflops_sort_by_method():
-    rep = cm.pipeline_cost(0, 8, LIGHT, I3D)
+    rep = cm.pipeline_cost(0, 8, LIGHT, I3D, 0.0)
     rows = cm.tradeoff_rows([("uniform/topk-8", rep, 0.5),
                              ("random/topk-8", rep, 0.4)])
     assert [r.split(",")[0] for r in rows] == ["random/topk-8", "uniform/topk-8"]
 
 
 def test_paper_seeded_demo_rows():
-    gated = cm.pipeline_cost(128, 16, LIGHT, I3D)
-    dense = cm.pipeline_cost(0, 64, LIGHT, PAPER_RATES["i3d_dense"])
+    gated = cm.pipeline_cost(128, 16, LIGHT, I3D, 0.0)
+    dense = cm.pipeline_cost(0, 64, LIGHT, PAPER_RATES["i3d_dense"], 0.0)
     rows = cm.tradeoff_rows([("dense", dense, 0.857), ("gated", gated, 0.852)])
     assert rows[0].startswith("gated,16,215.6,")
     assert rows[1].startswith("dense,64,830.7,")
 
 
 def test_duplicate_methods_rejected():
-    a = cm.pipeline_cost(128, 16, LIGHT, I3D)
-    b = cm.pipeline_cost(128, 8, LIGHT, I3D)
+    a = cm.pipeline_cost(128, 16, LIGHT, I3D, 0.0)
+    b = cm.pipeline_cost(128, 8, LIGHT, I3D, 0.0)
     with pytest.raises(DomainError, match="methods must be distinct"):
         cm.tradeoff_rows([("e2e/gate-count", a, 0.1), ("e2e/gate-count", b, 0.2)])
 
 
 def test_csv_has_header_and_newline_termination():
-    rep = cm.pipeline_cost(128, 16, LIGHT, PAPER_RATES["s3d"])
+    rep = cm.pipeline_cost(128, 16, LIGHT, PAPER_RATES["s3d"], 0.0)
     text = cm.tradeoff_csv([("gated", rep, 0.66)])
     lines = text.split("\n")
     assert lines[0] == "method,n_heavy_timesteps,gflops,metric"
@@ -159,14 +162,16 @@ def test_desk_flops_hand_count():
     # light: 3*8 + 8*2 (encoder) + 3*4 + 2*5*2 (attention) + 6*2 (kernels)
     #        + 6*4 + 4 (gate) = 24+16+12+20+12+24+4 = 112
     # scorer: 3*8 + 8*2 (encoder) + 2*3 (linear head) = 46
-    # heavy: 2*3*10 + 10*2 (encoder) + 2*7 + 7*3 (head) = 60+20+14+21 = 115
+    # heavy, per row: 2*3*10 + 10*2 (encoder) = 60+20 = 80
+    # head, per video: 2*7 + 7*3 = 14+21 = 35
     got = cm.desk_flops(d_raw=3, light_channels=2, n_kernels=6, gate_hidden=4,
                         timesteps=5, segment_len=2, heavy_channels=2,
                         heavy_hidden=10, head_hidden=7, n_classes=3,
                         attention=True, light_hidden=8)
     assert got["desk_light"] * cm.GFLOP == pytest.approx(112, abs=1e-9)
     assert got["desk_scorer"] * cm.GFLOP == pytest.approx(46, abs=1e-9)
-    assert got["desk_heavy"] * cm.GFLOP == pytest.approx(115, abs=1e-9)
+    assert got["desk_heavy"] * cm.GFLOP == pytest.approx(80, abs=1e-9)
+    assert got["desk_head"] * cm.GFLOP == pytest.approx(35, abs=1e-9)
 
 
 def test_desk_flops_frame_mode_drops_attention_terms():
@@ -185,9 +190,9 @@ def test_desk_flops_registers_into_registry():
                             heavy_channels=32, heavy_hidden=128, head_hidden=256,
                             n_classes=10, attention=True, light_hidden=64)
     registry = cm.CostRegistry(rates=entries)
-    assert set(registry.rates) == {"desk_light", "desk_scorer", "desk_heavy"}
+    assert set(registry.rates) == {"desk_light", "desk_scorer", "desk_heavy", "desk_head"}
     rep = cm.pipeline_cost(32, 8, registry.rate("desk_light"),
-                           registry.rate("desk_heavy"))
+                           registry.rate("desk_heavy"), registry.rate("desk_head"))
     assert rep.total_gflops > 0
     with pytest.raises(DomainError):
         cm.desk_flops(d_raw=0, light_channels=16, n_kernels=32, gate_hidden=16,

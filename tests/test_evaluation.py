@@ -152,6 +152,23 @@ def test_cost_scales_with_budget(e2e_setup):
     assert c1.heavy_gflops == pytest.approx(registry.rate("desk_heavy"))
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_every_entry_charges_one_head_pass_per_video(mode, tiny_data):
+    """The head runs once per video on the pooled features, so every arm's
+    every entry, dense uniform included, adds ``desk_head`` once to its
+    per-row heavy cost."""
+    t = tiny_data.spec.timesteps
+    cfg = tiny_config(mode, **{"training.sample_budget": t})
+    cfg.eval.budgets = [2, t]
+    registry = cost_registry_for(cfg)
+    report = evaluate_bundle(build_bundle(cfg), cfg, tiny_data.test)
+    for e in report.entries:
+        assert e.cost.head_gflops == registry.rate("desk_head")
+        assert e.cost.heavy_gflops == e.mean_selected * registry.rate("desk_heavy")
+        assert e.cost.total_gflops == pytest.approx(
+            e.cost.light_gflops + e.cost.heavy_gflops + registry.rate("desk_head"))
+
+
 def test_evaluation_is_deterministic(e2e_setup):
     cfg, bundle, data = e2e_setup
     a = evaluate_bundle(bundle, cfg, data.test)

@@ -15,7 +15,7 @@ def errors():
 def test_suite_covers_ops_gating_and_the_full_loss(errors):
     # every op the tape can record has a case under its tape name
     assert set(ad._BACKWARD) <= set(errors)
-    assert "l0_penalty" in errors
+    assert "rate_penalty" in errors
     assert any(n.startswith("e2e_loss/") for n in errors)
 
 

@@ -1,22 +1,21 @@
 import dataclasses
-import functools
 import gc
 
 import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from conftest import tiny_config
+from conftest import tiny_config, weighted_sum
 import stepgate.autodiff as ad
 from stepgate.autodiff import ComputationRecord, Tensor
 from stepgate.classifier import classify, heavynet_features, task_loss
 from stepgate.baselines import scorer_logits
 from stepgate.errors import ConfigError, ContractError, DimensionError
-from stepgate.gating import l0_penalty
+from stepgate.gating import rate_penalty
 from stepgate.harness.checkpoint import save_checkpoint
 from stepgate.harness import evaluation, training
 from stepgate.harness.config import MODES
-from stepgate.harness.models import build_bundle
+from stepgate.harness.models import build_bundle, training_sample_budget
 from stepgate.harness.training import resolve_dataset, run_training
 from stepgate.selector import SelectionResult, heavy_indices, select
 from stepgate.synthdata import save_split
@@ -213,15 +212,16 @@ def test_evaluation_checks_the_heavy_rows_of_each_entry(results, tiny_data,
 
 
 def _per_video_loss(video, result, bundle, cfg):
-    """One video's loss from the public per-video calls."""
+    """One video's task loss from the public per-video calls; an all-closed
+    video's fallback row is gated by its open probability."""
     idx, = heavy_indices(result.open[None], result.logits.data.T)
-    gates = ad.take_rows(result.activated, idx) if result.open.any() else None
+    if result.open.any():
+        gates = ad.take_rows(result.activated, idx)
+    else:
+        gates = ad.reshape(ad.sigmoid(ad.take_rows(result.logits, idx)), (1,))
     feats = heavynet_features(video.frames, idx, bundle.classifier)
     logits = classify(feats, gates, bundle.classifier.head, [len(idx)])
-    loss = task_loss(logits, video.labels[None, :], cfg.dataset.task)
-    if cfg.training.l0_weight > 0.0:
-        loss = ad.add(loss, l0_penalty(result.logits, cfg.training.l0_weight))
-    return loss
+    return task_loss(logits, video.labels[None, :], cfg.dataset.task)
 
 
 def _loss_and_grads(bundle, build):
@@ -234,16 +234,18 @@ def _loss_and_grads(bundle, build):
     return float(loss.data), {n: p.grad.copy() for n, p in params.items()}
 
 
-@pytest.mark.parametrize("task, l0_weight, open_bias", [
-    ("single_label", 0.0, 2.0),
-    ("multi_label", 0.0, 2.0),
-    ("single_label", 0.3, 2.0),
-    ("multi_label", 0.3, -2.0),
+@pytest.mark.parametrize("task, sample_budget, open_bias", [
+    ("single_label", None, 2.0),
+    ("multi_label", None, 2.0),
+    ("single_label", 5, 2.0),
+    ("multi_label", 1, -2.0),
 ])
-def test_stacked_batch_loss_equals_the_mean_of_per_video_losses(task, l0_weight,
-                                                               open_bias):
+def test_batch_loss_is_the_per_video_mean_plus_one_rate_term(task, sample_budget,
+                                                            open_bias):
+    """The batch loss equals the mean of the per-video task losses plus one
+    rate term over all the batch's gates, loss and every gradient."""
     cfg = tiny_config("e2e", **{"dataset.task": task,
-                                "training.l0_weight": l0_weight,
+                                "training.sample_budget": sample_budget,
                                 "model.open_bias": open_bias})
     data = training.generate_dataset(cfg.dataset.spec(), 6, 2, cfg.seed)
     bundle = build_bundle(cfg)
@@ -265,9 +267,13 @@ def test_stacked_batch_loss_equals_the_mean_of_per_video_losses(task, l0_weight,
     got, got_grads = _loss_and_grads(bundle, lambda: stacked_loss(0, batch)[0])
 
     def reference():
-        terms = [_per_video_loss(data.train[vi], r, bundle, cfg)
-                 for vi, r in zip(batch, selections())]
-        return ad.scale(functools.reduce(ad.add, terms), 1.0 / len(terms))
+        results = selections()
+        terms = [ad.reshape(_per_video_loss(data.train[vi], r, bundle, cfg), (1,))
+                 for vi, r in zip(batch, results)]
+        mean = weighted_sum(ad.concat_rows(terms), [1.0 / len(terms)] * len(terms))
+        rate = rate_penalty(ad.sigmoid(ad.concat_rows([r.logits for r in results])),
+                            training_sample_budget(cfg) / cfg.dataset.timesteps)
+        return ad.add(ad.reshape(mean, ()), rate)
     want, want_grads = _loss_and_grads(bundle, reference)
 
     assert abs(got - want) <= 1e-10 * abs(want)
@@ -304,9 +310,11 @@ def test_stacked_scorer_loss_equals_the_mean_of_per_video_losses(task):
             n_classes = logits.shape[1]
             per_class = [ad.softmax_xent(logits, np.eye(n_classes)[[c] * t])
                          for c in video.positive_classes()]
-            terms.append(ad.scale(functools.reduce(ad.add, per_class),
-                                  1.0 / len(per_class)))
-        return ad.scale(functools.reduce(ad.add, terms), 1.0 / len(terms))
+            terms.append(ad.reshape(weighted_sum(
+                ad.concat_rows([ad.reshape(x, (1,)) for x in per_class]),
+                [1.0 / len(per_class)] * len(per_class)), (1,)))
+        return ad.reshape(weighted_sum(ad.concat_rows(terms),
+                                       [1.0 / len(terms)] * len(terms)), ())
     want, want_grads = _loss_and_grads(bundle, reference)
 
     assert abs(got - want) <= 1e-10 * abs(want)
@@ -449,8 +457,8 @@ def test_training_frees_every_tape_without_the_cycle_collector(tiny_data):
 
 def test_the_modes_record_every_op_the_tape_knows(monkeypatch):
     """Every op with a backward is one a model path records: one phase-A and
-    one phase-B batch of each mode, in both tasks and with the L0 term on,
-    record exactly the ops of ``ad._BACKWARD`` between them."""
+    one phase-B batch of each mode, in both tasks, record exactly the ops of
+    ``ad._BACKWARD`` between them."""
     recorded, calls = set(), []
     backward = ad.backward
 
@@ -464,8 +472,7 @@ def test_the_modes_record_every_op_the_tape_knows(monkeypatch):
         for task in ("single_label", "multi_label"):
             # one minibatch of all 12 training videos per phase
             run_training(tiny_config(mode, **{"dataset.task": task, "training.epochs": 1,
-                                              "training.batch_size": 12,
-                                              "training.l0_weight": 0.1}))
+                                              "training.batch_size": 12}))
     # the joint arms and the fixed samplers have one phase, the other two both
     assert len(calls) == 2 * (len(MODES) + 2)
     assert recorded - {"leaf"} == set(ad._BACKWARD)

@@ -8,7 +8,7 @@ The parent is copied with ``git archive`` as ``tools/bench_pairs.py`` does.
 On each side a fresh process trains and evaluates:
 
 * a tiny config in all six modes x {single_label, multi_label} x
-  ``l0_weight`` {0, 0.05};
+  ``training.sample_budget`` {None, 2};
 * perfbench's e2e-train and baseline-train configs at seeds 1, 2 and 3.
 
 Each case saves its checkpoint and its ``train.sgds`` and ``test.sgds``
@@ -62,7 +62,7 @@ def _cases():
 
     for mode in MODES:
         for task in ("single_label", "multi_label"):
-            for l0 in (0.0, 0.05):
+            for budget in (None, 2):
                 cfg = ExperimentConfig(
                     mode=mode, seed=0,
                     dataset=DatasetConfig(n_train=12, n_test=6, n_classes=3, n_shared=2,
@@ -71,9 +71,9 @@ def _cases():
                                           relevant_fraction=0.34, task=task),
                     model=ModelConfig(light_channels=8, heavy_channels=4, n_kernels=8,
                                       gate_hidden=4, segment_len=3, open_bias=2.0),
-                    training=TrainingConfig(batch_size=5, epochs=2, l0_weight=l0))
+                    training=TrainingConfig(batch_size=5, epochs=2, sample_budget=budget))
                 cfg.eval.budgets = [2, 4]
-                yield f"tiny {mode} {task} l0={l0}", cfg
+                yield f"tiny {mode} {task} budget={budget}", cfg
     for workload in ("e2e-train", "baseline-train"):
         for seed in (1, 2, 3):
             yield (f"perfbench {workload} seed={seed}",
