@@ -1,1 +1,1 @@
-"""Experiment harness: configs, model bundles, training, evaluation, reports."""
+"""Experiment harness: configs, model bundles, training, evaluation."""

@@ -1,6 +1,7 @@
 """Command line entry point.
 
-Subcommands: generate-data, train, eval, report, tradeoff, gradcheck.
+Subcommands: generate-data, train, eval (metrics.json, with the per-class gate
+selection on a selector arm), tradeoff, gradcheck.
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 All artifacts land under --out (default: current directory).
 """
@@ -20,10 +21,9 @@ from ..errors import ConfigError, ContractError, FormatError, StepgateError
 from ..synthdata import save_split
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
-from .evaluation import SELECTOR_MODES, entry_key, evaluate_bundle
+from .evaluation import entry_key, evaluate_bundle
 from .gradsuite import THRESHOLD, run_gradient_suite, suite_passes
 from .models import ModelBundle
-from .reports import write_gating_report
 from .training import resolve_dataset, run_training
 
 TRAINING_LOG_HEADER = "phase,epoch,loss,accuracy,selected_ratio,fallback_share"
@@ -55,10 +55,6 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint per budget")
     common(p_eval, config_required=False)
     p_eval.add_argument("--checkpoint", required=True)
-
-    p_rep = sub.add_parser("report", help="write gating ratio/profile CSVs")
-    common(p_rep, config_required=False)
-    p_rep.add_argument("--checkpoint", required=True)
 
     p_tr = sub.add_parser("tradeoff", help="merge eval metrics into a cost/metric CSV")
     p_tr.add_argument("--metrics", nargs="+", required=True,
@@ -160,17 +156,9 @@ def _cmd_eval(args) -> int:
         print(f"{entry_key(e.budget)}: {e.metric_name} {e.value:.4f}, "
               f"{e.mean_selected:.2f}/{report.timesteps} timesteps, "
               f"{e.cost.total_gflops:.6f} GFLOPs")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    config, bundle = _load_checkpoint_run(args)
-    if config.mode not in SELECTOR_MODES:
-        raise ConfigError(f"mode {config.mode!r} has no gates to report on")
-    paths = write_gating_report(bundle, config, resolve_dataset(config).test,
-                                _out_dir(args))
-    for name, path in paths.items():
-        print(f"{name}: {path}")
+    if report.selection is not None:
+        print(f"selection: mean class open ratio {report.selection['mean_ratio']:.4f}, "
+              f"variance {report.selection['ratio_variance']:.6f}")
     return 0
 
 
@@ -232,7 +220,6 @@ _COMMANDS = {
     "generate-data": _cmd_generate_data,
     "train": _cmd_train,
     "eval": _cmd_eval,
-    "report": _cmd_report,
     "tradeoff": _cmd_tradeoff,
     "gradcheck": _cmd_gradcheck,
 }

@@ -196,10 +196,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {p}") from None
+    except OSError as e:
+        raise ConfigError(f"{p}: cannot read the config file ({e.strerror})") from None
     except ValueError as e:
         raise ConfigError(f"{p}: invalid JSON ({e})") from None
     return config_from_dict(raw)

@@ -18,6 +18,9 @@ ranking.  Each entry encodes each video with its own
 per minibatch on the concatenated features.  So a ``select`` or
 ``classify`` call covers a minibatch, not a video.  An entry's heavy rows
 are the growth of the encoder's ``heavy_rows`` over it.
+
+A selector arm's report also holds ``selection_summary`` of that one
+ranking: per class, how many gates open and where.
 """
 
 from __future__ import annotations
@@ -150,6 +153,9 @@ class BudgetMetrics:
 
 @dataclass
 class EvalReport:
+    """Metrics per budget entry; ``selection`` is the selector arms'
+    ``selection_summary``, None on the other arms."""
+
     mode: str
     task: str
     n_videos: int
@@ -157,6 +163,7 @@ class EvalReport:
     entries: list[BudgetMetrics] = field(default_factory=list)
     per_video_counts: dict[str, list[int]] = field(default_factory=dict)
     skipped_classes: list[int] = field(default_factory=list)
+    selection: dict | None = None
 
     def entry(self, budget: int | None) -> BudgetMetrics:
         for e in self.entries:
@@ -237,6 +244,35 @@ def split_picks(config: ExperimentConfig, ranked, budgets: list,
     return out
 
 
+def selection_summary(ranked: np.ndarray, labels: np.ndarray) -> dict:
+    """Per class of the (N, L) ``labels``, over its videos (a video counts
+    once per positive class, sums run in video order) and their (N, T) gate
+    logits ``ranked``: ``class_ratios``, the mean share of open test-mode
+    gates, no fallback, so a closed selector reads 0; ``temporal_profiles``,
+    sigmoid(logit) averaged per position, min-max normalised, flat reads 0.
+    ``mean_ratio`` and ``ratio_variance`` run over the classes present."""
+    t, n_classes = ranked.shape[1], labels.shape[1]
+    videos, classes = np.nonzero(labels)
+    counts = np.bincount(classes, minlength=n_classes)
+    ratio_sums = np.zeros(n_classes)
+    np.add.at(ratio_sums, classes, (np.count_nonzero(step_open(ranked), axis=1) / t)[videos])
+    gate_sums = np.zeros((n_classes, t))
+    np.add.at(gate_sums, classes, ad.sigmoid_np(ranked)[videos])
+
+    seen = counts > 0
+    ratios = np.zeros(n_classes)
+    ratios[seen] = ratio_sums[seen] / counts[seen]
+    profiles = np.zeros((n_classes, t))
+    profiles[seen] = gate_sums[seen] / counts[seen, None]
+    lo = profiles.min(axis=1, keepdims=True)
+    span = profiles.max(axis=1, keepdims=True) - lo
+    profiles = np.divide(profiles - lo, span, out=np.zeros_like(profiles), where=span > 0)
+    return {"class_ratios": ratios.tolist(),
+            "mean_ratio": float(np.mean(ratios[seen])),
+            "ratio_variance": float(np.var(ratios[seen])),
+            "temporal_profiles": profiles.tolist()}
+
+
 def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
                     videos: list) -> EvalReport:
     """Metric per budget entry over one video list (normally the test split)."""
@@ -255,6 +291,8 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
     labels = np.stack([v.labels for v in videos])
     # test-mode gates and scores do not depend on the budget
     ranked = rankings(bundle, config, videos)
+    if config.mode in SELECTOR_MODES:
+        report.selection = selection_summary(ranked, labels)
     picks = split_picks(config, ranked, budgets, [_EVAL_STREAM])
     for budget, entry_picks in zip(budgets, picks):
         before = bundle.classifier.heavy_rows

@@ -211,9 +211,6 @@ class VideoSample:
     relevance: np.ndarray       # (T,) bool
     planted: np.ndarray         # (T,) int64 prototype id per timestep
 
-    def positive_classes(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.labels)]
-
 
 @dataclass
 class Dataset:

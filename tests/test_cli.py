@@ -59,6 +59,17 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["train", "--config", str(bad)]) == 1
 
 
+def test_a_config_path_that_is_a_directory_exits_one(tmp_path, capsys):
+    folder = tmp_path / "configs"
+    folder.mkdir()
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(folder), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {folder}: cannot read the config file")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_a_non_finite_config_value_exits_one(tmp_path, capsys):
     cfg = tiny_config("e2e").to_dict()
     cfg["training"]["lr"] = float("nan")
@@ -278,9 +289,7 @@ def test_negative_seed_override_is_rejected(cfg_file, trained, tmp_path, capsys)
     ckpt = str(trained / "checkpoint.sgck")
     for argv in (["train", "--config", cfg_file],
                  ["eval", "--checkpoint", ckpt],
-                 ["eval", "--checkpoint", ckpt, "--config", cfg_file],
-                 ["report", "--checkpoint", ckpt],
-                 ["report", "--checkpoint", ckpt, "--config", cfg_file]):
+                 ["eval", "--checkpoint", ckpt, "--config", cfg_file]):
         assert main(argv + ["--seed", "-1", "--out", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err.startswith("config error:"), argv
     assert not list(tmp_path.iterdir())
@@ -347,13 +356,43 @@ def test_eval_with_a_wrong_file_is_a_runtime_error(cfg_file, tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
-def test_report_writes_gating_csvs(trained, tmp_path, capsys):
+def test_eval_reports_the_selection_of_a_gated_arm(trained, tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint.sgck"),
+                 "--out", str(out)]) == 0
+    selection = json.loads((out / "metrics.json").read_text())["report"]["selection"]
+    assert set(selection) == {"class_ratios", "mean_ratio", "ratio_variance",
+                              "temporal_profiles"}
+    assert len(selection["class_ratios"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"selection: mean class open ratio {selection['mean_ratio']:.4f}, "
+        f"variance {selection['ratio_variance']:.6f}")
+
+
+def test_eval_of_a_gateless_arm_has_no_selection(cfg_file, tmp_path, capsys):
+    cfg = json.loads(Path(cfg_file).read_text())
+    cfg["mode"] = "uniform"
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps(cfg))
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert main(["train", "--config", str(path), "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.sgck"),
+                 "--out", str(out)]) == 0
+    assert "selection" not in capsys.readouterr().out
+    assert json.loads((out / "metrics.json").read_text())["report"]["selection"] is None
+    assert main(["tradeoff", "--metrics", str(out / "metrics.json"),
+                 "--out", str(tmp_path / "tr")]) == 0
+
+
+def test_report_is_no_longer_a_subcommand(trained, tmp_path, capsys):
     out = tmp_path / "rep"
     assert main(["report", "--checkpoint", str(trained / "checkpoint.sgck"),
-                 "--out", str(out)]) == 0
-    assert (out / "class_ratios.csv").exists()
-    assert (out / "temporal_profile.csv").exists()
-    assert json.loads((out / "summary.json").read_text())["mode"] == "e2e"
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument command: invalid choice: 'report'")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -364,28 +403,11 @@ def no_dataset(monkeypatch):
     monkeypatch.setattr(cli, "resolve_dataset", refuse)
 
 
-def test_report_on_a_gateless_arm_exits_before_its_dataset_and_out(
-        cfg_file, tmp_path, capsys, no_dataset):
-    cfg = json.loads(Path(cfg_file).read_text())
-    cfg["mode"] = "uniform"
-    path = tmp_path / "uniform.json"
-    path.write_text(json.dumps(cfg))
-    run = tmp_path / "run"
-    assert main(["train", "--config", str(path), "--out", str(run)]) == 0
-    capsys.readouterr()
-    out = tmp_path / "rep"
-    assert main(["report", "--checkpoint", str(run / "checkpoint.sgck"),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "config error: mode 'uniform' has no gates to report on\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("mode,override,needle", [
     ("uniform", {}, "do not line up"),
     ("e2e", {"model.heavy_channels": 5}, "classifier.enc.w2 has shape"),
 ])
-@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_a_config_that_does_not_fit_the_weights_exits_before_the_dataset(
         trained, tmp_path, capsys, no_dataset, command, mode, override, needle):
     path = tmp_path / "other.json"
@@ -410,7 +432,7 @@ def bad_stored_config(trained, tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_an_invalid_stored_config_is_a_runtime_error_naming_the_file(
         bad_stored_config, tmp_path, capsys, no_dataset, command):
     out = tmp_path / "out"
@@ -422,16 +444,16 @@ def test_an_invalid_stored_config_is_a_runtime_error_naming_the_file(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_a_config_override_does_not_read_the_stored_config(
         bad_stored_config, cfg_file, tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--checkpoint", str(bad_stored_config), "--config", cfg_file,
                  "--out", str(out)]) == 0
-    assert (out / ("metrics.json" if command == "eval" else "summary.json")).exists()
+    assert (out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_a_config_override_builds_the_model_once(cfg_file, trained, tmp_path, capsys,
                                                  monkeypatch, command):
     init, calls = SelectorParams.init, []

@@ -16,8 +16,9 @@ from stepgate.harness.evaluation import (accuracy, average_precision,
                                          cost_registry_for,
                                          evaluate_bundle,
                                          evaluate_checkpoint, light_frames,
-                                         mean_ap)
+                                         mean_ap, selection_summary)
 from stepgate.harness.models import build_bundle, training_sample_budget
+from stepgate.harness.training import resolve_dataset, run_training
 from stepgate.selector import select
 from stepgate.synthdata import generate_dataset
 
@@ -364,7 +365,7 @@ def _reference_entries(bundle, cfg, videos):
             for v, idx in zip(videos, picks)])
         if cfg.dataset.task == "single_label":
             value = accuracy(np.argmax(scores, axis=1),
-                             [v.positive_classes()[0] for v in videos])
+                             [np.flatnonzero(v.labels)[0] for v in videos])
         else:
             value, _ = mean_ap(scores, np.stack([v.labels for v in videos]))
         out[evaluation.entry_key(budget)] = ([len(idx) for idx in picks], value)
@@ -417,3 +418,117 @@ def test_each_entry_encodes_each_video_once_in_order(mode, tiny_data, monkeypatc
         chunk = calls[e * n:(e + 1) * n]
         assert all(f is v.frames for (f, _), v in zip(chunk, tiny_data.test))
         assert [rows for _, rows in chunk] == counts
+
+
+# ---------------------------------------------------------------------------
+# the selection section
+
+
+@pytest.fixture(scope="module")
+def fresh_selection(tiny_data):
+    cfg = tiny_config("e2e")
+    return evaluate_bundle(build_bundle(cfg), cfg, tiny_data.test).selection
+
+
+def test_selection_shapes_and_ranges(fresh_selection, tiny_cfg):
+    d = tiny_cfg.dataset
+    ratios = fresh_selection["class_ratios"]
+    profiles = np.asarray(fresh_selection["temporal_profiles"])
+    assert len(ratios) == d.n_classes
+    assert all(0.0 <= r <= 1.0 for r in ratios)
+    assert profiles.shape == (d.n_classes, d.timesteps)
+    assert profiles.min() >= 0.0 and profiles.max() <= 1.0
+    assert fresh_selection["ratio_variance"] >= 0.0
+
+
+def test_selection_mean_and_variance_match_the_class_ratios(fresh_selection):
+    ratios = np.asarray(fresh_selection["class_ratios"])
+    assert fresh_selection["mean_ratio"] == pytest.approx(float(ratios.mean()))
+    assert fresh_selection["ratio_variance"] == pytest.approx(float(ratios.var()))
+
+
+def test_a_fresh_selector_with_open_bias_opens_every_gate(fresh_selection):
+    # open_bias 2.0 and zero-init gate head: every gate starts open
+    assert fresh_selection["mean_ratio"] == 1.0
+    assert fresh_selection["ratio_variance"] == 0.0
+
+
+def test_selection_profiles_are_min_max_normalised_or_flat(fresh_selection):
+    for row in np.asarray(fresh_selection["temporal_profiles"]):
+        if row.any():
+            assert row.min() == 0.0 and row.max() == 1.0
+        # a flat profile normalises to all zeros, which the branch above skips
+
+
+@pytest.mark.parametrize("mode", ["scsampler", "uniform", "random"])
+def test_gateless_arms_have_no_selection(mode, tiny_data):
+    cfg = tiny_config(mode)
+    report = evaluate_bundle(build_bundle(cfg), cfg, tiny_data.test)
+    assert report.selection is None
+    assert report.to_dict()["selection"] is None
+
+
+def test_selection_summary_hand_computed():
+    """Video 0 is in classes 0 and 1 with two of four gates open (a zero
+    logit stays closed); video 1, in class 0, has every gate closed and
+    reads 0, with no fallback; video 2, in class 3, has a flat profile;
+    class 2 has no video."""
+    ranked = np.asarray([[2.0, -1.0, 0.0, 1.0],
+                         [-1.0, -2.0, -3.0, -4.0],
+                         [-3.0, -3.0, -3.0, -3.0]])
+    labels = np.asarray([[1.0, 1.0, 0.0, 0.0],
+                         [1.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, 1.0]])
+    got = selection_summary(ranked, labels)
+    assert got["class_ratios"] == [0.25, 0.5, 0.0, 0.0]
+    # classes 0, 1 and 3 are present; class 2 is left out
+    assert got["mean_ratio"] == 0.25
+    assert got["ratio_variance"] == pytest.approx((0.0 ** 2 + 0.25 ** 2 + 0.25 ** 2) / 3)
+
+    def min_max(row):
+        return (row - row.min()) / (row.max() - row.min())
+
+    profiles = np.asarray(got["temporal_profiles"])
+    np.testing.assert_allclose(profiles[0], min_max(sigmoid_np(ranked[:2]).mean(axis=0)))
+    assert profiles[1].tolist() == [1.0, 0.0, pytest.approx(0.3776, abs=1e-4),
+                                    pytest.approx(0.7553, abs=1e-4)]
+    assert profiles[2].tolist() == profiles[3].tolist() == [0.0] * 4
+
+
+def _reference_selection(ranked, videos, n_classes):
+    """The selection section one video at a time: each video adds its open
+    share and its gate activations to each of its classes."""
+    t = ranked.shape[1]
+    ratio_sums, gate_sums = np.zeros(n_classes), np.zeros((n_classes, t))
+    counts = np.zeros(n_classes)
+    for video, row, gates in zip(videos, ranked, sigmoid_np(ranked)):
+        ratio = np.count_nonzero(row > 0.0) / t
+        for c in np.flatnonzero(video.labels):
+            ratio_sums[c] += ratio
+            gate_sums[c] += gates
+            counts[c] += 1
+    seen = counts > 0
+    ratios = np.zeros(n_classes)
+    ratios[seen] = ratio_sums[seen] / counts[seen]
+    profiles = np.zeros((n_classes, t))
+    profiles[seen] = gate_sums[seen] / counts[seen, None]
+    for c in range(n_classes):
+        lo, hi = profiles[c].min(), profiles[c].max()
+        profiles[c] = (profiles[c] - lo) / (hi - lo) if hi > lo else 0.0
+    return {"class_ratios": [float(r) for r in ratios],
+            "mean_ratio": float(np.mean(ratios[seen])),
+            "ratio_variance": float(np.var(ratios[seen])),
+            "temporal_profiles": profiles.tolist()}
+
+
+def test_selection_equals_a_per_video_loop_exactly_on_a_trained_multi_label_arm():
+    cfg = tiny_config("e2e", **{"dataset.task": "multi_label", "training.epochs": 3,
+                                "training.lr": 1e-2})
+    data = resolve_dataset(cfg)
+    bundle = run_training(cfg, data).bundle
+    assert max(np.count_nonzero(v.labels) for v in data.test) >= 2
+    report = evaluate_bundle(bundle, cfg, data.test)
+    # the trained gates open on some timesteps and not on others
+    assert 0.0 < report.selection["mean_ratio"] < 1.0
+    ranked = evaluation.rankings(bundle, cfg, data.test)
+    assert report.selection == _reference_selection(ranked, data.test, cfg.dataset.n_classes)

@@ -18,8 +18,8 @@ def slot_means(video, spec):
 
 def label_of(video):
     """The class of a single-label video, read off its one-hot row."""
-    (c,) = video.positive_classes()
-    return c
+    (c,) = np.flatnonzero(video.labels)
+    return int(c)
 
 
 def decode_prototypes(video, prototypes, spec):
@@ -338,7 +338,7 @@ def test_multi_label_videos(spec):
         k = int(vec.sum())
         assert 1 <= k <= 3
         saw_multi |= k > 1
-        union = frozenset().union(*(ml.class_recipes[c] for c in v.positive_classes()))
+        union = frozenset().union(*(ml.class_recipes[c] for c in np.flatnonzero(v.labels)))
         nptest.assert_array_equal(v.relevance,
                                   np.asarray([int(p) in union for p in v.planted]))
     assert saw_multi

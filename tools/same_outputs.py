@@ -15,13 +15,12 @@ Each case saves its checkpoint and its ``train.sgds`` and ``test.sgds``
 split files, evaluates the trained bundle, then reloads the saved
 checkpoint and evaluates it again through ``evaluate_checkpoint``, the path
 that restores weights by parameter name.  It then runs ``stepgate eval`` on
-the saved checkpoint through ``cli.main``, and ``stepgate report`` too on
-the three selector arms, and keeps the ``metrics.json`` without its
-``provenance.eval_s`` wall time and the sha256 of each report file.  Each
-saved split is also read back with the side's own ``load_split`` and hashed
-by content: the header without ``format_version``, the prototypes, and each
-video's frames, sorted positive classes, relevance and planted ids.  The
-tool prints one line per case, naming the checkpoint's sha256, whether both
+the saved checkpoint through ``cli.main`` and keeps the ``metrics.json``
+without its ``provenance.eval_s`` wall time.  Each saved split is also
+read back with the side's own ``load_split`` and hashed by content: the
+header without ``format_version``, the prototypes, and each video's
+frames, sorted positive classes, relevance and planted ids.  The tool
+prints one line per case, naming the checkpoint's sha256, whether both
 split files have the same sha256 on both sides or else the same content,
 and whether the eval reports, the reloaded checkpoints' reports and the CLI
 outputs are equal.  Split files whose bytes differ but whose content is the
@@ -51,7 +50,6 @@ from bench_pairs import ROOT, parent_copy  # noqa: E402
 
 MODES = ("e2e", "frame_conditioned", "standalone", "scsampler", "uniform", "random")
 GRADCHECK_SEEDS = (0, 1, 6)
-REPORT_FILES = ("class_ratios.csv", "temporal_profile.csv", "summary.json")
 
 
 def _cases():
@@ -85,22 +83,17 @@ def _sha256(path: Path) -> str:
 
 
 def _cli_outputs(mode: str, path: Path, run: Path) -> dict:
-    """``stepgate eval`` and, on a selector arm, ``stepgate report`` on the
-    checkpoint at ``path``, run by the imported side's code: metrics.json
-    without its wall time and the sha256 of each report file."""
+    """``stepgate eval`` on the checkpoint at ``path``, run by the imported
+    side's code: its metrics.json without its wall time."""
     from stepgate.harness import cli
-    from stepgate.harness.evaluation import SELECTOR_MODES
 
-    commands = ["eval", "report"] if mode in SELECTOR_MODES else ["eval"]
     with contextlib.redirect_stdout(io.StringIO()):
-        for command in commands:
-            code = cli.main([command, "--checkpoint", str(path), "--out", str(run)])
-            if code:
-                raise SystemExit(f"stepgate {command} on {mode} exited {code}")
+        code = cli.main(["eval", "--checkpoint", str(path), "--out", str(run)])
+    if code:
+        raise SystemExit(f"stepgate eval on {mode} exited {code}")
     metrics = json.loads((run / "metrics.json").read_text())
     del metrics["provenance"]["eval_s"]
-    return {"metrics": metrics, **{name: _sha256(run / name) for name in REPORT_FILES
-                                   if (run / name).exists()}}
+    return {"metrics": metrics}
 
 
 def _split_content(path: Path) -> str:
@@ -114,7 +107,7 @@ def _split_content(path: Path) -> str:
     h.update(prototypes)
     for v in videos:
         h.update(v.frames)
-        h.update(json.dumps(sorted(v.positive_classes())).encode())
+        h.update(json.dumps([i for i, y in enumerate(v.labels.tolist()) if y]).encode())
         h.update(v.relevance)
         h.update(v.planted)
     return h.hexdigest()
