@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -458,6 +459,20 @@ def test_selection_profiles_are_min_max_normalised_or_flat(fresh_selection):
         if row.any():
             assert row.min() == 0.0 and row.max() == 1.0
         # a flat profile normalises to all zeros, which the branch above skips
+
+
+def test_a_fresh_selectors_report_carries_its_selection_through_json(tiny_data):
+    cfg = tiny_config("e2e")
+    report = evaluate_bundle(build_bundle(cfg), cfg, tiny_data.test)
+    payload = json.loads(json.dumps(report.to_dict()))
+    assert payload["mode"] == "e2e"
+    selection = payload["selection"]
+    assert selection == report.selection
+    assert selection["mean_ratio"] == pytest.approx(1.0)
+    assert len(selection["class_ratios"]) == cfg.dataset.n_classes
+    assert len(selection["temporal_profiles"]) == cfg.dataset.n_classes
+    assert all(len(row) == cfg.dataset.timesteps
+               for row in selection["temporal_profiles"])
 
 
 @pytest.mark.parametrize("mode", ["scsampler", "uniform", "random"])
