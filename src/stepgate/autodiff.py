@@ -35,16 +35,18 @@ affines around a relu, the body of every :class:`MLP`), ``attention``
 (single-head self-attention with its residual add), ``matmul_t`` (``a @
 b.T``, the selector's similarity to its concept kernels), ``noisy_gate`` (the
 noisy clipped-sigmoid gate) and ``scale_rows`` (the gate scaling of feature
-rows).  Each backward evaluates the numpy expressions, in the order, of the
-chain of matrix products, transposes, tilings and elementwise products it
-stands for, so the fused layer's values and gradients equal the chain's
-bitwise, with one rule for ``mlp``: its backward leaves out the rows whose
-output gradient is all zero (``segment_max`` sends each column's gradient to
-one row).  With no such row its gradients equal the chain's bitwise; with one,
-they match to rounding, because the products and sums skip exact zero terms
-and so may add in another order, and those rows of the input gradient are
-exactly 0.  Backward computes no gradient product for a constant first operand
-of ``matmul_t``, ``affine``, ``mlp`` or ``attention`` (such as raw frames).
+rows).  Each loss term is one tape node too: ``softmax_xent``, ``bce_logits``
+and the rate term ``rate_penalty``.  Each backward of a layer or of
+``rate_penalty`` evaluates the numpy expressions, in the order, of the chain
+of matrix products, transposes, tilings and elementwise products it stands
+for, so the fused op's values and gradients equal the chain's bitwise, with
+one rule for ``mlp``: its backward leaves out the rows whose output gradient
+is all zero (``segment_max`` sends each column's gradient to one row).  With
+no such row its gradients equal the chain's bitwise; with one, they match to
+rounding, because the products and sums skip exact zero terms and so may add
+in another order, and those rows of the input gradient are exactly 0.
+Backward computes no gradient product for a constant first operand of
+``matmul_t``, ``affine``, ``mlp`` or ``attention`` (such as raw frames).
 
 The active record is thread-local: independent records on different threads
 do not interact, but a single record must only ever be used from one thread.
@@ -133,9 +135,6 @@ class ComputationRecord:
         self.nodes: list[_Node] = []
         self._ref = weakref.ref(self)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def _bind(self, t: Tensor) -> int:
         nid = t.node_id
         if nid is not None and nid[0] is self._ref:
@@ -220,23 +219,6 @@ def sigmoid_np(z):
 
 def sigmoid(z: Tensor) -> Tensor:
     return _emit("sigmoid", sigmoid_np(z.data), (z,))
-
-
-def _check_axis(x: Tensor, axis: int) -> int:
-    if not isinstance(axis, (int, np.integer)):
-        raise ContractError(f"axis must be an integer, got {axis!r}")
-    nd = x.data.ndim
-    if not (-nd <= axis < nd):
-        raise DimensionError(f"axis {axis} out of range for shape {x.shape}")
-    axis = int(axis) % nd
-    if x.data.shape[axis] == 0:
-        raise DomainError(f"cannot reduce over empty axis {axis} of shape {x.shape}")
-    return axis
-
-
-def reduce_mean(x: Tensor, axis: int) -> Tensor:
-    axis = _check_axis(x, axis)
-    return _emit("reduce_mean", x.data.mean(axis=axis), (x,), axis)
 
 
 def segment_max(x: Tensor, lengths: Sequence[int]) -> Tensor:
@@ -333,6 +315,17 @@ def bce_logits(logits: Tensor, targets) -> Tensor:
     z = logits.data
     loss = float((np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean())
     return _emit("bce_logits", np.array(loss, dtype=np.float64), (logits,), t)
+
+
+def rate_penalty(p_open: Tensor, target: float) -> Tensor:
+    """The rate term of ConvNet-AIG (Veit & Belongie, arXiv:1711.11503): the
+    scalar ``(mean(p_open) - target)**2`` of a non-empty (N, 1) column of open
+    probabilities, its gap squared as the (1, 1) product ``gap @ gap.T``."""
+    if p_open.data.ndim != 2 or p_open.shape[1] != 1 or p_open.shape[0] == 0:
+        raise DimensionError(f"rate_penalty expects a non-empty (N, 1) column, "
+                             f"got {p_open.shape}")
+    gap = p_open.data.mean(axis=0).reshape(1, 1) + np.full((1, 1), -float(target))
+    return _emit("rate_penalty", (gap @ gap.T).reshape(()), (p_open,), gap)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -510,12 +503,6 @@ def _bwd_sigmoid(node, g, data):
     return (g * y * (1.0 - y),)
 
 
-def _bwd_mean(node, g, data):
-    axis = node.ctx
-    n = data[0].shape[axis]
-    return (np.broadcast_to(np.expand_dims(g, axis), data[0].shape) / n,)
-
-
 def _bwd_segment_max(node, g, data):
     x = data[0]
     starts, n = node.ctx
@@ -552,19 +539,26 @@ def _bwd_bce(node, g, data):
     return ((sigmoid_np(z) - t) * (float(g.reshape(())) / t.size),)
 
 
+def _bwd_rate_penalty(node, g, data):
+    gap = node.ctx
+    g = g.reshape(1, 1)
+    g_gap = g @ gap + (gap.T @ g).T
+    return (np.broadcast_to(g_gap, data[0].shape) / data[0].shape[0],)
+
+
 _BACKWARD: dict[str, Callable] = {
     "matmul_t": _bwd_matmul_t,
     "affine": _bwd_affine,
     "add": _bwd_add,
     "scale_rows": _bwd_scale_rows,
     "sigmoid": _bwd_sigmoid,
-    "reduce_mean": _bwd_mean,
     "segment_max": _bwd_segment_max,
     "concat_rows": _bwd_concat_rows,
     "reshape": _bwd_reshape,
     "take_rows": _bwd_take_rows,
     "softmax_xent": _bwd_softmax_xent,
     "bce_logits": _bwd_bce,
+    "rate_penalty": _bwd_rate_penalty,
     "mlp": _bwd_mlp,
     "attention": _bwd_attention,
     "noisy_gate": _bwd_noisy_gate,
@@ -635,18 +629,18 @@ class Adam:
     """Adam with bias correction; gradients are zeroed after each step.
 
     The update is ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with the epsilon
-    outside the square root.
+    outside the square root, and the moment decay rates are 0.9 and 0.999.
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3, eps: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999)):
+    beta1, beta2 = 0.9, 0.999
+
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3, eps: float = 1e-4):
         self.params = list(params)
         for p in self.params:
             if not isinstance(p, Tensor) or not p.requires_grad:
                 raise ContractError("Adam can only optimize requires_grad tensors")
         self.lr = float(lr)
         self.eps = float(eps)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -687,9 +681,9 @@ class Adam:
 # gradient checking
 
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
+def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between the analytic gradient of ``f`` at ``x`` and
-    central finite differences.
+    central finite differences of step ``h = 1e-5``.
 
     ``f`` must build a scalar from ``x`` using operations of this module and
     be twice differentiable in a neighbourhood of ``x`` (callers keep inputs
@@ -710,6 +704,7 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
     analytic = x.grad.copy().ravel()
     x.zero_grad()
 
+    h = 1e-5
     flat = x.data.ravel()
     numeric = np.empty_like(analytic)
     rounding = np.empty_like(analytic)

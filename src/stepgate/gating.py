@@ -20,9 +20,9 @@ The train-time activation is one tape op, ``autodiff.noisy_gate``.  Its
 backward treats the clip indicator as a constant, so gradient flows through
 the sigmoid only for open gates and closed gates contribute exactly zero.
 
-Training steers the gates to a compute budget with ``rate_penalty``, the
-squared gap between a batch's mean open probability and a target rate, as
-in ConvNet-AIG (Veit & Belongie, arXiv:1711.11503); closed gates get it too.
+Training steers the gates to a compute budget with a rate term, one
+``autodiff`` loss op on the open probabilities ``sigmoid(logit)``, so closed
+gates get its gradient too.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import MLP, Tensor
 from .errors import DimensionError, DomainError
-
-GATE_THRESHOLD = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +98,3 @@ def activate_test_batch(alphas: Tensor) -> tuple[Tensor, np.ndarray]:
     open_mask = step_open(alphas.data.reshape(-1))
     return Tensor(open_mask.astype(np.float64)), open_mask
 
-
-def rate_penalty(p_open: Tensor, target: float) -> Tensor:
-    """The scalar ``(mean(p_open) - target)**2`` of an (N, 1) column of open
-    probabilities ``sigmoid(logit)``; one ``matmul_t`` squares the gap."""
-    if p_open.data.ndim != 2 or p_open.shape[1] != 1:
-        raise DimensionError(f"rate_penalty expects an (N, 1) column, got {p_open.shape}")
-    mean = ad.reshape(ad.reduce_mean(p_open, axis=0), (1, 1))
-    gap = ad.add(mean, Tensor(np.full((1, 1), -float(target))))
-    return ad.reshape(ad.matmul_t(gap, gap), ())

@@ -17,7 +17,6 @@ from ..errors import ConfigError, DomainError, GenerationError
 from ..synthdata import ActivitySpec
 
 MODES = ("standalone", "e2e", "frame_conditioned", "scsampler", "uniform", "random")
-SELECTIONS = ("gate-count", "topk")
 # the ActivitySpec builder of each dataset.recipe_style
 RECIPE_STYLES = {"anchored": ActivitySpec.default, "paired": ActivitySpec.paired}
 
@@ -85,7 +84,6 @@ class TrainingConfig:
 @dataclass
 class EvalConfig:
     budgets: list = field(default_factory=list)
-    selection: str = "gate-count"
 
 
 @dataclass
@@ -176,10 +174,6 @@ def _validate_values(cfg: ExperimentConfig) -> None:
             f"training.sample_budget must lie in [1, {d.timesteps}], got {t.sample_budget}"
         )
     e = cfg.eval
-    if e.selection not in SELECTIONS:
-        raise ConfigError(f"eval.selection must be one of {SELECTIONS}, got {e.selection!r}")
-    if e.selection == "topk" and not e.budgets:
-        raise ConfigError("eval.selection 'topk' needs a non-empty eval.budgets list")
     for b in e.budgets:
         if isinstance(b, bool) or not isinstance(b, int) or not 1 <= b <= d.timesteps:
             raise ConfigError(f"eval.budgets entries must be ints in [1, {d.timesteps}], got {b!r}")

@@ -1,9 +1,10 @@
 """Evaluation: metrics per budget with cost accounting attached.
 
 Evaluation always uses deterministic test-mode gates.  The natural
-"gate-count" entry keeps however many gates opened (with a one-timestep
-fallback when none did); "topk" entries force exactly k highest-activation
-timesteps so different selection policies can be compared at matched budget.
+"gate-count" entry comes first and keeps however many gates opened (with a
+one-timestep fallback when none did); then a "topk" entry per
+``eval.budgets`` value forces exactly k highest-activation timesteps so
+different selection policies can be compared at matched budget.
 Gate magnitudes are not applied at test time: the test activation is binary,
 so on the open set the scaling is the identity, and under a top-k override
 it would zero the force-included rows.
@@ -275,16 +276,15 @@ def selection_summary(ranked: np.ndarray, labels: np.ndarray) -> dict:
 
 def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
                     videos: list) -> EvalReport:
-    """Metric per budget entry over one video list (normally the test split)."""
+    """Metric per budget entry, ``[None, *config.eval.budgets]`` in that
+    order, over one video list (normally the test split)."""
     if not videos:
         raise ContractError("evaluation needs at least one video")
     task = config.dataset.task
     t = config.dataset.timesteps
     b = config.training.batch_size
     registry = cost_registry_for(config)
-    budgets: list[int | None] = list(config.eval.budgets)
-    if config.eval.selection == "gate-count":
-        budgets.insert(0, None)
+    budgets: list[int | None] = [None, *config.eval.budgets]
 
     report = EvalReport(mode=config.mode, task=task, n_videos=len(videos),
                         timesteps=t)

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import autodiff as ad
-from .. import gating
 from ..autodiff import Adam, Tensor
 # perfbench/layers.py wraps scorer_logits, sample_indices and scsampler_scores
 # in this namespace
@@ -228,9 +227,9 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
 
     End-to-end and frame-conditioned training gate the heavy classifier;
     the stand-alone selector gates its light features into a light head.
-    All three add ``gating.rate_penalty``, which steers the batch's mean
-    open probability to the training sample budget over T.  The SCSampler
-    scorer classifies every timestep on its own, the whole batch's light
+    All three add the rate term ``ad.rate_penalty``, one tape node, which
+    steers the batch's mean open probability to the training sample budget
+    over T.  The SCSampler scorer classifies every timestep on its own, the whole batch's light
     frames in one stack.
     """
     mode = config.mode
@@ -253,7 +252,7 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             else:
                 logits = joint_logits([v.frames for v in videos], results, p_open, bundle)
             loss, hits = _scored(logits, videos, task)
-            loss = ad.add(loss, gating.rate_penalty(p_open, target_rate))
+            loss = ad.add(loss, ad.rate_penalty(p_open, target_rate))
             opened = np.stack([r.open for r in results])
             return (loss, hits, int(opened.sum()) / t_steps,
                     int((~opened.any(axis=1)).sum()))

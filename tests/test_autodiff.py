@@ -101,6 +101,25 @@ def test_scale_rows_is_the_product_with_tiled_scales_bitwise():
     assert np.array_equal(gv, (g * x).sum(axis=1))
 
 
+def test_rate_penalty_is_the_squared_gap_chain_bitwise():
+    """Forward and backward equal the numpy expressions of the chain the op
+    stands for, bit for bit: the column's mean reshaped to (1, 1) plus the
+    negated target, squared as ``gap @ gap.T``; backward ``g @ gap + (gap.T @
+    g).T``, broadcast to (N, 1), then divided by N."""
+    rng = np.random.default_rng(23)
+    p, g = rng.uniform(0.0, 1.0, (7, 1)), rng.standard_normal(())
+
+    def rate_penalty(x):
+        return ad.rate_penalty(x, 0.3)
+
+    out, (gp,) = _layer_grads(rate_penalty, (p,), g)
+    gap = p.mean(axis=0).reshape(1, 1) + np.full((1, 1), -0.3)
+    assert np.array_equal(out, (gap @ gap.T).reshape(()))
+    g1 = g.reshape(1, 1)
+    g_mean = (g1 @ gap + (gap.T @ g1).T).reshape(1)
+    assert np.array_equal(gp, np.broadcast_to(np.expand_dims(g_mean, 0), (7, 1)) / 7)
+
+
 def test_ewise_oracles():
     x = tensor([1.0, -2.0, 3.0])
     nptest.assert_array_equal(ad.add(x, tensor([1.0, 1.0, 1.0])).data, [2.0, -1.0, 4.0])
@@ -134,17 +153,6 @@ def test_sigmoid_clamp_keeps_everything_finite():
     out = ad.sigmoid(z).data
     assert np.isfinite(out).all()
     assert out[0] >= 0.0 and out[-1] <= 1.0
-
-
-def test_reduce_oracles():
-    x = tensor([[1.0, 5.0], [3.0, 2.0]])
-    nptest.assert_array_equal(ad.reduce_mean(x, axis=1).data, [3.0, 2.5])
-    nptest.assert_array_equal(ad.reduce_mean(tensor([2.0, 4.0, 6.0]), axis=0).data, 4.0)
-
-
-def test_reduce_empty_axis_is_domain_error():
-    with pytest.raises(DomainError):
-        ad.reduce_mean(tensor(np.zeros((0, 3))), axis=0)
 
 
 def test_mlp_init_shapes_biases_and_size_check():
@@ -705,13 +713,6 @@ def test_fd_bce_logits(x):
     assert err < FD_TOL
 
 
-def test_fd_mean_and_sum_and_scale():
-    t = tensor(np.linspace(-1.5, 1.5, 6).reshape(2, 3), requires_grad=True)
-    err = ad.finite_diff_check(
-        lambda v: weighted_sum(ad.reduce_mean(v, axis=0), [2.5] * 3), t)
-    assert err < 1e-6  # linear, so nearly exact
-
-
 def test_fd_max_with_comfortable_gaps():
     # each column's maximum leads its runner-up by more than 0.2 after the
     # sigmoid, so the argmax is stable under +-h
@@ -733,6 +734,53 @@ def test_fd_reshape_take_scale_rows():
         return weighted_sum(ad.sigmoid(col))
 
     assert ad.finite_diff_check(f, t) < FD_TOL
+
+
+# ---------------------------------------------------------------------------
+# rate term
+
+
+def rate(logits, target):
+    """The rate term of the open probabilities of a list of gate logits."""
+    return ad.rate_penalty(ad.sigmoid(tensor(np.reshape(logits, (-1, 1)))),
+                           target).data.item()
+
+
+def test_rate_penalty_saturated_oracle():
+    # one gate shut, one wide open: a mean open probability of exactly 1/2
+    assert rate([-40.0, 40.0], 0.25) == 0.0625
+
+
+def test_rate_penalty_is_the_squared_gap_of_the_mean_open_probability():
+    rng = np.random.default_rng(8)
+    alphas = rng.uniform(-3, 3, size=7)
+    want = (ad.sigmoid_np(alphas).mean() - 0.3) ** 2
+    nptest.assert_allclose(rate(alphas, 0.3), want, rtol=1e-12)
+    assert ad.rate_penalty(ad.sigmoid(tensor(alphas.reshape(-1, 1))), 0.3).shape == ()
+
+
+def test_rate_penalty_is_zero_on_target():
+    assert rate([1.0, -1.0], 0.5) == 0.0
+
+
+def test_rate_penalty_rejects_probabilities_that_are_not_a_column():
+    with pytest.raises(DimensionError):
+        ad.rate_penalty(tensor([0.5, 0.5]), 0.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.floats(min_value=-15, max_value=15), bump=st.floats(min_value=1e-3, max_value=5))
+def test_rate_penalty_strictly_increases_in_any_logit_above_target(base, bump):
+    # the mean open probability is at least sigmoid(0.5) / 2 > 0.3, above the
+    # target; beyond |logit| ~ 15 the sigmoid increment drops under one ulp
+    # of the mean, so strictness is only claimed where float64 can express it
+    assert rate([base + bump, 0.5], 0.25) > rate([base, 0.5], 0.25)
+
+
+def test_rate_penalty_fd_gradient():
+    alphas = tensor([[0.3], [-1.2], [2.0]], requires_grad=True)
+    err = ad.finite_diff_check(lambda a: ad.rate_penalty(ad.sigmoid(a), 0.7), alphas)
+    assert err < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,32 @@ def test_an_invalid_stored_config_is_a_runtime_error_naming_the_file(
     assert not out.exists()
 
 
+@pytest.fixture
+def stored_selection_key(trained, tmp_path):
+    """The trained checkpoint's weights under its stored config plus the
+    retired ``eval.selection`` key."""
+    ckpt = load_checkpoint(trained / "checkpoint.sgck")
+    config = {**ckpt.config, "eval": {**ckpt.config["eval"], "selection": "gate-count"}}
+    path = tmp_path / "old.sgck"
+    save_checkpoint(path, Checkpoint(config=config, step=ckpt.step, params=ckpt.params))
+    return path
+
+
+def test_a_stored_selection_key_is_refused_and_a_config_override_evaluates(
+        stored_selection_key, cfg_file, tmp_path, capsys):
+    assert main(["eval", "--checkpoint", str(stored_selection_key),
+                 "--out", str(tmp_path / "refused")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: {stored_selection_key}: stored config is "
+                          f"invalid (unknown config key 'eval.selection'")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "refused").exists()
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(stored_selection_key), "--config", cfg_file,
+                 "--out", str(out)]) == 0
+    assert (out / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("command", ["eval"])
 def test_a_config_override_does_not_read_the_stored_config(
         bad_stored_config, cfg_file, tmp_path, capsys, command):

@@ -44,12 +44,12 @@ def test_every_mode_is_accepted():
     {"training": {"batch_size": 0}},
     {"training": {"sample_budget": 0}},
     {"training": {"sample_budget": 99}},
-    {"eval": {"selection": "greedy"}},
+    {"eval": {"selection": "greedy"}},      # eval.selection is no key
     {"eval": {"budgets": [0]}},
     {"eval": {"budgets": [33]}},
     {"eval": {"budgets": [True]}},
     {"eval": {"budgets": [2, 2]}},
-    {"eval": {"selection": "topk"}},        # top-k entries need budgets
+    {"eval": {"selection": "topk"}},
     {"dataset": {"n_classes": 1}},
     {"dataset": {"timesteps": 0}},
     {"model": {"light_channels": 0}},
@@ -135,6 +135,14 @@ def test_a_non_finite_float_error_names_the_path():
 def test_unknown_key_error_names_the_path():
     with pytest.raises(ConfigError, match="dataset.sigma"):
         config_from_dict({"dataset": {"sigma": 0.3}})
+
+
+def test_the_retired_selection_switch_is_an_unknown_key():
+    """Every evaluation reports the gate-count entry and then its budgets, so
+    ``eval.selection`` is no key."""
+    with pytest.raises(ConfigError, match=r"^unknown config key 'eval.selection'; "
+                                          r"known keys here: budgets$"):
+        config_from_dict({"eval": {"selection": "topk"}})
 
 
 def test_load_config(tmp_path):

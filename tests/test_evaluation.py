@@ -308,11 +308,14 @@ def test_multi_label_reports_map():
     assert 0.0 <= report.entries[0].value <= 1.0
 
 
-def test_topk_selection_evaluates_only_its_budgets(e2e_setup):
-    cfg, bundle, data = e2e_setup
-    solo = tiny_config("e2e", **{"eval.selection": "topk", "eval.budgets": [2]})
-    report = evaluate_bundle(bundle, solo, data.test)
-    assert [e.budget for e in report.entries] == [2]
+@pytest.mark.parametrize("mode", ["e2e", "uniform"])
+def test_every_arm_reports_the_gate_count_entry_then_its_budgets(mode, tiny_data):
+    """A selector arm and a selector-free arm both evaluate ``[None,
+    *eval.budgets]``, in that order."""
+    cfg = tiny_config(mode, **{"eval.budgets": [4, 2]})
+    report = evaluate_bundle(build_bundle(cfg), cfg, tiny_data.test)
+    assert [e.budget for e in report.entries] == [None, 4, 2]
+    assert list(report.per_video_counts) == ["gate-count", "topk-4", "topk-2"]
 
 
 def test_empty_video_list_is_rejected(e2e_setup):

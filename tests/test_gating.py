@@ -255,48 +255,3 @@ def test_activation_fd_gradient_away_from_threshold():
         return ad.reshape(value, ())
 
     assert ad.finite_diff_check(f, alpha) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# rate term
-
-
-def rate(logits, target):
-    return gt.rate_penalty(ad.sigmoid(column(*logits)), target).data.item()
-
-
-def test_rate_penalty_saturated_oracle():
-    # one gate shut, one wide open: a mean open probability of exactly 1/2
-    assert rate([-40.0, 40.0], 0.25) == 0.0625
-
-
-def test_rate_penalty_is_the_squared_gap_of_the_mean_open_probability():
-    rng = np.random.default_rng(8)
-    alphas = rng.uniform(-3, 3, size=7)
-    want = (ad.sigmoid_np(alphas).mean() - 0.3) ** 2
-    nptest.assert_allclose(rate(alphas, 0.3), want, rtol=1e-12)
-    assert gt.rate_penalty(ad.sigmoid(column(*alphas)), 0.3).shape == ()
-
-
-def test_rate_penalty_is_zero_on_target():
-    assert rate([1.0, -1.0], 0.5) == 0.0
-
-
-def test_rate_penalty_rejects_probabilities_that_are_not_a_column():
-    with pytest.raises(DimensionError):
-        gt.rate_penalty(Tensor([0.5, 0.5]), 0.5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(base=st.floats(min_value=-15, max_value=15), bump=st.floats(min_value=1e-3, max_value=5))
-def test_rate_penalty_strictly_increases_in_any_logit_above_target(base, bump):
-    # the mean open probability is at least sigmoid(0.5) / 2 > 0.3, above the
-    # target; beyond |logit| ~ 15 the sigmoid increment drops under one ulp
-    # of the mean, so strictness is only claimed where float64 can express it
-    assert rate([base + bump, 0.5], 0.25) > rate([base, 0.5], 0.25)
-
-
-def test_rate_penalty_fd_gradient():
-    alphas = Tensor(np.asarray([[0.3], [-1.2], [2.0]]), requires_grad=True)
-    err = ad.finite_diff_check(lambda a: gt.rate_penalty(ad.sigmoid(a), 0.7), alphas)
-    assert err < 1e-4

@@ -33,7 +33,6 @@ def test_suite_passes_logic():
     assert not suite_passes({})
     assert suite_passes({"a": 1e-9})
     assert not suite_passes({"a": 1e-9, "b": 2e-4})
-    assert suite_passes({"a": 0.5}, threshold=1.0)
 
 
 def test_a_coordinate_at_fd_rounding_passes():

@@ -11,7 +11,6 @@ from stepgate.autodiff import ComputationRecord, Tensor
 from stepgate.classifier import classify, heavynet_features, task_loss
 from stepgate.baselines import scorer_logits
 from stepgate.errors import ConfigError, ContractError, DimensionError
-from stepgate.gating import rate_penalty
 from stepgate.harness.checkpoint import save_checkpoint
 from stepgate.harness import evaluation, training
 from stepgate.harness.config import MODES
@@ -271,8 +270,8 @@ def test_batch_loss_is_the_per_video_mean_plus_one_rate_term(task, sample_budget
         terms = [ad.reshape(_per_video_loss(data.train[vi], r, bundle, cfg), (1,))
                  for vi, r in zip(batch, results)]
         mean = weighted_sum(ad.concat_rows(terms), [1.0 / len(terms)] * len(terms))
-        rate = rate_penalty(ad.sigmoid(ad.concat_rows([r.logits for r in results])),
-                            training_sample_budget(cfg) / cfg.dataset.timesteps)
+        rate = ad.rate_penalty(ad.sigmoid(ad.concat_rows([r.logits for r in results])),
+                               training_sample_budget(cfg) / cfg.dataset.timesteps)
         return ad.add(ad.reshape(mean, ()), rate)
     want, want_grads = _loss_and_grads(bundle, reference)
 

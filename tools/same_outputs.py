@@ -9,6 +9,10 @@ On each side a fresh process trains and evaluates:
 
 * a tiny config in all six modes x {single_label, multi_label} x
   ``training.sample_budget`` {None, 2};
+* the tiny single-label config of each selector arm (e2e,
+  frame_conditioned, standalone) at ``model.open_bias`` 0.5 and -2, so
+  test-mode gates close (at 0.5) and whole videos train on the live
+  fallback gate (at -2), which the cases above, all gates open, never see;
 * perfbench's e2e-train and baseline-train configs at seeds 1, 2 and 3.
 
 Each case saves its checkpoint and its ``train.sgds`` and ``test.sgds``
@@ -19,8 +23,11 @@ the saved checkpoint through ``cli.main`` and keeps the ``metrics.json``
 without its ``provenance.eval_s`` wall time.  Each saved split is also
 read back with the side's own ``load_split`` and hashed by content: the
 header without ``format_version``, the prototypes, and each video's
-frames, sorted positive classes, relevance and planted ids.  The tool
-prints one line per case, naming the checkpoint's sha256, whether both
+frames, sorted positive classes, relevance and planted ids.  The trained
+parameters are hashed apart from the file, name by name in name order, so a
+change that only touches the stored config reads as the same weights.  The
+tool prints one line per case, naming the checkpoint's sha256, whether the
+checkpoint files and the weights are the same on both sides, whether both
 split files have the same sha256 on both sides or else the same content,
 and whether the eval reports, the reloaded checkpoints' reports and the CLI
 outputs are equal.  Split files whose bytes differ but whose content is the
@@ -49,6 +56,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, parent_copy  # noqa: E402
 
 MODES = ("e2e", "frame_conditioned", "standalone", "scsampler", "uniform", "random")
+# the selector arms' open_bias values whose tiny runs close gates
+CLOSING_BIASES = (0.5, -2.0)
 GRADCHECK_SEEDS = (0, 1, 6)
 
 
@@ -58,20 +67,26 @@ def _cases():
     from stepgate.harness.config import (DatasetConfig, ExperimentConfig,
                                          ModelConfig, TrainingConfig)
 
+    def tiny(mode, task="single_label", budget=None, open_bias=2.0):
+        cfg = ExperimentConfig(
+            mode=mode, seed=0,
+            dataset=DatasetConfig(n_train=12, n_test=6, n_classes=3, n_shared=2,
+                                  n_background=2, d_raw=6, timesteps=6,
+                                  frames_per_slot=4, noise_sigma=0.3,
+                                  relevant_fraction=0.34, task=task),
+            model=ModelConfig(light_channels=8, heavy_channels=4, n_kernels=8,
+                              gate_hidden=4, segment_len=3, open_bias=open_bias),
+            training=TrainingConfig(batch_size=5, epochs=2, sample_budget=budget))
+        cfg.eval.budgets = [2, 4]
+        return cfg
+
     for mode in MODES:
         for task in ("single_label", "multi_label"):
             for budget in (None, 2):
-                cfg = ExperimentConfig(
-                    mode=mode, seed=0,
-                    dataset=DatasetConfig(n_train=12, n_test=6, n_classes=3, n_shared=2,
-                                          n_background=2, d_raw=6, timesteps=6,
-                                          frames_per_slot=4, noise_sigma=0.3,
-                                          relevant_fraction=0.34, task=task),
-                    model=ModelConfig(light_channels=8, heavy_channels=4, n_kernels=8,
-                                      gate_hidden=4, segment_len=3, open_bias=2.0),
-                    training=TrainingConfig(batch_size=5, epochs=2, sample_budget=budget))
-                cfg.eval.budgets = [2, 4]
-                yield f"tiny {mode} {task} budget={budget}", cfg
+                yield f"tiny {mode} {task} budget={budget}", tiny(mode, task, budget)
+    for mode in ("e2e", "frame_conditioned", "standalone"):
+        for bias in CLOSING_BIASES:
+            yield f"tiny {mode} single_label open_bias={bias}", tiny(mode, open_bias=bias)
     for workload in ("e2e-train", "baseline-train"):
         for seed in (1, 2, 3):
             yield (f"perfbench {workload} seed={seed}",
@@ -113,9 +128,19 @@ def _split_content(path: Path) -> str:
     return h.hexdigest()
 
 
+def _weights(params: dict) -> str:
+    """sha256 of a checkpoint's parameters, name, shape and float64 bytes of
+    each, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(json.dumps([name, list(params[name].shape)]).encode())
+        h.update(params[name].astype("<f8").tobytes())
+    return h.hexdigest()
+
+
 def worker(root: Path) -> None:
-    """Print {case: {"sha256", "splits", "split_content", "report", "reload",
-    "cli"}} for ``root``'s code."""
+    """Print {case: {"sha256", "weights", "splits", "split_content", "report",
+    "reload", "cli"}} for ``root``'s code."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from stepgate.harness.checkpoint import load_checkpoint, save_checkpoint
     from stepgate.harness.evaluation import evaluate_bundle, evaluate_checkpoint
@@ -134,7 +159,9 @@ def worker(root: Path) -> None:
             result = run_training(cfg, data)
             path = Path(tmp) / "run.sgck"
             save_checkpoint(path, result.checkpoint)
-            out[name] = {"sha256": _sha256(path), "splits": splits, "split_content": content,
+            out[name] = {"sha256": _sha256(path),
+                         "weights": _weights(result.checkpoint.params),
+                         "splits": splits, "split_content": content,
                          "report": evaluate_bundle(result.bundle, cfg, data.test).to_dict(),
                          "reload": evaluate_checkpoint(load_checkpoint(path), data).to_dict(),
                          "cli": _cli_outputs(cfg.mode, path, Path(tmp) / f"cli{i}")}
@@ -186,17 +213,19 @@ def main(argv=None) -> int:
     for name, want in got["parent"].items():
         have = got["change"].get(name)
         same_bytes = have is not None and have["sha256"] == want["sha256"]
+        same_weights = have is not None and have["weights"] == want["weights"]
         same_splits = have is not None and have["splits"] == want["splits"]
         same_content = have is not None and have["split_content"] == want["split_content"]
         same_report = have is not None and have["report"] == want["report"]
         same_reload = have is not None and have["reload"] == want["reload"]
         same_cli = have is not None and have["cli"] == want["cli"]
-        differ += not (same_bytes and same_content and same_report and same_reload
-                       and same_cli)
+        differ += not (same_bytes and same_weights and same_content and same_report
+                       and same_reload and same_cli)
         splits = ("SPLITS DIFFER" if not same_content else
                   "same splits" if same_splits else "same split content")
-        print(f"{name:<45} sha256 {want['sha256'][:16]} "
-              f"{'same bytes' if same_bytes else 'BYTES DIFFER'}, {splits}, "
+        print(f"{name:<50} sha256 {want['sha256'][:16]} "
+              f"{'same bytes' if same_bytes else 'BYTES DIFFER'}, "
+              f"{'same weights' if same_weights else 'WEIGHTS DIFFER'}, {splits}, "
               f"{'equal report' if same_report else 'REPORT DIFFERS'}, "
               f"{'equal reload' if same_reload else 'RELOAD DIFFERS'}, "
               f"{'equal cli' if same_cli else 'CLI DIFFERS'}")
