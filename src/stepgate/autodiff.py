@@ -565,9 +565,9 @@ _BACKWARD: dict[str, Callable] = {
 }
 
 
-def backward(loss: Tensor, rec: ComputationRecord | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into every reachable ``requires_grad``
-    leaf of the tape (a tensor no op of this record produced).
+    leaf of the tape of ``loss`` (a tensor no op of that record produced).
 
     Gradients add onto whatever is already stored, so repeated calls without
     an intervening ``zero_grad`` sum their contributions.  Intermediate
@@ -576,10 +576,9 @@ def backward(loss: Tensor, rec: ComputationRecord | None = None) -> None:
     gradients still waiting to be read are alive.
     """
     nid = loss.node_id
-    if rec is None and nid is not None:
-        rec = nid[0]()
-    if rec is None or nid is None or nid[0] is not rec._ref:
-        raise ContractError("loss tensor does not belong to the given computation record")
+    rec = None if nid is None else nid[0]()
+    if rec is None:
+        raise ContractError("loss tensor belongs to no live computation record")
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
 
@@ -696,11 +695,11 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     if not x.requires_grad:
         raise ContractError("finite_diff_check needs a requires_grad input tensor")
     x.zero_grad()
-    with record() as rec:
+    with record():
         y = f(x)
-    if y.data.size != 1:
-        raise ContractError(f"finite_diff_check needs a scalar-valued f, got shape {y.shape}")
-    backward(y, rec)
+        if y.data.size != 1:
+            raise ContractError(f"finite_diff_check needs a scalar-valued f, got shape {y.shape}")
+        backward(y)
     analytic = x.grad.copy().ravel()
     x.zero_grad()
 

@@ -8,7 +8,8 @@ timesteps, so position- and context-invariance hold structurally.  The head
 starts at zero, which makes the untrained score exactly ``1 / n_classes``.
 
 ``sample_indices`` owns the three selector-free sampling rules (evenly
-spaced, seeded random, score top-k) shared by the baseline arms.
+spaced, seeded random, score top-k) shared by the baseline arms; its top-k
+delegates to ``selector.top_k_indices``, the one top-k rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import MLP, Tensor
 from .errors import ContractError, DimensionError, DomainError
-from .selector import LIGHT_HIDDEN
+from .selector import LIGHT_HIDDEN, top_k_indices
 
 SAMPLE_MODES = ("uniform", "random", "topk")
 
@@ -71,7 +72,7 @@ def sample_indices(mode: str, t: int, k: int, scores=None,
 
     uniform: evenly spaced with centered offset, ``floor((2i+1)*t / (2k))``.
     random: seeded draw without replacement.
-    topk: the k highest scores, ties resolved to the lower index.
+    topk: the k highest scores, ties to the lower index (``top_k_indices``).
     """
     if mode not in SAMPLE_MODES:
         raise DomainError(f"mode must be one of {SAMPLE_MODES}, got {mode!r}")
@@ -87,5 +88,4 @@ def sample_indices(mode: str, t: int, k: int, scores=None,
     s = np.asarray(scores, dtype=np.float64)
     if s.shape != (t,):
         raise DimensionError(f"scores shape {s.shape} does not match t={t}")
-    order = np.argsort(-s, kind="stable")
-    return sorted(int(i) for i in order[:k])
+    return top_k_indices(s.reshape(1, t), [k])[0][0]

@@ -98,11 +98,8 @@ def classify(features: Tensor, gate_values: Tensor | None, head: MLP,
     ``gate_values`` (shape (T',)) multiplies the feature rows before the pool
     when given, one ``autodiff.scale_rows`` node: the joint arms' activated
     gates with the heavy head, the stand-alone selector's with its light
-    head; every other path passes ``None``.
+    head; every other path passes ``None``.  The ops check the shapes.
     """
-    c = head.n_in
-    if features.data.ndim != 2 or features.shape[1] != c:
-        raise DimensionError(f"classify expects (T', {c}) features, got {features.shape}")
     if gate_values is not None:
         features = ad.scale_rows(features, gate_values)
     return head(ad.segment_max(features, segments))

@@ -23,6 +23,9 @@ the sigmoid only for open gates and closed gates contribute exactly zero.
 Training steers the gates to a compute budget with a rate term, one
 ``autodiff`` loss op on the open probabilities ``sigmoid(logit)``, so closed
 gates get its gradient too.
+
+``similarity_batch`` and ``gate_logits_batch`` are one op each (which checks
+the shapes), kept only because ``perfbench/layers.py`` times them by name.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import MLP, Tensor
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -39,23 +42,12 @@ from .errors import DimensionError, DomainError
 
 
 def similarity_batch(features: Tensor, kernels: Tensor) -> Tensor:
-    """Similarity of every timestep feature to every concept kernel:
-    ``X @ K.T`` for ``X`` of shape N x C and kernels ``K`` of shape n_kernels
-    x C, one ``autodiff.matmul_t`` node."""
-    if features.data.ndim != 2 or features.shape[1] != kernels.shape[1]:
-        raise DimensionError(
-            f"similarity_batch got features {features.shape} against kernels "
-            f"{tuple(kernels.shape)}"
-        )
+    """(N, C) features against (n_kernels, C) concept kernels, ``X @ K.T``."""
     return ad.matmul_t(features, kernels)
 
 
 def gate_logits_batch(similarities: Tensor, mlp: MLP) -> Tensor:
-    """N x n_in similarities to an N x 1 column of logits."""
-    if similarities.data.ndim != 2 or similarities.shape[1] != mlp.n_in:
-        raise DimensionError(
-            f"gate_logits_batch got similarities {similarities.shape}, expected (N, {mlp.n_in})"
-        )
+    """(N, n_kernels) similarities to an (N, 1) column of gate logits."""
     return mlp(similarities)
 
 

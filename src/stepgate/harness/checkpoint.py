@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import container
-from ..errors import ContractError
+from ..errors import ContractError, FormatError
 from .config import ExperimentConfig, config_from_dict
 from .models import ModelBundle, build_bundle
 
@@ -91,8 +91,11 @@ def checkpoint_layout(header: dict) -> list:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read one checkpoint, each block straight into its parameter's array.
-    Any file ``save_checkpoint`` did not write intact raises ``FormatError``."""
+    A file not written intact, or holding a non-finite weight, raises ``FormatError``."""
     header, blocks = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint",
                                     checkpoint_layout)
     params = {name: block for (name, _), block in zip(header["entries"], blocks)}
+    for name, block in params.items():
+        if not np.isfinite(block).all():
+            raise FormatError(f"{path}: parameter {name} holds a non-finite value")
     return Checkpoint(config=header["config"], step=header["step"], params=params)

@@ -2,7 +2,8 @@
 
 Subcommands: generate-data, train, eval (metrics.json, with the per-class gate
 selection on a selector arm), tradeoff, gradcheck.
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
+(running out of memory included).
 All artifacts land under --out (default: current directory).
 """
 
@@ -14,6 +15,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .. import __version__
 from ..costmodel import CostReport, tradeoff_csv
@@ -232,15 +235,17 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        # no numpy warning reaches stderr: divergence is _check_finite's to report
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except StepgateError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
+    except (StepgateError, MemoryError) as e:  # numpy's _ArrayMemoryError is a MemoryError
+        print(f"runtime error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)

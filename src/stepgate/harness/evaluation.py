@@ -228,7 +228,7 @@ def split_picks(config: ExperimentConfig, ranked, budgets: list,
     t = config.dataset.timesteps
     if config.mode in SELECTOR_MODES:
         ks = [k for k in budgets if k is not None]
-        top = dict(zip(ks, top_k_indices(ranked, ks)))
+        top = dict(zip(ks, top_k_indices(ad.sigmoid_np(ranked), ks)))
         return [heavy_indices(step_open(ranked), ranked) if k is None else top[k]
                 for k in budgets]
     out = []

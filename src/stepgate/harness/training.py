@@ -44,13 +44,11 @@ from ..selector import SelectionResult, heavy_indices, select
 from ..synthdata import Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .evaluation import light_frames, rankings, split_picks
+from .evaluation import SELECTOR_MODES, light_frames, rankings, split_picks
 from .models import ModelBundle, build_bundle, training_sample_budget
 
 _TRAIN_STREAM = 0x5EED
 _SAMPLE_STREAM = 0xBA5E
-
-_JOINT_MODES = ("e2e", "frame_conditioned")
 
 
 @dataclass
@@ -237,7 +235,7 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
     t_steps = config.dataset.timesteps
     target_rate = training_sample_budget(config) / t_steps
 
-    if mode in (*_JOINT_MODES, "standalone"):
+    if mode in SELECTOR_MODES:
         def batch_loss(epoch, batch):
             videos = [dataset.train[vi] for vi in batch]
             light = light_frames(videos, config)
@@ -286,7 +284,7 @@ def run_training(config: ExperimentConfig,
     dataset = dataset if dataset is not None else resolve_dataset(config)
     bundle = build_bundle(config)
     n_train = len(dataset.train)
-    joint = config.mode in _JOINT_MODES
+    joint = config.mode in ("e2e", "frame_conditioned")
     logs: list[EpochLog] = []
     cls_logs: list[EpochLog] = []
     steps = 0

@@ -145,18 +145,19 @@ def heavy_indices(open_mask: np.ndarray, logits: np.ndarray) -> list[list[int]]:
             for row, i in zip(open_mask, fallback)]
 
 
-def top_k_indices(logits: np.ndarray, budgets: list[int]) -> list[list[list[int]]]:
-    """Per budget k, per video of (B, T) gate logits, the k timesteps with the
-    highest gate activation ``sigmoid(logit)``, ascending.
+def top_k_indices(keys: np.ndarray, budgets: list[int]) -> list[list[list[int]]]:
+    """Per budget k, per row of (B, T) ranking keys, the k timesteps with the
+    highest keys, ascending; ties go to the lower index.  Every budget slices
+    one stable argsort of the whole stack.
 
-    Ranking uses the continuous activation rather than the thresholded value
-    (in test mode the latter is binary and cannot order timesteps); ties go
-    to the lower index.  Every budget slices one stable argsort of the whole
-    stack.
+    This is the one top-k rule.  The selector arms rank by gate activation
+    ``sigmoid(logit)`` (``harness.evaluation.split_picks`` passes it), so
+    saturated logits tie as their activations do; the SCSampler arm ranks
+    by saliency score through ``baselines.sample_indices``.
     """
-    t = logits.shape[1]
+    t = keys.shape[1]
     for k in budgets:
         if not (1 <= k <= t):
             raise DomainError(f"top-k budget must lie in [1, {t}], got {k}")
-    order = np.argsort(-ad.sigmoid_np(logits), axis=1, kind="stable")
+    order = np.argsort(-keys, axis=1, kind="stable")
     return [np.sort(order[:, :k], axis=1).tolist() for k in budgets]

@@ -282,10 +282,10 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
         scratch *= spec.noise_sigma
         scratch += prototypes[planted][:, None, :]
         frames[...] = scratch
-    relevance = np.asarray([int(p) in recipe for p in planted], dtype=bool)
     labels = np.zeros(spec.n_classes)
     labels[classes] = 1.0
-    return VideoSample(frames=frames, labels=labels, relevance=relevance, planted=planted)
+    return VideoSample(frames=frames, labels=labels, planted=planted,
+                       relevance=relevance_oracle(planted, classes, spec))
 
 
 def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -> Dataset:
@@ -329,17 +329,18 @@ def _finite(frames: np.ndarray) -> bool:
 # ground truth access
 
 
-def relevance_oracle(video: VideoSample, class_index: int, spec: ActivitySpec) -> np.ndarray:
-    """Per-timestep relevance of this video's content to an arbitrary class.
+def relevance_oracle(planted: np.ndarray, classes, spec: ActivitySpec) -> np.ndarray:
+    """The one recipe-membership rule: per timestep, whether its planted
+    prototype id is in the union of the recipes of ``classes``.
 
-    For the video's own label this equals the stored mask; for a foreign
-    class it re-checks recipe membership, under which a shared prototype can
-    be relevant to one class and not another.
+    Generation stores it as a video's relevance mask, with the video's
+    positive classes; for other classes it re-checks membership, under which
+    a shared prototype can be relevant to one class and not another.
     """
-    if not 0 <= class_index < spec.n_classes:
-        raise DomainError(f"class {class_index} out of range [0, {spec.n_classes})")
-    recipe = spec.class_recipes[class_index]
-    return np.asarray([int(p) in recipe for p in video.planted], dtype=bool)
+    if any(not 0 <= c < spec.n_classes for c in classes):
+        raise DomainError(f"classes {list(classes)} leave the range [0, {spec.n_classes})")
+    recipe = frozenset().union(*(spec.class_recipes[c] for c in classes))
+    return np.array([p in recipe for p in planted.tolist()], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -174,6 +176,13 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bun
         bad = tmp_path / f"{name}.sgck"
         container.write(bad, MAGIC, FORMAT_VERSION, h, [b])
         with pytest.raises(FormatError):
+            load_checkpoint(bad)
+    # a NaN or infinite weight is refused by file and parameter
+    for name, value in {"nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}.items():
+        bad = tmp_path / f"{name}_weight.sgck"
+        container.write(bad, MAGIC, FORMAT_VERSION, header,
+                        [np.array([value], "<f8").tobytes() + body[8:]])
+        with pytest.raises(FormatError, match=re.escape(f"{bad}: parameter {first[0]} ")):
             load_checkpoint(bad)
 
 

@@ -216,7 +216,7 @@ def test_e2e_gradient_reaches_selector_and_classifier():
     noises = gt.sample_gate_noise_batch(np.random.default_rng(40), 3).reshape(3, 1)
     with ad.record() as rec:
         loss = e2e_loss(sparams, cparams, frames, noises, 1)
-    ad.backward(loss, rec)
+    ad.backward(loss)
     assert np.abs(sparams.gate.w2.grad).max() > 0.0
     assert np.abs(sparams.kernels.grad).max() > 0.0
     assert np.abs(sparams.attn_q.grad).max() > 0.0

@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stepgate
@@ -177,6 +178,58 @@ def test_a_version_4_checkpoint_is_refused_by_eval_in_one_line(cfg_file, trained
     err = capsys.readouterr().err
     assert err == f"runtime error: {old}: unsupported checkpoint format version 4\n"
     assert not (out / "metrics.json").exists()
+
+
+def test_a_non_finite_weight_is_refused_by_eval_in_one_line(trained, tmp_path, capsys):
+    """A checkpoint rewritten with one NaN weight holds a valid checksum;
+    eval refuses it, naming the file and the parameter."""
+    ckpt = load_checkpoint(trained / "checkpoint.sgck")
+    ckpt.params["classifier.enc.b1"][0] = np.nan
+    bad = tmp_path / "nan.sgck"
+    save_checkpoint(bad, ckpt)
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"runtime error: {bad}: parameter classifier.enc.b1 holds a non-finite value\n"
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("lr, code, err", [
+    (1e308, 2, "runtime error: e2e training diverged at epoch 0: loss became non-finite\n"),
+    (1e30, 0, ""),
+], ids=["loss-overflows", "updates-overflow"])
+def test_numpy_warnings_never_reach_stderr(cfg_file, tmp_path, capsys, lr, code, err):
+    """Divergence has one reporter: at lr 1e308 the loss overflows and the
+    run prints only the divergence line; at 1e30 Adam's squared gradients
+    overflow while the loss stays finite, and the run prints nothing."""
+    cfg = json.loads(Path(cfg_file).read_text())
+    cfg["training"]["lr"] = lr
+    path = tmp_path / "lr.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+                 "and data type float64"),
+     "runtime error: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+     "and data type float64\n"),
+    (MemoryError(), "runtime error: out of memory\n"),
+], ids=["numpy-message", "no-message"])
+def test_running_out_of_memory_is_a_one_line_runtime_error(cfg_file, tmp_path, capsys,
+                                                           monkeypatch, exc, err):
+    """numpy's ``_ArrayMemoryError`` is a ``MemoryError``; raised inside a
+    command, it exits 2 with one line.  Nothing here allocates."""
+    def exhausted(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_training", exhausted)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_file, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("sigma", [1e39, 1e308])

@@ -287,6 +287,14 @@ def test_the_light_networks_read_only_the_light_frame_of_each_slot(mode):
     np.testing.assert_array_equal(moved[1:], base[1:])
 
 
+def test_a_selector_arm_ranks_saturated_logits_as_tied_activations():
+    """``split_picks`` ranks a selector arm by sigmoid(logit): logits whose
+    sigmoids round to 1 tie, and the tie goes to the lower index."""
+    picks = evaluation.split_picks(tiny_config("e2e"), np.array([[38.0, 39.0, 40.0]]),
+                                   [1], [evaluation._EVAL_STREAM])
+    assert picks == [[[0]]]
+
+
 def test_random_mode_reuses_the_per_video_eval_stream(tiny_data):
     cfg = tiny_config("random")
     bundle = build_bundle(cfg)

@@ -100,7 +100,7 @@ def test_gate_logit_gradient_reaches_kernels():
     with ad.record() as rec:
         alpha = gt.gate_logits_batch(gt.similarity_batch(x, kernels), mlp)
         loss = weighted_sum(ad.sigmoid(alpha))
-    ad.backward(loss, rec)
+    ad.backward(loss)
     assert np.abs(kernels.grad).max() > 0.0
 
 
@@ -216,7 +216,7 @@ def test_open_gate_passes_sigmoid_gradient():
         value, mask = gt.activate_train_batch(alpha, np.full((1, 1), 0.5))
         loss = ad.reshape(value, ())
     assert mask[0]
-    ad.backward(loss, rec)
+    ad.backward(loss)
     s = ad.sigmoid_np(1.5)
     nptest.assert_allclose(alpha.grad, [[s * (1 - s)]], rtol=1e-12)
 
@@ -229,7 +229,7 @@ def test_closed_gate_blocks_gradient_to_feature_and_logit():
         gated, loss = _gated_sum(x, value)
     assert not mask[0]
     nptest.assert_array_equal(gated.data, [[0.0, 0.0, 0.0]])  # exact zero tensor
-    ad.backward(loss, rec)
+    ad.backward(loss)
     nptest.assert_array_equal(x.grad, [[0.0, 0.0, 0.0]])
     nptest.assert_array_equal(alpha.grad, [[0.0]])
 
@@ -240,7 +240,7 @@ def test_open_gate_scales_feature_and_passes_feature_gradient():
     with ad.record() as rec:
         value, _ = gt.activate_train_batch(alpha, np.zeros((1, 1)))
         _, loss = _gated_sum(x, value)
-    ad.backward(loss, rec)
+    ad.backward(loss)
     a = float(value.data[0])
     nptest.assert_allclose(x.grad, [[a, a]], rtol=1e-12)
     assert np.abs(alpha.grad).max() > 0.0

@@ -14,9 +14,7 @@ PACKAGE = ROOT / "src" / "stepgate"
 
 # Definitions kept ahead of their caller; each names the change that gives
 # it one.
-ALLOWED = {
-    "relevance_oracle",   # selection-quality metrics read confuser picks
-}
+ALLOWED: set[str] = set()
 
 
 def _definitions(tree):

@@ -270,7 +270,7 @@ def test_stacked_select_equals_per_video_select(context_mode):
         with ad.record() as rec:
             results = build(rng)
             loss = weighted_sum(ad.concat_rows([r.activated for r in results]))
-        ad.backward(loss, rec)
+        ad.backward(loss)
         grads = {n: p.grad.copy() for n, p in named.items()}
         return results, grads, rng.random()   # the next draw shows the stream's use
 
@@ -322,17 +322,18 @@ def _result(logits):
 def test_top_k_ranks_by_activation_with_lower_index_ties():
     res = _result([0.5, 2.0, 0.5, -1.0])
     assert np.flatnonzero(res.open).tolist() == [0, 1, 2]
-    # the second video's order is the first's reversed; a tie at 0.5 goes to
-    # the lower index in both
+    # the keys are the activations evaluation ranks by; the second video's
+    # order is the first's reversed, and a tie at 0.5 goes to the lower index
+    # in both
     logits = np.array([[0.5, 2.0, 0.5, -1.0], [-1.0, 0.5, 2.0, 0.5]])
-    assert sel.top_k_indices(logits, [1, 2, 3, 4]) == [
+    assert sel.top_k_indices(ad.sigmoid_np(logits), [1, 2, 3, 4]) == [
         [[1], [2]],
         [[0, 1], [1, 2]],
         [[0, 1, 2], [1, 2, 3]],
         [[0, 1, 2, 3], [0, 1, 2, 3]],
     ]
-    # logits whose sigmoids round to 1 tie, as their activations do
-    assert sel.top_k_indices(np.array([[38.0, 39.0, 40.0]]), [1]) == [[[0]]]
+    # equal keys tie, whatever the logits behind them
+    assert sel.top_k_indices(np.array([[1.0, 1.0, 1.0]]), [1]) == [[[0]]]
 
 
 def test_heavy_indices_keep_the_open_gates():
@@ -361,7 +362,7 @@ def test_selection_gradient_reaches_all_selector_params():
         res = sel.select(light, params, "train", rng=np.random.default_rng(2))
         loss = weighted_sum(res.activated)
     assert res.open.any(), "expected at least one open gate with open bias 2"
-    ad.backward(loss, rec)
+    ad.backward(loss)
     for name, p in ModelBundle(selector=params).named_parameters().items():
         assert p.grad is not None, name
     assert np.abs(params.kernels.grad).max() > 0.0

@@ -242,9 +242,23 @@ def test_infeasible_placement_is_generation_error(spec):
 
 def test_oracle_matches_stored_mask_for_own_label(dataset, spec):
     for v in dataset.train[:20]:
-        nptest.assert_array_equal(sd.relevance_oracle(v, label_of(v), spec), v.relevance)
-    with pytest.raises(DomainError):
-        sd.relevance_oracle(dataset.train[0], spec.n_classes, spec)
+        nptest.assert_array_equal(sd.relevance_oracle(v.planted, [label_of(v)], spec),
+                                  v.relevance)
+    for bad in (spec.n_classes, -1):
+        with pytest.raises(DomainError):
+            sd.relevance_oracle(dataset.train[0].planted, [0, bad], spec)
+
+
+@pytest.mark.parametrize("task", ["single_label", "multi_label"])
+def test_oracle_of_the_positive_classes_is_the_stored_mask(spec, task):
+    """Generation stores the oracle's mask of a video's positive classes; a
+    multi-label video's is the union over its classes."""
+    data = sd.generate_dataset(sd.ActivitySpec(**{**_spec_kwargs(spec), "task": task}),
+                               30, 10, seed=5)
+    for v in data.train + data.test:
+        nptest.assert_array_equal(
+            sd.relevance_oracle(v.planted, np.flatnonzero(v.labels), data.spec), v.relevance)
+    assert task == "single_label" or max(v.labels.sum() for v in data.train) > 1
 
 
 def test_background_timesteps_relevant_to_no_class(dataset, spec):
@@ -252,7 +266,7 @@ def test_background_timesteps_relevant_to_no_class(dataset, spec):
     bg = np.asarray([int(p) in spec.background_prototypes for p in v.planted])
     assert bg.any()
     for c in range(spec.n_classes):
-        assert not (sd.relevance_oracle(v, c, spec) & bg).any()
+        assert not (sd.relevance_oracle(v.planted, [c], spec) & bg).any()
 
 
 def test_shared_prototype_relevant_to_one_class_not_another(dataset, spec):
@@ -264,8 +278,8 @@ def test_shared_prototype_relevant_to_one_class_not_another(dataset, spec):
                 continue
             owners = [c for c in range(spec.n_classes) if p in spec.class_recipes[c]]
             assert label_of(v) not in owners
-            assert sd.relevance_oracle(v, owners[0], spec)[pos]
-            assert not sd.relevance_oracle(v, label_of(v), spec)[pos]
+            assert sd.relevance_oracle(v.planted, [owners[0]], spec)[pos]
+            assert not sd.relevance_oracle(v.planted, [label_of(v)], spec)[pos]
             hits += 1
     assert hits > 0, "expected shared-prototype confusers in a default dataset"
 

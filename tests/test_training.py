@@ -229,7 +229,7 @@ def _loss_and_grads(bundle, build):
         p.zero_grad()
     with ad.record() as rec:
         loss = build()
-    ad.backward(loss, rec)
+    ad.backward(loss)
     return float(loss.data), {n: p.grad.copy() for n, p in params.items()}
 
 
@@ -461,10 +461,10 @@ def test_the_modes_record_every_op_the_tape_knows(monkeypatch):
     recorded, calls = set(), []
     backward = ad.backward
 
-    def spy(loss, rec=None):
+    def spy(loss):
         calls.append(loss)
         recorded.update(node.op for node in loss.node_id[0]().nodes)
-        backward(loss, rec)
+        backward(loss)
 
     monkeypatch.setattr(ad, "backward", spy)
     for mode in MODES:
