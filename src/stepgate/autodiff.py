@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 A small tape machine: operations executed inside a :func:`record` context
-append nodes to the active :class:`ComputationRecord`, :func:`backward`
-replays the tape once in reverse, and gradients accumulate into every leaf
-tensor flagged ``requires_grad`` (intermediate tensors get none).  Outside a
-recording context the same functions run as plain numpy forward computations,
-which is the inference fast path.
+append nodes to the open :class:`ComputationRecord`, :func:`backward`
+replays the tape once in reverse, and gradients accumulate into every
+``requires_grad`` tensor that no op of the tape produced (op outputs get
+none).  Outside a recording context the same functions run as plain numpy
+forward computations, which is the inference fast path.
 
 Deliberate conventions:
 
@@ -19,15 +19,15 @@ Deliberate conventions:
 * ``segment_max`` routes its gradient to the first maximal row of each
   segment, so backward is deterministic even under ties.
 
-Tape lifetime: a tensor links to its record weakly (``node_id`` holds a weak
-reference to the record and the tensor's index on the tape), while the record
-holds its tensors strongly.  So a tape forms no reference cycle: it and every
-intermediate are freed by reference counting as soon as the record's ``with``
-block has ended and the last reference to the record drops, without waiting
-for the cyclic collector.  Within :func:`backward` a gradient lives until it
-has been passed on: node i's gradient is dropped once its backward function
-(or, for a leaf, the accumulation into ``grad``) has read it, so the walk
-holds the gradients of the nodes still to visit, not one per tape node.
+Tape lifetime: the tape holds ops only, and a node keeps its input
+tensors.  Only an op's output carries ``node_id``: a weak reference to its
+record and its index on the tape, kept when a later record reads it.  The
+record holds its tensors strongly, so a tape forms no reference cycle: it
+and every intermediate are freed by reference counting as soon as the
+record's ``with`` block has ended and the last reference to the record
+drops.  Within :func:`backward` an op output's gradient lives until its
+backward function has read it, and any other tensor's gradient goes into its
+``grad`` at once, so the walk holds only gradients still to be read.
 
 Every op is one that a model path records.  A network layer is one tape
 node with a hand-written backward: ``affine`` (``x @ w + b``), ``mlp`` (two
@@ -48,15 +48,13 @@ in another order, and those rows of the input gradient are exactly 0.
 Backward computes no gradient product for a constant first operand of
 ``matmul_t``, ``affine``, ``mlp`` or ``attention`` (such as raw frames).
 
-The active record is thread-local: independent records on different threads
-do not interact, but a single record must only ever be used from one thread.
+One record is open per process at a time, in one module-level slot.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -74,10 +72,9 @@ class Tensor:
 
     ``data`` is a C-contiguous float64 array (row major).  ``grad`` starts as
     a zero array for tensors constructed with ``requires_grad=True`` and is
-    accumulated into by :func:`backward` when the tensor is a leaf of the
-    record; for tensors an op produced it stays ``None``.  ``node_id`` is
-    ``(weak reference to the record, tape index)`` inside the record that
-    first consumed or produced the tensor.
+    accumulated into by :func:`backward` when no op of the loss's record
+    produced the tensor.  ``node_id`` is ``(weak reference to the record,
+    tape index)`` for an op's output and ``None`` for any other tensor.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node_id")
@@ -117,7 +114,7 @@ class Tensor:
 class _Node:
     __slots__ = ("op", "inputs", "ctx", "tensor")
 
-    def __init__(self, op: str, inputs: tuple[int, ...], ctx, tensor: Tensor):
+    def __init__(self, op: str, inputs: tuple[Tensor, ...], ctx, tensor: Tensor):
         self.op = op
         self.inputs = inputs
         self.ctx = ctx
@@ -135,27 +132,13 @@ class ComputationRecord:
         self.nodes: list[_Node] = []
         self._ref = weakref.ref(self)
 
-    def _bind(self, t: Tensor) -> int:
-        nid = t.node_id
-        if nid is not None and nid[0] is self._ref:
-            return nid[1]
-        idx = len(self.nodes)
-        self.nodes.append(_Node("leaf", (), None, t))
-        t.node_id = (self._ref, idx)
-        return idx
-
-    def add(self, op: str, inputs: Sequence[Tensor], ctx, out: Tensor) -> None:
-        idxs = tuple(self._bind(t) for t in inputs)
-        idx = len(self.nodes)
-        self.nodes.append(_Node(op, idxs, ctx, out))
-        out.node_id = (self._ref, idx)
+    def add(self, op: str, inputs: tuple[Tensor, ...], ctx, out: Tensor) -> None:
+        out.node_id = (self._ref, len(self.nodes))
+        self.nodes.append(_Node(op, inputs, ctx, out))
 
 
-_state = threading.local()
-
-
-def active_record() -> ComputationRecord | None:
-    return getattr(_state, "record", None)
+# the open record, if any
+_open: ComputationRecord | None = None
 
 
 @contextmanager
@@ -164,22 +147,21 @@ def record():
 
     Records do not nest; open one record per forward pass.
     """
-    if active_record() is not None:
+    global _open
+    if _open is not None:
         raise ContractError("computation records do not nest")
-    rec = ComputationRecord()
-    _state.record = rec
+    _open = ComputationRecord()
     try:
-        yield rec
+        yield _open
     finally:
-        _state.record = None
+        _open = None
 
 
 def _emit(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], ctx=None) -> Tensor:
     req = any(t.requires_grad for t in inputs)
     out = Tensor._from_op(out_data, req)
-    rec = active_record()
-    if rec is not None and req:
-        rec.add(op, inputs, ctx, out)
+    if _open is not None and req:
+        _open.add(op, inputs, ctx, out)
     return out
 
 
@@ -567,13 +549,17 @@ _BACKWARD: dict[str, Callable] = {
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into every reachable ``requires_grad``
-    leaf of the tape of ``loss`` (a tensor no op of that record produced).
+    tensor that no op of the record of ``loss`` produced.
 
-    Gradients add onto whatever is already stored, so repeated calls without
-    an intervening ``zero_grad`` sum their contributions.  Intermediate
-    tensors and the loss keep ``grad is None``.  The walk drops each node's
-    gradient as soon as it has passed it on to the node's inputs, so only
-    gradients still waiting to be read are alive.
+    Each contribution is added into ``grad`` as the walk reaches it; a
+    ``grad`` of None is first set to a copy of the first contribution.  From
+    a zero ``grad``, as after ``zero_grad`` or an ``Adam`` step, that gives
+    the sum of the contributions in the order the walk finds them.  Repeated
+    calls without an intervening ``zero_grad`` keep adding, one contribution
+    at a time: a second call onto G adds ``(G + g1) + g2``, not ``G + (g1 +
+    g2)``.  Op outputs of the record and the loss keep ``grad is None``.  The
+    walk drops each node's gradient as soon as it has passed it on to the
+    node's inputs, so only gradients still waiting to be read are alive.
     """
     nid = loss.node_id
     rec = None if nid is None else nid[0]()
@@ -582,7 +568,7 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
 
-    nodes = rec.nodes
+    ref, nodes = nid[0], rec.nodes
     grads: list[np.ndarray | None] = [None] * len(nodes)
     grads[nid[1]] = np.ones_like(loss.data)
     # nodes whose gradient is a sum this function allocated, so later
@@ -597,19 +583,18 @@ def backward(loss: Tensor) -> None:
         # no later node reads this gradient: drop it once it is passed on
         grads[idx] = None
         node = nodes[idx]
-        if node.op == "leaf":
-            t = node.tensor
-            if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.array(g, dtype=np.float64, copy=True)
-                else:
-                    t.grad += g
-            continue
-        data = tuple(nodes[i].tensor.data for i in node.inputs)
-        input_grads = _BACKWARD[node.op](node, g, data)
-        for pos, gi in zip(node.inputs, input_grads):
-            if gi is None or not nodes[pos].tensor.requires_grad:
+        input_grads = _BACKWARD[node.op](node, g, tuple(t.data for t in node.inputs))
+        for t, gi in zip(node.inputs, input_grads):
+            if gi is None or not t.requires_grad:
                 continue
+            tid = t.node_id
+            if tid is None or tid[0] is not ref:
+                if t.grad is None:
+                    t.grad = np.array(gi, dtype=np.float64, copy=True)
+                else:
+                    t.grad += gi
+                continue
+            pos = tid[1]
             acc = grads[pos]
             if acc is None:
                 grads[pos] = gi

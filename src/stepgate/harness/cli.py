@@ -162,6 +162,9 @@ def _cmd_eval(args) -> int:
     if report.selection is not None:
         print(f"selection: mean class open ratio {report.selection['mean_ratio']:.4f}, "
               f"variance {report.selection['ratio_variance']:.6f}")
+    if report.skipped_classes:
+        print(f"skipped in the mAP mean, no positives in the test split: "
+              f"classes {report.skipped_classes}")
     return 0
 
 

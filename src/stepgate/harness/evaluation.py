@@ -26,7 +26,6 @@ ranking: per class, how many gates open and where.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -82,8 +81,8 @@ def average_precision(scores, targets) -> float:
 
 
 def mean_ap(scores: np.ndarray, targets: np.ndarray) -> tuple[float, list[int]]:
-    """Mean AP over classes with at least one positive; returns the skipped
-    class indices and warns about them."""
+    """Mean AP over classes with at least one positive, and the indices of
+    the classes skipped for having none."""
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if s.shape != t.shape or s.ndim != 2:
@@ -94,9 +93,6 @@ def mean_ap(scores: np.ndarray, targets: np.ndarray) -> tuple[float, list[int]]:
             aps.append(average_precision(s[:, c], t[:, c]))
         else:
             skipped.append(c)
-    if skipped:
-        warnings.warn(f"classes {skipped} have no positives in this split; "
-                      f"skipped in the mAP mean")
     if not aps:
         raise DomainError("every class lacks positives; mAP undefined")
     return float(np.mean(aps)), skipped

@@ -438,6 +438,26 @@ def test_eval_of_a_gateless_arm_has_no_selection(cfg_file, tmp_path, capsys):
                  "--out", str(tmp_path / "tr")]) == 0
 
 
+def test_eval_names_classes_without_positives_on_stdout_only(tmp_path, capsys):
+    """A multi-label test split of one video leaves a class without
+    positives: eval exits 0, says so on stdout and in metrics.json, and
+    prints nothing on stderr."""
+    cfg = tiny_config("uniform", **{"dataset.task": "multi_label", "dataset.n_test": 1,
+                                    "training.epochs": 1})
+    path = tmp_path / "one_test_video.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert main(["train", "--config", str(path), "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.sgck"),
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    skipped = json.loads((out / "metrics.json").read_text())["report"]["skipped_classes"]
+    assert skipped and printed.err == ""
+    assert printed.out.splitlines()[-1] == (
+        f"skipped in the mAP mean, no positives in the test split: classes {skipped}")
+
+
 def test_report_is_no_longer_a_subcommand(trained, tmp_path, capsys):
     out = tmp_path / "rep"
     assert main(["report", "--checkpoint", str(trained / "checkpoint.sgck"),

@@ -83,8 +83,7 @@ def test_mean_ap_averages_and_skips_empty_classes():
     targets = np.asarray([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
                           [1.0, 0.0, 0.0]])
-    with pytest.warns(UserWarning, match=r"classes \[2\]"):
-        value, skipped = mean_ap(scores, targets)
+    value, skipped = mean_ap(scores, targets)
     assert skipped == [2]
     expected = (average_precision(scores[:, 0], targets[:, 0])
                 + average_precision(scores[:, 1], targets[:, 1])) / 2
@@ -384,7 +383,6 @@ def _reference_entries(bundle, cfg, videos):
     return out
 
 
-@pytest.mark.filterwarnings("ignore:classes .* have no positives")
 @pytest.mark.parametrize("task", ["single_label", "multi_label"])
 @pytest.mark.parametrize("mode", MODES)
 def test_evaluate_bundle_equals_a_per_video_loop(mode, task):

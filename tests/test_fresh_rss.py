@@ -19,8 +19,8 @@ _SPEC.loader.exec_module(fresh_rss)
 _PROBE = f"""
 import json, os, sys
 sys.path.insert(0, {str(_TOOLS)!r})
-from fresh_rss import maxrss_mb
-print(json.dumps([maxrss_mb([sys.executable, "-c", code], dict(os.environ))
+from fresh_rss import child_usage
+print(json.dumps([child_usage([sys.executable, "-c", code], dict(os.environ))
                   for code in ("b = bytearray(64 << 20)", "pass")]))
 """
 
@@ -30,15 +30,26 @@ def test_maxrss_reads_the_childs_own_peak():
     far below it."""
     out = subprocess.run([sys.executable, "-c", _PROBE], check=True,
                          capture_output=True, text=True).stdout
-    (big, code, _), (small, _, _) = json.loads(out)
+    (big, _, _, code, _), (small, _, _, _, _) = json.loads(out)
     assert code == 0
     assert big >= 64.0 > small
 
 
 def test_maxrss_reports_a_failing_childs_exit_code_and_stderr():
-    _, code, tail = fresh_rss.maxrss_mb(
+    *_, code, tail = fresh_rss.child_usage(
         [sys.executable, "-c", "import sys; sys.exit('no config given')"], dict(os.environ))
     assert (code, tail) == (1, "no config given")
+
+
+def test_a_busy_child_reports_its_cpu_seconds():
+    """A child that spins until it has used 0.3 s of CPU reports at least
+    0.2 CPU seconds.  Its minor faults are counted but not bounded: huge
+    pages make their number depend on the host."""
+    spin = "import time\nwhile time.process_time() < 0.3: pass"
+    _, faults, cpu_s, code, _ = fresh_rss.child_usage([sys.executable, "-c", spin],
+                                                      dict(os.environ))
+    assert code == 0 and isinstance(faults, int)
+    assert cpu_s >= 0.2
 
 
 def test_a_command_is_required():

@@ -13,7 +13,7 @@ from stepgate.baselines import scorer_logits
 from stepgate.errors import ConfigError, ContractError, DimensionError
 from stepgate.harness.checkpoint import save_checkpoint
 from stepgate.harness import evaluation, training
-from stepgate.harness.config import MODES
+from stepgate.harness.config import MODES, ExperimentConfig
 from stepgate.harness.models import build_bundle, training_sample_budget
 from stepgate.harness.training import resolve_dataset, run_training
 from stepgate.selector import SelectionResult, heavy_indices, select
@@ -474,7 +474,30 @@ def test_the_modes_record_every_op_the_tape_knows(monkeypatch):
                                               "training.batch_size": 12}))
     # the joint arms and the fixed samplers have one phase, the other two both
     assert len(calls) == 2 * (len(MODES) + 2)
-    assert recorded - {"leaf"} == set(ad._BACKWARD)
+    assert recorded == set(ad._BACKWARD)
+
+
+def test_a_phase_a_tape_holds_ops_only_and_the_loss_index_counts_them(monkeypatch):
+    """At the benchmark's e2e config (default sizes, 256 training videos,
+    seed 1) the first 32-video phase-A step records every layer as an op and
+    nothing else, so ``loss.node_id[1] + 1``, what the benchmark reads as a
+    step's tape length, is the number of ops."""
+    class Stop(Exception):
+        pass
+
+    tapes = []
+
+    def spy(loss):
+        tapes.append((loss.node_id[1] + 1, [node.op for node in loss.node_id[0]().nodes]))
+        raise Stop
+
+    monkeypatch.setattr(ad, "backward", spy)
+    cfg = ExperimentConfig(mode="e2e", seed=1)
+    cfg.dataset.n_train, cfg.dataset.n_test = 256, 128
+    with pytest.raises(Stop):
+        run_training(cfg)
+    (count, ops), = tapes
+    assert count == len(ops) and set(ops) <= set(ad._BACKWARD)
 
 
 def test_frame_conditioned_has_no_attention_parameters(results):

@@ -1,5 +1,5 @@
-"""Fresh-process peak memory of one ``stepgate`` command, a parent revision
-against the working tree.
+"""Fresh-process peak memory, minor page faults and CPU time of one
+``stepgate`` command, a parent revision against the working tree.
 
 Run from anywhere inside the repository, with the command's arguments after
 ``--``:
@@ -12,12 +12,13 @@ side, each time in a new process whose ``PYTHONPATH`` is that side's
 ``src``, from the directory the tool was started in.  So relative paths in
 the arguments name the same files on both sides, and each run overwrites
 what the one before it wrote.  The sides alternate: the parent runs first in
-even runs.  The tool prints each child's ``ru_maxrss``, as ``os.wait4``
-reports it, as one JSON line, then each side's median and range.  It exits 1
-when a child exits non-zero, naming the run and the end of its stderr.
-Linux carries the peak of the process a child was started from over into
-the child's ``ru_maxrss``, so this tool's own small peak is a floor under
-every reading, the same on both sides.
+even runs.  The tool prints each child's ``ru_maxrss``, minor page faults
+(``ru_minflt``) and CPU seconds (``ru_utime + ru_stime``), as ``os.wait4``
+reports them, as one JSON line, then each side's median and range of each.
+It exits 1 when a child exits non-zero, naming the run and the end of its
+stderr.  Linux carries the peak of the process a child was started from
+over into the child's ``ru_maxrss``, so this tool's own small peak is a
+floor under every reading, the same on both sides.
 
 Only the standard library is used.
 """
@@ -37,9 +38,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, parent_copy  # noqa: E402
 
 
-def maxrss_mb(argv: list[str], env: dict[str, str]) -> tuple[float, int, str]:
-    """Peak resident set of one child process in MB, its exit code and the
-    last line of its stderr."""
+def child_usage(argv: list[str], env: dict[str, str]) -> tuple[float, int, float, int, str]:
+    """Peak resident set of one child process in MB, its minor page faults,
+    its CPU seconds (user plus system), its exit code and the last line of
+    its stderr."""
     with tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
@@ -47,7 +49,8 @@ def maxrss_mb(argv: list[str], env: dict[str, str]) -> tuple[float, int, str]:
         err.seek(0)
         tail = err.read().decode(errors="replace").strip().splitlines()[-1:]
     # Linux reports ru_maxrss in KiB
-    return usage.ru_maxrss / 1024.0, proc.returncode, (tail or [""])[0]
+    return (usage.ru_maxrss / 1024.0, usage.ru_minflt, usage.ru_utime + usage.ru_stime,
+            proc.returncode, (tail or [""])[0])
 
 
 def main(argv=None) -> int:
@@ -62,22 +65,29 @@ def main(argv=None) -> int:
         p.error("--runs must be positive and a stepgate command must follow --")
 
     sides = {"parent": parent_copy(args.parent), "change": ROOT}
-    got: dict[str, list[float]] = {"parent": [], "change": []}
+    got: dict[str, list[tuple[float, int, float]]] = {"parent": [], "change": []}
     failed = []
     for i in range(args.runs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             env = {**os.environ, "PYTHONPATH": str(sides[side] / "src")}
-            mb, code, tail = maxrss_mb([sys.executable, "-m", "stepgate", *command], env)
+            mb, faults, cpu_s, code, tail = child_usage(
+                [sys.executable, "-m", "stepgate", *command], env)
             print(json.dumps({"run": i, "side": side, "exit": code,
-                              "ru_maxrss_mb": round(mb, 1)}), flush=True)
+                              "ru_maxrss_mb": round(mb, 1), "minor_faults": faults,
+                              "cpu_s": round(cpu_s, 3)}), flush=True)
             if code:
                 failed.append(f"run {i}, {side}: exit code {code}, stderr ends in {tail!r}")
             else:
-                got[side].append(mb)
-    for side, values in got.items():
-        if values:
-            print(f"{side:<7} median {statistics.median(values):.1f} MB, "
-                  f"range {min(values):.1f}-{max(values):.1f} MB over {len(values)} runs")
+                got[side].append((mb, faults, cpu_s))
+    for side, runs in got.items():
+        if runs:
+            mb, faults, cpu_s = zip(*runs)
+            print(f"{side:<7} median {statistics.median(mb):.1f} MB "
+                  f"(range {min(mb):.1f}-{max(mb):.1f}), "
+                  f"{statistics.median(faults):.0f} minor faults "
+                  f"(range {min(faults)}-{max(faults)}), "
+                  f"{statistics.median(cpu_s):.2f} CPU s "
+                  f"(range {min(cpu_s):.2f}-{max(cpu_s):.2f}) over {len(runs)} runs")
     for line in failed:
         print(line, file=sys.stderr)
     return 1 if failed else 0
