@@ -13,21 +13,17 @@ import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from ..errors import ConfigError, DomainError, GenerationError
+from ..errors import ConfigError, DomainError
 from ..synthdata import ActivitySpec
 
 MODES = ("standalone", "e2e", "frame_conditioned", "scsampler", "uniform", "random")
-# the ActivitySpec builder of each dataset.recipe_style
-RECIPE_STYLES = {"anchored": ActivitySpec.default, "paired": ActivitySpec.paired}
 
 
 @dataclass
 class DatasetConfig:
-    """Either a directory holding train.sgds/test.sgds or a generation spec.
-
-    recipe_style "anchored" gives every class a prototype of its own;
-    "paired" builds each recipe from two shared prototypes only, which makes
-    relevance context-dependent in a way single-frame scoring cannot resolve.
+    """Either a directory holding train.sgds/test.sgds or a generation spec:
+    every field but ``path``, ``n_train`` and ``n_test`` is an
+    ``ActivitySpec`` parameter, whose docstring describes the recipe styles.
     """
 
     path: str | None = None
@@ -46,18 +42,14 @@ class DatasetConfig:
     recipe_style: str = "anchored"
 
     def spec(self) -> ActivitySpec:
-        """The generation spec this section describes; a section the spec's
-        rules reject is a ``ConfigError``."""
+        """The generation spec this section describes, its book derived; a
+        section the spec's rules reject is a ``ConfigError``."""
         try:
-            return RECIPE_STYLES[self.recipe_style](
-                n_classes=self.n_classes, n_shared=self.n_shared,
-                n_background=self.n_background, d_raw=self.d_raw,
-                timesteps=self.timesteps, frames_per_slot=self.frames_per_slot,
-                noise_sigma=self.noise_sigma, relevant_fraction=self.relevant_fraction,
-                confuser_share=self.confuser_share, task=self.task,
-            )
-        except (DomainError, GenerationError) as exc:
+            spec = ActivitySpec(**{f.name: getattr(self, f.name) for f in fields(ActivitySpec)})
+            spec.class_recipes  # deriving the book checks each shared prototype's uses
+        except DomainError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
+        return spec
 
 
 @dataclass
@@ -145,11 +137,6 @@ def _validate_values(cfg: ExperimentConfig) -> None:
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     d = cfg.dataset
-    if d.recipe_style not in RECIPE_STYLES:
-        raise ConfigError(
-            f"dataset.recipe_style must be one of {tuple(RECIPE_STYLES)}, "
-            f"got {d.recipe_style!r}"
-        )
     d.spec()  # the dataset's own rules
     for name in ("n_train", "n_test"):
         if getattr(d, name) < 1:

@@ -1,16 +1,15 @@
 """Synthetic long-range activity sequences with context-dependent relevance.
 
-Every activity class owns a recipe of prototype vectors.  Two builders draw
-the recipes: ``ActivitySpec.default`` (the ``anchored`` style) gives each
-class one prototype of its own plus several from a shared pool;
-``ActivitySpec.paired`` composes every recipe entirely of shared
-prototypes, so no single timestep identifies a class.  The builders only
-draw recipes; ``ActivitySpec.__post_init__`` alone checks that a spec can be
-generated.  A shared prototype is relevant exactly when the video's label
-includes it in its recipe, so the same timestep content can be signal in
-one video and distractor in another; filler timesteps mix background
-prototypes with shared prototypes from foreign recipes (confusers).
-Per-frame Gaussian noise sits on top.
+Every activity class owns a recipe of prototype vectors.  An
+``ActivitySpec`` is a dataset's generation parameters, and its recipe book
+is derived from them: the ``anchored`` style gives each class one prototype
+of its own plus several from a shared pool; the ``paired`` style composes
+every recipe entirely of shared prototypes, so no single timestep
+identifies a class.  A shared prototype is relevant exactly when the
+video's label includes it in its recipe, so the same timestep content can
+be signal in one video and distractor in another; filler timesteps mix
+background prototypes with shared prototypes from foreign recipes
+(confusers).  Per-frame Gaussian noise sits on top.
 
 A frame-level scorer cannot separate a shared prototype's relevant and
 irrelevant occurrences, which is the property the context-conditioned
@@ -35,22 +34,28 @@ is reproducible and order-independent.
 A video's labels are an (L,) 0/1 float64 indicator row in either task, one-hot
 for single-label; the task chooses only the loss and the metric.
 
-Binary split files (format version 4; older ones are rejected) use the shared
+Binary split files (format version 5; older ones are rejected) use the shared
 checksummed container (``stepgate.container``): magic ``SGDS``, u32 format
-version, u32 header length, u32 CRC-32, canonical JSON header (every
-``ActivitySpec`` field, ``format_version``, ``n_videos``, ``seed`` and
-``split``), then a body of whole little-endian arrays, one per field: (P,
-d_raw) f8 prototypes, (N, L) f8 labels, (N, T) u1 relevance, (N, T) i8
-planted ids and (N, T, frames_per_slot, d_raw) f4 frames.  ``load_split``
-reads each field straight into its array and checks its content; a loaded
-video's arrays are rows of those.
+version, u32 header length, u32 CRC-32, canonical JSON header
+(``format_version``, every ``ActivitySpec`` parameter, ``n_videos``,
+``seed`` and ``split``), then a body of whole little-endian arrays, one per
+field: (P, d_raw) f8 prototypes, (N, L) f8 labels, (N, T) u1 relevance, (N,
+T) i8 planted ids and (N, T, frames_per_slot, d_raw) f4 frames.
+``load_split`` reads each field straight into its array and checks its
+content; a loaded video's arrays are rows of those.  The header alone does
+not bound the recipe book's size, so the book is derived only once the body
+has been read: each video's stored relevance must then equal its positive
+classes' recipe membership, which catches a book that drifted from the one
+the file was written under.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from itertools import combinations
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -58,8 +63,9 @@ from . import container
 from .errors import DomainError, FormatError, GenerationError
 
 MAGIC = b"SGDS"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
+RECIPE_STYLES = ("anchored", "paired")
 PLACEMENTS = ("middle", "spread")
 TASKS = ("single_label", "multi_label")
 SHARED_PER_CLASS = 2  # shared prototypes in each anchored recipe
@@ -71,11 +77,22 @@ _LABEL_SEED_OFFSET = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class ActivitySpec:
-    """Complete recipe book for one synthetic dataset; its fields are the
-    SGDS header's spec keys."""
+    """One synthetic dataset's generation parameters, the SGDS header's spec
+    keys, and the recipe book derived from them.
+
+    Prototype ids run class-unique (``anchored`` only), then ``n_shared``
+    shared, then ``n_background`` background.  ``anchored`` gives class
+    ``c`` prototype ``c`` plus ``SHARED_PER_CLASS`` shared ones, taken in a
+    rotating pattern.  ``paired`` makes class ``c`` the ``c``-th pair of
+    shared prototypes in ``combinations`` order, with no class-specific
+    prototype anywhere: classification then hinges on which pair co-occurs,
+    and a confuser slot can complete a foreign pair, so selection quality
+    directly bounds attainable accuracy.  Placements alternate by class.
+    """
 
     n_classes: int
-    n_prototypes: int
+    n_shared: int
+    n_background: int
     d_raw: int
     timesteps: int
     frames_per_slot: int
@@ -83,61 +100,25 @@ class ActivitySpec:
     relevant_fraction: float
     confuser_share: float
     task: str
-    class_recipes: tuple[frozenset, ...]
-    shared_prototypes: frozenset
-    background_prototypes: frozenset
-    placement: tuple[str, ...]
-
-    @classmethod
-    def default(cls, n_classes: int, n_shared: int, n_background: int,
-                **scalars) -> "ActivitySpec":
-        """The ``anchored`` recipes: class ``c`` owns prototype ``c`` plus
-        ``SHARED_PER_CLASS`` from the shared pool (ids after the classes'),
-        taken in a rotating pattern.  ``scalars`` are the spec's scalar
-        fields, ``d_raw`` to ``task``."""
-        if n_shared < SHARED_PER_CLASS:  # the rotation needs that many distinct ids
-            raise DomainError(f"need n_shared >= {SHARED_PER_CLASS}, got {n_shared}")
-        shared = range(n_classes, n_classes + n_shared)
-        recipes = [frozenset({c} | {shared[(SHARED_PER_CLASS * c + j) % n_shared]
-                                    for j in range(SHARED_PER_CLASS)})
-                   for c in range(n_classes)]
-        return cls._from_recipes(n_classes, recipes, shared, n_background, scalars)
-
-    @classmethod
-    def paired(cls, n_classes: int, n_shared: int, n_background: int,
-               **scalars) -> "ActivitySpec":
-        """The ``paired`` recipes: class ``c`` is the ``c``-th pair of shared
-        prototypes ``0..n_shared-1`` in ``combinations`` order, with no
-        class-specific prototype anywhere.  Classification then hinges on
-        which pair co-occurs, and a confuser slot can complete a foreign
-        pair, so selection quality directly bounds attainable accuracy."""
-        pairs = list(combinations(range(n_shared), 2))
-        if n_classes > len(pairs):
-            raise DomainError(
-                f"{n_shared} shared prototypes yield {len(pairs)} distinct "
-                f"pairs, fewer than {n_classes} classes"
-            )
-        recipes = [frozenset(pairs[c]) for c in range(n_classes)]
-        return cls._from_recipes(n_classes, recipes, range(n_shared), n_background, scalars)
-
-    @classmethod
-    def _from_recipes(cls, n_classes: int, recipes: list, shared: range,
-                      n_background: int, scalars: dict) -> "ActivitySpec":
-        """The spec of ``n_classes`` (as requested, for ``__post_init__`` to
-        judge) classes with ``recipes``, ``n_background`` background prototypes
-        numbered after the ``shared`` ones and placements alternating."""
-        background = range(shared.stop, shared.stop + n_background)
-        return cls(n_classes=n_classes, n_prototypes=background.stop,
-                   class_recipes=tuple(recipes), shared_prototypes=frozenset(shared),
-                   background_prototypes=frozenset(background),
-                   placement=tuple(PLACEMENTS[c % 2] for c in range(len(recipes))),
-                   **scalars)
+    recipe_style: str
 
     def __post_init__(self):
-        """Every rule a spec meets, whether a builder, a test or an SGDS
-        header made it: two or more classes with distinct recipes, each
-        shared prototype in two or more recipes, one or more background
-        prototypes in none, and finite, in-range noise and fractions."""
+        """The parameter rules, in constant time: a known style with enough
+        shared prototypes for it, a known task, two or more classes, one or
+        more background prototypes, positive sizes, and finite, in-range
+        noise and fractions.  The book's own rule is checked where
+        ``class_recipes`` derives it."""
+        if self.recipe_style not in RECIPE_STYLES:
+            raise DomainError(f"recipe_style must be one of {RECIPE_STYLES}, "
+                              f"got {self.recipe_style!r}")
+        if self.recipe_style == "anchored" and self.n_shared < SHARED_PER_CLASS:
+            # the rotation needs that many distinct ids
+            raise DomainError(f"need n_shared >= {SHARED_PER_CLASS}, got {self.n_shared}")
+        if self.recipe_style == "paired":
+            pairs = math.comb(max(self.n_shared, 0), 2)
+            if self.n_classes > pairs:
+                raise DomainError(f"{self.n_shared} shared prototypes yield {pairs} distinct "
+                                  f"pairs, fewer than {self.n_classes} classes")
         if self.task not in TASKS:
             raise DomainError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.n_classes < 2:
@@ -151,27 +132,47 @@ class ActivitySpec:
             raise DomainError(f"confuser_share must be in [0, 1], got {self.confuser_share}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise DomainError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
-        if len(self.class_recipes) != self.n_classes:
-            raise DomainError("one recipe per class required")
-        if len(self.placement) != self.n_classes or any(p not in PLACEMENTS for p in self.placement):
-            raise DomainError(f"placement must give one of {PLACEMENTS} per class")
-        if not self.background_prototypes:
+        if self.n_background < 1:
             raise DomainError("need at least one background prototype")
-        if not all(self.class_recipes):
-            raise GenerationError("empty class recipe")
-        all_ids = set().union(*self.class_recipes, self.shared_prototypes,
-                              self.background_prototypes)
-        if min(all_ids) < 0 or max(all_ids) >= self.n_prototypes:
-            raise DomainError(f"prototype ids must lie in [0, {self.n_prototypes})")
-        if len(set(self.class_recipes)) != self.n_classes:
-            raise DomainError("class recipes must be distinct")
-        for s in self.shared_prototypes:
-            uses = sum(1 for r in self.class_recipes if s in r)
-            if uses < 2:
-                raise DomainError(f"shared prototype {s} appears in {uses} recipes; needs >= 2")
-        for b in self.background_prototypes:
-            if any(b in r for r in self.class_recipes):
-                raise DomainError(f"background prototype {b} appears in a recipe")
+
+    @property
+    def _shared(self) -> range:
+        first = self.n_classes if self.recipe_style == "anchored" else 0
+        return range(first, first + self.n_shared)
+
+    @property
+    def n_prototypes(self) -> int:
+        return self._shared.stop + self.n_background
+
+    @cached_property
+    def class_recipes(self) -> tuple[frozenset, ...]:
+        """Each class's prototype ids, derived in time linear in
+        ``n_classes + n_shared``.  Raises ``DomainError`` unless every shared
+        prototype appears in two or more recipes."""
+        shared = self._shared
+        if self.recipe_style == "anchored":
+            recipes = tuple(frozenset({c} | {shared[(SHARED_PER_CLASS * c + j) % self.n_shared]
+                                             for j in range(SHARED_PER_CLASS)})
+                            for c in range(self.n_classes))
+        else:
+            recipes = tuple(map(frozenset, islice(combinations(shared, 2), self.n_classes)))
+        uses = Counter(chain.from_iterable(recipes))
+        for s in shared:
+            if uses[s] < 2:
+                raise DomainError(f"shared prototype {s} appears in {uses[s]} recipes; needs >= 2")
+        return recipes
+
+    @cached_property
+    def shared_prototypes(self) -> frozenset:
+        return frozenset(self._shared)
+
+    @cached_property
+    def background_prototypes(self) -> frozenset:
+        return frozenset(range(self._shared.stop, self.n_prototypes))
+
+    @cached_property
+    def placement(self) -> tuple[str, ...]:
+        return tuple(PLACEMENTS[c % 2] for c in range(self.n_classes))
 
     def relevant_count(self, class_index: int) -> int:
         """Relevant timesteps for one class: spread around the target count
@@ -183,23 +184,6 @@ class ActivitySpec:
         tilt = 0.85 + 0.3 * class_index / (self.n_classes - 1)
         raw = round(self.relevant_fraction * self.timesteps * tilt)
         return max(1, min(self.timesteps, max(base - 2, min(base + 2, raw))))
-
-    def header_dict(self) -> dict:
-        """The SGDS header's spec part: every field, the sets sorted."""
-        return {"format_version": FORMAT_VERSION,
-                **{f.name: getattr(self, f.name) for f in fields(self)},
-                "class_recipes": [sorted(r) for r in self.class_recipes],
-                "shared_prototypes": sorted(self.shared_prototypes),
-                "background_prototypes": sorted(self.background_prototypes),
-                "placement": list(self.placement)}
-
-    @classmethod
-    def from_header_dict(cls, h: dict) -> "ActivitySpec":
-        return cls(**{**{f.name: h[f.name] for f in fields(cls)},
-                      "class_recipes": tuple(frozenset(r) for r in h["class_recipes"]),
-                      "shared_prototypes": frozenset(h["shared_prototypes"]),
-                      "background_prototypes": frozenset(h["background_prototypes"]),
-                      "placement": tuple(h["placement"])})
 
 
 @dataclass
@@ -352,8 +336,8 @@ def save_split(path, dataset: Dataset, split: str) -> None:
     if split not in ("train", "test"):
         raise DomainError(f"split must be 'train' or 'test', got {split!r}")
     videos = dataset.train if split == "train" else dataset.test
-    header = dataset.spec.header_dict()
-    header.update({"n_videos": len(videos), "seed": dataset.seed, "split": split})
+    header = {"format_version": FORMAT_VERSION, **asdict(dataset.spec),
+              "n_videos": len(videos), "seed": dataset.seed, "split": split}
     # the frames field goes video by video, with no split-sized copy
     body = [np.ascontiguousarray(dataset.prototypes, dtype="<f8"),
             np.array([v.labels for v in videos], dtype="<f8"),
@@ -363,13 +347,20 @@ def save_split(path, dataset: Dataset, split: str) -> None:
     container.write(path, MAGIC, FORMAT_VERSION, header, body)
 
 
+def _header_spec(meta: dict) -> ActivitySpec:
+    return ActivitySpec(**{f.name: meta[f.name] for f in fields(ActivitySpec)})
+
+
 def split_layout(meta: dict) -> list:
     """The body fields an SGDS header implies (``container.read``'s layout):
-    prototypes, labels, relevance, planted ids and frames.  Checks the spec
-    and makes ``n_videos`` and ``seed`` ints."""
-    spec = ActivitySpec.from_header_dict(meta)
+    prototypes, labels, relevance, planted ids and frames.  Checks the
+    parameters without deriving the book, which the header alone does not
+    bound, refuses an empty split, and makes ``n_videos`` and ``seed`` ints."""
+    spec = _header_spec(meta)
     meta["n_videos"], meta["seed"] = int(meta["n_videos"]), int(meta["seed"])
     n, t = meta["n_videos"], spec.timesteps
+    if n < 1:
+        raise DomainError(f"a split holds at least one video, got n_videos {n}")
     return [("<f8", (spec.n_prototypes, spec.d_raw)), ("<f8", (n, spec.n_classes)),
             ("u1", (n, t)), ("<i8", (n, t)),
             ("<f4", (n, t, spec.frames_per_slot, spec.d_raw))]
@@ -377,10 +368,12 @@ def split_layout(meta: dict) -> list:
 
 def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
     """Read one split file back; returns (spec, prototypes, videos, meta).
-    Any file this module did not write intact raises ``FormatError``."""
+    Any file this module did not write intact raises ``FormatError``, and so
+    does a video whose stored relevance is not its classes' recipe
+    membership under the book this module derives."""
     meta, (prototypes, labels, relevance, planted, frames) = container.read(
         path, MAGIC, FORMAT_VERSION, "dataset", split_layout)
-    spec = ActivitySpec.from_header_dict(meta)
+    spec = _header_spec(meta)
     positives = labels.sum(axis=1)
     # content a checksum vouches for but no generated split holds
     for bad, what in (
@@ -394,6 +387,15 @@ def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
             (not _finite(frames), "a frame value is not finite")):
         if bad:
             raise FormatError(f"{path}: {what}")
+    try:  # derived only now that the body's labels and prototypes bound its size
+        spec.class_recipes
+    except DomainError as exc:
+        raise FormatError(f"{path}: corrupt dataset header ({exc})") from exc
+    drift = next((k for k, (c, r, p) in enumerate(zip(labels, relevance, planted))
+                  if not np.array_equal(relevance_oracle(p, np.flatnonzero(c), spec), r)), None)
+    if drift is not None:
+        raise FormatError(f"{path}: the relevance of video {drift} is not its "
+                          f"classes' recipe membership")
     videos = [VideoSample(frames=f, labels=c, relevance=r, planted=p)
               for f, c, r, p in zip(frames, labels, relevance != 0, planted)]
     return spec, prototypes, videos, meta

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -6,7 +7,6 @@ from conftest import tiny_config
 from stepgate.errors import ConfigError
 from stepgate.harness.config import (MODES, ExperimentConfig, config_from_dict,
                                      load_config)
-from stepgate.synthdata import ActivitySpec
 
 
 def test_defaults_round_trip_through_dict():
@@ -103,12 +103,11 @@ def test_a_negative_class_count_is_reported_as_given(recipe_style):
 
 
 def test_dataset_spec_matches_dataset_fields(tiny_cfg):
-    spec = tiny_cfg.dataset.spec()
-    d = tiny_cfg.dataset
-    assert spec.n_classes == d.n_classes
-    assert spec.timesteps == d.timesteps
-    assert spec.noise_sigma == d.noise_sigma
-    assert spec.task == d.task
+    """The spec's parameters are the section's fields but its path and split
+    sizes."""
+    d = asdict(tiny_cfg.dataset)
+    assert asdict(tiny_cfg.dataset.spec()) == {
+        k: v for k, v in d.items() if k not in ("path", "n_train", "n_test")}
 
 
 def test_dataset_spec_dispatches_on_recipe_style():
@@ -116,15 +115,8 @@ def test_dataset_spec_dispatches_on_recipe_style():
                                 "dataset.n_classes": 3,
                                 "dataset.n_shared": 3})
     spec = cfg.dataset.spec()
-    paired = ActivitySpec.paired(
-        n_classes=3, n_shared=3, n_background=cfg.dataset.n_background,
-        d_raw=cfg.dataset.d_raw, timesteps=cfg.dataset.timesteps,
-        frames_per_slot=cfg.dataset.frames_per_slot,
-        noise_sigma=cfg.dataset.noise_sigma,
-        relevant_fraction=cfg.dataset.relevant_fraction,
-        confuser_share=cfg.dataset.confuser_share, task=cfg.dataset.task)
-    assert spec == paired
-    assert all(len(r) == 2 for r in spec.class_recipes)
+    assert spec.class_recipes == (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
+    assert spec.shared_prototypes == {0, 1, 2}
 
 
 def test_a_non_finite_float_error_names_the_path():

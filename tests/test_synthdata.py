@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as nptest
@@ -29,18 +30,19 @@ def decode_prototypes(video, prototypes, spec):
     return d2.argmin(axis=1).astype(np.int64)
 
 
-# builder arguments: DatasetConfig's default dataset, and a smaller paired one
+# parameters: DatasetConfig's default dataset without its style, and a
+# smaller paired one
 ANCHORED = dict(n_classes=10, n_shared=6, n_background=8, d_raw=32, timesteps=32,
                 frames_per_slot=16, noise_sigma=0.3, relevant_fraction=0.3,
                 confuser_share=0.35, task="single_label")
 PAIRED = dict(n_classes=6, n_shared=4, n_background=4, d_raw=16, timesteps=16,
               frames_per_slot=8, noise_sigma=0.3, relevant_fraction=0.3,
-              confuser_share=0.35, task="single_label")
+              confuser_share=0.35, task="single_label", recipe_style="paired")
 
 
 @pytest.fixture(scope="module")
 def spec():
-    return sd.ActivitySpec.default(**ANCHORED)
+    return sd.ActivitySpec(**{**ANCHORED, "recipe_style": "anchored"})
 
 
 @pytest.fixture(scope="module")
@@ -82,34 +84,33 @@ def test_relevant_counts_spread_but_bounded(spec):
         spec.relevant_count(10)
 
 
-def test_spec_validation_errors():
-    good = sd.ActivitySpec.default(**ANCHORED)
-    with pytest.raises(DomainError):
-        sd.ActivitySpec.default(**{**ANCHORED, "n_classes": 1})
-    with pytest.raises(DomainError):
-        sd.ActivitySpec.default(**{**ANCHORED, "relevant_fraction": 0.0})
-    with pytest.raises(DomainError):  # duplicate recipes
-        sd.ActivitySpec(**{**_spec_kwargs(good),
-                           "class_recipes": (good.class_recipes[0],) * good.n_classes})
-    with pytest.raises(DomainError):  # a shared prototype used only once
-        sd.ActivitySpec(**{**_spec_kwargs(good),
-                           "shared_prototypes": good.shared_prototypes | {23}})
-    with pytest.raises(DomainError):  # background prototype inside a recipe
-        sd.ActivitySpec(**{**_spec_kwargs(good),
-                           "background_prototypes": good.background_prototypes | {0}})
-    with pytest.raises(DomainError):  # no background prototype to fill with
-        sd.ActivitySpec(**{**_spec_kwargs(good), "background_prototypes": frozenset()})
+@pytest.mark.parametrize("params, message", [
+    ({**ANCHORED, "recipe_style": "triplet"}, "recipe_style must be one of"),
+    ({**ANCHORED, "recipe_style": "anchored", "n_classes": 1}, "at least two classes"),
+    ({**ANCHORED, "recipe_style": "anchored", "relevant_fraction": 0.0}, "relevant_fraction"),
+    ({**ANCHORED, "recipe_style": "anchored", "n_background": 0},
+     "^need at least one background prototype$"),
+    ({**ANCHORED, "recipe_style": "anchored", "n_shared": 1}, "need n_shared >= 2"),
+    # only C(4, 2) = 6 distinct pairs exist
+    ({**PAIRED, "n_classes": 7}, "4 shared prototypes yield 6 distinct pairs"),
+])
+def test_spec_validation_errors(params, message):
+    with pytest.raises(DomainError, match=message):
+        sd.ActivitySpec(**params)
 
 
-def _spec_kwargs(s):
-    return dict(
-        n_classes=s.n_classes, n_prototypes=s.n_prototypes, d_raw=s.d_raw,
-        timesteps=s.timesteps, frames_per_slot=s.frames_per_slot,
-        noise_sigma=s.noise_sigma, relevant_fraction=s.relevant_fraction,
-        confuser_share=s.confuser_share, task=s.task,
-        class_recipes=s.class_recipes, shared_prototypes=s.shared_prototypes,
-        background_prototypes=s.background_prototypes, placement=s.placement,
-    )
+@pytest.mark.parametrize("params, message", [
+    # class c takes shared ids 2c and 2c + 1 mod 6, so ids 4 and 5 of the
+    # pool (prototypes 9 and 10) serve class 2 alone
+    ({**ANCHORED, "recipe_style": "anchored", "n_classes": 5},
+     "^shared prototype 9 appears in 1 recipes; needs >= 2$"),
+    # the pairs (0, 1), (0, 2), (0, 3) use 1, 2 and 3 once each
+    ({**PAIRED, "n_classes": 3}, "^shared prototype 1 appears in 1 recipes; needs >= 2$"),
+])
+def test_a_shared_prototype_in_one_recipe_fails_when_the_book_is_derived(params, message):
+    spec = sd.ActivitySpec(**params)
+    with pytest.raises(DomainError, match=message):
+        spec.class_recipes
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_frames_are_the_float64_formula_rounded_to_float32(spec, monkeypatch):
 def test_a_frame_past_float32_is_a_generation_error(spec, sigma):
     """At 1e39 only the float32 store overflows, at 1e308 the float64
     arithmetic too; either is refused without a numpy warning."""
-    loud = sd.ActivitySpec(**{**_spec_kwargs(spec), "noise_sigma": sigma})
+    loud = sd.ActivitySpec(**{**asdict(spec), "noise_sigma": sigma})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GenerationError, match="does not fit float32"):
@@ -218,7 +219,7 @@ def test_middle_placement_stays_in_center_window(dataset, spec):
 
 
 def test_noiseless_decoding_recovers_planted_prototypes(spec):
-    quiet = sd.ActivitySpec(**{**_spec_kwargs(spec), "noise_sigma": 0.0})
+    quiet = sd.ActivitySpec(**{**asdict(spec), "noise_sigma": 0.0})
     data = sd.generate_dataset(quiet, 6, 3, seed=11)
     for v in data.train + data.test:
         nptest.assert_array_equal(decode_prototypes(v, data.prototypes, quiet), v.planted)
@@ -231,7 +232,7 @@ def test_noisy_decoding_still_recovers(dataset, spec):
 
 
 def test_infeasible_placement_is_generation_error(spec):
-    crowded = sd.ActivitySpec(**{**_spec_kwargs(spec), "relevant_fraction": 1.0})
+    crowded = sd.ActivitySpec(**{**asdict(spec), "relevant_fraction": 1.0})
     with pytest.raises(GenerationError):
         sd.generate_dataset(crowded, 12, 2, seed=0)
 
@@ -253,7 +254,7 @@ def test_oracle_matches_stored_mask_for_own_label(dataset, spec):
 def test_oracle_of_the_positive_classes_is_the_stored_mask(spec, task):
     """Generation stores the oracle's mask of a video's positive classes; a
     multi-label video's is the union over its classes."""
-    data = sd.generate_dataset(sd.ActivitySpec(**{**_spec_kwargs(spec), "task": task}),
+    data = sd.generate_dataset(sd.ActivitySpec(**{**asdict(spec), "task": task}),
                                30, 10, seed=5)
     for v in data.train + data.test:
         nptest.assert_array_equal(
@@ -312,7 +313,7 @@ def test_identical_timestep_vector_with_opposite_relevance(dataset, spec):
 
 
 def test_paired_spec_structure():
-    spec = sd.ActivitySpec.paired(**PAIRED)
+    spec = sd.ActivitySpec(**PAIRED)
     assert spec.n_classes == 6
     assert len(spec.shared_prototypes) == 4
     recipes = set()
@@ -325,13 +326,8 @@ def test_paired_spec_structure():
         assert sum(1 for r in spec.class_recipes if s in r) >= 2
 
 
-def test_paired_spec_rejects_too_many_classes():
-    with pytest.raises(DomainError):  # only C(4, 2) = 6 distinct pairs exist
-        sd.ActivitySpec.paired(**{**PAIRED, "n_classes": 7, "n_shared": 4})
-
-
 def test_paired_videos_plant_both_members():
-    spec = sd.ActivitySpec.paired(**PAIRED)
+    spec = sd.ActivitySpec(**PAIRED)
     data = sd.generate_dataset(spec, 12, 6, seed=21)
     for v in data.train + data.test:
         planted_rel = set(int(p) for p in v.planted[v.relevance])
@@ -343,7 +339,7 @@ def test_paired_videos_plant_both_members():
 
 
 def test_multi_label_videos(spec):
-    ml = sd.ActivitySpec(**{**_spec_kwargs(spec), "task": "multi_label"})
+    ml = sd.ActivitySpec(**{**asdict(spec), "task": "multi_label"})
     data = sd.generate_dataset(ml, 30, 10, seed=5)
     saw_multi = False
     for v in data.train:
@@ -373,7 +369,7 @@ def _one_hot_lstsq_accuracy(train_x, train_y, test_x, test_y, n_classes):
 def test_relevant_only_pooling_beats_all_pooling(spec):
     # at the default noise both pools are linearly separable; the contrast
     # needs a noise level where filler actually hurts (gap ~20 points there)
-    noisy = sd.ActivitySpec(**{**_spec_kwargs(spec), "noise_sigma": 3.0})
+    noisy = sd.ActivitySpec(**{**asdict(spec), "noise_sigma": 3.0})
     data = sd.generate_dataset(noisy, 80, 120, seed=13)
 
     def pools(videos):
@@ -442,7 +438,7 @@ def test_round_trip_is_byte_identical(tmp_path, dataset):
 
 
 def test_multi_label_round_trip(tmp_path, spec):
-    ml = sd.ActivitySpec(**{**_spec_kwargs(spec), "task": "multi_label"})
+    ml = sd.ActivitySpec(**{**asdict(spec), "task": "multi_label"})
     data = sd.generate_dataset(ml, 8, 4, seed=9)
     path = tmp_path / "ml.sgds"
     sd.save_split(path, data, "train")
@@ -479,10 +475,10 @@ def test_version_1_files_are_rejected(tmp_path, dataset):
     path = tmp_path / "x.sgds"
     sd.save_split(path, dataset, "test")
     raw = path.read_bytes()
-    assert sd.FORMAT_VERSION == 4
+    assert sd.FORMAT_VERSION == 5
     # v1 had no slot layout; v2 interleaved each video's label, mask, ids
-    # and frames; v3 stored the frames as f8
-    for version in (1, 2, 3):
+    # and frames; v3 stored the frames as f8; v4 stored the recipe book
+    for version in (1, 2, 3, 4):
         old = tmp_path / f"v{version}.sgds"
         old.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
         with pytest.raises(FormatError, match=f"unsupported dataset format version {version}"):
@@ -507,7 +503,7 @@ def _fields(prototypes, videos):
 
 
 def test_the_body_is_one_block_per_field(tmp_path, dataset):
-    """Version 4's body is prototypes | labels | relevance | planted |
+    """Version 5's body is prototypes | labels | relevance | planted |
     frames, each field whole, every video's row in turn, the frames as f4."""
     path = tmp_path / "test.sgds"
     sd.save_split(path, dataset, "test")
@@ -550,6 +546,11 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, lar
         "short_body": (header, body[:397]),
         "cut_label": ({**header, "n_videos": header["n_videos"] + 1}, body + b"\x00" * 4),
         "huge_count": ({**header, "n_videos": 10 ** 12}, body),
+        "no_videos": ({**header, "n_videos": 0}, body),
+        # books the header alone does not bound; the body's size refuses them
+        "huge_anchored_book": ({**header, "n_classes": 10 ** 9}, body),
+        "huge_paired_book": ({**header, "recipe_style": "paired", "n_classes": 10 ** 9,
+                              "n_shared": 50000}, body),
         "long_body": (header, body + b"\x00"),
         "not_an_object": ([1, 2], body),
     }
@@ -573,6 +574,7 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, lar
         "nan_frame": (4, (0, 0, 0, 0), np.nan, "frame value is not finite"),
         "inf_frame": (4, (3, 7, 1, 5), np.inf, "frame value is not finite"),
         "minus_inf_frame": (4, (5, 31, 1, 31), -np.inf, "frame value is not finite"),
+        "relevance_flipped": (2, (2, 5), 1 - large.test[2].relevance[5], "recipe membership"),
     }
     for name, (field, at, value, message) in content.items():
         fields = _fields(large.prototypes, large.test)
@@ -583,12 +585,21 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, lar
             sd.load_split(bad)
         assert str(exc.value).startswith(f"{bad}: "), name
 
+    # a body that fits a header whose book breaks its own rule: ten classes
+    # cannot use twelve shared prototypes twice each
+    bad = tmp_path / "short_shared.sgds"
+    container.write(bad, sd.MAGIC, sd.FORMAT_VERSION,
+                    {**header, "n_shared": 12, "n_background": 2}, [body])
+    with pytest.raises(FormatError, match="appears in 1 recipes") as exc:
+        sd.load_split(bad)
+    assert str(exc.value).startswith(f"{bad}: ")
+
 
 @pytest.fixture(scope="module")
 def small_split(tmp_path_factory):
-    spec = sd.ActivitySpec.default(**{**ANCHORED, "n_classes": 3, "n_shared": 2,
-                                      "n_background": 2, "d_raw": 4, "timesteps": 6,
-                                      "frames_per_slot": 2})
+    spec = sd.ActivitySpec(**{**ANCHORED, "recipe_style": "anchored", "n_classes": 3,
+                              "n_shared": 2, "n_background": 2, "d_raw": 4, "timesteps": 6,
+                              "frames_per_slot": 2})
     data = sd.generate_dataset(spec, n_train=2, n_test=3, seed=5)
     path = tmp_path_factory.mktemp("split") / "test.sgds"
     sd.save_split(path, data, "test")
@@ -596,31 +607,28 @@ def small_split(tmp_path_factory):
 
 
 def test_the_header_is_pinned(small_split, tmp_path):
-    """The header bytes are the format: a field renamed or a set left
-    unsorted must fail here, not only in a round trip through this code."""
+    """The header bytes are the format: a parameter renamed or a key added
+    must fail here, not only in a round trip through this code."""
     path, _ = small_split
     assert _header_and_body(path)[0] == {
-        "format_version": 4, "n_videos": 3, "seed": 5, "split": "test",
-        "task": "single_label", "n_classes": 3, "n_prototypes": 7, "d_raw": 4,
-        "timesteps": 6, "frames_per_slot": 2, "noise_sigma": 0.3,
-        "relevant_fraction": 0.3, "confuser_share": 0.35,
-        "class_recipes": [[0, 3, 4], [1, 3, 4], [2, 3, 4]],
-        "shared_prototypes": [3, 4], "background_prototypes": [5, 6],
-        "placement": ["middle", "spread", "middle"],
+        "format_version": 5, "n_videos": 3, "seed": 5, "split": "test",
+        "task": "single_label", "recipe_style": "anchored", "n_classes": 3,
+        "n_shared": 2, "n_background": 2, "d_raw": 4, "timesteps": 6,
+        "frames_per_slot": 2, "noise_sigma": 0.3, "relevant_fraction": 0.3,
+        "confuser_share": 0.35,
     }
-    spec = sd.ActivitySpec.paired(
+    spec = sd.ActivitySpec(
         n_classes=3, n_shared=3, n_background=1, d_raw=3, timesteps=5, frames_per_slot=2,
-        noise_sigma=0.25, relevant_fraction=0.4, confuser_share=0.5, task="multi_label")
+        noise_sigma=0.25, relevant_fraction=0.4, confuser_share=0.5, task="multi_label",
+        recipe_style="paired")
     paired = tmp_path / "train.sgds"
     sd.save_split(paired, sd.generate_dataset(spec, 2, 3, seed=11), "train")
     assert _header_and_body(paired)[0] == {
-        "format_version": 4, "n_videos": 2, "seed": 11, "split": "train",
-        "task": "multi_label", "n_classes": 3, "n_prototypes": 4, "d_raw": 3,
-        "timesteps": 5, "frames_per_slot": 2, "noise_sigma": 0.25,
-        "relevant_fraction": 0.4, "confuser_share": 0.5,
-        "class_recipes": [[0, 1], [0, 2], [1, 2]],
-        "shared_prototypes": [0, 1, 2], "background_prototypes": [3],
-        "placement": ["middle", "spread", "middle"],
+        "format_version": 5, "n_videos": 2, "seed": 11, "split": "train",
+        "task": "multi_label", "recipe_style": "paired", "n_classes": 3,
+        "n_shared": 3, "n_background": 1, "d_raw": 3, "timesteps": 5,
+        "frames_per_slot": 2, "noise_sigma": 0.25, "relevant_fraction": 0.4,
+        "confuser_share": 0.5,
     }
 
 

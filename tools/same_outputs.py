@@ -22,8 +22,11 @@ that restores weights by parameter name.  It then runs ``stepgate eval`` on
 the saved checkpoint through ``cli.main`` and keeps the ``metrics.json``
 without its ``provenance.eval_s`` wall time.  Each saved split is also
 read back with the side's own ``load_split`` and hashed by content: the
-header without ``format_version``, the prototypes, and each video's
-frames, sorted positive classes, relevance and planted ids.  The trained
+spec's scalar parameters, its recipe book and ``n_prototypes``, the
+header's ``n_videos``, ``seed`` and ``split``, the prototypes, and each
+video's frames, sorted positive classes, relevance and planted ids.  These
+are what a split holds under any header layout: a header that stores the
+book and one that derives it compare equal.  The trained
 parameters are hashed apart from the file, name by name in name order, so a
 change that only touches the stored config reads as the same weights.  The
 tool prints one line per case, naming the checkpoint's sha256, whether the
@@ -59,6 +62,9 @@ MODES = ("e2e", "frame_conditioned", "standalone", "scsampler", "uniform", "rand
 # the selector arms' open_bias values whose tiny runs close gates
 CLOSING_BIASES = (0.5, -2.0)
 GRADCHECK_SEEDS = (0, 1, 6)
+# the spec's parameters that every split format has stored
+SPEC_SCALARS = ("n_classes", "d_raw", "timesteps", "frames_per_slot", "noise_sigma",
+                "relevant_fraction", "confuser_share", "task")
 
 
 def _cases():
@@ -116,9 +122,14 @@ def _split_content(path: Path) -> str:
     independent of how the file lays it out."""
     from stepgate.synthdata import load_split
 
-    _, prototypes, videos, meta = load_split(path)
-    h = hashlib.sha256(json.dumps({k: v for k, v in meta.items() if k != "format_version"},
-                                  sort_keys=True).encode())
+    spec, prototypes, videos, meta = load_split(path)
+    content = {**{name: getattr(spec, name) for name in SPEC_SCALARS},
+               "class_recipes": [sorted(r) for r in spec.class_recipes],
+               "shared_prototypes": sorted(spec.shared_prototypes),
+               "background_prototypes": sorted(spec.background_prototypes),
+               "placement": list(spec.placement), "n_prototypes": spec.n_prototypes,
+               **{key: meta[key] for key in ("n_videos", "seed", "split")}}
+    h = hashlib.sha256(json.dumps(content, sort_keys=True).encode())
     h.update(prototypes)
     for v in videos:
         h.update(v.frames)
