@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float tensors.
 
 A small tape machine: operations executed inside a :func:`record` context
 append nodes to the open :class:`ComputationRecord`, :func:`backward`
@@ -9,8 +9,13 @@ forward computations, which is the inference fast path.
 
 Deliberate conventions:
 
-* float64 everywhere; desk-scale problems make precision cheap and keep
-  finite-difference checks tight.
+* every op runs in the dtype of its operands, float32 or float64: a
+  ``Tensor`` keeps either as given, and the targets, noise, constants and
+  masks an op builds take its logits' dtype, so no op upcasts a float32
+  path.  Models compute in float32, the dtype of the stored frames; the
+  gradient suite runs the same ops on float64 weights, where
+  finite-difference checks stay tight.  A gradient, and an ``Adam``
+  moment, has its parameter's dtype.
 * no broadcasting.  ``add`` takes two tensors of the same shape and
   ``scale_rows`` multiplies row i of a matrix by entry i of a vector.
 * ``sigmoid`` clamps its exponent argument to ``[-SIGMOID_CLAMP,
@@ -65,12 +70,14 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 
 SIGMOID_CLAMP = 40.0
+_FLOATS = (np.float32, np.float64)
 
 
 class Tensor:
-    """Dense n-dimensional float64 value, optionally tracked for gradients.
+    """Dense n-dimensional float value, optionally tracked for gradients.
 
-    ``data`` is a C-contiguous float64 array (row major).  ``grad`` starts as
+    ``data`` is a C-contiguous array (row major): float32 or float64 data is
+    kept in its dtype, anything else becomes float64.  ``grad`` starts as
     a zero array for tensors constructed with ``requires_grad=True`` and is
     accumulated into by :func:`backward` when no op of the loss's record
     produced the tensor.  ``node_id`` is ``(weak reference to the record,
@@ -80,7 +87,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node_id")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype not in _FLOATS:
+            data = data.astype(np.float64)
+        self.data = np.ascontiguousarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.node_id = None
@@ -88,7 +98,7 @@ class Tensor:
     @classmethod
     def _from_op(cls, data, requires_grad: bool) -> "Tensor":
         out = cls.__new__(cls)
-        out.data = np.asarray(data, dtype=np.float64)
+        out.data = np.asarray(data)
         out.requires_grad = requires_grad
         out.grad = None
         out.node_id = None
@@ -254,8 +264,9 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     return _emit("take_rows", x.data[idx], (x,), idx)
 
 
-def _target_rows(targets, b: int, l: int) -> np.ndarray:
-    """(B, L) target distributions: non-negative rows that sum to 1."""
+def _target_rows(targets, b: int, l: int, dtype) -> np.ndarray:
+    """(B, L) target distributions, non-negative rows that sum to 1, checked
+    in float64 and returned in ``dtype``."""
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != (b, l):
         raise DimensionError(f"target distributions shape {t.shape} does not match "
@@ -265,7 +276,7 @@ def _target_rows(targets, b: int, l: int) -> np.ndarray:
         raise DomainError("target distributions must be non-negative")
     if not (np.abs(t.sum(axis=1) - 1.0) <= 1e-9).all():
         raise DomainError("every target distribution must sum to 1")
-    return t
+    return t.astype(dtype, copy=False)
 
 
 def softmax_xent(logits: Tensor, targets) -> Tensor:
@@ -278,13 +289,13 @@ def softmax_xent(logits: Tensor, targets) -> Tensor:
     if logits.data.ndim != 2:
         raise DimensionError(f"softmax_xent expects B x L logits, got shape {logits.shape}")
     b, l = logits.shape
-    t = _target_rows(targets, b, l)
     z = logits.data
+    t = _target_rows(targets, b, l, z.dtype)
     m = z.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     loss = float(((lse - z) * t).sum(axis=1).mean())
     p = np.exp(z - lse)
-    return _emit("softmax_xent", np.array(loss, dtype=np.float64), (logits,), (t, p))
+    return _emit("softmax_xent", np.array(loss, dtype=z.dtype), (logits,), (t, p))
 
 
 def bce_logits(logits: Tensor, targets) -> Tensor:
@@ -295,8 +306,9 @@ def bce_logits(logits: Tensor, targets) -> Tensor:
     if not np.isin(t, (0.0, 1.0)).all():
         raise DomainError("bce_logits targets must be exactly 0 or 1")
     z = logits.data
+    t = t.astype(z.dtype, copy=False)
     loss = float((np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean())
-    return _emit("bce_logits", np.array(loss, dtype=np.float64), (logits,), t)
+    return _emit("bce_logits", np.array(loss, dtype=z.dtype), (logits,), t)
 
 
 def rate_penalty(p_open: Tensor, target: float) -> Tensor:
@@ -306,7 +318,8 @@ def rate_penalty(p_open: Tensor, target: float) -> Tensor:
     if p_open.data.ndim != 2 or p_open.shape[1] != 1 or p_open.shape[0] == 0:
         raise DimensionError(f"rate_penalty expects a non-empty (N, 1) column, "
                              f"got {p_open.shape}")
-    gap = p_open.data.mean(axis=0).reshape(1, 1) + np.full((1, 1), -float(target))
+    p = p_open.data
+    gap = p.mean(axis=0).reshape(1, 1) + np.full((1, 1), -float(target), dtype=p.dtype)
     return _emit("rate_penalty", (gap @ gap.T).reshape(()), (p_open,), gap)
 
 
@@ -376,12 +389,12 @@ def noisy_gate(logits: Tensor, noise) -> Tensor:
     The indicator is constant for backward, so gradient reaches ``logits``
     through open entries only.
     """
-    noise = np.asarray(noise, dtype=np.float64)
+    noise = np.asarray(noise, dtype=logits.data.dtype)
     if noise.shape != tuple(logits.shape):
         raise DimensionError(f"noise shape {noise.shape} does not match logits {logits.shape}")
     z = logits.data + noise
     y = sigmoid_np(z)
-    keep = (z > 0.0).astype(np.float64)
+    keep = (z > 0.0).astype(z.dtype)
     return _emit("noisy_gate", (y * keep).reshape(-1), (logits,), (y, keep))
 
 
@@ -590,7 +603,7 @@ def backward(loss: Tensor) -> None:
             tid = t.node_id
             if tid is None or tid[0] is not ref:
                 if t.grad is None:
-                    t.grad = np.array(gi, dtype=np.float64, copy=True)
+                    t.grad = np.array(gi, dtype=t.data.dtype, copy=True)
                 else:
                     t.grad += gi
                 continue
@@ -611,6 +624,7 @@ def backward(loss: Tensor) -> None:
 
 class Adam:
     """Adam with bias correction; gradients are zeroed after each step.
+    Each moment has its parameter's dtype.
 
     The update is ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with the epsilon
     outside the square root, and the moment decay rates are 0.9 and 0.999.
@@ -628,9 +642,11 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        # one buffer the size of the largest parameter; each parameter's
-        # scratch is a view of its first p.size entries
-        buf = np.empty(max((p.data.size for p in self.params), default=0))
+        # one buffer the size of the largest parameter, in the parameters'
+        # common dtype; each parameter's scratch is a view of its first
+        # p.size entries
+        buf = np.empty(max((p.data.size for p in self.params), default=0),
+                       dtype=np.result_type(np.float32, *(p.data.dtype for p in self.params)))
         self._scratch = [buf[:p.data.size].reshape(p.shape) for p in self.params]
 
     def step(self) -> None:
@@ -669,8 +685,9 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between the analytic gradient of ``f`` at ``x`` and
     central finite differences of step ``h = 1e-5``.
 
-    ``f`` must build a scalar from ``x`` using operations of this module and
-    be twice differentiable in a neighbourhood of ``x`` (callers keep inputs
+    ``f`` must build a scalar from ``x`` using operations of this module, in
+    float64, where a step of ``h`` resolves the gradient, and be twice
+    differentiable in a neighbourhood of ``x`` (callers keep inputs
     away from clip and threshold boundaries).  The relative error denominator
     is ``max(|analytic|, |numeric|, 1e4 * r)`` per coordinate, where ``r =
     eps * (|f(x+h)| + |f(x-h)|) / (2h)`` is the rounding error of the central

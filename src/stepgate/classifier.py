@@ -60,8 +60,10 @@ def heavynet_features(frames: np.ndarray, indices,
                       params: ClassifierParams) -> Tensor:
     """Encode the segments of the given slots of a (slots, frames_per_slot,
     d_raw) array of frames, ``frames[idx, :segment_len]``; nothing else runs.
-    Stored frames are float32, and only the gathered segments are cast, once,
-    to the encoder's float64.
+    The segments enter the encoder in the frames' dtype, float32 as stored,
+    with no cast: the encoder runs in float32 on a float32 bundle.  A stack
+    of one-segment slots indexed whole and in order, as training passes its
+    batch, is read in place, with no gather.
 
     Returns features of shape (T', channels).  An empty index list is a
     contract violation: the empty-selection fallback happens before this
@@ -84,7 +86,8 @@ def heavynet_features(frames: np.ndarray, indices,
     if idx.view(np.uint64).max() >= n:
         bad = idx[(idx < 0) | (idx >= n)][0]
         raise ContractError(f"slot {bad} falls outside the {n} slots")
-    segments = frames[idx, :m].reshape(idx.size, -1)
+    whole = frames.shape[1] == m and idx.size == n and (idx == np.arange(n)).all()
+    segments = (frames if whole else frames[idx, :m]).reshape(idx.size, -1)
     params.heavy_rows += idx.size
     return params.enc(Tensor(segments))
 

@@ -39,6 +39,16 @@ def write(path, magic: bytes, version: int, header: dict, body: list) -> None:
         fh.writelines(body)
 
 
+def int_field(header: dict, key: str) -> int:
+    """``header[key]``, which must be a JSON integer: a float such as 3.7 or
+    3.0, a bool or a string raises ``TypeError``, which ``read`` reports as
+    ``FormatError``."""
+    value = header[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} {value!r} is not an int")
+    return value
+
+
 def read(path, magic: bytes, version: int, kind: str, layout) -> tuple[dict, list]:
     """Read one file into fresh arrays; returns (header, arrays).
 

@@ -86,7 +86,8 @@ def step_open(logits: np.ndarray) -> np.ndarray:
 
 
 def activate_test_batch(alphas: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Deterministic step activation, flat: ``step_open`` of the logits."""
+    """Deterministic step activation, flat: ``step_open`` of the logits, as
+    0/1 values in the logits' dtype."""
     open_mask = step_open(alphas.data.reshape(-1))
-    return Tensor(open_mask.astype(np.float64)), open_mask
+    return Tensor(open_mask.astype(alphas.data.dtype)), open_mask
 

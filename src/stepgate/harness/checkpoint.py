@@ -2,8 +2,12 @@
 
 Format version 5, in the shared container (``stepgate.container``): magic
 ``SGCK`` | u32 version | u32 header length | u32 CRC-32 | JSON header |
-float64 little-endian blocks.  The header holds the config, the step and the
-parameter names and shapes in block order; one block per parameter follows.
+float64 little-endian blocks.  The header holds the config, the step and
+the parameter names and shapes in block order; one block per parameter
+follows.  The weights are float32 (``build_bundle``), which the float64
+blocks hold exactly; ``Checkpoint.bundle`` rounds a stored value to float32,
+so a block with more precision, as written when the weights were float64,
+loads rounded.
 A name is the tensor's field path in ``ModelBundle`` (``selector.enc.w1``,
 ``scorer.head_w``), in ``ModelBundle.named_parameters`` order.  Older
 versions are rejected; version 4 weights fed each row to the head before
@@ -26,6 +30,8 @@ from .models import ModelBundle, build_bundle
 
 MAGIC = b"SGCK"
 FORMAT_VERSION = 5
+# the weights are float32: a stored value at or past this bound rounds to inf
+_FLOAT32_BOUND = 2.0 ** 128 - 2.0 ** 103
 
 
 @dataclass
@@ -78,24 +84,26 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def checkpoint_layout(header: dict) -> list:
     """The body an SGCK header implies (``container.read``'s layout): one
-    block per entry.  Checks the version, config and step, and makes the
-    names strings and the step an int."""
+    block per entry.  Checks the version and config, requires the step to be
+    an int, and makes the names strings."""
     if int(header["format_version"]) != FORMAT_VERSION:
         raise ValueError("header version disagrees with the container")
     if not isinstance(header["config"], dict):
         raise TypeError("the config is not a JSON object")
-    header["step"] = int(header["step"])
+    container.int_field(header, "step")
     header["entries"] = [[str(n), dims] for n, dims in header["entries"]]
     return [("<f8", dims) for _, dims in header["entries"]]
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read one checkpoint, each block straight into its parameter's array.
-    A file not written intact, or holding a non-finite weight, raises ``FormatError``."""
+    A file not written intact, or holding a weight that is not finite as a
+    float32, raises ``FormatError``."""
     header, blocks = container.read(path, MAGIC, FORMAT_VERSION, "checkpoint",
                                     checkpoint_layout)
     params = {name: block for (name, _), block in zip(header["entries"], blocks)}
     for name, block in params.items():
-        if not np.isfinite(block).all():
+        # min and max propagate NaN, so no block-sized mask is needed
+        if block.size and not -_FLOAT32_BOUND < block.min() <= block.max() < _FLOAT32_BOUND:
             raise FormatError(f"{path}: parameter {name} holds a non-finite value")
     return Checkpoint(config=header["config"], step=header["step"], params=params)

@@ -180,9 +180,9 @@ def entry_key(budget: int | None) -> str:
 def light_frames(videos: list, config: ExperimentConfig) -> np.ndarray:
     """What the light networks read: the light frame of every slot of
     ``videos``, the middle frame of the slot's heavy segment,
-    ``slot[segment_len // 2]``, as one float32 (len(videos), T, d_raw) array
-    that the light network's ``Tensor`` casts to float64 once.  Only the light
-    frames are copied."""
+    ``slot[segment_len // 2]``, as one (len(videos), T, d_raw) array in the
+    frames' dtype, float32 as stored, which the light networks read with no
+    cast.  Only the light frames are copied."""
     t, m = config.dataset.timesteps, config.model.segment_len
     for v in videos:
         if len(v.frames) != t or v.frames.shape[1] < m:

@@ -5,6 +5,8 @@ relative error.  A case reads a non-scalar op's output through
 ``_project``, its dot product with fixed weights: one ``matmul_t`` of two
 (1, n) rows.
 
+Every case runs in float64: the op cases on float64 inputs, the batch-loss
+cases on a float64 bundle, where the same ops run as on the float32 models.
 Inputs are fixed and kept away from clip, threshold, and tie boundaries so
 central differences are valid; the batch-loss cases freeze gate noise by
 reseeding inside the probed function, with the first seed that keeps every
@@ -161,7 +163,7 @@ def _suite_config(seed: int) -> ExperimentConfig:
 
 def _e2e_cases(seed: int) -> dict[str, float]:
     config = _suite_config(seed)
-    bundle = build_bundle(config)
+    bundle = build_bundle(config, dtype=np.float64)
     dataset = generate_dataset(config.dataset.spec(), 4, 2, config.seed)
     batch = [0, 1]
     # the first gate-noise seed whose noisy logits all sit clear of the gate

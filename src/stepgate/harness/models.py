@@ -52,8 +52,21 @@ class ModelBundle:
         return out
 
 
-def build_bundle(config: ExperimentConfig) -> ModelBundle:
-    """Fresh parameters for the config's mode, seeded from config.seed."""
+def build_bundle(config: ExperimentConfig, dtype=np.float32) -> ModelBundle:
+    """Fresh parameters for the config's mode, seeded from config.seed.
+
+    The draws are float64; the weights store them rounded to ``dtype``.
+    float32, the dtype of the stored frames, is what every model computes
+    in; the gradient suite asks for float64.
+    """
+    bundle = _draw_bundle(config)
+    for t in bundle.named_parameters().values():
+        t.data = t.data.astype(dtype, copy=False)
+        t.grad = np.zeros_like(t.data)
+    return bundle
+
+
+def _draw_bundle(config: ExperimentConfig) -> ModelBundle:
     rng = np.random.default_rng(config.seed)
     d, m = config.dataset, config.model
     mode = config.mode

@@ -178,17 +178,22 @@ def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
     heavy-encoder pass and one head pass, pooled per video.
 
     Each video is T slots of shape (frames_per_slot, d_raw).  Only the picked
-    segments are gathered, ``frames[b][idx, :segment_len]``, video after
-    video, into one float32 (sum of picks, segment_len, d_raw) stack of
-    one-segment slots that the encoder reads whole and casts once.
+    segments are copied, ``frames[b][idx, :segment_len]``, video after video,
+    into one preallocated (sum of picks, segment_len, d_raw) stack of
+    one-segment slots in the frames' dtype, which the encoder reads whole
+    and in place.
     """
+    m = params.segment_len
+    segments = np.empty((sum(len(idx) for idx in picks), m, frames[0].shape[2]),
+                        dtype=frames[0].dtype)
+    lo = 0
     for f, idx in zip(frames, picks):
         # numpy would wrap a negative pick and reject a late one with an
         # IndexError
         if not 0 <= min(idx) <= max(idx) < len(f):
             raise ContractError(f"picks {idx} fall outside the {len(f)} slots of a video")
-    m = params.segment_len
-    segments = np.concatenate([f[idx, :m] for f, idx in zip(frames, picks)])
+        segments[lo:lo + len(idx)] = f[idx, :m]
+        lo += len(idx)
     before = params.heavy_rows
     feats = heavynet_features(segments, range(len(segments)), params)
     if params.heavy_rows - before != len(segments):

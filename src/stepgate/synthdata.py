@@ -21,10 +21,10 @@ prototypes are present.
 A video is ``timesteps`` slots of ``frames_per_slot`` raw frames each, and
 its frames are stored in that layout, as a (timesteps, frames_per_slot,
 d_raw) float32 array: slot ``i`` holds one planted prototype plus per-frame
-noise.  Each value is computed in float64 and stored rounded; frames are the
-one float32 thing in the package, and every consumer casts only the rows it
-reads.  Consumers index the slot axis; no code turns a slot index into frame
-offsets.
+noise.  Each value is computed in float64 and stored rounded.  float32 is
+also the dtype the models compute in (``harness.models.build_bundle``), so
+consumers read the frames as stored, with no cast.  Consumers index the slot
+axis; no code turns a slot index into frame offsets.
 
 Videos are generated independently: video ``i`` of a run seeded with ``s``
 draws from ``default_rng(s ^ i)`` (global index across both splits), and
@@ -355,10 +355,11 @@ def split_layout(meta: dict) -> list:
     """The body fields an SGDS header implies (``container.read``'s layout):
     prototypes, labels, relevance, planted ids and frames.  Checks the
     parameters without deriving the book, which the header alone does not
-    bound, refuses an empty split, and makes ``n_videos`` and ``seed`` ints."""
+    bound, refuses an empty split, and requires ``n_videos`` and ``seed`` to
+    be ints."""
     spec = _header_spec(meta)
-    meta["n_videos"], meta["seed"] = int(meta["n_videos"]), int(meta["seed"])
-    n, t = meta["n_videos"], spec.timesteps
+    n, t = container.int_field(meta, "n_videos"), spec.timesteps
+    container.int_field(meta, "seed")
     if n < 1:
         raise DomainError(f"a split holds at least one video, got n_videos {n}")
     return [("<f8", (spec.n_prototypes, spec.d_raw)), ("<f8", (n, spec.n_classes)),

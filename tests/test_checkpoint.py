@@ -186,12 +186,43 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bun
             load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("value", [3.5e38, -1e39, 1e308])
+def test_a_weight_past_float32_is_refused(tmp_path, bundle_and_ckpt, value):
+    """A finite float64 block value that would round to an infinite float32
+    weight, as a checkpoint of float64 weights may hold, is refused; the
+    largest value that rounds to a finite one loads."""
+    path = tmp_path / "x.sgck"
+    save_checkpoint(path, bundle_and_ckpt[2])
+    header, body = _header_and_body(path)
+    first = header["entries"][0][0]
+    bad = tmp_path / "big.sgck"
+    container.write(bad, MAGIC, FORMAT_VERSION, header,
+                    [np.array([value], "<f8").tobytes() + body[8:]])
+    with pytest.raises(FormatError, match=re.escape(f"{bad}: parameter {first} ")):
+        load_checkpoint(bad)
+    edge = np.nextafter(2.0 ** 128 - 2.0 ** 103, 0.0)
+    container.write(bad, MAGIC, FORMAT_VERSION, header,
+                    [np.array([edge], "<f8").tobytes() + body[8:]])
+    assert load_checkpoint(bad).params[first].flat[0] == edge
+
+
 @pytest.fixture(scope="module")
 def saved_ckpt(tmp_path_factory):
     cfg = tiny_config("uniform", **{"model.heavy_channels": 2})
     path = tmp_path_factory.mktemp("ckpt") / "run.sgck"
     save_checkpoint(path, Checkpoint.from_bundle(cfg, build_bundle(cfg), step=3))
     return path, load_checkpoint(path)
+
+
+@pytest.mark.parametrize("step", [3.7, 3.0, True, "3"])
+def test_a_step_that_is_not_an_int_is_refused(saved_ckpt, tmp_path, step):
+    """A step no writer produces is refused behind a valid checksum, not
+    rounded: 3.7 would load as step 3 through ``int()``."""
+    header, body = _header_and_body(saved_ckpt[0])
+    bad = tmp_path / "step.sgck"
+    container.write(bad, MAGIC, FORMAT_VERSION, {**header, "step": step}, [body])
+    with pytest.raises(FormatError, match=f"step {step!r} is not an int"):
+        load_checkpoint(bad)
 
 
 @settings(max_examples=150, deadline=None)

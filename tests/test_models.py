@@ -72,12 +72,14 @@ def _expected_parameters(cfg):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_parameters_follow_the_documented_draws(mode):
+    """The weights are the float64 draws rounded to float32, exactly."""
     cfg = tiny_config(mode, seed=5, **{"model.open_bias": -1.5})
     got = {name: t.data for name, t in build_bundle(cfg).named_parameters().items()}
     want = _expected_parameters(cfg)
     assert list(got) == list(want)
     for name in want:
-        assert np.array_equal(got[name], want[name]), name
+        assert got[name].dtype == np.float32, name
+        assert np.array_equal(got[name], want[name].astype(np.float32)), name
 
 
 def test_parameter_names_of_every_mode():

@@ -18,3 +18,22 @@ def test_a_gradcheck_diff_names_one_sided_and_changed_cases():
         "  add: 1.514e-10 -> 5.016e-11",
     ]
     assert same_outputs._gradcheck_diff(parent, parent) == []
+
+
+def test_a_report_diff_shows_each_entry_on_both_sides():
+    def entry(budget, value, selected):
+        return {"budget": budget, "metric_name": "accuracy", "value": value,
+                "mean_selected": selected}
+
+    parent = {"entries": [entry(None, 0.8125, 3.5), entry(4, 0.75, 4.0)], "n_videos": 8,
+              "selection": {"mean_ratio": 0.5, "class_ratios": [0.25, 0.75]}}
+    change = {"entries": [entry(None, 0.84375, 3.25), entry(8, 0.875, 8.0)], "n_videos": 8,
+              "selection": {"mean_ratio": 0.5, "class_ratios": [0.25, 0.875]}}
+    assert same_outputs._report_diff(parent, change) == [
+        "  gate-count: accuracy 0.8125, mean_selected 3.5 -> "
+        "accuracy 0.84375, mean_selected 3.25",
+        "  topk-4: accuracy 0.75, mean_selected 4.0 -> no entry",
+        "  topk-8: no entry -> accuracy 0.875, mean_selected 8.0",
+        "  entries differs, largest change 4",
+        "  selection differs, largest change 0.125",
+    ]

@@ -606,6 +606,21 @@ def small_split(tmp_path_factory):
     return path, sd.load_split(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_videos", 3.7), ("n_videos", 3.0), ("seed", 5.9), ("seed", True), ("seed", "5"),
+])
+def test_a_count_or_seed_that_is_not_an_int_is_refused(small_split, tmp_path, key, value):
+    """A header value no writer produces is refused behind a valid checksum,
+    not rounded: ``n_videos`` 3.7 over a 3-video body would load 3 videos
+    through ``int()``."""
+    header, body = _header_and_body(small_split[0])
+    assert header["n_videos"] == 3
+    bad = tmp_path / "bad.sgds"
+    container.write(bad, sd.MAGIC, sd.FORMAT_VERSION, {**header, key: value}, [body])
+    with pytest.raises(FormatError, match=f"{key} {value!r} is not an int"):
+        sd.load_split(bad)
+
+
 def test_the_header_is_pinned(small_split, tmp_path):
     """The header bytes are the format: a parameter renamed or a key added
     must fail here, not only in a round trip through this code."""

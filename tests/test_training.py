@@ -242,12 +242,13 @@ def _loss_and_grads(bundle, build):
 def test_batch_loss_is_the_per_video_mean_plus_one_rate_term(task, sample_budget,
                                                             open_bias):
     """The batch loss equals the mean of the per-video task losses plus one
-    rate term over all the batch's gates, loss and every gradient."""
+    rate term over all the batch's gates, loss and every gradient, on
+    float64 weights, where the two orders of summation agree to 1e-10."""
     cfg = tiny_config("e2e", **{"dataset.task": task,
                                 "training.sample_budget": sample_budget,
                                 "model.open_bias": open_bias})
     data = training.generate_dataset(cfg.dataset.spec(), 6, 2, cfg.seed)
-    bundle = build_bundle(cfg)
+    bundle = build_bundle(cfg, dtype=np.float64)
     batch = [4, 1, 3, 0]
 
     def selections():
@@ -285,10 +286,11 @@ def test_batch_loss_is_the_per_video_mean_plus_one_rate_term(task, sample_budget
 def test_stacked_scorer_loss_equals_the_mean_of_per_video_losses(task):
     """The scorer's one cross-entropy over the batch's B * T rows equals the
     mean over videos of each video's mean over its positives of the
-    per-timestep cross-entropy, loss and every scorer gradient."""
+    per-timestep cross-entropy, loss and every scorer gradient, on float64
+    weights."""
     cfg = tiny_config("scsampler", **{"dataset.task": task})
     data = training.generate_dataset(cfg.dataset.spec(), 8, 2, cfg.seed)
-    bundle = build_bundle(cfg)
+    bundle = build_bundle(cfg, dtype=np.float64)
     # a zero head would give every video the same loss
     rng = np.random.default_rng(11)
     for p in (bundle.scorer.head_w, bundle.scorer.head_b):
@@ -475,6 +477,59 @@ def test_the_modes_record_every_op_the_tape_knows(monkeypatch):
     # the joint arms and the fixed samplers have one phase, the other two both
     assert len(calls) == 2 * (len(MODES) + 2)
     assert recorded == set(ad._BACKWARD)
+
+
+@pytest.mark.parametrize("task", ["single_label", "multi_label"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_array_of_a_step_and_of_evaluation_has_the_weights_dtype(dtype, task,
+                                                                      monkeypatch):
+    """Every op output, every gradient a backward function returns, every
+    ``.grad``, weight and Adam moment has the weights' dtype: float32 on the
+    default bundle, float64 on the gradient suite's.  One phase-A step of
+    each gated arm and of the scorer, the phase-B step of the two-phase
+    arms, then ``evaluate_bundle``: a float64 constant in one op would
+    upcast the path after it."""
+    seen = []
+    emit = ad._emit
+
+    def emit_spy(op, out_data, inputs, ctx=None):
+        out = emit(op, out_data, inputs, ctx)
+        seen.append((op, out.data.dtype))
+        return out
+
+    def backward_spy(op, fn):
+        def spy(node, g, data):
+            grads = fn(node, g, data)
+            seen.extend((f"d {op}", gi.dtype) for gi in grads if gi is not None)
+            return grads
+        return spy
+
+    step = ad.Adam.step
+
+    def step_spy(self):
+        seen.extend(("grad", p.grad.dtype) for p in self.params)
+        step(self)
+        seen.extend(("moment", a.dtype) for a in self.m + self.v)
+        seen.extend(("weight", p.data.dtype) for p in self.params)
+
+    monkeypatch.setattr(ad, "_emit", emit_spy)
+    for op, fn in list(ad._BACKWARD.items()):
+        monkeypatch.setitem(ad._BACKWARD, op, backward_spy(op, fn))
+    monkeypatch.setattr(ad.Adam, "step", step_spy)
+    build = training.build_bundle
+    if dtype is np.float64:
+        monkeypatch.setattr(training, "build_bundle", lambda cfg: build(cfg, dtype=dtype))
+    for mode in ("e2e", "frame_conditioned", "standalone", "scsampler"):
+        # one minibatch of all 12 training videos per phase
+        cfg = tiny_config(mode, **{"dataset.task": task, "training.epochs": 1,
+                                   "training.batch_size": 12})
+        cfg.eval.budgets = [2]
+        data = resolve_dataset(cfg)
+        evaluation.evaluate_bundle(run_training(cfg, data).bundle, cfg, data.test)
+    loss = "softmax_xent" if task == "single_label" else "bce_logits"
+    assert {"grad", "moment", "weight", "noisy_gate", "rate_penalty", loss,
+            f"d {loss}", "d noisy_gate", "d rate_penalty", "attention"} <= {w for w, _ in seen}
+    assert sorted({what for what, dt in seen if dt != dtype}) == []
 
 
 def test_a_phase_a_tape_holds_ops_only_and_the_loss_index_counts_them(monkeypatch):

@@ -33,7 +33,10 @@ tool prints one line per case, naming the checkpoint's sha256, whether the
 checkpoint files and the weights are the same on both sides, whether both
 split files have the same sha256 on both sides or else the same content,
 and whether the eval reports, the reloaded checkpoints' reports and the CLI
-outputs are equal.  Split files whose bytes differ but whose content is the
+outputs are equal.  Where the eval reports differ, it prints each entry's
+metric and ``mean_selected`` (heavy rows per video) on both sides, and names
+each report field that differs with the largest change among its numbers,
+so a change that moves every report shows by how much.  Split files whose bytes differ but whose content is the
 same, as after a split format change, do not count as a difference.
 It then compares the output of ``stepgate gradcheck --seed 0``, ``--seed
 1`` and ``--seed 6`` (the seed whose worst case sits nearest the threshold);
@@ -179,6 +182,38 @@ def worker(root: Path) -> None:
     print(json.dumps(out))
 
 
+def _numbers(value) -> list[float]:
+    """Every number in a JSON value, in order."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [float(value)] if type(value) in (int, float) else []
+
+
+def _report_diff(parent: dict, change: dict) -> list[str]:
+    """One line per budget entry of two eval reports, its metric and
+    ``mean_selected`` on each side, then one per report field that differs,
+    with the largest change among its numbers."""
+    def entries(report):
+        return {"gate-count" if e["budget"] is None else f"topk-{e['budget']}": e
+                for e in report["entries"]}
+
+    want, have = entries(parent), entries(change)
+    lines = []
+    for key in [*want, *(k for k in have if k not in want)]:
+        shown = [f"{e['metric_name']} {e['value']!r}, mean_selected {e['mean_selected']!r}"
+                 if e else "no entry" for e in (want.get(key), have.get(key))]
+        lines.append(f"  {key}: {shown[0]} -> {shown[1]}")
+    for field in sorted(parent.keys() | change.keys()):
+        if parent.get(field) != change.get(field):
+            a, b = _numbers(parent.get(field)), _numbers(change.get(field))
+            size = (f"largest change {max(abs(x - y) for x, y in zip(a, b)):.3g}"
+                    if a and len(a) == len(b) else "not comparable")
+            lines.append(f"  {field} differs, {size}")
+    return lines
+
+
 def _gradcheck_cases(output: str) -> dict[str, str]:
     """``stepgate gradcheck`` output as {case: printed value}, without its
     closing summary line."""
@@ -240,6 +275,8 @@ def main(argv=None) -> int:
               f"{'equal report' if same_report else 'REPORT DIFFERS'}, "
               f"{'equal reload' if same_reload else 'RELOAD DIFFERS'}, "
               f"{'equal cli' if same_cli else 'CLI DIFFERS'}")
+        if have is not None and not same_report:
+            print("\n".join(_report_diff(want["report"], have["report"])))
     for seed in GRADCHECK_SEEDS:
         outs = {side: _side(root, "-m", "stepgate", "gradcheck", "--seed", str(seed))
                 for side, root in sides.items()}
