@@ -30,4 +30,4 @@ class ConfigError(StepgateError, ValueError):
 
 
 class TrainingDivergence(StepgateError, RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or weight."""

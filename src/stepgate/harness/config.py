@@ -24,6 +24,10 @@ class DatasetConfig:
     """Either a directory holding train.sgds/test.sgds or a generation spec:
     every field but ``path``, ``n_train`` and ``n_test`` is an
     ``ActivitySpec`` parameter, whose docstring describes the recipe styles.
+    The heavy encoder reads the first ``model.segment_len`` frames of each
+    slot and the light networks read frame ``segment_len // 2``, so frames
+    past ``segment_len`` are stored but never read: that is why the default
+    ``frames_per_slot`` equals the default ``segment_len``.
     """
 
     path: str | None = None
@@ -34,7 +38,7 @@ class DatasetConfig:
     n_background: int = 8
     d_raw: int = 32
     timesteps: int = 32
-    frames_per_slot: int = 16
+    frames_per_slot: int = 8
     noise_sigma: float = 0.3
     relevant_fraction: float = 0.3
     confuser_share: float = 0.35

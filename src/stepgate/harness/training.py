@@ -133,36 +133,45 @@ def _scored(logits: Tensor, videos: list, task: str) -> tuple[Tensor, float]:
     return task_loss(logits, labels, task), hits
 
 
-def _check_finite(loss: Tensor, mode: str, epoch: int) -> None:
-    if not np.isfinite(loss.data).all():
-        raise TrainingDivergence(
-            f"{mode} training diverged at epoch {epoch}: loss became non-finite"
-        )
+def _check_finite(values: dict[str, np.ndarray], mode: str, epoch: int) -> None:
+    """Raise ``TrainingDivergence`` naming the first of ``values`` that holds
+    a non-finite entry."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise TrainingDivergence(
+                f"{mode} training diverged at epoch {epoch}: {name} became non-finite"
+            )
 
 
-def _fit(params, config: ExperimentConfig, n_videos: int,
+def _fit(params: dict[str, Tensor], config: ExperimentConfig, n_videos: int,
          rng: np.random.Generator, batch_loss) -> tuple[list[EpochLog], int]:
-    """The training loop: returns the epoch logs and the Adam step count.
+    """The training loop over the named parameters: returns the epoch logs
+    and the Adam step count.
 
     ``batch_loss(epoch, video_indices)`` runs inside the recording and
     returns ``(mean loss over the batch, prediction hits, selected ratios,
-    fallbacks)``, the last three summed over the batch's videos.
+    fallbacks)``, the last three summed over the batch's videos.  A
+    non-finite loss, checked before each step, or a non-finite weight,
+    checked after each epoch, is a ``TrainingDivergence``, so the float32
+    weights a run returns always load back through ``load_checkpoint``.
     """
     tr = config.training
-    opt = Adam(params, lr=tr.lr, eps=tr.eps)
+    opt = Adam(list(params.values()), lr=tr.lr, eps=tr.eps)
     logs: list[EpochLog] = []
     for epoch in range(tr.epochs):
         loss_sum = hit_sum = ratio_sum = fallback_sum = 0.0
         for batch in _batches(n_videos, tr.batch_size, rng):
             with ad.record():
                 loss, hits, ratios, fallbacks = batch_loss(epoch, batch)
-                _check_finite(loss, config.mode, epoch)
+                _check_finite({"loss": loss.data}, config.mode, epoch)
                 ad.backward(loss)
             opt.step()
             loss_sum += float(loss.data) * len(batch)
             hit_sum += hits
             ratio_sum += ratios
             fallback_sum += fallbacks
+        _check_finite({f"parameter {name}": p.data for name, p in params.items()},
+                      config.mode, epoch)
         logs.append(EpochLog(epoch, loss_sum / n_videos, hit_sum / n_videos,
                              ratio_sum / n_videos, fallback_sum / n_videos))
     return logs, opt.t
@@ -297,8 +306,8 @@ def run_training(config: ExperimentConfig,
     rng = _train_rng(config)
     video_loss = _phase_a_loss(config, bundle, dataset, rng)
     if video_loss is not None:
-        params = [t for name, t in bundle.named_parameters().items()
-                  if joint or not name.startswith("classifier.")]
+        params = {name: t for name, t in bundle.named_parameters().items()
+                  if joint or not name.startswith("classifier.")}
         logs, steps = _fit(params, config, n_train, rng, video_loss)
 
     if not joint:
@@ -325,8 +334,8 @@ def run_training(config: ExperimentConfig,
 
         rng_b = _train_rng(config)
         rng_b.integers(1 << 30)  # offset from the phase A shuffle stream
-        cls_params = [t for name, t in bundle.named_parameters().items()
-                      if name.startswith("classifier.")]
+        cls_params = {name: t for name, t in bundle.named_parameters().items()
+                      if name.startswith("classifier.")}
         cls_logs, cls_steps = _fit(cls_params, config, n_train, rng_b, classifier_loss)
         steps += cls_steps
 

@@ -197,13 +197,16 @@ def test_a_non_finite_weight_is_refused_by_eval_in_one_line(trained, tmp_path, c
 
 @pytest.mark.parametrize("lr, code, err", [
     (1e308, 2, "runtime error: e2e training diverged at epoch 0: loss became non-finite\n"),
+    (1e5, 2, "runtime error: e2e training diverged at epoch 0: "
+             "parameter selector.enc.w1 became non-finite\n"),
     (1e4, 0, ""),
-], ids=["loss-overflows", "updates-overflow"])
+], ids=["loss-overflows", "weights-overflow", "updates-overflow"])
 def test_numpy_warnings_never_reach_stderr(cfg_file, tmp_path, capsys, lr, code, err):
-    """Divergence has one reporter: at lr 1e308 the loss overflows and the
-    run prints only the divergence line; at 1e4 Adam's float32 squared
-    gradients overflow while the loss and the weights stay finite, and the
-    run prints nothing."""
+    """Divergence has one reporter: at lr 1e308 the loss overflows, and at
+    1e5 the loss stays finite while the last step leaves non-finite weights,
+    and either run prints only the divergence line and saves no checkpoint;
+    at 1e4 Adam's float32 squared gradients overflow while the loss and the
+    weights stay finite, and the run prints nothing."""
     cfg = json.loads(Path(cfg_file).read_text())
     cfg["training"]["lr"] = lr
     path = tmp_path / "lr.json"
@@ -211,6 +214,7 @@ def test_numpy_warnings_never_reach_stderr(cfg_file, tmp_path, capsys, lr, code,
     capsys.readouterr()
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == code
     assert capsys.readouterr().err == err
+    assert (tmp_path / "run" / "checkpoint.sgck").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("exc, err", [

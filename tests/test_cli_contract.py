@@ -4,8 +4,9 @@ tiny config, run through generate-data, train and eval in-process, exits 0,
 succeeds.
 
 No value here is large enough to size an allocation: a size field never
-takes more than 3.  The one large value is ``training.lr`` 1e308, which
-makes the loss overflow.
+takes more than 3.  The large values are ``training.lr`` 1e5, whose last
+step leaves non-finite weights behind a finite loss, and 1e308, which makes
+the loss overflow.
 """
 
 import json
@@ -25,6 +26,7 @@ NUMERIC = [f"{section}.{f.name}"
            if f.type.split(" | ")[0] in ("int", "float")]
 
 CASES = [(key, value) for key in NUMERIC for value in VALUES] + [
+    ("training.lr", 1e5),
     ("training.lr", 1e308),
     *(("eval.budgets", v) for v in ([], [1], [6], [0], [7], [2, 2], [0.5], [True],
                                     [[1]], "x", None, 3)),

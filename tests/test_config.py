@@ -7,6 +7,7 @@ from conftest import tiny_config
 from stepgate.errors import ConfigError
 from stepgate.harness.config import (MODES, ExperimentConfig, config_from_dict,
                                      load_config)
+from stepgate.synthdata import generate_dataset, load_split, save_split
 
 
 def test_defaults_round_trip_through_dict():
@@ -14,6 +15,19 @@ def test_defaults_round_trip_through_dict():
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
     assert again.canonical_json() == cfg.canonical_json()
+
+
+def test_the_default_splits_store_exactly_the_frames_the_models_read(tmp_path):
+    """The heavy encoder reads ``slot[:segment_len]`` and the light networks
+    ``slot[segment_len // 2]``, so a default slot holds ``segment_len``
+    frames, in memory and on disk."""
+    cfg = ExperimentConfig()
+    d, m = cfg.dataset, cfg.model
+    assert d.frames_per_slot == m.segment_len
+    dataset = generate_dataset(d.spec(), 1, 1, cfg.seed)
+    save_split(tmp_path / "test.sgds", dataset, "test")
+    for videos in (dataset.train, dataset.test, load_split(tmp_path / "test.sgds")[2]):
+        assert videos[0].frames.base.shape == (1, d.timesteps, m.segment_len, d.d_raw)
 
 
 def test_partial_dict_fills_defaults():
