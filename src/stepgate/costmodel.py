@@ -1,12 +1,12 @@
 """FLOP accounting for this package's own networks.
 
-:func:`desk_flops` counts the exact dense-matmul multiplies of the
-networks that actually run: per timestep ``desk_light`` (light encoder,
-attention, kernel similarity and gate MLP), ``desk_scorer`` (the
-SCSampler-style scorer) and ``desk_heavy`` (heavy encoder), and per video
-``desk_head`` (the classification head on the pooled features).  A
-:class:`CostRegistry` holds those rates, and :func:`pipeline_cost` turns
-light and heavy timestep counts into a :class:`CostReport`.
+One rule (:func:`row_gflops`) reads a network's cost off its weights'
+shapes: per input row, an ``affine``, ``mlp`` or ``matmul_t`` layer does one
+multiply per entry of its 2-d weights, and ``attention`` adds ``2 t C`` for
+its scores and value mixing over t rows of C channels.  Bias adds and
+nonlinearities are not counted.  A :class:`CostRegistry` holds a mode's
+rates, and :func:`pipeline_cost` turns light and heavy timestep counts into
+a :class:`CostReport`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .autodiff import Tensor
 from .errors import ContractError, DomainError
 
 GFLOP = 1e9
@@ -21,7 +22,13 @@ GFLOP = 1e9
 
 @dataclass(frozen=True)
 class CostRegistry:
-    """Immutable tag -> GFLOPs table, per timestep or, for a head, per video."""
+    """Immutable tag -> GFLOPs table of the networks one mode runs.
+
+    ``desk_light``, per timestep, is the light stage: the selector or the
+    SCSampler scorer; the fixed-rule samplers run none and have no such tag.
+    ``desk_heavy``, per selected timestep, is the heavy encoder, and
+    ``desk_head``, per video, the head that runs once on the pooled features.
+    """
 
     rates: Mapping[str, float]
 
@@ -101,41 +108,14 @@ def tradeoff_csv(results: Iterable[tuple[str, CostReport, float]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# desk-scale stand-in models, counted exactly
+# the multiply rule
 
 
-def desk_flops(d_raw: int, light_channels: int, n_kernels: int, gate_hidden: int,
-               timesteps: int, segment_len: int, heavy_channels: int,
-               heavy_hidden: int, head_hidden: int, n_classes: int,
-               attention: bool, light_hidden: int) -> dict[str, float]:
-    """Exact dense-matmul multiply counts, in GFLOPs.
-
-    Per timestep, ``desk_light`` covers the light encoder (``d_raw`` ->
-    ``light_hidden`` -> ``light_channels``), attention when the selector has
-    it (its per-timestep share includes the T-dependent score and mixing
-    terms), kernel similarity, and the gating head.  ``desk_scorer`` covers
-    the light encoder plus the SCSampler scorer's linear head.
-    ``desk_heavy`` covers the heavy encoder for one selected timestep.  Per
-    video, ``desk_head`` covers the classification head, which runs once on
-    the pooled features.  Only multiplies inside matrix products are
-    counted; bias adds and nonlinearities are excluded.
-    """
-    names = dict(d_raw=d_raw, light_channels=light_channels, n_kernels=n_kernels,
-                 gate_hidden=gate_hidden, timesteps=timesteps, segment_len=segment_len,
-                 heavy_channels=heavy_channels, heavy_hidden=heavy_hidden,
-                 head_hidden=head_hidden, n_classes=n_classes, light_hidden=light_hidden)
-    for key, val in names.items():
-        if val < 1:
-            raise DomainError(f"{key} must be positive, got {val}")
-    c, t = light_channels, timesteps
-    encoder = d_raw * light_hidden + light_hidden * c
-    scorer = encoder + c * n_classes
-    light = encoder
-    if attention:
-        light += 3 * c * c + 2 * t * c     # q/k/v plus scores and value mixing
-    light += n_kernels * c                 # kernel similarity
-    light += n_kernels * gate_hidden + gate_hidden
-    heavy = segment_len * d_raw * heavy_hidden + heavy_hidden * heavy_channels
-    head = heavy_channels * head_hidden + head_hidden * n_classes
-    return {"desk_light": light / GFLOP, "desk_scorer": scorer / GFLOP,
-            "desk_heavy": heavy / GFLOP, "desk_head": head / GFLOP}
+def row_gflops(tensors: Mapping[str, Tensor], timesteps: int) -> float:
+    """GFLOPs per input row of one stage's ``tensors`` by the module's rule;
+    attention, when its projection ``attn_q`` is among them, spans
+    ``timesteps`` rows."""
+    n = sum(w.numel() for w in tensors.values() if len(w.shape) == 2)
+    if "attn_q" in tensors:
+        n += 2 * timesteps * tensors["attn_q"].shape[0]
+    return n / GFLOP

@@ -182,11 +182,22 @@ def _field(obj, key: str, kinds, path: str):
     return value
 
 
+def _number(obj, key: str, path: str, cost: bool):
+    """A finite number field of an eval metrics file, non-negative for a
+    ``cost`` field.  ``json`` reads NaN, which fails every comparison, and
+    infinities and ints beyond every float, which exceed the largest."""
+    value = _field(obj, key, _NUMBER, path)
+    if not (0 if cost else -sys.float_info.max) <= value <= sys.float_info.max:
+        raise FormatError(f"{path}: metrics field {key!r} must be finite"
+                          + (" and non-negative" if cost else ""))
+    return value
+
+
 def _tradeoff_rows(path: str) -> list[tuple[str, CostReport, float]]:
     """``(method, cost, metric)`` for every budget entry of one metrics.json."""
     try:
         payload = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise FormatError(f"{path}: not a JSON metrics file ({exc})") from exc
     report = _field(payload, "report", dict, path)
     mode = _field(report, "mode", str, path)
@@ -194,11 +205,14 @@ def _tradeoff_rows(path: str) -> list[tuple[str, CostReport, float]]:
     for entry in _field(report, "entries", list, path):
         budget = _field(entry, "budget", (int, type(None)), path)
         c = _field(entry, "cost", dict, path)
-        cost = CostReport(**{k: _field(c, k, _NUMBER, path)
+        cost = CostReport(**{k: _number(c, k, path, cost=True)
                              for k in ("n_light", "n_heavy", "light_gflops",
                                        "heavy_gflops", "head_gflops")})
+        if cost.total_gflops > sys.float_info.max:
+            raise FormatError(f"{path}: metrics entry {entry_key(budget)!r} costs "
+                              f"more in total than a float holds")
         rows.append((f"{mode}/{entry_key(budget)}", cost,
-                     _field(entry, "value", _NUMBER, path)))
+                     _number(entry, "value", path, cost=False)))
     return rows
 
 

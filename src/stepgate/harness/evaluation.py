@@ -32,15 +32,15 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..baselines import sample_indices, scsampler_scores
-from ..classifier import HEAD_HIDDEN, HEAVY_HIDDEN, classify, heavynet_features
-from ..costmodel import CostRegistry, CostReport, desk_flops, pipeline_cost
+from ..classifier import classify, heavynet_features
+from ..costmodel import CostRegistry, CostReport, pipeline_cost, row_gflops
 from ..errors import ContractError, DimensionError, DomainError
 from ..gating import step_open
-from ..selector import LIGHT_HIDDEN, heavy_indices, select, top_k_indices
+from ..selector import heavy_indices, select, top_k_indices
 from ..synthdata import Dataset
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .models import ModelBundle, training_sample_budget
+from .models import ModelBundle, build_bundle, named_tensors, training_sample_budget
 
 _EVAL_STREAM = 0xE7A1
 
@@ -102,30 +102,32 @@ def mean_ap(scores: np.ndarray, targets: np.ndarray) -> tuple[float, list[int]]:
 # cost wiring
 
 
+def cost_registry(bundle: ModelBundle, timesteps: int) -> CostRegistry:
+    """The rates of the networks eval runs, read off the bundle's weights by
+    ``costmodel.row_gflops``: ``desk_heavy`` and ``desk_head`` from the
+    classifier's encoder and head, ``desk_light`` from the selector, or else
+    the scorer, or nothing on the fixed-rule samplers.  The standalone arm's
+    light head is not charged: eval never runs it."""
+    light = bundle.selector if bundle.selector is not None else bundle.scorer
+    stages = {"desk_light": light, "desk_heavy": bundle.classifier.enc,
+              "desk_head": bundle.classifier.head}
+    return CostRegistry(rates={tag: row_gflops(named_tensors(group), timesteps)
+                               for tag, group in stages.items() if group is not None})
+
+
 def cost_registry_for(config: ExperimentConfig) -> CostRegistry:
-    """GFLOPs per timestep of this config's light, scorer and heavy networks,
-    and per video of its head."""
-    d, m = config.dataset, config.model
-    return CostRegistry(rates=desk_flops(
-        d_raw=d.d_raw, light_channels=m.light_channels, n_kernels=m.n_kernels,
-        gate_hidden=m.gate_hidden, timesteps=d.timesteps,
-        segment_len=m.segment_len, heavy_channels=m.heavy_channels,
-        heavy_hidden=HEAVY_HIDDEN,
-        head_hidden=HEAD_HIDDEN, n_classes=d.n_classes,
-        attention=config.mode != "frame_conditioned", light_hidden=LIGHT_HIDDEN,
-    ))
+    """``cost_registry`` of the bundle ``config`` builds.  It takes a config
+    alone because the benchmark reads the rates before any bundle exists."""
+    return cost_registry(build_bundle(config), config.dataset.timesteps)
 
 
 def _cost_for(config: ExperimentConfig, mean_heavy: float,
               registry: CostRegistry) -> CostReport:
-    heavy, head = registry.rate("desk_heavy"), registry.rate("desk_head")
-    if config.mode in SELECTOR_MODES:
-        light = registry.rate("desk_light")
-    elif config.mode == "scsampler":
-        light = registry.rate("desk_scorer")
-    else:  # fixed-rule samplers run no light stage
-        return pipeline_cost(0, mean_heavy, 0.0, heavy, head)
-    return pipeline_cost(config.dataset.timesteps, mean_heavy, light, heavy, head)
+    """A light stage is charged on every timestep exactly when the registry
+    holds a ``desk_light`` rate."""
+    n_light = config.dataset.timesteps if "desk_light" in registry.rates else 0
+    return pipeline_cost(n_light, mean_heavy, registry.rates.get("desk_light", 0.0),
+                         registry.rate("desk_heavy"), registry.rate("desk_head"))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +281,7 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
     task = config.dataset.task
     t = config.dataset.timesteps
     b = config.training.batch_size
-    registry = cost_registry_for(config)
+    registry = cost_registry(bundle, t)
     budgets: list[int | None] = [None, *config.eval.budgets]
 
     report = EvalReport(mode=config.mode, task=task, n_videos=len(videos),

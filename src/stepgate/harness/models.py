@@ -26,6 +26,21 @@ from .config import ExperimentConfig
 LIGHT_HEAD_HIDDEN = 64
 
 
+def named_tensors(group, prefix: str = "") -> dict[str, Tensor]:
+    """Every tensor of a dataclass of parameters (a bundle, or one group such
+    as ``bundle.selector``), named ``prefix`` + its dotted field path, in
+    field order.  A dataclass field is walked into; a ``None`` group or
+    projection and a plain number such as ``segment_len`` are skipped."""
+    out: dict[str, Tensor] = {}
+    for f in fields(group):
+        value = getattr(group, f.name)
+        if isinstance(value, Tensor):
+            out[prefix + f.name] = value
+        elif is_dataclass(value):
+            out.update(named_tensors(value, f"{prefix}{f.name}."))
+    return out
+
+
 @dataclass
 class ModelBundle:
     selector: SelectorParams | None = None
@@ -34,22 +49,9 @@ class ModelBundle:
     scorer: ScorerParams | None = None
 
     def named_parameters(self) -> dict[str, Tensor]:
-        """Every tensor, named by its dotted field path (``selector.enc.w1``)
-        in field order: the checkpoint's names and block order.  A dataclass
-        field is walked into; a ``None`` group or projection and a plain
-        number such as ``segment_len`` are skipped."""
-        out: dict[str, Tensor] = {}
-
-        def walk(obj, prefix: str) -> None:
-            for f in fields(obj):
-                value = getattr(obj, f.name)
-                if isinstance(value, Tensor):
-                    out[prefix + f.name] = value
-                elif is_dataclass(value):
-                    walk(value, f"{prefix}{f.name}.")
-
-        walk(self, "")
-        return out
+        """Every tensor by its dotted field path (``selector.enc.w1``) in
+        field order: the checkpoint's names and block order."""
+        return named_tensors(self)
 
 
 def build_bundle(config: ExperimentConfig, dtype=np.float32) -> ModelBundle:

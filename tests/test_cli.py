@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -631,10 +632,25 @@ def test_tradeoff_on_missing_or_mistyped_fields_is_a_runtime_error(tmp_path, cap
             dict(entry, cost={k: v for k, v in cost.items() if k != "head_gflops"})]}},
          "'head_gflops'"),
         ([1, 2], "'report'"),
+        # json reads NaN and Infinity; an int may exceed every float
+        ({"report": {"mode": "e2e", "entries": [dict(entry, value=math.nan)]}}, "'value'"),
+        ({"report": {"mode": "e2e", "entries": [dict(entry, value=-math.inf)]}}, "'value'"),
+        ({"report": {"mode": "e2e", "entries": [dict(entry, value=10 ** 400)]}}, "'value'"),
+        ({"report": {"mode": "e2e", "entries": [
+            dict(entry, cost=dict(cost, light_gflops=math.inf))]}}, "'light_gflops'"),
+        ({"report": {"mode": "e2e", "entries": [
+            dict(entry, cost=dict(cost, heavy_gflops=-5))]}}, "'heavy_gflops'"),
+        ({"report": {"mode": "e2e", "entries": [
+            dict(entry, cost=dict(cost, n_heavy=-1.0))]}}, "'n_heavy'"),
+        ({"report": {"mode": "e2e", "entries": [
+            dict(entry, cost=dict(cost, light_gflops=1e308, heavy_gflops=1e308))]}}, "'topk-2'"),
+        # raw text: JSON nested or an int too long for the parser
+        ("[" * 100_000, "not a JSON metrics file"),
+        ('{"report": ' + "1" * 5000 + "}", "not a JSON metrics file"),
     ]
     for i, (payload, field) in enumerate(broken):
         path = tmp_path / f"bad{i}.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert main(["tradeoff", "--metrics", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error:") and field in err, (payload, err)

@@ -1,10 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stepgate.costmodel as cm
+from stepgate.autodiff import MLP, Tensor
+from stepgate.baselines import ScorerParams
+from stepgate.classifier import ClassifierParams
 from stepgate.errors import ContractError, DomainError
+from stepgate.harness.config import ExperimentConfig
+from stepgate.harness.evaluation import cost_registry, cost_registry_for
+from stepgate.harness.models import ModelBundle
+from stepgate.selector import SelectorParams
 
 # The paper's budget table, kept as test data: per-timestep GFLOPs derived
 # from the published 16-timestep budgets (light stages over 128 timesteps)
@@ -155,47 +163,53 @@ def test_csv_has_header_and_newline_termination():
 
 
 # ---------------------------------------------------------------------------
-# desk stand-in counting
+# desk stand-in counting: rates read off the weights' shapes
 
 
-def test_desk_flops_hand_count():
+def _hand_bundle(stage: str, attention: bool = True) -> ModelBundle:
+    """A bundle with hand-sized widths: d_raw 3, light hidden 8, C 2, 6
+    kernels, gate hidden 4, segment_len 2, heavy hidden 10, heavy channels 2,
+    head hidden 7, 3 classes.  Its light stage is the selector (with or
+    without attention) or the scorer."""
+    rng = np.random.default_rng(0)
+    classifier = ClassifierParams(segment_len=2, enc=MLP.init(2 * 3, 10, 2, rng),
+                                  head=MLP.init(2, 7, 3, rng))
+    if stage == "scorer":
+        return ModelBundle(classifier=classifier, scorer=ScorerParams(
+            enc=MLP.init(3, 8, 2, rng), head_w=Tensor(np.zeros((2, 3))),
+            head_b=Tensor(np.zeros(3))))
+    attn = [Tensor(np.zeros((2, 2))) if attention else None for _ in range(3)]
+    return ModelBundle(classifier=classifier, selector=SelectorParams(
+        enc=MLP.init(3, 8, 2, rng), attn_q=attn[0], attn_k=attn[1], attn_v=attn[2],
+        kernels=Tensor(np.zeros((6, 2))), gate=MLP.init(6, 4, 1, rng)))
+
+
+def test_desk_rates_hand_count():
     # light: 3*8 + 8*2 (encoder) + 3*4 + 2*5*2 (attention) + 6*2 (kernels)
     #        + 6*4 + 4 (gate) = 24+16+12+20+12+24+4 = 112
     # scorer: 3*8 + 8*2 (encoder) + 2*3 (linear head) = 46
     # heavy, per row: 2*3*10 + 10*2 (encoder) = 60+20 = 80
     # head, per video: 2*7 + 7*3 = 14+21 = 35
-    got = cm.desk_flops(d_raw=3, light_channels=2, n_kernels=6, gate_hidden=4,
-                        timesteps=5, segment_len=2, heavy_channels=2,
-                        heavy_hidden=10, head_hidden=7, n_classes=3,
-                        attention=True, light_hidden=8)
-    assert got["desk_light"] * cm.GFLOP == pytest.approx(112, abs=1e-9)
-    assert got["desk_scorer"] * cm.GFLOP == pytest.approx(46, abs=1e-9)
-    assert got["desk_heavy"] * cm.GFLOP == pytest.approx(80, abs=1e-9)
-    assert got["desk_head"] * cm.GFLOP == pytest.approx(35, abs=1e-9)
+    got = cost_registry(_hand_bundle("selector"), 5)
+    scorer = cost_registry(_hand_bundle("scorer"), 5)
+    assert got.rate("desk_light") * cm.GFLOP == pytest.approx(112, abs=1e-9)
+    assert scorer.rate("desk_light") * cm.GFLOP == pytest.approx(46, abs=1e-9)
+    assert got.rate("desk_heavy") * cm.GFLOP == pytest.approx(80, abs=1e-9)
+    assert got.rate("desk_head") * cm.GFLOP == pytest.approx(35, abs=1e-9)
 
 
-def test_desk_flops_frame_mode_drops_attention_terms():
-    kwargs = dict(d_raw=3, light_channels=2, n_kernels=6, gate_hidden=4,
-                  timesteps=5, segment_len=2, heavy_channels=2,
-                  heavy_hidden=10, head_hidden=7, n_classes=3, light_hidden=8)
-    ctx = cm.desk_flops(attention=True, **kwargs)
-    frame = cm.desk_flops(attention=False, **kwargs)
-    diff = (ctx["desk_light"] - frame["desk_light"]) * cm.GFLOP
+def test_desk_rates_frame_mode_drops_attention_terms():
+    ctx = cost_registry(_hand_bundle("selector", attention=True), 5)
+    frame = cost_registry(_hand_bundle("selector", attention=False), 5)
+    diff = (ctx.rate("desk_light") - frame.rate("desk_light")) * cm.GFLOP
     assert diff == pytest.approx(3 * 2 * 2 + 2 * 5 * 2, abs=1e-9)
 
 
-def test_desk_flops_registers_into_registry():
-    entries = cm.desk_flops(d_raw=32, light_channels=16, n_kernels=32,
-                            gate_hidden=16, timesteps=32, segment_len=8,
-                            heavy_channels=32, heavy_hidden=128, head_hidden=256,
-                            n_classes=10, attention=True, light_hidden=64)
-    registry = cm.CostRegistry(rates=entries)
-    assert set(registry.rates) == {"desk_light", "desk_scorer", "desk_heavy", "desk_head"}
+def test_desk_rates_register_into_registry():
+    registry = cost_registry_for(ExperimentConfig())
+    assert set(registry.rates) == {"desk_light", "desk_heavy", "desk_head"}
     rep = cm.pipeline_cost(32, 8, registry.rate("desk_light"),
                            registry.rate("desk_heavy"), registry.rate("desk_head"))
     assert rep.total_gflops > 0
     with pytest.raises(DomainError):
-        cm.desk_flops(d_raw=0, light_channels=16, n_kernels=32, gate_hidden=16,
-                      timesteps=32, segment_len=8, heavy_channels=32,
-                      heavy_hidden=128, head_hidden=256, n_classes=10,
-                      attention=True, light_hidden=64)
+        MLP.init(0, 64, 16, np.random.default_rng(0))

@@ -10,6 +10,7 @@ from conftest import tiny_config, traced_peak
 from stepgate.autodiff import sigmoid_np
 from stepgate.baselines import scsampler_scores
 from stepgate.classifier import classify, heavynet_features
+from stepgate.costmodel import GFLOP
 from stepgate.errors import ContractError, DomainError
 from stepgate.harness import evaluation
 from stepgate.harness.checkpoint import Checkpoint
@@ -153,6 +154,19 @@ def test_cost_scales_with_budget(e2e_setup):
     assert c1.heavy_gflops == pytest.approx(registry.rate("desk_heavy"))
 
 
+def test_rates_follow_the_layers(monkeypatch):
+    """The rates are read off the weights the layers hold, so a width
+    changed in the layer's module changes the rate with no formula edit."""
+    monkeypatch.setattr("stepgate.selector.LIGHT_HIDDEN", 5)
+    monkeypatch.setattr("stepgate.classifier.HEAVY_HIDDEN", 9)
+    cfg = tiny_config("e2e")  # d_raw 6, T 6, C 8, 8 kernels, gate hidden 4
+    registry = cost_registry_for(cfg)
+    # encoder 6*5 + 5*8, attention 3*8*8 + 2*6*8, kernels 8*8, gate 8*4 + 4
+    assert registry.rate("desk_light") * GFLOP == pytest.approx(458, abs=1e-9)
+    # segment_len 2: encoder 2*6*9 + 9*4
+    assert registry.rate("desk_heavy") * GFLOP == pytest.approx(144, abs=1e-9)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_every_entry_charges_one_head_pass_per_video(mode, tiny_data):
     """The head runs once per video on the pooled features, so every arm's
@@ -164,6 +178,10 @@ def test_every_entry_charges_one_head_pass_per_video(mode, tiny_data):
     registry = cost_registry_for(cfg)
     report = evaluate_bundle(build_bundle(cfg), cfg, tiny_data.test)
     for e in report.entries:
+        if mode in ("uniform", "random"):
+            assert e.cost.n_light == 0 and e.cost.light_gflops == 0
+        else:
+            assert e.cost.n_light == t
         assert e.cost.head_gflops == registry.rate("desk_head")
         assert e.cost.heavy_gflops == e.mean_selected * registry.rate("desk_heavy")
         assert e.cost.total_gflops == pytest.approx(
