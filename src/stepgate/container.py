@@ -2,14 +2,16 @@
 
 Layout: 4-byte magic | u32 format version | u32 header length | u32 CRC-32 |
 canonical JSON header (sorted keys, no whitespace) | little-endian body.  All
-integers are little-endian.  The CRC-32 covers the header and the body.
+integers are little-endian.  The CRC-32 covers the header and the body but
+not the prefix, so the header's ``format_version`` must be the prefix's int.
 
 The body is a list of whole arrays whose dtypes and shapes the header
 implies.  ``read`` streams it straight into the arrays it returns: the
 implied length must equal what the file holds before any array is
 allocated, and the checksum runs over each array as it lands.  So nothing
 from a truncated, padded or corrupt file is returned, and no allocation
-exceeds the file's size.
+exceeds the file's size.  ``all_finite`` is the one finiteness rule for
+the arrays either format stores.
 """
 
 from __future__ import annotations
@@ -49,16 +51,20 @@ def int_field(header: dict, key: str) -> int:
     return value
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite: min and max propagate NaN."""
+    return not a.size or bool(np.isfinite([a.min(), a.max()]).all())
+
+
 def read(path, magic: bytes, version: int, kind: str, layout) -> tuple[dict, list]:
     """Read one file into fresh arrays; returns (header, arrays).
 
     ``layout(header)`` checks the parsed header, may normalize its values in
     place, and returns the body's fields in file order, each a ``(dtype,
-    shape)`` pair with the dtype as stored (``"<f8"``, or ``"<f4"`` for SGDS
-    frames).  Each field becomes one array of that shape, read whole.  Any
-    file this module did not write intact, or whose header ``layout`` rejects
-    with a ``ValueError``, ``KeyError``, ``TypeError`` or ``OverflowError``,
-    raises ``FormatError``.
+    shape)`` pair with the dtype as stored.  Each field becomes one array of
+    that shape, read whole.  Any file this module did not write intact, or
+    whose header ``layout`` rejects with a ``ValueError``, ``KeyError``,
+    ``TypeError`` or ``OverflowError``, raises ``FormatError``.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -83,6 +89,8 @@ def read(path, magic: bytes, version: int, kind: str, layout) -> tuple[dict, lis
         if not isinstance(header, dict):
             raise FormatError(f"{path}: {kind} header is not a JSON object")
         try:
+            if int_field(header, "format_version") != version:
+                raise ValueError("the header's format_version is not the prefix's")
             fields = [(np.dtype(dt), tuple(shape)) for dt, shape in layout(header)]
         except (ValueError, KeyError, TypeError, OverflowError) as exc:  # int(inf)
             raise FormatError(f"{path}: corrupt {kind} header ({exc})") from exc

@@ -42,11 +42,12 @@ version, u32 header length, u32 CRC-32, canonical JSON header
 field: (P, d_raw) f8 prototypes, (N, L) f8 labels, (N, T) u1 relevance, (N,
 T) i8 planted ids and (N, T, frames_per_slot, d_raw) f4 frames.
 ``load_split`` reads each field straight into its array and checks its
-content; a loaded video's arrays are rows of those.  The header alone does
-not bound the recipe book's size, so the book is derived only once the body
-has been read: each video's stored relevance must then equal its positive
-classes' recipe membership, which catches a book that drifted from the one
-the file was written under.
+content, finite prototypes and frames (``container.all_finite``) included;
+a loaded video's arrays are rows of those.  The header alone does not bound
+the recipe book's size, so the book is derived only once the body has been
+read: each video's stored relevance must then equal its positive classes'
+recipe membership, which catches a book that drifted from the one the file
+was written under.
 """
 
 from __future__ import annotations
@@ -297,16 +298,10 @@ def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -
                                    np.random.default_rng(seed ^ (first + k)), scratch,
                                    frames[k])
                        for k, c in enumerate(labels)])
-        if not _finite(frames):
+        if not container.all_finite(frames):
             raise GenerationError(f"a frame value does not fit float32 at noise_sigma "
                                   f"{spec.noise_sigma}")
     return Dataset(spec=spec, prototypes=prototypes, train=splits[0], test=splits[1], seed=seed)
-
-
-def _finite(frames: np.ndarray) -> bool:
-    """Whether every frame value is finite; min and max propagate NaN, so
-    neither needs a frames-sized mask."""
-    return not frames.size or bool(np.isfinite([frames.min(), frames.max()]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +380,8 @@ def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
             ((relevance > 1).any(), "a relevance byte is not 0 or 1"),
             (((planted < 0) | (planted >= spec.n_prototypes)).any(),
              f"a planted prototype id lies outside [0, {spec.n_prototypes})"),
-            (not _finite(frames), "a frame value is not finite")):
+            (not container.all_finite(prototypes), "a prototype value is not finite"),
+            (not container.all_finite(frames), "a frame value is not finite")):
         if bad:
             raise FormatError(f"{path}: {what}")
     try:  # derived only now that the body's labels and prototypes bound its size

@@ -105,10 +105,11 @@ def test_version_1_files_are_rejected(tmp_path, bundle_and_ckpt):
     path = tmp_path / "x.sgck"
     save_checkpoint(path, ckpt)
     raw = path.read_bytes()
-    assert FORMAT_VERSION == 5
+    assert FORMAT_VERSION == 6
     # v1 stored Adam moments; v2 had flat enc_*/gate_* names; v3 stored the
-    # model's spatial grid; v4 weights fed each row to the head before the pool
-    for version in (1, 2, 3, 4):
+    # model's spatial grid; v4 weights fed each row to the head before the
+    # pool; v5 stored the float32 weights as <f8 blocks
+    for version in (1, 2, 3, 4, 5):
         old = tmp_path / f"v{version}.sgck"
         old.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
         with pytest.raises(FormatError, match=f"unsupported checkpoint format version {version}"):
@@ -124,9 +125,11 @@ def _header_and_body(path):
 
 @pytest.fixture()
 def large_ckpt(tmp_path):
-    """A checkpoint of about 6 MB of blocks, so a whole-file buffer shows."""
+    """A checkpoint of about 6 MB of float32 blocks, so a whole-file buffer
+    shows."""
     rng = np.random.default_rng(0)
-    params = {"a": rng.standard_normal((512, 1024)), "b": rng.standard_normal(256 * 1024)}
+    params = {"a": rng.standard_normal((1024, 1024), np.float32),
+              "b": rng.standard_normal(512 * 1024, np.float32)}
     path = tmp_path / "large.sgck"
     save_checkpoint(path, Checkpoint(config=tiny_config().to_dict(), step=1, params=params))
     return path, params
@@ -160,15 +163,21 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bun
     cases = {
         "missing_step": ({k: v for k, v in header.items() if k != "step"}, body),
         "version_disagrees": ({**header, "format_version": 1}, body),
+        "string_version": ({**header, "format_version": str(FORMAT_VERSION)}, body),
+        "float_version": ({**header, "format_version": float(FORMAT_VERSION)}, body),
+        "negative_step": ({**header, "step": -5}, body),
+        # one block more than the names: a repeated name dropped a block
+        "repeated_name": ({**header, "entries": header["entries"] + [first]},
+                          body + body[:4 * np.prod(first[1], dtype=int)]),
         "negative_shape": ({**header, "entries": [[first[0], [-1]]] + header["entries"][1:]}, body),
         "short_body": (header, body[:-8]),
         "long_body": (header, body + b"\x00" * 8),
         "not_an_object": ("SGCK", body),
     }
     # a -1 dimension made np.frombuffer hand "a" the whole body; "b" then
-    # re-read the header's last 8 bytes as its first float, and the offsets
+    # re-read the header's last bytes as its first value, and the offsets
     # came out even
-    n = len(body) // 8
+    n = len(body) // 4
     for name, dims in {"swallowing_dim": [-1], "float_dim": [float(n)],
                        "string_dim": [str(n)], "bool_dim": [True], "scalar_dims": n}.items():
         cases[name] = ({**header, "entries": [["a", dims], ["b", [n + 1]]]}, body)
@@ -181,29 +190,9 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bun
     for name, value in {"nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}.items():
         bad = tmp_path / f"{name}_weight.sgck"
         container.write(bad, MAGIC, FORMAT_VERSION, header,
-                        [np.array([value], "<f8").tobytes() + body[8:]])
+                        [np.array([value], "<f4").tobytes() + body[4:]])
         with pytest.raises(FormatError, match=re.escape(f"{bad}: parameter {first[0]} ")):
             load_checkpoint(bad)
-
-
-@pytest.mark.parametrize("value", [3.5e38, -1e39, 1e308])
-def test_a_weight_past_float32_is_refused(tmp_path, bundle_and_ckpt, value):
-    """A finite float64 block value that would round to an infinite float32
-    weight, as a checkpoint of float64 weights may hold, is refused; the
-    largest value that rounds to a finite one loads."""
-    path = tmp_path / "x.sgck"
-    save_checkpoint(path, bundle_and_ckpt[2])
-    header, body = _header_and_body(path)
-    first = header["entries"][0][0]
-    bad = tmp_path / "big.sgck"
-    container.write(bad, MAGIC, FORMAT_VERSION, header,
-                    [np.array([value], "<f8").tobytes() + body[8:]])
-    with pytest.raises(FormatError, match=re.escape(f"{bad}: parameter {first} ")):
-        load_checkpoint(bad)
-    edge = np.nextafter(2.0 ** 128 - 2.0 ** 103, 0.0)
-    container.write(bad, MAGIC, FORMAT_VERSION, header,
-                    [np.array([edge], "<f8").tobytes() + body[8:]])
-    assert load_checkpoint(bad).params[first].flat[0] == edge
 
 
 @pytest.fixture(scope="module")

@@ -168,17 +168,20 @@ def test_a_version_3_split_is_refused_by_eval_in_one_line(cfg_file, trained, tmp
 def test_a_version_4_checkpoint_is_refused_by_eval_in_one_line(cfg_file, trained,
                                                               tmp_path, capsys):
     """A version 4 checkpoint, whose head scored each row before the pool,
-    is refused by name."""
+    and a version 5 one, which stored the float32 weights as <f8 blocks, are
+    refused by name."""
     header, blocks = container.read(trained / "checkpoint.sgck", CKPT_MAGIC,
                                     CKPT_VERSION, "checkpoint", checkpoint_layout)
-    old = tmp_path / "v4.sgck"
-    container.write(old, CKPT_MAGIC, 4, {**header, "format_version": 4}, blocks)
-    capsys.readouterr()
-    out = tmp_path / "ev"
-    assert main(["eval", "--checkpoint", str(old), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"runtime error: {old}: unsupported checkpoint format version 4\n"
-    assert not (out / "metrics.json").exists()
+    for version in (4, 5):
+        old = tmp_path / f"v{version}.sgck"
+        container.write(old, CKPT_MAGIC, version, {**header, "format_version": version},
+                        [b.astype("<f8") for b in blocks])
+        capsys.readouterr()
+        out = tmp_path / f"ev{version}"
+        assert main(["eval", "--checkpoint", str(old), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"runtime error: {old}: unsupported checkpoint format version {version}\n"
+        assert not (out / "metrics.json").exists()
 
 
 def test_a_non_finite_weight_is_refused_by_eval_in_one_line(trained, tmp_path, capsys):

@@ -37,3 +37,18 @@ def test_a_report_diff_shows_each_entry_on_both_sides():
         "  entries differs, largest change 4",
         "  selection differs, largest change 0.125",
     ]
+
+
+def test_a_checkpoint_with_other_bytes_and_the_same_content_is_no_difference():
+    want = {"sha256": "a", "ckpt_content": "c", "weights": "w", "splits": "s",
+            "split_content": "t", "report": {}, "reload": {}, "cli": {}}
+    assert same_outputs._verdict(want, want) == (
+        False, "same bytes, same weights, same splits, equal report, equal reload, equal cli")
+    differs, verdicts = same_outputs._verdict(want, {**want, "sha256": "b"})
+    assert not differs and verdicts.startswith("same checkpoint content, ")
+    differs, verdicts = same_outputs._verdict(want, {**want, "sha256": "b",
+                                                     "ckpt_content": "d"})
+    assert differs and verdicts.startswith("CHECKPOINT DIFFERS, ")
+    differs, verdicts = same_outputs._verdict(want, {**want, "splits": "x"})
+    assert not differs and "same split content" in verdicts
+    assert same_outputs._verdict(want, None)[0]

@@ -495,7 +495,7 @@ def _header_and_body(path):
 def _fields(prototypes, videos):
     """A split's body fields, built with numpy alone: prototypes, labels,
     relevance, planted ids and frames, in file order."""
-    return [np.asarray(prototypes, dtype="<f8"),
+    return [np.array(prototypes, dtype="<f8"),
             np.stack([v.labels for v in videos]).astype("<f8"),
             np.stack([v.relevance for v in videos]).astype("u1"),
             np.stack([v.planted for v in videos]).astype("<i8"),
@@ -526,8 +526,8 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, lar
     layout still fail as FormatError, never as a parser's own exception,
     and before anything the size of the body is allocated; a body that fits
     but holds content no generated split holds (a label row that is not
-    one-hot, a relevance byte or planted id out of range, a frame value that
-    is NaN or infinite) fails once read, naming the file."""
+    one-hot, a relevance byte or planted id out of range, a prototype or
+    frame value that is NaN or infinite) fails once read, naming the file."""
     path = tmp_path / "x.sgds"
     sd.save_split(path, large, "test")
     header, body = _header_and_body(path)
@@ -553,6 +553,10 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, lar
                               "n_shared": 50000}, body),
         "long_body": (header, body + b"\x00"),
         "not_an_object": ([1, 2], body),
+        # the checksum does not cover the prefix's version, only this copy
+        "older_version": ({**header, "format_version": sd.FORMAT_VERSION - 1}, body),
+        "string_version": ({**header, "format_version": str(sd.FORMAT_VERSION)}, body),
+        "float_version": ({**header, "format_version": float(sd.FORMAT_VERSION)}, body),
     }
     for name, (h, b) in cases.items():
         bad = tmp_path / f"{name}.sgds"
@@ -574,6 +578,8 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, lar
         "nan_frame": (4, (0, 0, 0, 0), np.nan, "frame value is not finite"),
         "inf_frame": (4, (3, 7, 1, 5), np.inf, "frame value is not finite"),
         "minus_inf_frame": (4, (5, 31, 1, 31), -np.inf, "frame value is not finite"),
+        "nan_prototype": (0, (0, 0), np.nan, "prototype value is not finite"),
+        "inf_prototype": (0, (0, 0), np.inf, "prototype value is not finite"),
         "relevance_flipped": (2, (2, 5), 1 - large.test[2].relevance[5], "recipe membership"),
     }
     for name, (field, at, value, message) in content.items():

@@ -26,18 +26,22 @@ spec's scalar parameters, its recipe book and ``n_prototypes``, the
 header's ``n_videos``, ``seed`` and ``split``, the prototypes, and each
 video's frames, sorted positive classes, relevance and planted ids.  These
 are what a split holds under any header layout: a header that stores the
-book and one that derives it compare equal.  The trained
-parameters are hashed apart from the file, name by name in name order, so a
-change that only touches the stored config reads as the same weights.  The
-tool prints one line per case, naming the checkpoint's sha256, whether the
-checkpoint files and the weights are the same on both sides, whether both
-split files have the same sha256 on both sides or else the same content,
-and whether the eval reports, the reloaded checkpoints' reports and the CLI
-outputs are equal.  Where the eval reports differ, it prints each entry's
-metric and ``mean_selected`` (heavy rows per video) on both sides, and names
-each report field that differs with the largest change among its numbers,
-so a change that moves every report shows by how much.  Split files whose bytes differ but whose content is the
-same, as after a split format change, do not count as a difference.
+book and one that derives it compare equal.  The saved checkpoint is read
+back the same way and hashed by content: its config, its step, and its
+weights' names, shapes and values as float64, so float32 and float64 blocks
+of one weight compare equal.  The trained parameters are hashed apart from
+the file, name by name in name order, so a change that only touches the
+stored config reads as the same weights.  The tool prints one line per
+case, naming the checkpoint's sha256, whether both checkpoint files have
+the same sha256 on both sides or else the same content, whether the weights
+are the same, whether both split files have the same sha256 or else the
+same content, and whether the eval reports, the reloaded checkpoints'
+reports and the CLI outputs are equal.  Where the eval reports differ, it
+prints each entry's metric and ``mean_selected`` (heavy rows per video) on
+both sides, and names each report field that differs with the largest
+change among its numbers, so a change that moves every report shows by how
+much.  Checkpoint and split files whose bytes differ but whose content is
+the same, as after a format change, do not count as a difference.
 It then compares the output of ``stepgate gradcheck --seed 0``, ``--seed
 1`` and ``--seed 6`` (the seed whose worst case sits nearest the threshold);
 where it differs, it names the cases found on one side only and the cases
@@ -152,9 +156,21 @@ def _weights(params: dict) -> str:
     return h.hexdigest()
 
 
+def _checkpoint_content(path: Path) -> str:
+    """sha256 of what the imported side's ``load_checkpoint`` reads from
+    ``path``: the config, the step and the weights as ``_weights`` hashes
+    them, independent of the blocks' dtype."""
+    from stepgate.harness.checkpoint import load_checkpoint
+
+    ckpt = load_checkpoint(path)
+    h = hashlib.sha256(json.dumps([ckpt.config, ckpt.step], sort_keys=True).encode())
+    h.update(_weights(ckpt.params).encode())
+    return h.hexdigest()
+
+
 def worker(root: Path) -> None:
-    """Print {case: {"sha256", "weights", "splits", "split_content", "report",
-    "reload", "cli"}} for ``root``'s code."""
+    """Print {case: {"sha256", "ckpt_content", "weights", "splits",
+    "split_content", "report", "reload", "cli"}} for ``root``'s code."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from stepgate.harness.checkpoint import load_checkpoint, save_checkpoint
     from stepgate.harness.evaluation import evaluate_bundle, evaluate_checkpoint
@@ -173,7 +189,7 @@ def worker(root: Path) -> None:
             result = run_training(cfg, data)
             path = Path(tmp) / "run.sgck"
             save_checkpoint(path, result.checkpoint)
-            out[name] = {"sha256": _sha256(path),
+            out[name] = {"sha256": _sha256(path), "ckpt_content": _checkpoint_content(path),
                          "weights": _weights(result.checkpoint.params),
                          "splits": splits, "split_content": content,
                          "report": evaluate_bundle(result.bundle, cfg, data.test).to_dict(),
@@ -232,6 +248,24 @@ def _gradcheck_diff(parent: str, change: str) -> list[str]:
     return lines
 
 
+def _verdict(want: dict, have: dict | None) -> tuple[bool, str]:
+    """Whether a case differs between the parent's outputs ``want`` and the
+    change's ``have``, and its line's verdicts.  Checkpoint or split files
+    whose bytes differ but whose content is the same are no difference."""
+    def same(key):
+        return have is not None and have[key] == want[key]
+
+    ckpt = ("same bytes" if same("sha256") else
+            "same checkpoint content" if same("ckpt_content") else "CHECKPOINT DIFFERS")
+    splits = ("same splits" if same("splits") else
+              "same split content" if same("split_content") else "SPLITS DIFFER")
+    verdicts = [ckpt, "same weights" if same("weights") else "WEIGHTS DIFFER", splits,
+                "equal report" if same("report") else "REPORT DIFFERS",
+                "equal reload" if same("reload") else "RELOAD DIFFERS",
+                "equal cli" if same("cli") else "CLI DIFFERS"]
+    return any(v.isupper() for v in verdicts), ", ".join(verdicts)
+
+
 def _side(root: Path, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, *args], cwd=root, env=env,
@@ -258,24 +292,10 @@ def main(argv=None) -> int:
     differ = 0
     for name, want in got["parent"].items():
         have = got["change"].get(name)
-        same_bytes = have is not None and have["sha256"] == want["sha256"]
-        same_weights = have is not None and have["weights"] == want["weights"]
-        same_splits = have is not None and have["splits"] == want["splits"]
-        same_content = have is not None and have["split_content"] == want["split_content"]
-        same_report = have is not None and have["report"] == want["report"]
-        same_reload = have is not None and have["reload"] == want["reload"]
-        same_cli = have is not None and have["cli"] == want["cli"]
-        differ += not (same_bytes and same_weights and same_content and same_report
-                       and same_reload and same_cli)
-        splits = ("SPLITS DIFFER" if not same_content else
-                  "same splits" if same_splits else "same split content")
-        print(f"{name:<50} sha256 {want['sha256'][:16]} "
-              f"{'same bytes' if same_bytes else 'BYTES DIFFER'}, "
-              f"{'same weights' if same_weights else 'WEIGHTS DIFFER'}, {splits}, "
-              f"{'equal report' if same_report else 'REPORT DIFFERS'}, "
-              f"{'equal reload' if same_reload else 'RELOAD DIFFERS'}, "
-              f"{'equal cli' if same_cli else 'CLI DIFFERS'}")
-        if have is not None and not same_report:
+        differs, verdicts = _verdict(want, have)
+        differ += differs
+        print(f"{name:<50} sha256 {want['sha256'][:16]} {verdicts}")
+        if have is not None and have["report"] != want["report"]:
             print("\n".join(_report_diff(want["report"], have["report"])))
     for seed in GRADCHECK_SEEDS:
         outs = {side: _side(root, "-m", "stepgate", "gradcheck", "--seed", str(seed))
