@@ -68,13 +68,20 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write one checkpoint.  A finite weight past float32's range, which
+    its block would store as an infinity, raises ``ValueError`` before any
+    file is written; a value within the range is rounded to float32."""
     header = {
         "format_version": FORMAT_VERSION,
         "config": ckpt.config,
         "step": ckpt.step,
         "entries": [[n, list(a.shape)] for n, a in ckpt.params.items()],
     }
-    body = [np.ascontiguousarray(a, dtype="<f4") for a in ckpt.params.values()]
+    with np.errstate(over="ignore"):    # an overflow is named below
+        body = [np.ascontiguousarray(a, dtype="<f4") for a in ckpt.params.values()]
+    for (name, a), block in zip(ckpt.params.items(), body):
+        if not container.all_finite(block) and container.all_finite(np.asarray(a)):
+            raise ValueError(f"parameter {name} holds a value past float32's range")
     container.write(path, MAGIC, FORMAT_VERSION, header, body)
 
 

@@ -195,6 +195,28 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, bun
             load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("value", [3.5e38, -1e39, 1e308])
+def test_a_weight_past_float32_is_refused(tmp_path, bundle_and_ckpt, value):
+    """A finite weight that its float32 block would store as an infinity,
+    as a checkpoint of float64 weights may hold, is refused by name before
+    a file is written; the largest value that rounds to a finite float32
+    saves and loads as float32's largest."""
+    ckpt = bundle_and_ckpt[2]
+    first = next(iter(ckpt.params))
+    wide = ckpt.params[first].astype(np.float64)
+    wide.flat[0] = value
+    params = {**ckpt.params, first: wide}
+    bad = tmp_path / "big.sgck"
+    with pytest.raises(ValueError, match=re.escape(f"parameter {first} ")):
+        save_checkpoint(bad, Checkpoint(config=ckpt.config, step=ckpt.step, params=params))
+    assert not bad.exists()
+    wide.flat[0] = np.nextafter(2.0 ** 128 - 2.0 ** 103, 0.0) * np.sign(value)
+    save_checkpoint(bad, Checkpoint(config=ckpt.config, step=ckpt.step, params=params))
+    loaded = load_checkpoint(bad).params[first]
+    assert loaded.flat[0] == np.finfo(np.float32).max * np.sign(value)
+    nptest.assert_array_equal(loaded.flat[1:], ckpt.params[first].flat[1:])
+
+
 @pytest.fixture(scope="module")
 def saved_ckpt(tmp_path_factory):
     cfg = tiny_config("uniform", **{"model.heavy_channels": 2})
