@@ -1,8 +1,8 @@
 """Heavy-stage classification: segment encoder, max-pooling over time, then a head.
 
-The heavy encoder, an ``autodiff.MLP``, consumes the first ``segment_len``
-raw frames of each selected timestep slot: a video's frames are shaped
-(T, frames_per_slot, d_raw), so a slot index picks its segment directly.  It
+The heavy encoder, an ``autodiff.MLP``, consumes each selected timestep slot
+whole: a video's frames are shaped (T, frames_per_slot, d_raw), a slot is
+its segment, and the encoder's input width is frames_per_slot x d_raw.  It
 is the expensive part of the pipeline, so it only ever runs on the indices
 handed to it; ``heavy_rows`` counts every encoded timestep to make that
 property checkable.  Its features are one (C,) row per encoded timestep, a
@@ -12,8 +12,8 @@ video's timesteps, and maps each video's pooled row through a head (an
 ``MLP``), so duplicated timesteps never change the logits and a class score
 can combine evidence from several timesteps.  The rows of several videos
 may share one call: consecutive segments of rows belong to one video each.
-Parameters are named ``classifier.enc.*`` and ``classifier.head.*``; beside
-their shapes, ``ClassifierParams.segment_len`` is the heavy stage's one fact.
+Parameters are named ``classifier.enc.*`` and ``classifier.head.*``; their
+shapes are all the heavy stage knows of the data.
 """
 
 from __future__ import annotations
@@ -34,22 +34,19 @@ HEAD_HIDDEN = 256
 
 @dataclass
 class ClassifierParams:
-    """Learned state of the heavy stage; ``segment_len``, the leading frames
-    of a slot the encoder reads, is the one fact its input width (segment_len
-    x d_raw) cannot give back."""
+    """Learned state of the heavy stage: the segment encoder and the head."""
 
-    segment_len: int
-    enc: MLP  # segment_len * d_raw -> channels
+    enc: MLP  # frames_per_slot * d_raw -> channels
     head: MLP  # channels -> n_classes, per video on its pooled features
     heavy_rows: int = 0  # timesteps encoded so far, never reset; instrumentation only
 
     @classmethod
-    def init(cls, d_raw: int, segment_len: int, channels: int, n_classes: int,
+    def init(cls, d_raw: int, frames_per_slot: int, channels: int, n_classes: int,
              rng: np.random.Generator) -> "ClassifierParams":
         """Draws the heavy encoder, then the head."""
-        enc = MLP.init(segment_len * d_raw, HEAVY_HIDDEN, channels, rng)
+        enc = MLP.init(frames_per_slot * d_raw, HEAVY_HIDDEN, channels, rng)
         head = MLP.init(channels, HEAD_HIDDEN, n_classes, rng)
-        return cls(segment_len=segment_len, enc=enc, head=head)
+        return cls(enc=enc, head=head)
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +55,10 @@ class ClassifierParams:
 
 def heavynet_features(frames: np.ndarray, indices,
                       params: ClassifierParams) -> Tensor:
-    """Encode the segments of the given slots of a (slots, frames_per_slot,
-    d_raw) array of frames, ``frames[idx, :segment_len]``; nothing else runs.
-    The segments enter the encoder in the frames' dtype, float32 as stored,
-    with no cast: the encoder runs in float32 on a float32 bundle.  A stack
-    of one-segment slots indexed whole and in order, as training passes its
-    batch, is read in place, with no gather.
+    """Encode the given slots of a (slots, frames_per_slot, d_raw) array of
+    frames, each slot whole, ``frames[idx]``; nothing else runs.  The
+    segments enter the encoder in the frames' dtype, float32 as stored, with
+    no cast: the encoder runs in float32 on a float32 bundle.
 
     Returns features of shape (T', channels).  An empty index list is a
     contract violation: the empty-selection fallback happens before this
@@ -73,12 +68,10 @@ def heavynet_features(frames: np.ndarray, indices,
     if not idx.size:
         raise ContractError("heavynet_features needs at least one timestep; "
                             "apply the empty-selection fallback upstream")
-    m = params.segment_len
-    if (frames.ndim != 3 or frames.shape[1] < m
-            or m * frames.shape[2] != params.enc.n_in):
+    if frames.ndim != 3 or frames.shape[1] * frames.shape[2] != params.enc.n_in:
         raise DimensionError(
-            f"frames shape {frames.shape} is not slots of at least segment_len "
-            f"{m} frames for encoder input width {params.enc.n_in} (= segment_len x d_raw)"
+            f"frames shape {frames.shape} is not slots of frames_per_slot x d_raw "
+            f"= encoder input width {params.enc.n_in}"
         )
     # negative indices would wrap without an error; read as unsigned they
     # exceed n, so one max checks both ends of this per-video call
@@ -86,10 +79,8 @@ def heavynet_features(frames: np.ndarray, indices,
     if idx.view(np.uint64).max() >= n:
         bad = idx[(idx < 0) | (idx >= n)][0]
         raise ContractError(f"slot {bad} falls outside the {n} slots")
-    whole = frames.shape[1] == m and idx.size == n and (idx == np.arange(n)).all()
-    segments = (frames if whole else frames[idx, :m]).reshape(idx.size, -1)
     params.heavy_rows += idx.size
-    return params.enc(Tensor(segments))
+    return params.enc(Tensor(frames[idx].reshape(idx.size, -1)))
 
 
 def classify(features: Tensor, gate_values: Tensor | None, head: MLP,

@@ -27,7 +27,7 @@ from .config import ExperimentConfig, load_config
 from .evaluation import entry_key, evaluate_bundle
 from .gradsuite import THRESHOLD, run_gradient_suite, suite_passes
 from .models import ModelBundle
-from .training import resolve_dataset, run_training
+from .training import generate_configured, resolve_dataset, run_training
 
 TRAINING_LOG_HEADER = "phase,epoch,loss,accuracy,selected_ratio,fallback_share"
 
@@ -110,7 +110,7 @@ def _out_dir(args) -> Path:
 def _cmd_generate_data(args) -> int:
     config = _load(args)
     out = _out_dir(args)
-    dataset = resolve_dataset(config)
+    dataset = generate_configured(config)
     for split in ("train", "test"):
         save_split(out / f"{split}.sgds", dataset, split)
     print(f"wrote {len(dataset.train)} train / {len(dataset.test)} test videos "

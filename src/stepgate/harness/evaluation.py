@@ -181,16 +181,16 @@ def entry_key(budget: int | None) -> str:
 
 def light_frames(videos: list, config: ExperimentConfig) -> np.ndarray:
     """What the light networks read: the light frame of every slot of
-    ``videos``, the middle frame of the slot's heavy segment,
-    ``slot[segment_len // 2]``, as one (len(videos), T, d_raw) array in the
-    frames' dtype, float32 as stored, which the light networks read with no
-    cast.  Only the light frames are copied."""
-    t, m = config.dataset.timesteps, config.model.segment_len
+    ``videos``, the middle frame of the slot, which is the heavy segment,
+    ``slot[frames_per_slot // 2]``, as one (len(videos), T, d_raw) array in
+    the frames' dtype, float32 as stored, which the light networks read with
+    no cast.  Only the light frames are copied."""
+    t, m = config.dataset.timesteps, config.dataset.frames_per_slot
     for v in videos:
-        if len(v.frames) != t or v.frames.shape[1] < m:
+        if v.frames.shape[:2] != (t, m):
             # a short video would shift every later video's rows
             raise DimensionError(f"video has {len(v.frames)} slots of {v.frames.shape[1]} "
-                                 f"frames, the config {t} slots of at least {m}")
+                                 f"frames, the config {t} slots of {m}")
     return np.stack([v.frames[:, m // 2] for v in videos])
 
 

@@ -30,7 +30,7 @@ def named_tensors(group, prefix: str = "") -> dict[str, Tensor]:
     """Every tensor of a dataclass of parameters (a bundle, or one group such
     as ``bundle.selector``), named ``prefix`` + its dotted field path, in
     field order.  A dataclass field is walked into; a ``None`` group or
-    projection and a plain number such as ``segment_len`` are skipped."""
+    projection and a plain number such as ``heavy_rows`` are skipped."""
     out: dict[str, Tensor] = {}
     for f in fields(group):
         value = getattr(group, f.name)
@@ -78,7 +78,7 @@ def _draw_bundle(config: ExperimentConfig) -> ModelBundle:
                                    m.open_bias, attention, rng)
 
     def make_classifier() -> ClassifierParams:
-        return ClassifierParams.init(d.d_raw, m.segment_len, m.heavy_channels,
+        return ClassifierParams.init(d.d_raw, d.frames_per_slot, m.heavy_channels,
                                      d.n_classes, rng)
 
     if mode == "standalone":

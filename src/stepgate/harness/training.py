@@ -73,14 +73,21 @@ class TrainResult:
 # dataset plumbing
 
 
+def generate_configured(config: ExperimentConfig) -> Dataset:
+    """Generate the dataset of the config's dataset section and seed; its
+    ``path`` is not read."""
+    d = config.dataset
+    try:
+        return generate_dataset(d.spec(), d.n_train, d.n_test, config.seed)
+    except GenerationError as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
+
+
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     """Load the dataset a config points at, or generate it from the config."""
     d = config.dataset
     if d.path is None:
-        try:
-            return generate_dataset(d.spec(), d.n_train, d.n_test, config.seed)
-        except GenerationError as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
+        return generate_configured(config)
     base = d.path
     loaded = []
     for split, n_videos in (("train", d.n_train), ("test", d.n_test)):
@@ -186,14 +193,12 @@ def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
     """(B, L) logits of a batch: every video's picked timesteps through one
     heavy-encoder pass and one head pass, pooled per video.
 
-    Each video is T slots of shape (frames_per_slot, d_raw).  Only the picked
-    segments are copied, ``frames[b][idx, :segment_len]``, video after video,
-    into one preallocated (sum of picks, segment_len, d_raw) stack of
-    one-segment slots in the frames' dtype, which the encoder reads whole
-    and in place.
+    Each video is T slots of shape (frames_per_slot, d_raw), each slot one
+    segment.  Only the picked slots are copied, ``frames[b][idx]``, video
+    after video, into one preallocated (sum of picks, frames_per_slot, d_raw)
+    stack in the frames' dtype, which ``heavynet_features`` encodes whole.
     """
-    m = params.segment_len
-    segments = np.empty((sum(len(idx) for idx in picks), m, frames[0].shape[2]),
+    segments = np.empty((sum(len(idx) for idx in picks), *frames[0].shape[1:]),
                         dtype=frames[0].dtype)
     lo = 0
     for f, idx in zip(frames, picks):
@@ -201,7 +206,7 @@ def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
         # IndexError
         if not 0 <= min(idx) <= max(idx) < len(f):
             raise ContractError(f"picks {idx} fall outside the {len(f)} slots of a video")
-        segments[lo:lo + len(idx)] = f[idx, :m]
+        segments[lo:lo + len(idx)] = f[idx]
         lo += len(idx)
     before = params.heavy_rows
     feats = heavynet_features(segments, range(len(segments)), params)

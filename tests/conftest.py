@@ -14,7 +14,9 @@ from stepgate.synthdata import generate_dataset
 def tiny_config(mode="e2e", **overrides) -> ExperimentConfig:
     """Smallest experiment that still exercises every code path.  An
     override names a field of the config, ``"seed"``, or of one of its
-    sections, ``"training.epochs"``; any other name raises."""
+    sections, ``"training.epochs"``; any other name raises.
+    ``model.segment_len`` follows ``dataset.frames_per_slot``, which it must
+    equal."""
     cfg = ExperimentConfig(
         mode=mode,
         seed=0,
@@ -23,7 +25,7 @@ def tiny_config(mode="e2e", **overrides) -> ExperimentConfig:
                               frames_per_slot=2, noise_sigma=0.3,
                               relevant_fraction=0.34, confuser_share=0.35),
         model=ModelConfig(light_channels=8, heavy_channels=4, n_kernels=8,
-                          gate_hidden=4, segment_len=2, open_bias=2.0),
+                          gate_hidden=4, open_bias=2.0),
         training=TrainingConfig(batch_size=6, epochs=2, lr=1e-3, eps=1e-4),
         eval=EvalConfig(),
     )
@@ -33,6 +35,7 @@ def tiny_config(mode="e2e", **overrides) -> ExperimentConfig:
         if name not in {f.name for f in fields(target)}:
             raise AttributeError(f"tiny_config override {key!r} names no config field")
         setattr(target, name, val)
+    cfg.model.segment_len = cfg.dataset.frames_per_slot
     return cfg
 
 

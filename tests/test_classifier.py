@@ -10,11 +10,11 @@ import stepgate.selector as sel
 from stepgate.autodiff import Tensor
 from stepgate.errors import ContractError, DimensionError, DomainError
 
-SLOT = 16  # frames per slot
+SLOT = 8  # frames per slot: the heavy encoder reads a slot whole
 
 
-def make_params(channels=3, n_classes=4, segment_len=8, d_raw=5, seed=0):
-    return cls.ClassifierParams.init(d_raw, segment_len, channels, n_classes,
+def make_params(channels=3, n_classes=4, d_raw=5, seed=0):
+    return cls.ClassifierParams.init(d_raw, SLOT, channels, n_classes,
                                      np.random.default_rng(seed))
 
 
@@ -23,7 +23,7 @@ def random_frames(rng, timesteps=4, d_raw=5):
 
 
 def encode_oracle(frames, indices, params):
-    rows = np.stack([frames[i][:params.segment_len].ravel() for i in indices])
+    rows = np.stack([frames[i].ravel() for i in indices])
     enc = params.enc
     h = np.maximum(rows @ enc.w1.data + enc.b1.data, 0.0)
     return h @ enc.w2.data + enc.b2.data
@@ -55,12 +55,32 @@ def test_heavynet_matches_numpy_oracle():
 def test_heavynet_runs_only_on_given_indices():
     params = make_params()
     frames = random_frames(np.random.default_rng(2))
-    # corrupt every frame outside the requested segments; output must not move
+    # corrupt every slot outside the requested ones; output must not move
     base = cls.heavynet_features(frames, [1], params).data.copy()
     wrecked = np.full_like(frames, 1e6)
-    seg = (1, slice(0, params.segment_len))
-    wrecked[seg] = frames[seg]
+    wrecked[1] = frames[1]
     nptest.assert_array_equal(cls.heavynet_features(wrecked, [1], params).data, base)
+
+
+def test_every_frame_of_a_picked_slot_reaches_the_encoder():
+    """Changing any one frame of a picked slot changes that slot's feature
+    row alone; changing an unpicked slot changes nothing."""
+    params = make_params()
+    frames = random_frames(np.random.default_rng(12))
+    picked = [3, 1]
+    base = cls.heavynet_features(frames, picked, params).data
+    for row, slot in enumerate(picked):
+        for f in range(SLOT):
+            bumped = frames.copy()
+            bumped[slot, f] += 1.0
+            got = cls.heavynet_features(bumped, picked, params).data
+            assert np.any(got[row] != base[row]), (slot, f)
+            nptest.assert_array_equal(np.delete(got, row, axis=0),
+                                      np.delete(base, row, axis=0))
+    for slot in (0, 2):
+        bumped = frames.copy()
+        bumped[slot] += 1.0
+        nptest.assert_array_equal(cls.heavynet_features(bumped, picked, params).data, base)
 
 
 def test_heavynet_instrumentation_counts_encoded_timesteps():
@@ -88,11 +108,10 @@ def test_heavynet_contract_errors():
             cls.heavynet_features(frames, idx, params)
     assert params.heavy_rows == 0
     for bad in (np.zeros((4, SLOT, 7)),          # wrong width
-                # twice the width: 4 frames of it fill the encoder, but the
-                # segment is 8 frames
-                np.zeros((4, SLOT, 10)),
+                np.zeros((4, SLOT, 10)),         # twice the width
                 np.zeros((4 * SLOT, 5)),         # frames not in slots
-                frames[:, :7]):                  # slots shorter than segment_len 8
+                frames[:, :7],                   # slots shorter than 8 frames
+                np.zeros((4, SLOT + 1, 5))):     # slots longer than 8 frames
         with pytest.raises(DimensionError):
             cls.heavynet_features(bad, [0], params)
 
@@ -194,14 +213,14 @@ def test_task_loss_unknown_task():
 def build_small_pipeline(seed=0):
     rng = np.random.default_rng(seed)
     sparams = sel.SelectorParams.init(4, 3, 4, 6, 1.5, True, rng)
-    cparams = cls.ClassifierParams.init(4, 4, 4, 3, rng)
-    frames = np.random.default_rng(seed + 100).standard_normal((3, SLOT, 4))
+    cparams = cls.ClassifierParams.init(4, 4, 4, 3, rng)   # 4-frame slots
+    frames = np.random.default_rng(seed + 100).standard_normal((3, 4, 4))
     return sparams, cparams, frames
 
 
 def e2e_loss(sparams, cparams, frames, noises, label):
     import stepgate.gating as gt
-    alphas = sel.select(frames[None, :, 2], sparams, "test").logits   # segment_len 4
+    alphas = sel.select(frames[None, :, 2], sparams, "test").logits   # 4-frame slots
     activated, open_mask = gt.activate_train_batch(alphas, noises)
     selected = [i for i in range(3) if open_mask[i]]
     feats = cls.heavynet_features(frames, selected, cparams)

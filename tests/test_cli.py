@@ -61,6 +61,17 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["train", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("segment_len", [4, 16])
+def test_a_segment_len_unlike_the_slots_is_a_config_error(tmp_path, capsys, segment_len):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": {"segment_len": segment_len},
+                                "dataset": {"frames_per_slot": 8}}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"config error: model.segment_len {segment_len} "
+                                       f"must equal dataset.frames_per_slot 8\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_config_path_that_is_a_directory_exits_one(tmp_path, capsys):
     folder = tmp_path / "configs"
     folder.mkdir()
@@ -371,6 +382,25 @@ def test_generate_data_writes_splits(cfg_file, tmp_path, capsys):
     assert "12 train / 6 test" in capsys.readouterr().out
 
 
+def test_one_config_naming_its_own_data_runs_generate_train_and_eval(cfg_file, tmp_path,
+                                                                      capsys):
+    """generate-data writes the splits a config names as its dataset path,
+    byte for byte those a path-free copy of it writes, and train and eval
+    then read them under the same config."""
+    data = tmp_path / "data"
+    own = _stored_config(cfg_file, data, tmp_path / "own.json")
+    assert main(["generate-data", "--config", own, "--out", str(data)]) == 0
+    assert main(["generate-data", "--config", cfg_file,
+                 "--out", str(tmp_path / "free")]) == 0
+    for split in ("train", "test"):
+        name = f"{split}.sgds"
+        assert (data / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
+    assert main(["train", "--config", own, "--out", str(tmp_path / "run")]) == 0
+    assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.sgck"),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_train_writes_log_and_checkpoint(trained, capsys):
     log = (trained / "training_log.csv").read_text().splitlines()
     assert log[0] == "phase,epoch,loss,accuracy,selected_ratio,fallback_share"
@@ -550,6 +580,23 @@ def test_a_stored_selection_key_is_refused_and_a_config_override_evaluates(
     assert main(["eval", "--checkpoint", str(stored_selection_key), "--config", cfg_file,
                  "--out", str(out)]) == 0
     assert (out / "metrics.json").exists()
+
+
+def test_a_stored_segment_len_unlike_the_slots_is_refused_by_eval_in_one_line(
+        trained, tmp_path, capsys, no_dataset):
+    """A stored config whose heavy segment (1 frame) is shorter than its
+    2-frame slots, which the prefix reader once accepted, is invalid."""
+    ckpt = load_checkpoint(trained / "checkpoint.sgck")
+    assert ckpt.config["dataset"]["frames_per_slot"] == 2
+    path = tmp_path / "prefix.sgck"
+    config = {**ckpt.config, "model": {**ckpt.config["model"], "segment_len": 1}}
+    save_checkpoint(path, Checkpoint(config=config, step=ckpt.step, params=ckpt.params))
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"runtime error: {path}: stored config is invalid (model.segment_len 1 "
+                   f"must equal dataset.frames_per_slot 2)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval"])

@@ -18,16 +18,16 @@ def test_defaults_round_trip_through_dict():
 
 
 def test_the_default_splits_store_exactly_the_frames_the_models_read(tmp_path):
-    """The heavy encoder reads ``slot[:segment_len]`` and the light networks
-    ``slot[segment_len // 2]``, so a default slot holds ``segment_len``
-    frames, in memory and on disk."""
+    """The heavy encoder reads a slot whole and the light networks
+    ``slot[frames_per_slot // 2]``, so a default slot holds
+    ``frames_per_slot`` frames, in memory and on disk."""
     cfg = ExperimentConfig()
-    d, m = cfg.dataset, cfg.model
-    assert d.frames_per_slot == m.segment_len
+    d = cfg.dataset
+    assert d.frames_per_slot == cfg.model.segment_len == 8
     dataset = generate_dataset(d.spec(), 1, 1, cfg.seed)
     save_split(tmp_path / "test.sgds", dataset, "test")
     for videos in (dataset.train, dataset.test, load_split(tmp_path / "test.sgds")[2]):
-        assert videos[0].frames.base.shape == (1, d.timesteps, m.segment_len, d.d_raw)
+        assert videos[0].frames.base.shape == (1, d.timesteps, d.frames_per_slot, d.d_raw)
 
 
 def test_partial_dict_fills_defaults():

@@ -168,11 +168,11 @@ def test_csv_has_header_and_newline_termination():
 
 def _hand_bundle(stage: str, attention: bool = True) -> ModelBundle:
     """A bundle with hand-sized widths: d_raw 3, light hidden 8, C 2, 6
-    kernels, gate hidden 4, segment_len 2, heavy hidden 10, heavy channels 2,
+    kernels, gate hidden 4, 2-frame slots, heavy hidden 10, heavy channels 2,
     head hidden 7, 3 classes.  Its light stage is the selector (with or
     without attention) or the scorer."""
     rng = np.random.default_rng(0)
-    classifier = ClassifierParams(segment_len=2, enc=MLP.init(2 * 3, 10, 2, rng),
+    classifier = ClassifierParams(enc=MLP.init(2 * 3, 10, 2, rng),
                                   head=MLP.init(2, 7, 3, rng))
     if stage == "scorer":
         return ModelBundle(classifier=classifier, scorer=ScorerParams(

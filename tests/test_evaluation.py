@@ -163,7 +163,7 @@ def test_rates_follow_the_layers(monkeypatch):
     registry = cost_registry_for(cfg)
     # encoder 6*5 + 5*8, attention 3*8*8 + 2*6*8, kernels 8*8, gate 8*4 + 4
     assert registry.rate("desk_light") * GFLOP == pytest.approx(458, abs=1e-9)
-    # segment_len 2: encoder 2*6*9 + 9*4
+    # 2-frame slots: encoder 2*6*9 + 9*4
     assert registry.rate("desk_heavy") * GFLOP == pytest.approx(144, abs=1e-9)
 
 
@@ -216,7 +216,7 @@ def test_selection_runs_once_per_video(mode, tiny_data, monkeypatch):
     assert len(report.entries) == 3
     assert [len(c) for c in calls] == [4, 2]
     selected = np.concatenate(calls)
-    np.testing.assert_array_equal(selected, [v.frames[:, cfg.model.segment_len // 2]
+    np.testing.assert_array_equal(selected, [v.frames[:, cfg.dataset.frames_per_slot // 2]
                                              for v in tiny_data.test])
 
 
@@ -277,18 +277,18 @@ def test_rankings_split_at_a_minibatch_boundary_concatenate_bitwise(mode):
 @pytest.mark.parametrize("mode", ["e2e", "frame_conditioned", "scsampler"])
 def test_the_light_networks_read_only_the_light_frame_of_each_slot(mode):
     """The selector, in context and in frame mode, and the scorer see a slot
-    through ``slot[segment_len // 2]`` alone: rewriting every other frame
+    through ``slot[frames_per_slot // 2]`` alone: rewriting every other frame
     leaves the rankings bitwise unchanged, and changing that one frame
     changes them."""
-    cfg = tiny_config(mode, **{"dataset.frames_per_slot": 4, "model.segment_len": 3})
+    cfg = tiny_config(mode, **{"dataset.frames_per_slot": 5})
     videos = generate_dataset(cfg.dataset.spec(), 2, 3, cfg.seed).test
     bundle = build_bundle(cfg)
     if bundle.scorer is not None:   # a zero head scores every slot alike
         bundle.scorer.head_w.data[...] = np.random.default_rng(3).standard_normal(
             bundle.scorer.head_w.shape)
     base = evaluation.rankings(bundle, cfg, videos)
-    others = [0, 2, 3]   # the light frame is frame 1 of 4
-    assert light_frames(videos, cfg).tolist() == [v.frames[:, 1].tolist() for v in videos]
+    others = [0, 1, 3, 4]   # the light frame is frame 2 of 5
+    assert light_frames(videos, cfg).tolist() == [v.frames[:, 2].tolist() for v in videos]
     wrecked = []
     for v in videos:
         frames = v.frames.copy()
@@ -297,7 +297,7 @@ def test_the_light_networks_read_only_the_light_frame_of_each_slot(mode):
     np.testing.assert_array_equal(evaluation.rankings(bundle, cfg, wrecked), base)
 
     bumped = videos[0].frames.copy()
-    bumped[0, 1] += 1.0
+    bumped[0, 2] += 1.0
     moved = evaluation.rankings(bundle, cfg,
                                 [dataclasses.replace(videos[0], frames=bumped), *videos[1:]])
     assert moved[0, 0] != base[0, 0]

@@ -64,7 +64,7 @@ def _expected_parameters(cfg):
         scorer["scorer.head_w"] = np.zeros((c, d.n_classes))
         scorer["scorer.head_b"] = np.zeros(d.n_classes)
     h = m.heavy_channels
-    out.update(_mlp_draw(rng, "classifier.enc", m.segment_len * d.d_raw, HEAVY_HIDDEN, h))
+    out.update(_mlp_draw(rng, "classifier.enc", d.frames_per_slot * d.d_raw, HEAVY_HIDDEN, h))
     out.update(_mlp_draw(rng, "classifier.head", h, HEAD_HIDDEN, d.n_classes))
     out.update(scorer)
     return out

@@ -15,7 +15,7 @@ from stepgate.errors import ContractError, DimensionError, DomainError
 from stepgate.harness.evaluation import light_frames
 from stepgate.harness.models import ModelBundle
 
-SLOT = 16  # frames per slot
+SLOT = 8  # frames per slot
 
 
 def make_params(context_mode="context", channels=4, n_kernels=6, d_raw=5, seed=0,
@@ -24,9 +24,9 @@ def make_params(context_mode="context", channels=4, n_kernels=6, d_raw=5, seed=0
                                    context_mode == "context", np.random.default_rng(seed))
 
 
-def random_frames(rng, timesteps=4, d_raw=5):
-    """One video's (T, SLOT, d_raw) slots."""
-    return rng.standard_normal((timesteps, SLOT, d_raw))
+def random_frames(rng, timesteps=4, d_raw=5, slot=SLOT):
+    """One video's (T, slot, d_raw) slots."""
+    return rng.standard_normal((timesteps, slot, d_raw))
 
 
 def random_light(rng, timesteps=4, d_raw=5, videos=1):
@@ -34,9 +34,10 @@ def random_light(rng, timesteps=4, d_raw=5, videos=1):
     return rng.standard_normal((videos, timesteps, d_raw))
 
 
-def light_of(frames, segment_len=8):
+def light_of(frames, frames_per_slot=SLOT):
     """The (1, T, d_raw) light stack of one video's slots."""
-    cfg = tiny_config(**{"dataset.timesteps": len(frames), "model.segment_len": segment_len})
+    cfg = tiny_config(**{"dataset.timesteps": len(frames),
+                         "dataset.frames_per_slot": frames_per_slot})
     return light_frames([SimpleNamespace(frames=frames)], cfg)
 
 
@@ -55,21 +56,21 @@ def test_lightnet_reads_center_frames_with_shared_encoder():
     frames = random_frames(rng)
     feats = sel.lightnet_features(light_of(frames), params).data
     for t in range(4):
-        # segment_len 8: the heavy segment is frames 0..7 of the slot
+        # 8-frame slots: the light frame is frame 4
         nptest.assert_allclose(feats[t], _encode_one(params, frames[t, 4]), rtol=1e-12)
 
 
-@pytest.mark.parametrize("segment_len,middle", [(1, 0), (2, 1), (5, 2), (8, 4), (16, 8)])
-def test_light_frame_is_the_middle_frame_of_the_heavy_segment(segment_len, middle):
+@pytest.mark.parametrize("frames_per_slot,middle", [(1, 0), (2, 1), (5, 2), (8, 4), (16, 8)])
+def test_light_frame_is_the_middle_frame_of_the_heavy_segment(frames_per_slot, middle):
     params = make_params(context_mode="frame")
-    frames = random_frames(np.random.default_rng(14))
-    light = light_of(frames, segment_len)
+    frames = random_frames(np.random.default_rng(14), slot=frames_per_slot)
+    light = light_of(frames, frames_per_slot)
     nptest.assert_array_equal(light, frames[None, :, middle])
     base = sel.lightnet_features(light, params).data
     # every other frame of every slot is wrecked; the features must not move
     wrecked = np.full_like(frames, 1e6)
     wrecked[:, middle] = frames[:, middle]
-    nptest.assert_array_equal(sel.lightnet_features(light_of(wrecked, segment_len),
+    nptest.assert_array_equal(sel.lightnet_features(light_of(wrecked, frames_per_slot),
                                                     params).data, base)
 
 
@@ -90,12 +91,13 @@ def test_lightnet_rejects_frames_that_are_not_the_configured_slots():
             sel.select(bad, params, "test")
 
 
-def test_lightnet_rejects_slots_shorter_than_the_segment():
-    # segment_len 8: the light frame is frame 4 of a slot
-    frames = random_frames(np.random.default_rng(15))
-    for short in (frames[:, :7], frames[:, :4]):
-        with pytest.raises(DimensionError, match="slots of at least 8"):
-            light_of(short)
+def test_lightnet_rejects_slots_longer_or_shorter_than_the_segment():
+    # the config's slots are 8 frames: shorter or longer ones are refused
+    frames = random_frames(np.random.default_rng(15), slot=16)
+    for wrong in (frames[:, :7], frames[:, :4], frames[:, :9], frames):
+        with pytest.raises(DimensionError, match=f"slots of {wrong.shape[1]} frames, "
+                                                 "the config 4 slots of 8$"):
+            light_of(wrong)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,7 @@ def test_phase_b_encodes_the_rows_gate_count_evaluation_picks(mode, tiny_data,
     """Every phase-B epoch encodes, per training video, exactly the rows
     that evaluating the trained bundle on the train split picks."""
     cfg = tiny_config(mode)
-    seg = cfg.model.segment_len
-    slot_of = {v.frames[i, :seg].tobytes(): (vi, i)
+    slot_of = {v.frames[i].tobytes(): (vi, i)
                for vi, v in enumerate(tiny_data.train)
                for i in range(cfg.dataset.timesteps)}
     assert len(slot_of) == len(tiny_data.train) * cfg.dataset.timesteps
@@ -122,7 +121,7 @@ def test_phase_b_encodes_the_rows_gate_count_evaluation_picks(mode, tiny_data,
         for frames, indices, _params in calls:
             videos: list[tuple[int, list[int]]] = []
             for row in indices:
-                vi, i = slot_of[frames[row, :seg].tobytes()]
+                vi, i = slot_of[frames[row].tobytes()]
                 if videos and videos[-1][0] == vi:
                     videos[-1][1].append(i)
                 else:

@@ -88,7 +88,7 @@ def _cases():
                                   frames_per_slot=4, noise_sigma=0.3,
                                   relevant_fraction=0.34, task=task),
             model=ModelConfig(light_channels=8, heavy_channels=4, n_kernels=8,
-                              gate_hidden=4, segment_len=3, open_bias=open_bias),
+                              gate_hidden=4, segment_len=4, open_bias=open_bias),
             training=TrainingConfig(batch_size=5, epochs=2, sample_budget=budget))
         cfg.eval.budgets = [2, 4]
         return cfg
