@@ -112,10 +112,9 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self) -> None:
+        """Zero ``grad`` in place; a leaf gets its array when it is built."""
         if self.grad is not None:
             self.grad[...] = 0.0
-        elif self.requires_grad:
-            self.grad = np.zeros_like(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -584,10 +583,6 @@ def backward(loss: Tensor) -> None:
     ref, nodes = nid[0], rec.nodes
     grads: list[np.ndarray | None] = [None] * len(nodes)
     grads[nid[1]] = np.ones_like(loss.data)
-    # nodes whose gradient is a sum this function allocated, so later
-    # contributions may add into it; a first contribution is an array a
-    # backward function returned, possibly shared, and is never written to
-    owned: set[int] = set()
 
     for idx in range(nid[1], -1, -1):
         g = grads[idx]
@@ -607,15 +602,11 @@ def backward(loss: Tensor) -> None:
                 else:
                     t.grad += gi
                 continue
+            # a first contribution may be an array a backward function shares,
+            # so each later one is added into a new array, never into it
             pos = tid[1]
             acc = grads[pos]
-            if acc is None:
-                grads[pos] = gi
-            elif pos in owned:
-                acc += gi
-            else:
-                grads[pos] = acc + gi
-                owned.add(pos)
+            grads[pos] = gi if acc is None else acc + gi
 
 
 # ---------------------------------------------------------------------------

@@ -90,14 +90,10 @@ TRADEOFF_HEADER = "method,n_heavy_timesteps,gflops,metric"
 
 def tradeoff_rows(results: Iterable[tuple[str, CostReport, float]]) -> list[str]:
     """CSV data rows ``method,n_heavy_timesteps,gflops,metric`` from
-    ``(method, cost, metric)`` triples, ascending by (gflops, method).
-    Methods must be distinct; two methods may share a budget.  Six
+    ``(method, cost, metric)`` triples, ascending by (gflops, method, metric,
+    heavy timesteps) whatever their order, so runs of one method merge.  Six
     significant figures keep desk-scale totals (far below one GFLOP) nonzero."""
-    triples = list(results)
-    methods = [m for m, _, _ in triples]
-    if len(set(methods)) != len(methods):
-        raise DomainError("tradeoff methods must be distinct")
-    triples.sort(key=lambda t: (t[1].total_gflops, t[0]))
+    triples = sorted(results, key=lambda t: (t[1].total_gflops, t[0], t[2], t[1].n_heavy))
     return [f"{m},{r.n_heavy:.6g},{r.total_gflops:.6g},{v:.4f}"
             for m, r, v in triples]
 

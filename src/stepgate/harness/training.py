@@ -29,7 +29,7 @@ from the config seed, and batches run sequentially.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from ..autodiff import Adam, Tensor
 # in this namespace
 from ..baselines import sample_indices, scorer_logits, scsampler_scores
 from ..classifier import ClassifierParams, classify, heavynet_features, task_loss
+from ..container import all_finite
 from ..errors import ConfigError, ContractError, GenerationError, TrainingDivergence
 from ..selector import SelectionResult, heavy_indices, select
 from ..synthdata import Dataset, generate_dataset, load_split
@@ -62,11 +63,10 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    config: ExperimentConfig
     bundle: ModelBundle
     checkpoint: Checkpoint
-    epoch_logs: list[EpochLog] = field(default_factory=list)
-    classifier_logs: list[EpochLog] = field(default_factory=list)
+    epoch_logs: list[EpochLog]
+    classifier_logs: list[EpochLog]
 
 
 # ---------------------------------------------------------------------------
@@ -125,26 +125,23 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield [int(i) for i in order[lo:lo + batch_size]]
 
 
-def _prediction_hit(logits: np.ndarray, labels: np.ndarray, task: str) -> float:
-    """1 or 0 for a single-label video's argmax on its one-hot row; the share
-    of classes whose sign matches the indicator row for a multi-label one."""
-    if task == "single_label":
-        return float(labels[np.argmax(logits)])
-    return float(np.mean((logits > 0.0) == (labels > 0.0)))
-
-
 def _scored(logits: Tensor, videos: list, task: str) -> tuple[Tensor, float]:
-    """The task loss of a batch's (B, L) logits and its prediction hits."""
+    """The task loss of a batch's (B, L) logits and its prediction hits: per
+    video, 1 or 0 for a single-label argmax on the one-hot row, or the share
+    of classes whose sign matches a multi-label indicator row, summed."""
     labels = np.stack([v.labels for v in videos])
-    hits = sum(_prediction_hit(row, y, task) for row, y in zip(logits.data, labels))
-    return task_loss(logits, labels, task), hits
+    if task == "single_label":
+        hits = labels[np.arange(len(videos)), logits.data.argmax(axis=1)].sum()
+    else:
+        hits = ((logits.data > 0.0) == (labels > 0.0)).mean(axis=1).sum()
+    return task_loss(logits, labels, task), float(hits)
 
 
 def _check_finite(values: dict[str, np.ndarray], mode: str, epoch: int) -> None:
     """Raise ``TrainingDivergence`` naming the first of ``values`` that holds
     a non-finite entry."""
     for name, value in values.items():
-        if not np.isfinite(value).all():
+        if not all_finite(value):
             raise TrainingDivergence(
                 f"{mode} training diverged at epoch {epoch}: {name} became non-finite"
             )
@@ -286,7 +283,7 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             logits = scorer_logits(light.reshape(-1, light.shape[2]), bundle.scorer)
             loss = ad.softmax_xent(logits, np.repeat(dist, t_steps, axis=0))
             picked = np.argmax(logits.data, axis=1).reshape(len(videos), t_steps)
-            hits = sum(float(np.mean(row[p] > 0.0)) for row, p in zip(dist, picked))
+            hits = float((np.take_along_axis(dist, picked, axis=1) > 0.0).mean(axis=1).sum())
             return loss, hits, float(len(batch)), 0
     else:
         return None
@@ -345,5 +342,5 @@ def run_training(config: ExperimentConfig,
         steps += cls_steps
 
     ckpt = Checkpoint.from_bundle(config, bundle, step=steps)
-    return TrainResult(config=config, bundle=bundle, checkpoint=ckpt,
-                       epoch_logs=logs, classifier_logs=cls_logs)
+    return TrainResult(bundle=bundle, checkpoint=ckpt, epoch_logs=logs,
+                       classifier_logs=cls_logs)

@@ -358,6 +358,27 @@ def test_tradeoff_merges_every_arm(cfg_file, tmp_path, capsys):
     assert gflops == sorted(gflops)
 
 
+def test_tradeoff_merges_two_seeds_of_one_arm_in_either_order(cfg_file, tmp_path, capsys):
+    """train -> eval at --seed 0 and --seed 1 -> one tradeoff.csv, the same
+    bytes whichever metrics file comes first."""
+    metrics = []
+    for seed in ("0", "1"):
+        run, ev = tmp_path / f"run{seed}", tmp_path / f"eval{seed}"
+        assert main(["train", "--config", cfg_file, "--seed", seed, "--out", str(run)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.sgck"),
+                     "--out", str(ev)]) == 0
+        metrics.append(str(ev / "metrics.json"))
+    csvs = []
+    for i, order in enumerate((metrics, metrics[::-1])):
+        assert main(["tradeoff", "--metrics", *order, "--out", str(tmp_path / f"tr{i}")]) == 0
+        csvs.append((tmp_path / f"tr{i}" / "tradeoff.csv").read_bytes())
+    assert capsys.readouterr().err == ""
+    assert csvs[0] == csvs[1]
+    budgets = json.loads(Path(cfg_file).read_text())["eval"]["budgets"]
+    methods = [line.split(",")[0] for line in csvs[0].decode().splitlines()[1:]]
+    assert sorted(methods) == sorted(2 * ["e2e/gate-count", *(f"e2e/topk-{b}" for b in budgets)])
+
+
 def test_negative_seed_override_is_rejected(cfg_file, trained, tmp_path, capsys):
     ckpt = str(trained / "checkpoint.sgck")
     for argv in (["train", "--config", cfg_file],

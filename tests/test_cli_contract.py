@@ -1,7 +1,7 @@
 """The CLI contract over the config space: every single-field mutation of a
 tiny config, run through generate-data, train and eval in-process, exits 0,
 1 or 2, and prints exactly one stderr line when it fails and none when it
-succeeds.
+succeeds.  Where eval succeeds, tradeoff on its metrics.json succeeds too.
 
 No value here is large enough to size an allocation: a size field never
 takes more than 3.  The large values are ``training.lr`` 1e5, whose last
@@ -62,3 +62,7 @@ def test_a_mutated_config_exits_cleanly_through_every_command(tmp_path, capsys, 
         assert len(err.splitlines()) == (1 if code else 0), (argv[0], err)
         if code:
             break
+    else:
+        code = main(["tradeoff", "--metrics", str(tmp_path / "eval" / "metrics.json"),
+                     "--out", str(tmp_path / "tradeoff")])
+        assert (code, capsys.readouterr().err) == (0, "")

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -146,11 +148,17 @@ def test_paper_seeded_demo_rows():
     assert rows[1].startswith("dense,64,830.7,")
 
 
-def test_duplicate_methods_rejected():
+def test_runs_of_one_method_merge_in_any_order():
     a = cm.pipeline_cost(128, 16, LIGHT, I3D, 0.0)
     b = cm.pipeline_cost(128, 8, LIGHT, I3D, 0.0)
-    with pytest.raises(DomainError, match="methods must be distinct"):
-        cm.tradeoff_rows([("e2e/gate-count", a, 0.1), ("e2e/gate-count", b, 0.2)])
+    # equal gflops and method sort by metric, then by heavy timesteps
+    c = dataclasses.replace(b, n_heavy=7)
+    runs = [("e2e/gate-count", a, 0.1), ("e2e/gate-count", b, 0.3),
+            ("e2e/gate-count", b, 0.2), ("e2e/gate-count", c, 0.2)]
+    rows = cm.tradeoff_rows(runs)
+    assert rows == ["e2e/gate-count,7,111.7,0.2000", "e2e/gate-count,8,111.7,0.2000",
+                    "e2e/gate-count,8,111.7,0.3000", "e2e/gate-count,16,215.6,0.1000"]
+    assert all(cm.tradeoff_rows(order) == rows for order in itertools.permutations(runs))
 
 
 def test_csv_has_header_and_newline_termination():

@@ -1,6 +1,11 @@
 import importlib.util
 from pathlib import Path
 
+from conftest import tiny_config
+from stepgate.harness.checkpoint import save_checkpoint
+from stepgate.harness.evaluation import entry_key
+from stepgate.harness.training import run_training
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("same_outputs", _PATH)
 same_outputs = importlib.util.module_from_spec(_SPEC)
@@ -52,3 +57,15 @@ def test_a_checkpoint_with_other_bytes_and_the_same_content_is_no_difference():
     differs, verdicts = same_outputs._verdict(want, {**want, "splits": "x"})
     assert not differs and "same split content" in verdicts
     assert same_outputs._verdict(want, None)[0]
+
+
+def test_the_cli_outputs_hold_eval_metrics_and_the_tradeoff_csv(tmp_path, tiny_data):
+    cfg = tiny_config("e2e", **{"training.epochs": 1})
+    path = tmp_path / "run.sgck"
+    save_checkpoint(path, run_training(cfg, tiny_data).checkpoint)
+    out = same_outputs._cli_outputs("e2e", path, tmp_path / "cli")
+    assert "eval_s" not in out["metrics"]["provenance"]
+    lines = out["tradeoff"].splitlines()
+    assert lines[0] == "method,n_heavy_timesteps,gflops,metric"
+    assert sorted(line.split(",")[0] for line in lines[1:]) == sorted(
+        f"e2e/{entry_key(e['budget'])}" for e in out["metrics"]["report"]["entries"])

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import types
 
 import numpy as np
 import numpy.testing as nptest
@@ -58,6 +59,22 @@ def test_fallback_index_takes_the_highest_logit():
     assert heavy_indices(closed.open[None], logits.T) == [[1]]
 
 
+@pytest.mark.parametrize("task, logits, labels, hits", [
+    # argmax 0 misses class 1; argmax 1 and argmax 2 hit
+    ("single_label", [[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 5.0]],
+     [[0, 1, 0], [0, 1, 0], [0, 0, 1]], 2.0),
+    # 2 of 3 signs, 3 of 3, 2 of 3: a zero logit predicts absent
+    ("multi_label", [[1.0, -1.0, 2.0], [-1.0, -2.0, 3.0], [0.5, 0.5, 0.0]],
+     [[1, 0, 0], [0, 0, 1], [1, 1, 1]], 7 / 3),
+])
+def test_a_batch_scores_its_hits_and_its_task_loss(task, logits, labels, hits):
+    videos = [types.SimpleNamespace(labels=np.asarray(y, dtype=np.float64)) for y in labels]
+    loss, got = training._scored(Tensor(np.asarray(logits)), videos, task)
+    assert type(got) is float and got == pytest.approx(hits, abs=1e-12)
+    want = task_loss(Tensor(np.asarray(logits)), np.asarray(labels, dtype=np.float64), task)
+    assert float(loss.data) == float(want.data)
+
+
 # ---------------------------------------------------------------------------
 # every mode trains end to end on the tiny problem
 
@@ -73,7 +90,7 @@ def results(tiny_data):
 def test_each_mode_produces_a_usable_result(results, tiny_cfg):
     epochs = tiny_cfg.training.epochs
     for mode, res in results.items():
-        assert res.config.mode == mode
+        assert res.checkpoint.config == tiny_config(mode).to_dict()
         assert len(res.epoch_logs or res.classifier_logs) == epochs
         for log in res.epoch_logs + res.classifier_logs:
             assert np.isfinite(log.loss)
@@ -202,7 +219,7 @@ def test_evaluation_checks_the_heavy_rows_of_each_entry(results, tiny_data,
     res = results["e2e"]
     _overcounting(evaluation, monkeypatch)
     with pytest.raises(ContractError, match="gate-count: the heavy encoder counted"):
-        evaluation.evaluate_bundle(res.bundle, res.config, tiny_data.test)
+        evaluation.evaluate_bundle(res.bundle, tiny_config("e2e"), tiny_data.test)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +402,8 @@ def test_fallback_share_counts_the_videos_whose_gates_all_closed(tiny_data):
 
 def test_training_changes_the_parameters(results):
     for mode, res in results.items():
-        fresh = {n: t.data.copy()
-                 for n, t in __import__("stepgate.harness.models",
-                                        fromlist=["build_bundle"])
-                 .build_bundle(res.config).named_parameters().items()}
+        fresh = {n: t.data
+                 for n, t in build_bundle(tiny_config(mode)).named_parameters().items()}
         moved = any(not np.array_equal(fresh[n], res.checkpoint.params[n])
                     for n in fresh)
         assert moved, f"{mode} training left every parameter untouched"

@@ -19,7 +19,8 @@ Each case saves its checkpoint and its ``train.sgds`` and ``test.sgds``
 split files, evaluates the trained bundle, then reloads the saved
 checkpoint and evaluates it again through ``evaluate_checkpoint``, the path
 that restores weights by parameter name.  It then runs ``stepgate eval`` on
-the saved checkpoint through ``cli.main`` and keeps the ``metrics.json``
+the saved checkpoint, then ``stepgate tradeoff`` on its ``metrics.json``,
+both through ``cli.main``; it keeps the CSV text and the ``metrics.json``
 without its ``provenance.eval_s`` wall time.  Each saved split is also
 read back with the side's own ``load_split`` and hashed by content: the
 spec's scalar parameters, its recipe book and ``n_prototypes``, the
@@ -111,17 +112,21 @@ def _sha256(path: Path) -> str:
 
 
 def _cli_outputs(mode: str, path: Path, run: Path) -> dict:
-    """``stepgate eval`` on the checkpoint at ``path``, run by the imported
-    side's code: its metrics.json without its wall time."""
+    """``stepgate eval`` on the checkpoint at ``path``, then ``stepgate
+    tradeoff`` on its metrics.json, run by the imported side's code: the
+    metrics.json without its wall time, and the tradeoff.csv text."""
     from stepgate.harness import cli
 
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["eval", "--checkpoint", str(path), "--out", str(run)])
-    if code:
-        raise SystemExit(f"stepgate eval on {mode} exited {code}")
-    metrics = json.loads((run / "metrics.json").read_text())
+    metrics_path = run / "metrics.json"
+    for argv in (["eval", "--checkpoint", str(path), "--out", str(run)],
+                 ["tradeoff", "--metrics", str(metrics_path), "--out", str(run)]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code:
+            raise SystemExit(f"stepgate {argv[0]} on {mode} exited {code}")
+    metrics = json.loads(metrics_path.read_text())
     del metrics["provenance"]["eval_s"]
-    return {"metrics": metrics}
+    return {"metrics": metrics, "tradeoff": (run / "tradeoff.csv").read_text()}
 
 
 def _split_content(path: Path) -> str:
