@@ -74,7 +74,7 @@ def heavynet_features(frames: np.ndarray, indices,
             f"= encoder input width {params.enc.n_in}"
         )
     # negative indices would wrap without an error; read as unsigned they
-    # exceed n, so one max checks both ends of this per-video call
+    # exceed n, so one max checks both ends
     n = frames.shape[0]
     if idx.view(np.uint64).max() >= n:
         bad = idx[(idx < 0) | (idx >= n)][0]

@@ -11,12 +11,13 @@ it would zero the force-included rows.
 
 Work is stacked where it does not depend on the budget.  ``rankings`` runs
 the test-mode selector or the scorer once per minibatch of
-``training.batch_size`` videos, on the light frames that ``light_frames``
-picks, so ranking a split needs one minibatch's working memory, not the
-split's; ``split_picks`` then derives every budget's picks from that one
-ranking.  Each entry encodes each video with its own
-``heavynet_features`` call, entry after entry, and runs ``classify`` once
-per minibatch on the concatenated features.  So a ``select`` or
+``training.batch_size`` videos, on its rows of the view ``light_frames``
+takes of the split's frames, so ranking a split needs one minibatch's
+working memory, not the split's; ``split_picks`` then derives every
+budget's picks from that one ranking.  Each entry encodes each video's row
+of the split's frames with its own ``heavynet_features`` call, entry after
+entry, and runs ``classify`` once per minibatch on the concatenated
+features.  So a ``select`` or
 ``classify`` call covers a minibatch, not a video.  An entry's heavy rows
 are the growth of the encoder's ``heavy_rows`` over it.
 
@@ -37,7 +38,7 @@ from ..costmodel import CostRegistry, CostReport, pipeline_cost, row_gflops
 from ..errors import ContractError, DimensionError, DomainError
 from ..gating import step_open
 from ..selector import heavy_indices, select, top_k_indices
-from ..synthdata import Dataset
+from ..synthdata import Dataset, Split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
 from .models import ModelBundle, build_bundle, named_tensors, training_sample_budget
@@ -51,12 +52,13 @@ SELECTOR_MODES = ("standalone", "e2e", "frame_conditioned")
 # metrics
 
 
-def accuracy(predicted, labels) -> float:
-    p = np.asarray(predicted)
-    y = np.asarray(labels)
-    if p.shape != y.shape or p.ndim != 1 or p.size == 0:
-        raise DomainError(f"need matching non-empty 1-d arrays, got {p.shape} vs {y.shape}")
-    return float(np.mean(p == y))
+def hits(scores: np.ndarray, labels: np.ndarray, task: str) -> np.ndarray:
+    """Per video of (N, L) logits ``scores`` and (N, L) 0/1 ``labels``, its
+    prediction hit: 1 or 0 for a single-label argmax on the one-hot row, or
+    the share of classes whose sign matches a multi-label indicator row."""
+    if task == "single_label":
+        return labels[np.arange(len(labels)), scores.argmax(axis=1)]
+    return ((scores > 0.0) == (labels > 0.0)).mean(axis=1)
 
 
 def average_precision(scores, targets) -> float:
@@ -179,26 +181,24 @@ def entry_key(budget: int | None) -> str:
     return "gate-count" if budget is None else f"topk-{budget}"
 
 
-def light_frames(videos: list, config: ExperimentConfig) -> np.ndarray:
+def light_frames(split: Split, config: ExperimentConfig) -> np.ndarray:
     """What the light networks read: the light frame of every slot of
-    ``videos``, the middle frame of the slot, which is the heavy segment,
-    ``slot[frames_per_slot // 2]``, as one (len(videos), T, d_raw) array in
-    the frames' dtype, float32 as stored, which the light networks read with
-    no cast.  Only the light frames are copied."""
+    ``split``, the middle frame of the slot, which is the heavy segment,
+    ``slot[frames_per_slot // 2]``, as a strided (N, T, d_raw) view of its
+    frames in their dtype, float32 as stored, which the light networks read
+    with no cast.  Nothing is copied."""
     t, m = config.dataset.timesteps, config.dataset.frames_per_slot
-    for v in videos:
-        if v.frames.shape[:2] != (t, m):
-            # a short video would shift every later video's rows
-            raise DimensionError(f"video has {len(v.frames)} slots of {v.frames.shape[1]} "
-                                 f"frames, the config {t} slots of {m}")
-    return np.stack([v.frames[:, m // 2] for v in videos])
+    if split.frames.shape[1:3] != (t, m):
+        raise DimensionError(f"the split's videos have {split.frames.shape[1]} slots of "
+                             f"{split.frames.shape[2]} frames, the config {t} slots of {m}")
+    return split.frames[:, :, m // 2]
 
 
-def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list):
+def rankings(bundle: ModelBundle, config: ExperimentConfig, split: Split):
     """What every budget picks from, one row per video: the (N, T) test-mode
     gate logits of the selector arms or the (N, T) scores of the scorer, each
     run once per minibatch of ``training.batch_size`` videos, so the working
-    memory is one minibatch's whatever the length of the list; N Nones for
+    memory is one minibatch's whatever the size of the split; N Nones for
     the fixed-rule samplers."""
     t = config.dataset.timesteps
     if config.mode in SELECTOR_MODES:
@@ -208,10 +208,11 @@ def rankings(bundle: ModelBundle, config: ExperimentConfig, videos: list):
         def rank(light):
             return scsampler_scores(light.reshape(-1, light.shape[2]), bundle.scorer)
     else:
-        return [None] * len(videos)
+        return [None] * len(split)
     b = config.training.batch_size
-    return np.concatenate([rank(light_frames(videos[lo:lo + b], config)).reshape(-1, t)
-                           for lo in range(0, len(videos), b)])
+    light = light_frames(split, config)
+    return np.concatenate([rank(light[lo:lo + b]).reshape(-1, t)
+                           for lo in range(0, len(split), b)])
 
 
 def split_picks(config: ExperimentConfig, ranked, budgets: list,
@@ -273,10 +274,10 @@ def selection_summary(ranked: np.ndarray, labels: np.ndarray) -> dict:
 
 
 def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
-                    videos: list) -> EvalReport:
+                    split: Split) -> EvalReport:
     """Metric per budget entry, ``[None, *config.eval.budgets]`` in that
-    order, over one video list (normally the test split)."""
-    if not videos:
+    order, over one split (normally the test split)."""
+    if not len(split):
         raise ContractError("evaluation needs at least one video")
     task = config.dataset.task
     t = config.dataset.timesteps
@@ -284,21 +285,20 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
     registry = cost_registry(bundle, t)
     budgets: list[int | None] = [None, *config.eval.budgets]
 
-    report = EvalReport(mode=config.mode, task=task, n_videos=len(videos),
+    report = EvalReport(mode=config.mode, task=task, n_videos=len(split),
                         timesteps=t)
-    labels = np.stack([v.labels for v in videos])
     # test-mode gates and scores do not depend on the budget
-    ranked = rankings(bundle, config, videos)
+    ranked = rankings(bundle, config, split)
     if config.mode in SELECTOR_MODES:
-        report.selection = selection_summary(ranked, labels)
+        report.selection = selection_summary(ranked, split.labels)
     picks = split_picks(config, ranked, budgets, [_EVAL_STREAM])
     for budget, entry_picks in zip(budgets, picks):
         before = bundle.classifier.heavy_rows
         minibatch_scores = []
-        for lo in range(0, len(videos), b):
+        for lo in range(0, len(split), b):
             chunk = entry_picks[lo:lo + b]
-            feats = [heavynet_features(v.frames, idx, bundle.classifier)
-                     for v, idx in zip(videos[lo:lo + b], chunk)]
+            feats = [heavynet_features(split.frames[lo + i], idx, bundle.classifier)
+                     for i, idx in enumerate(chunk)]
             minibatch_scores.append(classify(ad.concat_rows(feats), None, bundle.classifier.head,
                                              [len(idx) for idx in chunk]).data)
         score_rows = np.concatenate(minibatch_scores)
@@ -310,10 +310,10 @@ def evaluate_bundle(bundle: ModelBundle, config: ExperimentConfig,
                 f"{heavy_rows} rows, the videos picked {sum(counts)}")
         if task == "single_label":
             name = "accuracy"
-            value = accuracy(np.argmax(score_rows, axis=1), np.argmax(labels, axis=1))
+            value = float(np.mean(hits(score_rows, split.labels, task)))
         else:
             name = "mAP"
-            value, report.skipped_classes = mean_ap(score_rows, labels)
+            value, report.skipped_classes = mean_ap(score_rows, split.labels)
         mean_sel = float(np.mean(counts))
         report.per_video_counts[entry_key(budget)] = counts
         report.entries.append(BudgetMetrics(

@@ -168,7 +168,7 @@ def _e2e_cases(seed: int) -> dict[str, float]:
     batch = [0, 1]
     # the first gate-noise seed whose noisy logits all sit clear of the gate
     # threshold and open a gate in every video
-    alphas = select(light_frames([dataset.train[i] for i in batch], config),
+    alphas = select(light_frames(dataset.train[batch], config),
                     bundle.selector, "test").logits.data.ravel()
     for noise_seed in range(_NOISE_SEED, _NOISE_SEED + _NOISE_TRIES):
         z = alphas + gating.sample_gate_noise_batch(np.random.default_rng(noise_seed),

@@ -12,14 +12,15 @@ gate-count evaluation entry encodes.
 
 ``_fit`` is the only optimisation loop: shuffled minibatches, one batch loss
 (the mean over the batch's videos, plus the gated arms' rate term), one
-backward pass and one Adam step per batch.  Both light networks read the
-batch's light frames (``evaluation.light_frames``).  The selector runs once
-per video, on a stack of one; after selection the batch is stacked, so the
-heavy encoder, the head and the task loss each run once per batch, on the
-gathered segments of the picked slots only.  The SCSampler scorer is
-stacked whole: one scorer pass and one cross-entropy cover the light frames
-of every slot of the batch.  The checkpoint's ``step`` is the number of
-Adam steps over both phases.
+backward pass and one Adam step per batch.  A batch is a list of row
+indices into the train split.  Both light networks read the batch's rows
+of the split's light frames (``evaluation.light_frames``).  The selector
+runs once per video, on a stack of one; after selection the heavy encoder,
+the head and the task loss each run once per batch, the encoder on the
+picked slots only, gathered from the split's frames by one index.  The
+SCSampler scorer is stacked whole: one scorer pass and one cross-entropy
+cover the light frames of every slot of the batch.  The checkpoint's
+``step`` is the number of Adam steps over both phases.
 
 All training is deterministic given (config, seed): parameter init, batch
 shuffles, gate noise, and baseline sampling each draw from streams derived
@@ -45,7 +46,7 @@ from ..selector import SelectionResult, heavy_indices, select
 from ..synthdata import Dataset, generate_dataset, load_split
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
-from .evaluation import SELECTOR_MODES, light_frames, rankings, split_picks
+from .evaluation import SELECTOR_MODES, hits, light_frames, rankings, split_picks
 from .models import ModelBundle, build_bundle, training_sample_budget
 
 _TRAIN_STREAM = 0x5EED
@@ -125,16 +126,10 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield [int(i) for i in order[lo:lo + batch_size]]
 
 
-def _scored(logits: Tensor, videos: list, task: str) -> tuple[Tensor, float]:
-    """The task loss of a batch's (B, L) logits and its prediction hits: per
-    video, 1 or 0 for a single-label argmax on the one-hot row, or the share
-    of classes whose sign matches a multi-label indicator row, summed."""
-    labels = np.stack([v.labels for v in videos])
-    if task == "single_label":
-        hits = labels[np.arange(len(videos)), logits.data.argmax(axis=1)].sum()
-    else:
-        hits = ((logits.data > 0.0) == (labels > 0.0)).mean(axis=1).sum()
-    return task_loss(logits, labels, task), float(hits)
+def _scored(logits: Tensor, labels: np.ndarray, task: str) -> tuple[Tensor, float]:
+    """The task loss of a batch's (B, L) logits against its (B, L) label rows,
+    and its prediction hits (``evaluation.hits``) summed."""
+    return task_loss(logits, labels, task), float(hits(logits.data, labels, task).sum())
 
 
 def _check_finite(values: dict[str, np.ndarray], mode: str, epoch: int) -> None:
@@ -185,40 +180,38 @@ def _fit(params: dict[str, Tensor], config: ExperimentConfig, n_videos: int,
 # the stacked heavy stage
 
 
-def _heavy_logits(frames: list[np.ndarray], picks: list[list[int]],
+def _heavy_logits(frames: np.ndarray, batch: list[int], picks: list[list[int]],
                   gates: Tensor | None, params: ClassifierParams) -> Tensor:
     """(B, L) logits of a batch: every video's picked timesteps through one
     heavy-encoder pass and one head pass, pooled per video.
 
-    Each video is T slots of shape (frames_per_slot, d_raw), each slot one
-    segment.  Only the picked slots are copied, ``frames[b][idx]``, video
-    after video, into one preallocated (sum of picks, frames_per_slot, d_raw)
-    stack in the frames' dtype, which ``heavynet_features`` encodes whole.
+    ``frames`` is a split's (N, T, frames_per_slot, d_raw) array, each slot
+    one segment; ``picks[b]`` are slots of video ``batch[b]``.  Every picked
+    slot is gathered by one index into the split's N*T slots, which
+    ``heavynet_features`` encodes; that gather is the only copy.
     """
-    segments = np.empty((sum(len(idx) for idx in picks), *frames[0].shape[1:]),
-                        dtype=frames[0].dtype)
-    lo = 0
-    for f, idx in zip(frames, picks):
-        # numpy would wrap a negative pick and reject a late one with an
-        # IndexError
-        if not 0 <= min(idx) <= max(idx) < len(f):
-            raise ContractError(f"picks {idx} fall outside the {len(f)} slots of a video")
-        segments[lo:lo + len(idx)] = f[idx]
-        lo += len(idx)
+    n, t = frames.shape[:2]
+    rows = []
+    for b, idx in zip(batch, picks):
+        # numpy would wrap a negative pick and a late one would read the next video
+        if not 0 <= min(idx) <= max(idx) < t:
+            raise ContractError(f"picks {idx} fall outside the {t} slots of a video")
+        rows += [b * t + i for i in idx]
     before = params.heavy_rows
-    feats = heavynet_features(segments, range(len(segments)), params)
-    if params.heavy_rows - before != len(segments):
+    feats = heavynet_features(frames.reshape(n * t, *frames.shape[2:]), rows, params)
+    if params.heavy_rows - before != len(rows):
         raise ContractError(
             f"the heavy encoder counted {params.heavy_rows - before} rows, "
-            f"the batch picked {len(segments)}")
+            f"the batch picked {len(rows)}")
     return classify(feats, gates, params.head, [len(idx) for idx in picks])
 
 
-def joint_logits(frames: list[np.ndarray], results: list[SelectionResult],
+def joint_logits(frames: np.ndarray, batch: list[int], results: list[SelectionResult],
                  p_open: Tensor, bundle: ModelBundle) -> Tensor:
-    """The joint arms' (B, L) heavy logits of a batch: each selection's heavy
-    timesteps, scaled by their gate values, through the heavy classifier.
-    ``p_open`` is the (B*T, 1) column ``sigmoid(logit)`` of the batch."""
+    """The joint arms' (B, L) heavy logits of a batch, rows ``batch`` of a
+    split's ``frames``: each selection's heavy timesteps, scaled by their
+    gate values, through the heavy classifier.  ``p_open`` is the (B*T, 1)
+    column ``sigmoid(logit)`` of the batch."""
     opened = np.stack([r.open for r in results])
     n, t = opened.size, opened.shape[1]
     picks = heavy_indices(opened, np.stack([r.logits.data.reshape(t) for r in results]))
@@ -227,7 +220,7 @@ def joint_logits(frames: list[np.ndarray], results: list[SelectionResult],
     column = ad.concat_rows([r.activated for r in results] + [ad.reshape(p_open, (n,))])
     gate_rows = [b * t + i + (0 if opened[b].any() else n)
                  for b, idx in enumerate(picks) for i in idx]
-    return _heavy_logits(frames, picks, ad.take_rows(column, gate_rows),
+    return _heavy_logits(frames, batch, picks, ad.take_rows(column, gate_rows),
                          bundle.classifier)
 
 
@@ -250,13 +243,14 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
     task = config.dataset.task
     t_steps = config.dataset.timesteps
     target_rate = training_sample_budget(config) / t_steps
+    train = dataset.train
+    split_light = light_frames(train, config)
 
     if mode in SELECTOR_MODES:
         def batch_loss(epoch, batch):
-            videos = [dataset.train[vi] for vi in batch]
-            light = light_frames(videos, config)
+            light = split_light[batch]
             results = [select(light[b:b + 1], bundle.selector, "train", rng=rng)
-                       for b in range(len(videos))]
+                       for b in range(len(batch))]
             p_open = ad.sigmoid(ad.concat_rows([r.logits for r in results]))
             if mode == "standalone":
                 # light path: gated light features through the light head
@@ -264,25 +258,24 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
                                   ad.concat_rows([r.activated for r in results]),
                                   bundle.light_head, [t_steps] * len(results))
             else:
-                logits = joint_logits([v.frames for v in videos], results, p_open, bundle)
-            loss, hits = _scored(logits, videos, task)
+                logits = joint_logits(train.frames, batch, results, p_open, bundle)
+            loss, hits = _scored(logits, train.labels[batch], task)
             loss = ad.add(loss, ad.rate_penalty(p_open, target_rate))
             opened = np.stack([r.open for r in results])
             return (loss, hits, int(opened.sum()) / t_steps,
                     int((~opened.any(axis=1)).sum()))
     elif mode == "scsampler":
         def batch_loss(epoch, batch):
-            videos = [dataset.train[vi] for vi in batch]
             # every timestep carries the video label: each of a video's T rows
             # targets the uniform distribution over its positive classes, so
             # a multi-label video averages the cross-entropy over its
             # positives, keeping the softmax head the saliency relies on
-            labels = np.stack([v.labels for v in videos])
+            labels = train.labels[batch]
             dist = labels / labels.sum(axis=1, keepdims=True)
-            light = light_frames(videos, config)
+            light = split_light[batch]
             logits = scorer_logits(light.reshape(-1, light.shape[2]), bundle.scorer)
             loss = ad.softmax_xent(logits, np.repeat(dist, t_steps, axis=0))
-            picked = np.argmax(logits.data, axis=1).reshape(len(videos), t_steps)
+            picked = np.argmax(logits.data, axis=1).reshape(len(batch), t_steps)
             hits = float((np.take_along_axis(dist, picked, axis=1) > 0.0).mean(axis=1).sum())
             return loss, hits, float(len(batch)), 0
     else:
@@ -326,12 +319,11 @@ def run_training(config: ExperimentConfig,
             return split_picks(config, ranked, [None], [_SAMPLE_STREAM, draw])[0]
 
         def classifier_loss(epoch, batch):
-            videos = [dataset.train[vi] for vi in batch]
-            split = epoch_picks(epoch if redraws else 0)
-            picks = [split[vi] for vi in batch]
-            logits = _heavy_logits([v.frames for v in videos], picks, None,
+            chosen = epoch_picks(epoch if redraws else 0)
+            picks = [chosen[vi] for vi in batch]
+            logits = _heavy_logits(dataset.train.frames, batch, picks, None,
                                    bundle.classifier)
-            loss, hits = _scored(logits, videos, task)
+            loss, hits = _scored(logits, dataset.train.labels[batch], task)
             return loss, hits, sum(len(idx) for idx in picks) / t_steps, 0
 
         rng_b = _train_rng(config)

@@ -10,12 +10,12 @@ T.  ``SelectorParams`` holds the encoder, the attention projections, the
 concept kernels and the gate MLP, named ``selector.enc.*``,
 ``selector.attn_{q,k,v}``, ``selector.kernels`` and ``selector.gate.*``.
 
-``select`` and every layer it calls take a (B, T, d_raw) stack of the light
-frames of B videos; one video is a stack of one.  Its B*T rows run video
+``select`` and every layer it calls take the (B, T, d_raw) light frames of
+B videos, B rows of a split's ``light_frames``.  Its B*T rows run video
 after video through one light-encoder pass, one attention op, one
 similarity product and one gate MLP pass, and attention mixes timesteps
 within each video only.  Evaluation selects a minibatch per call; training
-selects one video per call, a stack of one.
+selects one video per call, B = 1.
 """
 
 from __future__ import annotations

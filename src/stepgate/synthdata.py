@@ -41,13 +41,14 @@ version, u32 header length, u32 CRC-32, canonical JSON header
 ``seed`` and ``split``), then a body of whole little-endian arrays, one per
 field: (P, d_raw) f8 prototypes, (N, L) f8 labels, (N, T) u1 relevance, (N,
 T) i8 planted ids and (N, T, frames_per_slot, d_raw) f4 frames.
-``load_split`` reads each field straight into its array and checks its
-content, finite prototypes and frames (``container.all_finite``) included;
-a loaded video's arrays are rows of those.  The header alone does not bound
-the recipe book's size, so the book is derived only once the body has been
-read: each video's stored relevance must then equal its positive classes'
-recipe membership, which catches a book that drifted from the one the file
-was written under.
+``load_split`` reads each field straight into its array, checks its
+content, finite prototypes and frames (``container.all_finite``) included,
+and returns the four per-video fields as one ``Split``, the same layout
+generation fills and ``save_split`` writes.  The header alone does not
+bound the recipe book's size, so the book is derived only once the body has
+been read: each video's stored relevance must then equal its positive
+classes' recipe membership, which catches a book that drifted from the one
+the file was written under.
 """
 
 from __future__ import annotations
@@ -187,22 +188,31 @@ class ActivitySpec:
         return max(1, min(self.timesteps, max(base - 2, min(base + 2, raw))))
 
 
-@dataclass
-class VideoSample:
-    """One generated video: raw frames, labels, and generation ground truth."""
+@dataclass(eq=False)
+class Split:
+    """One split's videos as four arrays, a row per video: raw frames, labels
+    and generation ground truth.  ``split[i]`` is video ``i``, each array's
+    row ``i``, and iterating yields the videos in order; ``split[lo:hi]`` is
+    a view and ``split[[i, j]]`` a copy of those rows of all four arrays."""
 
-    frames: np.ndarray          # (T, frames_per_slot, d_raw) float32
-    labels: np.ndarray          # (L,) 0/1 float64 indicator row; one-hot for single_label
-    relevance: np.ndarray       # (T,) bool
-    planted: np.ndarray         # (T,) int64 prototype id per timestep
+    frames: np.ndarray          # (N, T, frames_per_slot, d_raw) float32
+    labels: np.ndarray          # (N, L) 0/1 float64 indicator rows; one-hot for single_label
+    relevance: np.ndarray       # (N, T) bool
+    planted: np.ndarray         # (N, T) int64 prototype id per timestep
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows) -> "Split":
+        return Split(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass
 class Dataset:
     spec: ActivitySpec
     prototypes: np.ndarray      # (P, d_raw)
-    train: list
-    test: list
+    train: Split
+    test: Split
     seed: int
 
 
@@ -217,11 +227,10 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
 
 
 def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
-                rng: np.random.Generator, scratch: np.ndarray,
-                frames: np.ndarray) -> VideoSample:
-    """Draw one video: its raw frames are computed in ``scratch``, a
-    C-contiguous (T, frames_per_slot, d_raw) float64 array, and stored
-    rounded in ``frames``, a float32 array of that shape."""
+                rng: np.random.Generator, scratch: np.ndarray, out: Split) -> None:
+    """Draw one video into ``out``, a split's row with zero labels: its raw
+    frames are computed in ``scratch``, a C-contiguous (T, frames_per_slot,
+    d_raw) float64 array, and stored rounded in ``out.frames``."""
     t = spec.timesteps
     classes = [primary]
     if spec.task == "multi_label":
@@ -246,7 +255,7 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
     # prototype included, appears in the video
     members = sorted(recipe)
     rng.shuffle(members)
-    planted = np.empty(t, dtype=np.int64)
+    planted = out.planted
     confusers = sorted(spec.shared_prototypes - recipe)
     background = sorted(spec.background_prototypes)
     for i, pos in enumerate(positions):
@@ -266,18 +275,16 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
     with np.errstate(over="ignore", invalid="ignore"):
         scratch *= spec.noise_sigma
         scratch += prototypes[planted][:, None, :]
-        frames[...] = scratch
-    labels = np.zeros(spec.n_classes)
-    labels[classes] = 1.0
-    return VideoSample(frames=frames, labels=labels, planted=planted,
-                       relevance=relevance_oracle(planted, classes, spec))
+        out.frames[...] = scratch
+    out.labels[classes] = 1.0
+    out.relevance[...] = relevance_oracle(planted, classes, spec)
 
 
 def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -> Dataset:
     """Reproducible dataset: prototypes from the run seed, balanced labels
-    per split, per-video streams from ``seed ^ global_index``.  Each split's
-    frames are rows of one float32 (n_videos, T, frames_per_slot, d_raw)
-    array; a frame that does not fit float32 raises ``GenerationError``."""
+    per split, per-video streams from ``seed ^ global_index``.  Each video is
+    drawn straight into its row of its split's arrays; a frame that does not
+    fit float32 raises ``GenerationError``."""
     if n_train < 1 or n_test < 1:
         raise DomainError(f"need positive split sizes, got {n_train}, {n_test}")
     if seed < 0:
@@ -285,22 +292,21 @@ def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -
     proto_rng = np.random.default_rng(seed)
     prototypes = proto_rng.standard_normal((spec.n_prototypes, spec.d_raw))
 
-    train_labels = _balanced_labels(n_train, spec.n_classes,
-                                    np.random.default_rng(seed ^ _LABEL_SEED_OFFSET))
-    test_labels = _balanced_labels(n_test, spec.n_classes,
-                                   np.random.default_rng(seed ^ (_LABEL_SEED_OFFSET - 1)))
-    slots = (spec.timesteps, spec.frames_per_slot, spec.d_raw)
-    scratch = np.empty(slots)
+    t = spec.timesteps
+    scratch = np.empty((t, spec.frames_per_slot, spec.d_raw))
     splits = []
-    for first, labels, frames in ((0, train_labels, np.empty((n_train, *slots), np.float32)),
-                                  (n_train, test_labels, np.empty((n_test, *slots), np.float32))):
-        splits.append([_make_video(spec, prototypes, int(c),
-                                   np.random.default_rng(seed ^ (first + k)), scratch,
-                                   frames[k])
-                       for k, c in enumerate(labels)])
-        if not container.all_finite(frames):
+    for i, (first, n) in enumerate(((0, n_train), (n_train, n_test))):
+        labels = _balanced_labels(n, spec.n_classes,
+                                  np.random.default_rng(seed ^ (_LABEL_SEED_OFFSET - i)))
+        split = Split(np.empty((n, *scratch.shape), np.float32), np.zeros((n, spec.n_classes)),
+                      np.empty((n, t), bool), np.empty((n, t), np.int64))
+        for k, c in enumerate(labels):
+            _make_video(spec, prototypes, int(c), np.random.default_rng(seed ^ (first + k)),
+                        scratch, split[k])
+        if not container.all_finite(split.frames):
             raise GenerationError(f"a frame value does not fit float32 at noise_sigma "
                                   f"{spec.noise_sigma}")
+        splits.append(split)
     return Dataset(spec=spec, prototypes=prototypes, train=splits[0], test=splits[1], seed=seed)
 
 
@@ -333,12 +339,9 @@ def save_split(path, dataset: Dataset, split: str) -> None:
     videos = dataset.train if split == "train" else dataset.test
     header = {"format_version": FORMAT_VERSION, **asdict(dataset.spec),
               "n_videos": len(videos), "seed": dataset.seed, "split": split}
-    # the frames field goes video by video, with no split-sized copy
-    body = [np.ascontiguousarray(dataset.prototypes, dtype="<f8"),
-            np.array([v.labels for v in videos], dtype="<f8"),
-            np.array([v.relevance for v in videos], dtype=np.uint8),
-            np.array([v.planted for v in videos], dtype="<i8"),
-            *(np.ascontiguousarray(v.frames, dtype="<f4") for v in videos)]
+    body = [np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
+        (dataset.prototypes, "<f8"), (videos.labels, "<f8"), (videos.relevance, np.uint8),
+        (videos.planted, "<i8"), (videos.frames, "<f4"))]
     container.write(path, MAGIC, FORMAT_VERSION, header, body)
 
 
@@ -362,8 +365,8 @@ def split_layout(meta: dict) -> list:
             ("<f4", (n, t, spec.frames_per_slot, spec.d_raw))]
 
 
-def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
-    """Read one split file back; returns (spec, prototypes, videos, meta).
+def load_split(path) -> tuple[ActivitySpec, np.ndarray, Split, dict]:
+    """Read one split file back; returns (spec, prototypes, split, meta).
     Any file this module did not write intact raises ``FormatError``, and so
     does a video whose stored relevance is not its classes' recipe
     membership under the book this module derives."""
@@ -393,6 +396,4 @@ def load_split(path) -> tuple[ActivitySpec, np.ndarray, list, dict]:
     if drift is not None:
         raise FormatError(f"{path}: the relevance of video {drift} is not its "
                           f"classes' recipe membership")
-    videos = [VideoSample(frames=f, labels=c, relevance=r, planted=p)
-              for f, c, r, p in zip(frames, labels, relevance != 0, planted)]
-    return spec, prototypes, videos, meta
+    return spec, prototypes, Split(frames, labels, relevance != 0, planted), meta

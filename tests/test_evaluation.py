@@ -14,10 +14,9 @@ from stepgate.costmodel import GFLOP
 from stepgate.errors import ContractError, DomainError
 from stepgate.harness import evaluation
 from stepgate.harness.checkpoint import Checkpoint
-from stepgate.harness.evaluation import (accuracy, average_precision,
-                                         cost_registry_for,
+from stepgate.harness.evaluation import (average_precision, cost_registry_for,
                                          evaluate_bundle,
-                                         evaluate_checkpoint, light_frames,
+                                         evaluate_checkpoint, hits, light_frames,
                                          mean_ap, selection_summary)
 from stepgate.harness.models import build_bundle, training_sample_budget
 from stepgate.harness.training import resolve_dataset, run_training
@@ -31,13 +30,18 @@ MODES = ["e2e", "frame_conditioned", "standalone", "scsampler", "uniform", "rand
 # metric oracles
 
 
-def test_accuracy_oracle():
-    assert accuracy([1, 2, 0, 1], [1, 2, 2, 1]) == pytest.approx(0.75)
-    assert accuracy([0], [0]) == 1.0
-    with pytest.raises(DomainError):
-        accuracy([1, 2], [1])
-    with pytest.raises(DomainError):
-        accuracy([], [])
+def test_hits_oracle():
+    """Per video: a single-label hit is 1 where the argmax is the one
+    positive class, else 0, and its mean is the accuracy; a multi-label hit
+    is the share of classes whose logit sign matches the indicator row, a
+    zero logit counting as negative."""
+    scores = np.array([[0.2, 0.9, -1.0], [2.0, 0.1, 0.3],
+                       [-0.5, -0.4, 0.7], [0.0, 3.0, 1.0]])
+    single = hits(scores, np.eye(3)[[1, 2, 2, 1]], "single_label")
+    assert single.tolist() == [1.0, 0.0, 1.0, 1.0]
+    assert np.mean(single) == 0.75
+    multi = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=np.float64)
+    assert hits(scores, multi, "multi_label").tolist() == [1.0, 1 / 3, 1.0, 1 / 3]
 
 
 def test_average_precision_hand_computed():
@@ -230,8 +234,8 @@ def test_scsampler_rankings_equal_each_videos_own_scores(tiny_data):
         p.data[...] = rng.standard_normal(p.shape)
     ranked = evaluation.rankings(bundle, cfg, tiny_data.test)
     assert len(ranked) == len(tiny_data.test)
-    for scores, video in zip(ranked, tiny_data.test):
-        alone = scsampler_scores(light_frames([video], cfg)[0], bundle.scorer)
+    for i, scores in enumerate(ranked):
+        alone = scsampler_scores(light_frames(tiny_data.test[i:i + 1], cfg)[0], bundle.scorer)
         assert scores.shape == alone.shape == (cfg.dataset.timesteps,)
         np.testing.assert_allclose(scores, alone, rtol=1e-12, atol=0.0)
         assert np.ptp(alone) > 0.0
@@ -288,18 +292,14 @@ def test_the_light_networks_read_only_the_light_frame_of_each_slot(mode):
             bundle.scorer.head_w.shape)
     base = evaluation.rankings(bundle, cfg, videos)
     others = [0, 1, 3, 4]   # the light frame is frame 2 of 5
-    assert light_frames(videos, cfg).tolist() == [v.frames[:, 2].tolist() for v in videos]
-    wrecked = []
-    for v in videos:
-        frames = v.frames.copy()
-        frames[:, others] = -3.0 * frames[:, others] + 7.0
-        wrecked.append(dataclasses.replace(v, frames=frames))
+    assert light_frames(videos, cfg).tolist() == videos.frames[:, :, 2].tolist()
+    wrecked = dataclasses.replace(videos, frames=videos.frames.copy())
+    wrecked.frames[:, :, others] = -3.0 * wrecked.frames[:, :, others] + 7.0
     np.testing.assert_array_equal(evaluation.rankings(bundle, cfg, wrecked), base)
 
-    bumped = videos[0].frames.copy()
-    bumped[0, 2] += 1.0
-    moved = evaluation.rankings(bundle, cfg,
-                                [dataclasses.replace(videos[0], frames=bumped), *videos[1:]])
+    bumped = dataclasses.replace(videos, frames=videos.frames.copy())
+    bumped.frames[0, 0, 2] += 1.0
+    moved = evaluation.rankings(bundle, cfg, bumped)
     assert moved[0, 0] != base[0, 0]
     np.testing.assert_array_equal(moved[1:], base[1:])
 
@@ -344,9 +344,9 @@ def test_every_arm_reports_the_gate_count_entry_then_its_budgets(mode, tiny_data
 
 
 def test_empty_video_list_is_rejected(e2e_setup):
-    cfg, bundle, _ = e2e_setup
+    cfg, bundle, data = e2e_setup
     with pytest.raises(ContractError):
-        evaluate_bundle(bundle, cfg, [])
+        evaluate_bundle(bundle, cfg, data.test[:0])
 
 
 def test_evaluate_checkpoint_matches_bundle_evaluation(e2e_setup):
@@ -363,18 +363,19 @@ def test_evaluate_checkpoint_matches_bundle_evaluation(e2e_setup):
 # the stacked evaluation equals a per-video loop
 
 
-def _reference_picks(bundle, cfg, video, vi, budget):
-    """One video's picks under one budget, each arm's rule written out."""
+def _reference_picks(bundle, cfg, videos, vi, budget):
+    """Video ``vi``'s picks under one budget, each arm's rule written out."""
     t = cfg.dataset.timesteps
+    one = videos[vi:vi + 1]
     if cfg.mode in evaluation.SELECTOR_MODES:
-        logits = select(light_frames([video], cfg), bundle.selector, "test").logits.data.ravel()
+        logits = select(light_frames(one, cfg), bundle.selector, "test").logits.data.ravel()
         if budget is None:
             return [int(i) for i in np.flatnonzero(logits > 0.0)] or [int(np.argmax(logits))]
         order = np.argsort(-sigmoid_np(logits), kind="stable")
         return sorted(int(i) for i in order[:budget])
     k = budget if budget is not None else training_sample_budget(cfg)
     if cfg.mode == "scsampler":
-        scores = scsampler_scores(light_frames([video], cfg)[0], bundle.scorer)
+        scores = scsampler_scores(light_frames(one, cfg)[0], bundle.scorer)
         return sorted(int(i) for i in np.argsort(-scores, kind="stable")[:k])
     if cfg.mode == "uniform":
         return [(2 * i + 1) * t // (2 * k) for i in range(k)]
@@ -387,16 +388,16 @@ def _reference_entries(bundle, cfg, videos):
     pass and one head pass per video and entry."""
     out = {}
     for budget in [None, *cfg.eval.budgets]:
-        picks = [_reference_picks(bundle, cfg, v, vi, budget) for vi, v in enumerate(videos)]
+        picks = [_reference_picks(bundle, cfg, videos, vi, budget) for vi in range(len(videos))]
         scores = np.stack([
             classify(heavynet_features(v.frames, idx, bundle.classifier), None,
                      bundle.classifier.head, [len(idx)]).data[0]
             for v, idx in zip(videos, picks)])
         if cfg.dataset.task == "single_label":
-            value = accuracy(np.argmax(scores, axis=1),
-                             [np.flatnonzero(v.labels)[0] for v in videos])
+            value = np.mean([np.argmax(s) == np.flatnonzero(v.labels)[0]
+                             for s, v in zip(scores, videos)])
         else:
-            value, _ = mean_ap(scores, np.stack([v.labels for v in videos]))
+            value, _ = mean_ap(scores, videos.labels)
         out[evaluation.entry_key(budget)] = ([len(idx) for idx in picks], value)
     return out
 
@@ -444,7 +445,8 @@ def test_each_entry_encodes_each_video_once_in_order(mode, tiny_data, monkeypatc
     assert len(calls) == n * len(report.entries)
     for e, counts in enumerate(report.per_video_counts.values()):
         chunk = calls[e * n:(e + 1) * n]
-        assert all(f is v.frames for (f, _), v in zip(chunk, tiny_data.test))
+        assert all(np.shares_memory(f, v.frames) and np.array_equal(f, v.frames)
+                   for (f, _), v in zip(chunk, tiny_data.test))
         assert [rows for _, rows in chunk] == counts
 
 

@@ -45,10 +45,11 @@ def test_a_report_diff_shows_each_entry_on_both_sides():
 
 
 def test_a_checkpoint_with_other_bytes_and_the_same_content_is_no_difference():
-    want = {"sha256": "a", "ckpt_content": "c", "weights": "w", "splits": "s",
-            "split_content": "t", "report": {}, "reload": {}, "cli": {}}
+    want = {"sha256": "a", "ckpt_content": "c", "weights": "w", "readback": "w",
+            "splits": "s", "split_content": "t", "report": {}, "reload": {}, "cli": {}}
     assert same_outputs._verdict(want, want) == (
-        False, "same bytes, same weights, same splits, equal report, equal reload, equal cli")
+        False, "same bytes, same weights, same read-back, same splits, equal report, "
+               "equal reload, equal cli")
     differs, verdicts = same_outputs._verdict(want, {**want, "sha256": "b"})
     assert not differs and verdicts.startswith("same checkpoint content, ")
     differs, verdicts = same_outputs._verdict(want, {**want, "sha256": "b",
@@ -57,6 +58,11 @@ def test_a_checkpoint_with_other_bytes_and_the_same_content_is_no_difference():
     differs, verdicts = same_outputs._verdict(want, {**want, "splits": "x"})
     assert not differs and "same split content" in verdicts
     assert same_outputs._verdict(want, None)[0]
+    # training on the splits read back from the files must give the weights
+    # of training on the generated splits, whatever the parent's run read back
+    differs, verdicts = same_outputs._verdict(want, {**want, "readback": "r"})
+    assert differs and verdicts.split(", ")[2] == "READ-BACK DIFFERS"
+    assert not same_outputs._verdict({**want, "readback": "r"}, want)[0]
 
 
 def test_the_cli_outputs_hold_eval_metrics_and_the_tradeoff_csv(tmp_path, tiny_data):

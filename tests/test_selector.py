@@ -35,10 +35,10 @@ def random_light(rng, timesteps=4, d_raw=5, videos=1):
 
 
 def light_of(frames, frames_per_slot=SLOT):
-    """The (1, T, d_raw) light stack of one video's slots."""
+    """The (1, T, d_raw) light stack of a split of one video, ``frames``."""
     cfg = tiny_config(**{"dataset.timesteps": len(frames),
                          "dataset.frames_per_slot": frames_per_slot})
-    return light_frames([SimpleNamespace(frames=frames)], cfg)
+    return light_frames(SimpleNamespace(frames=frames[None]), cfg)
 
 
 # ---------------------------------------------------------------------------

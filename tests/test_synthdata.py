@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import numpy.testing as nptest
@@ -10,6 +10,14 @@ import stepgate.synthdata as sd
 from conftest import traced_peak
 from stepgate import container
 from stepgate.errors import DomainError, FormatError, GenerationError
+
+
+SPLIT_FIELDS = ("frames", "labels", "relevance", "planted")
+
+
+def videos_of(data):
+    """Every video of a dataset, train then test, one ``Split`` row each."""
+    return [*data.train, *data.test]
 
 
 def slot_means(video, spec):
@@ -121,11 +129,10 @@ def test_generation_is_deterministic(spec):
     a = sd.generate_dataset(spec, 12, 6, seed=3)
     b = sd.generate_dataset(spec, 12, 6, seed=3)
     nptest.assert_array_equal(a.prototypes, b.prototypes)
-    for va, vb in zip(a.train + a.test, b.train + b.test):
-        nptest.assert_array_equal(va.frames, vb.frames)
-        nptest.assert_array_equal(va.relevance, vb.relevance)
-        nptest.assert_array_equal(va.planted, vb.planted)
-        nptest.assert_array_equal(va.labels, vb.labels)
+    for split in ("train", "test"):
+        for name in SPLIT_FIELDS:
+            nptest.assert_array_equal(getattr(getattr(a, split), name),
+                                      getattr(getattr(b, split), name))
     c = sd.generate_dataset(spec, 12, 6, seed=4)
     assert not np.array_equal(a.prototypes, c.prototypes)
 
@@ -157,7 +164,7 @@ def test_frames_are_the_float64_formula_rounded_to_float32(spec, monkeypatch):
     monkeypatch.undo()
     _, *video_states = states  # the prototypes are drawn first
     assert len(video_states) == 8
-    for v, state in zip(data.train + data.test, video_states):
+    for v, state in zip(videos_of(data), video_states):
         rng = np.random.default_rng()
         rng.bit_generator.state = state
         noise = rng.standard_normal(v.frames.shape)
@@ -186,7 +193,7 @@ def test_labels_are_balanced(dataset, spec):
 
 def test_relevance_cardinality_within_two_of_target(dataset, spec):
     base = round(spec.relevant_fraction * spec.timesteps)
-    for v in dataset.train + dataset.test:
+    for v in videos_of(dataset):
         assert abs(int(v.relevance.sum()) - base) <= 2
 
 
@@ -209,7 +216,7 @@ def test_middle_placement_stays_in_center_window(dataset, spec):
     t = spec.timesteps
     lo, hi = t // 4, t - t // 4
     saw_outside_for_spread = False
-    for v in dataset.train + dataset.test:
+    for v in videos_of(dataset):
         pos = np.flatnonzero(v.relevance)
         if spec.placement[label_of(v)] == "middle":
             assert pos.min() >= lo and pos.max() < hi
@@ -221,7 +228,7 @@ def test_middle_placement_stays_in_center_window(dataset, spec):
 def test_noiseless_decoding_recovers_planted_prototypes(spec):
     quiet = sd.ActivitySpec(**{**asdict(spec), "noise_sigma": 0.0})
     data = sd.generate_dataset(quiet, 6, 3, seed=11)
-    for v in data.train + data.test:
+    for v in videos_of(data):
         nptest.assert_array_equal(decode_prototypes(v, data.prototypes, quiet), v.planted)
 
 
@@ -235,6 +242,56 @@ def test_infeasible_placement_is_generation_error(spec):
     crowded = sd.ActivitySpec(**{**asdict(spec), "relevant_fraction": 1.0})
     with pytest.raises(GenerationError):
         sd.generate_dataset(crowded, 12, 2, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the split layout
+
+
+@pytest.mark.parametrize("rows", [3, slice(2, 5), [4, 1], np.array([0, 0, 5])],
+                         ids=["int", "slice", "list", "array"])
+def test_indexing_a_split_takes_the_same_rows_of_all_four_arrays(dataset, rows):
+    split = dataset.train
+    part = split[rows]
+    assert isinstance(part, sd.Split)
+    for name in SPLIT_FIELDS:
+        nptest.assert_array_equal(getattr(part, name), getattr(split, name)[rows])
+    if not isinstance(rows, int):
+        assert len(part) == len(split.labels[rows])
+
+
+def test_a_slice_of_a_split_is_a_view_and_a_row_list_a_copy(dataset):
+    split = dataset.train
+    for name in SPLIT_FIELDS:
+        assert np.shares_memory(getattr(split[2:5], name), getattr(split, name))
+        assert np.shares_memory(getattr(split[3], name), getattr(split, name)[3])
+        assert not np.shares_memory(getattr(split[[2, 3]], name), getattr(split, name))
+
+
+def test_iterating_a_split_yields_its_videos_in_order_and_stops(dataset):
+    """Zipping two splits, as the benchmark's set-up check and
+    ``tools/same_outputs.py`` do, walks the videos row by row and stops
+    after ``len(split)`` of them."""
+    split = dataset.test[:7]
+    videos = list(split)
+    assert len(videos) == len(split) == 7
+    for k, v in enumerate(videos):
+        for name in SPLIT_FIELDS:
+            nptest.assert_array_equal(getattr(v, name), getattr(split, name)[k])
+    assert len(list(zip(split, dataset.train))) == 7
+
+
+def test_generation_draws_each_video_into_its_row(dataset, spec):
+    """A split's rows are filled in place: the dtypes and shapes are the
+    file's, and every label row has a positive class."""
+    for split, n in ((dataset.train, 60), (dataset.test, 40)):
+        assert len(split) == n
+        assert split.frames.shape == (n, spec.timesteps, spec.frames_per_slot, spec.d_raw)
+        assert (split.labels.dtype, split.relevance.dtype, split.planted.dtype) == (
+            np.float64, np.bool_, np.int64)
+        assert split.labels.shape == (n, spec.n_classes)
+        assert split.relevance.shape == split.planted.shape == (n, spec.timesteps)
+        assert (split.labels.sum(axis=1) == 1.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +313,7 @@ def test_oracle_of_the_positive_classes_is_the_stored_mask(spec, task):
     multi-label video's is the union over its classes."""
     data = sd.generate_dataset(sd.ActivitySpec(**{**asdict(spec), "task": task}),
                                30, 10, seed=5)
-    for v in data.train + data.test:
+    for v in videos_of(data):
         nptest.assert_array_equal(
             sd.relevance_oracle(v.planted, np.flatnonzero(v.labels), data.spec), v.relevance)
     assert task == "single_label" or max(v.labels.sum() for v in data.train) > 1
@@ -301,8 +358,7 @@ def test_identical_timestep_vector_with_opposite_relevance(dataset, spec):
             receiver, r_pos = v, int(bad[0])
             break
     assert donor is not None and receiver is not None
-    receiver = sd.VideoSample(frames=receiver.frames.copy(), labels=receiver.labels,
-                              relevance=receiver.relevance, planted=receiver.planted)
+    receiver = replace(receiver, frames=receiver.frames.copy())
     receiver.frames[r_pos] = donor.frames[d_pos]
     nptest.assert_array_equal(receiver.frames[r_pos], donor.frames[d_pos])
     assert donor.relevance[d_pos] and not receiver.relevance[r_pos]
@@ -329,7 +385,7 @@ def test_paired_spec_structure():
 def test_paired_videos_plant_both_members():
     spec = sd.ActivitySpec(**PAIRED)
     data = sd.generate_dataset(spec, 12, 6, seed=21)
-    for v in data.train + data.test:
+    for v in videos_of(data):
         planted_rel = set(int(p) for p in v.planted[v.relevance])
         assert planted_rel == set(spec.class_recipes[label_of(v)])
 
@@ -407,16 +463,19 @@ def test_round_trip_preserves_everything(tmp_path, dataset, spec):
         nptest.assert_array_equal(v.labels, w.labels)
 
 
-def _one_frame_array(videos, spec):
-    """Every video's frames are a writable row of one aligned, C-contiguous
-    (n_videos, T, frames_per_slot, d_raw) float32 array of slots."""
-    base = videos[0].frames.base
-    assert base.shape == (len(videos), spec.timesteps, spec.frames_per_slot, spec.d_raw)
-    assert base.dtype == np.float32 and base.flags.c_contiguous and base.flags.aligned
+def _one_frame_array(split, spec):
+    """The split's frames are one aligned, C-contiguous (n_videos, T,
+    frames_per_slot, d_raw) float32 array of slots, and each video the split
+    yields holds a writable view of its row, not a copy."""
+    frames = split.frames
+    assert frames.shape == (len(split), spec.timesteps, spec.frames_per_slot, spec.d_raw)
+    assert frames.dtype == np.float32 and frames.flags.c_contiguous and frames.flags.aligned
+    videos = list(split)
+    assert len(videos) == len(split)
     for k, v in enumerate(videos):
-        assert v.frames.base is base
-        assert np.shares_memory(v.frames, base[k]) and v.frames.shape == base[k].shape
+        assert np.shares_memory(v.frames, frames[k]) and v.frames.shape == frames[k].shape
         assert v.frames.flags.writeable and v.frames.flags.aligned
+        assert not np.shares_memory(v.frames, frames[k + 1:])
 
 
 def test_each_split_keeps_its_frames_in_one_array(tmp_path, dataset, spec):

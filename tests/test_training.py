@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import types
 
 import numpy as np
 import numpy.testing as nptest
@@ -68,8 +67,8 @@ def test_fallback_index_takes_the_highest_logit():
      [[1, 0, 0], [0, 0, 1], [1, 1, 1]], 7 / 3),
 ])
 def test_a_batch_scores_its_hits_and_its_task_loss(task, logits, labels, hits):
-    videos = [types.SimpleNamespace(labels=np.asarray(y, dtype=np.float64)) for y in labels]
-    loss, got = training._scored(Tensor(np.asarray(logits)), videos, task)
+    rows = np.asarray(labels, dtype=np.float64)
+    loss, got = training._scored(Tensor(np.asarray(logits)), rows, task)
     assert type(got) is float and got == pytest.approx(hits, abs=1e-12)
     want = task_loss(Tensor(np.asarray(logits)), np.asarray(labels, dtype=np.float64), task)
     assert float(loss.data) == float(want.data)
@@ -203,15 +202,41 @@ def test_a_pick_past_the_last_slot_of_a_video_is_a_contract_error(tiny_data):
     negative pick, which numpy would wrap to a slot from the end."""
     cfg = tiny_config("uniform")
     params = build_bundle(cfg).classifier
-    frames = [v.frames for v in tiny_data.train[:2]]
+    frames = tiny_data.train.frames
     t = cfg.dataset.timesteps
     with pytest.raises(ContractError, match=fr"picks \[{t}\] fall outside the {t} slots"):
-        training._heavy_logits(frames, [[t], [0]], None, params)
+        training._heavy_logits(frames, [0, 1], [[t], [0]], None, params)
     with pytest.raises(ContractError, match=fr"picks \[-1, 2\] fall outside the {t} slots"):
-        training._heavy_logits(frames, [[0], [-1, 2]], None, params)
+        training._heavy_logits(frames, [0, 1], [[0], [-1, 2]], None, params)
     assert params.heavy_rows == 0
-    logits = training._heavy_logits(frames, [[t - 1], [0]], None, params)
+    logits = training._heavy_logits(frames, [0, 1], [[t - 1], [0]], None, params)
     assert logits.shape == (2, cfg.dataset.n_classes) and params.heavy_rows == 2
+
+
+def test_the_heavy_stage_gathers_the_picked_slots_of_the_batch_in_one_index(
+        tiny_data, monkeypatch):
+    """On an unsorted batch with picks of different lengths, the encoder
+    reads the split's own frames, not a copy, and its rows are each video's
+    picked slots in batch order, bit for bit; one encoder call covers the
+    batch."""
+    calls = []
+    real = training.heavynet_features
+
+    def captured(frames, indices, params):
+        calls.append((frames, frames[np.asarray(indices)]))
+        return real(frames, indices, params)
+
+    monkeypatch.setattr(training, "heavynet_features", captured)
+    cfg = tiny_config("uniform")
+    params = build_bundle(cfg).classifier
+    frames = tiny_data.train.frames
+    batch, picks = [5, 0, 3], [[4, 1], [0, 2, 3, 5], [3]]
+    logits = training._heavy_logits(frames, batch, picks, None, params)
+    assert logits.shape == (3, cfg.dataset.n_classes)
+    (seen, rows), = calls
+    assert np.shares_memory(seen, frames)
+    want = np.concatenate([frames[b][p] for b, p in zip(batch, picks)])
+    assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
 
 
 def test_evaluation_checks_the_heavy_rows_of_each_entry(results, tiny_data,
@@ -269,7 +294,7 @@ def test_batch_loss_is_the_per_video_mean_plus_one_rate_term(task, sample_budget
 
     def selections():
         rng = np.random.default_rng(7)
-        return [select(evaluation.light_frames([data.train[vi]], cfg), bundle.selector,
+        return [select(evaluation.light_frames(data.train[vi:vi + 1], cfg), bundle.selector,
                        "train", rng=rng) for vi in batch]
 
     closed = [not r.open.any() for r in selections()]
@@ -323,7 +348,8 @@ def test_stacked_scorer_loss_equals_the_mean_of_per_video_losses(task):
         terms = []
         for vi in batch:
             video = data.train[vi]
-            logits = scorer_logits(evaluation.light_frames([video], cfg)[0], bundle.scorer)
+            logits = scorer_logits(evaluation.light_frames(data.train[vi:vi + 1], cfg)[0],
+                                   bundle.scorer)
             n_classes = logits.shape[1]
             per_class = [ad.softmax_xent(logits, np.eye(n_classes)[[c] * t])
                          for c in np.flatnonzero(video.labels)]
@@ -379,10 +405,10 @@ def test_phase_b_draws_picks_once_unless_they_depend_on_the_epoch(mode, tiny_dat
 
 def test_the_scorer_stack_rejects_a_video_with_the_wrong_slot_count(tiny_data):
     cfg = tiny_config("scsampler")
-    short = dataclasses.replace(tiny_data.train[1],
-                                frames=tiny_data.train[1].frames[:-1])
-    with pytest.raises(DimensionError, match="video has 5 slots of 2 frames, the config 6"):
-        evaluation.light_frames([tiny_data.train[0], short], cfg)
+    short = dataclasses.replace(tiny_data.train, frames=tiny_data.train.frames[:, :-1])
+    with pytest.raises(DimensionError, match="the split's videos have 5 slots of 2 frames, "
+                                             "the config 6 slots of 2$"):
+        evaluation.light_frames(short, cfg)
 
 
 def test_fallback_share_counts_the_videos_whose_gates_all_closed(tiny_data):

@@ -18,10 +18,14 @@ On each side a fresh process trains and evaluates:
 Each case saves its checkpoint and its ``train.sgds`` and ``test.sgds``
 split files, evaluates the trained bundle, then reloads the saved
 checkpoint and evaluates it again through ``evaluate_checkpoint``, the path
-that restores weights by parameter name.  It then runs ``stepgate eval`` on
-the saved checkpoint, then ``stepgate tradeoff`` on its ``metrics.json``,
-both through ``cli.main``; it keeps the CSV text and the ``metrics.json``
-without its ``provenance.eval_s`` wall time.  Each saved split is also
+that restores weights by parameter name.  It also trains the case's config
+again on the splits read back from the saved files (``resolve_dataset``
+with ``dataset.path`` set), whose weights must equal those of the run on
+the generated splits, so the loaded-split path feeds a compared output.
+It then runs ``stepgate eval`` on the saved checkpoint, then ``stepgate
+tradeoff`` on its ``metrics.json``, both through ``cli.main``; it keeps the
+CSV text and the ``metrics.json`` without its ``provenance.eval_s`` wall
+time.  Each saved split is also
 read back with the side's own ``load_split`` and hashed by content: the
 spec's scalar parameters, its recipe book and ``n_prototypes``, the
 header's ``n_videos``, ``seed`` and ``split``, the prototypes, and each
@@ -35,7 +39,8 @@ the file, name by name in name order, so a change that only touches the
 stored config reads as the same weights.  The tool prints one line per
 case, naming the checkpoint's sha256, whether both checkpoint files have
 the same sha256 on both sides or else the same content, whether the weights
-are the same, whether both split files have the same sha256 or else the
+are the same, whether the change's read-back run has the weights of its
+generated run, whether both split files have the same sha256 or else the
 same content, and whether the eval reports, the reloaded checkpoints'
 reports and the CLI outputs are equal.  Where the eval reports differ, it
 prints each entry's metric and ``mean_selected`` (heavy rows per video) on
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -174,7 +180,7 @@ def _checkpoint_content(path: Path) -> str:
 
 
 def worker(root: Path) -> None:
-    """Print {case: {"sha256", "ckpt_content", "weights", "splits",
+    """Print {case: {"sha256", "ckpt_content", "weights", "readback", "splits",
     "split_content", "report", "reload", "cli"}} for ``root``'s code."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from stepgate.harness.checkpoint import load_checkpoint, save_checkpoint
@@ -192,10 +198,14 @@ def worker(root: Path) -> None:
                 splits[split] = _sha256(Path(tmp) / f"{split}.sgds")
                 content[split] = _split_content(Path(tmp) / f"{split}.sgds")
             result = run_training(cfg, data)
+            stored = copy.deepcopy(cfg)
+            stored.dataset.path = tmp
+            readback = run_training(cfg, resolve_dataset(stored))
             path = Path(tmp) / "run.sgck"
             save_checkpoint(path, result.checkpoint)
             out[name] = {"sha256": _sha256(path), "ckpt_content": _checkpoint_content(path),
                          "weights": _weights(result.checkpoint.params),
+                         "readback": _weights(readback.checkpoint.params),
                          "splits": splits, "split_content": content,
                          "report": evaluate_bundle(result.bundle, cfg, data.test).to_dict(),
                          "reload": evaluate_checkpoint(load_checkpoint(path), data).to_dict(),
@@ -256,7 +266,9 @@ def _gradcheck_diff(parent: str, change: str) -> list[str]:
 def _verdict(want: dict, have: dict | None) -> tuple[bool, str]:
     """Whether a case differs between the parent's outputs ``want`` and the
     change's ``have``, and its line's verdicts.  Checkpoint or split files
-    whose bytes differ but whose content is the same are no difference."""
+    whose bytes differ but whose content is the same are no difference; a
+    change whose run on the read-back splits has other weights than its run
+    on the generated ones differs."""
     def same(key):
         return have is not None and have[key] == want[key]
 
@@ -264,7 +276,9 @@ def _verdict(want: dict, have: dict | None) -> tuple[bool, str]:
             "same checkpoint content" if same("ckpt_content") else "CHECKPOINT DIFFERS")
     splits = ("same splits" if same("splits") else
               "same split content" if same("split_content") else "SPLITS DIFFER")
-    verdicts = [ckpt, "same weights" if same("weights") else "WEIGHTS DIFFER", splits,
+    readback = have is not None and have["readback"] == have["weights"]
+    verdicts = [ckpt, "same weights" if same("weights") else "WEIGHTS DIFFER",
+                "same read-back" if readback else "READ-BACK DIFFERS", splits,
                 "equal report" if same("report") else "REPORT DIFFERS",
                 "equal reload" if same("reload") else "RELOAD DIFFERS",
                 "equal cli" if same("cli") else "CLI DIFFERS"]
