@@ -563,15 +563,16 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into every reachable ``requires_grad``
     tensor that no op of the record of ``loss`` produced.
 
-    Each contribution is added into ``grad`` as the walk reaches it; a
-    ``grad`` of None is first set to a copy of the first contribution.  From
-    a zero ``grad``, as after ``zero_grad`` or an ``Adam`` step, that gives
-    the sum of the contributions in the order the walk finds them.  Repeated
-    calls without an intervening ``zero_grad`` keep adding, one contribution
-    at a time: a second call onto G adds ``(G + g1) + g2``, not ``G + (g1 +
-    g2)``.  Op outputs of the record and the loss keep ``grad is None``.  The
-    walk drops each node's gradient as soon as it has passed it on to the
-    node's inputs, so only gradients still waiting to be read are alive.
+    Each contribution is added into the leaf's ``grad`` as the walk reaches
+    it; an input with no ``grad``, such as an op output of another record,
+    raises ``ContractError``.  From a zero ``grad``, as after ``zero_grad``
+    or an ``Adam`` step, that gives the sum of the contributions in the
+    order the walk finds them.  Repeated calls without an intervening
+    ``zero_grad`` keep adding, one contribution at a time: a second call
+    onto G adds ``(G + g1) + g2``, not ``G + (g1 + g2)``.  Op outputs of the
+    record and the loss keep ``grad is None``.  The walk drops each node's
+    gradient as soon as it has passed it on to the node's inputs, so only
+    gradients still waiting to be read are alive.
     """
     nid = loss.node_id
     rec = None if nid is None else nid[0]()
@@ -598,9 +599,10 @@ def backward(loss: Tensor) -> None:
             tid = t.node_id
             if tid is None or tid[0] is not ref:
                 if t.grad is None:
-                    t.grad = np.array(gi, dtype=t.data.dtype, copy=True)
-                else:
-                    t.grad += gi
+                    raise ContractError(
+                        f"input {node.inputs.index(t)} of a {node.op} op requires grad but "
+                        f"has no grad array; an op output of another record is no leaf")
+                t.grad += gi
                 continue
             # a first contribution may be an array a backward function shares,
             # so each later one is added into a new array, never into it

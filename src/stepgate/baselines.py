@@ -8,8 +8,8 @@ timesteps, so position- and context-invariance hold structurally.  The head
 starts at zero, which makes the untrained score exactly ``1 / n_classes``.
 
 ``sample_indices`` owns the three selector-free sampling rules (evenly
-spaced, seeded random, score top-k) shared by the baseline arms; its top-k
-delegates to ``selector.top_k_indices``, the one top-k rule.
+spaced, seeded random, score top-k) shared by the baseline arms, applied to
+a whole split at once; its top-k is one ``selector.top_k_indices`` call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import MLP, Tensor
-from .errors import ContractError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .selector import LIGHT_HIDDEN, top_k_indices
 
 SAMPLE_MODES = ("uniform", "random", "topk")
@@ -66,26 +66,25 @@ def scsampler_scores(light: np.ndarray, params: ScorerParams) -> np.ndarray:
     return e.max(axis=1) / e.sum(axis=1)
 
 
-def sample_indices(mode: str, t: int, k: int, scores=None,
-                   seed: int | None = None) -> list[int]:
-    """Pick ``k`` of ``t`` timesteps; always distinct and ascending.
+def sample_indices(mode: str, t: int, k: int, rows) -> list[list[int]]:
+    """Pick ``k`` of ``t`` timesteps per row: one distinct, ascending list
+    for each of a split's ``rows``.
 
     uniform: evenly spaced with centered offset, ``floor((2i+1)*t / (2k))``.
-    random: seeded draw without replacement.
-    topk: the k highest scores, ties to the lower index (``top_k_indices``).
+    random: a draw without replacement, seeded by the row's int.
+    topk: over the (N, t) score stack, each row's k highest scores, ties to
+    the lower index (one ``top_k_indices`` call).
     """
     if mode not in SAMPLE_MODES:
         raise DomainError(f"mode must be one of {SAMPLE_MODES}, got {mode!r}")
     if t < 1 or not 1 <= k <= t:
         raise DomainError(f"need 1 <= k <= t, got k={k}, t={t}")
     if mode == "uniform":
-        return [(2 * i + 1) * t // (2 * k) for i in range(k)]
+        return [[(2 * i + 1) * t // (2 * k) for i in range(k)] for _ in rows]
     if mode == "random":
-        rng = np.random.default_rng(seed)
-        return sorted(int(i) for i in rng.choice(t, size=k, replace=False))
-    if scores is None:
-        raise ContractError("topk sampling needs scores")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.shape != (t,):
-        raise DimensionError(f"scores shape {s.shape} does not match t={t}")
-    return top_k_indices(s.reshape(1, t), [k])[0][0]
+        return [np.sort(np.random.default_rng(int(s)).choice(t, size=k, replace=False)).tolist()
+                for s in rows]
+    scores = np.asarray(rows, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != t:
+        raise DimensionError(f"score stack shape {scores.shape} is not (videos, t={t})")
+    return top_k_indices(scores, [k])[0]

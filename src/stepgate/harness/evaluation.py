@@ -14,10 +14,10 @@ the test-mode selector or the scorer once per minibatch of
 ``training.batch_size`` videos, on its rows of the view ``light_frames``
 takes of the split's frames, so ranking a split needs one minibatch's
 working memory, not the split's; ``split_picks`` then derives every
-budget's picks from that one ranking.  Each entry encodes each video's row
-of the split's frames with its own ``heavynet_features`` call, entry after
-entry, and runs ``classify`` once per minibatch on the concatenated
-features.  So a ``select`` or
+budget's picks for the whole split from that one ranking.  Each entry
+encodes each video's row of the split's frames with its own
+``heavynet_features`` call, entry after entry, and runs ``classify`` once
+per minibatch on the concatenated features.  So a ``select`` or
 ``classify`` call covers a minibatch, not a video.  An entry's heavy rows
 are the growth of the encoder's ``heavy_rows`` over it.
 
@@ -221,8 +221,9 @@ def split_picks(config: ExperimentConfig, ranked, budgets: list,
     stage encodes (budget None: the natural gate count, or the training
     sample budget for the selector-free arms).
 
-    The selector arms' budgets all read one ranking of the split.  Video i's
-    random draws are seeded from the config seed, then ``stream``, then i.
+    The selector arms' budgets all read one ranking of the split, the other
+    arms take one ``sample_indices`` call per budget.  Video i's random
+    draws are seeded from the config seed, then ``stream``, then i.
     """
     t = config.dataset.timesteps
     if config.mode in SELECTOR_MODES:
@@ -230,18 +231,13 @@ def split_picks(config: ExperimentConfig, ranked, budgets: list,
         top = dict(zip(ks, top_k_indices(ad.sigmoid_np(ranked), ks)))
         return [heavy_indices(step_open(ranked), ranked) if k is None else top[k]
                 for k in budgets]
-    out = []
-    for budget in budgets:
-        k = budget if budget is not None else training_sample_budget(config)
-        if config.mode == "scsampler":
-            out.append([sample_indices("topk", t, k, scores=row) for row in ranked])
-        elif config.mode == "uniform":
-            out.append([sample_indices("uniform", t, k) for _ in ranked])
-        else:
-            seeds = [np.random.default_rng([config.seed, *stream, i]).integers(1 << 62)
-                     for i in range(len(ranked))]
-            out.append([sample_indices("random", t, k, seed=int(s)) for s in seeds])
-    return out
+    rows = ranked
+    if config.mode == "random":
+        rows = [int(np.random.default_rng([config.seed, *stream, i]).integers(1 << 62))
+                for i in range(len(ranked))]
+    mode = "topk" if config.mode == "scsampler" else config.mode
+    return [sample_indices(mode, t, training_sample_budget(config) if k is None else k, rows)
+            for k in budgets]
 
 
 def selection_summary(ranked: np.ndarray, labels: np.ndarray) -> dict:

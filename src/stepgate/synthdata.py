@@ -46,9 +46,9 @@ content, finite prototypes and frames (``container.all_finite``) included,
 and returns the four per-video fields as one ``Split``, the same layout
 generation fills and ``save_split`` writes.  The header alone does not
 bound the recipe book's size, so the book is derived only once the body has
-been read: each video's stored relevance must then equal its positive
-classes' recipe membership, which catches a book that drifted from the one
-the file was written under.
+been read: one ``relevance_oracle`` call over the split then holds each
+video's stored relevance to its positive classes' recipe membership, which
+catches a book that drifted from the one the file was written under.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from . import container
-from .errors import DomainError, FormatError, GenerationError
+from .errors import DimensionError, DomainError, FormatError, GenerationError
 
 MAGIC = b"SGDS"
 FORMAT_VERSION = 5
@@ -227,14 +227,15 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
 
 
 def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
-                rng: np.random.Generator, scratch: np.ndarray, out: Split) -> None:
-    """Draw one video into ``out``, a split's row with zero labels: its raw
-    frames are computed in ``scratch``, a C-contiguous (T, frames_per_slot,
-    d_raw) float64 array, and stored rounded in ``out.frames``."""
+                rng: np.random.Generator, scratch: np.ndarray, out: Split, k: int) -> None:
+    """Draw one video but its relevance into row ``k`` of ``out``, whose
+    labels start at zero; a multi-label one adds up to two other classes.
+    Its raw frames are computed in ``scratch``, a C-contiguous (T,
+    frames_per_slot, d_raw) float64 array, and stored rounded."""
     t = spec.timesteps
     classes = [primary]
     if spec.task == "multi_label":
-        n_extra = int(rng.integers(0, 3))
+        n_extra = int(rng.integers(0, min(3, spec.n_classes)))
         others = [c for c in range(spec.n_classes) if c != primary]
         if n_extra:
             classes += sorted(int(c) for c in rng.choice(others, size=n_extra, replace=False))
@@ -255,15 +256,11 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
     # prototype included, appears in the video
     members = sorted(recipe)
     rng.shuffle(members)
-    planted = out.planted
+    planted = out.planted[k]
     confusers = sorted(spec.shared_prototypes - recipe)
     background = sorted(spec.background_prototypes)
-    for i, pos in enumerate(positions):
-        planted[pos] = members[i % len(members)]
-    rel_set = set(int(p) for p in positions)
-    for pos in range(t):
-        if pos in rel_set:
-            continue
+    planted[positions] = np.resize(members, n_rel)
+    for pos in sorted(set(range(t)) - set(positions.tolist())):
         if confusers and rng.random() < spec.confuser_share:
             planted[pos] = confusers[int(rng.integers(len(confusers)))]
         else:
@@ -275,16 +272,15 @@ def _make_video(spec: ActivitySpec, prototypes: np.ndarray, primary: int,
     with np.errstate(over="ignore", invalid="ignore"):
         scratch *= spec.noise_sigma
         scratch += prototypes[planted][:, None, :]
-        out.frames[...] = scratch
-    out.labels[classes] = 1.0
-    out.relevance[...] = relevance_oracle(planted, classes, spec)
+        out.frames[k] = scratch
+    out.labels[k, classes] = 1.0
 
 
 def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -> Dataset:
     """Reproducible dataset: prototypes from the run seed, balanced labels
     per split, per-video streams from ``seed ^ global_index``.  Each video is
-    drawn straight into its row of its split's arrays; a frame that does not
-    fit float32 raises ``GenerationError``."""
+    drawn straight into its row of its split's arrays, then the split's
+    relevance; a frame that does not fit float32 raises ``GenerationError``."""
     if n_train < 1 or n_test < 1:
         raise DomainError(f"need positive split sizes, got {n_train}, {n_test}")
     if seed < 0:
@@ -302,10 +298,11 @@ def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -
                       np.empty((n, t), bool), np.empty((n, t), np.int64))
         for k, c in enumerate(labels):
             _make_video(spec, prototypes, int(c), np.random.default_rng(seed ^ (first + k)),
-                        scratch, split[k])
+                        scratch, split, k)
         if not container.all_finite(split.frames):
             raise GenerationError(f"a frame value does not fit float32 at noise_sigma "
                                   f"{spec.noise_sigma}")
+        split.relevance[...] = relevance_oracle(split.planted, split.labels, spec)
         splits.append(split)
     return Dataset(spec=spec, prototypes=prototypes, train=splits[0], test=splits[1], seed=seed)
 
@@ -314,18 +311,20 @@ def generate_dataset(spec: ActivitySpec, n_train: int, n_test: int, seed: int) -
 # ground truth access
 
 
-def relevance_oracle(planted: np.ndarray, classes, spec: ActivitySpec) -> np.ndarray:
-    """The one recipe-membership rule: per timestep, whether its planted
-    prototype id is in the union of the recipes of ``classes``.
+def relevance_oracle(planted: np.ndarray, labels: np.ndarray, spec: ActivitySpec) -> np.ndarray:
+    """The one recipe-membership rule: for (..., T) planted prototype ids in
+    [0, n_prototypes) and (..., L) 0/1 label rows, whether each timestep's
+    planted id is in the union of the recipes of its row's positive classes.
 
-    Generation stores it as a video's relevance mask, with the video's
-    positive classes; for other classes it re-checks membership, under which
-    a shared prototype can be relevant to one class and not another.
+    Generation stores it as the videos' relevance masks, under their own
+    label rows; under other rows it re-checks membership, under which a
+    shared prototype can be relevant to one class and not another.
     """
-    if any(not 0 <= c < spec.n_classes for c in classes):
-        raise DomainError(f"classes {list(classes)} leave the range [0, {spec.n_classes})")
-    recipe = frozenset().union(*(spec.class_recipes[c] for c in classes))
-    return np.array([p in recipe for p in planted.tolist()], dtype=bool)
+    if labels.shape[-1:] != (spec.n_classes,):
+        raise DimensionError(f"label rows of shape {labels.shape} do not hold "
+                             f"{spec.n_classes} classes")
+    member = np.array([[p in r for p in range(spec.n_prototypes)] for r in spec.class_recipes])
+    return np.take_along_axis((labels != 0) @ member, planted, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +390,8 @@ def load_split(path) -> tuple[ActivitySpec, np.ndarray, Split, dict]:
         spec.class_recipes
     except DomainError as exc:
         raise FormatError(f"{path}: corrupt dataset header ({exc})") from exc
-    drift = next((k for k, (c, r, p) in enumerate(zip(labels, relevance, planted))
-                  if not np.array_equal(relevance_oracle(p, np.flatnonzero(c), spec), r)), None)
-    if drift is not None:
-        raise FormatError(f"{path}: the relevance of video {drift} is not its "
+    drift = np.flatnonzero((relevance_oracle(planted, labels, spec) != relevance).any(axis=1))
+    if drift.size:
+        raise FormatError(f"{path}: the relevance of video {drift[0]} is not its "
                           f"classes' recipe membership")
     return spec, prototypes, Split(frames, labels, relevance != 0, planted), meta

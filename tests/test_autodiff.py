@@ -324,20 +324,28 @@ def test_backward_drops_each_gradient_once_it_is_passed_on():
     nptest.assert_allclose(x.grad, 1.01 ** 40, rtol=1e-12)
 
 
-def test_an_op_output_read_by_a_later_record_gets_its_gradient_in_grad():
-    """An op's output from a closed record is a constant input to the next
-    record: its gradient lands in its ``grad`` and it keeps naming the
-    record that produced it."""
+def test_an_op_output_read_by_a_later_record_is_refused_as_a_leaf():
+    """An op's output from a closed record has no ``grad`` array, so a later
+    record's backward refuses it by name instead of inventing one; it keeps
+    naming the record that produced it."""
     x = tensor([[1.0, -2.0]], requires_grad=True)
     with ad.record() as first:
         hidden = ad.scale_rows(x, tensor([3.0]))
     with ad.record() as second:
         loss = weighted_sum(hidden, [2.0, 5.0])
-    ad.backward(loss)
+    with pytest.raises(ContractError, match="input 0 of a reshape op requires grad"):
+        ad.backward(loss)
     assert hidden.node_id == (first._ref, 0)
     assert [node.op for node in second.nodes] == ["reshape", "matmul_t"]
-    nptest.assert_array_equal(hidden.grad, [[2.0, 5.0]])
+    assert hidden.grad is None
     nptest.assert_array_equal(x.grad, [[0.0, 0.0]])
+    # so is a tensor whose requires_grad was set after it was built
+    late = tensor([[1.0, -2.0]])
+    late.requires_grad = True
+    with ad.record() as third:
+        loss = weighted_sum(late, [2.0, 5.0])
+    with pytest.raises(ContractError, match="input 0 of a reshape op requires grad"):
+        ad.backward(loss)
 
 
 def test_records_do_not_nest():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stepgate.baselines as bl
-from stepgate.errors import ContractError, DimensionError, DomainError
+from stepgate.errors import DimensionError, DomainError
 
 SLOT = 16  # frames per slot
 MID = 4    # a slot's light frame at segment length 8
@@ -113,53 +113,64 @@ def test_scorer_init_validation():
 
 
 def test_uniform_sampling_worked_examples():
-    assert bl.sample_indices("uniform", 8, 4) == [1, 3, 5, 7]
-    assert bl.sample_indices("uniform", 5, 2) == [1, 3]
-    assert bl.sample_indices("uniform", 6, 1) == [3]
+    assert bl.sample_indices("uniform", 8, 4, [None]) == [[1, 3, 5, 7]]
+    assert bl.sample_indices("uniform", 5, 2, [None, None]) == [[1, 3], [1, 3]]
+    assert bl.sample_indices("uniform", 6, 1, range(3)) == [[3]] * 3
+    # each row owns its list
+    rows = bl.sample_indices("uniform", 8, 2, [None, None])
+    rows[0].append(9)
+    assert rows[1] == [2, 6]
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=st.integers(min_value=1, max_value=200), data=st.data())
 def test_sampling_always_k_distinct_ascending_in_range(t, data):
     k = data.draw(st.integers(min_value=1, max_value=t))
+    n = data.draw(st.integers(min_value=1, max_value=4))
     mode = data.draw(st.sampled_from(["uniform", "random", "topk"]))
-    scores = np.random.default_rng(0).random(t) if mode == "topk" else None
-    out = bl.sample_indices(mode, t, k, scores=scores, seed=123)
-    assert len(out) == k
-    assert out == sorted(set(out))
-    assert all(0 <= i < t for i in out)
-    if k == t:
-        assert out == list(range(t))
+    rows = (np.random.default_rng(0).random((n, t)) if mode == "topk"
+            else [123 + i for i in range(n)])
+    picks = bl.sample_indices(mode, t, k, rows)
+    assert len(picks) == n
+    for out in picks:
+        assert len(out) == k
+        assert out == sorted(set(out))
+        assert all(0 <= i < t for i in out)
+        if k == t:
+            assert out == list(range(t))
 
 
 def test_random_sampling_reproducible_under_seed():
-    a = bl.sample_indices("random", 50, 10, seed=42)
-    b = bl.sample_indices("random", 50, 10, seed=42)
-    assert a == b
-    assert len(set(a)) == 10
+    a = bl.sample_indices("random", 50, 10, [42, 7])
+    b = bl.sample_indices("random", 50, 10, [42])
+    assert a[0] == b[0]
+    assert a[1] == bl.sample_indices("random", 50, 10, [7])[0]
+    assert len(set(a[0])) == 10
+    # the draw is numpy's sorted, per row's seed
+    assert a[0] == sorted(np.random.default_rng(42).choice(50, size=10, replace=False).tolist())
 
 
 def test_topk_tie_goes_to_lower_index():
-    assert bl.sample_indices("topk", 4, 2, scores=[0.1, 0.9, 0.9, 0.2]) == [1, 2]
-    assert bl.sample_indices("topk", 3, 1, scores=[0.5, 0.5, 0.5]) == [0]
+    assert bl.sample_indices("topk", 4, 2, [[0.1, 0.9, 0.9, 0.2]]) == [[1, 2]]
+    assert bl.sample_indices("topk", 3, 1, [[0.5, 0.5, 0.5], [0.1, 0.3, 0.3]]) == [[0], [1]]
 
 
 def test_topk_is_a_subset_of_score_argsort():
     rng = np.random.default_rng(13)
-    scores = rng.random(20)
-    top = bl.sample_indices("topk", 20, 6, scores=scores)
-    best = set(np.argsort(-scores)[:6].tolist())
-    assert set(top) == best
+    scores = rng.random((5, 20))
+    for row, top in zip(scores, bl.sample_indices("topk", 20, 6, scores)):
+        assert set(top) == set(np.argsort(-row)[:6].tolist())
 
 
 def test_sampling_errors():
     with pytest.raises(DomainError):
-        bl.sample_indices("uniform", 8, 9)
+        bl.sample_indices("uniform", 8, 9, [None])
     with pytest.raises(DomainError):
-        bl.sample_indices("uniform", 8, 0)
+        bl.sample_indices("uniform", 8, 0, [None])
     with pytest.raises(DomainError):
-        bl.sample_indices("striped", 8, 2)
-    with pytest.raises(ContractError):
-        bl.sample_indices("topk", 8, 2)
+        bl.sample_indices("striped", 8, 2, [None])
+    # a score stack must be (videos, t)
     with pytest.raises(DimensionError):
-        bl.sample_indices("topk", 8, 2, scores=[0.1, 0.2])
+        bl.sample_indices("topk", 8, 2, [[0.1, 0.2]])
+    with pytest.raises(DimensionError):
+        bl.sample_indices("topk", 8, 2, np.zeros(8))

@@ -44,9 +44,9 @@ def _mutated(key: str, value) -> dict:
     return cfg
 
 
-@pytest.mark.parametrize("key, value", CASES, ids=[f"{k}={v!r}" for k, v in CASES])
-def test_a_mutated_config_exits_cleanly_through_every_command(tmp_path, capsys, key, value):
-    cfg = _mutated(key, value)
+def _run_commands(tmp_path, capsys, cfg: dict) -> int:
+    """generate-data, train and eval on ``cfg`` until one fails, then
+    tradeoff when all succeeded; returns the last exit code."""
     data, run = tmp_path / "data", tmp_path / "run"
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     # train reads the splits generate-data wrote
@@ -61,8 +61,20 @@ def test_a_mutated_config_exits_cleanly_through_every_command(tmp_path, capsys, 
         assert code in (0, 1, 2), argv[0]
         assert len(err.splitlines()) == (1 if code else 0), (argv[0], err)
         if code:
-            break
-    else:
-        code = main(["tradeoff", "--metrics", str(tmp_path / "eval" / "metrics.json"),
-                     "--out", str(tmp_path / "tradeoff")])
-        assert (code, capsys.readouterr().err) == (0, "")
+            return code
+    code = main(["tradeoff", "--metrics", str(tmp_path / "eval" / "metrics.json"),
+                 "--out", str(tmp_path / "tradeoff")])
+    assert (code, capsys.readouterr().err) == (0, "")
+    return code
+
+
+@pytest.mark.parametrize("key, value", CASES, ids=[f"{k}={v!r}" for k, v in CASES])
+def test_a_mutated_config_exits_cleanly_through_every_command(tmp_path, capsys, key, value):
+    _run_commands(tmp_path, capsys, _mutated(key, value))
+
+
+def test_a_two_class_multi_label_config_runs_every_command(tmp_path, capsys):
+    """A multi-label video with one other class can add only that one."""
+    cfg = _mutated("dataset.task", "multi_label")
+    cfg["dataset"]["n_classes"] = 2
+    assert _run_commands(tmp_path, capsys, cfg) == 0

@@ -312,6 +312,49 @@ def test_a_selector_arm_ranks_saturated_logits_as_tied_activations():
     assert picks == [[[0]]]
 
 
+def _per_video_picks(cfg, ranked, budgets, stream):
+    """``split_picks``' rule for the selector-free arms, one video at a time."""
+    t = cfg.dataset.timesteps
+    out = []
+    for budget in budgets:
+        k = training_sample_budget(cfg) if budget is None else budget
+        rows = []
+        for i in range(len(ranked)):
+            if cfg.mode == "scsampler":
+                rows.append(sorted(np.argsort(-ranked[i], kind="stable")[:k].tolist()))
+            elif cfg.mode == "uniform":
+                rows.append([(2 * j + 1) * t // (2 * k) for j in range(k)])
+            else:
+                s = np.random.default_rng([cfg.seed, *stream, i]).integers(1 << 62)
+                rows.append(sorted(np.random.default_rng(int(s))
+                                   .choice(t, size=k, replace=False).tolist()))
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["scsampler", "uniform", "random"])
+def test_split_picks_samples_each_budget_once_for_the_whole_split(monkeypatch, mode):
+    """A selector-free arm's picks take one ``sample_indices`` call per
+    budget, over every row, and equal the rule applied video by video."""
+    cfg = tiny_config(mode, seed=3)
+    ranked = (np.random.default_rng(0).random((4, cfg.dataset.timesteps)).round(1)
+              if mode == "scsampler" else [None] * 4)
+    calls = []
+    sample = evaluation.sample_indices
+    monkeypatch.setattr(evaluation, "sample_indices",
+                        lambda *a: calls.append(a[:3]) or sample(*a))
+    budgets = [None, 2, 5]
+    picks = evaluation.split_picks(cfg, ranked, budgets, [0xBA5E, 1])
+    mode_name = "topk" if mode == "scsampler" else mode
+    assert calls == [(mode_name, 6, 2), (mode_name, 6, 2), (mode_name, 6, 5)]
+    assert picks == _per_video_picks(cfg, ranked, budgets, [0xBA5E, 1])
+    if mode == "random":
+        # the seed stream, pinned: every budget reads the same per-video seeds
+        assert picks == [[[0, 3], [0, 5], [1, 4], [0, 4]], [[0, 3], [0, 5], [1, 4], [0, 4]],
+                         [[0, 1, 2, 3, 4], [0, 1, 2, 3, 5], [0, 1, 2, 4, 5],
+                          [0, 1, 2, 3, 5]]]
+
+
 def test_random_mode_reuses_the_per_video_eval_stream(tiny_data):
     cfg = tiny_config("random")
     bundle = build_bundle(cfg)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import stepgate.synthdata as sd
 from conftest import traced_peak
 from stepgate import container
-from stepgate.errors import DomainError, FormatError, GenerationError
+from stepgate.errors import DimensionError, DomainError, FormatError, GenerationError
 
 
 SPLIT_FIELDS = ("frames", "labels", "relevance", "planted")
@@ -29,6 +29,11 @@ def label_of(video):
     """The class of a single-label video, read off its one-hot row."""
     (c,) = np.flatnonzero(video.labels)
     return int(c)
+
+
+def class_rows(classes, spec):
+    """One one-hot (L,) label row per class of ``classes``, stacked."""
+    return np.eye(spec.n_classes)[classes]
 
 
 def decode_prototypes(video, prototypes, spec):
@@ -299,12 +304,15 @@ def test_generation_draws_each_video_into_its_row(dataset, spec):
 
 
 def test_oracle_matches_stored_mask_for_own_label(dataset, spec):
-    for v in dataset.train[:20]:
-        nptest.assert_array_equal(sd.relevance_oracle(v.planted, [label_of(v)], spec),
-                                  v.relevance)
-    for bad in (spec.n_classes, -1):
-        with pytest.raises(DomainError):
-            sd.relevance_oracle(dataset.train[0].planted, [0, bad], spec)
+    head = dataset.train[:20]
+    own = class_rows([label_of(v) for v in head], spec)
+    nptest.assert_array_equal(sd.relevance_oracle(head.planted, own, spec), head.relevance)
+    nptest.assert_array_equal(sd.relevance_oracle(head.planted[0], own[0], spec),
+                              head.relevance[0])
+    # a label row must hold one entry per class
+    for width in (spec.n_classes + 1, spec.n_classes - 1):
+        with pytest.raises(DimensionError):
+            sd.relevance_oracle(head.planted, np.ones((20, width)), spec)
 
 
 @pytest.mark.parametrize("task", ["single_label", "multi_label"])
@@ -313,18 +321,19 @@ def test_oracle_of_the_positive_classes_is_the_stored_mask(spec, task):
     multi-label video's is the union over its classes."""
     data = sd.generate_dataset(sd.ActivitySpec(**{**asdict(spec), "task": task}),
                                30, 10, seed=5)
-    for v in videos_of(data):
+    for split in (data.train, data.test):
         nptest.assert_array_equal(
-            sd.relevance_oracle(v.planted, np.flatnonzero(v.labels), data.spec), v.relevance)
-    assert task == "single_label" or max(v.labels.sum() for v in data.train) > 1
+            sd.relevance_oracle(split.planted, split.labels, data.spec), split.relevance)
+    assert task == "single_label" or data.train.labels.sum(axis=1).max() > 1
 
 
 def test_background_timesteps_relevant_to_no_class(dataset, spec):
     v = dataset.train[0]
     bg = np.asarray([int(p) in spec.background_prototypes for p in v.planted])
     assert bg.any()
-    for c in range(spec.n_classes):
-        assert not (sd.relevance_oracle(v.planted, [c], spec) & bg).any()
+    every = sd.relevance_oracle(np.tile(v.planted, (spec.n_classes, 1)),
+                                np.eye(spec.n_classes), spec)
+    assert not (every & bg).any()
 
 
 def test_shared_prototype_relevant_to_one_class_not_another(dataset, spec):
@@ -336,10 +345,52 @@ def test_shared_prototype_relevant_to_one_class_not_another(dataset, spec):
                 continue
             owners = [c for c in range(spec.n_classes) if p in spec.class_recipes[c]]
             assert label_of(v) not in owners
-            assert sd.relevance_oracle(v.planted, [owners[0]], spec)[pos]
-            assert not sd.relevance_oracle(v.planted, [label_of(v)], spec)[pos]
+            rows = class_rows([owners[0], label_of(v)], spec)
+            assert sd.relevance_oracle(np.tile(v.planted, (2, 1)), rows, spec)[:, pos].tolist() \
+                == [True, False]
             hits += 1
     assert hits > 0, "expected shared-prototype confusers in a default dataset"
+
+
+def per_video_oracle(planted, labels, spec):
+    """Recipe membership one video at a time, from ``class_recipes``."""
+    out = []
+    for ids, row in zip(planted, labels):
+        recipe = frozenset().union(*(spec.class_recipes[c] for c in np.flatnonzero(row)))
+        out.append([int(p) in recipe for p in ids])
+    return np.array(out, dtype=bool).reshape(planted.shape)
+
+
+@pytest.mark.parametrize("task", sd.TASKS)
+@pytest.mark.parametrize("style", sd.RECIPE_STYLES)
+def test_the_array_oracle_is_the_per_video_rule(task, style):
+    """Over whole splits, under their own label rows and under arbitrary
+    0/1 rows (none, one or many positives), the array rule equals recipe
+    membership checked video by video."""
+    params = PAIRED if style == "paired" else {**ANCHORED, "recipe_style": "anchored"}
+    spec = sd.ActivitySpec(**{**params, "task": task})
+    data = sd.generate_dataset(spec, 12, 8, seed=3)
+    rng = np.random.default_rng(4)
+    for split in (data.train, data.test):
+        others = (rng.random(split.labels.shape) < 0.3).astype(np.float64)
+        for labels in (split.labels, others):
+            nptest.assert_array_equal(sd.relevance_oracle(split.planted, labels, spec),
+                                      per_video_oracle(split.planted, labels, spec))
+        nptest.assert_array_equal(per_video_oracle(split.planted, split.labels, spec),
+                                  split.relevance)
+
+
+def test_generation_and_load_run_the_oracle_once_per_split(tmp_path, spec, monkeypatch):
+    calls = []
+    oracle = sd.relevance_oracle
+    monkeypatch.setattr(sd, "relevance_oracle",
+                        lambda planted, *a: calls.append(planted.shape) or oracle(planted, *a))
+    data = sd.generate_dataset(spec, n_train=5, n_test=3, seed=2)
+    assert calls == [(5, spec.timesteps), (3, spec.timesteps)]
+    sd.save_split(tmp_path / "train.sgds", data, "train")
+    calls.clear()
+    sd.load_split(tmp_path / "train.sgds")
+    assert calls == [(5, spec.timesteps)]
 
 
 def test_identical_timestep_vector_with_opposite_relevance(dataset, spec):
@@ -408,6 +459,19 @@ def test_multi_label_videos(spec):
         nptest.assert_array_equal(v.relevance,
                                   np.asarray([int(p) in union for p in v.planted]))
     assert saw_multi
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_two_class_multi_label_videos_add_at_most_the_one_other_class(spec, seed):
+    """With two classes a multi-label video can add only the other one (two
+    shared prototypes, so each sits in both recipes)."""
+    ml = sd.ActivitySpec(**{**asdict(spec), "task": "multi_label", "n_classes": 2,
+                            "n_shared": 2})
+    data = sd.generate_dataset(ml, 8, 4, seed=seed)
+    for split in (data.train, data.test):
+        assert set(split.labels.sum(axis=1).tolist()) <= {1.0, 2.0}
+        nptest.assert_array_equal(per_video_oracle(split.planted, split.labels, ml),
+                                  split.relevance)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +703,8 @@ def test_corrupt_content_behind_a_valid_checksum_is_a_format_error(tmp_path, lar
         "minus_inf_frame": (4, (5, 31, 1, 31), -np.inf, "frame value is not finite"),
         "nan_prototype": (0, (0, 0), np.nan, "prototype value is not finite"),
         "inf_prototype": (0, (0, 0), np.inf, "prototype value is not finite"),
-        "relevance_flipped": (2, (2, 5), 1 - large.test[2].relevance[5], "recipe membership"),
+        "relevance_flipped": (2, (2, 5), 1 - large.test[2].relevance[5],
+                              "video 2 is not its classes' recipe membership"),
     }
     for name, (field, at, value, message) in content.items():
         fields = _fields(large.prototypes, large.test)
