@@ -44,14 +44,10 @@ rows).  Each loss term is one tape node too: ``softmax_xent``, ``bce_logits``
 and the rate term ``rate_penalty``.  Each backward of a layer or of
 ``rate_penalty`` evaluates the numpy expressions, in the order, of the chain
 of matrix products, transposes, tilings and elementwise products it stands
-for, so the fused op's values and gradients equal the chain's bitwise, with
-one rule for ``mlp``: its backward leaves out the rows whose output gradient
-is all zero (``segment_max`` sends each column's gradient to one row).  With
-no such row its gradients equal the chain's bitwise; with one, they match to
-rounding, because the products and sums skip exact zero terms and so may add
-in another order, and those rows of the input gradient are exactly 0.
-Backward computes no gradient product for a constant first operand of
-``matmul_t``, ``affine``, ``mlp`` or ``attention`` (such as raw frames).
+for, so the fused op's values and gradients equal the chain's bitwise.
+Backward computes no input-gradient product for a constant first operand of
+``mlp`` (raw frames, read by both encoders); every other op computes each
+of its gradients, and those of constant inputs are dropped.
 
 One record is open per process at a time, in one module-level slot.
 """
@@ -183,7 +179,7 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     against every row of ``b``; one tape node."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"matmul_t got incompatible shapes {a.shape} and {b.shape}")
-    return _emit("matmul_t", a.data @ b.data.T, (a, b), a.requires_grad)
+    return _emit("matmul_t", a.data @ b.data.T, (a, b))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -329,7 +325,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
         raise DimensionError(
             f"affine got incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
-    return _emit("affine", x.data @ w.data + b.data, (x, w, b), x.requires_grad)
+    return _emit("affine", x.data @ w.data + b.data, (x, w, b))
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -348,7 +344,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     out = hidden @ w2.data
     out += b2.data
     # backward needs only the relu output: hidden > 0 exactly where pre > 0
-    return _emit("mlp", out, (x, w1, b1, w2, b2), (x.requires_grad, hidden))
+    return _emit("mlp", out, (x, w1, b1, w2, b2), hidden)
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, t: int) -> Tensor:
@@ -378,7 +374,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, t: int) -> Tensor:
     p /= p.sum(axis=-1, keepdims=True)
     out = (p @ v).reshape(d.shape)
     out += d
-    return _emit("attention", out, (x, wq, wk, wv), (x.requires_grad, q, k, v, p, c))
+    return _emit("attention", out, (x, wq, wk, wv), (q, k, v, p, c))
 
 
 def noisy_gate(logits: Tensor, noise) -> Tensor:
@@ -435,37 +431,28 @@ class MLP:
 
 def _bwd_matmul_t(node, g, data):
     a, b = data
-    # node.ctx: whether the first operand needs a gradient at all
-    return (g @ b if node.ctx else None, (a.T @ g).T)
+    return (g @ b, (a.T @ g).T)
 
 
 def _bwd_affine(node, g, data):
     x, w, _ = data
-    return (g @ w.T if node.ctx else None, x.T @ g, g.sum(axis=0))
+    return (g @ w.T, x.T @ g, g.sum(axis=0))
 
 
 def _bwd_mlp(node, g, data):
     x, w1, _, w2, _ = data
-    x_grad, hidden = node.ctx
-    # a row whose output gradient is all zero (segment_max sends each
-    # column's gradient to one row) adds nothing: backpropagate the others
-    live = g.any(axis=1)
-    rows = None if live.all() else np.flatnonzero(live)
-    if rows is not None:
-        g, x, hidden = g[rows], x[rows], hidden[rows]
+    hidden = node.ctx
     g_pre = g @ w2.T
     g_pre *= hidden > 0.0
-    gx = g_pre @ w1.T if x_grad else None
-    if gx is not None and rows is not None:
-        full = np.zeros_like(data[0])
-        full[rows] = gx
-        gx = full
+    # both encoders read raw frames, a constant, and this product is one of
+    # the heavy backward's two largest
+    gx = g_pre @ w1.T if node.inputs[0].requires_grad else None
     return (gx, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
 
 
 def _bwd_attention(node, g, data):
     x, wq, wk, wv = data
-    x_grad, q, k, v, p, c = node.ctx
+    q, k, v, p, c = node.ctx
     g = g.reshape(q.shape)
     g_p = g @ v.swapaxes(-1, -2)
     g_v = p.swapaxes(-1, -2) @ g
@@ -474,8 +461,7 @@ def _bwd_attention(node, g, data):
     g_k = (q.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
     # the weight gradients sum over all B*t rows
     g, g_q, g_k, g_v = (a.reshape(x.shape) for a in (g, g_q, g_k, g_v))
-    gx = ((g + g_v @ wv.T) + g_k @ wk.T) + g_q @ wq.T if x_grad else None
-    return (gx, x.T @ g_q, x.T @ g_k, x.T @ g_v)
+    return (((g + g_v @ wv.T) + g_k @ wk.T) + g_q @ wq.T, x.T @ g_q, x.T @ g_k, x.T @ g_v)
 
 
 def _bwd_noisy_gate(node, g, data):

@@ -46,9 +46,9 @@ class Checkpoint:
         return config_from_dict(self.config)
 
     def bundle(self, config: ExperimentConfig) -> ModelBundle:
-        """``config``'s freshly built bundle, filled with the stored values;
-        names and shapes must match exactly."""
-        bundle = build_bundle(config)
+        """``config``'s bundle holding the stored values, built without a
+        throwaway draw; names and shapes must match exactly."""
+        bundle = build_bundle(config, draw=False)
         named = bundle.named_parameters()
         if set(named) != set(self.params):
             missing = sorted(set(self.params) - set(named))

@@ -120,7 +120,7 @@ def cost_registry(bundle: ModelBundle, timesteps: int) -> CostRegistry:
 def cost_registry_for(config: ExperimentConfig) -> CostRegistry:
     """``cost_registry`` of the bundle ``config`` builds.  It takes a config
     alone because the benchmark reads the rates before any bundle exists."""
-    return cost_registry(build_bundle(config), config.dataset.timesteps)
+    return cost_registry(build_bundle(config, draw=False), config.dataset.timesteps)
 
 
 def _cost_for(config: ExperimentConfig, mean_heavy: float,

@@ -90,7 +90,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
     cases = {
         # rows of x against the rows of a (4, 4) kernel matrix
         "matmul_t": (lambda x: _project(ad.matmul_t(x, proj[0]), w43), _param(_X34)),
-        # constant first operand: backward skips its gradient product
+        # the kernels' gradient; the constant first operand's is dropped
         "matmul_t_kernels": (lambda k: _project(ad.matmul_t(Tensor(_X34), k), w43),
                              _param(proj[0].data)),
         "add": (lambda x: _project(ad.add(x, other), w34), _param(_X34)),
@@ -117,23 +117,23 @@ def _op_cases(rng: np.random.Generator) -> dict[str, float]:
             x, np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0]],
                         dtype=np.float64)), _param(_X34)),
         "affine": (lambda x: _project(ad.affine(x, b, bias2), w32), _param(_X34)),
-        # constant first operand: backward skips its gradient product
+        # constant first operand, whose gradient is dropped
         "affine_weight": (lambda w: _project(ad.affine(Tensor(_X34), w, bias2), w32),
                           _param(b.data)),
         "affine_bias": (lambda v: _project(ad.affine(Tensor(_X34), b, v), w32),
                         _param(bias2.data)),
         "mlp": (lambda x: _project(ad.mlp(x, Tensor(_W1), Tensor(_B1), w2, bias2), w32),
                 _param(_X34)),
-        # a row with no output gradient: backward runs on the other rows
+        # a row with no output gradient: its row of the input gradient is 0
         "mlp_pooled": (lambda x: _project(ad.segment_max(ad.mlp(
             x, Tensor(_W1), Tensor(_B1), Tensor(_W2_POOLED), Tensor(np.array([0.1]))),
             [1, 2]), w34[:2]), _param(_X34)),
-        # constant input: backward skips its gradient product
+        # constant input, the encoders' case: backward skips its gradient product
         "mlp_weight": (lambda w: _project(ad.mlp(Tensor(_X34), w, Tensor(_B1), w2, bias2),
                                           w32), _param(_W1)),
         # one sequence of 3 rows
         "attention": (attend, _param(_X34)),
-        # constant input, one projection at a time
+        # constant input, whose gradient is dropped; one projection at a time
         "attention_q": (lambda w: attend(Tensor(_X34), q=w), _param(proj[0].data)),
         "attention_k": (lambda w: attend(Tensor(_X34), k=w), _param(proj[1].data)),
         "attention_v": (lambda w: attend(Tensor(_X34), v=w), _param(proj[2].data)),

@@ -13,6 +13,7 @@ uniform / random    heavy classifier on fixed-rule samples; no selector.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,22 +55,24 @@ class ModelBundle:
         return named_tensors(self)
 
 
-def build_bundle(config: ExperimentConfig, dtype=np.float32) -> ModelBundle:
-    """Fresh parameters for the config's mode, seeded from config.seed.
+def build_bundle(config: ExperimentConfig, dtype=np.float32, draw: bool = True) -> ModelBundle:
+    """Fresh parameters for the config's mode, seeded from config.seed; with
+    ``draw`` false, for a caller that overwrites or only measures them, zeros
+    replace the normal draws and no generator is made.
 
     The draws are float64; the weights store them rounded to ``dtype``.
     float32, the dtype of the stored frames, is what every model computes
     in; the gradient suite asks for float64.
     """
-    bundle = _draw_bundle(config)
+    rng = np.random.default_rng(config.seed) if draw else SimpleNamespace(standard_normal=np.zeros)
+    bundle = _draw_bundle(config, rng)
     for t in bundle.named_parameters().values():
         t.data = t.data.astype(dtype, copy=False)
         t.grad = np.zeros_like(t.data)
     return bundle
 
 
-def _draw_bundle(config: ExperimentConfig) -> ModelBundle:
-    rng = np.random.default_rng(config.seed)
+def _draw_bundle(config: ExperimentConfig, rng) -> ModelBundle:
     d, m = config.dataset, config.model
     mode = config.mode
 

@@ -193,6 +193,8 @@ def _heavy_logits(frames: np.ndarray, batch: list[int], picks: list[list[int]],
     n, t = frames.shape[:2]
     rows = []
     for b, idx in zip(batch, picks):
+        if not idx:
+            raise ContractError(f"video {b} has no picks; every video encodes at least one slot")
         # numpy would wrap a negative pick and a late one would read the next video
         if not 0 <= min(idx) <= max(idx) < t:
             raise ContractError(f"picks {idx} fall outside the {t} slots of a video")
@@ -207,19 +209,19 @@ def _heavy_logits(frames: np.ndarray, batch: list[int], picks: list[list[int]],
 
 
 def joint_logits(frames: np.ndarray, batch: list[int], results: list[SelectionResult],
-                 p_open: Tensor, bundle: ModelBundle) -> Tensor:
+                 opened: np.ndarray, p_open: Tensor, bundle: ModelBundle) -> Tensor:
     """The joint arms' (B, L) heavy logits of a batch, rows ``batch`` of a
     split's ``frames``: each selection's heavy timesteps, scaled by their
-    gate values, through the heavy classifier.  ``p_open`` is the (B*T, 1)
-    column ``sigmoid(logit)`` of the batch."""
-    opened = np.stack([r.open for r in results])
+    gate values, through the heavy classifier.  ``opened`` is the (B, T)
+    stack of the selections' open masks and ``p_open`` the (B*T, 1) column
+    ``sigmoid(logit)`` of the batch."""
     n, t = opened.size, opened.shape[1]
     picks = heavy_indices(opened, np.stack([r.logits.data.reshape(t) for r in results]))
     # the fallback timestep of an all-closed video enters with its open
     # probability, a live gate, read from the second half of the gate column
     column = ad.concat_rows([r.activated for r in results] + [ad.reshape(p_open, (n,))])
-    gate_rows = [b * t + i + (0 if opened[b].any() else n)
-                 for b, idx in enumerate(picks) for i in idx]
+    offset = np.where(opened.any(axis=1), 0, n)
+    gate_rows = [b * t + i + offset[b] for b, idx in enumerate(picks) for i in idx]
     return _heavy_logits(frames, batch, picks, ad.take_rows(column, gate_rows),
                          bundle.classifier)
 
@@ -252,16 +254,16 @@ def _phase_a_loss(config: ExperimentConfig, bundle: ModelBundle,
             results = [select(light[b:b + 1], bundle.selector, "train", rng=rng)
                        for b in range(len(batch))]
             p_open = ad.sigmoid(ad.concat_rows([r.logits for r in results]))
+            opened = np.stack([r.open for r in results])
             if mode == "standalone":
                 # light path: gated light features through the light head
                 logits = classify(ad.concat_rows([r.features for r in results]),
                                   ad.concat_rows([r.activated for r in results]),
                                   bundle.light_head, [t_steps] * len(results))
             else:
-                logits = joint_logits(train.frames, batch, results, p_open, bundle)
+                logits = joint_logits(train.frames, batch, results, opened, p_open, bundle)
             loss, hits = _scored(logits, train.labels[batch], task)
             loss = ad.add(loss, ad.rate_penalty(p_open, target_rate))
-            opened = np.stack([r.open for r in results])
             return (loss, hits, int(opened.sum()) / t_steps,
                     int((~opened.any(axis=1)).sum()))
     elif mode == "scsampler":

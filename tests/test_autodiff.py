@@ -475,15 +475,26 @@ def test_affine_rejects_a_2d_bias_and_a_width_mismatch():
 
 
 def test_constant_first_operand_gets_no_gradient():
+    """Raw frames as the first operand of every layer op: they get no
+    ``grad`` array, and the weights' gradients are the hand formulas."""
     frames = np.array([[0.5, -1.0], [1.5, 0.25], [-0.75, 0.8]])
     probe = np.array([[1.0, -2.0, 0.5], [0.25, 1.5, -1.0], [2.0, 0.0, 0.75]])
     x = tensor(frames)
     w = tensor([[0.4, -0.7, 1.1], [0.2, 0.9, -0.3]], requires_grad=True)
     b = tensor([0.1, -0.2, 0.3], requires_grad=True)
     v = tensor(np.ones((3, 2)), requires_grad=True)
+    w1, b1, w2, b2, wq, wk, wv = (tensor(m, requires_grad=True) for m in (
+        [[0.3, -0.6], [0.8, 0.5]], [0.1, -0.4], [[0.7, -0.2, 0.9], [-0.5, 1.2, 0.4]],
+        [0.2, 0.0, -0.1], [[0.6, -0.3], [0.2, 0.9]], [[-0.4, 0.7], [0.5, 0.1]],
+        [[0.8, 0.2], [-0.6, 0.3]]))
     with ad.record() as rec:
-        loss = ad.add(weighted_sum(ad.affine(x, w, b), probe),
-                      weighted_sum(ad.matmul_t(x, v), probe))
+        terms = [weighted_sum(ad.affine(x, w, b), probe), weighted_sum(ad.matmul_t(x, v), probe),
+                 weighted_sum(ad.mlp(x, w1, b1, w2, b2), probe),
+                 weighted_sum(ad.attention(x, wq, wk, wv, 3), probe[:, :2])]
+        loss = ad.add(ad.add(terms[0], terms[1]), ad.add(terms[2], terms[3]))
+    mlp_node = next(node for node in rec.nodes if node.op == "mlp")
+    # mlp, the op both encoders run on raw frames, skips the product itself
+    assert ad._BACKWARD["mlp"](mlp_node, probe, tuple(t.data for t in mlp_node.inputs))[0] is None
     ad.backward(loss)
     assert x.grad is None
     # d/dw sum(probe * (x @ w + b)) = x.T @ probe; d/db = column sums of probe;
@@ -491,6 +502,26 @@ def test_constant_first_operand_gets_no_gradient():
     nptest.assert_array_equal(w.grad, frames.T @ probe)
     nptest.assert_array_equal(b.grad, probe.sum(axis=0))
     nptest.assert_array_equal(v.grad, (frames.T @ probe).T)
+    # mlp: through w2, then the relu's mask, then w1
+    pre = frames @ w1.data + b1.data
+    g_pre = (probe @ w2.data.T) * (pre > 0.0)
+    nptest.assert_array_equal(w1.grad, frames.T @ g_pre)
+    nptest.assert_array_equal(b1.grad, g_pre.sum(axis=0))
+    nptest.assert_array_equal(w2.grad, np.maximum(pre, 0.0).T @ probe)
+    nptest.assert_array_equal(b2.grad, probe.sum(axis=0))
+    # attention, out = x + p @ v: through v, then the softmax's Jacobian into
+    # the scaled scores q @ k.T
+    g = probe[:, :2]
+    q, k, vals = frames @ wq.data, frames @ wk.data, frames @ wv.data
+    c = 1.0 / math.sqrt(2)
+    p = q @ k.T * c
+    p = np.exp(p - p.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    g_p = g @ vals.T
+    g_s = p * (g_p - (g_p * p).sum(axis=1, keepdims=True)) * c
+    nptest.assert_array_equal(wq.grad, frames.T @ (g_s @ k))
+    nptest.assert_array_equal(wk.grad, frames.T @ (q.T @ g_s).T)
+    nptest.assert_array_equal(wv.grad, frames.T @ (p.T @ g))
 
 
 def _mlp_operands(rng, n_rows, n_out):
@@ -501,10 +532,10 @@ def _mlp_operands(rng, n_rows, n_out):
 
 
 @pytest.mark.parametrize("dead", [[], [1, 4], [0, 1, 2, 3, 5]])
-def test_mlp_backward_skips_rows_without_output_gradient(dead):
+def test_mlp_backward_is_the_dense_chain_bitwise_with_zero_gradient_rows(dead):
     """With none, some or all but one of the output-gradient rows zero, the
-    gradients match the dense formula to 1e-12 and the dead rows of the input
-    gradient are exactly 0; with no zero row they equal it bitwise."""
+    gradients equal the dense formula bitwise and the dead rows of the input
+    gradient are exactly 0."""
     rng = np.random.default_rng(5)
     x, (w1, b1, w2, b2) = _mlp_operands(rng, 6, 3)
     probe = rng.standard_normal((6, 3))
@@ -519,10 +550,7 @@ def test_mlp_backward_skips_rows_without_output_gradient(dead):
     dense = [g_pre @ w1.data.T, x.data.T @ g_pre, g_pre.sum(axis=0),
              np.maximum(pre, 0.0).T @ probe, probe.sum(axis=0)]
     for t, want in zip((x, w1, b1, w2, b2), dense):
-        if dead:
-            nptest.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-12)
-        else:
-            nptest.assert_array_equal(t.grad, want)
+        nptest.assert_array_equal(t.grad, want)
     assert not x.grad[dead].any()
 
 
@@ -662,7 +690,7 @@ def test_fd_every_parameter_of_a_layer_op(layer):
 
 def test_fd_every_mlp_operand_under_segment_max():
     """segment_max sends each column's gradient to one row of the mlp's
-    output, so rows 1, 3 and 4 get none and backward skips them."""
+    output, so rows 1, 3 and 4 get none."""
     rng = np.random.default_rng(20)
     x, params = _mlp_operands(rng, 6, 2)
     lengths = [4, 2]

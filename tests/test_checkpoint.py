@@ -11,6 +11,7 @@ from stepgate.errors import ContractError, FormatError
 from stepgate.harness.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint,
                                          checkpoint_layout, load_checkpoint,
                                          save_checkpoint)
+from stepgate.harness.config import MODES
 from stepgate.harness.models import build_bundle
 
 
@@ -40,6 +41,26 @@ def test_bundle_restores_values(bundle_and_ckpt):
     for name, tensor in fresh.named_parameters().items():
         nptest.assert_array_equal(tensor.data, ckpt.params[name])
         assert tensor.data is not ckpt.params[name]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_restore_creates_no_seeded_generator(mode, monkeypatch):
+    """Restoring fills a bundle built without a draw: no generator is made,
+    and the weights, gradients and dtypes are those of the stored bundle."""
+    cfg = tiny_config(mode)
+    bundle = build_bundle(cfg)
+    ckpt = Checkpoint.from_bundle(cfg, bundle, step=1)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a restore made a seeded generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    restored = ckpt.bundle(cfg).named_parameters()
+    assert list(restored) == list(bundle.named_parameters())
+    for name, tensor in bundle.named_parameters().items():
+        got = restored[name]
+        assert got.data.dtype == tensor.data.dtype and got.data.tobytes() == tensor.data.tobytes()
+        assert got.grad.dtype == tensor.grad.dtype and not got.grad.any()
 
 
 def test_bundle_rejects_mismatched_configs(bundle_and_ckpt):

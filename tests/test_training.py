@@ -198,8 +198,9 @@ def test_training_checks_the_heavy_rows_of_each_batch(mode, tiny_data, monkeypat
 
 
 def test_a_pick_past_the_last_slot_of_a_video_is_a_contract_error(tiny_data):
-    """The segment gather refuses a pick past a video's last slot and a
-    negative pick, which numpy would wrap to a slot from the end."""
+    """The segment gather refuses a pick past a video's last slot, a
+    negative pick, which numpy would wrap to a slot from the end, and a video
+    with no picks."""
     cfg = tiny_config("uniform")
     params = build_bundle(cfg).classifier
     frames = tiny_data.train.frames
@@ -208,6 +209,8 @@ def test_a_pick_past_the_last_slot_of_a_video_is_a_contract_error(tiny_data):
         training._heavy_logits(frames, [0, 1], [[t], [0]], None, params)
     with pytest.raises(ContractError, match=fr"picks \[-1, 2\] fall outside the {t} slots"):
         training._heavy_logits(frames, [0, 1], [[0], [-1, 2]], None, params)
+    with pytest.raises(ContractError, match="video 1 has no picks"):
+        training._heavy_logits(frames, [0, 1], [[1], []], None, params)
     assert params.heavy_rows == 0
     logits = training._heavy_logits(frames, [0, 1], [[t - 1], [0]], None, params)
     assert logits.shape == (2, cfg.dataset.n_classes) and params.heavy_rows == 2
