@@ -44,10 +44,13 @@ rows).  Each loss term is one tape node too: ``softmax_xent``, ``bce_logits``
 and the rate term ``rate_penalty``.  Each backward of a layer or of
 ``rate_penalty`` evaluates the numpy expressions, in the order, of the chain
 of matrix products, transposes, tilings and elementwise products it stands
-for, so the fused op's values and gradients equal the chain's bitwise.
-Backward computes no input-gradient product for a constant first operand of
-``mlp`` (raw frames, read by both encoders); every other op computes each
-of its gradients, and those of constant inputs are dropped.
+for, so the fused op's values and gradients equal the chain's bitwise; a
+weight gradient ``x.T @ g`` sums its rows in order in blocks of ``GRAD_BLOCK``
+(``_row_sum``), so no BLAS thread count changes it, and it equals the chain's
+only up to that many rows.  Backward computes no input-gradient product for a
+constant first operand of ``mlp`` (raw frames, read by both encoders); every
+other op computes each of its gradients, and those of constant inputs are
+dropped.
 
 One record is open per process at a time, in one module-level slot.
 """
@@ -66,6 +69,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 
 SIGMOID_CLAMP = 40.0
+GRAD_BLOCK = 256  # rows per BLAS product in a weight gradient, ``_row_sum``
 _FLOATS = (np.float32, np.float64)
 
 
@@ -429,14 +433,23 @@ class MLP:
 # backward
 
 
+def _row_sum(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x.T @ g`` for 2-d ``x`` and ``g``, one BLAS product per block of
+    ``GRAD_BLOCK`` rows added in order; one block is ``x.T @ g`` itself."""
+    acc = x[:GRAD_BLOCK].T @ g[:GRAD_BLOCK]
+    for lo in range(GRAD_BLOCK, x.shape[0], GRAD_BLOCK):
+        acc += x[lo:lo + GRAD_BLOCK].T @ g[lo:lo + GRAD_BLOCK]
+    return acc
+
+
 def _bwd_matmul_t(node, g, data):
     a, b = data
-    return (g @ b, (a.T @ g).T)
+    return (g @ b, _row_sum(a, g).T)
 
 
 def _bwd_affine(node, g, data):
     x, w, _ = data
-    return (g @ w.T, x.T @ g, g.sum(axis=0))
+    return (g @ w.T, _row_sum(x, g), g.sum(axis=0))
 
 
 def _bwd_mlp(node, g, data):
@@ -447,7 +460,7 @@ def _bwd_mlp(node, g, data):
     # both encoders read raw frames, a constant, and this product is one of
     # the heavy backward's two largest
     gx = g_pre @ w1.T if node.inputs[0].requires_grad else None
-    return (gx, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
+    return (gx, _row_sum(x, g_pre), g_pre.sum(axis=0), _row_sum(hidden, g), g.sum(axis=0))
 
 
 def _bwd_attention(node, g, data):
@@ -461,7 +474,8 @@ def _bwd_attention(node, g, data):
     g_k = (q.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
     # the weight gradients sum over all B*t rows
     g, g_q, g_k, g_v = (a.reshape(x.shape) for a in (g, g_q, g_k, g_v))
-    return (((g + g_v @ wv.T) + g_k @ wk.T) + g_q @ wq.T, x.T @ g_q, x.T @ g_k, x.T @ g_v)
+    return (((g + g_v @ wv.T) + g_k @ wk.T) + g_q @ wq.T,
+            _row_sum(x, g_q), _row_sum(x, g_k), _row_sum(x, g_v))
 
 
 def _bwd_noisy_gate(node, g, data):

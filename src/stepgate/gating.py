@@ -10,8 +10,8 @@ number of them.  The kernels and the gate MLP live in
 ``selector.SelectorParams``.
 
 During training the activation is ``a = clip(sigmoid(logit + G))`` where
-``G = G1 - G2`` is the difference of two independent Gumbel(0, 1) draws
-(equivalently one Logistic(0, 1) sample) and the clip zeroes everything at or
+``G`` is ``Generator.logistic``'s Logistic(0, 1) draw, the law of a difference
+of two independent Gumbel(0, 1) draws, and the clip zeroes everything at or
 below 1/2.  Because the noise is logistic, the probability that a gate opens
 is exactly ``sigmoid(logit)``.  At test time the noise is dropped and the
 clipped sigmoid becomes a hard step: open iff the logit is positive.
@@ -34,7 +34,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import MLP, Tensor
-from .errors import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -52,17 +51,7 @@ def gate_logits_batch(similarities: Tensor, mlp: MLP) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# noise and activation
-
-
-def sample_gate_noise_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` Logistic(0, 1) draws, the law of a difference of two Gumbel(0, 1)s."""
-    if n < 1:
-        raise DomainError(f"need at least one noise draw, got {n}")
-    u = rng.random(n)
-    tiny = np.finfo(np.float64).tiny
-    u = np.clip(u, tiny, 1.0 - 2 ** -53)
-    return np.log(u) - np.log1p(-u)
+# activation
 
 
 def activate_train_batch(alphas: Tensor, noises: np.ndarray) -> tuple[Tensor, np.ndarray]:

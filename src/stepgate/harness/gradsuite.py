@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import autodiff as ad
-from .. import gating
 from ..autodiff import Tensor, finite_diff_check
 from ..errors import ContractError
 from ..selector import select
@@ -171,8 +170,7 @@ def _e2e_cases(seed: int) -> dict[str, float]:
     alphas = select(light_frames(dataset.train[batch], config),
                     bundle.selector, "test").logits.data.ravel()
     for noise_seed in range(_NOISE_SEED, _NOISE_SEED + _NOISE_TRIES):
-        z = alphas + gating.sample_gate_noise_batch(np.random.default_rng(noise_seed),
-                                                    alphas.size)
+        z = alphas + np.random.default_rng(noise_seed).logistic(size=alphas.size)
         opens = (z.reshape(len(batch), -1) > 0.0).any(axis=1)
         if np.min(np.abs(z)) >= _MARGIN and opens.all():
             break

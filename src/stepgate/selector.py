@@ -127,9 +127,8 @@ def select(light: np.ndarray, params: SelectorParams, mode: str,
     if mode == "train":
         if rng is None:
             raise ContractError("train-mode selection needs an rng for the gate noise")
-        n = alphas.shape[0]
-        noises = gating.sample_gate_noise_batch(rng, n).reshape(n, 1)
-        value, open_mask = gating.activate_train_batch(alphas, noises)
+        value, open_mask = gating.activate_train_batch(alphas,
+                                                       rng.logistic(size=alphas.shape))
     else:
         value, open_mask = gating.activate_test_batch(alphas)
     return SelectionResult(features=feats, logits=alphas, activated=value,

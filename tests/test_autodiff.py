@@ -554,6 +554,30 @@ def test_mlp_backward_is_the_dense_chain_bitwise_with_zero_gradient_rows(dead):
     assert not x.grad[dead].any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_row_sum_is_the_product_up_to_one_block_and_the_in_order_block_sum_past_it(
+        n, dtype):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 5)).astype(dtype)
+    g = rng.standard_normal((n, 3)).astype(dtype)
+    got = ad._row_sum(x, g)
+    assert got.dtype == dtype
+    full = x.T @ g
+    if n <= ad.GRAD_BLOCK:
+        nptest.assert_array_equal(got, full)
+    else:
+        blocks = [x[lo:lo + ad.GRAD_BLOCK].T @ g[lo:lo + ad.GRAD_BLOCK]
+                  for lo in range(0, n, ad.GRAD_BLOCK)]
+        want = blocks[0]
+        for block in blocks[1:]:
+            want = want + block
+        nptest.assert_array_equal(got, want)
+    # each of the two sums lies within n * eps * sum|x_i g_i| of the exact one
+    bound = 2 * n * np.finfo(dtype).eps * (np.abs(x).T @ np.abs(g))
+    assert (np.abs(got - full) <= bound).all()
+
+
 def test_take_rows_backward_scatter_adds_duplicates():
     x = tensor([[1.0], [2.0], [3.0]], requires_grad=True)
     with ad.record() as rec:

@@ -230,9 +230,8 @@ def e2e_loss(sparams, cparams, frames, noises, label):
 
 
 def test_e2e_gradient_reaches_selector_and_classifier():
-    import stepgate.gating as gt
     sparams, cparams, frames = build_small_pipeline(seed=3)
-    noises = gt.sample_gate_noise_batch(np.random.default_rng(40), 3).reshape(3, 1)
+    noises = np.random.default_rng(40).logistic(size=(3, 1))
     with ad.record() as rec:
         loss = e2e_loss(sparams, cparams, frames, noises, 1)
     ad.backward(loss)
@@ -244,9 +243,8 @@ def test_e2e_gradient_reaches_selector_and_classifier():
 
 
 def test_e2e_finite_difference_check():
-    import stepgate.gating as gt
     sparams, cparams, frames = build_small_pipeline(seed=4)
-    noises = gt.sample_gate_noise_batch(np.random.default_rng(41), 3).reshape(3, 1)
+    noises = np.random.default_rng(41).logistic(size=(3, 1))
     alphas = sel.select(frames[None, :, 2], sparams, "test").logits.data
     assert np.abs(alphas + noises).min() > 1e-2, "gate too close to its threshold for fd"
 

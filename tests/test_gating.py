@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -105,35 +103,13 @@ def test_gate_logit_gradient_reaches_kernels():
 
 
 # ---------------------------------------------------------------------------
-# noise
-
-
-def test_noise_is_reproducible_and_logistic_shaped():
-    a = gt.sample_gate_noise_batch(np.random.default_rng(42), 200000)
-    b = gt.sample_gate_noise_batch(np.random.default_rng(42), 200000)
-    nptest.assert_array_equal(a, b)
-    # Logistic(0,1): mean 0, variance pi^2 / 3, median 0
-    assert abs(a.mean()) < 0.02
-    assert abs(a.var() - math.pi ** 2 / 3) < 0.05
-    assert abs((a > 0).mean() - 0.5) < 0.005
-
-
-def test_scalar_noise_matches_batch_stream():
-    """One draw per call reads the same stream as one batch of draws."""
-    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    singles = [gt.sample_gate_noise_batch(rng1, 1)[0] for _ in range(5)]
-    batch = gt.sample_gate_noise_batch(rng2, 5)
-    nptest.assert_allclose(singles, batch, rtol=1e-15)
-
-
-# ---------------------------------------------------------------------------
 # activation semantics
 
 
 def test_activate_train_value_range():
     rng = np.random.default_rng(5)
     alphas = rng.uniform(-4, 4, size=(500, 1))
-    noises = gt.sample_gate_noise_batch(rng, 500).reshape(500, 1)
+    noises = rng.logistic(size=(500, 1))
     value, mask = gt.activate_train_batch(Tensor(alphas), noises)
     assert mask.shape == value.shape == (500,)
     opened, closed = value.data[mask], value.data[~mask]
@@ -172,7 +148,7 @@ def test_batch_activation_matches_scalar_path():
     """Each gate equals its one-gate call and ``sigmoid(z) * [z > 0]``."""
     rng = np.random.default_rng(11)
     alphas = rng.uniform(-3, 3, size=(20, 1))
-    noises = gt.sample_gate_noise_batch(rng, 20).reshape(20, 1)
+    noises = rng.logistic(size=(20, 1))
     value, mask = gt.activate_train_batch(Tensor(alphas), noises)
     for i in range(20):
         assert train_gate(alphas[i, 0], noises[i, 0]) == (value.data[i], mask[i])
@@ -186,14 +162,14 @@ def test_open_probability_identity_quick():
     rng = np.random.default_rng(123)
     n = 20000
     for alpha in (-1.0, 0.0, 2.0):
-        noises = gt.sample_gate_noise_batch(rng, n).reshape(n, 1)
+        noises = rng.logistic(size=(n, 1))
         _, mask = gt.activate_train_batch(Tensor(np.full((n, 1), alpha)), noises)
         assert abs(mask.mean() - ad.sigmoid_np(alpha)) < 0.02
 
 
 def test_monotonicity_under_shared_noise():
     rng = np.random.default_rng(2)
-    noise = gt.sample_gate_noise_batch(rng, 200).reshape(200, 1)
+    noise = rng.logistic(size=(200, 1))
     pairs = np.sort(rng.uniform(-4, 4, size=(200, 2)), axis=1)
     lo, _ = gt.activate_train_batch(Tensor(pairs[:, :1]), noise)
     hi, _ = gt.activate_train_batch(Tensor(pairs[:, 1:]), noise)

@@ -376,7 +376,7 @@ def test_selection_fd_gradient_with_frozen_noise():
     params = make_params(context_mode="context", channels=3, n_kernels=4,
                          d_raw=4, seed=5, open_bias=1.0)
     light = np.random.default_rng(13).standard_normal((1, 3, 4))
-    noises = gt.sample_gate_noise_batch(np.random.default_rng(21), 3).reshape(3, 1)
+    noises = np.random.default_rng(21).logistic(size=(3, 1))
 
     def f(_):
         alphas = sel.select(light, params, "test").logits

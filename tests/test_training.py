@@ -1,5 +1,9 @@
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as nptest
@@ -623,3 +627,34 @@ def test_multi_label_modes_train(tiny_cfg):
     res_sc = run_training(cfg_sc, data)
     assert np.isfinite(res_sc.epoch_logs[-1].loss)
     assert np.isfinite(res_sc.classifier_logs[-1].loss)
+
+
+# trains every mode at default widths on 32 videos for one epoch, enough rows
+# per batch for a weight gradient to span more than one ``GRAD_BLOCK``, and
+# writes each checkpoint to <argv[1]>/<mode>.sgck
+_TRAIN_EVERY_MODE = """
+import sys
+from pathlib import Path
+from stepgate.harness.checkpoint import save_checkpoint
+from stepgate.harness.config import MODES, DatasetConfig, ExperimentConfig, TrainingConfig
+from stepgate.harness.training import run_training
+for mode in MODES:
+    cfg = ExperimentConfig(mode=mode, seed=3, dataset=DatasetConfig(n_train=32, n_test=4),
+                           training=TrainingConfig(epochs=1))
+    save_checkpoint(Path(sys.argv[1]) / f"{mode}.sgck", run_training(cfg).checkpoint)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
+def test_every_mode_saves_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    src = str(Path(training.__file__).resolve().parents[2])
+    saved = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-c", _TRAIN_EVERY_MODE, str(out)], env=env,
+                       check=True, capture_output=True)
+        saved[threads] = {mode: (out / f"{mode}.sgck").read_bytes() for mode in MODES}
+    assert [m for m in MODES if saved["1"][m] != saved["2"][m]] == []

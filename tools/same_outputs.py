@@ -286,7 +286,7 @@ def _verdict(want: dict, have: dict | None) -> tuple[bool, str]:
 
 
 def _side(root: Path, *args: str) -> str:
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, *args], cwd=root, env=env,
                           capture_output=True, text=True)
     # gradcheck exits 2 when a case is above threshold; its output still compares
