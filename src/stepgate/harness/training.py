@@ -49,7 +49,7 @@ from .config import ExperimentConfig
 from .evaluation import SELECTOR_MODES, hits, light_frames, rankings, split_picks
 from .models import ModelBundle, build_bundle, training_sample_budget
 
-_TRAIN_STREAM = 0x5EED
+_TRAIN_STREAM = 0x5EED  # each phase's stream, [seed, _TRAIN_STREAM, 0 for A or 1 for B]
 _SAMPLE_STREAM = 0xBA5E
 
 
@@ -116,8 +116,8 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
 # loop helpers
 
 
-def _train_rng(config: ExperimentConfig) -> np.random.Generator:
-    return np.random.default_rng([config.seed, _TRAIN_STREAM])
+def _train_rng(config: ExperimentConfig, phase: int) -> np.random.Generator:
+    return np.random.default_rng([config.seed, _TRAIN_STREAM, phase])
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -300,7 +300,7 @@ def run_training(config: ExperimentConfig,
     cls_logs: list[EpochLog] = []
     steps = 0
 
-    rng = _train_rng(config)
+    rng = _train_rng(config, 0)
     video_loss = _phase_a_loss(config, bundle, dataset, rng)
     if video_loss is not None:
         params = {name: t for name, t in bundle.named_parameters().items()
@@ -328,11 +328,10 @@ def run_training(config: ExperimentConfig,
             loss, hits = _scored(logits, dataset.train.labels[batch], task)
             return loss, hits, sum(len(idx) for idx in picks) / t_steps, 0
 
-        rng_b = _train_rng(config)
-        rng_b.integers(1 << 30)  # offset from the phase A shuffle stream
         cls_params = {name: t for name, t in bundle.named_parameters().items()
                       if name.startswith("classifier.")}
-        cls_logs, cls_steps = _fit(cls_params, config, n_train, rng_b, classifier_loss)
+        cls_logs, cls_steps = _fit(cls_params, config, n_train, _train_rng(config, 1),
+                                   classifier_loss)
         steps += cls_steps
 
     ckpt = Checkpoint.from_bundle(config, bundle, step=steps)

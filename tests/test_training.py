@@ -481,6 +481,26 @@ def test_same_seed_runs_on_stored_splits_save_identical_checkpoints(tmp_path, ti
     assert saved[0] == saved[1] == saved[2]
 
 
+@pytest.mark.parametrize("mode", ["standalone", "scsampler"])
+def test_phase_b_shuffles_independently_of_phase_a(mode, monkeypatch):
+    """Phase B's first shuffle of 256 videos shares about as many positions
+    with phase A's as two independent permutations do, 1 in 256 on average."""
+    orders = []
+    real = training._batches
+
+    def spy(n, batch_size, rng):
+        batches = list(real(n, batch_size, rng))
+        orders.append(np.concatenate(batches))
+        return iter(batches)
+
+    monkeypatch.setattr(training, "_batches", spy)
+    cfg = tiny_config(mode, **{"training.epochs": 1, "dataset.n_train": 256,
+                               "training.batch_size": 64})
+    run_training(cfg)
+    first_a, first_b = orders
+    assert (first_a == first_b).mean() < 0.05
+
+
 def test_seed_changes_the_trajectory(tiny_data):
     a = run_training(tiny_config("e2e"), tiny_data)
     c = run_training(tiny_config("e2e", seed=1), tiny_data)
